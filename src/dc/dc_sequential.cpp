@@ -234,6 +234,7 @@ void stedc_sequential(index_t n, double* d, double* e, Matrix& v, const Options&
                       SolveStats* stats) {
   Options topt = opt;
   tune::apply_env_tuning(topt, n);
+  topt.threads = 1;  // the F32RefineF64 epilogue stays on the calling thread too
   detail::run_with_precision(n, d, e, v, topt, stats,
                              [&](auto* dd, auto* ee, auto& vv, SolveStats* st) {
                                stedc_sequential_impl(n, dd, ee, vv, topt, st);

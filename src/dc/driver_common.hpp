@@ -104,7 +104,8 @@ void finish_report(const obs::SolveScope& scope,
 ///   F32RefineF64  as F32, but the ORIGINAL fp64 tridiagonal is saved
 ///                 before the solve destroys it (scaling + Cuppen boundary
 ///                 adjustment) and every returned eigenpair is polished to
-///                 fp64-grade residuals by Rayleigh-quotient iteration.
+///                 fp64-grade residuals by Rayleigh-quotient iteration,
+///                 column blocks spread over opt.threads workers.
 ///
 /// After the solve (and refinement), the health probe -- armed with the
 /// fp64 tridiagonal snapshotted on entry -- checks sampled eigenpairs, and
@@ -143,7 +144,7 @@ void run_with_precision(index_t n, double* d, double* e, Matrix& v, const Option
     }
     if (opt.precision == Precision::F32RefineF64) {
       const lapack::RefineReport rr = lapack::refine_eigenpairs(
-          n, d64.data(), e64.data(), d, v.data(), v.ld(), v.cols());
+          n, d64.data(), e64.data(), d, v.data(), v.ld(), v.cols(), {}, opt.threads);
       if (st) st->refine = rr;
     }
   }

@@ -10,48 +10,54 @@
 #include "common/real_traits.hpp"
 #include "lapack/bisect.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/engine.hpp"
+#include "runtime/graph.hpp"
 
 namespace dnc::lapack {
 namespace {
 
 // Partially-pivoted LU of T - lambda I (dgttrf layout, as in stein.cpp):
 // lower multipliers ml, main diagonal u0, first/second upper diagonals
-// u1/u2, per-plane swap flags. Factor once per RQI step, solve once.
+// u1/u2, per-plane swap flags. Sized once for order n; factor() overwrites
+// every entry solve() reads, so one object serves any number of shifts.
 struct TridiagLU {
   std::vector<double> ml, u0, u1, u2;
   std::vector<char> swapped;
 
+  explicit TridiagLU(index_t n) : ml(n), u0(n), u1(n), u2(n), swapped(n) {}
+
   void factor(index_t n, const double* d, const double* e, double lambda) {
-    ml.assign(n, 0.0);
-    u0.assign(n, 0.0);
-    u1.assign(n, 0.0);
-    u2.assign(n, 0.0);
-    swapped.assign(n, 0);
     const double tiny = real_traits<double>::safmin() / real_traits<double>::eps();
-    std::vector<double> a(n), b(n > 1 ? n - 1 : 0), c(n > 1 ? n - 1 : 0);
-    for (index_t i = 0; i < n; ++i) a[i] = d[i] - lambda;
-    for (index_t i = 0; i + 1 < n; ++i) b[i] = c[i] = e[i];
+    // Elimination touches only the current row and the next, so the
+    // working diagonal a and upper entry c of the active row are carried
+    // as scalars; the subdiagonal b is e itself (never updated).
+    double a = d[0] - lambda;
+    double c = n > 1 ? e[0] : 0.0;
     for (index_t i = 0; i < n; ++i) {
-      u0[i] = a[i];
+      u0[i] = a;
       if (i + 1 < n) {
-        if (std::fabs(a[i]) >= std::fabs(b[i])) {
-          double piv = a[i];
+        const double b = e[i];
+        const double anext = d[i + 1] - lambda;
+        const double cnext = (i + 2 < n) ? e[i + 1] : 0.0;
+        if (std::fabs(a) >= std::fabs(b)) {
+          double piv = a;
           if (std::fabs(piv) < tiny) piv = std::copysign(tiny, piv == 0.0 ? 1.0 : piv);
+          swapped[i] = 0;
           u0[i] = piv;
-          ml[i] = b[i] / piv;
-          a[i + 1] -= ml[i] * c[i];
-          u1[i] = c[i];
+          ml[i] = b / piv;
+          u1[i] = c;
           u2[i] = 0.0;
+          a = anext - ml[i] * c;
+          c = cnext;
         } else {
           swapped[i] = 1;
-          const double piv = b[i];
+          const double piv = b;
           u0[i] = piv;
-          ml[i] = a[i] / piv;
-          u1[i] = a[i + 1];
-          const double cnext = (i + 2 < n) ? c[i + 1] : 0.0;
+          ml[i] = a / piv;
+          u1[i] = anext;
           u2[i] = cnext;
-          a[i + 1] = c[i] - ml[i] * a[i + 1];
-          if (i + 2 < n) c[i + 1] = -ml[i] * cnext;
+          a = c - ml[i] * anext;
+          c = -ml[i] * cnext;
         }
       } else if (std::fabs(u0[i]) < tiny) {
         u0[i] = std::copysign(tiny, u0[i] == 0.0 ? 1.0 : u0[i]);
@@ -90,24 +96,27 @@ double residual_inf(index_t n, const double* x, const double* y, double lambda) 
   return r;
 }
 
-}  // namespace
-
-RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, double* lam,
-                               double* v, index_t ldv, index_t nvec,
-                               const RefineOptions& opts) {
-  RefineReport rep;
-  if (n <= 0 || nvec <= 0) return rep;
-  DNC_REQUIRE(ldv >= n, "refine_eigenpairs: ldv < n");
-
-  const double tnorm = blas::lanst_one(n, d, e);
-  const double eps = real_traits<double>::eps();
-  const double tol =
-      opts.tol_factor * eps * std::max(tnorm, real_traits<double>::safmin());
-
-  std::vector<double> y(n), w(n);
+// Scratch of one column sweep: T v, the RQI iterate, and the LU of T - rho I.
+struct Workspace {
+  explicit Workspace(index_t n) : y(n), w(n), lu(n) {}
+  std::vector<double> y, w;
   TridiagLU lu;
+};
 
-  for (index_t j = 0; j < nvec; ++j) {
+// Columns per RQI task: each column costs a few O(n) solves, so a block
+// amortises the task overhead while leaving enough blocks to balance.
+constexpr index_t kRqiBlock = 16;
+
+// Rayleigh-quotient iteration on columns [j0, j1), tallied into rep. Each
+// column reads and writes only its own (lam[j], v[:,j]), so disjoint ranges
+// may run concurrently and give the same bits as one serial sweep.
+void rqi_columns(index_t n, const double* d, const double* e, double* lam, double* v,
+                 index_t ldv, index_t j0, index_t j1, double tol, const RefineOptions& opts,
+                 Workspace& ws, RefineReport& rep) {
+  std::vector<double>& y = ws.y;
+  std::vector<double>& w = ws.w;
+  TridiagLU& lu = ws.lu;
+  for (index_t j = j0; j < j1; ++j) {
     double* vj = v + j * ldv;
     // fp32-normalised columns can be off by ~eps32 in SCALE even when
     // their direction is exact (a 2x2 rotation narrowed to fp32 has zero
@@ -147,6 +156,67 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
     }
     rep.max_resid_after = std::max(rep.max_resid_after, resid);
   }
+}
+
+// The RQI sweep over all nvec columns: blocks of kRqiBlock columns, run
+// inline for threads == 1 and otherwise as independent tasks on a
+// short-lived runtime, each task with its own workspace and partial report.
+// Counts add and maxima combine exactly, so the reduced report (like the
+// refined pairs) is independent of the worker count.
+RefineReport rqi_sweep(index_t n, const double* d, const double* e, double* lam, double* v,
+                       index_t ldv, index_t nvec, double tol, const RefineOptions& opts,
+                       int threads, Workspace& ws) {
+  const index_t nblocks = (nvec + kRqiBlock - 1) / kRqiBlock;
+  if (threads <= 1 || nblocks <= 1) {
+    RefineReport rep;
+    rqi_columns(n, d, e, lam, v, ldv, 0, nvec, tol, opts, ws, rep);
+    return rep;
+  }
+  std::vector<RefineReport> parts(static_cast<std::size_t>(nblocks));
+  {
+    rt::TaskGraph graph;
+    const rt::KindId kind = graph.register_kind("RefineRQI", false, "#17becf");
+    rt::Runtime runtime(graph, static_cast<int>(std::min<index_t>(threads, nblocks)));
+    for (index_t b = 0; b < nblocks; ++b) {
+      graph.submit(kind,
+                   [=, &parts, &opts] {
+                     Workspace local(n);
+                     rqi_columns(n, d, e, lam, v, ldv, b * kRqiBlock,
+                                 std::min(nvec, (b + 1) * kRqiBlock), tol, opts, local,
+                                 parts[static_cast<std::size_t>(b)]);
+                   },
+                   {});
+    }
+    runtime.wait_all();
+  }
+  RefineReport rep;
+  for (const RefineReport& p : parts) {
+    rep.checked += p.checked;
+    rep.refined += p.refined;
+    rep.iterations += p.iterations;
+    rep.max_resid_before = std::max(rep.max_resid_before, p.max_resid_before);
+    rep.max_resid_after = std::max(rep.max_resid_after, p.max_resid_after);
+  }
+  return rep;
+}
+
+}  // namespace
+
+RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, double* lam,
+                               double* v, index_t ldv, index_t nvec,
+                               const RefineOptions& opts, int threads) {
+  if (n <= 0 || nvec <= 0) return {};
+  DNC_REQUIRE(ldv >= n, "refine_eigenpairs: ldv < n");
+
+  const double tnorm = blas::lanst_one(n, d, e);
+  const double eps = real_traits<double>::eps();
+  const double tol =
+      opts.tol_factor * eps * std::max(tnorm, real_traits<double>::safmin());
+
+  Workspace work(n);
+  std::vector<double>& y = work.y;
+  TridiagLU& lu = work.lu;
+  RefineReport rep = rqi_sweep(n, d, e, lam, v, ldv, nvec, tol, opts, threads, work);
 
   // Refined eigenvalues can cross their unrefined neighbours: re-sort pairs
   // (selection sort to minimise column swaps, as dsteqr does).
@@ -193,18 +263,41 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
   // sit at ~sqrt(n) eps). RQI alone stalls at the intra-cluster gap, so a
   // loose 1e-4-scale trigger would leave fp32-grade cross-talk in place.
   const double otol = 64.0 * eps * static_cast<double>(n);
+  // Rounding floor on a computed ||r_k||_2, so the overlap bound below
+  // holds for the exact residual. Being positive, it also keeps the scan
+  // from skipping a pair at zero gap.
+  const double rfloor =
+      static_cast<double>(n) * eps * std::max(tnorm, real_traits<double>::safmin());
+  std::vector<double> rnorm(static_cast<std::size_t>(nvec));
   index_t s = 0;
   while (s < nvec) {
     index_t t = s;
     while (t + 1 < nvec && lam[t + 1] - lam[t] <= close) ++t;
     // Scan: any cross-talk or stalled residual anywhere in the cluster?
+    // Residuals first: one above tol breaks the chain outright, and their
+    // 2-norms bound every overlap. With r = T v - lambda v and unit columns,
+    // (lam_k - lam_q) v_q'v_k = v_k'r_q - v_q'r_k, so
+    // |v_q'v_k| <= (||r_q|| + ||r_k||) / (lam_k - lam_q).
     bool broken = false;
+    double rmax = 0.0;
     for (index_t k = s; k <= t && !broken; ++k) {
       const double* vk = v + k * ldv;
-      for (index_t q = s; q < k && !broken; ++q)
-        broken = std::fabs(blas::dot(n, v + q * ldv, vk)) > otol;
       tridiag_matvec(n, d, e, vk, y.data());
-      broken = broken || residual_inf(n, vk, y.data(), lam[k]) > tol;
+      broken = residual_inf(n, vk, y.data(), lam[k]) > tol;
+      for (index_t i = 0; i < n; ++i) y[i] -= lam[k] * vk[i];
+      rnorm[k] = blas::nrm2(n, y.data()) + rfloor;
+      rmax = std::max(rmax, rnorm[k]);
+    }
+    // Overlaps, nearest predecessor first: once the bound drops below
+    // otol / 2 at q, every farther q (ascending lam, so a wider gap) is
+    // below it too, and its computed dot could not exceed otol.
+    for (index_t k = s + 1; k <= t && !broken; ++k) {
+      const double* vk = v + k * ldv;
+      for (index_t q = k - 1; q >= s && !broken; --q) {
+        if (rmax + rnorm[k] <= 0.5 * otol * (lam[k] - lam[q])) break;
+        ++rep.overlap_dots;
+        broken = std::fabs(blas::dot(n, v + q * ldv, vk)) > otol;
+      }
     }
     if (!broken) {
       s = t + 1;

@@ -8,14 +8,19 @@
 // (T - rho I) w = v with a partially-pivoted tridiagonal LU (the dstein
 // kernel), renormalise, update rho = w^T T w. Each iteration roughly
 // squares the eigenvector error, so the fp32 starting points (~1e-7)
-// reach fp64-grade residuals in 1-2 solves.
+// reach fp64-grade residuals in 1-2 solves. The columns are independent,
+// so this sweep runs as column-block tasks when given several workers.
 //
-// Refinement targets residuals: orthogonality of the returned basis stays
-// at the fp32 level (a cluster of eigenvalues degenerate at fp32 precision
-// cannot be re-separated from fp32 vectors alone); a modified Gram-Schmidt
-// pass over near-equal runs keeps clusters from collapsing onto a single
-// direction.
+// The returned basis is fp64-orthogonal too. A cluster safety net scans
+// each run of near-equal eigenvalues for stalled residuals and for pairwise
+// overlap above fp64 round-off -- pruned by the residual-over-gap bound
+// |v_q'v_k| <= (||r_q|| + ||r_k||) / (lam_k - lam_q), so only pairs that
+// bound cannot clear are dotted -- and re-extracts a broken run by
+// bisection-shifted inverse iteration; a windowed Gram-Schmidt polish
+// then removes the residual-sized cross-talk between close neighbours.
 #pragma once
+
+#include <cstdint>
 
 #include "common/matrix.hpp"
 
@@ -29,19 +34,22 @@ struct RefineOptions {
 };
 
 struct RefineReport {
-  index_t checked = 0;         ///< columns whose residual was evaluated
-  index_t refined = 0;         ///< columns that needed at least one RQI step
-  std::int64_t iterations = 0; ///< total RQI solves across all columns
-  double max_resid_before = 0; ///< worst ||T v - lambda v||_inf entering
-  double max_resid_after = 0;  ///< worst residual after refinement
+  index_t checked = 0;           ///< columns whose residual was evaluated
+  index_t refined = 0;           ///< columns that needed at least one RQI step
+  std::int64_t iterations = 0;   ///< total RQI solves across all columns
+  std::int64_t overlap_dots = 0; ///< pairwise dots computed by the cluster safety-net scan
+  double max_resid_before = 0;   ///< worst ||T v - lambda v||_inf entering
+  double max_resid_after = 0;    ///< worst residual after refinement
 };
 
 /// Refines nvec eigenpairs (lam[j], v[:,j]) of the fp64 tridiagonal (d, e)
 /// in place. Eigenvalues are updated to Rayleigh quotients and the
 /// (lam, v-columns) pairs re-sorted ascending on return (refined values can
 /// cross their unrefined neighbours). v has leading dimension ldv >= n.
+/// `threads` > 1 runs the per-column RQI sweep on that many workers; the
+/// result is bit-identical for every worker count.
 RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, double* lam,
                                double* v, index_t ldv, index_t nvec,
-                               const RefineOptions& opts = {});
+                               const RefineOptions& opts = {}, int threads = 1);
 
 }  // namespace dnc::lapack

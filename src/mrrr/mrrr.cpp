@@ -490,7 +490,8 @@ void mrrr_solve(index_t n, const double* d, const double* e, std::vector<double>
     }
     if (opt.precision == Precision::F32RefineF64 && n > 0) {
       const lapack::RefineReport rr =
-          lapack::refine_eigenpairs(n, d, e, lam.data(), v.data(), v.ld(), v.cols());
+          lapack::refine_eigenpairs(n, d, e, lam.data(), v.data(), v.ld(), v.cols(), {},
+                                    opt.threads);
       if (st) st->refine = rr;
     }
   }

@@ -43,6 +43,9 @@ struct WorkerCtx {
   double frame_nested = 0.0;
   /// Inclusive hwc deltas of helped child tasks inside the current frame.
   std::uint64_t frame_hwc[kHwcSlots] = {0, 0, 0, 0};
+  /// End of this worker's last top-level task (or its start): the idle gap
+  /// runs from here to the next top-level task's t_start.
+  double idle_mark = 0.0;
 };
 
 namespace {
@@ -397,6 +400,13 @@ void Scheduler::run_task(TaskNode* node, WorkerCtx& ctx) {
     // never dips to zero while work remains.
     for (TaskNode* r : newly_ready) enqueue(r, ctx.worker_id);
   }
+  if (enclosing == nullptr) {
+    // Idle accounting, top-level tasks only: help-first waiting inside a
+    // task is covered by the parent's [t_start, t_end] window. Booked before
+    // the inflight_ release below, so trace() after wait_all() reads it.
+    idle_[ctx.worker_id] += node->t_start - ctx.idle_mark;
+    ctx.idle_mark = node->t_end;
+  }
   if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     std::lock_guard<std::mutex> lk(idle_mu_);  // notify under the waiter's mutex
     cv_idle_.notify_all();
@@ -409,18 +419,15 @@ void Scheduler::worker_loop(int worker_id) {
   if (ctx.sampling) hwc_active_.store(true, std::memory_order_relaxed);
   tls_scheduler = this;
   tls_ctx = &ctx;
-  // Idle accounting: everything between "done with the previous task" (or
-  // thread start) and "starting the next task" counts as idle. The marks
-  // reuse the trace timestamps, so this adds no clock reads on the task
-  // path. Help-first waiting inside a task never counts as idle here --
-  // the parent's [t_start, t_end] window covers it.
-  double idle_mark = now_seconds();
+  // Idle accounting (booked in run_task): everything between "done with the
+  // previous task" (or thread start) and "starting the next task" counts as
+  // idle. The marks reuse the trace timestamps, so this adds no clock reads
+  // on the task path.
+  ctx.idle_mark = now_seconds();
   for (;;) {
     TaskNode* node = acquire(worker_id);
     if (node == nullptr) break;
     run_task(node, ctx);
-    idle_[worker_id] += node->t_start - idle_mark;
-    idle_mark = node->t_end;
   }
   tls_scheduler = nullptr;
   tls_ctx = nullptr;

@@ -205,7 +205,7 @@ class Scheduler {
   void worker_loop(int worker_id);
   /// Executes one task on this worker: timestamps, hwc deltas, profiler
   /// attribution, completion (graph successors or child join decrement),
-  /// inflight_ bookkeeping. Re-entrant -- the help-first wait inside
+  /// idle accounting and inflight_ bookkeeping. Re-entrant -- the help-first wait inside
   /// spawn_and_wait calls it with the parent task's frame still open, and
   /// the frame stack in WorkerCtx keeps self-time/self-hwc accounting
   /// correct across arbitrary nesting depth.
@@ -231,7 +231,8 @@ class Scheduler {
   std::vector<std::thread> workers_;
   int thread_count_ = 0;
 
-  std::vector<double> idle_;  // written only by the owning worker
+  // Written only by the owning worker, before its inflight_ release.
+  std::vector<double> idle_;
   SampledSeries queue_series_;
   SampledSeries steal_series_;
   std::atomic<long> total_steals_{0};

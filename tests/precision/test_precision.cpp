@@ -1,7 +1,8 @@
 // The precision layer's property tests: fp32 kernels against fp64
 // references with eps32-scaled tolerances, fp32 laed4 against the fp64
 // root, and the F32RefineF64 accuracy gate -- the mixed-precision driver
-// must land fp64-grade residuals on every Table III bench family.
+// must land fp64-grade residuals on every Table III bench family -- and the
+// refinement safety net's overlap trigger.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,11 +10,15 @@
 #include <limits>
 #include <vector>
 
+#include "blas/aux.hpp"
 #include "blas/gemm.hpp"
 #include "blas/level1.hpp"
 #include "common/rng.hpp"
 #include "dc/api.hpp"
 #include "lapack/laed4.hpp"
+#include "lapack/refine.hpp"
+#include "lapack/sterf.hpp"
+#include "matgen/application.hpp"
 #include "matgen/tridiag.hpp"
 #include "mrrr/mrrr.hpp"
 #include "verify/metrics.hpp"
@@ -193,6 +198,64 @@ TEST(PrecisionSolve, RefineGateTaskflowAllFamilies) {
     // The refinement epilogue ran over every computed eigenpair.
     EXPECT_EQ(st.refine.checked, n) << fam.name;
   }
+  // Hermite at n = 1000: every gap is inside the safety net's chaining
+  // width, so the whole spectrum is one cluster. The residual-over-gap bound
+  // must spare the scan most of its n(n-1)/2 pairwise dots.
+  const index_t nh = 1000;
+  auto t = matgen::table3_matrix(15, nh, 5);
+  std::vector<double> d = t.d, e = t.e;
+  Matrix v;
+  dc::Options opt;
+  opt.precision = Precision::F32RefineF64;
+  opt.threads = 2;
+  dc::SolveStats st;
+  dc::stedc_taskflow(nh, d.data(), e.data(), v, opt, &st);
+  EXPECT_LT(verify::orthogonality(v), 100.0 * kEps64);
+  EXPECT_LT(verify::reduction_residual(t, d, v), 100.0 * kEps64);
+  EXPECT_EQ(st.refine.checked, nh);
+  EXPECT_LT(st.refine.overlap_dots, nh * nh / 20);
+}
+
+/// The safety net's overlap trigger: two columns collapsed onto one
+/// eigenvector (what RQI does to an fp32-degenerate pair) must be detected
+/// and re-extracted. Column j of an fp64 solution is overwritten with
+/// column k, then the pairs are refined.
+void expect_duplicate_repaired(const matgen::Tridiag& t, index_t k, index_t j, const char* what) {
+  const index_t n = t.n();
+  std::vector<double> lam = t.d, e = t.e;
+  Matrix v;
+  dc::Options opt;
+  opt.precision = Precision::F64;
+  dc::stedc_sequential(n, lam.data(), e.data(), v, opt);
+  blas::copy(n, v.data() + k * v.ld(), v.data() + j * v.ld());
+  lapack::refine_eigenpairs(n, t.d.data(), t.e.data(), lam.data(), v.data(), v.ld(), n);
+  EXPECT_LT(verify::orthogonality(v), 100.0 * kEps64) << what;
+  EXPECT_LT(verify::reduction_residual(t, lam, v), 100.0 * kEps64) << what;
+  EXPECT_TRUE(std::is_sorted(lam.begin(), lam.end())) << what;
+}
+
+TEST(PrecisionRefine, OverlapTriggerRepairsDuplicateInCluster) {
+  // Glued Wilkinson: each W21 eigenvalue becomes a tight cluster of six.
+  const auto t = matgen::glued_wilkinson(21, 6, 1e-4);
+  const index_t k = t.n() - 2;
+  expect_duplicate_repaired(t, k, k + 1, "glued Wilkinson, top cluster");
+}
+
+TEST(PrecisionRefine, OverlapTriggerRepairsDuplicateAcrossWideGap) {
+  // Type 4 (arithmetic grading): every neighbour gap is inside the chaining
+  // width 1e-2 ||T||_1, but the duplicate's own eigenvalue sits more than
+  // twice that width above the source's, so only the long chain links them.
+  const index_t n = 150;
+  const auto t = matgen::table3_matrix(4, n, 5);
+  std::vector<double> lam = t.d, e = t.e;
+  lapack::sterf(n, lam.data(), e.data());
+  const double wide = 2e-2 * blas::lanst_one(n, t.d.data(), t.e.data());
+  const index_t k = n / 3;
+  index_t j = k + 1;
+  while (j + 1 < n && lam[j] - lam[k] <= wide) ++j;
+  ASSERT_GT(lam[j] - lam[k], wide);
+  for (index_t i = k; i < j; ++i) ASSERT_LE(lam[i + 1] - lam[i], wide / 2) << "i=" << i;
+  expect_duplicate_repaired(t, k, j, "type 4, wide gap");
 }
 
 TEST(PrecisionSolve, RefineGateMrrrAllFamilies) {
