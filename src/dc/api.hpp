@@ -1,11 +1,14 @@
 // Public entry points of the divide & conquer symmetric tridiagonal
 // eigensolver library.
 //
-// All drivers share the same numerics (deflation, secular equation,
-// Gu-Eisenstat stabilization, compressed update GEMMs) and differ only in
-// the execution model:
+// The four entry points are four execution models of one merge-task
+// emitter (dc/emit.hpp): each submits the same prologue, leaf solves,
+// merge kernels (deflation, secular equation, Gu-Eisenstat stabilization,
+// compressed update GEMMs), sort and unscale, and differs only in how the
+// tasks are wired and run:
 //
-//   stedc_sequential      reference serial Cuppen (LAPACK dstedc numerics)
+//   stedc_sequential      the task-flow sequence run inline, each body at
+//                         submission: no threads, no graph, no trace
 //   stedc_taskflow        the paper's contribution: sequential task flow
 //                         over a QUARK-like runtime with GATHERV panel
 //                         tasks, merges of independent branches overlap
@@ -16,8 +19,13 @@
 //                         in parallel, fork/join merge parallelism,
 //                         barriers between tree levels
 //
-// On entry d[0..n) / e[0..n-1) describe the tridiagonal matrix; on return
-// d holds the eigenvalues in ascending order and v the corresponding
+// sequential and taskflow return bit-identical results, as do the LAPACK
+// and ScaLAPACK models; the two pairs differ in rounding only (the
+// Gu-Eisenstat products are formed per panel vs once per merge).
+//
+// On entry d[0..n) / e[0..n-1) describe the tridiagonal matrix; they must
+// be finite, else InvalidArgument is thrown before any work. On return d
+// holds the eigenvalues in ascending order and v the corresponding
 // orthonormal eigenvectors (v is resized to n x n). e is destroyed.
 #pragma once
 
@@ -52,7 +60,7 @@ struct SolveStats {
   /// checked == 0 under the pure-fp64 and pure-fp32 precisions).
   lapack::RefineReport refine;
 
-  // Filled by the runtime-backed drivers only:
+  // Filled by the runtime-backed drivers only (not stedc_sequential):
   rt::Trace trace;                             ///< per-task execution trace
   std::vector<rt::SimulationResult> simulated;  ///< per requested worker count
   std::string dag_dot;                          ///< DOT DAG if opt.export_dag
@@ -62,7 +70,7 @@ void stedc_sequential(index_t n, double* d, double* e, Matrix& v, const Options&
                       SolveStats* stats = nullptr);
 
 /// `simulate_workers`: optional list of virtual core counts to replay the
-/// recorded DAG on (see runtime/simulator.hpp); results land in
+/// recorded trace on (obs::replay_trace); results land in
 /// stats->simulated in the same order.
 void stedc_taskflow(index_t n, double* d, double* e, Matrix& v, const Options& opt = {},
                     SolveStats* stats = nullptr,

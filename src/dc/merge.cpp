@@ -45,41 +45,10 @@ void finalize_order(const MergeContextT<Real>& ctx, const Real* d, index_t* perm
   lapack::lamrg(ctx.defl.k, ctx.node.m - ctx.defl.k, d, 1, 1, perm);
 }
 
-template <typename Real>
-void merge_sequential(MergeContextT<Real>& ctx, MatrixT<Real>& q, WorkspaceT<Real>& ws,
-                      Real* d, index_t* perm, index_t nb) {
-  MatrixViewT<Real> qb = ctx.qblock(q);
-  run_deflation(ctx, qb, d, perm);
-  const index_t m = ctx.node.m;
-  MatrixViewT<Real> w1 = ctx.w1(ws);
-  MatrixViewT<Real> w2 = ctx.w2(ws);
-  MatrixViewT<Real> wd = ctx.wdefl(ws);
-  MatrixViewT<Real> dm = ctx.deltam(ws);
-  MatrixViewT<Real> sm = ctx.smat(ws);
-  for (index_t p = 0; p < ctx.npanels; ++p) {
-    const index_t j0 = p * nb;
-    const index_t j1 = std::min(j0 + nb, m);
-    permute_panel(ctx.defl, qb, w1, w2, wd, j0, j1);
-    secular_solve_panel(ctx.defl, j0, j1, d, dm);
-    zhat_local_panel(ctx.defl, dm, j0, j1, ctx.wparts.data() + p * ctx.wparts.ld());
-  }
-  zhat_reduce(ctx.defl, ctx.wparts.view(), ctx.npanels, ctx.zhat.data());
-  for (index_t p = 0; p < ctx.npanels; ++p) {
-    const index_t j0 = p * nb;
-    const index_t j1 = std::min(j0 + nb, m);
-    copyback_panel(ctx.defl, wd, j0, j1, qb);
-    secular_vectors_panel(ctx.defl, dm, ctx.zhat.data(), j0, j1, sm);
-    update_vectors_panel(ctx.defl, w1, w2, sm, j0, j1, qb);
-  }
-  finalize_order(ctx, d, perm);
-}
-
 #define DNC_INSTANTIATE_MERGE(Real)                                                       \
   template void run_deflation<Real>(MergeContextT<Real>&, MatrixViewT<Real>, Real*,       \
                                     const index_t*);                                      \
-  template void finalize_order<Real>(const MergeContextT<Real>&, const Real*, index_t*);  \
-  template void merge_sequential<Real>(MergeContextT<Real>&, MatrixT<Real>&,              \
-                                       WorkspaceT<Real>&, Real*, index_t*, index_t)
+  template void finalize_order<Real>(const MergeContextT<Real>&, const Real*, index_t*)
 
 DNC_INSTANTIATE_MERGE(double);
 DNC_INSTANTIATE_MERGE(float);

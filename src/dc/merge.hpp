@@ -1,6 +1,7 @@
-// One D&C merge step: orchestration of the panel kernels plus the shared
-// workspace layout. Used directly by the sequential / fork-join drivers and
-// as task bodies by the task-flow driver. Templated on the working
+// One D&C merge step: the merge context, the shared workspace layout, and
+// the deflation / ordering steps around the panel kernels. The emitter
+// (dc/emit.hpp) submits them as tasks under every execution model.
+// Templated on the working
 // precision Real: an fp32 solve allocates fp32 workspaces (half the memory
 // footprint and traffic of the fp64 solve).
 #pragma once
@@ -36,8 +37,8 @@ template <typename Real>
 struct MergeContextT {
   TreeNode node;
   /// Location of the coupling element e[i0 + n1 - 1]. Read at *execution*
-  /// time, not submission time: the task-flow drivers build contexts before
-  /// the ScaleT task has rescaled e.
+  /// time, not submission time: the emitter builds contexts before the
+  /// ScaleT task has rescaled e.
   const Real* beta_ptr = nullptr;
   index_t npanels = 0;
   DeflationResultT<Real> defl;  ///< filled by run_deflation
@@ -90,12 +91,5 @@ void run_deflation(MergeContextT<Real>& ctx, MatrixViewT<Real> qblock, Real* d,
 /// merges roots and deflated values into the father's ascending perm.
 template <typename Real>
 void finalize_order(const MergeContextT<Real>& ctx, const Real* d, index_t* perm);
-
-/// Runs a complete merge sequentially (deflation + all panels in order).
-/// This is the reference implementation; parallel drivers re-order the
-/// same kernel calls.
-template <typename Real>
-void merge_sequential(MergeContextT<Real>& ctx, MatrixT<Real>& q, WorkspaceT<Real>& ws,
-                      Real* d, index_t* perm, index_t nb);
 
 }  // namespace dnc::dc

@@ -18,6 +18,7 @@
 #include "lapack/stein.hpp"
 #include "mrrr/getvec.hpp"
 #include "mrrr/ldl.hpp"
+#include "obs/analysis.hpp"
 #include "obs/health.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/engine.hpp"
@@ -439,7 +440,7 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
     stats->depth_used = depth_used;
     stats->trace = trace;
     stats->seconds = seconds;
-    for (int w : sim) stats->simulated.push_back(rt::simulate_schedule(graph, w));
+    for (int w : sim) stats->simulated.push_back(obs::replay_trace(trace, w));
   }
   if (stats || want_export) {
     obs::SolveReport local;

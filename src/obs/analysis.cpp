@@ -25,13 +25,12 @@ double duration(const rt::TraceEvent& e) { return std::max(0.0, e.t_end - e.t_st
 /// Child subtasks (spawn_and_wait) are excluded from the DAG analyses: a
 /// parent's [t_start, t_end] window is inclusive of the children it fanned
 /// out, so counting both would double the work, and children carry no
-/// dependency edges. Using the parent's inclusive duration keeps the
-/// engine-vs-simulator critical-path cross-check exact for nested graphs.
+/// dependency edges. The parent's inclusive duration stands for both.
 bool analyzed(const rt::TraceEvent& e) { return !e.is_child(); }
 
 /// Predecessor/successor adjacency over Trace::edges, restricted to edges
 /// whose both endpoints exist in the trace. Successor lists preserve edge
-/// order so the FIFO replay visits tasks exactly like rt::simulate_schedule.
+/// order, so the FIFO replay releases successors in submission order.
 struct Adjacency {
   std::vector<int> npred;
   std::vector<std::vector<std::size_t>> succ;
@@ -65,9 +64,8 @@ CriticalPath critical_path(const rt::Trace& trace) {
 
   // Kahn topological order (trace events are usually already topologically
   // sorted -- submission order respects dependencies -- but loaded or
-  // hand-built traces need not be). `dist` mirrors simulate_schedule's
-  // accumulation exactly: completion(i) = max over preds completion(p),
-  // then += dur(i), so the two critical-path numbers agree to the last ulp.
+  // hand-built traces need not be). completion(i) = max over preds
+  // completion(p), then += dur(i).
   std::vector<double> dist(n, 0.0);
   std::vector<std::ptrdiff_t> parent(n, -1);
   std::vector<int> remaining(adj.npred);
@@ -319,10 +317,12 @@ rt::SimulationResult replay_trace(const rt::Trace& trace, int workers,
   if (replayed == 0) return res;
   res.critical_path = critical_path(trace).length;
 
-  // From here on the code is rt::simulate_schedule's scheduling loop,
-  // verbatim on trace indices: ready queue seeded in event order with the
-  // same (priority desc, arrival asc) discipline, bandwidth factor applied
-  // at task start from the instantaneous count.
+  // List scheduling: the ready queue is seeded in event order with a
+  // (priority desc, arrival asc) discipline, and the bandwidth model
+  // applies at task start from the instantaneous count: when m
+  // memory-bound tasks run and the machine serves `streams` of them at full
+  // speed, each runs at streams/m of its nominal rate -- a first-order
+  // model that reproduces the stagnation of copy-dominated runs.
   const int total_streams = std::min(workers, model.sockets * model.bw_streams_per_socket);
 
   struct Running {

@@ -14,17 +14,15 @@
 //                          at every instant;
 //   * span_law          -- T1, T-inf, average parallelism, and the
 //                          work/span bounds on P-worker makespan (Brent);
-//   * replay_trace      -- priority-aware list-scheduling replay on P
-//                          virtual workers, equivalent to
-//                          rt::simulate_schedule but driven by the Trace
-//                          alone, so it also works on traces loaded from
-//                          disk (tools/dnc_trace).
+//   * replay_trace      -- the DAG replay simulator: priority-aware
+//                          list scheduling on P virtual workers, driven by
+//                          the Trace alone, so it works on live solves
+//                          (SolveStats::simulated) and on traces loaded
+//                          from disk (tools/dnc_trace) alike.
 //
-// All quantities use the same durations as rt::simulate_schedule
-// (max(0, t_end - t_start), never-executed events contribute zero work), so
-// critical_path().length agrees with SimulationResult::critical_path to
-// rounding and replay_trace matches simulate_schedule exactly on the same
-// DAG and machine model.
+// All quantities use the same durations (max(0, t_end - t_start);
+// never-executed events contribute zero work), so replay_trace's
+// critical_path is critical_path().length.
 #pragma once
 
 #include <cstdint>
@@ -104,10 +102,9 @@ SpanLaw span_law(const rt::Trace& trace);
 
 /// Replays the traced DAG on `workers` virtual cores under priority-aware
 /// list scheduling (rt::SimPolicy; priorities from TraceEvent::priority)
-/// with the simulator's bandwidth-sharing model (memory-bound kinds from
-/// Trace::kind_memory_bound). Identical policy and arithmetic to
-/// rt::simulate_schedule -- the cross-check tests assert equality -- but
-/// requiring only the Trace, so what-if sweeps work on loaded traces,
+/// with the bandwidth-sharing model of rt::MachineModel (memory-bound kinds
+/// from Trace::kind_memory_bound). Child subtasks are not replayed: their
+/// parent's duration covers them. What-if sweeps work on loaded traces too,
 /// including what-if-the-scheduler-ignored-priorities (SimPolicy::Fifo).
 rt::SimulationResult replay_trace(const rt::Trace& trace, int workers,
                                   const rt::MachineModel& model = rt::MachineModel{},

@@ -17,12 +17,4 @@ SchedPolicy Runtime::policy() const { return sched_->policy(); }
 
 Trace Runtime::trace() const { return sched_->trace(); }
 
-Trace run_taskflow(TaskGraph& graph, int threads,
-                   const std::function<void(TaskGraph&)>& submitter) {
-  Runtime rt(graph, threads);
-  submitter(graph);
-  rt.wait_all();
-  return rt.trace();
-}
-
 }  // namespace dnc::rt

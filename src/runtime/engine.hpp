@@ -12,7 +12,6 @@
 // shared queue). The DNC_SCHED environment variable picks the default.
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "runtime/graph.hpp"
@@ -51,10 +50,5 @@ class Runtime {
  private:
   std::unique_ptr<Scheduler> sched_;
 };
-
-/// Convenience: run a submission function to completion on `threads`
-/// workers and return the trace.
-Trace run_taskflow(TaskGraph& graph, int threads,
-                   const std::function<void(TaskGraph&)>& submitter);
 
 }  // namespace dnc::rt

@@ -82,7 +82,10 @@ TaskNode* TaskGraph::submit(KindId kind, std::function<void()> fn,
     }
   }
   // A task accessing several handles can pick up duplicate predecessors.
-  std::sort(preds.begin(), preds.end());
+  // Sorting by id (not address) keeps pred_ids -- and so the DOT export and
+  // the trace's edge list -- the same from run to run.
+  std::sort(preds.begin(), preds.end(),
+            [](const TaskNode* a, const TaskNode* b) { return a->id < b->id; });
   preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
   // A task can appear in its own predecessor set when it holds multiple
   // qualifiers on one handle; self-edges are meaningless.

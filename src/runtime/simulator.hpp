@@ -1,4 +1,4 @@
-// DAG replay simulator.
+// Types of the DAG replay simulator (obs::replay_trace in obs/analysis.hpp).
 //
 // The paper's evaluation ran on a dual-socket 16-core Xeon. This container
 // has a single core, so parallel wall-clock cannot be measured directly.
@@ -10,7 +10,6 @@
 // DESIGN.md documents this substitution; EXPERIMENTS.md compares shapes.
 #pragma once
 
-#include "runtime/graph.hpp"
 #include "runtime/trace.hpp"
 
 namespace dnc::rt {
@@ -48,14 +47,5 @@ struct SimulationResult {
   /// figures for a 16-core machine from a 1-core measurement.
   Trace schedule;
 };
-
-/// Replays the completed graph (durations = measured t_end - t_start) on
-/// `workers` virtual cores using priority-aware list scheduling (the
-/// engine's policy; see SimPolicy). Memory-bound kinds are slowed by the
-/// bandwidth-sharing factor of the machine model; compute-bound kinds keep
-/// their measured duration.
-SimulationResult simulate_schedule(const TaskGraph& graph, int workers,
-                                   const MachineModel& model = MachineModel{},
-                                   SimPolicy policy = SimPolicy::Priority);
 
 }  // namespace dnc::rt

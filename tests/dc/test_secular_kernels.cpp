@@ -1,12 +1,14 @@
-// Unit tests of the panel kernels on a hand-built merge: panel splitting
-// must be exactly equivalent to whole-range execution.
+// Unit tests of the panel kernels on a hand-built merge, run through the
+// emitter's inline (Sequential) path: panel splitting must be exactly
+// equivalent to whole-range execution.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "blas/aux.hpp"
 #include "common/rng.hpp"
-#include "dc/merge.hpp"
+#include "dc/emit.hpp"
 #include "lapack/steqr.hpp"
 #include "matgen/tridiag.hpp"
 #include "verify/metrics.hpp"
@@ -46,6 +48,23 @@ Scenario make_scenario(index_t n, int type) {
   return s;
 }
 
+// Merges the scenario's two halves through the emitter's inline path, with
+// nb-wide panels. Returns the merge context (deflation, z-hat).
+std::unique_ptr<MergeContext> run_merge(Scenario& s, index_t nb) {
+  const index_t n = s.t.n();
+  const Plan plan = build_plan(n, n - s.n1);  // the root and its two halves
+  EXPECT_EQ(plan.nodes[plan.root].n1, s.n1);
+  std::vector<double> e = s.t.e;
+  auto ctxs = detail::make_contexts(plan, e.data(), nb);
+  Workspace ws(n);
+  Options opt;
+  opt.nb = nb;
+  detail::Emitter<double> emitter(detail::ExecModel::Sequential, opt, plan, ctxs,
+                                  s.dvals.data(), e.data(), s.q, ws, s.perm.data());
+  emitter.merge(plan.root);
+  return std::move(ctxs[plan.root]);
+}
+
 double merge_residual(const Scenario& s, const std::vector<double>& lam, const Matrix& q) {
   double worst = 0.0;
   const index_t n = s.t.n();
@@ -64,11 +83,7 @@ double merge_residual(const Scenario& s, const std::vector<double>& lam, const M
 TEST(MergeKernels, SingleMergeSolvesProblem) {
   const index_t n = 96;
   Scenario s = make_scenario(n, 6);
-  Workspace ws(n);
-  TreeNode node{0, n, 0, 1, s.n1, 0};
-  std::vector<double> e = s.t.e;
-  MergeContext ctx(node, e.data(), 32);
-  merge_sequential(ctx, s.q, ws, s.dvals.data(), s.perm.data(), 32);
+  run_merge(s, 32);
   // Physically sort by perm for the residual check.
   std::vector<double> lam(n);
   Matrix sorted(n, n);
@@ -85,11 +100,7 @@ TEST(MergeKernels, PanelWidthEquivalence) {
   std::vector<std::vector<double>> results;
   for (index_t nb : {index_t{90}, index_t{13}, index_t{1}}) {
     Scenario s = make_scenario(n, 5);
-    Workspace ws(n);
-    TreeNode node{0, n, 0, 1, s.n1, 0};
-    std::vector<double> e = s.t.e;
-    MergeContext ctx(node, e.data(), nb);
-    merge_sequential(ctx, s.q, ws, s.dvals.data(), s.perm.data(), nb);
+    run_merge(s, nb);
     results.push_back(s.dvals);
   }
   // Identical results regardless of panel width (the panel split changes
@@ -101,11 +112,7 @@ TEST(MergeKernels, PanelWidthEquivalence) {
 TEST(MergeKernels, FinalizeOrderSortsEverything) {
   const index_t n = 64;
   Scenario s = make_scenario(n, 6);
-  Workspace ws(n);
-  TreeNode node{0, n, 0, 1, s.n1, 0};
-  std::vector<double> e = s.t.e;
-  MergeContext ctx(node, e.data(), 16);
-  merge_sequential(ctx, s.q, ws, s.dvals.data(), s.perm.data(), 16);
+  run_merge(s, 16);
   for (index_t r = 1; r < n; ++r)
     EXPECT_LE(s.dvals[s.perm[r - 1]], s.dvals[s.perm[r]]);
 }
@@ -115,16 +122,12 @@ TEST(MergeKernels, ZhatMatchesOriginalZWhenExact) {
   // sqrt(rho) * |w| closely (the Gu-Eisenstat correction is tiny).
   const index_t n = 48;
   Scenario s = make_scenario(n, 13);  // Legendre: no deflation
-  Workspace ws(n);
-  TreeNode node{0, n, 0, 1, s.n1, 0};
-  std::vector<double> e = s.t.e;
-  MergeContext ctx(node, e.data(), 16);
-  merge_sequential(ctx, s.q, ws, s.dvals.data(), s.perm.data(), 16);
-  const auto& defl = ctx.defl;
+  const auto ctx = run_merge(s, 16);
+  const auto& defl = ctx->defl;
   if (defl.k == 0) GTEST_SKIP();
   const double sqrho = std::sqrt(defl.rho);
   for (index_t i = 0; i < defl.k; ++i) {
-    EXPECT_NEAR(std::fabs(ctx.zhat[i]), sqrho * std::fabs(defl.w[i]),
+    EXPECT_NEAR(std::fabs(ctx->zhat[i]), sqrho * std::fabs(defl.w[i]),
                 1e-8 * sqrho * std::fabs(defl.w[i]) + 1e-18)
         << "component " << i;
   }

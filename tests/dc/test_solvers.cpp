@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
 
 #include "../support/precision_testing.hpp"
+#include "common/error.hpp"
 #include "dc/api.hpp"
 #include "matgen/tridiag.hpp"
 #include "verify/metrics.hpp"
@@ -69,12 +72,89 @@ TEST(Stedc, TinySizes) {
 }
 
 TEST(Stedc, ZeroMatrix) {
-  const index_t n = 20;
-  std::vector<double> d(n, 0.0), e(n - 1, 0.0);
+  // Every driver takes the general path (no zero-matrix shortcut) and must
+  // still return d = 0 and V = I exactly, across merges (n > minpart).
+  for (int drv = 0; drv < 4; ++drv) {
+    for (index_t n : {index_t{20}, index_t{300}}) {
+      std::vector<double> d(n, 0.0), e(n - 1, 0.0);
+      Matrix v;
+      run_driver(static_cast<Driver>(drv), n, d.data(), e.data(), v, {});
+      for (double x : d) EXPECT_EQ(x, 0.0) << "driver " << drv << " n=" << n;
+      for (index_t j = 0; j < n; ++j)
+        for (index_t i = 0; i < n; ++i)
+          ASSERT_EQ(v(i, j), i == j ? 1.0 : 0.0) << "driver " << drv << " n=" << n;
+    }
+  }
+}
+
+// The input contract: a non-finite entry raises InvalidArgument before any
+// task runs, from every driver, instead of aborting inside a task or
+// returning non-finite eigenvalues.
+class NonFiniteInput
+    : public ::testing::TestWithParam<std::tuple<int /*driver*/, bool /*inf in e*/>> {};
+
+TEST_P(NonFiniteInput, RaisesInvalidArgument) {
+  const auto [drv, inf_in_e] = GetParam();
+  const index_t n = 200;
+  auto t = matgen::table3_matrix(4, n);
+  if (inf_in_e)
+    t.e[17] = std::numeric_limits<double>::infinity();
+  else
+    t.d[17] = std::numeric_limits<double>::quiet_NaN();
   Matrix v;
-  stedc_sequential(n, d.data(), e.data(), v, {});
-  for (double x : d) EXPECT_EQ(x, 0.0);
-  EXPECT_LT(verify::orthogonality(v), 1e-15);
+  Options opt;
+  opt.threads = 2;
+  EXPECT_THROW(run_driver(static_cast<Driver>(drv), n, t.d.data(), t.e.data(), v, opt),
+               InvalidArgument);
+}
+
+INSTANTIATE_TEST_SUITE_P(DriversTimesDefects, NonFiniteInput,
+                         ::testing::Combine(::testing::Range(0, 4), ::testing::Bool()));
+
+// The emitter's two numeric variants: Sequential and Taskflow form the
+// Gu-Eisenstat products per panel, the LAPACK and ScaLAPACK models once per
+// merge. Within a pair the output is bit-identical, whatever the thread
+// count or workspace option.
+TEST(Stedc, ExecutionModelPairsAgreeBitwise) {
+  const index_t n = 230;
+  const auto same_bits = [](const std::vector<double>& da, const Matrix& va,
+                            const std::vector<double>& db, const Matrix& vb) {
+    if (std::memcmp(da.data(), db.data(), da.size() * sizeof(double)) != 0) return false;
+    for (index_t j = 0; j < va.cols(); ++j)
+      if (std::memcmp(va.data() + j * va.ld(), vb.data() + j * vb.ld(),
+                      va.rows() * sizeof(double)) != 0)
+        return false;
+    return true;
+  };
+  for (int type : {3, 4, 11}) {
+    const auto t = matgen::table3_matrix(type, n, 5);
+    Options opt;
+    opt.minpart = 40;
+    opt.nb = 48;
+    const auto solve = [&](Driver drv, std::vector<double>& d, Matrix& v) {
+      d = t.d;
+      std::vector<double> e = t.e;
+      run_driver(drv, n, d.data(), e.data(), v, opt);
+    };
+    std::vector<double> dseq, d;
+    Matrix vseq, v;
+    solve(Driver::Seq, dseq, vseq);
+    for (int threads : {1, 2, 4}) {
+      for (bool extra : {false, true}) {
+        opt.threads = threads;
+        opt.extra_workspace = extra;
+        solve(Driver::Taskflow, d, v);
+        EXPECT_TRUE(same_bits(dseq, vseq, d, v))
+            << "type " << type << " threads " << threads << " extra " << extra;
+      }
+    }
+    opt.extra_workspace = false;
+    std::vector<double> dlapack;
+    Matrix vlapack;
+    solve(Driver::Lapack, dlapack, vlapack);
+    solve(Driver::Scalapack, d, v);
+    EXPECT_TRUE(same_bits(dlapack, vlapack, d, v)) << "type " << type;
+  }
 }
 
 TEST(Stedc, DiagonalMatrix) {

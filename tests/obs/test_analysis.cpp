@@ -1,8 +1,9 @@
-// Trace analytics tests: critical path / parallelism profile / span law on
-// a hand-built DAG with known answers, agreement with rt::simulate_schedule
-// on real solver traces, and the Perfetto export -> trace_io round trip.
+// Trace analytics tests: critical path / parallelism profile / span law /
+// replay on a hand-built DAG with known answers, the same analyses on real
+// solver traces, and the Perfetto export -> trace_io round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_map>
 #include <vector>
@@ -14,7 +15,6 @@
 #include "obs/trace_io.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/scheduler.hpp"
-#include "runtime/simulator.hpp"
 #include "runtime/trace.hpp"
 
 namespace dnc {
@@ -133,9 +133,6 @@ class SolveTraceTest : public ::testing::Test {
 
 TEST_F(SolveTraceTest, CriticalPathAgreesWithSimulator) {
   const obs::CriticalPath cp = obs::critical_path(stats_.trace);
-  ASSERT_FALSE(stats_.simulated.empty());
-  // Same duration arithmetic as the simulator -> agreement to rounding.
-  EXPECT_NEAR(cp.length, stats_.simulated[0].critical_path, 1e-9);
   EXPECT_NEAR(cp.total_work, stats_.trace.total_busy(), 1e-9);
   EXPECT_GT(cp.chain.size(), 4u);
   // The chain must be a dependency chain: execution-ordered, distinct tasks.
@@ -144,15 +141,20 @@ TEST_F(SolveTraceTest, CriticalPathAgreesWithSimulator) {
               stats_.trace.events[cp.chain[i]].t_end);
 }
 
-TEST_F(SolveTraceTest, ReplayMatchesSimulatorAtEveryWorkerCount) {
+TEST_F(SolveTraceTest, SimulatedHoldsOneReplayPerWorkerCount) {
   const int counts[] = {1, 2, 4, 16};
   ASSERT_EQ(stats_.simulated.size(), 4u);
+  const double t1 = stats_.trace.total_busy();
   for (int i = 0; i < 4; ++i) {
-    const rt::SimulationResult replay = obs::replay_trace(stats_.trace, counts[i]);
-    EXPECT_NEAR(replay.makespan, stats_.simulated[i].makespan, 1e-12)
+    const rt::SimulationResult& sim = stats_.simulated[i];
+    EXPECT_EQ(sim.schedule.workers, counts[i]);
+    EXPECT_NEAR(sim.total_work, t1, 1e-9);
+    // The work/span lower bound of any list schedule.
+    EXPECT_GE(sim.makespan + 1e-12, std::max(sim.critical_path, t1 / counts[i]))
         << "workers=" << counts[i];
-    EXPECT_NEAR(replay.critical_path, stats_.simulated[i].critical_path, 1e-12);
   }
+  // One worker runs the tasks back to back.
+  EXPECT_NEAR(stats_.simulated[0].makespan, t1, 1e-9);
 }
 
 TEST_F(SolveTraceTest, ProfileIntegralEqualsBusyTime) {

@@ -1,15 +1,17 @@
-// Priority semantics across the engine, the simulator, and the obs layer.
+// Priority semantics across the engine and the trace-driven replay.
 //
 // Priorities are hints, not barriers: a higher-priority ready task launches
 // before a lower-priority one when a worker picks its next task, but an
-// already-running task is never preempted. These tests pin down the three
-// places the priority must mean the same thing: both engine policies, the
-// DAG simulator, and the trace-driven replay/critical-path analytics.
+// already-running task is never preempted. These tests pin down the places
+// the priority must mean the same thing: both engine policies, the trace,
+// and the replay simulator / critical-path analytics built on it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -73,7 +75,7 @@ TEST(Priority, TraceRecordsTaskPriority) {
 }
 
 // Fork graph whose two branches become ready simultaneously: under the
-// Priority policy the simulator must launch the high-priority branch
+// Priority policy the replay must launch the high-priority branch
 // first; under Fifo, submission order wins.
 TEST(Priority, SimulatorOrdersCriticalJoinFirst) {
   TaskGraph g;
@@ -97,18 +99,19 @@ TEST(Priority, SimulatorOrdersCriticalJoinFirst) {
     ADD_FAILURE() << "kind " << k << " not in schedule";
     return -1.0;
   };
-  const SimulationResult pri = simulate_schedule(g, 1, MachineModel{}, SimPolicy::Priority);
+  const Trace tr = rt.trace();
+  const SimulationResult pri = obs::replay_trace(tr, 1, MachineModel{}, SimPolicy::Priority);
   EXPECT_LT(start_of(pri, khigh), start_of(pri, klow));
-  const SimulationResult fifo = simulate_schedule(g, 1, MachineModel{}, SimPolicy::Fifo);
+  const SimulationResult fifo = obs::replay_trace(tr, 1, MachineModel{}, SimPolicy::Fifo);
   EXPECT_LT(start_of(fifo, klow), start_of(fifo, khigh));
 }
 
 TEST(Priority, EngineSimulatorReplayAgreementBothPolicies) {
-  // The PR-3 cross-check, now under the policy seam: on the same completed
-  // graph, obs::critical_path(trace) must equal simulate_schedule's
-  // critical path exactly (same durations, same arithmetic), and
-  // obs::replay_trace must reproduce simulate_schedule's makespan for both
-  // ready-queue disciplines -- whichever engine policy produced the trace.
+  // Whichever engine policy produced the trace, it must carry the graph's
+  // dependency edges exactly (Trace::edges == the nodes' pred_ids), the
+  // trace's critical path must equal the longest path computed directly on
+  // the graph, and the replay must respect the work/span lower bound under
+  // both ready-queue disciplines.
   for (const SchedPolicy policy : {SchedPolicy::Central, SchedPolicy::Steal}) {
     TaskGraph g;
     const KindId mem = g.register_kind("copy", true);
@@ -131,14 +134,28 @@ TEST(Priority, EngineSimulatorReplayAgreementBothPolicies) {
     rt.wait_all();
     const Trace tr = rt.trace();
 
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> edges;
+    for (const auto& node : g.nodes())
+      for (const std::uint64_t p : node->pred_ids) edges.emplace_back(p, node->id);
+    EXPECT_EQ(tr.edges, edges) << sched_policy_name(policy);
+
+    // Longest path over the graph (nodes are in topological order).
+    std::vector<double> finish(g.task_count(), 0.0);
+    double longest = 0.0;
+    for (const auto& node : g.nodes()) {
+      double start = 0.0;
+      for (const std::uint64_t p : node->pred_ids) start = std::max(start, finish[p]);
+      finish[node->id] = start + std::max(0.0, node->t_end - node->t_start);
+      longest = std::max(longest, finish[node->id]);
+    }
     const obs::CriticalPath cp = obs::critical_path(tr);
+    EXPECT_NEAR(cp.length, longest, 1e-12) << sched_policy_name(policy);
     for (const int w : {1, 4, 16}) {
       for (const SimPolicy sp : {SimPolicy::Fifo, SimPolicy::Priority}) {
-        const SimulationResult sim = simulate_schedule(g, w, MachineModel{}, sp);
-        EXPECT_NEAR(cp.length, sim.critical_path, 1e-12)
-            << sched_policy_name(policy) << " w=" << w;
         const SimulationResult rep = obs::replay_trace(tr, w, MachineModel{}, sp);
-        EXPECT_NEAR(rep.makespan, sim.makespan, 1e-12)
+        EXPECT_NEAR(rep.critical_path, longest, 1e-12)
+            << sched_policy_name(policy) << " w=" << w;
+        EXPECT_GE(rep.makespan + 1e-12, std::max(longest, rep.total_work / w))
             << sched_policy_name(policy) << " w=" << w;
       }
     }
@@ -161,9 +178,10 @@ TEST(Priority, ZeroPrioritySimulationIsFifo) {
              },
              {{&handles[rng.uniform_below(4)], static_cast<Access>(rng.uniform_below(4))}});
   rt.wait_all();
+  const Trace tr = rt.trace();
   for (const int w : {2, 8}) {
-    const SimulationResult a = simulate_schedule(g, w, MachineModel{}, SimPolicy::Priority);
-    const SimulationResult b = simulate_schedule(g, w, MachineModel{}, SimPolicy::Fifo);
+    const SimulationResult a = obs::replay_trace(tr, w, MachineModel{}, SimPolicy::Priority);
+    const SimulationResult b = obs::replay_trace(tr, w, MachineModel{}, SimPolicy::Fifo);
     EXPECT_EQ(a.makespan, b.makespan);
     ASSERT_EQ(a.schedule.events.size(), b.schedule.events.size());
     for (std::size_t i = 0; i < a.schedule.events.size(); ++i) {

@@ -1,5 +1,5 @@
 // Stress and fuzz tests of the task runtime: large random graphs executed
-// with many workers must respect all declared dependencies, and the
+// with many workers must respect all declared dependencies, and the replay
 // simulator must stay consistent with the structural bounds on every graph
 // shape the fuzzer produces.
 #include <gtest/gtest.h>
@@ -9,8 +9,8 @@
 
 #include "common/rng.hpp"
 #include "common/timer.hpp"
+#include "obs/analysis.hpp"
 #include "runtime/engine.hpp"
-#include "runtime/simulator.hpp"
 
 namespace dnc::rt {
 namespace {
@@ -101,9 +101,10 @@ TEST(RuntimeStress, FuzzedGraphSimulatorConsistency) {
                deps);
     }
     rt.wait_all();
+    const Trace tr = rt.trace();
     double prev = 1e300;
     for (int w : {1, 2, 4, 8, 16}) {
-      const auto s = simulate_schedule(g, w);
+      const auto s = obs::replay_trace(tr, w);
       EXPECT_GE(s.makespan + 1e-12, s.critical_path);
       EXPECT_GE(s.makespan + 1e-12, s.total_work / w);
       EXPECT_LE(s.makespan, prev + 1e-12);  // monotone in workers
