@@ -6,6 +6,8 @@
 // release builds unless DNC_ENABLE_ASSERTS is defined.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
@@ -30,6 +32,19 @@ class NumericalError : public std::runtime_error {
   do {                                          \
     if (!(cond)) throw ::dnc::InvalidArgument(msg); \
   } while (0)
+
+/// The input contract of the public solvers: every entry of the tridiagonal
+/// (d[0..n), e[0..n-1)) is finite at the working precision. Checked before
+/// any task runs, so a bad input raises InvalidArgument (naming `who` and
+/// the first bad entry) instead of failing inside a task body.
+template <typename Real>
+void require_finite(const char* who, std::ptrdiff_t n, const Real* d, const Real* e) {
+  if (n < 0) throw InvalidArgument(std::string(who) + ": n must be >= 0");
+  for (std::ptrdiff_t i = 0; i < n; ++i)
+    if (!std::isfinite(d[i]) || (i + 1 < n && !std::isfinite(e[i])))
+      throw InvalidArgument(std::string(who) + ": non-finite entry in " +
+                            (std::isfinite(d[i]) ? "e[" : "d[") + std::to_string(i) + "]");
+}
 
 #if defined(DNC_ENABLE_ASSERTS) || !defined(NDEBUG)
 #define DNC_ASSERT(cond)                                                     \

@@ -72,19 +72,6 @@ int task_priority(int level, bool join) {
   return 2 * level + (join ? 1 : 0);
 }
 
-/// The input contract: every entry of d and e is finite at the working
-/// precision. Checked before any task runs, so a bad input raises
-/// InvalidArgument instead of failing inside a task body.
-template <typename Real>
-void require_finite(index_t n, const Real* d, const Real* e) {
-  DNC_REQUIRE(n >= 0, "stedc: n must be >= 0");
-  for (index_t i = 0; i < n; ++i)
-    if (!std::isfinite(d[i]) || (i + 1 < n && !std::isfinite(e[i])))
-      throw InvalidArgument("stedc: non-finite entry in " +
-                            std::string(std::isfinite(d[i]) ? "e[" : "d[") + std::to_string(i) +
-                            "]");
-}
-
 /// Trivial sizes handled without the machinery. Returns true if done.
 template <typename Real>
 bool solve_trivial(index_t n, Real* d, Real* e, MatrixT<Real>& v) {
@@ -223,7 +210,7 @@ void emit_solve(ExecModel model, index_t n, Real* d, Real* e, MatrixT<Real>& v,
   Stopwatch sw;
   obs::SolveScope scope(model_name(model));
   if (stats) *stats = SolveStats{};
-  require_finite(n, d, e);
+  require_finite("stedc", n, d, e);
   if (solve_trivial(n, d, e, v)) {
     if (stats) {
       stats->n = n;

@@ -1,6 +1,8 @@
 #include "mrrr/ldl.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/real_traits.hpp"
@@ -91,11 +93,43 @@ Real bisect_ldl(const RepresentationT<Real>& rep, index_t k, Real lo, Real hi, R
   return Real(0.5) * (lo + hi);
 }
 
+template <typename Real>
+Real refine_ldl(const RepresentationT<Real>& rep, index_t k, Real guess, Real pad) {
+  if (!std::isfinite(guess) || !std::isfinite(pad))
+    throw NumericalError("refine_ldl: non-finite guess or pad", static_cast<long>(k));
+  // Doubling from the smallest meaningful step reaches the overflow
+  // threshold within the exponent range, so this cap only trips when the
+  // eigenvalue lies beyond every finite bracket.
+  constexpr int kMaxWidenings =
+      std::numeric_limits<Real>::max_exponent - std::numeric_limits<Real>::min_exponent +
+      std::numeric_limits<Real>::digits;
+  const Real step0 = std::max(real_traits<Real>::eps() * std::fabs(guess),
+                              real_traits<Real>::safmin());
+  Real wlo = std::max(std::fabs(pad), step0);
+  Real whi = wlo;
+  Real lo = guess - wlo;
+  Real hi = guess + whi;
+  int widenings = 0;
+  const auto widen = [&](Real& w, Real& bound, Real sign) {
+    if (++widenings > kMaxWidenings)
+      throw NumericalError("refine_ldl: no bracket for the eigenvalue", static_cast<long>(k));
+    w *= Real(2);
+    bound = guess + sign * w;
+  };
+  while (sturm_count_ldl(rep, lo) > k) widen(wlo, lo, Real(-1));
+  while (sturm_count_ldl(rep, hi) <= k) widen(whi, hi, Real(1));
+  // An overflowed bound counts as 0 / n, which ends the loops above.
+  if (!std::isfinite(lo) || !std::isfinite(hi))
+    throw NumericalError("refine_ldl: bracket overflowed", static_cast<long>(k));
+  return bisect_ldl(rep, k, lo, hi, Real(0));
+}
+
 #define DNC_INSTANTIATE_LDL(Real)                                                             \
   template RepresentationT<Real> ldl_factor<Real>(index_t, const Real*, const Real*, Real);   \
   template bool dstqds<Real>(const RepresentationT<Real>&, Real, RepresentationT<Real>&);     \
   template index_t sturm_count_ldl<Real>(const RepresentationT<Real>&, Real);                 \
-  template Real bisect_ldl<Real>(const RepresentationT<Real>&, index_t, Real, Real, Real);
+  template Real bisect_ldl<Real>(const RepresentationT<Real>&, index_t, Real, Real, Real);     \
+  template Real refine_ldl<Real>(const RepresentationT<Real>&, index_t, Real, Real);
 
 DNC_INSTANTIATE_LDL(double)
 DNC_INSTANTIATE_LDL(float)

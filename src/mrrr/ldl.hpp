@@ -47,4 +47,14 @@ index_t sturm_count_ldl(const RepresentationT<Real>& rep, Real x);
 template <typename Real>
 Real bisect_ldl(const RepresentationT<Real>& rep, index_t k, Real lo, Real hi, Real tol);
 
+/// Eigenvalue k (0-based) of L D L^T from an approximation `guess` with
+/// error bound `pad`: verifies with two Sturm counts that [guess - pad,
+/// guess + pad] brackets eigenvalue k, widens a failing side by doubling,
+/// then bisects to full relative accuracy (bisect_ldl with tol = 0). A
+/// wrong pad costs extra counts, never a wrong eigenvalue. Throws
+/// NumericalError when guess or pad is not finite or the bracket cannot be
+/// established within the widening cap.
+template <typename Real>
+Real refine_ldl(const RepresentationT<Real>& rep, index_t k, Real guess, Real pad);
+
 }  // namespace dnc::mrrr

@@ -1,7 +1,9 @@
 #include "mrrr/mrrr.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -16,12 +18,14 @@
 #include "lapack/bisect.hpp"
 #include "lapack/refine.hpp"
 #include "lapack/stein.hpp"
+#include "lapack/sterf.hpp"
 #include "mrrr/getvec.hpp"
 #include "mrrr/ldl.hpp"
 #include "obs/analysis.hpp"
 #include "obs/health.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/scheduler.hpp"
 
 namespace dnc::mrrr {
 namespace {
@@ -47,6 +51,17 @@ struct WorkItemT {
   index_t k0, k1;
   std::vector<Real> lam_local;  ///< size k1-k0
   int depth = 0;
+  /// Handle the producing task wrote. The tasks that consume lam_local read
+  /// it, so the traced DAG carries the phase order wait_all() enforces.
+  const rt::Handle* src = nullptr;
+};
+
+/// A block's root eigenvalues (ascending, absolute) and a bound on their
+/// absolute error, written by the Bisection task.
+template <typename Real>
+struct RootEigs {
+  std::vector<Real> w;
+  Real pad = 0;
 };
 
 template <typename Real>
@@ -54,9 +69,9 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
                      MatrixT<Real>& v, const Options& opt, Stats* stats,
                      const std::vector<int>& sim) {
   using WorkItem = WorkItemT<Real>;
+  require_finite("mrrr_solve", n, d, e);
   Stopwatch sw;
   obs::SolveScope scope("mrrr");
-  DNC_REQUIRE(n >= 0, "mrrr_solve: n >= 0");
   if (stats) *stats = Stats{};
   lam.assign(n, Real(0));
   v.resize(n, n);
@@ -100,8 +115,13 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
   const MrrrKinds K(graph);
   rt::Runtime runtime(graph, opt.threads, opt.sched);
 
+  // Dependency handles live as long as the graph: it keys them by address.
+  std::deque<rt::Handle> handles;
+  const auto new_handle = [&](const char* label) { return &handles.emplace_back(label); };
+  // Every eigenvector task writes its own columns of v (and entries of lam).
+  const rt::Handle* hv = new_handle("V");
+
   std::mutex next_mu;
-  std::vector<std::shared_ptr<rt::Handle>> block_handles;
   std::vector<WorkItem> items;
   index_t cluster_count = 0;
   int depth_used = 0;
@@ -120,74 +140,73 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
     Real glo, ghi;
     lapack::gershgorin_bounds(bn, bd, be, glo, ghi);
     const Real spread = std::max(ghi - glo, safmin);
+    const Real gmax = std::max(std::fabs(glo), std::fabs(ghi));
     // Root shift just below the spectrum keeps D positive (definite
     // factorization => relatively robust).
     const Real sigma0 = glo - Real(0.03125) * spread;
     auto root = std::make_shared<RepresentationT<Real>>(ldl_factor(bn, bd, be, sigma0));
-    // The crude pass only needs to land inside the refinement bracket; the
-    // LDL bisection below restores full relative accuracy. A loose crude
-    // tolerance halves the total Sturm-count work.
-    const Real crude_tol = std::max(Real(1.0e-8) * spread,
-                                    Real(4) * eps * std::max(std::fabs(glo), std::fabs(ghi)));
 
-    // Crude eigenvalues for the whole block in one task (the recursive
-    // interval bisection shares Sturm counts across eigenvalues), then
-    // grain-sized refinement tasks against the root representation.
-    auto crude = std::make_shared<std::vector<Real>>();
-    auto hblock = std::make_shared<rt::Handle>("block");
-    block_handles.push_back(hblock);
+    // All root eigenvalues in O(bn^2) by implicit QL (sterf) on a copy of
+    // the block, accurate to a few ulps of ||T||. If QL fails to converge,
+    // interval bisection at a loose tolerance takes over. Either way the
+    // values only need to land near the refinement bracket: RefineEig
+    // verifies and restores full relative accuracy against the root.
+    auto root_eigs = std::make_shared<RootEigs<Real>>();
+    const rt::Handle* hblock = new_handle("block");
+    const rt::Handle* hvals = new_handle("vals");
     graph.submit(K.bisect,
-                 [bd, be, bn, crude, crude_tol] {
-                   *crude = lapack::bisect_all(bn, bd, be, Real(0), crude_tol);
+                 [bd, be, bn, root_eigs, gmax, spread, eps] {
+                   RootEigs<Real>& r = *root_eigs;
+                   r.w.assign(bd, bd + bn);
+                   std::vector<Real> ework(be, be + bn - 1);
+                   try {
+                     lapack::sterf(bn, r.w.data(), ework.data());
+                     r.pad = Real(8) * eps * gmax + eps * spread;
+                   } catch (const NumericalError&) {
+                     const Real tol = std::max(Real(1.0e-8) * spread, Real(4) * eps * gmax);
+                     r.w = lapack::bisect_all(bn, bd, be, Real(0), tol);
+                     r.pad = Real(4) * tol + eps * spread;
+                   }
                  },
-                 {{hblock.get(), rt::Access::InOut}});
+                 {{hblock, rt::Access::Out}});
     const index_t nchunks = (bn + opt.grain - 1) / opt.grain;
     for (index_t c = 0; c < nchunks; ++c) {
       const index_t k0 = c * opt.grain;
       const index_t k1 = std::min(k0 + opt.grain, bn);
       graph.submit(K.refine,
-                   [&, off, k0, k1, root, crude, crude_tol, spread, eps] {
+                   [&, off, k0, k1, root, root_eigs, hvals] {
                      WorkItem item;
                      item.rep = root;
-                     item.k0 = k0;
-                     item.k1 = k1;
+                     item.k0 = off + k0;
+                     item.k1 = off + k1;
+                     item.src = hvals;
                      item.lam_local.resize(k1 - k0);
-                     for (index_t k = k0; k < k1; ++k) {
-                       const Real w = (*crude)[k];
-                       // Refine against the root representation for high
-                       // relative accuracy w.r.t. the shifted origin.
-                       const Real lo = (w - root->sigma) - Real(4) * crude_tol - eps * spread;
-                       const Real hi = (w - root->sigma) + Real(4) * crude_tol + eps * spread;
-                       item.lam_local[k - k0] = bisect_ldl(*item.rep, k, lo, hi, Real(0));
-                     }
+                     for (index_t k = k0; k < k1; ++k)
+                       item.lam_local[k - k0] = refine_ldl(
+                           *root, k, root_eigs->w[k] - root->sigma, root_eigs->pad);
                      std::lock_guard<std::mutex> lk(next_mu);
-                     // Block offset is folded in by shifting indices here.
-                     item.k0 += off;
-                     item.k1 += off;
                      items.push_back(std::move(item));
                    },
-                   {{hblock.get(), rt::Access::In}});
+                   {{hblock, rt::Access::In}, {hvals, rt::Access::GatherV}});
     }
   }
   runtime.wait_all();
 
-  // Re-split bootstrap items so each WorkItem's indices are block-local
-  // again (store block offset alongside). To keep the structure simple we
-  // record the owning block for every global index.
-  std::vector<index_t> block_of(n), block_off(n);
+  // Record the owning block's offset for every global index.
+  std::vector<index_t> block_off(n);
   for (std::size_t b = 0; b + 1 < block_start.size(); ++b)
-    for (index_t i = block_start[b]; i < block_start[b + 1]; ++i) {
-      block_of[i] = static_cast<index_t>(b);
-      block_off[i] = block_start[b];
-    }
+    for (index_t i = block_start[b]; i < block_start[b + 1]; ++i) block_off[i] = block_start[b];
+
+  // Items complete in any order; sorting by first index keeps the
+  // submission order (and so task ids and the DAG) the same on every run.
+  const auto by_index = [](const WorkItem& a, const WorkItem& b) { return a.k0 < b.k0; };
 
   // ---- representation tree, level by level ----
   // Merge bootstrap chunks that belong to one block into a single sorted
   // item so cluster detection sees the whole block.
   {
     std::vector<WorkItem> merged;
-    std::sort(items.begin(), items.end(),
-              [](const WorkItem& a, const WorkItem& b) { return a.k0 < b.k0; });
+    std::sort(items.begin(), items.end(), by_index);
     for (auto& it : items) {
       if (!merged.empty() && merged.back().rep == it.rep && merged.back().k1 == it.k0) {
         merged.back().lam_local.insert(merged.back().lam_local.end(), it.lam_local.begin(),
@@ -267,13 +286,15 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
                   blas::copy(bn, z.data(), v.data() + boff + (g0 + j) * v.ld());
                 }
               },
-              {}, 2 * std::min(item.depth, 30));
+              {{item.src, rt::Access::In}, {hv, rt::Access::GatherV}},
+              2 * std::min(item.depth, 30));
         } else {
           // Cluster: shift to a new representation near the cluster and
           // refine the members against it.
+          const rt::Handle* hchild = new_handle("cluster");
           graph.submit(
               K.cluster,
-              [&, rep, g0, grp, boff, eps, safmin, depth = item.depth] {
+              [&, rep, g0, grp, boff, eps, safmin, hchild, depth = item.depth] {
 
                 const Real width = grp.back() - grp.front();
                 const Real base = std::max(std::fabs(grp.front()), std::fabs(grp.back()));
@@ -303,6 +324,11 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
                   }
                   if (ok) break;
                 }
+                WorkItem childitem;
+                childitem.k0 = g0;
+                childitem.k1 = g0 + static_cast<index_t>(grp.size());
+                childitem.depth = depth + 1;
+                childitem.src = hchild;
                 if (ok) {
                   // dlarrf's trick for glued clusters: perturb the child
                   // representation by a few random ulps. Exactly degenerate
@@ -315,26 +341,36 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
                     x *= Real(1) + Real(4) * eps * Real(prng.uniform_sym());
                   for (auto& x : child.l)
                     x *= Real(1) + Real(4) * eps * Real(prng.uniform_sym());
-                }
-                WorkItem childitem;
-                childitem.k0 = g0;
-                childitem.k1 = g0 + static_cast<index_t>(grp.size());
-                childitem.depth = depth + 1;
-                if (ok) {
                   auto childrep = std::make_shared<RepresentationT<Real>>(std::move(child));
                   childitem.rep = childrep;
                   childitem.lam_local.resize(grp.size());
                   const Real tau = childrep->sigma - rep->sigma;
-                  for (std::size_t j = 0; j < grp.size(); ++j) {
-                    const index_t klocal = g0 + static_cast<index_t>(j) - boff;
-                    const Real guess = grp[j] - tau;
-                    const Real pad = width + delta * Real(16) + safmin;
-                    childitem.lam_local[j] =
-                        bisect_ldl(*childrep, klocal, guess - pad, guess + pad, Real(0));
-                  }
-                } else {
-                  // Could not build a child representation: fall back to
-                  // treating members as singletons of the parent.
+                  // Members are refined in grain-sized child tasks. The
+                  // parent knows each member to full relative accuracy, so
+                  // the shifted guess is off by a few ulps of |member|+|tau|.
+                  const index_t m = static_cast<index_t>(grp.size());
+                  const long nchunks = static_cast<long>((m + opt.grain - 1) / opt.grain);
+                  std::atomic<bool> failed{false};
+                  rt::spawn_and_wait("refine", nchunks, [&](long c) {
+                    const index_t j0 = static_cast<index_t>(c) * opt.grain;
+                    const index_t j1 = std::min(j0 + opt.grain, m);
+                    try {
+                      for (index_t j = j0; j < j1; ++j) {
+                        const Real pad =
+                            Real(16) * eps * (std::fabs(grp[j]) + std::fabs(tau)) + safmin;
+                        childitem.lam_local[j] =
+                            refine_ldl(*childrep, g0 + j - boff, grp[j] - tau, pad);
+                      }
+                    } catch (const NumericalError&) {
+                      failed = true;
+                    }
+                  });
+                  ok = !failed;
+                }
+                if (!ok) {
+                  // Could not build (or refine against) a child
+                  // representation: fall back to treating members as
+                  // singletons of the parent.
                   childitem.rep = rep;
                   childitem.lam_local = grp;
                   childitem.depth = opt.max_depth;  // forces singleton path
@@ -344,13 +380,15 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
               },
               // Clusters gate the next representation level, so they
               // outrank same-depth singleton extraction.
-              {}, 2 * std::min(item.depth, 30) + 1);
+              {{item.src, rt::Access::In}, {hchild, rt::Access::Out}},
+              2 * std::min(item.depth, 30) + 1);
           ++cluster_count;
         }
         s = t + 1;
       }
     }
     runtime.wait_all();
+    std::sort(next.begin(), next.end(), by_index);
     current = std::move(next);
   }
 
@@ -403,8 +441,7 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
           s = t + 1;
         }
       },
-      {});
-  runtime.wait_all();
+      {{hv, rt::Access::InOut}});
 
   // ---- global ascending sort of the eigenpairs ----
   graph.submit(K.sort,
@@ -422,7 +459,7 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
                  lam.assign(ltmp.begin(), ltmp.end());
                  blas::lacpy(n, n, tmp.data(), tmp.ld(), v.data(), v.ld());
                },
-               {});
+               {{hv, rt::Access::InOut}});
   runtime.wait_all();
 
   const double seconds = sw.elapsed();

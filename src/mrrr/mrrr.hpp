@@ -3,12 +3,17 @@
 // Bientinesi) -- the comparator of the paper's Figures 8-10.
 //
 // Pipeline: split into unreduced blocks -> per block, a root LDL^T
-// representation just outside the spectrum -> eigenvalues by Sturm
-// bisection refined against the representation -> representation tree:
-// singletons get a twisted-factorization eigenvector, clusters get a
-// shifted child representation and recurse. Independent (sub)tasks are
-// executed by the same task runtime as the D&C solver, so traces and
-// simulated parallel makespans are directly comparable.
+// representation just outside the spectrum -> all root eigenvalues in
+// O(n^2) by implicit QL (sterf; bisection only if QL fails), then
+// grain-sized tasks refine them against the root (refine_ldl: verified
+// Sturm-count bracket, bisection to full relative accuracy) ->
+// representation tree: singletons get a twisted-factorization eigenvector,
+// clusters get a shifted child representation whose members are refined in
+// grain-sized child tasks, and recurse. Each phase's tasks read the handle
+// its producer wrote, so the traced DAG is the real dependency graph.
+// Independent (sub)tasks are executed by the same task runtime as the D&C
+// solver, so traces and simulated parallel makespans are directly
+// comparable.
 #pragma once
 
 #include <vector>
@@ -39,8 +44,8 @@ struct Options {
   /// Maximum representation-tree depth; clusters still unresolved at this
   /// depth are treated as singletons (the usual MRRR accuracy trade-off).
   int max_depth = 8;
-  /// Eigenvalue indices per bisection/getvec task (granularity knob,
-  /// MR3-SMP's task size).
+  /// Eigenvalue indices per RefineEig task and per cluster-refinement
+  /// child task (granularity knob, MR3-SMP's task size).
   index_t grain = 32;
 };
 
@@ -62,7 +67,9 @@ struct Stats {
 };
 
 /// Computes all eigenpairs of the tridiagonal (d, e): lam ascending, v
-/// (n x n) the eigenvectors. Inputs are not modified.
+/// (n x n) the eigenvectors. Inputs are not modified. Throws
+/// InvalidArgument, before any task runs, when an entry of d or e is not
+/// finite at the working precision.
 void mrrr_solve(index_t n, const double* d, const double* e, std::vector<double>& lam,
                 Matrix& v, const Options& opt = {}, Stats* stats = nullptr,
                 const std::vector<int>& simulate_workers = {});

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "lapack/bisect.hpp"
 #include "matgen/tridiag.hpp"
@@ -97,6 +99,51 @@ TEST(Ldl, BisectLdlFindsEigenvalues) {
         bisect_ldl(rep, k, exact - rep.sigma - 0.5, exact - rep.sigma + 0.5, 0.0) + rep.sigma;
     EXPECT_NEAR(got, exact, 1e-10);
   }
+}
+
+// refine_ldl verifies its bracket, so a guess off by far more than the pad
+// still yields eigenvalue k, and so does pad = 0.
+TEST(Ldl, RefineLdlRecoversFromWrongGuessAndZeroPad) {
+  auto t = matgen::clement(15);
+  double glo, ghi;
+  lapack::gershgorin_bounds(15, t.d.data(), t.e.data(), glo, ghi);
+  const double spread = ghi - glo;
+  auto rep = ldl_factor(15, t.d.data(), t.e.data(), glo - 1.0);
+  for (index_t k = 0; k < 15; ++k) {
+    const double exact = -14.0 + 2.0 * k - rep.sigma;
+    const double ref = bisect_ldl(rep, k, exact - 0.5, exact + 0.5, 0.0);
+    for (double miss : {-1e-3 * spread, 1e-3 * spread, 0.0}) {
+      for (double pad : {0.0, 1e-12 * spread}) {
+        const double got = refine_ldl(rep, k, exact + miss, pad);
+        EXPECT_NEAR(got, ref, 8 * std::numeric_limits<double>::epsilon() * std::fabs(ref))
+            << "k=" << k << " miss=" << miss << " pad=" << pad;
+      }
+    }
+  }
+}
+
+// A guess one eigenvalue away lands in the neighbour's bracket; the count
+// check must move it back to eigenvalue k.
+TEST(Ldl, RefineLdlUsesIndexNotNearestEigenvalue) {
+  auto t = matgen::clement(9);
+  auto rep = ldl_factor(9, t.d.data(), t.e.data(), -9.0);
+  for (index_t k = 0; k + 1 < 9; ++k) {
+    const double next = -8.0 + 2.0 * (k + 1) - rep.sigma;
+    EXPECT_NEAR(refine_ldl(rep, k, next, 1e-6) + rep.sigma, -8.0 + 2.0 * k, 1e-12);
+  }
+}
+
+TEST(Ldl, RefineLdlNonFiniteGuessThrows) {
+  auto t = matgen::onetwoone(12);
+  auto rep = ldl_factor(12, t.d.data(), t.e.data(), -1.0);
+  EXPECT_THROW(refine_ldl(rep, 3, std::numeric_limits<double>::quiet_NaN(), 1e-3),
+               NumericalError);
+  EXPECT_THROW(refine_ldl(rep, 3, 1.0, std::numeric_limits<double>::infinity()),
+               NumericalError);
+  const float d32[] = {2.0f};
+  auto rep32 = ldl_factor<float>(1, d32, nullptr, 0.0f);
+  EXPECT_THROW(refine_ldl(rep32, 0, std::numeric_limits<float>::quiet_NaN(), 0.0f),
+               NumericalError);
 }
 
 TEST(Ldl, SingleElement) {

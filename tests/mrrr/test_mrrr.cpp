@@ -4,8 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <set>
+#include <tuple>
 
 #include "../support/precision_testing.hpp"
+#include "common/error.hpp"
 #include "matgen/application.hpp"
 #include "matgen/tridiag.hpp"
 #include "verify/metrics.hpp"
@@ -106,18 +112,102 @@ TEST(Mrrr, StatsAndSimulation) {
   EXPECT_GT(st.simulated[0].makespan / st.simulated[1].makespan, 1.3);
 }
 
+// Clustered spectra exercise the parallel cluster refinement: the output
+// must not depend on the thread count, to the bit.
 TEST(Mrrr, ThreadCountInvariance) {
-  auto t = matgen::table3_matrix(6, 120, 8);
-  std::vector<double> lam1, lam4;
-  Matrix v1, v4;
-  Options o1;
-  o1.threads = 1;
-  Options o4;
-  o4.threads = 4;
-  mrrr_solve(120, t.d.data(), t.e.data(), lam1, v1, o1);
-  mrrr_solve(120, t.d.data(), t.e.data(), lam4, v4, o4);
-  for (index_t i = 0; i < 120; ++i) EXPECT_EQ(lam1[i], lam4[i]);
+  const index_t n = 200;
+  const auto same_bits = [n](const std::vector<double>& la, const Matrix& va,
+                              const std::vector<double>& lb, const Matrix& vb) {
+    if (std::memcmp(la.data(), lb.data(), n * sizeof(double)) != 0) return false;
+    for (index_t j = 0; j < n; ++j)
+      if (std::memcmp(va.data() + j * va.ld(), vb.data() + j * vb.ld(), n * sizeof(double)) != 0)
+        return false;
+    return true;
+  };
+  for (int type : {1, 3, 5, 7, 11}) {
+    auto t = matgen::table3_matrix(type, n, 8);
+    std::vector<double> lam1;
+    Matrix v1;
+    Options o1;
+    o1.threads = 1;
+    o1.grain = 8;
+    mrrr_solve(n, t.d.data(), t.e.data(), lam1, v1, o1);
+    for (int threads : {2, 4}) {
+      std::vector<double> lam;
+      Matrix v;
+      Options o = o1;
+      o.threads = threads;
+      mrrr_solve(n, t.d.data(), t.e.data(), lam, v, o);
+      EXPECT_TRUE(same_bits(lam, v, lam1, v1)) << "type " << type << " threads " << threads;
+    }
+  }
 }
+
+// The traced DAG is the real dependency graph: every task, in every phase,
+// reaches the final SortEigenvectors task through Trace::edges.
+TEST(Mrrr, EveryTaskReachesTheSortThroughEdges) {
+  const index_t n = 200;
+  auto t = matgen::table3_matrix(3, n, 5);
+  std::vector<double> lam;
+  Matrix v;
+  Options opt;
+  opt.threads = 2;
+  opt.grain = 16;
+  Stats st;
+  mrrr_solve(n, t.d.data(), t.e.data(), lam, v, opt, &st);
+  ASSERT_GT(st.clusters, 0);
+  const rt::Trace& tr = st.trace;
+  std::map<std::uint64_t, std::vector<std::uint64_t>> preds;
+  for (const auto& [p, s] : tr.edges) preds[s].push_back(p);
+  const auto sort_kind = std::find(tr.kind_names.begin(), tr.kind_names.end(), "SortEigenvectors");
+  ASSERT_NE(sort_kind, tr.kind_names.end());
+  const int sort_id = static_cast<int>(sort_kind - tr.kind_names.begin());
+  std::vector<std::uint64_t> stack;
+  for (const auto& ev : tr.events)
+    if (ev.kind == sort_id) stack.push_back(ev.task_id);
+  ASSERT_EQ(stack.size(), 1u);
+  std::set<std::uint64_t> reached(stack.begin(), stack.end());
+  while (!stack.empty()) {
+    const std::uint64_t id = stack.back();
+    stack.pop_back();
+    for (std::uint64_t p : preds[id])
+      if (reached.insert(p).second) stack.push_back(p);
+  }
+  std::size_t graph_tasks = 0;
+  for (const auto& ev : tr.events) {
+    if (ev.is_child()) continue;  // spawn_and_wait children carry no edges
+    ++graph_tasks;
+    EXPECT_TRUE(reached.count(ev.task_id)) << tr.kind_names[ev.kind] << " task " << ev.task_id;
+  }
+  EXPECT_GT(graph_tasks, static_cast<std::size_t>(n));
+}
+
+// The input contract: a non-finite entry raises InvalidArgument before any
+// task runs, in every precision, instead of aborting inside a task body or
+// spinning in a bracket search.
+class MrrrNonFiniteInput
+    : public ::testing::TestWithParam<std::tuple<Precision, bool /*inf in e*/>> {};
+
+TEST_P(MrrrNonFiniteInput, RaisesInvalidArgument) {
+  const auto [precision, inf_in_e] = GetParam();
+  const index_t n = 150;
+  auto t = matgen::table3_matrix(3, n);
+  if (inf_in_e)
+    t.e[41] = std::numeric_limits<double>::infinity();
+  else
+    t.d[41] = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> lam;
+  Matrix v;
+  Options opt;
+  opt.threads = 2;
+  opt.precision = precision;
+  EXPECT_THROW(mrrr_solve(n, t.d.data(), t.e.data(), lam, v, opt), InvalidArgument);
+}
+
+INSTANTIATE_TEST_SUITE_P(PrecisionsTimesDefects, MrrrNonFiniteInput,
+                         ::testing::Combine(::testing::Values(Precision::F64, Precision::F32,
+                                                              Precision::F32RefineF64),
+                                            ::testing::Bool()));
 
 TEST(Mrrr, GrainSweep) {
   auto t = matgen::table3_matrix(4, 100, 2);

@@ -1,8 +1,9 @@
-// The DAG replay simulator (obs::replay_trace) on measured runtime traces,
-// plus the DOT and trace renderers.
+// The DAG replay simulator (obs::replay_trace) on synthetic traces, plus
+// the DOT and trace renderers on measured runtime traces.
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
@@ -14,51 +15,60 @@
 namespace dnc::rt {
 namespace {
 
-// Builds a graph where every task sleeps ~1ms so simulated durations are
-// meaningful.
+// Busy-waits ~0.5 ms so the renderers get visible task bars.
 void busy_work() {
   const double t0 = dnc::now_seconds();
   while (dnc::now_seconds() - t0 < 0.0005) {
   }
 }
 
+// A trace of `count` tasks of 0.5 ms each with the given dependency edges,
+// laid out back to back on one worker as a 1-thread run records them. The
+// replay ratios below are exact on fixed durations; measured busy-wait
+// durations skew them whenever the test process is preempted.
+Trace synthetic_trace(int count, const std::vector<std::pair<int, int>>& edges,
+                      bool memory_bound = false) {
+  constexpr double kDuration = 0.0005;
+  Trace tr;
+  tr.workers = 1;
+  tr.kind_names = {"task"};
+  tr.kind_memory_bound = {static_cast<char>(memory_bound ? 1 : 0)};
+  for (int i = 0; i < count; ++i)
+    tr.events.push_back({static_cast<std::uint64_t>(i), 0, 0, i * kDuration, (i + 1) * kDuration});
+  for (const auto& [p, s] : edges)
+    tr.edges.emplace_back(static_cast<std::uint64_t>(p), static_cast<std::uint64_t>(s));
+  return tr;
+}
+
+std::vector<std::pair<int, int>> chain(int first, int count) {
+  std::vector<std::pair<int, int>> edges;
+  for (int i = first; i + 1 < first + count; ++i) edges.emplace_back(i, i + 1);
+  return edges;
+}
+
 TEST(Simulator, ChainHasNoSpeedup) {
-  TaskGraph g;
-  Runtime rt(g, 1);
-  Handle h;
-  for (int i = 0; i < 20; ++i) g.submit(0, busy_work, {{&h, Access::InOut}});
-  rt.wait_all();
-  const auto s1 = obs::replay_trace(rt.trace(), 1);
-  const auto s8 = obs::replay_trace(rt.trace(), 8);
+  const Trace tr = synthetic_trace(20, chain(0, 20));
+  const auto s1 = obs::replay_trace(tr, 1);
+  const auto s8 = obs::replay_trace(tr, 8);
   EXPECT_NEAR(s8.makespan, s1.makespan, 1e-9);
   EXPECT_NEAR(s1.critical_path, s1.total_work, 1e-9);
 }
 
 TEST(Simulator, IndependentTasksScaleLinearly) {
-  TaskGraph g;
-  Runtime rt(g, 1);
-  Handle h;
-  for (int i = 0; i < 64; ++i) g.submit(0, busy_work, {{&h, Access::GatherV}});
-  rt.wait_all();
-  const auto s1 = obs::replay_trace(rt.trace(), 1);
-  const auto s8 = obs::replay_trace(rt.trace(), 8);
-  // Measured busy-wait durations vary (especially on a loaded single-core
-  // container), so allow generous slack around the ideal 8x.
+  const Trace tr = synthetic_trace(64, {});
+  const auto s1 = obs::replay_trace(tr, 1);
+  const auto s8 = obs::replay_trace(tr, 8);
   EXPECT_GT(s1.makespan / s8.makespan, 4.0);
   EXPECT_LT(s1.makespan / s8.makespan, 8.2);
 }
 
 TEST(Simulator, MakespanBounds) {
   // For any graph: critical_path <= makespan <= total_work, and
-  // makespan >= total_work / P.
-  TaskGraph g;
-  Runtime rt(g, 1);
-  Handle a, b;
-  for (int i = 0; i < 10; ++i) g.submit(0, busy_work, {{&a, Access::InOut}});
-  for (int i = 0; i < 30; ++i) g.submit(0, busy_work, {{&b, Access::GatherV}});
-  rt.wait_all();
+  // makespan >= total_work / P. Here a 10-task chain next to 30
+  // independent tasks.
+  const Trace tr = synthetic_trace(40, chain(0, 10));
   for (int p : {1, 2, 4, 16}) {
-    const auto s = obs::replay_trace(rt.trace(), p);
+    const auto s = obs::replay_trace(tr, p);
     EXPECT_GE(s.makespan + 1e-12, s.critical_path);
     EXPECT_LE(s.makespan, s.total_work + 1e-12);
     EXPECT_GE(s.makespan + 1e-12, s.total_work / p);
@@ -66,15 +76,10 @@ TEST(Simulator, MakespanBounds) {
 }
 
 TEST(Simulator, MemoryBoundTasksStagnate) {
-  TaskGraph g;
-  const KindId copy = g.register_kind("copy", /*memory_bound=*/true);
-  Runtime rt(g, 1);
-  Handle h;
-  for (int i = 0; i < 64; ++i) g.submit(copy, busy_work, {{&h, Access::GatherV}});
-  rt.wait_all();
+  const Trace tr = synthetic_trace(64, {}, /*memory_bound=*/true);
   MachineModel mm;  // 2 sockets x 4 streams
-  const auto s1 = obs::replay_trace(rt.trace(), 1, mm);
-  const auto s16 = obs::replay_trace(rt.trace(), 16, mm);
+  const auto s1 = obs::replay_trace(tr, 1, mm);
+  const auto s16 = obs::replay_trace(tr, 16, mm);
   const double speedup = s1.makespan / s16.makespan;
   // Bandwidth-capped: cannot reach anywhere near 16x.
   EXPECT_LT(speedup, 10.0);
@@ -82,12 +87,8 @@ TEST(Simulator, MemoryBoundTasksStagnate) {
 }
 
 TEST(Simulator, SingleWorkerEqualsTotalWork) {
-  TaskGraph g;
-  Runtime rt(g, 1);
-  Handle a;
-  for (int i = 0; i < 15; ++i) g.submit(0, busy_work, {{&a, Access::GatherV}});
-  rt.wait_all();
-  const auto s = obs::replay_trace(rt.trace(), 1);
+  const Trace tr = synthetic_trace(15, {});
+  const auto s = obs::replay_trace(tr, 1);
   EXPECT_NEAR(s.makespan, s.total_work, 1e-9);
   EXPECT_NEAR(s.efficiency, 1.0, 1e-9);
 }
