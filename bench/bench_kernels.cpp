@@ -4,7 +4,7 @@
 // submission/dispatch overhead (which bounds the useful panel granularity).
 //
 // Kernels behind the SIMD dispatch (gemm microkernel, axpy/dot, laed4) are
-// benchmarked once per available table (scalar / sse2 / avx2) so the
+// benchmarked once per available table (scalar / sse2 / avx2 / avx512) so the
 // speedup of the vector paths over the portable fallback is a recorded
 // series. Unless --benchmark_out is given explicitly, results are also
 // written to BENCH_kernels.json (the perf-trajectory artifact).
@@ -160,21 +160,23 @@ BENCHMARK(BM_GathervDependencyTracking)->Arg(100)->Arg(10000);
 
 template <typename Real>
 void BM_MicrokernelPacked(benchmark::State& state, SimdIsa isa) {
-  // The 8x4 register microkernel over already-packed panels: the inner loop
-  // every GEMM flop goes through. kc matches the production blocking.
+  // The table's main register microkernel (8x4 up to AVX2, 16x8 / 32x8 for
+  // AVX-512) over already-packed panels: the inner loop every GEMM flop
+  // goes through. kc matches the production blocking.
   const index_t kc = 256;
   const blas::simd::KernelTableT<Real>* kt = blas::simd::kernels_for_t<Real>(isa);
+  const index_t mr = kt->mr, nr = kt->nr;
   Rng rng(3);
-  std::vector<Real> ap(8 * kc), bp(kc * 4), c(8 * 4, Real(0));
+  std::vector<Real> ap(mr * kc), bp(kc * nr), c(mr * nr, Real(0));
   for (auto& v : ap) v = static_cast<Real>(rng.uniform_sym());
   for (auto& v : bp) v = static_cast<Real>(rng.uniform_sym());
   blas::simd::ScopedIsaOverride force(isa);
   for (auto _ : state) {
-    kt->mk8x4(kc, ap.data(), bp.data(), Real(1), Real(0), c.data(), 8, 8, 4);
+    kt->mk(kc, ap.data(), bp.data(), Real(1), Real(0), c.data(), mr, mr, nr);
     benchmark::DoNotOptimize(c.data());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
-      2.0 * 8 * 4 * kc * state.iterations() / 1e9, benchmark::Counter::kIsRate);
+      2.0 * mr * nr * kc * state.iterations() / 1e9, benchmark::Counter::kIsRate);
 }
 
 template <typename Real>
@@ -254,7 +256,7 @@ void register_dispatch_benchmarks_for() {
   // fp64 rows keep their historical names ("BM_GemmForcedIsa/avx2"); fp32
   // rows append "_f32" so both series live side by side in the artifact.
   const bool f32 = std::is_same_v<Real, float>;
-  for (SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Sse2, SimdIsa::Avx2}) {
+  for (SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Sse2, SimdIsa::Avx2, SimdIsa::Avx512}) {
     if (blas::simd::kernels_for_t<Real>(isa) == nullptr) continue;
     const std::string tag = std::string(simd_isa_name(isa)) + (f32 ? "_f32" : "");
     benchmark::RegisterBenchmark(

@@ -70,11 +70,11 @@ void gemm(Trans transa, Trans transb, index_t m, index_t n, index_t k, Real alph
     return;
   }
 
-  // Microtile shape: 8x4 by default; short-wide products (m a sliver, n
-  // broad -- e.g. the tail panels of a heavily deflated UpdateVect) map
-  // better onto 4x8.
-  index_t MR = 8, NR = 4;
-  simd::MicrokernelFnT<Real> mk = kt.mk8x4;
+  // Microtile shape: the table's main tile (8x4 up to AVX2, 16x8 / 32x8
+  // for AVX-512); short-wide products (m a sliver, n broad -- e.g. the
+  // tail panels of a heavily deflated UpdateVect) map better onto 4x8.
+  index_t MR = kt.mr, NR = kt.nr;
+  simd::MicrokernelFnT<Real> mk = kt.mk;
   if (m <= 4 && n >= 8) {
     MR = 4;
     NR = 8;

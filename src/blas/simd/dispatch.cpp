@@ -44,6 +44,11 @@ const KernelTableT<Real>* active_or_init(std::atomic<const KernelTableT<Real>*>&
 template <>
 const KernelTableT<double>* kernels_for_t<double>(SimdIsa isa) noexcept {
   switch (isa) {
+    case SimdIsa::Avx512:
+#if defined(DNC_HAVE_AVX512)
+      if (detect_simd_isa() >= SimdIsa::Avx512) return &avx512_table<double>();
+#endif
+      return nullptr;
     case SimdIsa::Avx2:
 #if defined(DNC_HAVE_AVX2)
       if (detect_simd_isa() >= SimdIsa::Avx2) return &kAvx2Table;
@@ -62,6 +67,11 @@ const KernelTableT<double>* kernels_for_t<double>(SimdIsa isa) noexcept {
 template <>
 const KernelTableT<float>* kernels_for_t<float>(SimdIsa isa) noexcept {
   switch (isa) {
+    case SimdIsa::Avx512:
+#if defined(DNC_HAVE_AVX512)
+      if (detect_simd_isa() >= SimdIsa::Avx512) return &avx512_table<float>();
+#endif
+      return nullptr;
     case SimdIsa::Avx2:
 #if defined(DNC_HAVE_AVX2)
       if (detect_simd_isa() >= SimdIsa::Avx2) return &kAvx2TableF32;

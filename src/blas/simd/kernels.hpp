@@ -10,17 +10,29 @@
 //   kernels_avx2.cpp     256-bit vectors + FMA: 4-lane double and 8-lane
 //                        float tables (same condition, and compiled with
 //                        -mavx2 -mfma for this file only)
+//   kernels_avx512.cpp   512-bit GEMM microkernels (16x8 fp64, 32x8 fp32)
+//                        and their pack_a; the only file compiled with
+//                        -mavx512f. Its tables are the AVX2 tables with the
+//                        level-3 entries replaced: level-1, laed4_sums and
+//                        the 4x8 short-wide kernel are division- or
+//                        memory-bound and gain nothing from zmm width.
 //   dispatch.cpp         runtime selection: hardware probe (cpuid) clamped
-//                        by the DNC_SIMD env var ("scalar"|"sse2"|"avx2"),
-//                        one active table per precision
+//                        by the DNC_SIMD env var
+//                        ("scalar"|"sse2"|"avx2"|"avx512"), one active
+//                        table per precision
+//
+// Each table carries its main GEMM tile shape (mr x nr): 8x4 for scalar,
+// SSE2 and AVX2, 16x8 (fp64) and 32x8 (fp32) for AVX-512. The one blocked
+// loop nest in gemm.cpp reads the shape from the table, so a new tile is a
+// new table entry, not a new GEMM driver.
 //
 // Callers (gemm.cpp, level1.cpp, lapack/laed4.cpp) fetch the active table
 // with kernels<Real>() and call through it; the indirection is one
 // predictable load per kernel invocation, negligible against the vector
 // loops behind it. Keeping every ISA's table linked in (rather than
-// ifdef-ing call sites) is what lets one binary run the scalar, SSE2 and
-// AVX2 paths -- tests compare them pairwise in-process, and CI re-runs the
-// suites under DNC_SIMD=scalar.
+// ifdef-ing call sites) is what lets one binary run the scalar, SSE2, AVX2
+// and AVX-512 paths -- tests compare them pairwise in-process, and CI
+// re-runs the suites under DNC_SIMD=scalar and DNC_SIMD=avx2.
 //
 // Precision note: there is no float SSE2 table (2 lanes of extra width are
 // not worth a third variant); requesting Sse2 for float falls back to the
@@ -30,7 +42,11 @@
 // Numerical note: the AVX2 kernels use FMA and block-wise summation, so
 // dot/sumsq/GEMM/laed4 results may differ from the scalar path by a few
 // ulps (usually they are *more* accurate -- fewer roundings). Tests and
-// callers must not expect bitwise equality across tables.
+// callers must not expect bitwise equality across tables -- with one
+// exception: the AVX-512 microkernels keep the AVX2 per-element FMA order
+// (one chain per C element per kc block in fp64; the even/odd-k pair of
+// chains in fp32), so GEMM with alpha = 1 and beta in {0, 1} -- and with
+// it the whole D&C solve -- is bitwise identical under avx2 and avx512.
 #pragma once
 
 #include "common/cpu_features.hpp"
@@ -75,7 +91,9 @@ struct KernelTableT {
   const char* name;
 
   // --- level-3: packed GEMM microkernels and packing -------------------
-  MicrokernelFnT<Real> mk8x4;  ///< MR=8, NR=4 (tall tiles; the default)
+  MicrokernelFnT<Real> mk;     ///< main tile, MR=mr x NR=nr (the default)
+  index_t mr;                  ///< rows of the main tile
+  index_t nr;                  ///< columns of the main tile
   MicrokernelFnT<Real> mk4x8;  ///< MR=4, NR=8 (short-wide C panels)
   PackAFnT<Real> pack_a;
   PackBFnT<Real> pack_b;
@@ -164,6 +182,13 @@ extern const KernelTableT<double> kSse2Table;
 #if defined(DNC_HAVE_AVX2)
 extern const KernelTableT<double> kAvx2Table;
 extern const KernelTableT<float> kAvx2TableF32;
+#endif
+#if defined(DNC_HAVE_AVX512)
+/// The AVX-512 tables: copies of the AVX2 tables with the level-3 entries
+/// replaced, built on first use (a function-local static, so no dynamic
+/// initialisation order between translation units is involved).
+template <typename Real>
+const KernelTableT<Real>& avx512_table() noexcept;
 #endif
 
 }  // namespace dnc::blas::simd

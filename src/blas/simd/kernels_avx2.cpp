@@ -593,6 +593,8 @@ const KernelTable kAvx2Table = {
     SimdIsa::Avx2,
     "avx2",
     &mk8x4_avx2,
+    8,
+    4,
     &mk4x8_avx2,
     &pack_a_avx2,
     &pack_b_avx2,
@@ -611,6 +613,8 @@ const KernelTableT<float> kAvx2TableF32 = {
     SimdIsa::Avx2,
     "avx2",
     &mk8x4_avx2_f32,
+    8,
+    4,
     &mk4x8_avx2_f32,
     &pack_a_avx2_f32,
     &pack_b_avx2_f32,

@@ -147,6 +147,8 @@ const KernelTableT<double> kScalarTable = {
     SimdIsa::Scalar,
     "scalar",
     &microkernel<double, 8, 4>,
+    8,
+    4,
     &microkernel<double, 4, 8>,
     &pack_a_scalar<double>,
     &pack_b_scalar<double>,
@@ -165,6 +167,8 @@ const KernelTableT<float> kScalarTableF32 = {
     SimdIsa::Scalar,
     "scalar",
     &microkernel<float, 8, 4>,
+    8,
+    4,
     &microkernel<float, 4, 8>,
     &pack_a_scalar<float>,
     &pack_b_scalar<float>,

@@ -272,6 +272,8 @@ const KernelTable kSse2Table = {
     SimdIsa::Sse2,
     "sse2",
     &mk8x4_sse2,
+    8,
+    4,
     &mk4x8_sse2,
     &pack_a_sse2,
     &pack_b_sse2,

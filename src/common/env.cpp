@@ -58,7 +58,7 @@ const Knob* knob_reference() noexcept {
       {"DNC_PROFILE_HZ", "int", "sampling-profiler frequency (0 = off)"},
       {"DNC_REPORT", "path", "write the SolveReport JSON of each solve here"},
       {"DNC_SCHED", "steal/central", "runtime scheduling policy"},
-      {"DNC_SIMD", "scalar/sse2/avx2", "clamp the SIMD kernel dispatch level"},
+      {"DNC_SIMD", "scalar/sse2/avx2/avx512", "clamp the SIMD kernel dispatch level"},
       {"DNC_TOPOLOGY", "sockets x l3 x cpus | flat", "override the detected CPU topology for steal ordering"},
       {"DNC_TRACE", "path", "write the Perfetto trace of each solve here"},
       {"DNC_TUNE_TABLE", "path", "consult this dnc_tune table for nb/policy defaults at solve time"},

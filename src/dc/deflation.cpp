@@ -54,16 +54,9 @@ DeflationResultT<Real> deflate(index_t n1, index_t n2, Real* d, Real* z, Real rh
   for (index_t j = 0; j < m; ++j) coltyp[j] = j < n1 ? 1 : 3;
 
   std::vector<index_t> nondefl;  // physical cols, ascending pole order
-  std::vector<index_t> defl;     // physical cols, kept ascending by d value
+  std::vector<index_t> defl;     // physical cols; sorted by d below
   nondefl.reserve(m);
   defl.reserve(m);
-  const auto defl_insert = [&](index_t j) {
-    // Insertion keeps the deflated set ascending even though rotations
-    // change d[j] after the merge order was fixed.
-    auto it = std::upper_bound(defl.begin(), defl.end(), d[j],
-                               [&](Real val, index_t p) { return val < d[p]; });
-    defl.insert(it, j);
-  };
 
   if (res.rho * zmax <= tol) {
     // Everything deflates (dlaed2's early exit): the merged system is
@@ -81,7 +74,7 @@ DeflationResultT<Real> deflate(index_t n1, index_t n2, Real* d, Real* z, Real rh
         // survives unchanged.
         z[j] = 0;
         coltyp[j] = 4;
-        defl_insert(j);
+        defl.push_back(j);
         continue;
       }
       if (held < 0) {
@@ -105,7 +98,7 @@ DeflationResultT<Real> deflate(index_t n1, index_t n2, Real* d, Real* z, Real rh
         const Real dh = d[held], dj = d[j];
         d[held] = dh * c * c + dj * s * s;
         d[j] = dh * s * s + dj * c * c;
-        defl_insert(held);
+        defl.push_back(held);
         held = j;
       } else {
         nondefl.push_back(held);
@@ -113,6 +106,12 @@ DeflationResultT<Real> deflate(index_t n1, index_t n2, Real* d, Real* z, Real rh
       }
     }
     if (held >= 0) nondefl.push_back(held);
+    // List the deflated set ascending by d (rotations changed d after the
+    // merge order was fixed), ties in deflation order. A deflated column's
+    // d is final once it is appended, so one O(m log m) stable sort gives
+    // the same order as inserting each column at its sorted position.
+    std::stable_sort(defl.begin(), defl.end(),
+                     [&](index_t a, index_t b) { return d[a] < d[b]; });
   }
 
   res.k = static_cast<index_t>(nondefl.size());

@@ -80,7 +80,7 @@ struct SolveReport {
   long n = 0;
   int threads = 0;
   double seconds = 0.0;
-  std::string simd_isa;    ///< dispatched kernel table ("scalar"/"sse2"/"avx2")
+  std::string simd_isa;    ///< dispatched kernel table ("scalar"/"sse2"/"avx2"/"avx512")
   std::string precision = "f64";  ///< working precision ("f64"/"f32"/"f32refine")
   std::string git_commit;  ///< configure-time revision (version::kGitCommit)
   std::string build_type;  ///< CMAKE_BUILD_TYPE the binary was built with

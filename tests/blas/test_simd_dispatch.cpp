@@ -1,15 +1,18 @@
 // Property tests for the SIMD kernel layer: every table the binary carries
-// (scalar always; SSE2/AVX2 when compiled in and the host supports them) is
-// compared against the scalar reference across remainder shapes -- vector
-// kernels live or die on their tail handling, so lengths sweep every
-// residue mod the widest vector, and GEMM shapes sweep the residues mod
-// MR/NR of both microtiles.
+// (scalar always; SSE2/AVX2/AVX-512 when compiled in and the host supports
+// them) is compared against the scalar reference across remainder shapes
+// -- vector kernels live or die on their tail handling, so lengths sweep
+// every residue mod the widest vector, and GEMM shapes sweep the residues
+// mod each table's own main tile (8x4, 16x8, 32x8) and the 4x8 tile.
 #include "blas/simd/kernels.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "blas/gemm.hpp"
@@ -26,11 +29,29 @@ std::vector<double> randvec(index_t n, std::uint64_t seed) {
   return v;
 }
 
-std::vector<const KernelTable*> available_tables() {
-  std::vector<const KernelTable*> t;
-  for (SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Sse2, SimdIsa::Avx2})
-    if (const KernelTable* kt = kernels_for(isa)) t.push_back(kt);
+template <typename Real>
+std::vector<const KernelTableT<Real>*> tables_t() {
+  std::vector<const KernelTableT<Real>*> t;
+  for (SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Sse2, SimdIsa::Avx2, SimdIsa::Avx512})
+    if (const KernelTableT<Real>* kt = kernels_for_t<Real>(isa)) t.push_back(kt);
   return t;
+}
+
+std::vector<const KernelTable*> available_tables() { return tables_t<double>(); }
+
+// Straight definition of the microkernel contract over packed MR x kb and
+// NR x kb panels: C = alpha * A B^T + beta * C on the mr x nr corner, with
+// beta == 0 overwriting C.
+void microkernel_reference(index_t kb, const double* ap, const double* bp, index_t MR,
+                           index_t NR, double alpha, double beta, double* c, index_t ldc,
+                           index_t mr, index_t nr) {
+  for (index_t j = 0; j < nr; ++j)
+    for (index_t i = 0; i < mr; ++i) {
+      double acc = 0.0;
+      for (index_t p = 0; p < kb; ++p) acc += ap[p * MR + i] * bp[p * NR + j];
+      double& cij = c[i + j * ldc];
+      cij = alpha * acc + (beta == 0.0 ? 0.0 : beta * cij);
+    }
 }
 
 // Lengths covering every residue mod 8 (the widest unrolled step) plus a
@@ -60,22 +81,31 @@ TEST(SimdDispatch, EnvParsing) {
   EXPECT_EQ(isa, SimdIsa::Sse2);
   EXPECT_TRUE(parse_simd_isa("avx2", isa));
   EXPECT_EQ(isa, SimdIsa::Avx2);
-  EXPECT_FALSE(parse_simd_isa("avx512", isa));
+  EXPECT_TRUE(parse_simd_isa("avx512", isa));
+  EXPECT_EQ(isa, SimdIsa::Avx512);
+  EXPECT_FALSE(parse_simd_isa("avx512f", isa));
   EXPECT_FALSE(parse_simd_isa("", isa));
   EXPECT_FALSE(parse_simd_isa(nullptr, isa));
 }
 
 TEST(SimdDispatch, DetectIsMonotone) {
-  // AVX2 hardware implies SSE2 hardware; the probe must never report an
-  // impossible combination, and kernels_for must clamp to it.
+  // AVX-512 hardware implies AVX2 implies SSE2; the probe must never
+  // report an impossible combination, and kernels_for must clamp to it.
   const SimdIsa hw = detect_simd_isa();
   if (hw >= SimdIsa::Sse2) {
 #if defined(__x86_64__) || defined(__i386__)
     SUCCEED();
 #endif
   }
+  if (kernels_for(SimdIsa::Avx512) != nullptr) {
+    EXPECT_GE(hw, SimdIsa::Avx512);
+    // The AVX-512 table is built on the AVX2 one, so it needs it present.
+    EXPECT_NE(kernels_for(SimdIsa::Avx2), nullptr);
+    EXPECT_NE(kernels_for_t<float>(SimdIsa::Avx512), nullptr);
+  }
   if (kernels_for(SimdIsa::Avx2) != nullptr) EXPECT_GE(hw, SimdIsa::Avx2);
   if (kernels_for(SimdIsa::Sse2) != nullptr) EXPECT_GE(hw, SimdIsa::Sse2);
+  for (const KernelTable* kt : available_tables()) EXPECT_LE(kt->isa, hw) << kt->name;
 }
 
 TEST(SimdDispatch, ScopedOverrideSwitchesAndRestores) {
@@ -186,7 +216,7 @@ TEST(SimdKernels, PackAMatchesScalar) {
   const index_t lda = 37, ncols = 30;
   auto a = randvec(lda * ncols, 11);
   for (const KernelTable* kt : available_tables()) {
-    for (index_t MR : {8, 4}) {
+    for (index_t MR : {kt->mr, index_t{8}, index_t{4}}) {
       for (bool trans : {false, true}) {
         for (index_t mr = 1; mr <= MR; ++mr) {
           const index_t kb = 13, i0 = 5, p0 = 3;
@@ -208,7 +238,7 @@ TEST(SimdKernels, PackBMatchesScalar) {
   const index_t ldb = 41, ncols = 35;
   auto b = randvec(ldb * ncols, 12);
   for (const KernelTable* kt : available_tables()) {
-    for (index_t NR : {4, 8}) {
+    for (index_t NR : {kt->nr, index_t{4}, index_t{8}}) {
       for (bool trans : {false, true}) {
         for (index_t nr = 1; nr <= NR; ++nr) {
           for (index_t kb : {1, 2, 3, 4, 5, 7, 8, 13}) {
@@ -226,30 +256,37 @@ TEST(SimdKernels, PackBMatchesScalar) {
   }
 }
 
-TEST(SimdKernels, MicrokernelsMatchScalarAllEdges) {
-  // Packed panels with kb sweeping small values; every (mr, nr) corner;
-  // the three beta classes (overwrite, accumulate, general).
-  for (const KernelTable* kt : available_tables()) {
-    for (int wide = 0; wide < 2; ++wide) {
-      const index_t MR = wide ? 4 : 8, NR = wide ? 8 : 4;
-      const MicrokernelFn mk = wide ? kt->mk4x8 : kt->mk8x4;
-      const MicrokernelFn mkref = wide ? kScalarTable.mk4x8 : kScalarTable.mk8x4;
-      for (index_t kb : {1, 2, 3, 7, 16, 33}) {
-        auto ap = randvec(MR * kb, 13);
-        auto bp = randvec(NR * kb, 14);
-        for (index_t mr = 1; mr <= MR; ++mr) {
-          for (index_t nr = 1; nr <= NR; ++nr) {
-            for (double beta : {0.0, 1.0, -0.4}) {
-              const index_t ldc = MR + 3;
-              auto c = randvec(ldc * NR, 15);
-              auto cref = c;
-              mk(kb, ap.data(), bp.data(), 1.3, beta, c.data(), ldc, mr, nr);
-              mkref(kb, ap.data(), bp.data(), 1.3, beta, cref.data(), ldc, mr, nr);
-              for (std::size_t i = 0; i < c.size(); ++i)
-                EXPECT_NEAR(c[i], cref[i], 1e-13 * kb)
-                    << kt->name << (wide ? " 4x8" : " 8x4") << " kb=" << kb << " mr=" << mr
-                    << " nr=" << nr << " beta=" << beta;
-            }
+template <typename Real>
+void check_microkernel_edges(const KernelTableT<Real>& kt) {
+  // Packed panels with kb sweeping small values; every (mr, nr) corner of
+  // the table's main tile and of the 4x8 tile; the three beta classes
+  // (overwrite, accumulate, general).
+  const double tol = std::is_same_v<Real, double> ? 1e-13 : 1e-5;
+  const auto real_vec = [](index_t n, std::uint64_t seed) {
+    const auto v = randvec(n, seed);
+    return std::vector<Real>(v.begin(), v.end());
+  };
+  for (int wide = 0; wide < 2; ++wide) {
+    const index_t MR = wide ? 4 : kt.mr, NR = wide ? 8 : kt.nr;
+    const MicrokernelFnT<Real> mk = wide ? kt.mk4x8 : kt.mk;
+    for (index_t kb : {1, 2, 3, 7, 16, 33}) {
+      const auto ap = real_vec(MR * kb, 13);
+      const auto bp = real_vec(NR * kb, 14);
+      // The reference runs in fp64 on the same (rounded) inputs.
+      const std::vector<double> ap64(ap.begin(), ap.end()), bp64(bp.begin(), bp.end());
+      for (index_t mr = 1; mr <= MR; ++mr) {
+        for (index_t nr = 1; nr <= NR; ++nr) {
+          for (double beta : {0.0, 1.0, -0.4}) {
+            const index_t ldc = MR + 3;
+            auto c = real_vec(ldc * NR, 15);
+            std::vector<double> cref(c.begin(), c.end());
+            mk(kb, ap.data(), bp.data(), Real(1.3), Real(beta), c.data(), ldc, mr, nr);
+            microkernel_reference(kb, ap64.data(), bp64.data(), MR, NR, double(Real(1.3)),
+                                  double(Real(beta)), cref.data(), ldc, mr, nr);
+            for (std::size_t i = 0; i < c.size(); ++i)
+              EXPECT_NEAR(c[i], cref[i], tol * kb)
+                  << kt.name << (sizeof(Real) == 4 ? " f32 " : " f64 ") << MR << "x" << NR
+                  << " kb=" << kb << " mr=" << mr << " nr=" << nr << " beta=" << beta;
           }
         }
       }
@@ -257,11 +294,16 @@ TEST(SimdKernels, MicrokernelsMatchScalarAllEdges) {
   }
 }
 
+TEST(SimdKernels, MicrokernelsMatchScalarAllEdges) {
+  for (const KernelTable* kt : available_tables()) check_microkernel_edges(*kt);
+  for (const KernelTableT<float>* kt : tables_t<float>()) check_microkernel_edges(*kt);
+}
+
 TEST(SimdKernels, MicrokernelBetaZeroOverwritesNaN) {
   for (const KernelTable* kt : available_tables()) {
     for (int wide = 0; wide < 2; ++wide) {
-      const index_t MR = wide ? 4 : 8, NR = wide ? 8 : 4;
-      const MicrokernelFn mk = wide ? kt->mk4x8 : kt->mk8x4;
+      const index_t MR = wide ? 4 : kt->mr, NR = wide ? 8 : kt->nr;
+      const MicrokernelFn mk = wide ? kt->mk4x8 : kt->mk;
       auto ap = randvec(MR * 4, 16);
       auto bp = randvec(NR * 4, 17);
       std::vector<double> c(MR * NR, std::numeric_limits<double>::quiet_NaN());
@@ -297,35 +339,111 @@ TEST(SimdKernels, Laed4SumsMatchScalar) {
   }
 }
 
-TEST(SimdGemm, AllResidueShapesMatchReferenceUnderEveryTable) {
-  // m and n sweep every residue mod 8 and mod 4 (covering both microtiles
-  // and the mixed-tile boundary), k is chosen to clear every table's
-  // small-volume cutoff so the packed path really runs.
-  for (const KernelTable* kt : available_tables()) {
-    ScopedIsaOverride force(kt->isa);
-    for (index_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17}) {
-      for (index_t n : {1, 2, 3, 4, 5, 7, 8, 9, 12, 13}) {
-        const index_t k = 32768 / (m * n) + 29;
-        Rng rng(100 + m * 17 + n);
-        Matrix a(m, k), b(k, n), c(m, n), cref(m, n);
-        for (index_t j = 0; j < k; ++j)
-          for (index_t i = 0; i < m; ++i) a(i, j) = rng.uniform_sym();
-        for (index_t j = 0; j < n; ++j)
-          for (index_t i = 0; i < k; ++i) b(i, j) = rng.uniform_sym();
-        for (index_t j = 0; j < n; ++j)
-          for (index_t i = 0; i < m; ++i) cref(i, j) = c(i, j) = rng.uniform_sym();
-        gemm(Trans::No, Trans::No, m, n, k, 0.9, a.data(), m, b.data(), k, -0.6, c.data(), m);
-        gemm_reference(Trans::No, Trans::No, m, n, k, 0.9, a.data(), m, b.data(), k, -0.6,
-                       cref.data(), m);
+// Shapes around every multiple of a tile side that matters: 1..5, the
+// main tile side -1/0/+1, twice it -1/+1, and a multiple plus a ragged
+// remainder.
+std::vector<index_t> residue_sizes(index_t tile) {
+  std::vector<index_t> v{1, 2, 3, 4, 5, 7, 8, 9};
+  for (index_t s : {tile - 1, tile, tile + 1, 2 * tile - 1, 2 * tile + 1, 3 * tile + 5})
+    if (s > 0) v.push_back(s);
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  return v;
+}
+
+template <typename Real>
+void check_gemm_residues(const KernelTableT<Real>& kt) {
+  // m and n sweep the residues mod the table's own (mr, nr) and mod the
+  // 4x8 tile; k is chosen to clear every table's small-volume cutoff so
+  // the packed path really runs (and crosses kc blocks for thin shapes).
+  // beta = 0 runs on a NaN-filled C, which it must overwrite.
+  ScopedIsaOverride force(kt.isa);
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
+  const double eps = std::is_same_v<Real, double> ? 1e-11 : 64.0 * FLT_EPSILON;
+  for (index_t m : residue_sizes(kt.mr)) {
+    for (index_t n : residue_sizes(kt.nr)) {
+      const index_t k = 32768 / (m * n) + 29;
+      Rng rng(100 + m * 17 + n);
+      MatrixT<Real> a(m, k), b(k, n), c0(m, n);
+      for (index_t j = 0; j < k; ++j)
+        for (index_t i = 0; i < m; ++i) a(i, j) = static_cast<Real>(rng.uniform_sym());
+      for (index_t j = 0; j < n; ++j)
+        for (index_t i = 0; i < k; ++i) b(i, j) = static_cast<Real>(rng.uniform_sym());
+      for (index_t j = 0; j < n; ++j)
+        for (index_t i = 0; i < m; ++i) c0(i, j) = static_cast<Real>(rng.uniform_sym());
+      for (Real beta : {Real(0), Real(1), Real(0.5), Real(-0.6)}) {
+        MatrixT<Real> c = c0, cref = c0;
+        if (beta == Real(0))
+          for (index_t j = 0; j < n; ++j)
+            for (index_t i = 0; i < m; ++i) c(i, j) = nan;
+        gemm(Trans::No, Trans::No, m, n, k, Real(0.9), a.data(), m, b.data(), k, beta,
+             c.data(), m);
+        gemm_reference(Trans::No, Trans::No, m, n, k, Real(0.9), a.data(), m, b.data(), k,
+                       beta, cref.data(), m);
         double worst = 0.0;
         for (index_t j = 0; j < n; ++j)
-          for (index_t i = 0; i < m; ++i)
-            worst = std::max(worst, std::fabs(c(i, j) - cref(i, j)));
-        EXPECT_LT(worst, 1e-11 * k) << kt->name << " m=" << m << " n=" << n << " k=" << k;
+          for (index_t i = 0; i < m; ++i) {
+            const double diff = std::fabs(double(c(i, j)) - double(cref(i, j)));
+            worst = std::isnan(diff) ? diff : std::max(worst, diff);
+          }
+        EXPECT_LT(worst, eps * k) << kt.name << (sizeof(Real) == 4 ? " f32" : " f64")
+                                  << " m=" << m << " n=" << n << " k=" << k
+                                  << " beta=" << beta;
       }
     }
   }
 }
+
+TEST(SimdGemm, AllResidueShapesMatchReferenceUnderEveryTable) {
+  for (const KernelTable* kt : available_tables()) check_gemm_residues(*kt);
+}
+
+TEST(SimdGemm, AllResidueShapesMatchReferenceUnderEveryFloatTable) {
+  for (const KernelTableT<float>* kt : tables_t<float>()) check_gemm_residues(*kt);
+}
+
+template <typename Real>
+void check_avx512_matches_avx2_bitwise() {
+  // The AVX-512 kernels keep the AVX2 per-element FMA order, so with
+  // alpha = 1 and beta in {0, 1} (what the D&C merge uses) the products
+  // agree bit for bit, whatever the tile boundaries.
+  if (kernels_for_t<Real>(SimdIsa::Avx512) == nullptr) GTEST_SKIP() << "no AVX-512 table";
+  for (index_t m : {3, 9, 16, 37, 100}) {
+    for (index_t n : {5, 8, 13, 40}) {
+      for (index_t k : {300, 700}) {  // one and several kc blocks
+        Rng rng(300 + m + n + k);
+        MatrixT<Real> a(m, k), b(k, n), c0(m, n);
+        for (index_t j = 0; j < k; ++j)
+          for (index_t i = 0; i < m; ++i) a(i, j) = static_cast<Real>(rng.uniform_sym());
+        for (index_t j = 0; j < n; ++j)
+          for (index_t i = 0; i < k; ++i) b(i, j) = static_cast<Real>(rng.uniform_sym());
+        for (index_t j = 0; j < n; ++j)
+          for (index_t i = 0; i < m; ++i) c0(i, j) = static_cast<Real>(rng.uniform_sym());
+        for (Real beta : {Real(0), Real(1)}) {
+          MatrixT<Real> c2 = c0, c5 = c0;
+          {
+            ScopedIsaOverride force(SimdIsa::Avx2);
+            gemm(Trans::No, Trans::No, m, n, k, Real(1), a.data(), m, b.data(), k, beta,
+                 c2.data(), m);
+          }
+          {
+            ScopedIsaOverride force(SimdIsa::Avx512);
+            gemm(Trans::No, Trans::No, m, n, k, Real(1), a.data(), m, b.data(), k, beta,
+                 c5.data(), m);
+          }
+          for (index_t j = 0; j < n; ++j)
+            for (index_t i = 0; i < m; ++i)
+              ASSERT_EQ(c2(i, j), c5(i, j)) << "m=" << m << " n=" << n << " k=" << k
+                                            << " beta=" << beta << " at " << i << "," << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdGemm, Avx512MatchesAvx2Bitwise) { check_avx512_matches_avx2_bitwise<double>(); }
+
+TEST(SimdGemm, Avx512MatchesAvx2BitwiseF32) { check_avx512_matches_avx2_bitwise<float>(); }
 
 TEST(SimdGemm, TransposedShapesMatchReferenceUnderEveryTable) {
   for (const KernelTable* kt : available_tables()) {

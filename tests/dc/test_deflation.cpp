@@ -157,5 +157,33 @@ TEST(Deflation, TraceIsPreserved) {
   EXPECT_NEAR(trace_before, trace_after, 1e-14);
 }
 
+TEST(Deflation, HeavyDeflationKeepsInsertionOrder) {
+  // A type 1/2-like merge: both sons carry runs of equal eigenvalues
+  // (eps, 0.5, 1), and every fifth coupling is negligible. Almost every
+  // column deflates, by rotation (which nudges d by an ulp) or by a tiny z.
+  // The deflated columns are listed ascending by d, ties in deflation order;
+  // indx and d_defl below were produced by the former sorted-insertion
+  // implementation and must not change.
+  const double tiny = 0x1p-52;
+  const std::vector<double> d1{tiny, tiny, tiny, tiny, 0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0};
+  const std::vector<double> d2{tiny, tiny, tiny, 0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0};
+  std::vector<double> z(24);
+  for (std::size_t i = 0; i < z.size(); ++i) z[i] = (i % 5 == 2) ? 1e-19 : 0.1 + 0.01 * double(i);
+  auto in = make_input(d1, d2, z);
+  const auto res = deflate(12, 12, in.d.data(), in.z.data(), 1.0, in.q.view(), in.perm.data(),
+                           in.perm.data() + 12);
+  ASSERT_EQ(res.k, 3);
+  const std::vector<index_t> indx{14, 18, 23, 0,  2,  12, 13, 1, 3, 5,  15, 7,
+                                  6,  17, 16, 4,  20, 9,  8,  11, 19, 22, 10, 21};
+  EXPECT_EQ(res.indx, indx);
+  const double up = 0x1.0000000000001p0, dn = 0x1.fffffffffffffp-1;  // 1 +- 1 ulp
+  const std::vector<double> d_defl{tiny,       tiny,       tiny,     tiny,     tiny * up,
+                                   tiny * up,  0.5 * dn,   0.5 * dn, 0.5,      0.5,
+                                   0.5,        0.5,        0.5 * up, 0x1.ffffffffffffep-1,
+                                   dn,         1.0,        1.0,      1.0,      1.0,
+                                   up,         up};
+  EXPECT_EQ(res.d_defl, d_defl);
+}
+
 }  // namespace
 }  // namespace dnc::dc

@@ -8,6 +8,7 @@
 #include <tuple>
 
 #include "../support/precision_testing.hpp"
+#include "blas/simd/kernels.hpp"
 #include "common/error.hpp"
 #include "dc/api.hpp"
 #include "matgen/tridiag.hpp"
@@ -154,6 +155,35 @@ TEST(Stedc, ExecutionModelPairsAgreeBitwise) {
     solve(Driver::Lapack, dlapack, vlapack);
     solve(Driver::Scalapack, d, v);
     EXPECT_TRUE(same_bits(dlapack, vlapack, d, v)) << "type " << type;
+  }
+}
+
+// The AVX-512 GEMM tiles (16x8 fp64, 32x8 fp32) keep the AVX2 per-element
+// FMA order, kc blocking and small-volume cut-off, so a whole solve is
+// bit-identical under the two tables in both working precisions.
+TEST(Stedc, Avx512AndAvx2AgreeBitwise) {
+  if (blas::simd::kernels_for(SimdIsa::Avx512) == nullptr)
+    GTEST_SKIP() << "no AVX-512 kernel table on this host or build";
+  const index_t n = 700;
+  const auto t = matgen::table3_matrix(4, n, 1);
+  for (Precision prec : {Precision::F64, Precision::F32}) {
+    Options opt;
+    opt.precision = prec;
+    const auto solve = [&](SimdIsa isa, std::vector<double>& d, Matrix& v) {
+      blas::simd::ScopedIsaOverride force(isa);
+      d = t.d;
+      std::vector<double> e = t.e;
+      stedc_taskflow(n, d.data(), e.data(), v, opt);
+    };
+    std::vector<double> d2, d5;
+    Matrix v2, v5;
+    solve(SimdIsa::Avx2, d2, v2);
+    solve(SimdIsa::Avx512, d5, v5);
+    const char* name = precision_name(prec);
+    ASSERT_EQ(std::memcmp(d2.data(), d5.data(), n * sizeof(double)), 0) << name;
+    for (index_t j = 0; j < n; ++j)
+      ASSERT_EQ(std::memcmp(&v2(0, j), &v5(0, j), n * sizeof(double)), 0)
+          << name << " column " << j;
   }
 }
 
