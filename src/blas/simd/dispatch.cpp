@@ -23,10 +23,21 @@ const KernelTableT<double>* scalar_table<double>() noexcept { return &kScalarTab
 template <>
 const KernelTableT<float>* scalar_table<float>() noexcept { return &kScalarTableF32; }
 
+// The highest table at or below `cap` that this binary carries and the
+// host can run. Walking down matters because the probe reports what the
+// hardware has, not what was compiled in: an AVX-512 host running a build
+// without kernels_avx512.cpp must land on AVX2, not on scalar.
+template <typename Real>
+const KernelTableT<Real>* table_at_most(SimdIsa cap) noexcept {
+  for (int level = static_cast<int>(cap); level > static_cast<int>(SimdIsa::Scalar); --level)
+    if (const KernelTableT<Real>* t = kernels_for_t<Real>(static_cast<SimdIsa>(level)))
+      return t;
+  return scalar_table<Real>();
+}
+
 template <typename Real>
 const KernelTableT<Real>* select_table() noexcept {
-  const KernelTableT<Real>* t = kernels_for_t<Real>(requested_simd_isa());
-  return t != nullptr ? t : scalar_table<Real>();
+  return table_at_most<Real>(requested_simd_isa());
 }
 
 template <typename Real>
@@ -101,10 +112,8 @@ SimdIsa active_isa() noexcept { return kernels().isa; }
 ScopedIsaOverride::ScopedIsaOverride(SimdIsa isa) noexcept
     : saved_f64_(active_or_init<double>(g_active_f64)),
       saved_f32_(active_or_init<float>(g_active_f32)) {
-  const KernelTableT<double>* t64 = kernels_for_t<double>(isa);
-  const KernelTableT<float>* t32 = kernels_for_t<float>(isa);
-  g_active_f64.store(t64 != nullptr ? t64 : &kScalarTable, std::memory_order_release);
-  g_active_f32.store(t32 != nullptr ? t32 : &kScalarTableF32, std::memory_order_release);
+  g_active_f64.store(table_at_most<double>(isa), std::memory_order_release);
+  g_active_f32.store(table_at_most<float>(isa), std::memory_order_release);
 }
 
 ScopedIsaOverride::~ScopedIsaOverride() {

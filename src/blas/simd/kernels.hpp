@@ -10,12 +10,13 @@
 //   kernels_avx2.cpp     256-bit vectors + FMA: 4-lane double and 8-lane
 //                        float tables (same condition, and compiled with
 //                        -mavx2 -mfma for this file only)
-//   kernels_avx512.cpp   512-bit GEMM microkernels (16x8 fp64, 32x8 fp32)
-//                        and their pack_a; the only file compiled with
-//                        -mavx512f. Its tables are the AVX2 tables with the
-//                        level-3 entries replaced: level-1, laed4_sums and
-//                        the 4x8 short-wide kernel are division- or
-//                        memory-bound and gain nothing from zmm width.
+//   kernels_avx512.cpp   512-bit GEMM microkernels (16x8 fp64, 32x8 fp32);
+//                        the only file compiled with -mavx512f. Its tables
+//                        are the AVX2 tables with only the main microkernel
+//                        and its tile shape replaced: level-1, laed4_sums,
+//                        packing and the 4x8 short-wide kernel are
+//                        division- or memory-bound and gain nothing from
+//                        zmm width.
 //   dispatch.cpp         runtime selection: hardware probe (cpuid) clamped
 //                        by the DNC_SIMD env var
 //                        ("scalar"|"sse2"|"avx2"|"avx512"), one active
@@ -124,9 +125,9 @@ using PackAFn = PackAFnT<double>;
 using PackBFn = PackBFnT<double>;
 using Laed4SumsFn = Laed4SumsFnT<double>;
 
-/// The active table for a precision: hardware probe clamped by DNC_SIMD
-/// (read once, on first use). Safe to call from any thread. Only the
-/// double and float specialisations exist.
+/// The active table for a precision: the highest table at or below the
+/// hardware probe clamped by DNC_SIMD (read once, on first use). Safe to
+/// call from any thread. Only the double and float specialisations exist.
 template <typename Real>
 const KernelTableT<Real>& kernels_t() noexcept;
 template <>
@@ -158,9 +159,11 @@ inline const KernelTable* kernels_for(SimdIsa isa) noexcept {
 
 /// Forces the active tables (both precisions) for the current process --
 /// used by tests and benchmarks to compare paths in-process. Clamped like
-/// DNC_SIMD (float additionally degrades Sse2 to Scalar). Restores the
-/// previous tables on destruction. Not for concurrent use from multiple
-/// threads (tests/benches are single-threaded at override points).
+/// DNC_SIMD: a level this binary or host lacks falls to the next lower
+/// table that is present (float has no SSE2 table, so Sse2 degrades to
+/// Scalar). Restores the previous tables on destruction. Not for
+/// concurrent use from multiple threads (tests/benches are single-threaded
+/// at override points).
 class ScopedIsaOverride {
  public:
   explicit ScopedIsaOverride(SimdIsa isa) noexcept;
@@ -184,9 +187,9 @@ extern const KernelTableT<double> kAvx2Table;
 extern const KernelTableT<float> kAvx2TableF32;
 #endif
 #if defined(DNC_HAVE_AVX512)
-/// The AVX-512 tables: copies of the AVX2 tables with the level-3 entries
-/// replaced, built on first use (a function-local static, so no dynamic
-/// initialisation order between translation units is involved).
+/// The AVX-512 tables: copies of the AVX2 tables with the main microkernel
+/// (mk, mr, nr) replaced, built on first use (a function-local static, so
+/// no dynamic initialisation order between translation units is involved).
 template <typename Real>
 const KernelTableT<Real>& avx512_table() noexcept;
 #endif

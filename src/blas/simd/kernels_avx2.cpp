@@ -120,18 +120,12 @@ void mk4x8_avx2(index_t kb, const double* ap, const double* bp, double alpha, do
 
 void pack_a_avx2(const double* a, index_t lda, bool trans, index_t i0, index_t mr, index_t p0,
                  index_t kb, double* dst, index_t MR) {
-  if (!trans && mr == MR) {
-    // Contiguous column chunks: straight vector copy.
+  if (!trans && mr == MR && MR % 4 == 0) {
+    // Contiguous column chunks: straight vector copy, one ymm per 4 rows
+    // (any tile height that is a whole number of vectors: 4, 8, 16).
     const double* src = a + i0 + p0 * lda;
-    if (MR == 8) {
-      for (index_t p = 0; p < kb; ++p, src += lda, dst += 8) {
-        _mm256_storeu_pd(dst, _mm256_loadu_pd(src));
-        _mm256_storeu_pd(dst + 4, _mm256_loadu_pd(src + 4));
-      }
-    } else {  // MR == 4
-      for (index_t p = 0; p < kb; ++p, src += lda, dst += 4)
-        _mm256_storeu_pd(dst, _mm256_loadu_pd(src));
-    }
+    for (index_t p = 0; p < kb; ++p, src += lda, dst += MR)
+      for (index_t i = 0; i < MR; i += 4) _mm256_storeu_pd(dst + i, _mm256_loadu_pd(src + i));
     return;
   }
   for (index_t p = 0; p < kb; ++p) {
@@ -429,16 +423,17 @@ void mk4x8_avx2_f32(index_t kb, const float* ap, const float* bp, float alpha, f
 
 void pack_a_avx2_f32(const float* a, index_t lda, bool trans, index_t i0, index_t mr,
                      index_t p0, index_t kb, float* dst, index_t MR) {
-  if (!trans && mr == MR) {
-    // Contiguous column chunks: straight vector copy.
+  if (!trans && mr == MR && MR % 8 == 0) {
+    // Contiguous column chunks: straight vector copy, one ymm per 8 rows
+    // (any tile height that is a whole number of vectors: 8, 32).
     const float* src = a + i0 + p0 * lda;
-    if (MR == 8) {
-      for (index_t p = 0; p < kb; ++p, src += lda, dst += 8)
-        _mm256_storeu_ps(dst, _mm256_loadu_ps(src));
-    } else {  // MR == 4
-      for (index_t p = 0; p < kb; ++p, src += lda, dst += 4)
-        _mm_storeu_ps(dst, _mm_loadu_ps(src));
-    }
+    for (index_t p = 0; p < kb; ++p, src += lda, dst += MR)
+      for (index_t i = 0; i < MR; i += 8) _mm256_storeu_ps(dst + i, _mm256_loadu_ps(src + i));
+    return;
+  }
+  if (!trans && mr == MR && MR == 4) {  // the short-wide 4x8 tile
+    const float* src = a + i0 + p0 * lda;
+    for (index_t p = 0; p < kb; ++p, src += lda, dst += 4) _mm_storeu_ps(dst, _mm_loadu_ps(src));
     return;
   }
   for (index_t p = 0; p < kb; ++p) {

@@ -1,14 +1,15 @@
 // AVX-512 kernel tables: 512-bit GEMM microkernels, 16x8 in fp64 and 32x8
-// in fp32, and the pack_a that fills their 16- and 32-row A slivers. This
-// is the only file compiled with -mavx512f (set per-file in
+// in fp32. This is the only file compiled with -mavx512f (set per-file in
 // src/blas/CMakeLists.txt); dispatch.cpp never selects these tables unless
 // the cpuid probe reports AVX-512F with OS-enabled ZMM state, so no
 // instruction here runs on hardware that cannot execute it.
 //
-// Only the level-3 entries are new. Everything else -- level-1, laed4_sums,
-// the 4x8 short-wide kernel and pack_b (whose 4x4 transposes already cover
-// NR = 8) -- is copied from the AVX2 tables: those kernels are bound by
-// division or memory traffic, and zmm width buys them nothing.
+// Only the main microkernel and its tile shape are new. Everything else --
+// level-1, laed4_sums, the 4x8 short-wide kernel, pack_a (whose ymm copy
+// covers any tile height that is a whole number of vectors) and pack_b
+// (whose 4x4 transposes already cover NR = 8) -- is copied from the AVX2
+// tables: those kernels are bound by division or memory traffic, and zmm
+// width buys them nothing.
 //
 // Numerics: each C element gets the same FMA chain as under AVX2. In fp64
 // that is one chain over the kc block; in fp32 the AVX2 8x4 kernel splits k
@@ -136,23 +137,6 @@ void mk_avx512(index_t kb, const Real* ap, const Real* bp, Real alpha, Real beta
 const KernelTableT<double>& avx2_table(double) { return kAvx2Table; }
 const KernelTableT<float>& avx2_table(float) { return kAvx2TableF32; }
 
-// Full untransposed slivers whose height is a whole number of vectors are
-// a straight zmm copy per k step; everything else (transposed, partial, or
-// the 4-row sliver of the short-wide kernel) goes to the AVX2 packer, whose
-// general loop handles any MR.
-template <typename Real>
-void pack_a_avx512(const Real* a, index_t lda, bool trans, index_t i0, index_t mr, index_t p0,
-                   index_t kb, Real* dst, index_t MR) {
-  constexpr index_t L = kLanes<Real>;
-  if (trans || mr != MR || MR % L != 0) {
-    avx2_table(Real(0)).pack_a(a, lda, trans, i0, mr, p0, kb, dst, MR);
-    return;
-  }
-  const Real* src = a + i0 + p0 * lda;
-  for (index_t p = 0; p < kb; ++p, src += lda, dst += MR)
-    for (index_t i = 0; i < MR; i += L) vstore(dst + i, vload(src + i));
-}
-
 template <typename Real>
 KernelTableT<Real> make_table() {
   KernelTableT<Real> t = avx2_table(Real(0));
@@ -161,7 +145,6 @@ KernelTableT<Real> make_table() {
   t.mk = &mk_avx512<Real>;
   t.mr = 2 * kLanes<Real>;
   t.nr = 8;
-  t.pack_a = &pack_a_avx512<Real>;
   return t;
 }
 

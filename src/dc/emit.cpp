@@ -238,6 +238,8 @@ void emit_solve(ExecModel model, index_t n, Real* d, Real* e, MatrixT<Real>& v,
     trace.meta_counters.emplace_back("n", static_cast<double>(n));
     trace.meta_counters.emplace_back("nb", static_cast<double>(opt.nb));
     trace.meta_strings.emplace_back("precision", precision_name(opt.precision));
+    // Kernel table of the solve, so the roofline scales its peak to it.
+    trace.meta_strings.emplace_back("simd_isa", blas::simd::kernels_t<Real>().name);
     tr = &trace;
   }
   if (stats) {

@@ -341,11 +341,15 @@ Roofline roofline(const rt::Trace& trace, double gemm_flops, double gemm_bytes,
   // The roof. A caller-provided peak wins (and is read as the peak for the
   // trace's precision); with measured cycles the clock falls out of the
   // data (cycles / busy-seconds across all workers) and the width is the
-  // widest FMA pipe this kernel set targets at the recorded precision
-  // (AVX2 fp64: 2 FMA/cycle x 4 lanes x 2 flops = 16 flops/cycle; fp32
-  // doubles the lanes to 32 flops/cycle); without either, a nominal 3 GHz
-  // clock is assumed and flagged.
-  const double kFlopsPerCycle = r.precision_bits == 32 ? 32.0 : 16.0;
+  // widest FMA pipe the dispatched kernel table targets at the recorded
+  // precision (AVX2 fp64: 2 FMA/cycle x 4 lanes x 2 flops = 16
+  // flops/cycle; fp32 doubles the lanes to 32; the avx512 table doubles
+  // both again). The table comes from the trace's "simd_isa" stamp;
+  // traces without one are read at AVX2 width. Without measured cycles a
+  // nominal 3 GHz clock is assumed and flagged.
+  r.simd_isa = trace.meta_string("simd_isa");
+  const double kFlopsPerCycle =
+      (r.precision_bits == 32 ? 32.0 : 16.0) * (r.simd_isa == "avx512" ? 2.0 : 1.0);
   if (peak_gflops > 0.0) {
     r.peak_gflops = peak_gflops;
     r.peak_source = "flag";
@@ -408,9 +412,10 @@ Roofline roofline(const rt::Trace& trace, double gemm_flops, double gemm_bytes,
 std::string render_roofline(const Roofline& r) {
   std::string out;
   char buf[256];
-  std::snprintf(buf, sizeof buf, "roofline (backend %s, fp%d, peak %.1f GF/s [%s])\n",
+  std::snprintf(buf, sizeof buf,
+                "roofline (backend %s, fp%d, peak %.1f GF/s [%s, %s width])\n",
                 hwc_backend_name(r.backend), r.precision_bits, r.peak_gflops,
-                r.peak_source.c_str());
+                r.peak_source.c_str(), r.simd_isa == "avx512" ? "avx512" : "avx2");
   out += buf;
   const bool perf = r.backend == HwcBackend::kPerf;
   if (perf)

@@ -133,9 +133,11 @@ struct Roofline {
   /// How peak_gflops was obtained: "flag" (caller-provided), "derived"
   /// (clock from measured cycles x flops/cycle), "assumed" (3 GHz x
   /// flops/cycle). Derived/assumed roofs use the per-precision SIMD width:
-  /// 16 flops/cycle for fp64 kernels, 32 for fp32.
+  /// 16 flops/cycle for fp64 kernels, 32 for fp32, twice that when the
+  /// trace records the avx512 kernel table.
   std::string peak_source;
   int precision_bits = 64;     ///< working precision the roof was scaled for
+  std::string simd_isa;        ///< kernel table the trace records (may be empty)
   double total_seconds = 0.0;  ///< summed busy time across kinds
   std::vector<RooflineRow> rows;
 };
@@ -147,7 +149,9 @@ struct Roofline {
 /// busiest kind when absent). `peak_gflops` > 0 pins the roof and is taken
 /// as the peak FOR THE GIVEN PRECISION (per-precision flag); otherwise the
 /// roof is derived from measured cycles or assumed, scaled by the SIMD
-/// width of the `precision_bits`-wide kernels (fp32 peak = 2x fp64).
+/// width of the `precision_bits`-wide kernels (fp32 peak = 2x fp64) and of
+/// the kernel table in the trace's "simd_isa" meta string (avx512 = 2x the
+/// AVX2 width; absent = AVX2).
 Roofline roofline(const rt::Trace& trace, double gemm_flops, double gemm_bytes,
                   double peak_gflops = 0.0, int precision_bits = 64);
 

@@ -142,6 +142,9 @@ std::string perfetto_trace_json(const rt::Trace& trace, const SolveReport* repor
           ms.emplace_back("driver", report->driver);
         if (!have("git_commit") && !report->git_commit.empty())
           ms.emplace_back("git_commit", report->git_commit);
+        // Dispatched kernel table, which sets the roofline's SIMD width.
+        if (!have("simd_isa") && !report->simd_isa.empty())
+          ms.emplace_back("simd_isa", report->simd_isa);
       }
       if (!ms.empty()) {
         meta += ",\"meta_strings\":{";

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cfloat>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 #include <type_traits>
 #include <vector>
@@ -117,6 +118,34 @@ TEST(SimdDispatch, ScopedOverrideSwitchesAndRestores) {
   EXPECT_EQ(&kernels(), &before);
 }
 
+template <typename Real>
+const KernelTableT<Real>* next_present_table(SimdIsa cap) {
+  for (int level = static_cast<int>(cap); level >= 0; --level)
+    if (const KernelTableT<Real>* kt = kernels_for_t<Real>(static_cast<SimdIsa>(level)))
+      return kt;
+  return nullptr;
+}
+
+TEST(SimdDispatch, MissingTierFallsToNextLowerTable) {
+  // Requesting a level the binary or host lacks selects the highest table
+  // below it that is present, not the scalar one: float has no SSE2 table,
+  // and a build without the AVX-512 file still has AVX2 on an AVX-512 host.
+  for (SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Sse2, SimdIsa::Avx2, SimdIsa::Avx512}) {
+    ScopedIsaOverride force(isa);
+    EXPECT_EQ(&kernels_t<double>(), next_present_table<double>(isa)) << simd_isa_name(isa);
+    EXPECT_EQ(&kernels_t<float>(), next_present_table<float>(isa)) << simd_isa_name(isa);
+  }
+  if (kernels_for(SimdIsa::Avx512) == nullptr && kernels_for(SimdIsa::Avx2) != nullptr) {
+    ScopedIsaOverride force(SimdIsa::Avx512);
+    EXPECT_EQ(active_isa(), SimdIsa::Avx2);
+    EXPECT_EQ(kernels_t<float>().isa, SimdIsa::Avx2);
+  }
+  {
+    ScopedIsaOverride force(SimdIsa::Sse2);
+    EXPECT_EQ(kernels_t<float>().isa, SimdIsa::Scalar);
+  }
+}
+
 TEST(SimdKernels, AxpyMatchesScalar) {
   for (const KernelTable* kt : available_tables()) {
     for (index_t n : kLens) {
@@ -211,27 +240,34 @@ TEST(SimdKernels, Nrm2ExtremeValuesStaySafe) {
   }
 }
 
-TEST(SimdKernels, PackAMatchesScalar) {
-  // All tile widths, full and partial rows, both transposes.
-  const index_t lda = 37, ncols = 30;
-  auto a = randvec(lda * ncols, 11);
-  for (const KernelTable* kt : available_tables()) {
-    for (index_t MR : {kt->mr, index_t{8}, index_t{4}}) {
-      for (bool trans : {false, true}) {
-        for (index_t mr = 1; mr <= MR; ++mr) {
-          const index_t kb = 13, i0 = 5, p0 = 3;
-          // For trans, "rows" index the columns of the stored array; the
-          // shapes above keep every access in bounds either way.
-          std::vector<double> ref(static_cast<std::size_t>(MR) * kb, -1.0);
-          std::vector<double> out(static_cast<std::size_t>(MR) * kb, -2.0);
-          kScalarTable.pack_a(a.data(), lda, trans, i0, mr, p0, kb, ref.data(), MR);
-          kt->pack_a(a.data(), lda, trans, i0, mr, p0, kb, out.data(), MR);
-          EXPECT_EQ(ref, out) << kt->name << " MR=" << MR << " mr=" << mr
-                              << " trans=" << trans;
-        }
+template <typename Real>
+void check_pack_a(const KernelTableT<Real>& kt, const KernelTableT<Real>& ref_table) {
+  // Every tile height any table uses (4, 8, 16, 32), full and partial
+  // rows, both transposes: the vector packers copy whole vectors only
+  // when the sliver is a full untransposed multiple of their width.
+  const index_t lda = 41, ncols = 40;
+  const auto a64 = randvec(lda * ncols, 11);
+  const std::vector<Real> a(a64.begin(), a64.end());
+  for (index_t MR : {kt.mr, index_t{4}, index_t{8}, index_t{16}, index_t{32}}) {
+    for (bool trans : {false, true}) {
+      for (index_t mr = 1; mr <= MR; ++mr) {
+        const index_t kb = 13, i0 = 5, p0 = 3;
+        // For trans, "rows" index the columns of the stored array; the
+        // shapes above keep every access in bounds either way.
+        std::vector<Real> ref(static_cast<std::size_t>(MR) * kb, Real(-1));
+        std::vector<Real> out(static_cast<std::size_t>(MR) * kb, Real(-2));
+        ref_table.pack_a(a.data(), lda, trans, i0, mr, p0, kb, ref.data(), MR);
+        kt.pack_a(a.data(), lda, trans, i0, mr, p0, kb, out.data(), MR);
+        EXPECT_EQ(ref, out) << kt.name << (sizeof(Real) == 4 ? " f32" : " f64")
+                            << " MR=" << MR << " mr=" << mr << " trans=" << trans;
       }
     }
   }
+}
+
+TEST(SimdKernels, PackAMatchesScalar) {
+  for (const KernelTable* kt : available_tables()) check_pack_a(*kt, kScalarTable);
+  for (const KernelTableT<float>* kt : tables_t<float>()) check_pack_a(*kt, kScalarTableF32);
 }
 
 TEST(SimdKernels, PackBMatchesScalar) {
@@ -339,13 +375,14 @@ TEST(SimdKernels, Laed4SumsMatchScalar) {
   }
 }
 
-// Shapes around every multiple of a tile side that matters: 1..5, the
-// main tile side -1/0/+1, twice it -1/+1, and a multiple plus a ragged
-// remainder.
-std::vector<index_t> residue_sizes(index_t tile) {
-  std::vector<index_t> v{1, 2, 3, 4, 5, 7, 8, 9};
-  for (index_t s : {tile - 1, tile, tile + 1, 2 * tile - 1, 2 * tile + 1, 3 * tile + 5})
-    if (s > 0) v.push_back(s);
+// Every size from 1 to 2*tile + 1 (each residue mod the tile, once as a
+// lone partial tile and once behind a full one), a multiple plus a ragged
+// remainder, and the fixed `floor` sizes that every table sweeps whatever
+// its tile.
+std::vector<index_t> residue_sizes(index_t tile, std::initializer_list<index_t> floor) {
+  std::vector<index_t> v(floor);
+  for (index_t s = 1; s <= 2 * tile + 1; ++s) v.push_back(s);
+  v.push_back(3 * tile + 5);
   std::sort(v.begin(), v.end());
   v.erase(std::unique(v.begin(), v.end()), v.end());
   return v;
@@ -353,15 +390,20 @@ std::vector<index_t> residue_sizes(index_t tile) {
 
 template <typename Real>
 void check_gemm_residues(const KernelTableT<Real>& kt) {
-  // m and n sweep the residues mod the table's own (mr, nr) and mod the
-  // 4x8 tile; k is chosen to clear every table's small-volume cutoff so
-  // the packed path really runs (and crosses kc blocks for thin shapes).
-  // beta = 0 runs on a NaN-filled C, which it must overwrite.
+  // m sweeps every residue mod the table's mr (and so mod the 4-row
+  // short-wide tile); n every residue mod max(nr, 8), which covers the
+  // table's nr and the 8 columns of the short-wide tile that m <= 4 picks.
+  // k is chosen to clear every table's small-volume cutoff so the packed
+  // path really runs (and crosses kc blocks for thin shapes). beta = 0
+  // runs on a NaN-filled C, which it must overwrite.
   ScopedIsaOverride force(kt.isa);
   const Real nan = std::numeric_limits<Real>::quiet_NaN();
   const double eps = std::is_same_v<Real, double> ? 1e-11 : 64.0 * FLT_EPSILON;
-  for (index_t m : residue_sizes(kt.mr)) {
-    for (index_t n : residue_sizes(kt.nr)) {
+  const std::vector<index_t> ms = residue_sizes(kt.mr, {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17});
+  const std::vector<index_t> ns =
+      residue_sizes(std::max<index_t>(kt.nr, 8), {1, 2, 3, 4, 5, 7, 8, 9, 12, 13});
+  for (index_t m : ms) {
+    for (index_t n : ns) {
       const index_t k = 32768 / (m * n) + 29;
       Rng rng(100 + m * 17 + n);
       MatrixT<Real> a(m, k), b(k, n), c0(m, n);

@@ -247,6 +247,21 @@ TEST(HwcRoofline, SyntheticPerfTraceAttributesGemmAndIpc) {
   const std::string txt = obs::render_roofline(r);
   EXPECT_NE(txt.find("UpdateVect"), std::string::npos);
   EXPECT_NE(txt.find("IPC"), std::string::npos);
+  EXPECT_NE(txt.find("avx2 width"), std::string::npos);
+
+  // A trace stamped with the avx512 kernel table doubles the derived
+  // width (32 fp64 flops/cycle), so the same cycles give a 64 GF/s roof;
+  // an avx2 stamp keeps the 16 flops/cycle roof.
+  t.meta_strings = {{"simd_isa", "avx512"}};
+  const obs::Roofline r5 = obs::roofline(t, 32.0e9, 4.0e9);
+  EXPECT_EQ(r5.simd_isa, "avx512");
+  EXPECT_NEAR(r5.peak_gflops, 64.0, 1e-9);
+  EXPECT_NEAR(r5.rows[0].pct_of_peak, 100.0 * (32.0 / 1.5) / 64.0, 1e-6);
+  EXPECT_NE(obs::render_roofline(r5).find("avx512 width"), std::string::npos);
+  const obs::Roofline r5f = obs::roofline(t, 32.0e9, 4.0e9, 0.0, /*precision_bits=*/32);
+  EXPECT_NEAR(r5f.peak_gflops, 128.0, 1e-9);
+  t.meta_strings = {{"simd_isa", "avx2"}};
+  EXPECT_NEAR(obs::roofline(t, 32.0e9, 4.0e9).peak_gflops, 32.0, 1e-9);
 }
 
 TEST(HwcRoofline, RusageTraceUsesTimeShares) {
