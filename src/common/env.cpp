@@ -45,8 +45,11 @@ const Knob* knob_reference() noexcept {
   static const Knob kKnobs[] = {
       {"DNC_CRASH_DUMP", "directory", "write crash dumps (flight-recorder state) here on fatal signals"},
       {"DNC_FLIGHT", "0/1", "anomaly flight recorder: keep ring-buffer traces of anomalous solves"},
-      {"DNC_FLIGHT_K", "float", "flight-recorder anomaly threshold (robust z-score multiplier)"},
+      {"DNC_FLIGHT_DEFL", "frac", "flight-recorder trigger: merge-carrying solves deflating less than this (default off)"},
+      {"DNC_FLIGHT_K", "int", "flight-recorder ring capacity in SolveReports (default 8)"},
+      {"DNC_FLIGHT_LATENCY", "seconds", "flight-recorder trigger: solves slower than this (default off)"},
       {"DNC_FLIGHT_MAX_DUMPS", "int", "cap on flight-recorder dump files per process"},
+      {"DNC_FLIGHT_RESID", "float", "flight-recorder trigger: sampled relative residual above this (default 1e-8)"},
       {"DNC_HISTORY", "path", "append one distilled record per solve to this JSONL archive"},
       {"DNC_HISTORY_MAX_BYTES", "bytes", "rotate the history archive to <path>.1 at this size (default 16 MiB)"},
       {"DNC_HTTP", "[addr:]port", "serve /healthz /metrics /profile /trace /history over HTTP"},
@@ -61,7 +64,6 @@ const Knob* knob_reference() noexcept {
       {"DNC_SIMD", "scalar/sse2/avx2/avx512", "clamp the SIMD kernel dispatch level"},
       {"DNC_TOPOLOGY", "sockets x l3 x cpus | flat", "override the detected CPU topology for steal ordering"},
       {"DNC_TRACE", "path", "write the Perfetto trace of each solve here"},
-      {"DNC_TUNE_TABLE", "path", "consult this dnc_tune table for nb/policy defaults at solve time"},
       {nullptr, nullptr, nullptr},
   };
   return kKnobs;

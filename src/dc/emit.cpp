@@ -12,7 +12,6 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "dc/api.hpp"
-#include "dc/tune.hpp"
 #include "lapack/refine.hpp"
 #include "lapack/steqr.hpp"
 #include "obs/analysis.hpp"
@@ -172,8 +171,6 @@ void finish_report(const obs::SolveScope& scope, const Contexts<Real>& ctxs, ind
   rep.simd_isa = blas::simd::kernels_t<Real>().name;
   rep.precision = precision_name(prec);
   scope.finish(rep, n, threads, seconds, trace);
-  // Record whether (and which) DNC_TUNE_TABLE entry configured this solve.
-  tune::stamp_report(rep);
   // Workspace telemetry: the solve-wide scratch (Workspace: n x n qwork +
   // 2n x n xwork), the n x n eigenvector output, and the per-merge contexts
   // (z + zhat + the m x npanels partial-product matrix each). All of it is
@@ -273,7 +270,6 @@ void emit_solve(ExecModel model, index_t n, Real* d, Real* e, MatrixT<Real>& v,
 /// solve.
 void run(ExecModel model, index_t n, double* d, double* e, Matrix& v, Options opt,
          SolveStats* stats, const std::vector<int>& simulate_workers) {
-  tune::apply_env_tuning(opt, n);
   // The inline sink has no workers; the F32RefineF64 epilogue stays on the
   // calling thread too.
   if (model == ExecModel::Sequential) opt.threads = 1;

@@ -591,11 +591,6 @@ bool parse_solve_report_value(const json::Value& v, SolveReport& out, std::strin
         static_cast<long>(s->member_number("steals_cross_socket", 0));
     out.scheduler.child_tasks = static_cast<long>(s->member_number("child_tasks", 0));
   }
-  if (const json::Value* t = v.find("tuning"); t && t->is_object()) {
-    out.tuned = true;
-    out.tune_source = t->member_string("source", "");
-    out.tune_entry = t->member_string("entry", "");
-  }
   return true;
 }
 

@@ -104,9 +104,7 @@ std::string Record::to_json_line() const {
   appendf(out, ", \"deflated_fraction\": %.6f, \"gemm_gflops\": %.3f",
           deflated_fraction, gemm_gflops);
   appendf(out, ", \"max_rel_residual\": %.3e", max_rel_residual);
-  appendf(out, ", \"sched_policy\": \"%s\"", rt::json_escape(sched_policy).c_str());
-  appendf(out, ", \"tuned\": %s", tuned ? "true" : "false");
-  appendf(out, ", \"tune_entry\": \"%s\"}", rt::json_escape(tune_entry).c_str());
+  appendf(out, ", \"sched_policy\": \"%s\"}", rt::json_escape(sched_policy).c_str());
   return out;
 }
 
@@ -153,8 +151,6 @@ Record record_from_report(const SolveReport& report) {
   if (report.counter(kGemmFlops) > 0 && report.seconds > 0.0)
     r.gemm_gflops = static_cast<double>(report.counter(kGemmFlops)) * 1e-9 / report.seconds;
   if (report.has_health) r.max_rel_residual = report.health.max_rel_residual;
-  r.tuned = report.tuned;
-  r.tune_entry = report.tune_entry;
   return r;
 }
 
@@ -276,8 +272,6 @@ bool load_file(const std::string& path, std::vector<Record>& out, std::string* e
       r.gemm_gflops = v.member_number("gemm_gflops", 0.0);
       r.max_rel_residual = v.member_number("max_rel_residual", 0.0);
       r.sched_policy = v.member_string("sched_policy", "");
-      if (const json::Value* t = v.find("tuned")) r.tuned = t->bool_or(false);
-      r.tune_entry = v.member_string("tune_entry", "");
       out.push_back(std::move(r));
     } else if (skipped) {
       ++*skipped;

@@ -51,8 +51,6 @@ struct Record {
   double gemm_gflops = 0.0;        ///< 0 = unknown
   double max_rel_residual = 0.0;   ///< 0 = health probe off
   std::string sched_policy;
-  bool tuned = false;
-  std::string tune_entry;
 
   std::string to_json_line() const;  ///< one compact dnc-history-v1 line
 };

@@ -48,8 +48,6 @@ struct State {
   double last_seconds = 0.0;
   bool last_has_health = false;
   double last_residual = 0.0, last_ortho = 0.0;
-  bool last_tuned = false;
-  std::string last_tune_entry, last_tune_source;
   std::uint64_t solves = 0;
   // /trace one-shot capture (armed flag is lock-free for the telemetry-side
   // fast path; the payload lives under mu).
@@ -191,10 +189,6 @@ std::string healthz_body() {
       solve_block += std::string("    \"seconds\": ") + num + ",\n";
       solve_block += "    \"precision\": " + json_str(s.last_precision) + ",\n";
       solve_block += "    \"timestamp\": " + json_str(s.last_timestamp);
-      if (s.last_tuned) {
-        solve_block += ",\n    \"tune_entry\": " + json_str(s.last_tune_entry);
-        solve_block += ",\n    \"tune_table\": " + json_str(s.last_tune_source);
-      }
       if (s.last_has_health) {
         std::snprintf(num, sizeof num, "%.6g", s.last_residual);
         solve_block += std::string(",\n    \"max_rel_residual\": ") + num;
@@ -473,9 +467,6 @@ void note_solve(const SolveReport& report) {
   s.last_has_health = report.has_health;
   s.last_residual = report.health.max_rel_residual;
   s.last_ortho = report.health.max_ortho_error;
-  s.last_tuned = report.tuned;
-  s.last_tune_entry = report.tune_entry;
-  s.last_tune_source = report.tune_source;
 }
 
 void stop_for_tests() {

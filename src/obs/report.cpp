@@ -174,10 +174,6 @@ std::string SolveReport::to_json() const {
             scheduler.steals_same_socket, scheduler.steals_cross_socket,
             scheduler.child_tasks);
   }
-  if (tuned) {
-    appendf(out, ",\n  \"tuning\": {\n    \"source\": \"%s\",\n    \"entry\": \"%s\"\n  }",
-            rt::json_escape(tune_source).c_str(), rt::json_escape(tune_entry).c_str());
-  }
   out += "\n}\n";
   return out;
 }
@@ -297,8 +293,6 @@ std::string SolveReport::summary_text() const {
       appendf(out, "child tasks   : %ld (task-internal spawn_and_wait)\n",
               scheduler.child_tasks);
   }
-  if (tuned) appendf(out, "\n-- tuning --\ntable         : %s\nentry         : %s\n",
-                     tune_source.c_str(), tune_entry.c_str());
   return out;
 }
 

@@ -97,13 +97,6 @@ struct SolveReport {
   bool has_scheduler = false;
   SchedulerMetrics scheduler;
 
-  /// Tuning-table consultation (DNC_TUNE_TABLE): when the solve applied a
-  /// table entry to fill Options defaults, the entry is stamped here so
-  /// reports (and /healthz) show which cell drove the run.
-  bool tuned = false;
-  std::string tune_source;  ///< path of the consulted table
-  std::string tune_entry;   ///< compact entry id, e.g. "n=1000 nb=96 sched=steal"
-
   bool has_health = false;
   HealthMetrics health;
 

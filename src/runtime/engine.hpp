@@ -35,7 +35,8 @@ class Runtime {
   Runtime& operator=(const Runtime&) = delete;
 
   /// Blocks until every submitted task has executed. May be called multiple
-  /// times (submission can resume afterwards).
+  /// times (submission can resume afterwards). If a task body threw, the
+  /// tasks after it were skipped and this rethrows the first exception.
   void wait_all();
 
   int threads() const;

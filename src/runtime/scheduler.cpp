@@ -344,6 +344,20 @@ void Scheduler::spawn_and_wait(const char* suffix, long count,
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
   }
+  if (cancelled_.load(std::memory_order_acquire)) {
+    std::exception_ptr e;
+    {
+      std::lock_guard<std::mutex> lk(idle_mu_);
+      e = error_;
+    }
+    std::rethrow_exception(e);
+  }
+}
+
+void Scheduler::fail(std::exception_ptr e) {
+  std::lock_guard<std::mutex> lk(idle_mu_);
+  if (!error_) error_ = std::move(e);
+  cancelled_.store(true, std::memory_order_release);
 }
 
 void Scheduler::run_task(TaskNode* node, WorkerCtx& ctx) {
@@ -362,7 +376,13 @@ void Scheduler::run_task(TaskNode* node, WorkerCtx& ctx) {
   std::uint64_t c0[kHwcSlots], c1[kHwcSlots];
   if (ctx.sampling) ctx.hwc.read(c0);
   if (ctx.preg.active()) ctx.preg.set_task(interned_kind(ctx, node->kind));
-  if (node->fn) node->fn();
+  if (node->fn && !cancelled_.load(std::memory_order_acquire)) {
+    try {
+      node->fn();
+    } catch (...) {
+      fail(std::current_exception());
+    }
+  }
   if (ctx.preg.active())
     ctx.preg.set_task(enclosing ? interned_kind(ctx, enclosing->kind) : nullptr);
   std::uint64_t incl[kHwcSlots] = {0, 0, 0, 0};
@@ -436,6 +456,11 @@ void Scheduler::worker_loop(int worker_id) {
 void Scheduler::wait_all() {
   std::unique_lock<std::mutex> lk(idle_mu_);
   cv_idle_.wait(lk, [&] { return inflight_.load(std::memory_order_acquire) == 0; });
+  // Quiescent: no body can fail() concurrently, so the next batch starts clean.
+  std::exception_ptr e = std::exchange(error_, nullptr);
+  cancelled_.store(false, std::memory_order_relaxed);
+  lk.unlock();
+  if (e) std::rethrow_exception(e);
 }
 
 Trace Scheduler::trace() const {

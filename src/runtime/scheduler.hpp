@@ -23,6 +23,11 @@
 // reach zero when no task is queued, running, or about to be queued by a
 // running task, and the decrement-to-zero side notifies cv_idle_ while
 // holding the waiter's mutex -- wait_all() cannot miss the wakeup.
+//
+// Failure: run_task catches whatever a task body throws, keeps the first
+// exception and cancels the graph. Later bodies are skipped, but every task
+// still completes -- successors are released and spawn_and_wait joins
+// counted down -- so inflight_ drains as above and wait_all() can rethrow.
 #pragma once
 
 #include <array>
@@ -30,6 +35,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -110,7 +116,9 @@ class Scheduler {
   /// Creates the scheduler for `policy` and wires graph.on_ready to it.
   static std::unique_ptr<Scheduler> make(SchedPolicy policy, TaskGraph& graph, int threads);
 
-  /// Blocks until every submitted task has executed; reusable.
+  /// Blocks until every submitted task has executed; reusable. Rethrows
+  /// the first exception a task body threw since the previous wait_all()
+  /// (the tasks after it were skipped) and clears it.
   void wait_all();
 
   int threads() const { return static_cast<int>(workers_.size()); }
@@ -142,7 +150,9 @@ class Scheduler {
   /// Called from a non-worker thread (or a worker of another scheduler),
   /// the bodies run inline sequentially -- library code stays correct
   /// without a runtime. `body` must be safe to invoke concurrently from
-  /// multiple workers with distinct indices.
+  /// multiple workers with distinct indices. When the graph was cancelled
+  /// (a child or any other task threw), rethrows the first exception after
+  /// the join, so the spawning body stops too.
   void spawn_and_wait(const char* suffix, long count, const std::function<void(long)>& body,
                       int priority = kChildPriority);
 
@@ -204,7 +214,8 @@ class Scheduler {
  private:
   void worker_loop(int worker_id);
   /// Executes one task on this worker: timestamps, hwc deltas, profiler
-  /// attribution, completion (graph successors or child join decrement),
+  /// attribution, the body unless the graph is cancelled (a throw is kept
+  /// by fail()), completion (graph successors or child join decrement),
   /// idle accounting and inflight_ bookkeeping. Re-entrant -- the help-first wait inside
   /// spawn_and_wait calls it with the parent task's frame still open, and
   /// the frame stack in WorkerCtx keeps self-time/self-hwc accounting
@@ -213,6 +224,8 @@ class Scheduler {
   /// Stamps t_ready, raises inflight_/ready_count_, stores via push_ready.
   void enqueue(TaskNode* node, int worker);
   void sample_depth();
+  /// Keeps `e` if it is the first failure and cancels the graph.
+  void fail(std::exception_ptr e);
 
   /// Registers (or reuses) the child kind "<parent-kind-name>/<suffix>".
   /// Child kind ids extend the graph's kind table, so the graph must not
@@ -226,6 +239,9 @@ class Scheduler {
   TaskGraph& graph_;
   SchedPolicy policy_;
   std::atomic<long> inflight_{0};  // ready + running tasks
+  /// Set by the first failing body; run_task skips bodies while it holds.
+  std::atomic<bool> cancelled_{false};
+  std::exception_ptr error_;  // first failure, guarded by idle_mu_
   std::mutex idle_mu_;
   std::condition_variable cv_idle_;
   std::vector<std::thread> workers_;

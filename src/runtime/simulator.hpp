@@ -1,13 +1,16 @@
 // Types of the DAG replay simulator (obs::replay_trace in obs/analysis.hpp).
 //
-// The paper's evaluation ran on a dual-socket 16-core Xeon. This container
-// has a single core, so parallel wall-clock cannot be measured directly.
-// What CAN be measured exactly on one core is the task graph itself: every
-// node's work (duration) and every edge. Parallel speedup *shape* is a
-// property of that graph -- critical path vs. total work plus bandwidth
-// sharing for memory-bound kernels -- so we replay the measured DAG under
-// list scheduling on P virtual workers and report the predicted makespan.
-// DESIGN.md documents this substitution; EXPERIMENTS.md compares shapes.
+// The paper's evaluation ran on a dual-socket 16-core Xeon. The development
+// host is a 4-vCPU guest, so parallel wall-clock can be measured up to 4
+// workers only: there stedc_taskflow runs 3.45-3.54x faster on 4 workers than
+// on 1 (types 3/4, n = 2000/4000), where the 4-worker replay of the 1-worker
+// trace predicts 3.70-3.98x. What CAN be measured exactly on any worker
+// count is the task graph itself: every node's work (duration) and every
+// edge. Parallel speedup *shape* is a property of that graph -- critical
+// path vs. total work plus bandwidth sharing for memory-bound kernels -- so
+// we replay the measured DAG under list scheduling on P virtual workers and
+// report the predicted makespan. DESIGN.md documents this substitution;
+// EXPERIMENTS.md compares shapes.
 #pragma once
 
 #include "runtime/trace.hpp"
@@ -44,7 +47,7 @@ struct SimulationResult {
   double efficiency = 0.0;      ///< total_work / (makespan * workers)
   /// The simulated schedule as a renderable trace (virtual worker ids and
   /// simulated clock), used to reproduce the paper's execution-trace
-  /// figures for a 16-core machine from a 1-core measurement.
+  /// figures for a 16-core machine from a measurement on fewer cores.
   Trace schedule;
 };
 

@@ -6,6 +6,12 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <regex>
+#include <set>
+#include <string>
 
 #include "common/cpu_features.hpp"
 #include "common/env.hpp"
@@ -82,24 +88,42 @@ TEST(EnvTest, NumberParsesAndFallsBack) {
   EXPECT_DOUBLE_EQ(env::number("DNC_TEST_NUM", 1.5), 1.5);
 }
 
+// Every "DNC_..." string literal under src/ names a knob some code reads, so
+// the registry (rendered by /healthz and mirrored by the README) must list
+// exactly that set. common/env.cpp is skipped: it holds the registry itself.
+std::set<std::string> knob_literals_in_src() {
+  namespace fs = std::filesystem;
+  const std::regex literal("\"(DNC_[A-Z0-9_]+)");
+  std::set<std::string> names;
+  for (const auto& entry : fs::recursive_directory_iterator(fs::path(DNC_SOURCE_DIR) / "src")) {
+    const fs::path& path = entry.path();
+    if (!entry.is_regular_file() || path.filename() == "env.cpp") continue;
+    if (path.extension() != ".cpp" && path.extension() != ".hpp") continue;
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    for (std::sregex_iterator it(text.begin(), text.end(), literal), end; it != end; ++it)
+      names.insert((*it)[1].str());
+  }
+  return names;
+}
+
 TEST(EnvTest, KnobReferenceIsSentinelTerminatedAndComplete) {
   const env::Knob* knobs = env::knob_reference();
   ASSERT_NE(knobs, nullptr);
-  bool saw_tune = false, saw_topo = false, saw_sched = false, saw_hist = false;
+  std::set<std::string> listed;
   int count = 0;
   for (const env::Knob* k = knobs; k->name != nullptr; ++k) {
     ASSERT_LT(++count, 256) << "runaway table: missing sentinel?";
     EXPECT_NE(k->summary, nullptr) << k->name;
     EXPECT_EQ(std::strncmp(k->name, "DNC_", 4), 0) << k->name;
-    if (!std::strcmp(k->name, "DNC_TUNE_TABLE")) saw_tune = true;
-    if (!std::strcmp(k->name, "DNC_TOPOLOGY")) saw_topo = true;
-    if (!std::strcmp(k->name, "DNC_SCHED")) saw_sched = true;
-    if (!std::strcmp(k->name, "DNC_HISTORY")) saw_hist = true;
+    EXPECT_TRUE(listed.insert(k->name).second) << "listed twice: " << k->name;
   }
-  EXPECT_TRUE(saw_tune);
-  EXPECT_TRUE(saw_topo);
-  EXPECT_TRUE(saw_sched);
-  EXPECT_TRUE(saw_hist);
+  const std::set<std::string> read = knob_literals_in_src();
+  ASSERT_FALSE(read.empty()) << "no DNC_ literals found under " << DNC_SOURCE_DIR;
+  for (const std::string& name : read)
+    EXPECT_TRUE(listed.count(name)) << name << " is read under src/ but not in knob_reference()";
+  for (const std::string& name : listed)
+    EXPECT_TRUE(read.count(name)) << name << " is in knob_reference() but read nowhere under src/";
 }
 
 TEST(TopologySpecTest, ParsesSocketsByL3ByCpus) {

@@ -279,38 +279,47 @@ TEST(ParseSolveReport, RoundTripsThroughToJson) {
   kt.hwc[1] = 2000;
   rep.kind_hwc.push_back(kt);
 
-  obs::SolveReport back;
-  std::string err;
-  ASSERT_TRUE(obs::parse_solve_report(rep.to_json(), back, &err)) << err;
-  EXPECT_EQ(back.driver, "taskflow");
-  EXPECT_EQ(back.n, 1234);
-  EXPECT_EQ(back.threads, 8);
-  EXPECT_NEAR(back.seconds, 0.75, 1e-12);
-  EXPECT_EQ(back.precision, "f32");
-  EXPECT_EQ(back.git_commit, "abc123");
-  EXPECT_EQ(back.counter(obs::kGemmFlops), 42000000u);
-  ASSERT_EQ(back.merges.size(), 1u);
-  EXPECT_EQ(back.merges[0].m, 100);
-  EXPECT_EQ(back.merges[0].k, 30);
-  EXPECT_EQ(back.merges[0].ctot[3], 70);
-  ASSERT_TRUE(back.has_scheduler);
-  EXPECT_EQ(back.scheduler.workers, 8);
-  EXPECT_EQ(back.scheduler.policy, "steal");
-  EXPECT_EQ(back.scheduler.steals, 17);
-  EXPECT_EQ(back.scheduler.steals_cross_socket, 3);
-  ASSERT_TRUE(back.has_health);
-  EXPECT_NEAR(back.health.max_rel_residual, 2.5e-14, 1e-20);
-  EXPECT_EQ(back.hwc_backend, "perf");
-  ASSERT_EQ(back.kind_hwc.size(), 1u);
-  EXPECT_EQ(back.kind_hwc[0].kind, "GEMM");
-  EXPECT_EQ(back.kind_hwc[0].hwc[1], 2000u);
+  // The second input is a report written before the tuning-table fields were
+  // dropped: its "tuning" block is ignored and every other field still loads.
+  std::string legacy = rep.to_json();
+  legacy.insert(legacy.rfind('}'),
+                ",\n  \"tuning\": {\n    \"source\": \"tune_table.json\",\n"
+                "    \"entry\": \"n=600 nb=96\"\n  }\n");
+  for (const std::string& json : {rep.to_json(), legacy}) {
+    SCOPED_TRACE(json);
+    obs::SolveReport back;
+    std::string err;
+    ASSERT_TRUE(obs::parse_solve_report(json, back, &err)) << err;
+    EXPECT_EQ(back.driver, "taskflow");
+    EXPECT_EQ(back.n, 1234);
+    EXPECT_EQ(back.threads, 8);
+    EXPECT_NEAR(back.seconds, 0.75, 1e-12);
+    EXPECT_EQ(back.precision, "f32");
+    EXPECT_EQ(back.git_commit, "abc123");
+    EXPECT_EQ(back.counter(obs::kGemmFlops), 42000000u);
+    ASSERT_EQ(back.merges.size(), 1u);
+    EXPECT_EQ(back.merges[0].m, 100);
+    EXPECT_EQ(back.merges[0].k, 30);
+    EXPECT_EQ(back.merges[0].ctot[3], 70);
+    ASSERT_TRUE(back.has_scheduler);
+    EXPECT_EQ(back.scheduler.workers, 8);
+    EXPECT_EQ(back.scheduler.policy, "steal");
+    EXPECT_EQ(back.scheduler.steals, 17);
+    EXPECT_EQ(back.scheduler.steals_cross_socket, 3);
+    ASSERT_TRUE(back.has_health);
+    EXPECT_NEAR(back.health.max_rel_residual, 2.5e-14, 1e-20);
+    EXPECT_EQ(back.hwc_backend, "perf");
+    ASSERT_EQ(back.kind_hwc.size(), 1u);
+    EXPECT_EQ(back.kind_hwc[0].kind, "GEMM");
+    EXPECT_EQ(back.kind_hwc[0].hwc[1], 2000u);
 
-  // And the parsed report diffs against the original as a self-diff.
-  obs::DiffSide sa, sb;
-  sa.report = &rep;
-  sb.report = &back;
-  const obs::SolveDiff d = obs::diff_solves(sa, sb);
-  EXPECT_FALSE(d.significant);
+    // And the parsed report diffs against the original as a self-diff.
+    obs::DiffSide sa, sb;
+    sa.report = &rep;
+    sb.report = &back;
+    const obs::SolveDiff d = obs::diff_solves(sa, sb);
+    EXPECT_FALSE(d.significant);
+  }
 }
 
 TEST(ParseSolveReport, RejectsNonReports) {

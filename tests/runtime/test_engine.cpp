@@ -5,7 +5,9 @@
 #include <atomic>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
+#include "runtime/scheduler.hpp"
 
 namespace dnc::rt {
 namespace {
@@ -86,6 +88,54 @@ TEST(Runtime, WaitAllReusable) {
   g.submit(0, [&] { count.fetch_add(1); }, {{&h, Access::InOut}});
   rt.wait_all();
   EXPECT_EQ(count.load(), 2);
+}
+
+// A throwing task body cancels the graph: the tasks after it are skipped but
+// still released, so wait_all() returns and rethrows the first exception.
+// The runtime is then usable again. Runs under whichever policy DNC_SCHED
+// selects.
+TEST(Runtime, ThrowingChainTaskSkipsDownstreamAndRethrows) {
+  TaskGraph g;
+  Runtime rt(g, 4);
+  Handle h;
+  std::atomic<int> ran{0};
+  std::atomic<bool> downstream_ran{false};
+  g.submit(0, [&] { ran.fetch_add(1); }, {{&h, Access::InOut}});
+  g.submit(0, [&] { throw NumericalError("chain task failed", 7); }, {{&h, Access::InOut}});
+  for (int i = 0; i < 5; ++i)
+    g.submit(0, [&] { downstream_ran = true; }, {{&h, Access::InOut}});
+  EXPECT_THROW(rt.wait_all(), NumericalError);
+  EXPECT_EQ(ran.load(), 1);
+  EXPECT_FALSE(downstream_ran.load());
+
+  g.submit(0, [&] { ran.fetch_add(1); }, {{&h, Access::InOut}});
+  rt.wait_all();
+  EXPECT_EQ(ran.load(), 2);
+}
+
+// A throwing spawn_and_wait child: the join still completes, the spawning
+// body stops at spawn_and_wait (which rethrows), its successor never runs,
+// and wait_all() rethrows the child's exception.
+TEST(Runtime, ThrowingSpawnedChildRethrowsFromWaitAll) {
+  TaskGraph g;
+  Runtime rt(g, 4);
+  Handle h;
+  std::atomic<int> children{0};
+  std::atomic<bool> parent_resumed{false}, downstream_ran{false};
+  g.submit(0,
+           [&] {
+             spawn_and_wait("child", 16, [&](long i) {
+               if (i == 3) throw NumericalError("child failed", 3);
+               children.fetch_add(1);
+             });
+             parent_resumed = true;
+           },
+           {{&h, Access::InOut}});
+  g.submit(0, [&] { downstream_ran = true; }, {{&h, Access::In}});
+  EXPECT_THROW(rt.wait_all(), NumericalError);
+  EXPECT_LE(children.load(), 15);
+  EXPECT_FALSE(parent_resumed.load());
+  EXPECT_FALSE(downstream_ran.load());
 }
 
 TEST(Runtime, EmptyGraphWaitReturns) {

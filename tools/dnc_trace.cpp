@@ -410,9 +410,6 @@ int main(int argc, char** argv) {
     precision_bits = report.precision_bits();
     std::printf("==== dnc_trace: %s solve, type %d, n=%ld, prec %s ====\n", a.driver.c_str(),
                 a.type, a.n, report.precision.empty() ? "f64" : report.precision.c_str());
-    if (report.tuned)
-      std::printf("[tuning] applied %s (table %s)\n", report.tune_entry.c_str(),
-                  report.tune_source.c_str());
   }
   std::printf("[build] %s (%s)\n\n", version::kGitCommit, version::kBuildType);
 
