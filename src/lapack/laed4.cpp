@@ -111,52 +111,63 @@ SecularResultT<Real> laed4(index_t k, index_t i, const Real* d, const Real* z, R
 
   const Real eps = real_traits<Real>::eps();
   const bool last = (i == k - 1);
+  DNC_REQUIRE(delta != nullptr, "laed4: delta buffer required");
+  const auto& kt = blas::simd::kernels_t<Real>();
 
-  // Sum of z_j^2 bounds the last interval: lambda_{k-1} < d_{k-1} + rho*|z|^2.
-  const Real znorm2 = blas::simd::kernels_t<Real>().sumsq(k, z);
-
-  // ---- Choose the origin pole and the initial bracket in tau space. ----
+  // ---- Choose the origin pole, the bracket in tau space and the initial
+  // guess. ----
   index_t origin_idx;
-  Real lo, hi;  // bracket for tau, origin-relative
+  Real lo, hi, tau;
   if (last) {
-    // Decide between origin d_{k-1} always; bracket (0, rho*znorm2].
+    // Origin d_{k-1}; the sum of z_j^2 bounds the last interval,
+    // lambda_{k-1} < d_{k-1} + rho*|z|^2, so tau lies in (0, rho*|z|^2].
     origin_idx = k - 1;
     lo = Real(0);
-    hi = rho * znorm2;
+    hi = rho * kt.sumsq(k, z);
+    tau = Real(0.5) * (lo + hi);
   } else {
     // Evaluate f at the interval midpoint to decide which pole is closer.
+    // The poles other than d_i and d_{i+1} give the constant c of the
+    // two-pole model anchored there, whose root is dlaed4's initial guess.
     const Real del = d[i + 1] - d[i];
-    Real fmid = Real(1);
-    for (index_t j = 0; j < k; ++j) {
-      const Real dj = (d[j] - d[i]) - del / Real(2);
-      fmid += rho * z[j] * z[j] / dj;
-    }
+    const Real mid = del / Real(2);
+    for (index_t j = 0; j < k; ++j) delta[j] = d[j] - d[i];
+    Real c = Real(1), dsum = Real(0), asum = Real(0);
+    kt.laed4_sums(0, i, delta, z, rho, mid, &c, &dsum, &asum);
+    kt.laed4_sums(i + 2, k, delta, z, rho, mid, &c, &dsum, &asum);
+    const Real zi2 = rho * z[i] * z[i];
+    const Real zj2 = rho * z[i + 1] * z[i + 1];
+    const Real fmid = c + zi2 / -mid + zj2 / (del - mid);
     if (fmid > Real(0)) {
       // Root in the left half: origin at d_i, tau in (0, del/2].
       origin_idx = i;
       lo = Real(0);
-      hi = del / Real(2);
+      hi = mid;
+      const Real a = c * del + zi2 + zj2;
+      const Real b = zi2 * del;
+      const Real sq = std::sqrt(std::fabs(a * a - Real(4) * b * c));
+      tau = a > Real(0) ? Real(2) * b / (a + sq) : (a - sq) / (Real(2) * c);
     } else {
       // Root in the right half: origin at d_{i+1}, tau in [-del/2, 0).
       origin_idx = i + 1;
-      lo = -del / Real(2);
+      lo = -mid;
       hi = Real(0);
+      const Real a = c * del - zi2 - zj2;
+      const Real b = zj2 * del;
+      const Real sq = std::sqrt(std::fabs(a * a + Real(4) * b * c));
+      tau = a < Real(0) ? Real(2) * b / (a - sq) : -(a + sq) / (Real(2) * c);
     }
+    if (!(tau > lo && tau < hi)) tau = Real(0.5) * (lo + hi);
   }
   res.origin = d[origin_idx];
 
   // delta0[j] = d_j - origin, exact differences of representable numbers.
   // We reuse the caller's delta buffer for it and subtract tau at the end.
-  DNC_REQUIRE(delta != nullptr, "laed4: delta buffer required");
   for (index_t j = 0; j < k; ++j) delta[j] = d[j] - res.origin;
 
   // The two poles adjacent to the root drive the rational model.
   const index_t ii = last ? k - 2 : i;
   const index_t jj = last ? k - 1 : i + 1;
-
-  // ---- Initial guess: solve the two-pole model anchored at the bracket
-  // midpoint. ----
-  Real tau = Real(0.5) * (lo + hi);
 
   // ---- Safeguarded rational iteration (fixed-weight scheme). ----
   // Generous cap: near-pole roots may need tens of bisection halvings

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "blas/aux.hpp"
+#include "blas/gemm.hpp"
 #include "blas/level1.hpp"
 #include "common/error.hpp"
 #include "common/real_traits.hpp"
@@ -103,9 +105,46 @@ struct Workspace {
   TridiagLU lu;
 };
 
+// Runs the blocks of one refinement phase. With several workers they are
+// tasks on one runtime that every phase of the call shares; with one, they
+// run inline in block order. Each phase returns only when all its blocks
+// have, so the phases run in sequence, and as long as the blocks of a phase
+// write disjoint data the result does not depend on the worker count.
+class PhaseRunner {
+ public:
+  PhaseRunner(int threads, index_t max_blocks) {
+    const index_t workers = std::min<index_t>(threads, max_blocks);
+    if (workers > 1) runtime_ = std::make_unique<rt::Runtime>(graph_, static_cast<int>(workers));
+  }
+  PhaseRunner(const PhaseRunner&) = delete;
+  PhaseRunner& operator=(const PhaseRunner&) = delete;
+
+  /// body(b) for b = first, first + step, ... below end.
+  template <typename Body>
+  void run(index_t first, index_t end, index_t step, const Body& body) {
+    if (!runtime_) {
+      for (index_t b = first; b < end; b += step) body(b);
+      return;
+    }
+    for (index_t b = first; b < end; b += step) graph_.submit(kind_, [&body, b] { body(b); }, {});
+    runtime_->wait_all();
+  }
+
+ private:
+  rt::TaskGraph graph_;  // outlives runtime_, which is declared after it
+  rt::KindId kind_ = graph_.register_kind("Refine", false, "#17becf");
+  std::unique_ptr<rt::Runtime> runtime_;
+};
+
 // Columns per RQI task: each column costs a few O(n) solves, so a block
 // amortises the task overhead while leaving enough blocks to balance.
 constexpr index_t kRqiBlock = 16;
+
+// Columns per block of the residual pass, the overlap scan and the polish.
+// Each scan or polish block is one Gram product V[:, q0:k1]' V[:, k0:k1],
+// so the block must be wide enough to run at GEMM speed and narrow enough
+// that the band rows wasted above the diagonal stay few.
+constexpr index_t kGramBlock = 64;
 
 // Rayleigh-quotient iteration on columns [j0, j1), tallied into rep. Each
 // column reads and writes only its own (lam[j], v[:,j]), so disjoint ranges
@@ -158,37 +197,20 @@ void rqi_columns(index_t n, const double* d, const double* e, double* lam, doubl
   }
 }
 
-// The RQI sweep over all nvec columns: blocks of kRqiBlock columns, run
-// inline for threads == 1 and otherwise as independent tasks on a
-// short-lived runtime, each task with its own workspace and partial report.
-// Counts add and maxima combine exactly, so the reduced report (like the
-// refined pairs) is independent of the worker count.
+// The RQI sweep over all nvec columns: blocks of kRqiBlock columns, each
+// with its own workspace and partial report. Counts add and maxima combine
+// exactly, so the reduced report (like the refined pairs) is independent of
+// the worker count.
 RefineReport rqi_sweep(index_t n, const double* d, const double* e, double* lam, double* v,
                        index_t ldv, index_t nvec, double tol, const RefineOptions& opts,
-                       int threads, Workspace& ws) {
+                       PhaseRunner& runner) {
   const index_t nblocks = (nvec + kRqiBlock - 1) / kRqiBlock;
-  if (threads <= 1 || nblocks <= 1) {
-    RefineReport rep;
-    rqi_columns(n, d, e, lam, v, ldv, 0, nvec, tol, opts, ws, rep);
-    return rep;
-  }
   std::vector<RefineReport> parts(static_cast<std::size_t>(nblocks));
-  {
-    rt::TaskGraph graph;
-    const rt::KindId kind = graph.register_kind("RefineRQI", false, "#17becf");
-    rt::Runtime runtime(graph, static_cast<int>(std::min<index_t>(threads, nblocks)));
-    for (index_t b = 0; b < nblocks; ++b) {
-      graph.submit(kind,
-                   [=, &parts, &opts] {
-                     Workspace local(n);
-                     rqi_columns(n, d, e, lam, v, ldv, b * kRqiBlock,
-                                 std::min(nvec, (b + 1) * kRqiBlock), tol, opts, local,
-                                 parts[static_cast<std::size_t>(b)]);
-                   },
-                   {});
-    }
-    runtime.wait_all();
-  }
+  runner.run(0, nblocks, 1, [&](index_t b) {
+    Workspace local(n);
+    rqi_columns(n, d, e, lam, v, ldv, b * kRqiBlock, std::min(nvec, (b + 1) * kRqiBlock), tol,
+                opts, local, parts[static_cast<std::size_t>(b)]);
+  });
   RefineReport rep;
   for (const RefineReport& p : parts) {
     rep.checked += p.checked;
@@ -212,11 +234,9 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
   const double eps = real_traits<double>::eps();
   const double tol =
       opts.tol_factor * eps * std::max(tnorm, real_traits<double>::safmin());
+  PhaseRunner runner(threads, (nvec + kRqiBlock - 1) / kRqiBlock);
 
-  Workspace work(n);
-  std::vector<double>& y = work.y;
-  TridiagLU& lu = work.lu;
-  RefineReport rep = rqi_sweep(n, d, e, lam, v, ldv, nvec, tol, opts, threads, work);
+  RefineReport rep = rqi_sweep(n, d, e, lam, v, ldv, nvec, tol, opts, runner);
 
   // Refined eigenvalues can cross their unrefined neighbours: re-sort pairs
   // (selection sort to minimise column swaps, as dsteqr does).
@@ -268,41 +288,122 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
   // from skipping a pair at zero gap.
   const double rfloor =
       static_cast<double>(n) * eps * std::max(tnorm, real_traits<double>::safmin());
+  // Polish window: the predecessors q of column k with lam_k - lam_q <= wide
+  // (see (c) below); wstart[k] is its first column.
+  const double wide = 5e-2 * std::max(tnorm, real_traits<double>::safmin());
+  std::vector<index_t> wstart(static_cast<std::size_t>(nvec));
+  const auto find_windows = [&] {
+    for (index_t k = 0, q = 0; k < nvec; ++k) {
+      while (lam[k] - lam[q] > wide) ++q;
+      wstart[k] = q;
+    }
+  };
+  find_windows();
+
+  // Per block of kGramBlock columns [k0, k1): the banded Gram block
+  // G = V[:, q0:k1-1]' V[:, k0:k1] (rows q0 .. k1-2, column-major), formed
+  // by one GEMM. The scan forms it over the rows both the scan and the
+  // polish need, and the polish reuses it unless a re-extraction changed V.
+  const index_t nblocks = (nvec + kGramBlock - 1) / kGramBlock;
+  const auto block_end = [&](index_t b) { return std::min(nvec, (b + 1) * kGramBlock); };
+  struct Gram {
+    index_t q0 = 0;
+    std::vector<double> g;
+  };
+  std::vector<Gram> grams(static_cast<std::size_t>(nblocks));
+  const auto form_gram = [&](index_t b, index_t q0) {
+    const index_t k0 = b * kGramBlock, k1 = block_end(b), m = k1 - 1 - q0;
+    Gram& gr = grams[static_cast<std::size_t>(b)];
+    gr.q0 = q0;
+    gr.g.resize(static_cast<std::size_t>(std::max<index_t>(m, 0) * (k1 - k0)));
+    if (m > 0)
+      blas::gemm(blas::Trans::Yes, blas::Trans::No, m, k1 - k0, n, 1.0, v + q0 * ldv, ldv,
+                 v + k0 * ldv, ldv, 0.0, gr.g.data(), m);
+  };
+
+  // (a) Residual pass. A residual above tol marks a stalled column, which
+  // breaks its cluster outright; the 2-norms bound every overlap. With
+  // r = T v - lambda v and unit columns, (lam_k - lam_q) v_q'v_k =
+  // v_k'r_q - v_q'r_k, so |v_q'v_k| <= (||r_q|| + ||r_k||) / (lam_k - lam_q).
   std::vector<double> rnorm(static_cast<std::size_t>(nvec));
-  index_t s = 0;
-  while (s < nvec) {
-    index_t t = s;
-    while (t + 1 < nvec && lam[t + 1] - lam[t] <= close) ++t;
-    // Scan: any cross-talk or stalled residual anywhere in the cluster?
-    // Residuals first: one above tol breaks the chain outright, and their
-    // 2-norms bound every overlap. With r = T v - lambda v and unit columns,
-    // (lam_k - lam_q) v_q'v_k = v_k'r_q - v_q'r_k, so
-    // |v_q'v_k| <= (||r_q|| + ||r_k||) / (lam_k - lam_q).
-    bool broken = false;
-    double rmax = 0.0;
-    for (index_t k = s; k <= t && !broken; ++k) {
+  std::vector<char> stalled(static_cast<std::size_t>(nvec));
+  runner.run(0, nblocks, 1, [&](index_t b) {
+    std::vector<double> r(static_cast<std::size_t>(n));
+    for (index_t k = b * kGramBlock; k < block_end(b); ++k) {
       const double* vk = v + k * ldv;
-      tridiag_matvec(n, d, e, vk, y.data());
-      broken = residual_inf(n, vk, y.data(), lam[k]) > tol;
-      for (index_t i = 0; i < n; ++i) y[i] -= lam[k] * vk[i];
-      rnorm[k] = blas::nrm2(n, y.data()) + rfloor;
-      rmax = std::max(rmax, rnorm[k]);
+      tridiag_matvec(n, d, e, vk, r.data());
+      stalled[k] = residual_inf(n, vk, r.data(), lam[k]) > tol;
+      for (index_t i = 0; i < n; ++i) r[i] -= lam[k] * vk[i];
+      rnorm[k] = blas::nrm2(n, r.data()) + rfloor;
     }
-    // Overlaps, nearest predecessor first: once the bound drops below
-    // otol / 2 at q, every farther q (ascending lam, so a wider gap) is
-    // below it too, and its computed dot could not exceed otol.
-    for (index_t k = s + 1; k <= t && !broken; ++k) {
-      const double* vk = v + k * ldv;
-      for (index_t q = k - 1; q >= s && !broken; --q) {
-        if (rmax + rnorm[k] <= 0.5 * otol * (lam[k] - lam[q])) break;
-        ++rep.overlap_dots;
-        broken = std::fabs(blas::dot(n, v + q * ldv, vk)) > otol;
-      }
+  });
+
+  // Clusters: chains of neighbours at most `close` apart, each with its
+  // largest residual norm and whether any member stalled.
+  struct Cluster {
+    index_t s, t;
+    double rmax;
+    bool stalled;
+  };
+  std::vector<Cluster> clusters;
+  std::vector<index_t> cluster_of(static_cast<std::size_t>(nvec));
+  for (index_t s = 0; s < nvec;) {
+    Cluster c{s, s, rnorm[s], stalled[s] != 0};
+    while (c.t + 1 < nvec && lam[c.t + 1] - lam[c.t] <= close) {
+      ++c.t;
+      c.rmax = std::max(c.rmax, rnorm[c.t]);
+      c.stalled = c.stalled || stalled[c.t];
     }
-    if (!broken) {
-      s = t + 1;
-      continue;
+    for (index_t k = s; k <= c.t; ++k) cluster_of[k] = static_cast<index_t>(clusters.size());
+    clusters.push_back(c);
+    s = c.t + 1;
+  }
+
+  // (b) Overlap scan. Column k is dotted with its cluster predecessors,
+  // nearest first, until the bound drops below otol / 2 at some q: every
+  // farther q (ascending lam, so a wider gap) is below it too, and its
+  // computed dot could not exceed otol. So the pairs to test are
+  // q in [qlo[k], k), all inside the block's Gram band. Each column records
+  // the nearest q whose dot exceeds otol (-1 if none).
+  std::vector<index_t> qlo(static_cast<std::size_t>(nvec));
+  std::vector<index_t> fail(static_cast<std::size_t>(nvec), -1);
+  runner.run(0, nblocks, 1, [&](index_t b) {
+    const index_t k0 = b * kGramBlock, k1 = block_end(b);
+    index_t q0 = wstart[k0];
+    for (index_t k = k0; k < k1; ++k) {
+      const Cluster& c = clusters[cluster_of[k]];
+      index_t q = k;
+      if (!c.stalled)
+        while (q > c.s && c.rmax + rnorm[k] > 0.5 * otol * (lam[k] - lam[q - 1])) --q;
+      qlo[k] = q;
+      q0 = std::min(q0, q);
     }
+    form_gram(b, q0);
+    const index_t m = k1 - 1 - q0;
+    const double* g = grams[static_cast<std::size_t>(b)].g.data();
+    for (index_t k = k0; k < k1; ++k)
+      for (index_t q = k - 1; q >= qlo[k]; --q)
+        if (std::fabs(g[(q - q0) + (k - k0) * m]) > otol) {
+          fail[k] = q;
+          break;
+        }
+  });
+
+  // Walk each cluster in the order a pairwise scan would, k ascending and q
+  // descending, stopping at its first failed test; overlap_dots counts the
+  // tests up to there.
+  bool any_broken = false;
+  Workspace work(n);
+  std::vector<double>& y = work.y;
+  TridiagLU& lu = work.lu;
+  for (const Cluster& c : clusters) {
+    bool broken = c.stalled;
+    for (index_t k = c.s + 1; k <= c.t && !broken; ++k) {
+      broken = fail[k] >= 0;
+      rep.overlap_dots += k - (broken ? fail[k] : qlo[k]);
+    }
+    if (!broken) continue;
+    any_broken = true;
     // Re-extract the WHOLE cluster with fixed-shift inverse iteration (the
     // dstein recipe), shifts taken from Sturm bisection. Per-member repair
     // with Rayleigh or RQI-refined shifts cannot work here: when two fp32
@@ -315,7 +416,7 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
     // re-extracted predecessors makes each member claim a distinct
     // eigendirection (truly degenerate shifts coincide and GS alone picks
     // the remaining basis vector, exactly as in dstein).
-    for (index_t k = s; k <= t; ++k) {
+    for (index_t k = c.s; k <= c.t; ++k) {
       double* vk = v + k * ldv;
       const double rho = nvec == n ? bisect_eigenvalue<double>(n, d, e, k) : lam[k];
       // Classical Gram-Schmidt run twice: after the solve collapses the
@@ -324,7 +425,7 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
       // of round-off cross-talk -- twice is enough (Kahan-Parlett).
       const auto orthogonalise = [&] {
         for (int pass = 0; pass < 2; ++pass)
-          for (index_t q = s; q < k; ++q) {
+          for (index_t q = c.s; q < k; ++q) {
             const double* vq = v + q * ldv;
             blas::axpy(n, -blas::dot(n, vq, vk), vq, vk);
           }
@@ -349,35 +450,67 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
       rep.max_resid_after =
           std::max(rep.max_resid_after, residual_inf(n, vk, y.data(), lam[k]));
     }
-    s = t + 1;
   }
-  // The cluster fix-up updates eigenvalues again; restore ascending order.
-  sort_pairs();
+  // The cluster fix-up changes columns and eigenvalues: restore ascending
+  // order, and let the polish re-form every Gram block from the new V.
+  if (any_broken) {
+    sort_pairs();
+    find_windows();
+  }
 
-  // Orthogonality polish. Each refined column is individually fp64-accurate,
-  // but two columns with eigenvalue gap g still carry mutual overlap up to
-  // (r_i + r_j) / g ~ 2 tol / g -- visible above the n-eps noise floor
-  // whenever g is a small multiple of `close`. A windowed modified
-  // Gram-Schmidt sweep (ascending, two passes) zeroes those dots; each
-  // subtraction perturbs the residual by |dot| * g <= 2 tol, so fp64-grade
-  // residuals survive. Pairs outside the window already satisfy
-  // overlap <= 2 tol / wide ~ 1e3 eps, invisible at the n-eps metric scale.
-  // Worst case (whole spectrum inside one window) this is O(n^3) scalar
-  // work, the same order as the solve it is polishing.
-  const double wide = 5e-2 * std::max(tnorm, real_traits<double>::safmin());
-  for (index_t k = 1; k < nvec; ++k) {
-    double* vk = v + k * ldv;
-    index_t ws = k;
-    while (ws > 0 && lam[k] - lam[ws - 1] <= wide) --ws;
-    if (ws == k) continue;
-    for (int pass = 0; pass < 2; ++pass)
-      for (index_t q = ws; q < k; ++q) {
-        const double* vq = v + q * ldv;
-        blas::axpy(n, -blas::dot(n, vq, vk), vq, vk);
+  // (c) Orthogonality polish. Each refined column is individually
+  // fp64-accurate, but two columns with eigenvalue gap g still carry mutual
+  // overlap up to (r_i + r_j) / g ~ 2 tol / g -- visible above the n-eps
+  // noise floor whenever g is a small multiple of `close`. Every column k is
+  // projected once off its window: v_k -= sum_q G_qk v_q over
+  // wstart[k] <= q < k. Each subtraction perturbs the residual by
+  // |G_qk| * g <= 2 tol, so fp64-grade residuals survive. One pass
+  // suffices: after the scan every |G_qk| in a window is at most otol, so
+  // the overlap the projection leaves is O(otol^2), even where v_q was
+  // itself projected after G was formed. Pairs outside the window already
+  // satisfy overlap <= 2 tol / wide ~ 1e3 eps, invisible at the n-eps
+  // metric scale.
+  //
+  // A block reads the columns of its window and writes its own. Windows
+  // reach back at most `reach` blocks, so blocks b and b + reach + 1 never
+  // touch each other's columns: running the blocks in reach + 1 colour
+  // phases (colour = b mod (reach + 1)) needs no n x nvec copy of V, and
+  // every block sees the same inputs whatever the worker count.
+  index_t reach = 0;
+  for (index_t b = 0; b < nblocks; ++b)
+    reach = std::max(reach, b - wstart[b * kGramBlock] / kGramBlock);
+  for (index_t colour = 0; colour <= reach; ++colour)
+    runner.run(colour, nblocks, reach + 1, [&](index_t b) {
+      const index_t k0 = b * kGramBlock, k1 = block_end(b), nb = k1 - k0;
+      if (any_broken) form_gram(b, wstart[k0]);
+      const index_t q0 = grams[static_cast<std::size_t>(b)].q0, m = k1 - 1 - q0;
+      std::vector<double> g = std::move(grams[static_cast<std::size_t>(b)].g);
+      const index_t w0 = wstart[k0];  // the band rows above w0 lie outside every window
+      if (w0 >= k1 - 1) return;
+      for (index_t j = 0; j < nb; ++j)
+        for (index_t q = w0; q < k1 - 1; ++q)
+          if (q < wstart[k0 + j] || q >= k0 + j) g[(q - q0) + j * m] = 0.0;
+      // The block's own columns are window members of its later columns
+      // and are written too, so each panel of rows is projected in a copy
+      // and then stored: row i of the result reads only row i of V.
+      constexpr index_t kRows = 128;
+      std::vector<double> x(static_cast<std::size_t>(kRows * nb));
+      for (index_t i0 = 0; i0 < n; i0 += kRows) {
+        const index_t rows = std::min(kRows, n - i0);
+        for (index_t j = 0; j < nb; ++j)
+          blas::copy(rows, v + i0 + (k0 + j) * ldv, x.data() + j * rows);
+        blas::gemm(blas::Trans::No, blas::Trans::No, rows, nb, k1 - 1 - w0, -1.0,
+                   v + i0 + w0 * ldv, ldv, g.data() + (w0 - q0), m, 1.0, x.data(), rows);
+        for (index_t j = 0; j < nb; ++j)
+          if (wstart[k0 + j] < k0 + j)
+            blas::copy(rows, x.data() + j * rows, v + i0 + (k0 + j) * ldv);
       }
-    const double nrm = blas::nrm2(n, vk);
-    if (nrm > 0.0) blas::scal(n, 1.0 / nrm, vk);
-  }
+      for (index_t k = k0; k < k1; ++k) {
+        if (wstart[k] == k) continue;  // empty window: column untouched
+        const double nrm = blas::nrm2(n, v + k * ldv);
+        if (nrm > 0.0) blas::scal(n, 1.0 / nrm, v + k * ldv);
+      }
+    });
 
   if (obs::metrics::enabled()) {
     namespace m = obs::metrics;

@@ -11,13 +11,23 @@
 // reach fp64-grade residuals in 1-2 solves. The columns are independent,
 // so this sweep runs as column-block tasks when given several workers.
 //
-// The returned basis is fp64-orthogonal too. A cluster safety net scans
-// each run of near-equal eigenvalues for stalled residuals and for pairwise
-// overlap above fp64 round-off -- pruned by the residual-over-gap bound
-// |v_q'v_k| <= (||r_q|| + ||r_k||) / (lam_k - lam_q), so only pairs that
-// bound cannot clear are dotted -- and re-extracts a broken run by
-// bisection-shifted inverse iteration; a windowed Gram-Schmidt polish
-// then removes the residual-sized cross-talk between close neighbours.
+// The returned basis is fp64-orthogonal too. After the sweep, three
+// block-parallel phases run on the same workers, over blocks of 64 columns:
+//   (a) residual pass: ||T v_k - lambda_k v_k||_2 per column, and whether the
+//       column stalled above the residual target;
+//   (b) overlap scan: one GEMM per block forms the banded Gram block
+//       V[:, q0:k1]' V[:, k0:k1]; within each run of near-equal eigenvalues
+//       only the pairs that the residual-over-gap bound
+//       |v_q'v_k| <= (||r_q|| + ||r_k||) / (lam_k - lam_q) cannot clear are
+//       tested against fp64 round-off. A run with a stalled column or a
+//       failed pair is re-extracted by bisection-shifted inverse iteration;
+//   (c) polish: each column is projected once off its window of close
+//       predecessors, v_k -= sum_q G_qk v_q, reusing (b)'s Gram blocks. One
+//       pass suffices because every windowed |G_qk| is then at most
+//       64 n eps, so what it leaves is that squared. A block reads its
+//       window and writes its own columns, so the blocks run in
+//       1 + ceil(window / 64) colour phases: no block is read while it is
+//       being written, and no n x nvec copy of V is needed.
 #pragma once
 
 #include <cstdint>
@@ -46,8 +56,9 @@ struct RefineReport {
 /// in place. Eigenvalues are updated to Rayleigh quotients and the
 /// (lam, v-columns) pairs re-sorted ascending on return (refined values can
 /// cross their unrefined neighbours). v has leading dimension ldv >= n.
-/// `threads` > 1 runs the per-column RQI sweep on that many workers; the
-/// result is bit-identical for every worker count.
+/// `threads` > 1 runs the RQI sweep and the three phases above as tasks on
+/// one runtime with that many workers; the result is bit-identical for
+/// every worker count.
 RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, double* lam,
                                double* v, index_t ldv, index_t nvec,
                                const RefineOptions& opts = {}, int threads = 1);

@@ -56,6 +56,7 @@ index_t sturm_count_ldl(const RepresentationT<Real>& rep, Real x) {
   // pivots. The recurrence is the dstqds body; NaN-safe handling follows
   // dlaneg: a zero pivot is nudged rather than propagated.
   const index_t n = rep.n();
+  obs::bump(obs::kSturmSteps, static_cast<std::uint64_t>(n));
   index_t count = 0;
   Real s = -x;
   const Real tiny = real_traits<Real>::safmin();

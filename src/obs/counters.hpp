@@ -30,9 +30,9 @@ enum Counter : int {
   kLaed4Hist5to6,
   kLaed4Hist7to9,
   kLaed4Hist10plus,
-  // Sturm-count bisection (lapack/bisect.cpp).
-  kSturmCalls,  ///< sturm_count invocations
-  kSturmSteps,  ///< pivot recurrence steps (n per invocation)
+  // Sturm-count bisection (lapack/bisect.cpp, mrrr/ldl.cpp).
+  kSturmCalls,  ///< lapack::sturm_count invocations
+  kSturmSteps,  ///< pivot recurrence steps, n per lapack::sturm_count or mrrr::sturm_count_ldl
   // LDL^T bisection of the MRRR representation tree.
   kBisectLdlCalls,
   kBisectLdlSteps,  ///< interval halvings

@@ -112,6 +112,21 @@ TEST(Mrrr, StatsAndSimulation) {
   EXPECT_GT(st.simulated[0].makespan / st.simulated[1].makespan, 1.3);
 }
 
+// Every Sturm count MRRR makes runs through sturm_count_ldl, which must
+// feed the sturm_steps counter that reports and perfbench read.
+TEST(Mrrr, SturmStepsCounted) {
+  const index_t n = 200;
+  auto t = matgen::table3_matrix(3, n, 9);
+  std::vector<double> lam;
+  Matrix v;
+  Options opt;
+  opt.precision = Precision::F64;
+  opt.threads = 2;
+  Stats st;
+  mrrr_solve(n, t.d.data(), t.e.data(), lam, v, opt, &st);
+  EXPECT_GE(st.report.counter(obs::kSturmSteps), static_cast<std::uint64_t>(n));
+}
+
 // Clustered spectra exercise the parallel cluster refinement: the output
 // must not depend on the thread count, to the bit.
 TEST(Mrrr, ThreadCountInvariance) {
