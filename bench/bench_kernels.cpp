@@ -3,10 +3,10 @@
 // the secular equation solver, the deflation scan, and the runtime's task
 // submission/dispatch overhead (which bounds the useful panel granularity).
 //
-// Kernels behind the SIMD dispatch (gemm microkernel, axpy/dot, laed4) are
-// benchmarked once per available table (scalar / sse2 / avx2 / avx512) so the
-// speedup of the vector paths over the portable fallback is a recorded
-// series. Unless --benchmark_out is given explicitly, results are also
+// Kernels behind the SIMD dispatch (gemm microkernel, axpy/dot, laed4, the
+// LDL^T Sturm counts) are benchmarked once per available table (scalar /
+// sse2 / avx2 / avx512) so the speedup of the vector paths over the
+// portable fallback is a recorded series. Unless --benchmark_out is given explicitly, results are also
 // written to BENCH_kernels.json (the perf-trajectory artifact).
 #include <benchmark/benchmark.h>
 
@@ -23,6 +23,7 @@
 #include "blas/level1.hpp"
 #include "blas/simd/kernels.hpp"
 #include "common/rng.hpp"
+#include "common/timer.hpp"
 #include "dc/deflation.hpp"
 #include "lapack/laed4.hpp"
 #include "lapack/steqr.hpp"
@@ -252,6 +253,34 @@ void BM_Laed4ForcedIsa(benchmark::State& state, SimdIsa isa) {
 }
 
 template <typename Real>
+void BM_SturmCountsForcedIsa(benchmark::State& state, SimdIsa isa) {
+  // One table's sturm_counts_ldl on a random n x n L D L^T at 64 shifts (a
+  // whole number of passes for every table). ns/lane-step is the time of
+  // one pivot-recurrence step of one shift, the unit mrrr.sturm_steps
+  // counts.
+  const index_t n = state.range(0);
+  const index_t m = 64;
+  const blas::simd::KernelTableT<Real>* kt = blas::simd::kernels_for_t<Real>(isa);
+  Rng rng(17);
+  std::vector<Real> d(n), l(n - 1), ld(n - 1), x(m);
+  std::vector<index_t> counts(m);
+  for (auto& v : d) v = static_cast<Real>(rng.uniform_sym());
+  for (index_t i = 0; i + 1 < n; ++i) {
+    l[i] = static_cast<Real>(rng.uniform_sym());
+    ld[i] = l[i] * d[i];
+  }
+  for (auto& v : x) v = static_cast<Real>(3 * rng.uniform_sym());
+  blas::simd::ScopedIsaOverride force(isa);
+  const Stopwatch sw;
+  for (auto _ : state) {
+    kt->sturm_counts_ldl(n, d.data(), l.data(), ld.data(), x.data(), m, counts.data());
+    benchmark::DoNotOptimize(counts.data());
+  }
+  state.counters["ns/lane-step"] =
+      sw.elapsed() * 1e9 / (static_cast<double>(state.iterations()) * m * n);
+}
+
+template <typename Real>
 void register_dispatch_benchmarks_for() {
   // fp64 rows keep their historical names ("BM_GemmForcedIsa/avx2"); fp32
   // rows append "_f32" so both series live side by side in the artifact.
@@ -273,6 +302,10 @@ void register_dispatch_benchmarks_for() {
         ->Arg(4096);
     benchmark::RegisterBenchmark(("BM_Laed4ForcedIsa/" + tag).c_str(),
                                  [isa](benchmark::State& s) { BM_Laed4ForcedIsa<Real>(s, isa); })
+        ->Arg(512);
+    benchmark::RegisterBenchmark(
+        ("BM_SturmCountsForcedIsa/" + tag).c_str(),
+        [isa](benchmark::State& s) { BM_SturmCountsForcedIsa<Real>(s, isa); })
         ->Arg(512);
   }
 }

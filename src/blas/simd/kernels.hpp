@@ -10,13 +10,18 @@
 //   kernels_avx2.cpp     256-bit vectors + FMA: 4-lane double and 8-lane
 //                        float tables (same condition, and compiled with
 //                        -mavx2 -mfma for this file only)
-//   kernels_avx512.cpp   512-bit GEMM microkernels (16x8 fp64, 32x8 fp32);
-//                        the only file compiled with -mavx512f. Its tables
-//                        are the AVX2 tables with only the main microkernel
-//                        and its tile shape replaced: level-1, laed4_sums,
+//   kernels_avx512.cpp   512-bit GEMM microkernels (16x8 fp64, 32x8 fp32).
+//                        Its tables are the AVX2 tables with only the main
+//                        microkernel, its tile shape and the Sturm-count
+//                        entry replaced: level-1, laed4_sums,
 //                        packing and the 4x8 short-wide kernel are
 //                        division- or memory-bound and gain nothing from
 //                        zmm width.
+//   sturm_scalar.cpp,    the LDL^T Sturm-count entries (sturm_counts_ldl):
+//   sturm_avx2.cpp,      the scalar reference and two-vector AVX2 and
+//   sturm_avx512.cpp     AVX-512 versions sharing one body (sturm_body.hpp);
+//                        compiled with -ffp-contract=off so every table
+//                        returns identical counts (see the note below)
 //   dispatch.cpp         runtime selection: hardware probe (cpuid) clamped
 //                        by the DNC_SIMD env var
 //                        ("scalar"|"sse2"|"avx2"|"avx512"), one active
@@ -27,8 +32,8 @@
 // loop nest in gemm.cpp reads the shape from the table, so a new tile is a
 // new table entry, not a new GEMM driver.
 //
-// Callers (gemm.cpp, level1.cpp, lapack/laed4.cpp) fetch the active table
-// with kernels<Real>() and call through it; the indirection is one
+// Callers (gemm.cpp, level1.cpp, lapack/laed4.cpp, mrrr/ldl.cpp) fetch the
+// active table with kernels<Real>() and call through it; the indirection is one
 // predictable load per kernel invocation, negligible against the vector
 // loops behind it. Keeping every ISA's table linked in (rather than
 // ifdef-ing call sites) is what lets one binary run the scalar, SSE2, AVX2
@@ -48,6 +53,10 @@
 // (one chain per C element per kc block in fp64; the even/odd-k pair of
 // chains in fp32), so GEMM with alpha = 1 and beta in {0, 1} -- and with
 // it the whole D&C solve -- is bitwise identical under avx2 and avx512.
+// The Sturm counts are the stronger exception: no FMA, no reassociation,
+// one lane per shift running the scalar recurrence's exact operations, so
+// every table returns the same counts, and MRRR's bisection takes the same
+// decisions under every table.
 #pragma once
 
 #include "common/cpu_features.hpp"
@@ -86,6 +95,16 @@ template <typename Real>
 using Laed4SumsFnT = void (*)(index_t j0, index_t j1, const Real* delta0, const Real* z,
                               Real rho, Real tau, Real* w, Real* dsum, Real* asum);
 
+/// Sturm counts of one L D L^T representation at m shifts: counts[j] is
+/// the number of negative pivots of L D L^T - x[j] I (the number of
+/// eigenvalues below x[j]), by the differential stationary recurrence of
+/// mrrr::sturm_count_ldl. d has n entries, l and ld = l .* d (precomputed
+/// by the caller) n - 1. Every table returns the scalar table's counts
+/// exactly: the vector entries run the same IEEE operations lane by lane.
+template <typename Real>
+using SturmCountsLdlFnT = void (*)(index_t n, const Real* d, const Real* l, const Real* ld,
+                                   const Real* x, index_t m, index_t* counts);
+
 template <typename Real>
 struct KernelTableT {
   SimdIsa isa;
@@ -116,6 +135,13 @@ struct KernelTableT {
 
   // --- lapack/laed4 ----------------------------------------------------
   Laed4SumsFnT<Real> laed4_sums;
+
+  // --- mrrr/ldl --------------------------------------------------------
+  SturmCountsLdlFnT<Real> sturm_counts_ldl;
+  /// Shifts one sturm_counts_ldl pass handles at full speed (two vectors'
+  /// worth for the SIMD tables, 1 for scalar): the width of the lane pool
+  /// in mrrr::refine_ldl.
+  index_t sturm_lanes;
 };
 
 /// Historical fp64 spellings, used by the double-typed call sites.
@@ -186,6 +212,24 @@ extern const KernelTableT<double> kSse2Table;
 extern const KernelTableT<double> kAvx2Table;
 extern const KernelTableT<float> kAvx2TableF32;
 #endif
+/// The Sturm-count entries live in their own files (sturm_*.cpp), compiled
+/// with -ffp-contract=off: a multiply-subtract the compiler fused into an
+/// FMA would round once instead of twice and change counts. The tables take
+/// their addresses. The scalar one also serves the SSE2 table.
+template <typename Real>
+void sturm_counts_ldl_scalar(index_t n, const Real* d, const Real* l, const Real* ld,
+                             const Real* x, index_t m, index_t* counts);
+#if defined(DNC_HAVE_AVX2)
+template <typename Real>
+void sturm_counts_ldl_avx2(index_t n, const Real* d, const Real* l, const Real* ld,
+                           const Real* x, index_t m, index_t* counts);
+#endif
+#if defined(DNC_HAVE_AVX512)
+template <typename Real>
+void sturm_counts_ldl_avx512(index_t n, const Real* d, const Real* l, const Real* ld,
+                             const Real* x, index_t m, index_t* counts);
+#endif
+
 #if defined(DNC_HAVE_AVX512)
 /// The AVX-512 tables: copies of the AVX2 tables with the main microkernel
 /// (mk, mr, nr) replaced, built on first use (a function-local static, so

@@ -602,6 +602,8 @@ const KernelTable kAvx2Table = {
     &rot_avx2,
     &sumsq_avx2,
     &laed4_sums_avx2,
+    &sturm_counts_ldl_avx2<double>,
+    8,
 };
 
 const KernelTableT<float> kAvx2TableF32 = {
@@ -622,6 +624,8 @@ const KernelTableT<float> kAvx2TableF32 = {
     &rot_avx2_f32,
     &sumsq_avx2_f32,
     &laed4_sums_avx2_f32,
+    &sturm_counts_ldl_avx2<float>,
+    16,
 };
 
 }  // namespace dnc::blas::simd

@@ -4,7 +4,8 @@
 // the cpuid probe reports AVX-512F with OS-enabled ZMM state, so no
 // instruction here runs on hardware that cannot execute it.
 //
-// Only the main microkernel and its tile shape are new. Everything else --
+// Only the main microkernel, its tile shape and the Sturm-count entry (in
+// sturm_avx512.cpp, for its own compile flags) are new. Everything else --
 // level-1, laed4_sums, the 4x8 short-wide kernel, pack_a (whose ymm copy
 // covers any tile height that is a whole number of vectors) and pack_b
 // (whose 4x4 transposes already cover NR = 8) -- is copied from the AVX2
@@ -145,6 +146,8 @@ KernelTableT<Real> make_table() {
   t.mk = &mk_avx512<Real>;
   t.mr = 2 * kLanes<Real>;
   t.nr = 8;
+  t.sturm_counts_ldl = &sturm_counts_ldl_avx512<Real>;
+  t.sturm_lanes = 2 * kLanes<Real>;
   return t;
 }
 

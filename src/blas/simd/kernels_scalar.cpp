@@ -161,6 +161,8 @@ const KernelTableT<double> kScalarTable = {
     &rot_scalar<double>,
     &sumsq_scalar<double>,
     &laed4_sums_scalar<double>,
+    &sturm_counts_ldl_scalar<double>,
+    1,
 };
 
 const KernelTableT<float> kScalarTableF32 = {
@@ -181,6 +183,8 @@ const KernelTableT<float> kScalarTableF32 = {
     &rot_scalar<float>,
     &sumsq_scalar<float>,
     &laed4_sums_scalar<float>,
+    &sturm_counts_ldl_scalar<float>,
+    1,
 };
 
 }  // namespace dnc::blas::simd

@@ -286,6 +286,8 @@ const KernelTable kSse2Table = {
     &rot_sse2,
     &sumsq_sse2,
     &laed4_sums_sse2,
+    &sturm_counts_ldl_scalar<double>,
+    1,
 };
 
 }  // namespace dnc::blas::simd

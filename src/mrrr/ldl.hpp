@@ -38,7 +38,8 @@ template <typename Real>
 bool dstqds(const RepresentationT<Real>& in, Real tau, RepresentationT<Real>& out);
 
 /// Number of eigenvalues of L D L^T smaller than x (differential stationary
-/// count; robust against zero pivots).
+/// count; robust against zero pivots). One lane of the active table's
+/// sturm_counts_ldl kernel.
 template <typename Real>
 index_t sturm_count_ldl(const RepresentationT<Real>& rep, Real x);
 
@@ -47,14 +48,19 @@ index_t sturm_count_ldl(const RepresentationT<Real>& rep, Real x);
 template <typename Real>
 Real bisect_ldl(const RepresentationT<Real>& rep, index_t k, Real lo, Real hi, Real tol);
 
-/// Eigenvalue k (0-based) of L D L^T from an approximation `guess` with
-/// error bound `pad`: verifies with two Sturm counts that [guess - pad,
-/// guess + pad] brackets eigenvalue k, widens a failing side by doubling,
-/// then bisects to full relative accuracy (bisect_ldl with tol = 0). A
-/// wrong pad costs extra counts, never a wrong eigenvalue. Throws
-/// NumericalError when guess or pad is not finite or the bracket cannot be
-/// established within the widening cap.
+/// Eigenvalues k[j] (0-based) of L D L^T, j < m, from approximations
+/// guess[j] with error bounds pad[j], into out[j]. Per eigenvalue: two
+/// Sturm counts verify that [guess - pad, guess + pad] brackets it, a
+/// failing side widens by doubling, then bisection runs to full relative
+/// accuracy (bisect_ldl's steps with tol = 0). A wrong pad costs extra
+/// counts, never a wrong eigenvalue. The eigenvalues share the counting
+/// passes: a pool of kernel lanes (the table's sturm_lanes) each replays
+/// one eigenvalue's decisions, and a finished lane takes the next
+/// eigenvalue of the batch, so the result, and every count, equals the
+/// one-at-a-time order. Throws NumericalError when a guess or pad is not
+/// finite or a bracket cannot be established within the widening cap.
 template <typename Real>
-Real refine_ldl(const RepresentationT<Real>& rep, index_t k, Real guess, Real pad);
+void refine_ldl(const RepresentationT<Real>& rep, index_t m, const index_t* k,
+                const Real* guess, const Real* pad, Real* out);
 
 }  // namespace dnc::mrrr

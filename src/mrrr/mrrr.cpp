@@ -180,10 +180,16 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
                      item.k0 = off + k0;
                      item.k1 = off + k1;
                      item.src = hvals;
-                     item.lam_local.resize(k1 - k0);
-                     for (index_t k = k0; k < k1; ++k)
-                       item.lam_local[k - k0] = refine_ldl(
-                           *root, k, root_eigs->w[k] - root->sigma, root_eigs->pad);
+                     const index_t m = k1 - k0;
+                     std::vector<index_t> ks(m);
+                     std::vector<Real> guess(m), pad(m, root_eigs->pad);
+                     for (index_t k = k0; k < k1; ++k) {
+                       ks[k - k0] = k;
+                       guess[k - k0] = root_eigs->w[k] - root->sigma;
+                     }
+                     item.lam_local.resize(m);
+                     refine_ldl(*root, m, ks.data(), guess.data(), pad.data(),
+                                item.lam_local.data());
                      std::lock_guard<std::mutex> lk(next_mu);
                      items.push_back(std::move(item));
                    },
@@ -266,24 +272,25 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
                   }
                   return;
                 }
+                std::vector<Real> zc(bn);
                 for (std::size_t j = 0; j < grp.size(); ++j) {
                   // grp values are already refined to full relative accuracy
                   // against this representation.
                   Real w = grp[j];
-                  auto r = twisted_eigenvector(*rep, w, z.data());
-                  // One Rayleigh correction step sharpens the eigenvalue.
+                  const auto r = twisted_eigenvector(*rep, w, z.data());
+                  const Real* best = z.data();
+                  // One Rayleigh correction step sharpens the eigenvalue;
+                  // its vector goes to a second buffer and is kept only
+                  // when its residual is smaller.
                   const Real corr = rayleigh_correction(r);
                   if (std::isfinite(corr) && std::fabs(corr) < std::fabs(w) * Real(1e-2)) {
-                    auto r2 = twisted_eigenvector(*rep, w + corr, z.data());
-                    if (r2.resid < r.resid) {
-                      r = r2;
+                    if (twisted_eigenvector(*rep, w + corr, zc.data()).resid < r.resid) {
                       w += corr;
-                    } else {
-                      r = twisted_eigenvector(*rep, w, z.data());
+                      best = zc.data();
                     }
                   }
                   lam[g0 + j] = rep->sigma + w;
-                  blas::copy(bn, z.data(), v.data() + boff + (g0 + j) * v.ld());
+                  blas::copy(bn, best, v.data() + boff + (g0 + j) * v.ld());
                 }
               },
               {{item.src, rt::Access::In}, {hv, rt::Access::GatherV}},
@@ -354,13 +361,17 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
                   rt::spawn_and_wait("refine", nchunks, [&](long c) {
                     const index_t j0 = static_cast<index_t>(c) * opt.grain;
                     const index_t j1 = std::min(j0 + opt.grain, m);
+                    std::vector<index_t> ks(j1 - j0);
+                    std::vector<Real> guess(j1 - j0), pad(j1 - j0);
+                    for (index_t j = j0; j < j1; ++j) {
+                      ks[j - j0] = g0 + j - boff;
+                      guess[j - j0] = grp[j] - tau;
+                      pad[j - j0] =
+                          Real(16) * eps * (std::fabs(grp[j]) + std::fabs(tau)) + safmin;
+                    }
                     try {
-                      for (index_t j = j0; j < j1; ++j) {
-                        const Real pad =
-                            Real(16) * eps * (std::fabs(grp[j]) + std::fabs(tau)) + safmin;
-                        childitem.lam_local[j] =
-                            refine_ldl(*childrep, g0 + j - boff, grp[j] - tau, pad);
-                      }
+                      refine_ldl(*childrep, j1 - j0, ks.data(), guess.data(), pad.data(),
+                                 childitem.lam_local.data() + j0);
                     } catch (const NumericalError&) {
                       failed = true;
                     }

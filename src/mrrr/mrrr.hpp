@@ -9,7 +9,11 @@
 // Sturm-count bracket, bisection to full relative accuracy) ->
 // representation tree: singletons get a twisted-factorization eigenvector,
 // clusters get a shifted child representation whose members are refined in
-// grain-sized child tasks, and recurse. Each phase's tasks read the handle
+// grain-sized child tasks, and recurse. Each refinement task makes one
+// batched refine_ldl call for its grain: the eigenvalues bisect side by
+// side, one per lane of the SIMD Sturm-count kernel (up to 16 fp64 shifts
+// per pass under AVX-512), with exactly the counts, and so exactly the
+// eigenvalues, of one-at-a-time bisection. Each phase's tasks read the handle
 // its producer wrote, so the traced DAG is the real dependency graph.
 // Independent (sub)tasks are executed by the same task runtime as the D&C
 // solver, so traces and simulated parallel makespans are directly

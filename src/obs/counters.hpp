@@ -32,7 +32,9 @@ enum Counter : int {
   kLaed4Hist10plus,
   // Sturm-count bisection (lapack/bisect.cpp, mrrr/ldl.cpp).
   kSturmCalls,  ///< lapack::sturm_count invocations
-  kSturmSteps,  ///< pivot recurrence steps, n per lapack::sturm_count or mrrr::sturm_count_ldl
+  /// Pivot recurrence steps: n per lapack::sturm_count, and n per lane of
+  /// a batched mrrr count (sturm_counts_ldl pass over m shifts: n * m).
+  kSturmSteps,
   // LDL^T bisection of the MRRR representation tree.
   kBisectLdlCalls,
   kBisectLdlSteps,  ///< interval halvings

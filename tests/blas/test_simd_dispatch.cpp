@@ -40,6 +40,11 @@ std::vector<const KernelTableT<Real>*> tables_t() {
 
 std::vector<const KernelTable*> available_tables() { return tables_t<double>(); }
 
+template <typename Real>
+const KernelTableT<Real>* scalar_table_t() {
+  return kernels_for_t<Real>(SimdIsa::Scalar);
+}
+
 // Straight definition of the microkernel contract over packed MR x kb and
 // NR x kb panels: C = alpha * A B^T + beta * C on the mr x nr corner, with
 // beta == 0 overwriting C.
@@ -374,6 +379,94 @@ TEST(SimdKernels, Laed4SumsMatchScalar) {
     }
   }
 }
+
+// Representations for the Sturm-count tests: random D and L (kind 0), a
+// diagonal L D L^T whose eigenvalues are exactly d (kind 1: a shift there
+// is a zero pivot), and random D with a few huge L entries, which overflow
+// the recurrence and force its restart (kind 2).
+template <typename Real>
+void sturm_rep(index_t n, int kind, std::vector<Real>& d, std::vector<Real>& l) {
+  Rng rng(40 + 3 * n + kind);
+  d.resize(n);
+  l.resize(n - 1);
+  for (auto& x : d) x = static_cast<Real>(rng.uniform_sym());
+  for (auto& x : l) x = kind == 1 ? Real(0) : static_cast<Real>(rng.uniform_sym());
+  if (kind == 2)
+    for (index_t i = 0; i + 1 < n; i += 3) l[i] = std::sqrt(std::numeric_limits<Real>::max());
+}
+
+// Shifts that probe every branch: +-0, +-huge and +-inf, the diagonal
+// entries (zero pivots in kind 1 and at d[0] in every kind), random points,
+// and, for the bounded kinds, both neighbours of each count step: the
+// adjacent floats lo < hi with count(lo) <= k < count(hi), where any
+// difference in rounding would flip a count.
+template <typename Real>
+std::vector<Real> sturm_shifts(index_t n, int kind, const std::vector<Real>& d,
+                               const std::vector<Real>& l, const std::vector<Real>& ld) {
+  const Real big = std::numeric_limits<Real>::max();
+  const Real inf = std::numeric_limits<Real>::infinity();
+  std::vector<Real> x = {Real(0), -Real(0), big, -big, inf, -inf, Real(1e30), Real(-1e30)};
+  for (index_t i = 0; i < std::min<index_t>(n, 24); ++i) x.push_back(d[i]);
+  Rng rng(77 + n);
+  for (int r = 0; r < 24; ++r) x.push_back(static_cast<Real>(4 * rng.uniform_sym()));
+  if (kind != 2) {
+    const auto count = [&](Real at) {
+      index_t c = 0;
+      scalar_table_t<Real>()->sturm_counts_ldl(n, d.data(), l.data(), ld.data(), &at, 1, &c);
+      return c;
+    };
+    for (index_t k = 0; k < n; k += std::max<index_t>(1, n / 7)) {
+      Real lo = -8, hi = 8;  // every eigenvalue lies inside: |D|, |L| <= 1
+      for (;;) {
+        const Real mid = Real(0.5) * (lo + hi);
+        if (mid == lo || mid == hi) break;
+        (count(mid) > k ? hi : lo) = mid;
+      }
+      x.push_back(lo);
+      x.push_back(hi);
+    }
+  }
+  return x;
+}
+
+// Every table, forced through ScopedIsaOverride, returns the scalar
+// table's counts exactly: full and partial lane groups (batch sizes around
+// each table's one- and two-vector widths), n in {1, 2, 3, 512}.
+template <typename Real>
+void check_sturm_counts_match_scalar() {
+  for (index_t n : {1, 2, 3, 512}) {
+    for (int kind = 0; kind < 3; ++kind) {
+      std::vector<Real> d, l;
+      sturm_rep(n, kind, d, l);
+      std::vector<Real> ld(n - 1);
+      for (index_t i = 0; i + 1 < n; ++i) ld[i] = l[i] * d[i];
+      const std::vector<Real> x = sturm_shifts(n, kind, d, l, ld);
+      const index_t total = static_cast<index_t>(x.size());
+      std::vector<index_t> ref(total);
+      scalar_table_t<Real>()->sturm_counts_ldl(n, d.data(), l.data(), ld.data(), x.data(), total,
+                                              ref.data());
+      for (const KernelTableT<Real>* kt : tables_t<Real>()) {
+        ScopedIsaOverride force(kt->isa);
+        const KernelTableT<Real>& active = kernels_t<Real>();
+        EXPECT_GE(active.sturm_lanes, 1);
+        for (index_t m : {1, 7, 8, 9, 15, 16, 17, 31, 32, 33}) {
+          std::vector<index_t> got(total, -1);
+          for (index_t j0 = 0; j0 < total; j0 += m)
+            active.sturm_counts_ldl(n, d.data(), l.data(), ld.data(), x.data() + j0,
+                                    std::min(m, total - j0), got.data() + j0);
+          for (index_t j = 0; j < total; ++j)
+            EXPECT_EQ(got[j], ref[j]) << active.name << (sizeof(Real) == 4 ? " f32" : " f64")
+                                      << " n=" << n << " kind=" << kind << " m=" << m
+                                      << " x=" << x[j];
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, SturmCountsLdlMatchScalar) { check_sturm_counts_match_scalar<double>(); }
+
+TEST(SimdKernels, SturmCountsLdlMatchScalarF32) { check_sturm_counts_match_scalar<float>(); }
 
 // Every size from 1 to 2*tile + 1 (each residue mod the tile, once as a
 // lone partial tile and once behind a full one), a multiple plus a ragged
