@@ -6,7 +6,7 @@
 // deflation spectrum, one warmup + >= 5 timed repetitions per cell, and
 // writes BENCH_solver.json: per-cell median/IQR/min seconds plus the
 // embedded SolveReport aggregates (deflated fraction, laed4 iterations,
-// GEMM gflop) that explain *why* a number moved. tools/bench_compare diffs
+// GEMM gflop) that explain *why* a number moved. `dnc compare` diffs
 // two such artifacts and fails on regression.
 //
 // Knobs: DNC_BENCH_NMAX (default 768 here -- wall-clock is 5 drivers x 5
@@ -14,7 +14,7 @@
 // (default 5), DNC_BENCH_OUT (default BENCH_solver.json), DNC_BENCH_REPORTS
 // (directory: side-write the last-rep SolveReport JSON of every cell there,
 // named via obs::bench_report_filename, and stamp "reports_dir" into the
-// artifact metadata so bench_compare can find them for regression
+// artifact metadata so `dnc compare` can find them for regression
 // attribution without a re-run).
 #include <sys/stat.h>
 

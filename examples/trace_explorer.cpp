@@ -1,8 +1,9 @@
 // Trace explorer: runs the task-flow D&C solver, prints the partition tree,
 // a per-kernel time breakdown, an ASCII Gantt chart of the *simulated*
-// multi-worker schedule (this container has one core; see DESIGN.md for the
-// DAG-replay methodology) and optionally dumps the task DAG in Graphviz DOT
-// format -- the artifacts behind the paper's Figures 1-4.
+// multi-worker schedule (the solve is measured on one worker and its DAG
+// replayed on P virtual workers, so P may exceed the host's cores; see
+// DESIGN.md for the DAG-replay methodology) and optionally dumps the task
+// DAG in Graphviz DOT format -- the artifacts behind the paper's Figures 1-4.
 //
 //   ./trace_explorer [n] [type] [workers] [--dot file.dot]
 #include <cstdio>

@@ -2,7 +2,7 @@
 //
 // The observability layer writes its artifacts (Perfetto traces,
 // SolveReports, BENCH_*.json) as hand-formatted JSON; the analysis tools
-// (tools/dnc_trace --load, tools/bench_compare) need to read them back.
+// (`dnc trace --load`, `dnc compare`) need to read them back.
 // This is a strict recursive-descent parser for that round trip: full
 // value model, escape handling, bounded nesting depth, byte-offset error
 // reporting. It is not a streaming parser -- our artifacts are at most a

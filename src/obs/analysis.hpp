@@ -18,7 +18,7 @@
 //                          list scheduling on P virtual workers, driven by
 //                          the Trace alone, so it works on live solves
 //                          (SolveStats::simulated) and on traces loaded
-//                          from disk (tools/dnc_trace) alike.
+//                          from disk (`dnc trace --load`) alike.
 //
 // All quantities use the same durations (max(0, t_end - t_start);
 // never-executed events contribute zero work), so replay_trace's

@@ -4,7 +4,7 @@
 // families x sizes, >= 5 repetitions each, median/IQR). This module loads
 // two such artifacts, matches entries by (driver, family, n) and classifies
 // each pair against a noise threshold on the chosen statistic. The CLI
-// (tools/bench_compare) exits nonzero when any regression is found, which
+// (`dnc compare`) exits nonzero when any regression is found, which
 // is what the ctest tier-2 gate and CI hang off.
 #pragma once
 
@@ -95,7 +95,7 @@ std::string bench_metadata(const BenchArtifact& artifact, const std::string& key
 
 /// Canonical filename of the per-entry SolveReport a DNC_BENCH_REPORTS run
 /// side-writes for one bench cell: "report_<driver>_<family>_<prec>_n<n>.json".
-/// Shared by the writer (bench_solver) and the reader (bench_compare) so
+/// Shared by the writer (bench_solver) and the reader (`dnc compare`) so
 /// the two can never drift apart.
 std::string bench_report_filename(const std::string& driver, const std::string& family,
                                   const std::string& precision, long n);

@@ -133,7 +133,7 @@ struct SolveDiff {
   /// Full human-readable diff: side header, component table, per-kind
   /// table, critical-path diff, notes.
   std::string render() const;
-  /// The bench_compare one-paragraph attribution: headline delta, top
+  /// The `dnc compare` one-paragraph attribution: headline delta, top
   /// component with share, leading kind, and the strongest note.
   std::string one_paragraph() const;
   /// dnc-diff-v1 JSON (machine-readable twin of render()).

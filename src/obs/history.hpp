@@ -7,7 +7,7 @@
 // carrying the headline numbers a trend view needs (wall seconds, makespan,
 // idle, deflated fraction, GEMM GF/s, residual) -- to the file named by
 // DNC_HISTORY. The file survives processes and machines (one ::write per
-// line keeps concurrent appenders line-atomic), so `dnc_diff --history`
+// line keeps concurrent appenders line-atomic), so `dnc diff --history`
 // can plot a cell across a whole bench campaign or bisect a regression to
 // the commit that introduced it.
 //
@@ -65,7 +65,7 @@ long max_bytes() noexcept;
 
 /// Matrix-family hint for the next record_from_report() on this thread.
 /// Solve epilogues know nothing about how the matrix was generated; the
-/// harness that does (bench_solver's family loop, dnc_trace's --type) sets
+/// harness that does (bench_solver's family loop, `dnc trace --type`) sets
 /// the hint around the solve. Pass nullptr/"" to clear.
 void set_family_hint(const char* family);
 std::string family_hint();

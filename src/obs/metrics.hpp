@@ -134,7 +134,7 @@ std::string json_text(const Snapshot& s);
 /// Parses a json_text() artifact back. Returns false on malformed input.
 bool parse_snapshot(const std::string& json, Snapshot& out, std::string* err = nullptr);
 
-/// One-page text rendering of a snapshot (the dnc_metrics CLI view):
+/// One-page text rendering of a snapshot (the `dnc metrics` view):
 /// counters/gauges as rows, histograms with count/mean/p50/p90/p99.
 std::string render_snapshot(const Snapshot& s);
 

@@ -91,7 +91,7 @@ std::string perfetto_trace_json(const rt::Trace& trace, const SolveReport* repor
     // Named solve-wide scalars (GEMM FLOP / packed-byte totals, ...): taken
     // from the trace when it already carries them (a reloaded trace does),
     // topped up from the report's counters on a live export. These are what
-    // lets `dnc_trace --roofline` work on a bare trace file.
+    // lets `dnc trace --roofline` work on a bare trace file.
     {
       std::vector<std::pair<std::string, double>> mc = trace.meta_counters;
       const auto have = [&](const char* name) {
@@ -109,7 +109,7 @@ std::string perfetto_trace_json(const rt::Trace& trace, const SolveReport* repor
         // roofline peak correctly (fp32 kernels peak at 2x the fp64 rate).
         if (!have("precision_bits"))
           mc.emplace_back("precision_bits", static_cast<double>(report->precision_bits()));
-        // Problem size, so dnc_diff can align bare trace files by identity.
+        // Problem size, so `dnc diff` can align bare trace files by identity.
         if (!have("n") && report->n > 0)
           mc.emplace_back("n", static_cast<double>(report->n));
       }
@@ -137,7 +137,7 @@ std::string perfetto_trace_json(const rt::Trace& trace, const SolveReport* repor
           ms.emplace_back("hostname", report->hostname);
         if (!have("timestamp") && !report->timestamp.empty())
           ms.emplace_back("timestamp", report->timestamp);
-        // Solve identity, so dnc_diff can label and align bare trace files.
+        // Solve identity, so `dnc diff` can label and align bare trace files.
         if (!have("driver") && !report->driver.empty())
           ms.emplace_back("driver", report->driver);
         if (!have("git_commit") && !report->git_commit.empty())

@@ -1,5 +1,5 @@
 // Reads a Perfetto trace exported by obs::perfetto_trace_json back into an
-// rt::Trace, so tools/dnc_trace can analyse a trace captured earlier (via
+// rt::Trace, so `dnc trace --load` can analyse a trace captured earlier (via
 // DNC_TRACE) without re-running the solve.
 //
 // The export embeds two dnc-specific metadata records ("dnc_meta" with the
