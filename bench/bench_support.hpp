@@ -56,11 +56,14 @@ inline index_t nmax_from_env(index_t dflt = 1536) {
 
 inline std::vector<index_t> size_sweep(index_t nmax, int points = 4) {
   // Geometric-ish sweep ending at nmax, mirroring the paper's 2500..25000.
+  // Sizes the 64 floor clips together appear once, so no two bench rows
+  // share a (driver, family, precision, n) key.
   std::vector<index_t> sizes;
   for (int i = points; i >= 1; --i) {
     index_t n = nmax;
     for (int j = 1; j < i; ++j) n = n * 2 / 3;
-    sizes.push_back(std::max<index_t>(64, n));
+    n = std::max<index_t>(64, n);
+    if (sizes.empty() || sizes.back() != n) sizes.push_back(n);
   }
   return sizes;
 }

@@ -1,24 +1,15 @@
 #include "obs/analysis.hpp"
 
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 #include <queue>
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "common/text.hpp"
 
 namespace dnc::obs {
 namespace {
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  out += buf;
-}
 
 double duration(const rt::TraceEvent& e) { return std::max(0.0, e.t_end - e.t_start); }
 

@@ -1,23 +1,15 @@
 #include "obs/benchcmp.hpp"
 
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 #include <map>
+#include <set>
 
 #include "common/json.hpp"
+#include "common/text.hpp"
 
 namespace dnc::obs {
 namespace {
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[320];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  out += buf;
-}
 
 bool extract_artifact(const json::Value& root, BenchArtifact& out, std::string* err,
                       const std::string& ctx) {
@@ -51,6 +43,14 @@ bool extract_artifact(const json::Value& root, BenchArtifact& out, std::string* 
       be.min = s->member_number("min", 0.0);
     }
     out.entries.push_back(std::move(be));
+  }
+  // compare pairs entries by key, so a repeated key has no defined partner.
+  std::set<std::string> keys;
+  for (const BenchEntry& be : out.entries) {
+    if (!keys.insert(be.key()).second) {
+      if (err) *err = ctx + "artifact has duplicate entry " + be.key();
+      return false;
+    }
   }
   return true;
 }

@@ -37,8 +37,8 @@ struct BenchArtifact {
 };
 
 /// Loads a BENCH_solver.json. Returns false (with `err`) on unreadable or
-/// structurally unusable input; unknown extra members are ignored so newer
-/// writers stay readable.
+/// structurally unusable input, including two entries with the same key();
+/// unknown extra members are ignored so newer writers stay readable.
 bool load_bench_artifact(const std::string& path, BenchArtifact& out,
                          std::string* err = nullptr);
 /// Same, from an in-memory JSON string (tests).

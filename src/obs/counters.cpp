@@ -1,9 +1,8 @@
 #include "obs/counters.hpp"
 
 #include <atomic>
-#include <memory>
-#include <mutex>
-#include <vector>
+
+#include "obs/thread_blocks.hpp"
 
 namespace dnc::obs {
 namespace {
@@ -12,33 +11,12 @@ struct Block {
   std::atomic<std::uint64_t> v[kNumCounters] = {};
 };
 
-// The registry owns a shared_ptr to every block ever created, so counters
-// bumped by runtime workers survive the workers' exit and are still summed
-// by a later snapshot() from the master thread.
-std::mutex& registry_mu() {
-  static std::mutex mu;
-  return mu;
-}
-
-std::vector<std::shared_ptr<Block>>& registry() {
-  static std::vector<std::shared_ptr<Block>> blocks;
-  return blocks;
-}
-
-Block* tls_block() {
-  thread_local std::shared_ptr<Block> block = [] {
-    auto b = std::make_shared<Block>();
-    std::lock_guard<std::mutex> lk(registry_mu());
-    registry().push_back(b);
-    return b;
-  }();
-  return block.get();
-}
+using Blocks = ThreadBlocks<Block>;
 
 // Single-writer relaxed update: cheaper than fetch_add and exactly as
 // correct, since only the owning thread writes its block.
-inline void add(Block* b, int c, std::uint64_t delta) noexcept {
-  b->v[c].store(b->v[c].load(std::memory_order_relaxed) + delta, std::memory_order_relaxed);
+inline void add(Block& b, int c, std::uint64_t delta) noexcept {
+  b.v[c].store(b.v[c].load(std::memory_order_relaxed) + delta, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -66,10 +44,10 @@ const char* counter_name(int c) noexcept {
   return "unknown";
 }
 
-void bump(Counter c, std::uint64_t delta) noexcept { add(tls_block(), c, delta); }
+void bump(Counter c, std::uint64_t delta) noexcept { add(Blocks::local(), c, delta); }
 
 void bump_laed4(int iterations) noexcept {
-  Block* b = tls_block();
+  Block& b = Blocks::local();
   add(b, kLaed4Calls, 1);
   add(b, kLaed4Iterations, static_cast<std::uint64_t>(iterations < 0 ? 0 : iterations));
   int bucket;
@@ -88,10 +66,9 @@ void bump_laed4(int iterations) noexcept {
 
 CounterArray snapshot() noexcept {
   CounterArray out{};
-  std::lock_guard<std::mutex> lk(registry_mu());
-  for (const auto& b : registry())
-    for (int c = 0; c < kNumCounters; ++c)
-      out[c] += b->v[c].load(std::memory_order_relaxed);
+  Blocks::for_each([&](const Block& b) {
+    for (int c = 0; c < kNumCounters; ++c) out[c] += b.v[c].load(std::memory_order_relaxed);
+  });
   return out;
 }
 

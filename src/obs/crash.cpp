@@ -6,13 +6,13 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 
 #include "common/env.hpp"
 #include "common/version.hpp"
 #include "obs/flight.hpp"
+#include "obs/history.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 
@@ -27,34 +27,20 @@ char g_path[512] = {0};
 char g_path_jsonl[512] = {0};
 std::atomic<int> g_crashing{0};
 std::atomic<bool> g_installed{false};
-// -1 uninitialised, 0 disabled, 1 enabled.
-std::atomic<int> g_enabled{-1};
 std::mutex g_mu;
 struct sigaction g_old[sizeof kSignals / sizeof kSignals[0]];
 
-bool parse_env(std::string& path) {
-  const char* e = env::raw("DNC_CRASH_DUMP");
-  if (!e || !*e || !std::strcmp(e, "0") || !std::strcmp(e, "off")) return false;
-  path = expand_path_placeholders((!std::strcmp(e, "1") || !std::strcmp(e, "on"))
-                                      ? "dnc_crash.%p.txt"
-                                      : e,
-                                  0);
-  return !path.empty() && path.size() < sizeof g_path - 8;
-}
-
-bool init_enabled() {
+bool configure(const char* value) {
+  const std::string path = value ? expand_path_placeholders(value, 0) : "";
+  const bool on = !path.empty() && path.size() < sizeof g_path - 8;
   std::lock_guard<std::mutex> lk(g_mu);
-  int cur = g_enabled.load(std::memory_order_relaxed);
-  if (cur >= 0) return cur != 0;
-  std::string path;
-  bool on = parse_env(path);
-  if (on) {
-    std::snprintf(g_path, sizeof g_path, "%s", path.c_str());
-    std::snprintf(g_path_jsonl, sizeof g_path_jsonl, "%s.jsonl", path.c_str());
-  }
-  g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
+  std::snprintf(g_path, sizeof g_path, "%s", on ? path.c_str() : "");
+  std::snprintf(g_path_jsonl, sizeof g_path_jsonl, "%s%s", on ? path.c_str() : "",
+                on ? ".jsonl" : "");
   return on;
 }
+
+constinit env::Gate gate{"DNC_CRASH_DUMP", "dnc_crash.%p.txt", configure};
 
 const char* signal_name(int sig) {
   switch (sig) {
@@ -92,30 +78,16 @@ void crash_handler(int sig, siginfo_t*, void*) {
   }
   const std::string text = dump_text(sig);
   write_file(g_path, text.data(), text.size());
-  const std::string ring = flight::ring_jsonl(/*best_effort=*/true);
+  const std::string ring = history::flight_jsonl(/*best_effort=*/true);
   if (!ring.empty()) write_file(g_path_jsonl, ring.data(), ring.size());
   restore_and_reraise(sig);
 }
 
 }  // namespace
 
-bool enabled() noexcept {
-  int s = g_enabled.load(std::memory_order_relaxed);
-  return s < 0 ? init_enabled() : s != 0;
-}
+bool enabled() noexcept { return gate.enabled(); }
 
-void refresh_from_env() noexcept {
-  std::lock_guard<std::mutex> lk(g_mu);
-  std::string path;
-  bool on = parse_env(path);
-  if (on) {
-    std::snprintf(g_path, sizeof g_path, "%s", path.c_str());
-    std::snprintf(g_path_jsonl, sizeof g_path_jsonl, "%s.jsonl", path.c_str());
-  } else {
-    g_path[0] = g_path_jsonl[0] = '\0';
-  }
-  g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-}
+void refresh_from_env() noexcept { gate.refresh(); }
 
 bool ensure_installed() {
   if (!enabled()) return false;
@@ -147,7 +119,7 @@ std::string dump_text(int sig) {
   out += "\n# git_commit: ";
   out += version::kGitCommit;
   out += "\n# hostname: " + current_hostname();
-  out += "\n# flight_ring: " + std::to_string(flight::ring_size());
+  out += "\n# flight_ring: " + std::to_string(history::ring_reports());
   out += "\n# flight_dumps: " + std::to_string(flight::dump_count());
   out += "\n";
   if (metrics::enabled()) out += metrics::prometheus_text(metrics::scrape());

@@ -7,7 +7,8 @@
 // SIGBUS, SIGABRT and SIGFPE best-effort write
 //   <path>          crash header (signal, pid, git commit) + Prometheus
 //                   text of the final metrics scrape
-//   <path>.jsonl    the flight-recorder ring (one report per line)
+//   <path>.jsonl    the flight-recorder reports of the solve ring (one
+//                   report per line; see obs/history)
 // then restore the default disposition and re-raise, so the exit status /
 // core dump behaviour of the process is unchanged.
 //
@@ -19,8 +20,9 @@
 // intact and the dump succeeds.
 //
 // Knob:
-//   DNC_CRASH_DUMP  unset/""/0/off = no handlers installed; otherwise the
-//                   dump path (%p expands to the pid at install time).
+//   DNC_CRASH_DUMP  unset or an off spelling = no handlers installed;
+//                   1/on/true/yes = "dnc_crash.%p.txt"; otherwise the dump
+//                   file path (%p expands to the pid when the env is read).
 //
 // Installation is lazy (first record_solve_telemetry / explicit
 // ensure_installed) and idempotent.
@@ -30,7 +32,8 @@
 
 namespace dnc::obs::crash {
 
-/// True when DNC_CRASH_DUMP configures a dump path (read once, cached).
+/// True when DNC_CRASH_DUMP configures a dump path (an env::Gate: read
+/// once, cached).
 bool enabled() noexcept;
 /// Re-reads DNC_CRASH_DUMP (tests setenv mid-process). Does not uninstall
 /// already-installed handlers; they consult the refreshed path.

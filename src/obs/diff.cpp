@@ -2,27 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <map>
 
 #include "common/json.hpp"
+#include "common/text.hpp"
 #include "obs/analysis.hpp"
 #include "obs/hwc.hpp"
 #include "runtime/trace.hpp"
 
 namespace dnc::obs {
 namespace {
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[1024];
-  va_list ap;
-  va_start(ap, fmt);
-  const int need = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (need > 0) out.append(buf, std::min<std::size_t>(static_cast<std::size_t>(need), sizeof buf - 1));
-}
 
 /// Everything diff_solves needs from one side, resolved once. The trace is
 /// authoritative for schedule quantities (per-kind busy, idle, critical

@@ -1,17 +1,19 @@
 // Anomaly flight recorder: a black box for solve postmortems.
 //
-// A ring buffer retains the last K full SolveReports of the process. When a
-// solve breaches a threshold -- relative residual too large, latency too
-// long, deflation anomalously low -- the whole ring is dumped as JSONL (one
-// compact report per line, newest last) plus a Perfetto trace of the
-// triggering solve, so the postmortem sees not just the bad solve but the
-// healthy ones leading up to it.
+// Every solve the recorder observes enters the process's solve ring
+// (obs/history) with the recorder's verdict and its full SolveReport; the
+// ring keeps the full reports of the newest history::kRingReports (8)
+// solves. When a solve breaches a threshold -- relative residual too large,
+// latency too long, deflation anomalously low -- those reports are dumped
+// as JSONL (one compact report per line, newest last) plus a Perfetto trace
+// of the triggering solve, so the postmortem sees not just the bad solve
+// but the healthy ones leading up to it.
 //
-// Knobs (all read lazily, refresh_from_env() for tests):
-//   DNC_FLIGHT            unset/""/0/off = off; 1/on = on with the default
-//                         prefix "dnc_flight.%p"; anything else = dump-file
-//                         prefix (%p expands to the pid)
-//   DNC_FLIGHT_K          ring capacity (default 8)
+// Knobs (all read lazily by an env::Gate, refresh_from_env() for tests):
+//   DNC_FLIGHT            unset or an off spelling = off; 1/on/true/yes =
+//                         on with the default prefix "dnc_flight.%p";
+//                         anything else = dump-file prefix (%p expands to
+//                         the pid)
 //   DNC_FLIGHT_RESID      relative-residual trigger (default 1e-8; applies
 //                         only to reports carrying health metrics)
 //   DNC_FLIGHT_LATENCY    seconds trigger (default 0 = off)
@@ -37,31 +39,21 @@ namespace dnc::obs::flight {
 bool enabled() noexcept;
 void refresh_from_env() noexcept;
 
-struct Thresholds {
-  double max_rel_residual = 1e-8;
-  double max_seconds = 0.0;        ///< 0 = latency trigger off
-  double min_deflated_fraction = 0.0;  ///< 0 = deflation trigger off
-};
-Thresholds thresholds();
-
-/// Appends the report to the ring; if it trips a threshold (and the dump
-/// cap is not exhausted), writes the JSONL + trace dump. Returns the JSONL
-/// path, "" when nothing was dumped. No-op ("") when the recorder is off.
+/// Notes the solve in the ring (history::note) with its verdict and full
+/// report; if it trips a threshold (and the dump cap is not exhausted),
+/// writes history::flight_jsonl() and the trace as a dump. Returns the
+/// JSONL path, "" when nothing was dumped. No-op ("") when the recorder is
+/// off.
 std::string observe(const SolveReport& report, const rt::Trace* trace);
 
 /// Strips insignificant whitespace (string-literal aware) so a pretty
-/// to_json() report becomes one JSONL line. Exposed for tests.
+/// to_json() report becomes one JSONL line.
 std::string compact_json(const std::string& pretty);
 
-/// The current ring as JSONL, newest last -- the same shape observe()
-/// writes to a dump file. Serves the /flight endpoint and the crash dump.
-/// With `best_effort` (crash handler), an already-held ring lock yields ""
-/// instead of deadlocking the dying process.
-std::string ring_jsonl(bool best_effort = false);
-
-// Test hooks.
-std::size_t ring_size();
+/// Dumps written so far.
 unsigned long dump_count();
+
+/// Zeroes the dump count, empties the ring and re-reads the env. Test hook.
 void reset_for_tests();
 
 }  // namespace dnc::obs::flight

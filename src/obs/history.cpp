@@ -5,56 +5,81 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <mutex>
+#include <optional>
 
 #include "common/env.hpp"
 #include "common/json.hpp"
+#include "common/text.hpp"
+#include "obs/flight.hpp"
 #include "runtime/trace.hpp"
 
 namespace dnc::obs::history {
 namespace {
 
 constexpr long kDefaultMaxBytes = 16L * 1024 * 1024;
-constexpr std::size_t kRingCap = 256;
 
 struct Config {
   std::string path;
   long max_bytes = kDefaultMaxBytes;
 };
 
-std::mutex g_mutex;  // guards the config, the ring, and file rotation
-Config g_config;
-std::atomic<int> g_enabled{-1};  // -1 uninitialised, else 0/1
-std::deque<std::string> g_ring;  // compact JSONL lines, newest last
+struct Entry {
+  unsigned long seq = 0;
+  std::string timestamp;
+  std::string reason;  ///< flight-recorder trigger that fired ("" = none)
+  Record record;
+  std::optional<SolveReport> report;  ///< newest kRingReports only
+};
+
+// Leaked, like the metrics and flight state: a solve may finish on a driver
+// thread, and the crash handler may read the ring, while static destructors
+// run.
+struct State {
+  std::mutex mu;  // guards the config, the ring, and file rotation
+  Config config;
+  std::deque<Entry> ring;  // newest last
+  unsigned long seq = 0;
+};
+
+State& state() {
+  static State* s = new State;
+  return *s;
+}
 
 thread_local std::string t_family_hint;
 
-void init_locked() {
-  g_config.path = env::str("DNC_HISTORY", "");
-  g_config.max_bytes = env::integer("DNC_HISTORY_MAX_BYTES", kDefaultMaxBytes);
-  if (g_config.max_bytes < 4096) g_config.max_bytes = 4096;
-  g_enabled.store(!g_config.path.empty(), std::memory_order_release);
+bool configure(const char* value) {
+  State& s = state();
+  std::lock_guard<std::mutex> lock(s.mu);
+  s.config.path = value ? value : "";
+  s.config.max_bytes = std::max(env::integer("DNC_HISTORY_MAX_BYTES", kDefaultMaxBytes), 4096L);
+  return value != nullptr;
 }
+
+constinit env::Gate gate{"DNC_HISTORY", "dnc_history.jsonl", configure};
 
 Config config() {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  if (g_enabled.load(std::memory_order_relaxed) < 0) init_locked();
-  return g_config;
+  State& s = state();
+  (void)gate.enabled();  // first call reads the env
+  std::lock_guard<std::mutex> lock(s.mu);
+  return s.config;
 }
 
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  const int need = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (need > 0) out.append(buf, std::min<std::size_t>(static_cast<std::size_t>(need), sizeof buf - 1));
+std::string flight_jsonl_locked() {
+  State& s = state();
+  std::string body;
+  for (const Entry& en : s.ring) {
+    if (!en.report) continue;
+    body += "{\"seq\": " + std::to_string(en.seq);
+    body += ", \"timestamp\": \"" + en.timestamp + "\"";
+    body += ", \"reason\": \"" + en.reason + "\"";
+    body += ", \"report\": " + flight::compact_json(en.report->to_json()) + "}\n";
+  }
+  return body;
 }
 
 /// Writes `line` (newline-terminated) with a single write(2) so concurrent
@@ -108,18 +133,9 @@ std::string Record::to_json_line() const {
   return out;
 }
 
-bool enabled() noexcept {
-  const int e = g_enabled.load(std::memory_order_acquire);
-  if (e >= 0) return e != 0;
-  std::lock_guard<std::mutex> lock(g_mutex);
-  if (g_enabled.load(std::memory_order_relaxed) < 0) init_locked();
-  return g_enabled.load(std::memory_order_relaxed) != 0;
-}
+bool enabled() noexcept { return gate.enabled(); }
 
-void refresh_from_env() noexcept {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  init_locked();
-}
+void refresh_from_env() noexcept { gate.refresh(); }
 
 std::string archive_path() { return config().path; }
 long max_bytes() noexcept { return config().max_bytes; }
@@ -160,29 +176,49 @@ bool append(const Record& rec) {
   const std::string line = rec.to_json_line() + "\n";
   // Rotation check and append under the process lock; cross-process safety
   // comes from the atomic rename + O_APPEND single-write combination.
-  std::lock_guard<std::mutex> lock(g_mutex);
+  std::lock_guard<std::mutex> lock(state().mu);
   rotate_if_needed_locked(cfg.path, cfg.max_bytes);
   return append_line(cfg.path, line);
 }
 
-void note(const SolveReport& report) {
-  const Record rec = record_from_report(report);
+void note(const SolveReport& report, const std::string& reason, bool keep_report,
+          std::string* flight_jsonl) {
+  Entry e;
+  e.timestamp = report.timestamp.empty() ? iso8601_timestamp_utc() : report.timestamp;
+  e.reason = reason;
+  e.record = record_from_report(report);
+  if (keep_report) e.report = report;
+  const Record rec = e.record;
   {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    g_ring.push_back(rec.to_json_line());
-    while (g_ring.size() > kRingCap) g_ring.pop_front();
+    State& s = state();
+    std::lock_guard<std::mutex> lock(s.mu);
+    e.seq = ++s.seq;
+    s.ring.push_back(std::move(e));
+    if (s.ring.size() > kRingCapacity) s.ring.pop_front();
+    std::size_t reports = 0;
+    for (auto it = s.ring.rbegin(); keep_report && it != s.ring.rend(); ++it)
+      if (it->report && ++reports > kRingReports) it->report.reset();
+    if (flight_jsonl) *flight_jsonl = flight_jsonl_locked();
   }
   if (enabled()) append(rec);
 }
 
 std::string ring_jsonl() {
-  std::lock_guard<std::mutex> lock(g_mutex);
+  State& s = state();
+  std::lock_guard<std::mutex> lock(s.mu);
   std::string out;
-  for (const std::string& line : g_ring) {
-    out += line;
-    out += '\n';
-  }
+  for (const Entry& en : s.ring) out += en.record.to_json_line() + '\n';
   return out;
+}
+
+std::string flight_jsonl(bool best_effort) {
+  State& s = state();
+  std::unique_lock<std::mutex> lock(s.mu, std::defer_lock);
+  if (!best_effort)
+    lock.lock();
+  else if (!lock.try_lock())
+    return "";
+  return flight_jsonl_locked();
 }
 
 bool Key::matches(const Record& r) const {
@@ -352,14 +388,26 @@ std::string render_series(const std::vector<Record>& series, const std::string& 
 }
 
 std::size_t ring_size() {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  return g_ring.size();
+  State& s = state();
+  std::lock_guard<std::mutex> lock(s.mu);
+  return s.ring.size();
+}
+
+std::size_t ring_reports() {
+  State& s = state();
+  std::lock_guard<std::mutex> lock(s.mu);
+  return static_cast<std::size_t>(std::count_if(
+      s.ring.begin(), s.ring.end(), [](const Entry& en) { return en.report.has_value(); }));
 }
 
 void reset_for_tests() {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  g_ring.clear();
-  init_locked();
+  State& s = state();
+  {
+    std::lock_guard<std::mutex> lock(s.mu);
+    s.ring.clear();
+    s.seq = 0;
+  }
+  gate.refresh();
 }
 
 }  // namespace dnc::obs::history

@@ -11,16 +11,22 @@
 // can plot a cell across a whole bench campaign or bisect a regression to
 // the commit that introduced it.
 //
-// Knobs (read lazily; refresh_from_env() for tests):
-//   DNC_HISTORY            path of the archive; unset/"" = off
+// Knobs (read lazily by an env::Gate; refresh_from_env() for tests):
+//   DNC_HISTORY            path of the archive; unset or an off spelling =
+//                          off, 1/on/true/yes = "dnc_history.jsonl"
 //   DNC_HISTORY_MAX_BYTES  rotation cap (default 16 MiB): when the file is
 //                          at/over the cap before an append, it is renamed
 //                          to <path>.1 (replacing any previous .1) and a
 //                          fresh file is started -- bounded disk, and the
 //                          previous generation stays inspectable.
 //
-// A small in-process ring of the most recent records (independent of the
-// file gate) feeds the /history httpd endpoint.
+// The solve ring. Every observed solve, archived or not, also enters one
+// in-process ring of the last kRingCapacity solves: {seq, timestamp,
+// reason, Record, full SolveReport}. It is the only solve ring of the
+// process. /history reads its records; the flight recorder (obs/flight)
+// adds its verdict and the full report, which the ring keeps for the newest
+// kRingReports solves only, and /flight, the flight dump and the crash dump
+// read those.
 #pragma once
 
 #include <string>
@@ -79,12 +85,27 @@ Record record_from_report(const SolveReport& report);
 /// the write failed.
 bool append(const Record& rec);
 
-/// The telemetry entry point: pushes the record onto the in-process ring
-/// (always, cheap) and appends to the archive file when enabled().
-void note(const SolveReport& report);
+inline constexpr std::size_t kRingCapacity = 256;  ///< solves in the ring
+inline constexpr std::size_t kRingReports = 8;     ///< of which full reports
 
-/// The in-process ring as JSONL, newest last; serves /history.
+/// The telemetry entry point: pushes the solve onto the ring (always,
+/// cheap) and appends its record to the archive file when enabled(). The
+/// flight recorder passes its verdict (`reason`, "" = healthy) and
+/// `keep_report`; with `flight_jsonl`, flight_jsonl() of the ring as it
+/// stands after this push is rendered into it under the same lock.
+void note(const SolveReport& report, const std::string& reason = "",
+          bool keep_report = false, std::string* flight_jsonl = nullptr);
+
+/// The ring's records as JSONL (dnc-history-v1 lines), newest last; serves
+/// /history.
 std::string ring_jsonl();
+
+/// The ring's entries that carry a full report, one compact
+/// {"seq", "timestamp", "reason", "report"} line each, newest last: the
+/// flight dump, /flight and the crash dump. With `best_effort` (crash
+/// handler), an already-held ring lock yields "" instead of deadlocking the
+/// dying process.
+std::string flight_jsonl(bool best_effort = false);
 
 /// Wildcarded record filter: empty strings / zero numbers match anything.
 /// `family` and `n` are what bench cells key on; commit narrows to one
@@ -121,8 +142,11 @@ std::vector<Record> latest_per_commit(const std::vector<Record>& records,
 std::string render_series(const std::vector<Record>& series,
                           const std::string& title);
 
-// Test hooks.
+/// Entries in the ring, and how many of them carry a full report.
 std::size_t ring_size();
+std::size_t ring_reports();
+
+/// Empties the ring and re-reads the env. Test hook.
 void reset_for_tests();
 
 }  // namespace dnc::obs::history

@@ -65,45 +65,27 @@ std::atomic<std::uint64_t> g_requests{0};
 // drains this before resetting state so no worker outlives the "server".
 std::atomic<int> g_handed_off{0};
 std::atomic<bool> g_trace_armed{false};
-// -1 uninitialised, 0 disabled, 1 DNC_HTTP configured.
-std::atomic<int> g_enabled{-1};
-
-/// Parses DNC_HTTP ("8080", ":8080", "addr:port"). False = disabled.
-bool parse_env_spec(const char* e, std::string& addr, std::uint16_t& port) {
-  if (!e || !*e || !std::strcmp(e, "0") || !std::strcmp(e, "off")) return false;
-  std::string spec = e;
-  std::string::size_type colon = spec.rfind(':');
-  std::string port_s;
-  if (colon == std::string::npos) {
-    addr = "127.0.0.1";
-    port_s = spec;
-  } else {
-    addr = colon == 0 ? "127.0.0.1" : spec.substr(0, colon);
-    port_s = spec.substr(colon + 1);
-  }
+/// Parses DNC_HTTP ("8080", ":8080", "addr:port") into the state. A
+/// malformed spec leaves the server off.
+bool configure(const char* value) {
+  if (value == nullptr) return false;
+  const std::string spec = value;
+  const std::string::size_type colon = spec.rfind(':');
+  std::string addr = "127.0.0.1";
+  if (colon != std::string::npos && colon > 0) addr = spec.substr(0, colon);
+  const std::string port_s = colon == std::string::npos ? spec : spec.substr(colon + 1);
   if (port_s.empty()) return false;
   char* end = nullptr;
-  long p = std::strtol(port_s.c_str(), &end, 10);
+  const long p = std::strtol(port_s.c_str(), &end, 10);
   if (!end || *end || p < 0 || p > 65535) return false;
-  port = static_cast<std::uint16_t>(p);
+  State& s = state();
+  std::lock_guard<std::mutex> lk(s.mu);
+  s.addr = addr;
+  s.port = static_cast<std::uint16_t>(p);
   return true;
 }
 
-/// Single point that reads DNC_HTTP into the state (init and refresh both
-/// go through here; the spec used to be parsed in two places).
-bool read_env_spec(State& s) {
-  return parse_env_spec(env::raw("DNC_HTTP"), s.addr, s.port);
-}
-
-bool init_enabled() {
-  State& s = state();
-  std::lock_guard<std::mutex> lk(s.mu);
-  int cur = g_enabled.load(std::memory_order_relaxed);
-  if (cur >= 0) return cur != 0;
-  bool on = read_env_spec(s);
-  g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-  return on;
-}
+constinit env::Gate gate{"DNC_HTTP", "127.0.0.1:0", configure};
 
 // --- response plumbing ------------------------------------------------------
 
@@ -215,7 +197,7 @@ std::string healthz_body() {
   out += std::string("    \"l3_domains\": ") + num + "\n  },\n";
   std::snprintf(num, sizeof num, "%lu", flight::dump_count());
   out += std::string("  \"flight_dumps\": ") + num + ",\n";
-  std::snprintf(num, sizeof num, "%zu", flight::ring_size());
+  std::snprintf(num, sizeof num, "%zu", history::ring_reports());
   out += std::string("  \"flight_ring\": ") + num + ",\n";
   out += std::string("  \"metrics_enabled\": ") +
          (metrics::enabled() ? "true" : "false") + ",\n";
@@ -260,7 +242,7 @@ bool handle_request(int fd, const std::string& path, const std::string& query) {
   } else if (path == "/healthz") {
     respond(fd, 200, "OK", "application/json", healthz_body());
   } else if (path == "/flight") {
-    respond(fd, 200, "OK", "application/x-ndjson", flight::ring_jsonl());
+    respond(fd, 200, "OK", "application/x-ndjson", history::flight_jsonl());
   } else if (path == "/history") {
     respond(fd, 200, "OK", "application/x-ndjson", history::ring_jsonl());
   } else if (path == "/trace") {
@@ -398,17 +380,9 @@ bool start_locked(State& s, const std::string& addr, std::uint16_t port) {
 
 }  // namespace
 
-bool enabled() noexcept {
-  int s = g_enabled.load(std::memory_order_relaxed);
-  return s < 0 ? init_enabled() : s != 0;
-}
+bool enabled() noexcept { return gate.enabled(); }
 
-void refresh_from_env() noexcept {
-  State& s = state();
-  std::lock_guard<std::mutex> lk(s.mu);
-  bool on = read_env_spec(s);
-  g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-}
+void refresh_from_env() noexcept { gate.refresh(); }
 
 bool ensure_started() {
   if (!enabled()) return false;

@@ -9,7 +9,9 @@
 //   /healthz            JSON liveness: version/git commit, hostname, pid,
 //                       uptime, last-solve summary (driver, n, seconds,
 //                       health residuals), flight-recorder dump count
-//   /flight             current flight-recorder ring as JSONL (newest last)
+//   /flight             flight-recorder reports of the solve ring as JSONL
+//                       (newest last)
+//   /history            records of the solve ring as JSONL (newest last)
 //   /trace?next=1       arm a one-shot Perfetto capture of the next solve;
 //                       a follow-up GET /trace returns (and clears) it
 //   /profile?seconds=N  on-demand CPU profile via the sampling profiler
@@ -17,9 +19,10 @@
 //                       optional &hz=H)
 //
 // Knob:
-//   DNC_HTTP   unset/""/0/off = disabled (enabled() is one relaxed load +
-//              branch, nothing binds); "8080" or ":8080" = 127.0.0.1:8080;
-//              "addr:port" = explicit bind address; port 0 = ephemeral
+//   DNC_HTTP   unset or an off spelling = disabled (enabled() is one
+//              relaxed load + branch, nothing binds); "8080" or ":8080" =
+//              127.0.0.1:8080; "addr:port" = explicit bind address; port 0
+//              or 1/on/true/yes = an ephemeral port on 127.0.0.1
 //              (bound_port() / the startup log line report the real one).
 //
 // The server binds lazily: the first solve's record_solve_telemetry() (or

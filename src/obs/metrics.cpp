@@ -7,9 +7,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
@@ -18,7 +16,9 @@
 
 #include "common/env.hpp"
 #include "common/json.hpp"
+#include "common/text.hpp"
 #include "obs/report.hpp"
+#include "obs/thread_blocks.hpp"
 #include "runtime/trace.hpp"
 
 namespace dnc::obs::metrics {
@@ -26,23 +26,14 @@ namespace {
 
 constexpr int kMaxMetrics = 256;
 
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  int len = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (len > 0) out.append(buf, std::min<std::size_t>(len, sizeof buf - 1));
-}
-
 inline std::uint64_t dbits(double v) noexcept { return std::bit_cast<std::uint64_t>(v); }
 inline double bits_d(std::uint64_t b) noexcept { return std::bit_cast<double>(b); }
 
-// One thread's slice of every metric. Only the owning thread writes (relaxed
-// single-writer stores, the counters.cpp idiom); the scraper reads. Histogram
-// bucket arrays are allocated on first observation: the owner is the sole
-// writer of the pointer slot, so a release store / acquire load pairing is
-// all the synchronisation the array contents need.
+// One thread's slice of every metric, in the shared per-thread registry
+// (obs/thread_blocks.hpp). Histogram bucket arrays are allocated on first
+// observation: the owner is the sole writer of the pointer slot, so a
+// release store / acquire load pairing is all the synchronisation the array
+// contents need.
 struct Shard {
   std::atomic<std::uint64_t> count[kMaxMetrics] = {};
   std::atomic<std::uint64_t> sum_bits[kMaxMetrics] = {};  // double payload
@@ -52,6 +43,8 @@ struct Shard {
     for (auto& b : buckets) delete[] b.load(std::memory_order_relaxed);
   }
 };
+
+using Shards = ThreadBlocks<Shard, /*kResettable=*/true>;
 
 struct MetricInfo {
   Kind kind = Kind::Counter;
@@ -65,8 +58,6 @@ struct State {
   std::mutex mu;
   std::vector<std::unique_ptr<MetricInfo>> metrics;       // under mu
   std::map<std::string, int> index;                       // name\x01labels -> id
-  std::vector<std::shared_ptr<Shard>> shards;             // under mu
-  std::atomic<std::uint64_t> generation{0};               // bumped by reset_for_tests
   std::atomic<unsigned long> export_seq{0};
   std::string export_path;  // under mu; "" = in-memory only
   double interval_s = 0;    // under mu
@@ -78,48 +69,15 @@ State& state() {
   return *s;
 }
 
-// -1 = uninitialised; 0/1 after the first gate check. The recording hot
-// path is the relaxed load below plus one branch.
-std::atomic<int> g_enabled{-1};
-
-bool read_env(std::string* path, double* interval) {
-  const char* e = env::raw("DNC_METRICS");
-  if (!e || !*e || !std::strcmp(e, "0") || !std::strcmp(e, "off")) return false;
-  if (std::strcmp(e, "1") && std::strcmp(e, "on") && std::strcmp(e, "true")) *path = e;
-  *interval = env::number("DNC_METRICS_INTERVAL", *interval);
-  return true;
-}
-
-bool init_enabled() noexcept {
+bool configure(const char* value) {
   State& s = state();
   std::lock_guard<std::mutex> lk(s.mu);
-  int cur = g_enabled.load(std::memory_order_relaxed);
-  if (cur >= 0) return cur != 0;
-  std::string path;
-  double iv = 0;
-  bool on = read_env(&path, &iv);
-  s.export_path = std::move(path);
-  s.interval_s = iv;
-  g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-  return on;
+  s.export_path = value ? value : "";
+  s.interval_s = value ? env::number("DNC_METRICS_INTERVAL", 0.0) : 0.0;
+  return value != nullptr;
 }
 
-Shard* tls_shard() {
-  struct TlsRef {
-    std::shared_ptr<Shard> shard;
-    std::uint64_t gen = ~std::uint64_t{0};
-  };
-  thread_local TlsRef t;
-  State& s = state();
-  std::uint64_t g = s.generation.load(std::memory_order_acquire);
-  if (t.gen != g) {  // first use on this thread, or registry was reset
-    t.shard = std::make_shared<Shard>();
-    std::lock_guard<std::mutex> lk(s.mu);
-    s.shards.push_back(t.shard);
-    t.gen = g;
-  }
-  return t.shard.get();
-}
+constinit env::Gate gate{"DNC_METRICS", "", configure};
 
 const char* kind_str(Kind k) {
   switch (k) {
@@ -163,21 +121,9 @@ double bucket_upper(int i) noexcept {
 
 // --- gate -----------------------------------------------------------------
 
-bool enabled() noexcept {
-  int s = g_enabled.load(std::memory_order_relaxed);
-  return s < 0 ? init_enabled() : s != 0;
-}
+bool enabled() noexcept { return gate.enabled(); }
 
-void refresh_from_env() noexcept {
-  State& s = state();
-  std::lock_guard<std::mutex> lk(s.mu);
-  std::string path;
-  double iv = 0;
-  bool on = read_env(&path, &iv);
-  s.export_path = std::move(path);
-  s.interval_s = iv;
-  g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-}
+void refresh_from_env() noexcept { gate.refresh(); }
 
 // --- registration + recording ---------------------------------------------
 
@@ -209,8 +155,7 @@ Id register_metric(Kind kind, const std::string& name, const std::string& labels
 
 void add(Id id, double delta) noexcept {
   if (!enabled() || !id.valid()) return;
-  Shard* sh = tls_shard();
-  auto& cell = sh->sum_bits[id.v];
+  auto& cell = Shards::local().sum_bits[id.v];
   cell.store(dbits(bits_d(cell.load(std::memory_order_relaxed)) + delta),
              std::memory_order_relaxed);
 }
@@ -225,16 +170,16 @@ void set_gauge(Id id, double value) noexcept {
 
 void observe(Id id, double value) noexcept {
   if (!enabled() || !id.valid()) return;
-  Shard* sh = tls_shard();
-  auto& cnt = sh->count[id.v];
+  Shard& sh = Shards::local();
+  auto& cnt = sh.count[id.v];
   cnt.store(cnt.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-  auto& sum = sh->sum_bits[id.v];
+  auto& sum = sh.sum_bits[id.v];
   sum.store(dbits(bits_d(sum.load(std::memory_order_relaxed)) + value),
             std::memory_order_relaxed);
-  auto* b = sh->buckets[id.v].load(std::memory_order_relaxed);
+  auto* b = sh.buckets[id.v].load(std::memory_order_relaxed);
   if (!b) {
     b = new std::atomic<std::uint64_t>[kHistBuckets]();
-    sh->buckets[id.v].store(b, std::memory_order_release);
+    sh.buckets[id.v].store(b, std::memory_order_release);
   }
   int i = bucket_index(value);
   b[i].store(b[i].load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
@@ -282,13 +227,13 @@ Snapshot scrape() {
     double sum = 0.0;
     std::uint64_t cnt = 0;
     std::fill(bsum.begin(), bsum.end(), 0);
-    for (const auto& sh : s.shards) {
-      sum += bits_d(sh->sum_bits[i].load(std::memory_order_relaxed));
-      cnt += sh->count[i].load(std::memory_order_relaxed);
-      if (const auto* b = sh->buckets[i].load(std::memory_order_acquire))
+    Shards::for_each([&](const Shard& sh) {
+      sum += bits_d(sh.sum_bits[i].load(std::memory_order_relaxed));
+      cnt += sh.count[i].load(std::memory_order_relaxed);
+      if (const auto* b = sh.buckets[i].load(std::memory_order_acquire))
         for (int j = 0; j < kHistBuckets; ++j)
           bsum[j] += b[j].load(std::memory_order_relaxed);
-    }
+    });
     if (m.kind == Kind::Counter) {
       ms.value = sum;
     } else {
@@ -505,19 +450,9 @@ std::string export_now(const std::string& path) {
   State& s = state();
   unsigned long seq = s.export_seq.fetch_add(1, std::memory_order_relaxed) + 1;
   std::string prom_path = expand_path_placeholders(base, seq);
-  Snapshot snap = scrape();
-  if (std::FILE* f = std::fopen(prom_path.c_str(), "w")) {
-    std::string text = prometheus_text(snap);
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-  } else {
-    return "";
-  }
-  if (std::FILE* f = std::fopen((prom_path + ".json").c_str(), "w")) {
-    std::string text = json_text(snap);
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-  }
+  const Snapshot snap = scrape();
+  if (!write_text_file(prom_path, prometheus_text(snap))) return "";
+  write_text_file(prom_path + ".json", json_text(snap));
   return prom_path;
 }
 
@@ -541,7 +476,7 @@ void ensure_exporter() {
     std::thread([interval] {
       for (;;) {
         std::this_thread::sleep_for(std::chrono::duration<double>(interval));
-        if (g_enabled.load(std::memory_order_relaxed) == 1) export_now();
+        if (enabled()) export_now();
       }
     }).detach();
   }
@@ -555,26 +490,18 @@ std::size_t registry_size() noexcept {
   return s.metrics.size();
 }
 
-std::size_t shard_count() noexcept {
-  State& s = state();
-  std::lock_guard<std::mutex> lk(s.mu);
-  return s.shards.size();
-}
+std::size_t shard_count() noexcept { return Shards::size(); }
 
 void reset_for_tests() {
   State& s = state();
-  std::lock_guard<std::mutex> lk(s.mu);
-  s.metrics.clear();
-  s.index.clear();
-  s.shards.clear();
-  s.generation.fetch_add(1, std::memory_order_acq_rel);
-  s.export_seq.store(0, std::memory_order_relaxed);
-  std::string path;
-  double iv = 0;
-  bool on = read_env(&path, &iv);
-  s.export_path = std::move(path);
-  s.interval_s = iv;
-  g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lk(s.mu);
+    s.metrics.clear();
+    s.index.clear();
+    s.export_seq.store(0, std::memory_order_relaxed);
+  }
+  Shards::clear();
+  gate.refresh();
 }
 
 }  // namespace dnc::obs::metrics

@@ -11,13 +11,12 @@
 // or a JSON snapshot.
 //
 // Design points:
-//   * Gated by DNC_METRICS. Unset, every recording call is one relaxed
-//     atomic load and a taken branch -- no registration, no thread shards,
-//     no allocation anywhere (the back-to-back perf gate enforces this, and
-//     tests/obs assert that the registry stays empty).
-//   * Counters and histograms land in lock-free per-thread shards
-//     (single-writer relaxed atomics, the counters.cpp idiom) registered
-//     once per thread under a mutex and kept alive past thread exit;
+//   * Gated by DNC_METRICS (an env::Gate). Off, every recording call is one
+//     relaxed atomic load and a taken branch -- no registration, no thread
+//     shards, no allocation anywhere (the back-to-back perf gate enforces
+//     this, and tests/obs assert that the registry stays empty).
+//   * Counters and histograms land in lock-free per-thread shards, kept in
+//     the same registry as the algorithmic counters (obs/thread_blocks.hpp);
 //     scrape() merges the shards without stopping writers. Gauges are
 //     set rarely (per solve/run) and live on the registry directly.
 //   * Histograms use log2 bucketing with kHistSub sub-buckets per octave:
@@ -25,8 +24,8 @@
 //     for any value in [2^kHistMinExp, 2^kHistMaxExp), with explicit
 //     underflow/overflow buckets outside that range.
 //
-//   DNC_METRICS unset / "" / "0" / "off"  -> disabled
-//   DNC_METRICS=1|on                      -> enabled, in-memory only
+//   DNC_METRICS unset or an off spelling  -> disabled
+//   DNC_METRICS=1|on|true|yes             -> enabled, in-memory only
 //   DNC_METRICS=<path>                    -> enabled; a snapshot is written
 //     to <path> (Prometheus text) and <path>.json (JSON) at process exit
 //     and, when DNC_METRICS_INTERVAL=<seconds> is set, periodically from a
@@ -61,8 +60,8 @@ double bucket_upper(int i) noexcept;
 
 // --- gate ----------------------------------------------------------------
 
-/// True when DNC_METRICS requests collection. The env is read once and
-/// cached; the steady-state cost is one relaxed load + branch.
+/// True when DNC_METRICS requests collection (env::Gate: read once and
+/// cached; the steady-state cost is one relaxed load + branch).
 bool enabled() noexcept;
 
 /// Re-reads DNC_METRICS / DNC_METRICS_INTERVAL (tests setenv mid-process).

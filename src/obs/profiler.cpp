@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "common/env.hpp"
-
+#include "common/text.hpp"
 #include "obs/httpd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -97,27 +97,16 @@ State& state() {
 }
 
 std::atomic<bool> g_active{false};
-// -1 uninitialised; >= 0 is the parsed DNC_PROFILE_HZ (0 = disabled).
-std::atomic<int> g_env_hz{-1};
+// The DNC_PROFILE_HZ rate while continuous profiling is configured.
+std::atomic<int> g_env_hz{kDefaultHz};
 
-int parse_env_hz() {
-  const char* e = env::raw("DNC_PROFILE_HZ");
-  if (!e || !*e || !std::strcmp(e, "0") || !std::strcmp(e, "off")) return 0;
-  if (!std::strcmp(e, "1") || !std::strcmp(e, "on") || !std::strcmp(e, "true"))
-    return kDefaultHz;
-  int hz = std::atoi(e);
-  if (hz <= 0) return 0;
-  return std::min(hz, 10000);
+bool configure(const char* value) {
+  const int hz = value ? std::min(std::atoi(value), 10000) : 0;
+  if (hz > 0) g_env_hz.store(hz, std::memory_order_relaxed);
+  return hz > 0;
 }
 
-int env_hz_cached() noexcept {
-  int v = g_env_hz.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = parse_env_hz();
-    g_env_hz.store(v, std::memory_order_relaxed);
-  }
-  return v;
-}
+constinit env::Gate gate{"DNC_PROFILE_HZ", "97", configure};  // on = kDefaultHz
 
 // --- async-signal-safe stack capture ---------------------------------------
 
@@ -364,18 +353,15 @@ std::uint64_t dropped_total_locked(State& s) {
 
 // --- gate -------------------------------------------------------------------
 
-bool env_enabled() noexcept { return env_hz_cached() > 0; }
+bool env_enabled() noexcept { return gate.enabled(); }
 
 int env_hz() noexcept {
-  const int v = env_hz_cached();
-  return v > 0 ? v : kDefaultHz;
+  return env_enabled() ? g_env_hz.load(std::memory_order_relaxed) : kDefaultHz;
 }
 
 bool registration_wanted() noexcept { return env_enabled() || httpd::enabled(); }
 
-void refresh_from_env() noexcept {
-  g_env_hz.store(parse_env_hz(), std::memory_order_relaxed);
-}
+void refresh_from_env() noexcept { gate.refresh(); }
 
 // --- interning --------------------------------------------------------------
 
@@ -591,11 +577,7 @@ void ensure_continuous() {
     std::string path = e && *e ? e : "dnc_profile.folded";
     path = expand_path_placeholders(path, 0);
     stop();
-    const std::string text = folded_text();
-    if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-      std::fwrite(text.data(), 1, text.size(), f);
-      std::fclose(f);
-    }
+    write_text_file(path, folded_text());
   });
 }
 
@@ -611,7 +593,7 @@ void reset_for_tests() {
     ts->dropped.store(0, std::memory_order_relaxed);
     ts->truncated.store(0, std::memory_order_relaxed);
   }
-  g_env_hz.store(parse_env_hz(), std::memory_order_relaxed);
+  gate.refresh();
 }
 
 }  // namespace dnc::obs::profiler

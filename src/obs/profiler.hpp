@@ -22,12 +22,12 @@
 //   worker:3;task:UpdateVect;dnc::blas::gemm(...);... 42
 //
 // Knobs:
-//   DNC_PROFILE_HZ  unset/0/off = no continuous profiling (on-demand
-//                   sessions via start()/profile_for() or the /profile
-//                   endpoint still work); a number = sample each busy
-//                   thread at that rate for the life of the process;
-//                   1/on/true = the default 97 Hz (prime, so it does not
-//                   beat against 10ms-quantised work).
+//   DNC_PROFILE_HZ  unset or an off spelling = no continuous profiling
+//                   (on-demand sessions via start()/profile_for() or the
+//                   /profile endpoint still work); a number = sample each
+//                   busy thread at that rate for the life of the process;
+//                   1/on/true/yes = the default 97 Hz (prime, so it does
+//                   not beat against 10ms-quantised work). An env::Gate.
 //   DNC_PROFILE     folded-stack dump path for continuous mode, written at
 //                   process exit (default dnc_profile.folded; %p -> pid).
 //

@@ -4,39 +4,19 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <fstream>
 
-#include "common/env.hpp"
 #include "common/cpu_features.hpp"
+#include "common/env.hpp"
+#include "common/text.hpp"
 #include "common/version.hpp"
 #include "obs/perfetto.hpp"
 #include "runtime/trace.hpp"
 
 namespace dnc::obs {
 namespace {
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  va_list ap2;
-  va_copy(ap2, ap);
-  const int need = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (need >= 0 && static_cast<std::size_t>(need) < sizeof buf) {
-    out += buf;
-  } else if (need > 0) {  // blocks larger than the stack buffer (e.g. the
-    std::string big(static_cast<std::size_t>(need) + 1, '\0');  // scheduler one)
-    std::vsnprintf(big.data(), big.size(), fmt, ap2);
-    big.resize(static_cast<std::size_t>(need));
-    out += big;
-  }
-  va_end(ap2);
-}
 
 unsigned long long ull(std::uint64_t v) { return static_cast<unsigned long long>(v); }
 
@@ -457,16 +437,12 @@ std::string resolved_export_path(const std::string& base, unsigned seq) {
 
 void export_solve_artifacts(const SolveReport& report, const rt::Trace* trace) {
   const unsigned seq = g_export_seq.fetch_add(1);
-  if (const char* path = env::raw("DNC_TRACE"); path && *path && trace) {
-    std::ofstream f(resolved_export_path(path, seq));
-    if (f) f << perfetto_trace_json(*trace, &report);
-  }
+  if (const char* path = env::raw("DNC_TRACE"); path && *path && trace)
+    write_text_file(resolved_export_path(path, seq), perfetto_trace_json(*trace, &report));
   if (const char* path = env::raw("DNC_REPORT"); path && *path) {
     const std::string p = resolved_export_path(path, seq);
-    std::ofstream f(p);
-    if (f) f << report.to_json();
-    std::ofstream t(p + ".txt");
-    if (t) t << report.summary_text();
+    write_text_file(p, report.to_json());
+    write_text_file(p + ".txt", report.summary_text());
   }
 }
 

@@ -78,14 +78,15 @@ const char* solve_size_class(long n) noexcept {
 
 void record_solve_telemetry(const SolveReport& report, const rt::Trace* trace) {
   record_metrics(report);
-  // History: ring always (it feeds /history), archive file when DNC_HISTORY
-  // names one. One compact line per solve either way.
-  history::note(report);
+  // One solve-ring entry per solve (history::note), plus the archive line
+  // when DNC_HISTORY names one. The flight recorder, when on, notes the
+  // solve itself with its verdict and full report, and may dump the ring.
   if (flight::enabled()) {
-    std::string dumped = flight::observe(report, trace);
-    if (!dumped.empty() && m::enabled())
+    if (!flight::observe(report, trace).empty() && m::enabled())
       m::add(m::register_metric(m::Kind::Counter, "dnc_flight_dumps_total", "",
                                 "Flight-recorder anomaly dumps written"));
+  } else {
+    history::note(report);
   }
   // Live introspection boots from the first observed solve: a process run
   // with only DNC_HTTP (or DNC_CRASH_DUMP) set needs no other call site.

@@ -1,9 +1,9 @@
 // The one call a driver epilogue makes to feed the always-on telemetry:
 // record_solve_telemetry() fans a finished SolveReport out to the metrics
 // registry (per-solve counters and histograms keyed by driver / precision /
-// size class) and the flight recorder (ring + anomaly dump). Everything is
-// behind the DNC_METRICS / DNC_FLIGHT gates; with both unset the calls
-// reduce to two relaxed loads.
+// size class), the solve ring and history archive (obs/history) and the
+// flight recorder (anomaly dump). Every consumer is behind its env::Gate;
+// drivers call this only when solve_telemetry_wanted().
 #pragma once
 
 #include "obs/report.hpp"
@@ -30,7 +30,8 @@ const char* solve_size_class(long n) noexcept;
 
 /// Records the solve into the metrics registry (solves_total, latency /
 /// deflation / GEMM-GF/s / health histograms, scheduler-derived counters)
-/// and hands it to the flight recorder, which may write an anomaly dump.
+/// notes it in the solve ring / history archive, and hands it to the flight
+/// recorder, which may write an anomaly dump.
 /// `trace` (optional) is only used for the flight recorder's Perfetto dump.
 void record_solve_telemetry(const SolveReport& report, const rt::Trace* trace);
 

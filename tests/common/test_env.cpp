@@ -11,10 +11,12 @@
 #include <iterator>
 #include <regex>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "common/cpu_features.hpp"
 #include "common/env.hpp"
+#include "common/precision.hpp"
 
 namespace dnc {
 namespace {
@@ -124,6 +126,19 @@ TEST(EnvTest, KnobReferenceIsSentinelTerminatedAndComplete) {
     EXPECT_TRUE(listed.count(name)) << name << " is read under src/ but not in knob_reference()";
   for (const std::string& name : listed)
     EXPECT_TRUE(read.count(name)) << name << " is in knob_reference() but read nowhere under src/";
+}
+
+// The DNC_PREC row must advertise only spellings parse_precision accepts:
+// an unknown spelling silently solves in fp64.
+TEST(EnvTest, PrecKnobValuesParseToThePrecisionTheyName) {
+  const env::Knob* row = env::knob_reference();
+  while (row->name != nullptr && std::strcmp(row->name, "DNC_PREC") != 0) ++row;
+  ASSERT_NE(row->name, nullptr) << "no DNC_PREC row";
+  std::istringstream values(row->values);
+  int n = 0;
+  for (std::string v; std::getline(values, v, '/'); ++n)
+    EXPECT_STREQ(precision_name(parse_precision(v.c_str())), v.c_str()) << "listed value " << v;
+  EXPECT_EQ(n, 3);
 }
 
 TEST(TopologySpecTest, ParsesSocketsByL3ByCpus) {

@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "bench/bench_support.hpp"
 #include "obs/benchcmp.hpp"
 
 namespace dnc::obs {
@@ -55,7 +56,23 @@ TEST(BenchArtifact, RejectsMalformedInput) {
   EXPECT_FALSE(err.empty());
   EXPECT_FALSE(parse_bench_artifact("[1,2,3]", a, &err));
   EXPECT_FALSE(parse_bench_artifact("{\"schema\": \"x\"}", a, &err));  // no entries
+  // Two rows with one (driver, family, precision, n) key: compare could only
+  // pair one of them, so the artifact is refused.
+  err.clear();
+  EXPECT_FALSE(parse_bench_artifact(
+      R"({"entries": [{"driver": "taskflow", "family": "4", "n": 64},
+                      {"driver": "taskflow", "family": "4", "n": 64, "precision": "f64"}]})",
+      a, &err));
+  EXPECT_NE(err.find("duplicate entry taskflow|4|64"), std::string::npos) << err;
   EXPECT_FALSE(load_bench_artifact("/nonexistent/bench.json", a, &err));
+}
+
+TEST(BenchArtifact, SizeSweepListsEachSizeOnce) {
+  using V = std::vector<index_t>;
+  EXPECT_EQ(bench::size_sweep(1536, 4), (V{454, 682, 1024, 1536}));
+  // The 64 floor clips 53 and 35 to the same size: it appears once.
+  EXPECT_EQ(bench::size_sweep(80, 3), (V{64, 80}));
+  EXPECT_EQ(bench::size_sweep(40, 3), (V{64}));
 }
 
 TEST(BenchCompare, WithinNoiseWhenUnchanged) {

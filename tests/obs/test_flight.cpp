@@ -16,6 +16,7 @@
 #include "dc/api.hpp"
 #include "matgen/tridiag.hpp"
 #include "obs/flight.hpp"
+#include "obs/history.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace_io.hpp"
@@ -88,9 +89,8 @@ class FlightTest : public ::testing::Test {
   }
 
   static constexpr const char* kVars[] = {
-      "DNC_FLIGHT",     "DNC_FLIGHT_K",    "DNC_FLIGHT_RESID",
-      "DNC_FLIGHT_LATENCY", "DNC_FLIGHT_DEFL", "DNC_FLIGHT_MAX_DUMPS",
-      "DNC_METRICS"};
+      "DNC_FLIGHT", "DNC_FLIGHT_RESID", "DNC_FLIGHT_LATENCY", "DNC_FLIGHT_DEFL",
+      "DNC_FLIGHT_MAX_DUMPS", "DNC_METRICS"};
   std::vector<std::pair<const char*, std::string>> saved_;
   std::vector<bool> saved_set_;
   std::string prefix_;
@@ -105,11 +105,12 @@ TEST(FlightCompactJson, StripsWhitespaceOutsideStrings) {
 }
 
 TEST_F(FlightTest, RingRetainsLastK) {
-  ::setenv("DNC_FLIGHT_K", "3", 1);
-  fl::reset_for_tests();
   ASSERT_TRUE(fl::enabled());
-  for (int i = 0; i < 7; ++i) EXPECT_EQ(fl::observe(healthy_report(), nullptr), "");
-  EXPECT_EQ(fl::ring_size(), 3u);
+  const std::size_t k = obs::history::kRingReports;
+  for (std::size_t i = 0; i < k + 3; ++i) EXPECT_EQ(fl::observe(healthy_report(), nullptr), "");
+  EXPECT_EQ(obs::history::ring_reports(), k);
+  EXPECT_EQ(obs::history::ring_size(), k + 3) << "older solves keep their records";
+  EXPECT_EQ(lines_of(obs::history::flight_jsonl()).size(), k);
   EXPECT_EQ(fl::dump_count(), 0u);
 }
 
@@ -177,7 +178,7 @@ TEST_F(FlightTest, DumpCapStopsDiskFill) {
   ASSERT_FALSE(p1.empty());
   EXPECT_EQ(fl::observe(bad, nullptr), "");  // cap reached, ring still fed
   EXPECT_EQ(fl::dump_count(), 1u);
-  EXPECT_EQ(fl::ring_size(), 2u);
+  EXPECT_EQ(obs::history::ring_reports(), 2u);
   std::remove(p1.c_str());
 }
 
@@ -226,7 +227,7 @@ TEST_F(FlightTest, HealthySolvesNeverDump) {
   matgen::Tridiag t = matgen::table3_matrix(10, 160);
   Matrix v;
   dc::stedc_taskflow(t.n(), t.d.data(), t.e.data(), v, {}, nullptr);
-  EXPECT_EQ(fl::ring_size(), 1u);  // recorded in the ring ...
+  EXPECT_EQ(obs::history::ring_reports(), 1u);  // recorded in the ring ...
   EXPECT_EQ(fl::dump_count(), 0u);  // ... but nothing tripped
 }
 

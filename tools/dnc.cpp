@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/text.hpp"
 #include "common/version.hpp"
 #include "dc/api.hpp"
 #include "matgen/tridiag.hpp"
@@ -169,10 +170,7 @@ void write_output(const std::string& path, const std::string& text) {
     std::fputs(text.c_str(), stdout);
     return;
   }
-  std::ofstream f(path, std::ios::binary);
-  f << text;
-  f.close();
-  if (!f) throw std::runtime_error("cannot write " + path);
+  if (!write_text_file(path, text)) throw std::runtime_error("cannot write " + path);
   std::fprintf(stderr, "wrote %s\n", path.c_str());
 }
 
