@@ -20,7 +20,6 @@
 #include "common/version.hpp"
 #include "dc/api.hpp"
 #include "matgen/tridiag.hpp"
-#include "runtime/sched.hpp"
 
 namespace dnc::bench {
 
@@ -37,9 +36,8 @@ inline std::vector<std::pair<std::string, std::string>> machine_metadata() {
   kv.emplace_back("timestamp", obs::iso8601_timestamp_utc());
   kv.emplace_back("hardware_threads", std::to_string(std::thread::hardware_concurrency()));
   kv.emplace_back("simd_dispatch", blas::simd::kernels().name);
-  kv.emplace_back("sched", rt::sched_policy_name(rt::default_sched_policy()));
   kv.emplace_back("precision", precision_name(default_precision()));
-  for (const char* var : {"DNC_SIMD", "DNC_SCHED", "DNC_HWC", "DNC_PREC", "DNC_METRICS",
+  for (const char* var : {"DNC_SIMD", "DNC_HWC", "DNC_PREC", "DNC_METRICS",
                           "DNC_FLIGHT", "DNC_BENCH_NMAX", "DNC_BENCH_FAST", "DNC_BENCH_REPS",
                           "DNC_TRACE", "DNC_REPORT", "OMP_NUM_THREADS"}) {
     const char* val = std::getenv(var);

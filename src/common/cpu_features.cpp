@@ -1,10 +1,12 @@
 #include "common/cpu_features.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <system_error>
 #include <thread>
 
 #include "common/env.hpp"
@@ -160,11 +162,24 @@ bool parse_topology_spec(const char* s, CpuTopology& out) {
     out = flat_topology();
     return true;
   }
-  int sockets = 0, l3_per_socket = 0, cpus_per_l3 = 0;
-  char tail = '\0';
-  if (std::sscanf(s, "%dx%dx%d%c", &sockets, &l3_per_socket, &cpus_per_l3, &tail) != 3 ||
-      sockets < 1 || l3_per_socket < 1 || cpus_per_l3 < 1)
-    return false;
+  // Three positive factors "SxLxC"; each is parsed on its own and the
+  // product is bounded before anything is sized by it.
+  long dims[3] = {0, 0, 0};
+  const char* p = s;
+  const char* const end = s + std::strlen(s);
+  for (int i = 0; i < 3; ++i) {
+    if (i > 0) {
+      if (p == end || *p != 'x') return false;
+      ++p;
+    }
+    const auto [next, ec] = std::from_chars(p, end, dims[i]);
+    if (ec != std::errc() || dims[i] < 1 || dims[i] > kMaxTopologyCpus) return false;
+    p = next;
+  }
+  if (p != end || dims[0] * dims[1] * dims[2] > kMaxTopologyCpus) return false;
+  const int sockets = static_cast<int>(dims[0]);
+  const int l3_per_socket = static_cast<int>(dims[1]);
+  const int cpus_per_l3 = static_cast<int>(dims[2]);
   CpuTopology t;
   t.sockets = sockets;
   t.l3_domains = sockets * l3_per_socket;

@@ -76,9 +76,13 @@ struct CpuTopology {
 /// The machine's topology (probed once, cached; DNC_TOPOLOGY wins).
 const CpuTopology& cpu_topology() noexcept;
 
+/// Most cpus a DNC_TOPOLOGY spec may describe (sockets x L3 x cpus).
+inline constexpr long kMaxTopologyCpus = 65536;
+
 /// Parses a DNC_TOPOLOGY-style spec into `out`: "SxLxC" (sockets x
-/// L3-domains-per-socket x cpus-per-L3) or "flat". Returns false (leaving
-/// `out` untouched) on anything else.
+/// L3-domains-per-socket x cpus-per-L3, each >= 1, product at most
+/// kMaxTopologyCpus) or "flat". Returns false (leaving `out` untouched) on
+/// anything else.
 bool parse_topology_spec(const char* s, CpuTopology& out);
 
 }  // namespace dnc

@@ -73,7 +73,7 @@ double number(const char* name, double dflt) noexcept;
 
 /// One row of the knob-reference table.
 struct Knob {
-  const char* name;     ///< environment variable, e.g. "DNC_SCHED"
+  const char* name;     ///< environment variable, e.g. "DNC_SIMD"
   const char* values;   ///< accepted values, human-readable
   const char* summary;  ///< one-line description
 };

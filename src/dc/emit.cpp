@@ -338,7 +338,7 @@ Emitter<Real>::Emitter(ExecModel model, const Options& opt, const Plan& plan,
   if (model != ExecModel::Sequential) {
     graph_ = std::make_unique<rt::TaskGraph>();
     register_kinds(*graph_);
-    runtime_ = std::make_unique<rt::Runtime>(*graph_, opt.threads, opt.sched);
+    runtime_ = std::make_unique<rt::Runtime>(*graph_, opt.threads);
   }
 }
 

@@ -113,7 +113,7 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
 
   rt::TaskGraph graph;
   const MrrrKinds K(graph);
-  rt::Runtime runtime(graph, opt.threads, opt.sched);
+  rt::Runtime runtime(graph, opt.threads);
 
   // Dependency handles live as long as the graph: it keys them by address.
   std::deque<rt::Handle> handles;

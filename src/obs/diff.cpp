@@ -568,7 +568,6 @@ bool parse_solve_report_value(const json::Value& v, SolveReport& out, std::strin
     out.scheduler.max_ready_wait = s->member_number("max_ready_wait", 0.0);
     out.scheduler.total_idle = s->member_number("total_idle", 0.0);
     out.scheduler.max_queue_depth = static_cast<int>(s->member_number("max_queue_depth", 0));
-    out.scheduler.policy = s->member_string("policy", "");
     out.scheduler.steals = static_cast<long>(s->member_number("steals", 0));
     out.scheduler.steal_attempts = static_cast<long>(s->member_number("steal_attempts", 0));
     out.scheduler.failed_steals = static_cast<long>(s->member_number("failed_steals", 0));

@@ -128,8 +128,7 @@ std::string Record::to_json_line() const {
           seconds, makespan, total_idle);
   appendf(out, ", \"deflated_fraction\": %.6f, \"gemm_gflops\": %.3f",
           deflated_fraction, gemm_gflops);
-  appendf(out, ", \"max_rel_residual\": %.3e", max_rel_residual);
-  appendf(out, ", \"sched_policy\": \"%s\"}", rt::json_escape(sched_policy).c_str());
+  appendf(out, ", \"max_rel_residual\": %.3e}", max_rel_residual);
   return out;
 }
 
@@ -159,7 +158,6 @@ Record record_from_report(const SolveReport& report) {
   if (report.has_scheduler) {
     r.makespan = report.scheduler.makespan;
     r.total_idle = report.scheduler.total_idle;
-    r.sched_policy = report.scheduler.policy;
   }
   const long merged = report.merged_columns_total();
   if (merged > 0)
@@ -307,7 +305,6 @@ bool load_file(const std::string& path, std::vector<Record>& out, std::string* e
       r.deflated_fraction = v.member_number("deflated_fraction", 0.0);
       r.gemm_gflops = v.member_number("gemm_gflops", 0.0);
       r.max_rel_residual = v.member_number("max_rel_residual", 0.0);
-      r.sched_policy = v.member_string("sched_policy", "");
       out.push_back(std::move(r));
     } else if (skipped) {
       ++*skipped;

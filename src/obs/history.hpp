@@ -56,7 +56,6 @@ struct Record {
   double deflated_fraction = 0.0;  ///< 0 when the solve carried no merges
   double gemm_gflops = 0.0;        ///< 0 = unknown
   double max_rel_residual = 0.0;   ///< 0 = health probe off
-  std::string sched_policy;
 
   std::string to_json_line() const;  ///< one compact dnc-history-v1 line
 };

@@ -15,6 +15,25 @@ namespace {
 // microseconds.
 inline double us(double seconds) { return seconds * 1e6; }
 
+/// The process_name / thread_name metadata records, joined by ",\n":
+/// exactly one process_name block and one thread row per worker, so every
+/// export call (including sequence-suffixed trace.2.json files) carries one
+/// self-contained metadata prologue.
+std::string chrome_metadata_json(int workers) {
+  std::string out =
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
+      "\"args\":{\"name\":\"dnc solver\"}}";
+  char buf[160];
+  for (int w = 0; w < workers; ++w) {
+    std::snprintf(buf, sizeof buf,
+                  ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,"
+                  "\"args\":{\"name\":\"worker %d\"}}",
+                  w, w);
+    out += buf;
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string perfetto_trace_json(const rt::Trace& trace, const SolveReport* report) {
@@ -27,11 +46,8 @@ std::string perfetto_trace_json(const rt::Trace& trace, const SolveReport* repor
   };
   char buf[512];
 
-  // --- metadata: label the process and one thread row per worker. Shared
-  // with Trace::chrome_trace_json so every export call (including the
-  // sequence-suffixed trace.2.json files) carries exactly one
-  // self-contained process-metadata prologue. ---
-  emit(rt::chrome_metadata_json(trace.workers).c_str());
+  // --- metadata: label the process and one thread row per worker. ---
+  emit(chrome_metadata_json(trace.workers).c_str());
 
   // --- dnc-specific metadata (ignored by Perfetto, consumed by
   // obs::load_perfetto_trace): the kind table with its memory-bound flags,
@@ -56,9 +72,8 @@ std::string perfetto_trace_json(const rt::Trace& trace, const SolveReport* repor
       meta += buf;
     }
     meta += "]";
-    if (!trace.sched_policy.empty()) {
-      std::snprintf(buf, sizeof buf, ",\"sched_policy\":\"%s\",\"queue_depth_peak\":%d",
-                    rt::json_escape(trace.sched_policy).c_str(), trace.queue_depth_peak);
+    if (trace.queue_depth_peak > 0) {
+      std::snprintf(buf, sizeof buf, ",\"queue_depth_peak\":%d", trace.queue_depth_peak);
       meta += buf;
     }
     if (!trace.sched_counters.empty()) {
@@ -266,7 +281,7 @@ std::string perfetto_trace_json(const rt::Trace& trace, const SolveReport* repor
     emit(buf);
   }
 
-  // --- counter track: cumulative successful steals (steal policy only) ---
+  // --- counter track: cumulative successful steals ---
   for (const auto& s : trace.steal_samples) {
     std::snprintf(buf, sizeof buf,
                   "{\"name\":\"steals_cumulative\",\"ph\":\"C\",\"pid\":1,"

@@ -1,9 +1,10 @@
 // Full Perfetto-grade export of a runtime Trace.
 //
-// Extends the plain Trace::chrome_trace_json with everything Perfetto can
-// render beyond slices: flow arrows along the executed DAG's dependency
-// edges, per-slice args (task id, merge level, block size, panel, ready
-// wait), and counter tracks -- the sampled ready-queue depth from the
+// Chrome trace-event JSON (the "chrome://tracing" / Perfetto format): one
+// complete slice per executed task with process/thread metadata, plus
+// everything Perfetto can render beyond slices: flow arrows along the
+// executed DAG's dependency edges, per-slice args (task id, merge level,
+// block size, panel, ready wait), and counter tracks -- the sampled ready-queue depth from the
 // scheduler and, when a SolveReport is supplied, cumulative deflated
 // columns over time. Load the output at https://ui.perfetto.dev.
 #pragma once

@@ -133,7 +133,6 @@ std::string SolveReport::to_json() const {
             "    \"max_ready_wait\": %.9f,\n"
             "    \"total_idle\": %.9f,\n"
             "    \"max_queue_depth\": %d,\n"
-            "    \"policy\": \"%s\",\n"
             "    \"steals\": %ld,\n"
             "    \"steal_attempts\": %ld,\n"
             "    \"failed_steals\": %ld,\n"
@@ -147,8 +146,7 @@ std::string SolveReport::to_json() const {
             "  }",
             scheduler.workers, scheduler.tasks, scheduler.makespan, scheduler.total_busy,
             scheduler.efficiency, scheduler.avg_ready_wait, scheduler.max_ready_wait,
-            scheduler.total_idle, scheduler.max_queue_depth,
-            rt::json_escape(scheduler.policy).c_str(), scheduler.steals,
+            scheduler.total_idle, scheduler.max_queue_depth, scheduler.steals,
             scheduler.steal_attempts, scheduler.failed_steals, scheduler.local_pops,
             scheduler.placed_max, scheduler.placed_min, scheduler.steals_same_l3,
             scheduler.steals_same_socket, scheduler.steals_cross_socket,
@@ -255,19 +253,18 @@ std::string SolveReport::summary_text() const {
             scheduler.max_ready_wait);
     appendf(out, "worker idle   : %.6f s total\n", scheduler.total_idle);
     appendf(out, "queue depth   : max %d\n", scheduler.max_queue_depth);
-    if (!scheduler.policy.empty()) {
-      appendf(out, "policy        : %s\n", scheduler.policy.c_str());
-      if (scheduler.policy == "steal") {
-        appendf(out, "steals        : %ld ok / %ld attempts / %ld dry scans\n",
-                scheduler.steals, scheduler.steal_attempts, scheduler.failed_steals);
-        if (scheduler.steals > 0)
-          appendf(out, "steal locality: %ld same-L3 / %ld same-socket / %ld cross-socket\n",
-                  scheduler.steals_same_l3, scheduler.steals_same_socket,
-                  scheduler.steals_cross_socket);
-        appendf(out, "local pops    : %ld\n", scheduler.local_pops);
-        appendf(out, "placement     : %ld..%ld per worker (submitter round-robin)\n",
-                scheduler.placed_min, scheduler.placed_max);
-      }
+    // Work-stealing counters: absent on simulated schedules and on
+    // reports whose trace carried none.
+    if (scheduler.local_pops + scheduler.steal_attempts > 0) {
+      appendf(out, "steals        : %ld ok / %ld attempts / %ld dry scans\n",
+              scheduler.steals, scheduler.steal_attempts, scheduler.failed_steals);
+      if (scheduler.steals > 0)
+        appendf(out, "steal locality: %ld same-L3 / %ld same-socket / %ld cross-socket\n",
+                scheduler.steals_same_l3, scheduler.steals_same_socket,
+                scheduler.steals_cross_socket);
+      appendf(out, "local pops    : %ld\n", scheduler.local_pops);
+      appendf(out, "placement     : %ld..%ld per worker (submitter round-robin)\n",
+              scheduler.placed_min, scheduler.placed_max);
     }
     if (scheduler.child_tasks > 0)
       appendf(out, "child tasks   : %ld (task-internal spawn_and_wait)\n",
@@ -299,7 +296,6 @@ SchedulerMetrics scheduler_metrics(const rt::Trace& trace) {
   // (0 on traces predating it, so the max over both stays correct).
   for (const auto& s : trace.queue_samples) m.max_queue_depth = std::max(m.max_queue_depth, s.depth);
   m.max_queue_depth = std::max(m.max_queue_depth, trace.queue_depth_peak);
-  m.policy = trace.sched_policy;
   if (!trace.sched_counters.empty()) {
     m.placed_max = trace.sched_counters.front().placed;
     m.placed_min = trace.sched_counters.front().placed;

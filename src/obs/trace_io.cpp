@@ -65,7 +65,6 @@ bool load_perfetto_trace(const std::string& json_text, rt::Trace& out, std::stri
         if (const json::Value* idle = args->find("worker_idle"); idle && idle->is_array()) {
           for (const json::Value& v : idle->array) out.worker_idle.push_back(v.number_or(0.0));
         }
-        out.sched_policy = args->member_string("sched_policy", out.sched_policy);
         out.queue_depth_peak =
             static_cast<int>(args->member_number("queue_depth_peak", out.queue_depth_peak));
         if (const json::Value* sc = args->find("sched_counters"); sc && sc->is_array()) {

@@ -6,9 +6,9 @@
 // kind table / memory-bound flags / worker idle, "dnc_edges" with the
 // dependency edge list); slices carry the task id and annotations as args,
 // and the ready_queue_depth counter track restores the queue samples.
-// Traces written by other tools (or by the plain Trace::chrome_trace_json)
-// still load -- kinds are then reconstructed from slice names, edges and
-// scheduler extras are simply absent.
+// Plain trace-event JSON written by other tools (slices and thread
+// metadata only) still loads -- kinds are then reconstructed from slice
+// names, edges and scheduler extras are simply absent.
 //
 // Fidelity note: slice timestamps are serialized as microseconds with three
 // decimals, so a round trip quantizes times to 1 ns. Derived quantities

@@ -6,16 +6,13 @@
 // kernels) overlaps with useful work -- the core claim of the paper's
 // parallelisation strategy.
 //
-// Runtime is a thin facade over the pluggable scheduler (see
-// runtime/scheduler.hpp): SchedPolicy::Steal (per-worker deques + work
-// stealing, the default) or SchedPolicy::Central (the original single
-// shared queue). The DNC_SCHED environment variable picks the default.
+// Runtime is a thin facade over the work-stealing scheduler (per-worker
+// deques, topology-aware victim order; see runtime/scheduler.hpp).
 #pragma once
 
 #include <memory>
 
 #include "runtime/graph.hpp"
-#include "runtime/sched.hpp"
 #include "runtime/trace.hpp"
 
 namespace dnc::rt {
@@ -28,7 +25,7 @@ class Runtime {
   /// runtime. Tracing is always on; it costs two clock reads per task for
   /// the start/end stamps plus one per queue transition for the scheduler
   /// metrics (ready stamp + decimated queue-depth sample).
-  Runtime(TaskGraph& graph, int threads, SchedPolicy policy = default_sched_policy());
+  Runtime(TaskGraph& graph, int threads);
   ~Runtime();
 
   Runtime(const Runtime&) = delete;
@@ -40,7 +37,6 @@ class Runtime {
   void wait_all();
 
   int threads() const;
-  SchedPolicy policy() const;
 
   /// Builds the execution trace (valid after wait_all): per-task events
   /// with ready stamps, priorities and annotations, dependency edges,

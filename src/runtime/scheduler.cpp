@@ -1,11 +1,11 @@
 #include "runtime/scheduler.hpp"
 
 #include <bit>
-#include <cassert>
 #include <chrono>
 #include <cstring>
 #include <thread>
 
+#include "common/cpu_features.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "obs/hwc.hpp"
@@ -59,6 +59,9 @@ thread_local int tls_worker_id = -1;
 /// them to detect "am I on a worker?" without any plumbing.
 thread_local Scheduler* tls_scheduler = nullptr;
 thread_local WorkerCtx* tls_ctx = nullptr;
+
+constexpr std::size_t kDequeCap = 4096;  // per-worker bound before spilling
+constexpr int kSpinRounds = 6;           // backoff doublings before sleeping
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -120,58 +123,44 @@ std::vector<QueueSample> SampledSeries::snapshot() const {
 // ---------------------------------------------------------------------------
 // Scheduler
 
-std::unique_ptr<Scheduler> Scheduler::make(SchedPolicy policy, TaskGraph& graph, int threads) {
-  switch (policy) {
-    case SchedPolicy::Central: return make_central_scheduler(graph, threads);
-    case SchedPolicy::Steal: return make_steal_scheduler(graph, threads);
-  }
-  return make_steal_scheduler(graph, threads);
-}
-
-Scheduler::Scheduler(TaskGraph& graph, int threads, SchedPolicy policy)
-    : graph_(graph), policy_(policy), thread_count_(threads) {
+Scheduler::Scheduler(TaskGraph& graph, int threads) : graph_(graph), thread_count_(threads) {
   DNC_REQUIRE(threads >= 1, "Runtime needs at least one worker");
   idle_.assign(threads, 0.0);
+  queues_ = std::make_unique<WorkerQueue[]>(threads);
   counters_ = std::make_unique<AtomicWorkerCounters[]>(threads);
+  build_victim_orders();
+  // A worker of another scheduler (a runtime built inside a task body)
+  // submits like any outside thread: its worker id names none of our deques.
+  graph_.on_ready = [this](TaskNode* n) {
+    enqueue(n, tls_scheduler == this ? tls_worker_id : -1);
+  };
+  workers_.reserve(threads);
+  try {
+    for (int i = 0; i < threads; ++i) workers_.emplace_back([this, i] { worker_loop(i); });
+  } catch (...) {
+    stop_and_join();  // the workers already started use *this
+    throw;
+  }
 }
 
 Scheduler::~Scheduler() {
-  // stop_workers() must have run from the derived destructor: workers call
-  // virtual hooks, which are gone by the time this destructor executes.
-  assert(workers_.empty() && "Scheduler subclass destructor must call stop_workers()");
-}
-
-void Scheduler::start() {
-  graph_.on_ready = [this](TaskNode* n) { enqueue(n, tls_worker_id); };
-  workers_.reserve(thread_count_);
-  for (int i = 0; i < thread_count_; ++i) workers_.emplace_back([this, i] { worker_loop(i); });
-}
-
-void Scheduler::stop_workers() {
-  stop_.store(true, std::memory_order_seq_cst);
-  wake_all();
-  for (auto& w : workers_) w.join();
-  workers_.clear();
-  graph_.on_ready = nullptr;
+  stop_and_join();
   // Always-on scheduler metrics (DNC_METRICS; one branch when disabled).
   // Workers are joined, so the per-worker counters are final and plain
   // relaxed reads see everything.
   if (obs::metrics::enabled()) {
     namespace m = obs::metrics;
-    std::string pl = "policy=\"";
-    pl += sched_policy_name(policy_);
-    pl += "\"";
     long tasks = 0;
     for (int w = 0; w < thread_count_; ++w)
       tasks += counters_[w].executed.load(std::memory_order_relaxed);
     double idle = 0.0;
     for (double d : idle_) idle += d;
-    m::add(m::register_metric(m::Kind::Counter, "dnc_sched_runs_total", pl,
+    m::add(m::register_metric(m::Kind::Counter, "dnc_sched_runs_total", "",
                               "Scheduler lifetimes (one per parallel solve)"));
-    m::add(m::register_metric(m::Kind::Counter, "dnc_sched_tasks_total", pl,
+    m::add(m::register_metric(m::Kind::Counter, "dnc_sched_tasks_total", "",
                               "Tasks executed by the runtime"),
            static_cast<double>(tasks));
-    m::add(m::register_metric(m::Kind::Counter, "dnc_sched_steals_total", pl,
+    m::add(m::register_metric(m::Kind::Counter, "dnc_sched_steals_total", "",
                               "Successful work steals"),
            static_cast<double>(total_steals_.load(std::memory_order_relaxed)));
     long same_l3 = 0, same_socket = 0, cross_socket = 0;
@@ -181,42 +170,185 @@ void Scheduler::stop_workers() {
       cross_socket += counters_[w].steals_cross_socket.load(std::memory_order_relaxed);
     }
     if (same_l3 + same_socket + cross_socket > 0) {
-      m::add(m::register_metric(m::Kind::Counter, "dnc_sched_steals_same_l3_total", pl,
+      m::add(m::register_metric(m::Kind::Counter, "dnc_sched_steals_same_l3_total", "",
                                 "Steals whose victim shares the thief's L3 domain"),
              static_cast<double>(same_l3));
-      m::add(m::register_metric(m::Kind::Counter, "dnc_sched_steals_same_socket_total", pl,
+      m::add(m::register_metric(m::Kind::Counter, "dnc_sched_steals_same_socket_total", "",
                                 "Steals within the thief's socket but across L3 domains"),
              static_cast<double>(same_socket));
-      m::add(m::register_metric(m::Kind::Counter, "dnc_sched_steals_cross_socket_total", pl,
+      m::add(m::register_metric(m::Kind::Counter, "dnc_sched_steals_cross_socket_total", "",
                                 "Steals that crossed the socket interconnect"),
              static_cast<double>(cross_socket));
     }
-    m::add(m::register_metric(m::Kind::Counter, "dnc_sched_worker_idle_seconds_total", pl,
+    m::add(m::register_metric(m::Kind::Counter, "dnc_sched_worker_idle_seconds_total", "",
                               "Summed per-worker idle time (s)"),
            idle);
-    m::observe(m::register_metric(m::Kind::Histogram, "dnc_sched_queue_depth_peak", pl,
+    m::observe(m::register_metric(m::Kind::Histogram, "dnc_sched_queue_depth_peak", "",
                                   "Peak ready-queue depth per scheduler lifetime"),
                static_cast<double>(depth_peak_.load(std::memory_order_relaxed)));
   }
 }
 
+void Scheduler::stop_and_join() {
+  stop_.store(true, std::memory_order_seq_cst);
+  // Empty critical section: a worker between its predicate check and the
+  // actual wait holds sleep_mu_, so taking it here orders the notify after.
+  { std::lock_guard<std::mutex> lk(sleep_mu_); }
+  cv_sleep_.notify_all();
+  for (auto& w : workers_) w.join();
+  graph_.on_ready = nullptr;
+}
+
 void Scheduler::enqueue(TaskNode* node, int worker) {
   node->t_ready = now_seconds();
   // inflight_ rises before the task is visible to any worker; see the
-  // quiescence argument in the header.
+  // quiescence argument in the header. ready_ rises before the store too:
+  // it is the producer's half of the sleep handshake.
   inflight_.fetch_add(1, std::memory_order_relaxed);
-  ready_count_.fetch_add(1, std::memory_order_relaxed);
-  push_ready(node, worker);
+  ready_.fetch_add(1, std::memory_order_seq_cst);
+  const int target =
+      worker >= 0 ? worker
+                  : static_cast<int>(rr_.fetch_add(1, std::memory_order_relaxed) % thread_count_);
+  bool spilled = false;
+  {
+    std::lock_guard<std::mutex> lk(queues_[target].mu);
+    if (queues_[target].q.size() < kDequeCap) {
+      queues_[target].q.push(node);
+    } else {
+      spilled = true;
+    }
+  }
+  if (spilled) {
+    std::lock_guard<std::mutex> lk(overflow_mu_);
+    overflow_.push(node);
+  } else if (worker < 0) {
+    counters_[target].placed.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
+    { std::lock_guard<std::mutex> lk(sleep_mu_); }
+    cv_sleep_.notify_one();
+  }
   sample_depth();
 }
 
-void Scheduler::took() {
-  ready_count_.fetch_sub(1, std::memory_order_relaxed);
+TaskNode* Scheduler::take(TaskNode* node) {
+  ready_.fetch_sub(1, std::memory_order_seq_cst);
   sample_depth();
+  return node;
+}
+
+TaskNode* Scheduler::scan(int worker) {
+  AtomicWorkerCounters& c = counters_[worker];
+  // 1. Own deque, newest first.
+  TaskNode* node = nullptr;
+  {
+    std::lock_guard<std::mutex> lk(queues_[worker].mu);
+    node = queues_[worker].q.pop_newest();
+  }
+  if (node != nullptr) {
+    c.local_pops.fetch_add(1, std::memory_order_relaxed);
+    return take(node);
+  }
+  // 2. Shared overflow, oldest first.
+  {
+    std::lock_guard<std::mutex> lk(overflow_mu_);
+    node = overflow_.pop_oldest();
+  }
+  if (node != nullptr) return take(node);
+  // 3. Steal cycle over the other deques, nearest victims first.
+  for (const auto& [victim, cls] : victims_[worker]) {
+    c.steal_attempts.fetch_add(1, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lk(queues_[victim].mu);
+      node = queues_[victim].q.pop_oldest();
+    }
+    if (node != nullptr) {
+      c.steals.fetch_add(1, std::memory_order_relaxed);
+      switch (cls) {
+        case StealClass::SameL3:
+          c.steals_same_l3.fetch_add(1, std::memory_order_relaxed);
+          break;
+        case StealClass::SameSocket:
+          c.steals_same_socket.fetch_add(1, std::memory_order_relaxed);
+          break;
+        case StealClass::CrossSocket:
+          c.steals_cross_socket.fetch_add(1, std::memory_order_relaxed);
+          break;
+      }
+      record_steal();
+      return take(node);
+    }
+  }
+  c.failed_steals.fetch_add(1, std::memory_order_relaxed);
+  return nullptr;
+}
+
+TaskNode* Scheduler::acquire(int worker) {
+  int spins = 0;
+  for (;;) {
+    TaskNode* node = scan(worker);
+    if (node != nullptr) return node;
+    if (ready_.load(std::memory_order_seq_cst) > 0) continue;  // raced with a push
+    // Stop only after a failed full scan so destruction drains the queues.
+    if (stop_.load(std::memory_order_seq_cst)) return nullptr;
+    if (spins < kSpinRounds) {
+      for (int i = 0; i < (1 << spins); ++i) std::this_thread::yield();
+      ++spins;
+      continue;
+    }
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    {
+      std::unique_lock<std::mutex> lk(sleep_mu_);
+      cv_sleep_.wait(lk, [&] {
+        return stop_.load(std::memory_order_relaxed) ||
+               ready_.load(std::memory_order_seq_cst) > 0;
+      });
+    }
+    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+    spins = 0;
+  }
+}
+
+void Scheduler::build_victim_orders() {
+  // Every other worker exactly once, grouped same-L3 -> same-socket ->
+  // cross-socket under the detected (or DNC_TOPOLOGY-overridden)
+  // hierarchy, rotated within each class by the thief's id so concurrent
+  // thieves fan out over distinct victims. Workers map onto cpus
+  // round-robin (worker w -> cpu w % ncpu) -- the runtime does not pin
+  // threads, so this is the same static approximation an OS scheduler's
+  // initial placement gives; on a flat (undetected) topology every victim
+  // classifies as same-L3 and the order degenerates to the classic
+  // (w + k) % n ring.
+  const CpuTopology& topo = cpu_topology();
+  const int n = thread_count_;
+  victims_.resize(static_cast<std::size_t>(n));
+  for (int w = 0; w < n; ++w) {
+    auto& order = victims_[static_cast<std::size_t>(w)];
+    order.reserve(static_cast<std::size_t>(n - 1));
+    const int wcpu = topo.cpus > 0 ? w % topo.cpus : 0;
+    for (const StealClass cls :
+         {StealClass::SameL3, StealClass::SameSocket, StealClass::CrossSocket}) {
+      for (int k = 1; k < n; ++k) {
+        const int v = (w + k) % n;  // rotation inside the class
+        const int vcpu = topo.cpus > 0 ? v % topo.cpus : 0;
+        StealClass vc;
+        if (topo.l3_of[static_cast<std::size_t>(vcpu)] ==
+            topo.l3_of[static_cast<std::size_t>(wcpu)]) {
+          vc = StealClass::SameL3;
+        } else if (topo.socket_of[static_cast<std::size_t>(vcpu)] ==
+                   topo.socket_of[static_cast<std::size_t>(wcpu)]) {
+          vc = StealClass::SameSocket;
+        } else {
+          vc = StealClass::CrossSocket;
+        }
+        if (vc == cls) order.emplace_back(v, cls);
+      }
+    }
+  }
 }
 
 void Scheduler::sample_depth() {
-  long d = ready_count_.load(std::memory_order_relaxed);
+  long d = ready_.load(std::memory_order_relaxed);
   if (d < 0) d = 0;
   int cur = depth_peak_.load(std::memory_order_relaxed);
   while (static_cast<int>(d) > cur &&
@@ -334,7 +466,7 @@ void Scheduler::spawn_and_wait(const char* suffix, long count,
   // the last children run on other workers.
   int misses = 0;
   while (pending.load(std::memory_order_acquire) > 0) {
-    TaskNode* t = try_acquire(ctx->worker_id);
+    TaskNode* t = scan(ctx->worker_id);
     if (t != nullptr) {
       run_task(t, *ctx);
       misses = 0;
@@ -466,7 +598,6 @@ void Scheduler::wait_all() {
 Trace Scheduler::trace() const {
   Trace t;
   t.workers = threads();
-  t.sched_policy = sched_policy_name(policy_);
   const bool hwc = hwc_active_.load(std::memory_order_relaxed);
   const auto to_event = [hwc](const TaskNode& node) {
     TraceEvent e{node.id,       node.kind,     node.worker,    node.t_start,

@@ -1,28 +1,55 @@
-// Scheduler architecture behind rt::Runtime.
+// The work-stealing scheduler behind rt::Runtime.
 //
 // A Scheduler owns the worker threads and the ready-task storage for one
-// TaskGraph. The base class implements everything policy-independent --
-// the run/complete/release cycle, quiescence tracking for wait_all(), idle
-// accounting, per-worker counters, decimated queue-depth sampling, and
-// trace assembly -- while the two concrete policies (sched_central.cpp,
-// sched_steal.cpp) only decide where ready tasks are stored and how a
-// worker acquires its next one:
+// TaskGraph: the run/complete/release cycle, quiescence tracking for
+// wait_all(), idle accounting, per-worker counters, decimated queue-depth
+// sampling, trace assembly, and where ready tasks live:
 //
-//   CentralScheduler  one mutex + condition variable around a single
-//                     PrioDeque (the original engine, with priorities);
-//   StealScheduler    one bounded PrioDeque per worker (mutex each), a
-//                     global overflow queue, round-robin placement for
-//                     submitter-side pushes, own-deque placement for
-//                     worker-side pushes, LIFO owner pop / FIFO steal, and
-//                     an exponential-backoff + sleep idle path.
+// Placement: a worker releasing successors pushes them onto its own deque
+// (locality -- the data the successor reads is warm in that worker's
+// cache); pushes from the submitting thread (or from a worker of another
+// scheduler) are spread round-robin across the deques. A deque holds at most kDequeCap tasks; beyond that pushes
+// spill to a shared overflow queue so the bound holds without dropping
+// work.
 //
-// Quiescence argument (both policies): `inflight_` counts ready + running
-// tasks and is incremented *before* a task becomes visible to any worker
-// and decremented only *after* its newly-ready successors have been
-// enqueued (each incrementing inflight_ first). Hence inflight_ can only
-// reach zero when no task is queued, running, or about to be queued by a
-// running task, and the decrement-to-zero side notifies cv_idle_ while
-// holding the waiter's mutex -- wait_all() cannot miss the wakeup.
+// Acquisition: own deque newest-first (LIFO keeps a worker on the subtree
+// it just expanded), then the overflow queue, then a steal cycle over the
+// other deques oldest-first (FIFO steals take the victim's coldest, most
+// independent work). Priority dominates recency everywhere: every pop
+// takes from the highest non-empty priority bucket.
+//
+// Victim order is topology-aware (arXiv 1401.4950's locality argument):
+// worker w is notionally pinned to cpu w % ncpu, and its steal cycle
+// visits same-L3 victims first, then same-socket, then cross-socket --
+// rotated within each class so thieves don't convoy on one victim. Every
+// successful steal is classified into the same three buckets
+// (steals_same_l3 / steals_same_socket / steals_cross_socket), which flow
+// Trace -> SolveReport -> Perfetto -> /metrics.
+//
+// Idle path: after a failed full scan a worker backs off with
+// exponentially growing yield bursts, then parks on a condition variable.
+// The sleep handshake is the flag-and-check protocol over one counter,
+// `ready_` (ready tasks not yet taken, which is also what the queue-depth
+// series samples): a producer bumps ready_ (seq_cst), stores the task,
+// then reads sleepers_; a consumer bumps sleepers_ (seq_cst), then
+// re-reads ready_ in the cv predicate under sleep_mu_. The seq_cst total
+// order guarantees at least one side sees the other -- either the producer
+// observes the sleeper and notifies (under sleep_mu_, so the notify cannot
+// fall between predicate check and wait), or the consumer observes the
+// count and rescans. Because ready_ rises before the store, that rescan can
+// briefly miss a task still being stored; it then sees ready_ > 0 and scans
+// again instead of sleeping.
+//
+// Stop: stop_ is only honored after a failed full scan with ready_ == 0,
+// so destruction drains whatever was submitted.
+//
+// Quiescence argument: `inflight_` counts ready + running tasks and is
+// incremented *before* a task becomes visible to any worker and
+// decremented only *after* its newly-ready successors have been enqueued
+// (each incrementing inflight_ first). Hence inflight_ can only reach zero
+// when no task is queued, running, or about to be queued by a running
+// task, and the decrement-to-zero side notifies cv_idle_ while holding the
+// waiter's mutex -- wait_all() cannot miss the wakeup.
 //
 // Failure: run_task catches whatever a task body throws, keeps the first
 // exception and cancels the graph. Later bodies are skipped, but every task
@@ -46,7 +73,6 @@
 #include <vector>
 
 #include "runtime/graph.hpp"
-#include "runtime/sched.hpp"
 #include "runtime/trace.hpp"
 
 namespace dnc::rt {
@@ -102,27 +128,24 @@ class SampledSeries {
   std::vector<QueueSample> data_;
 };
 
-/// Policy-independent scheduler core; see file comment. Concrete policies
-/// implement the four storage hooks. Lifecycle contract for derived
-/// classes: call start() at the end of the constructor and stop_workers()
-/// at the start of the destructor (workers call the virtual hooks, so they
-/// must be joined while the derived object is still alive).
+/// The work-stealing scheduler; see file comment. Owns its workers from
+/// construction to destruction.
 class Scheduler {
  public:
-  virtual ~Scheduler();
+  /// Spawns `threads` workers and wires graph.on_ready to them.
+  Scheduler(TaskGraph& graph, int threads);
+  /// Drains what was submitted, joins the workers and publishes the
+  /// scheduler metrics.
+  ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
-
-  /// Creates the scheduler for `policy` and wires graph.on_ready to it.
-  static std::unique_ptr<Scheduler> make(SchedPolicy policy, TaskGraph& graph, int threads);
 
   /// Blocks until every submitted task has executed; reusable. Rethrows
   /// the first exception a task body threw since the previous wait_all()
   /// (the tasks after it were skipped) and clears it.
   void wait_all();
 
-  int threads() const { return static_cast<int>(workers_.size()); }
-  SchedPolicy policy() const { return policy_; }
+  int threads() const { return thread_count_; }
 
   /// Builds the execution trace (valid after wait_all()).
   Trace trace() const;
@@ -141,7 +164,7 @@ class Scheduler {
   /// running task body on one of this scheduler's workers: submits `count`
   /// child subtasks running `body(0..count-1)` onto the worker's own queue
   /// and blocks until all have finished -- but "blocks" by working: the
-  /// waiting worker keeps draining its deque / stealing (try_acquire), so
+  /// waiting worker keeps draining its deque / stealing (scan), so
   /// the core is never parked while children run elsewhere. Child trace
   /// events carry the parent's id and a kind named "<ParentKind>/<suffix>"
   /// (registered on first use, inheriting the parent's memory-bound flag)
@@ -156,41 +179,16 @@ class Scheduler {
   void spawn_and_wait(const char* suffix, long count, const std::function<void(long)>& body,
                       int priority = kChildPriority);
 
- protected:
-  Scheduler(TaskGraph& graph, int threads, SchedPolicy policy);
+ private:
+  /// Steal distance between a thief and a victim deque.
+  enum class StealClass : int { SameL3 = 0, SameSocket = 1, CrossSocket = 2 };
 
-  /// Spawns the workers and hooks graph.on_ready. Call from derived ctor.
-  void start();
-  /// Requests stop, wakes everyone, joins. Call from derived dtor.
-  void stop_workers();
-
-  // --- policy hooks ---
-  /// Stores a ready task. `worker` is the pushing worker id, or -1 when the
-  /// push comes from the submitting thread.
-  virtual void push_ready(TaskNode* node, int worker) = 0;
-  /// Blocks until a task is available (returns it) or stop was requested
-  /// and nothing is left to drain (returns nullptr). Implementations call
-  /// took() after removing a task from storage.
-  virtual TaskNode* acquire(int worker) = 0;
-  /// Non-blocking acquire for the help-first wait loop: one full pass over
-  /// the storage (own deque, overflow, steal cycle for the steal policy; a
-  /// single locked pop for the central one). Returns nullptr when nothing
-  /// was found; never sleeps. Implementations call took() on success.
-  virtual TaskNode* try_acquire(int worker) = 0;
-  /// Wakes every blocked worker (stop_ is already set). Must take the
-  /// sleep mutex (empty critical section suffices) before notifying so a
-  /// worker between predicate check and wait cannot miss it.
-  virtual void wake_all() = 0;
-
-  /// Bookkeeping when a task leaves ready storage: decrements the ready
-  /// count and samples the queue depth.
-  void took();
-
-  // Shared state readable by policies.
-  std::atomic<bool> stop_{false};
-  /// Ready-but-not-taken tasks across all storage; the steal policy's
-  /// sleep predicate ("is there anything to find?") and the depth series.
-  std::atomic<long> ready_count_{0};
+  /// One worker's ready storage; cache-line aligned so neighbouring
+  /// workers' locks do not false-share.
+  struct alignas(64) WorkerQueue {
+    std::mutex mu;
+    PrioDeque q;
+  };
 
   /// Per-worker counters; relaxed atomics because idle thieves bump
   /// steal_attempts concurrently with trace() reads.
@@ -201,17 +199,12 @@ class Scheduler {
     std::atomic<long> steal_attempts{0};
     std::atomic<long> failed_steals{0};
     std::atomic<long> placed{0};
-    // Locality split of steals (steal policy only; see WorkerSchedCounters).
+    // Locality split of steals (see WorkerSchedCounters).
     std::atomic<long> steals_same_l3{0};
     std::atomic<long> steals_same_socket{0};
     std::atomic<long> steals_cross_socket{0};
   };
-  std::unique_ptr<AtomicWorkerCounters[]> counters_;
 
-  /// Records one successful steal into the cumulative steal series.
-  void record_steal();
-
- private:
   void worker_loop(int worker_id);
   /// Executes one task on this worker: timestamps, hwc deltas, profiler
   /// attribution, the body unless the graph is cancelled (a throw is kept
@@ -221,11 +214,30 @@ class Scheduler {
   /// the frame stack in WorkerCtx keeps self-time/self-hwc accounting
   /// correct across arbitrary nesting depth.
   void run_task(TaskNode* node, WorkerCtx& ctx);
-  /// Stamps t_ready, raises inflight_/ready_count_, stores via push_ready.
+  /// Stamps t_ready, raises inflight_ and ready_, then stores the task:
+  /// on `worker`'s own deque, or round-robin when `worker` is -1 (the
+  /// submitting thread). Wakes a sleeper if there is one.
   void enqueue(TaskNode* node, int worker);
+  /// One full non-blocking pass: own deque newest-first, overflow, steal
+  /// cycle. The help-first wait in spawn_and_wait calls it directly; bumps
+  /// failed_steals on a fruitless full scan.
+  TaskNode* scan(int worker);
+  /// Blocks until a task is available (returns it) or stop was requested
+  /// and nothing is left to drain (returns nullptr).
+  TaskNode* acquire(int worker);
+  /// Bookkeeping when a task leaves ready storage: decrements ready_ and
+  /// samples the queue depth.
+  TaskNode* take(TaskNode* node);
   void sample_depth();
+  /// Records one successful steal into the cumulative steal series.
+  void record_steal();
   /// Keeps `e` if it is the first failure and cancels the graph.
   void fail(std::exception_ptr e);
+  /// Precomputes each worker's victim order (see file comment).
+  void build_victim_orders();
+  /// Requests stop, wakes every sleeper and joins the workers; they drain
+  /// the queues first.
+  void stop_and_join();
 
   /// Registers (or reuses) the child kind "<parent-kind-name>/<suffix>".
   /// Child kind ids extend the graph's kind table, so the graph must not
@@ -237,15 +249,30 @@ class Scheduler {
   const char* interned_kind(WorkerCtx& ctx, int kind);
 
   TaskGraph& graph_;
-  SchedPolicy policy_;
+  int thread_count_;
   std::atomic<long> inflight_{0};  // ready + running tasks
+  /// Ready-but-not-taken tasks across all storage: the sleep predicate and
+  /// the queue-depth series (see file comment).
+  std::atomic<long> ready_{0};
   /// Set by the first failing body; run_task skips bodies while it holds.
   std::atomic<bool> cancelled_{false};
   std::exception_ptr error_;  // first failure, guarded by idle_mu_
   std::mutex idle_mu_;
   std::condition_variable cv_idle_;
   std::vector<std::thread> workers_;
-  int thread_count_ = 0;
+
+  // --- ready storage ---
+  std::unique_ptr<WorkerQueue[]> queues_;
+  /// Per-thief victim order, nearest class first: (victim deque, class).
+  std::vector<std::vector<std::pair<int, StealClass>>> victims_;
+  std::atomic<unsigned> rr_{0};  // submitter-side round-robin cursor
+  std::mutex overflow_mu_;
+  PrioDeque overflow_;  // spill for deques at kDequeCap
+  std::atomic<bool> stop_{false};
+  std::atomic<int> sleepers_{0};
+  std::mutex sleep_mu_;
+  std::condition_variable cv_sleep_;
+  std::unique_ptr<AtomicWorkerCounters[]> counters_;
 
   // Written only by the owning worker, before its inflight_ release.
   std::vector<double> idle_;
@@ -275,11 +302,6 @@ class Scheduler {
   /// trace consumers can rely on ids staying unique across both kinds.
   std::uint64_t next_child_id_ = std::uint64_t{1} << 62;
 };
-
-/// Policy factories (defined in sched_central.cpp / sched_steal.cpp);
-/// normally reached through Scheduler::make.
-std::unique_ptr<Scheduler> make_central_scheduler(TaskGraph& graph, int threads);
-std::unique_ptr<Scheduler> make_steal_scheduler(TaskGraph& graph, int threads);
 
 /// Free-function form of task-internal spawning for library code: fans
 /// `body(0..count-1)` out as child subtasks of the currently-running task

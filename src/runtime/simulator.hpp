@@ -33,8 +33,8 @@ struct MachineModel {
 /// default) mirrors the engine: among ready tasks the highest
 /// TaskNode::priority launches first, FIFO within equal priority -- on a
 /// graph with all-zero priorities it is bit-for-bit identical to Fifo.
-/// Fifo ignores priorities (the pre-seam engine), kept for what-if
-/// comparisons of the scheduling policy itself.
+/// Fifo ignores priorities, kept for what-if comparisons of the
+/// ready-queue discipline itself.
 enum class SimPolicy {
   Fifo,
   Priority,

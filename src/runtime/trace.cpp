@@ -166,49 +166,4 @@ std::string Trace::meta_string(const std::string& name) const {
   return "";
 }
 
-std::string chrome_metadata_json(int workers) {
-  // One process_name block per export call -- this helper is the single
-  // source of the metadata prologue for both exporters, so sequence exports
-  // (trace.2.json, ...) each carry exactly one self-contained copy.
-  std::string out =
-      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
-      "\"args\":{\"name\":\"dnc solver\"}}";
-  char buf[160];
-  for (int w = 0; w < workers; ++w) {
-    std::snprintf(buf, sizeof buf,
-                  ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,"
-                  "\"args\":{\"name\":\"worker %d\"}}",
-                  w, w);
-    out += buf;
-  }
-  return out;
-}
-
-std::string Trace::chrome_trace_json() const {
-  std::string out = "[\n";
-  bool first = true;
-  const auto emit = [&](const std::string& obj) {
-    if (!first) out += ",\n";
-    out += obj;
-    first = false;
-  };
-  char buf[256];
-  // Metadata so Perfetto / chrome://tracing label the process and workers.
-  emit(chrome_metadata_json(workers));
-  for (const auto& e : events) {
-    if (e.worker < 0) continue;  // never executed: nothing to draw
-    const std::string name =
-        (e.kind >= 0 && e.kind < static_cast<int>(kind_names.size()))
-            ? json_escape(kind_names[e.kind])
-            : std::string("task");
-    std::snprintf(buf, sizeof buf,
-                  "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,"
-                  "\"ts\":%.3f,\"dur\":%.3f}",
-                  name.c_str(), e.worker, e.t_start * 1e6, (e.t_end - e.t_start) * 1e6);
-    emit(buf);
-  }
-  out += "\n]\n";
-  return out;
-}
-
 }  // namespace dnc::rt

@@ -114,15 +114,11 @@ struct Trace {
   /// of the (decimated) samples. 0 for simulated schedules.
   int queue_depth_peak = 0;
 
-  /// Scheduling policy that produced the trace ("central" / "steal");
-  /// empty for simulated schedules and traces predating the seam.
-  std::string sched_policy;
-
   /// Per-worker scheduler counters (empty for simulated schedules).
   std::vector<WorkerSchedCounters> sched_counters;
 
-  /// Cumulative successful-steal count over time (steal policy only);
-  /// decimated like queue_samples. Drives the Perfetto steals counter track.
+  /// Cumulative successful-steal count over time; decimated like
+  /// queue_samples. Drives the Perfetto steals counter track.
   std::vector<QueueSample> steal_samples;
 
   /// Dependency edges (predecessor id, successor id) of the executed DAG;
@@ -170,25 +166,10 @@ struct Trace {
 
   /// One line per kind: name, count, total time, % of busy time.
   std::string kernel_summary() const;
-
-  /// Chrome trace-event JSON ("chrome://tracing" / Perfetto format): one
-  /// complete event per executed task, worker id as tid, plus
-  /// process_name/thread_name metadata so viewers label the rows. Works for
-  /// measured traces and for simulated schedules alike. For the full
-  /// Perfetto export (flow events, counter tracks, per-event args) see
-  /// obs::perfetto_trace_json.
-  std::string chrome_trace_json() const;
 };
 
 /// Escapes a string for embedding inside a JSON string literal (quotes,
 /// backslashes, control characters).
 std::string json_escape(const std::string& s);
-
-/// The process_name / thread_name metadata records shared by
-/// Trace::chrome_trace_json and obs::perfetto_trace_json, joined by ",\n".
-/// Exactly one process_name block and one thread row per worker -- every
-/// export call (including sequence-suffixed trace.2.json files) gets one
-/// self-contained metadata prologue.
-std::string chrome_metadata_json(int workers);
 
 }  // namespace dnc::rt

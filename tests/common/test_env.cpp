@@ -171,7 +171,10 @@ TEST(TopologySpecTest, FlatSpecCollapsesHierarchy) {
 TEST(TopologySpecTest, RejectsMalformedSpecs) {
   for (const char* bad :
        {"", "2x2", "2x2x", "x2x2", "0x1x1", "1x0x1", "1x1x0", "2x2x4x8", "axbxc",
-        "2x2x4 ", "-1x1x1"}) {
+        "2x2x4 ", "-1x1x1",
+        // The cpu count is bounded (kMaxTopologyCpus): an overflowing or
+        // huge product must not size the per-cpu tables.
+        "65536x65536x1", "100000x100000x3", "99999999999x1x1", "2x2x16385"}) {
     CpuTopology t;
     t.cpus = -99;  // canary: a rejecting parse must leave `out` untouched
     EXPECT_FALSE(parse_topology_spec(bad, t)) << "spec '" << bad << "'";
@@ -179,6 +182,10 @@ TEST(TopologySpecTest, RejectsMalformedSpecs) {
   }
   CpuTopology t;
   EXPECT_FALSE(parse_topology_spec(nullptr, t));
+  // The cap itself is accepted.
+  ASSERT_TRUE(parse_topology_spec("2x4x8192", t));
+  EXPECT_EQ(t.cpus, kMaxTopologyCpus);
+  EXPECT_EQ(t.l3_of.size(), static_cast<std::size_t>(kMaxTopologyCpus));
 }
 
 }  // namespace

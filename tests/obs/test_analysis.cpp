@@ -190,17 +190,29 @@ TEST_F(SolveTraceTest, PerfettoRoundTripPreservesAnalysis) {
 }
 
 TEST_F(SolveTraceTest, PerfettoRoundTripPreservesSchedulerMetadata) {
-  // The scheduler seam's observability -- policy name, exact queue-depth
-  // peak, per-worker counters, steal counter track, per-task priorities --
-  // must survive export + reload, whatever policy produced the trace.
-  ASSERT_FALSE(stats_.trace.sched_policy.empty());
+  // The scheduler's observability -- exact queue-depth peak, per-worker
+  // counters, steal counter track, per-task priorities -- must survive
+  // export + reload.
+  ASSERT_FALSE(stats_.trace.sched_counters.empty());
+  ASSERT_GT(stats_.trace.queue_depth_peak, 0);
   const std::string json = obs::perfetto_trace_json(stats_.trace, &stats_.report);
   rt::Trace loaded;
   std::string err;
   ASSERT_TRUE(obs::load_perfetto_trace(json, loaded, &err)) << err;
 
-  EXPECT_EQ(loaded.sched_policy, stats_.trace.sched_policy);
   EXPECT_EQ(loaded.queue_depth_peak, stats_.trace.queue_depth_peak);
+  {
+    // Traces exported while two scheduler policies existed name theirs in
+    // dnc_meta; the member is ignored and everything else still loads.
+    std::string legacy = json;
+    const std::size_t at = legacy.find("\"queue_depth_peak\"");
+    ASSERT_NE(at, std::string::npos);
+    legacy.insert(at, "\"sched_policy\":\"central\",");
+    rt::Trace old;
+    ASSERT_TRUE(obs::load_perfetto_trace(legacy, old, &err)) << err;
+    EXPECT_EQ(old.queue_depth_peak, stats_.trace.queue_depth_peak);
+    EXPECT_EQ(old.sched_counters.size(), stats_.trace.sched_counters.size());
+  }
   ASSERT_EQ(loaded.sched_counters.size(), stats_.trace.sched_counters.size());
   for (std::size_t w = 0; w < loaded.sched_counters.size(); ++w) {
     const rt::WorkerSchedCounters& a = loaded.sched_counters[w];
@@ -236,7 +248,7 @@ TEST(TraceIo, RoundTripPreservesChildAttribution) {
   // survive export + reload so nested traces stay replayable from disk.
   rt::TaskGraph g;
   const rt::KindId kind = g.register_kind("UpdateVect");
-  rt::Runtime runtime(g, 2, rt::SchedPolicy::Steal);
+  rt::Runtime runtime(g, 2);
   rt::Handle h;
   g.submit(kind,
            [] {

@@ -264,7 +264,6 @@ TEST(ParseSolveReport, RoundTripsThroughToJson) {
   rep.scheduler.makespan = 0.7;
   rep.scheduler.total_busy = 5.0;
   rep.scheduler.total_idle = 0.6;
-  rep.scheduler.policy = "steal";
   rep.scheduler.steals = 17;
   rep.scheduler.steals_cross_socket = 3;
   rep.has_health = true;
@@ -279,9 +278,11 @@ TEST(ParseSolveReport, RoundTripsThroughToJson) {
   kt.hwc[1] = 2000;
   rep.kind_hwc.push_back(kt);
 
-  // The second input is a report written before the tuning-table fields were
-  // dropped: its "tuning" block is ignored and every other field still loads.
+  // The second input is a report written before the tuning-table fields and
+  // the scheduler policy were dropped: its "tuning" block and scheduler
+  // "policy" member are ignored and every other field still loads.
   std::string legacy = rep.to_json();
+  legacy.insert(legacy.find("\"steals\":"), "\"policy\": \"central\",\n    ");
   legacy.insert(legacy.rfind('}'),
                 ",\n  \"tuning\": {\n    \"source\": \"tune_table.json\",\n"
                 "    \"entry\": \"n=600 nb=96\"\n  }\n");
@@ -303,7 +304,6 @@ TEST(ParseSolveReport, RoundTripsThroughToJson) {
     EXPECT_EQ(back.merges[0].ctot[3], 70);
     ASSERT_TRUE(back.has_scheduler);
     EXPECT_EQ(back.scheduler.workers, 8);
-    EXPECT_EQ(back.scheduler.policy, "steal");
     EXPECT_EQ(back.scheduler.steals, 17);
     EXPECT_EQ(back.scheduler.steals_cross_socket, 3);
     ASSERT_TRUE(back.has_health);

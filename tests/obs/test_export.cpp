@@ -182,14 +182,14 @@ TEST_F(ExportTest, TraceAndReportExportEvenWithoutStats) {
   for (const char* needle :
        {"\"process_name\"", "\"thread_name\"", "\"ph\":\"X\"", "\"ph\":\"s\"", "\"ph\":\"f\"",
         "\"ph\":\"C\"", "\"ready_queue_depth\"", "\"deflated_cumulative\"", "\"args\"",
-        "\"level\"", "\"ready_wait_us\"", "\"sched_policy\"", "\"sched_counters\""})
+        "\"level\"", "\"ready_wait_us\"", "\"queue_depth_peak\"", "\"sched_counters\""})
     EXPECT_NE(trace.find(needle), std::string::npos) << needle;
 
   const std::string report = slurp(report_path_);
   ASSERT_FALSE(report.empty()) << "DNC_REPORT file not written";
   EXPECT_TRUE(JsonChecker(report).valid()) << "report is not valid JSON";
   for (const char* needle : {"\"driver\": \"taskflow\"", "\"laed4_calls\"", "\"merges\"",
-                             "\"ctot\"", "\"scheduler\"", "\"policy\"", "\"steals\"",
+                             "\"ctot\"", "\"scheduler\"", "\"max_queue_depth\"", "\"steals\"",
                              "\"local_pops\""})
     EXPECT_NE(report.find(needle), std::string::npos) << needle;
 

@@ -76,7 +76,6 @@ obs::SolveReport sample_report(const char* driver = "taskflow", long n = 1000,
   rep.scheduler.workers = 4;
   rep.scheduler.makespan = 0.24;
   rep.scheduler.total_idle = 0.1;
-  rep.scheduler.policy = "steal";
   obs::MergeRecord m;
   m.m = 100;
   m.k = 40;  // 60% deflated
@@ -103,7 +102,6 @@ TEST_F(HistoryTest, RecordDistillsReportAndFamilyHint) {
   EXPECT_NEAR(r.makespan, 0.24, 1e-12);
   EXPECT_NEAR(r.deflated_fraction, 0.6, 1e-12);
   EXPECT_NEAR(r.gemm_gflops, 4.0, 1e-9);
-  EXPECT_EQ(r.sched_policy, "steal");
   // Hint cleared: the next record is family-less.
   EXPECT_TRUE(hist::record_from_report(sample_report()).family.empty());
 }
@@ -116,10 +114,9 @@ TEST_F(HistoryTest, AppendLoadRoundTrip) {
   ASSERT_TRUE(hist::append(hist::record_from_report(sample_report("sequential", 500))));
   hist::set_family_hint(nullptr);
   {
-    // An archive line from before the tuning-table fields were dropped: the
-    // extra keys are ignored and every other field still loads. The dropped
-    // key is split across two literals so a search for the removed field
-    // names finds only live code.
+    // An archive line from before the tuning-table fields and the scheduler
+    // policy were dropped: the extra keys are ignored and every other field
+    // still loads.
     std::FILE* f = std::fopen(path_.c_str(), "ab");
     ASSERT_NE(f, nullptr);
     std::fputs(
@@ -160,7 +157,6 @@ TEST_F(HistoryTest, AppendLoadRoundTrip) {
   EXPECT_NEAR(old.deflated_fraction, 0.25, 1e-12);
   EXPECT_NEAR(old.gemm_gflops, 3.5, 1e-12);
   EXPECT_NEAR(old.max_rel_residual, 1.5e-15, 1e-27);
-  EXPECT_EQ(old.sched_policy, "central");
 }
 
 TEST_F(HistoryTest, UnparseableLinesAreSkippedAndCounted) {

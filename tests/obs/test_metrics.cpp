@@ -334,7 +334,7 @@ TEST_F(MetricsTest, SolveRecordsCoreSeries) {
        {"dnc_solves_total{driver=\"taskflow\"", "dnc_solve_seconds_bucket",
         "dnc_merge_deflation_ratio", "dnc_health_rel_residual",
         "dnc_health_ortho_error", "dnc_last_solve_n",
-        "dnc_sched_tasks_total{policy="})
+        "\ndnc_sched_tasks_total "})
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
 }
 

@@ -92,8 +92,7 @@ TEST(Runtime, WaitAllReusable) {
 
 // A throwing task body cancels the graph: the tasks after it are skipped but
 // still released, so wait_all() returns and rethrows the first exception.
-// The runtime is then usable again. Runs under whichever policy DNC_SCHED
-// selects.
+// The runtime is then usable again.
 TEST(Runtime, ThrowingChainTaskSkipsDownstreamAndRethrows) {
   TaskGraph g;
   Runtime rt(g, 4);
@@ -136,6 +135,33 @@ TEST(Runtime, ThrowingSpawnedChildRethrowsFromWaitAll) {
   EXPECT_LE(children.load(), 15);
   EXPECT_FALSE(parent_resumed.load());
   EXPECT_FALSE(downstream_ran.load());
+}
+
+TEST(Runtime, RuntimeInsideTaskBodyPlacesLikeOutsideSubmitter) {
+  // A task body that builds its own one-worker runtime submits from a
+  // worker of the outer scheduler; the inner one must treat that as an
+  // outside submission (round-robin placement), not as a push by its own
+  // worker with the outer worker's id.
+  TaskGraph g;
+  Runtime outer(g, 4);
+  Handle h;
+  constexpr int kOuter = 16, kInner = 5;
+  std::atomic<int> ran{0}, placed{0};
+  for (int i = 0; i < kOuter; ++i)
+    g.submit(0,
+             [&] {
+               TaskGraph inner_graph;
+               Runtime inner(inner_graph, 1);
+               Handle ih;
+               for (int k = 0; k < kInner; ++k)
+                 inner_graph.submit(0, [&] { ran.fetch_add(1); }, {{&ih, Access::GatherV}});
+               inner.wait_all();
+               for (const auto& c : inner.trace().sched_counters) placed.fetch_add(c.placed);
+             },
+             {{&h, Access::GatherV}});
+  outer.wait_all();
+  EXPECT_EQ(ran.load(), kOuter * kInner);
+  EXPECT_EQ(placed.load(), kOuter * kInner);
 }
 
 TEST(Runtime, EmptyGraphWaitReturns) {

@@ -2,7 +2,7 @@
 // pass, banded-GEMM overlap scan, coloured polish): the refined eigenpairs
 // must not depend on how many workers ran the blocks.
 // Like the rest of this suite it runs under the ThreadSanitizer CI job
-// (runtime label) and under both DNC_SCHED policies.
+// (runtime label).
 #include <gtest/gtest.h>
 
 #include <algorithm>

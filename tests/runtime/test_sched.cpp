@@ -1,16 +1,13 @@
 // Unit tests of the scheduler building blocks: the priority deque, the
-// self-decimating sample series, policy parsing / environment selection,
-// and the per-worker counters surfaced through the trace.
+// self-decimating sample series, and the per-worker counters surfaced
+// through the trace.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "runtime/engine.hpp"
-#include "runtime/sched.hpp"
 #include "runtime/scheduler.hpp"
 
 namespace dnc::rt {
@@ -90,65 +87,14 @@ TEST(SampledSeries, DecimatesAtCapAndStaysBounded) {
   EXPECT_GT(snap.back().t, 50000.0);
 }
 
-TEST(SchedPolicyParse, NamesRoundTrip) {
-  SchedPolicy p = SchedPolicy::Central;
-  EXPECT_TRUE(parse_sched_policy("steal", p));
-  EXPECT_EQ(p, SchedPolicy::Steal);
-  EXPECT_TRUE(parse_sched_policy("central", p));
-  EXPECT_EQ(p, SchedPolicy::Central);
-  EXPECT_FALSE(parse_sched_policy("lifo", p));
-  EXPECT_FALSE(parse_sched_policy("", p));
-  EXPECT_FALSE(parse_sched_policy(nullptr, p));
-  EXPECT_EQ(p, SchedPolicy::Central);  // failed parse leaves the value alone
-  EXPECT_STREQ(sched_policy_name(SchedPolicy::Steal), "steal");
-  EXPECT_STREQ(sched_policy_name(SchedPolicy::Central), "central");
-}
-
-TEST(SchedPolicyParse, EnvSelectsDefault) {
-  // default_sched_policy re-reads the environment on every call, so the
-  // override is visible immediately and reversible.
-  const char* prev = std::getenv("DNC_SCHED");
-  const std::string saved = prev ? prev : "";
-  setenv("DNC_SCHED", "central", 1);
-  EXPECT_EQ(default_sched_policy(), SchedPolicy::Central);
-  setenv("DNC_SCHED", "steal", 1);
-  EXPECT_EQ(default_sched_policy(), SchedPolicy::Steal);
-  setenv("DNC_SCHED", "bogus", 1);
-  EXPECT_EQ(default_sched_policy(), SchedPolicy::Steal);  // unknown -> default
-  unsetenv("DNC_SCHED");
-  EXPECT_EQ(default_sched_policy(), SchedPolicy::Steal);
-  if (prev) setenv("DNC_SCHED", saved.c_str(), 1);
-}
-
-TEST(SchedCounters, CentralPolicyAccountsEveryTask) {
-  TaskGraph g;
-  Runtime rt(g, 3, SchedPolicy::Central);
-  Handle h;
-  for (int i = 0; i < 500; ++i)
-    g.submit(0, [] {}, {{&h, Access::GatherV}});
-  rt.wait_all();
-  const Trace tr = rt.trace();
-  EXPECT_EQ(tr.sched_policy, std::string("central"));
-  ASSERT_EQ(tr.sched_counters.size(), 3u);
-  long executed = 0, steals = 0;
-  for (const auto& c : tr.sched_counters) {
-    executed += c.executed;
-    steals += c.steals;
-  }
-  EXPECT_EQ(executed, 500);
-  EXPECT_EQ(steals, 0);  // a single shared queue has nothing to steal
-  EXPECT_GE(tr.queue_depth_peak, 1);
-}
-
 TEST(SchedCounters, StealPolicyAccountsEveryTask) {
   TaskGraph g;
-  Runtime rt(g, 4, SchedPolicy::Steal);
+  Runtime rt(g, 4);
   Handle h;
   for (int i = 0; i < 2000; ++i)
     g.submit(0, [] {}, {{&h, Access::GatherV}});
   rt.wait_all();
   const Trace tr = rt.trace();
-  EXPECT_EQ(tr.sched_policy, std::string("steal"));
   ASSERT_EQ(tr.sched_counters.size(), 4u);
   long executed = 0, local = 0, steals = 0, attempts = 0, placed = 0;
   for (const auto& c : tr.sched_counters) {
@@ -173,7 +119,7 @@ TEST(SchedCounters, QueueDepthPeakIsExactDespiteDecimation) {
   // Submit a wide fan (all ready at once) against one slow worker: the
   // peak must reflect the true backlog even if sampling decimated.
   TaskGraph g;
-  Runtime rt(g, 1, SchedPolicy::Central);
+  Runtime rt(g, 1);
   Handle gate;
   std::atomic<bool> release{false};
   g.submit(0, [&] { while (!release.load()) std::this_thread::yield(); },

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "obs/analysis.hpp"
+#include "obs/perfetto.hpp"
 #include "runtime/dot.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/simulator.hpp"
@@ -134,15 +135,17 @@ TEST(TraceRender, ChromeTraceJson) {
   Handle h;
   for (int i = 0; i < 4; ++i) g.submit(k, busy_work, {{&h, Access::GatherV}});
   rt.wait_all();
-  const std::string json = rt.trace().chrome_trace_json();
+  const std::string json = obs::perfetto_trace_json(rt.trace());
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find("\"name\":\"LAED4\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  // Each of the 4 tasks appears once.
+  // Each of the 4 tasks appears once as a slice (the metadata kind table
+  // names LAED4 once more).
+  const std::string slice = "\"name\":\"LAED4\",\"ph\":\"X\"";
   std::size_t count = 0, pos = 0;
-  while ((pos = json.find("LAED4", pos)) != std::string::npos) {
+  while ((pos = json.find(slice, pos)) != std::string::npos) {
     ++count;
-    pos += 5;
+    pos += slice.size();
   }
   EXPECT_EQ(count, 4u);
 }
@@ -156,7 +159,7 @@ TEST(TraceRender, SimulatedScheduleExportable) {
   const auto s = obs::replay_trace(rt.trace(), 3);
   EXPECT_EQ(s.schedule.events.size(), 6u);
   EXPECT_EQ(s.schedule.workers, 3);
-  const std::string json = s.schedule.chrome_trace_json();
+  const std::string json = obs::perfetto_trace_json(s.schedule);
   EXPECT_NE(json.find("\"tid\":"), std::string::npos);
 }
 

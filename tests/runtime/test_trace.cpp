@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/timer.hpp"
+#include "obs/perfetto.hpp"
 #include "runtime/engine.hpp"
 
 namespace dnc::rt {
@@ -22,7 +23,7 @@ TEST(Trace, EmptyTraceRenders) {
   EXPECT_EQ(t.efficiency(), 1.0);
   EXPECT_EQ(t.ascii_gantt(), "(empty trace)\n");
   EXPECT_NE(t.kernel_summary(), "");  // header only, no crash
-  const std::string js = t.chrome_trace_json();
+  const std::string js = obs::perfetto_trace_json(t);
   EXPECT_NE(js.find("process_name"), std::string::npos);
 }
 
@@ -56,7 +57,9 @@ TEST(Trace, NeverExecutedEventsExcludedEverywhere) {
   EXPECT_DOUBLE_EQ(by_kind[0], 1.0);
   EXPECT_DOUBLE_EQ(by_kind[1], 0.0);
   EXPECT_EQ(t.kernel_summary().find("Beta"), std::string::npos);
-  EXPECT_EQ(t.chrome_trace_json().find("Beta"), std::string::npos);
+  // The kind table in the metadata still names Beta; no slice may.
+  EXPECT_EQ(obs::perfetto_trace_json(t).find("\"name\":\"Beta\",\"ph\":\"X\""),
+            std::string::npos);
 }
 
 TEST(Trace, ChromeJsonEscapesKindNames) {
@@ -64,7 +67,7 @@ TEST(Trace, ChromeJsonEscapesKindNames) {
   t.workers = 1;
   t.kind_names = {"evil \"kind\"\\name"};
   t.events.push_back({1, 0, 0, 0.0, 1.0});
-  const std::string js = t.chrome_trace_json();
+  const std::string js = obs::perfetto_trace_json(t);
   EXPECT_NE(js.find("evil \\\"kind\\\"\\\\name"), std::string::npos);
   EXPECT_NE(js.find("thread_name"), std::string::npos);
 }

@@ -60,7 +60,6 @@
 #include "obs/httpd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_io.hpp"
-#include "runtime/sched.hpp"
 #include "runtime/trace.hpp"
 
 namespace {
@@ -72,8 +71,7 @@ void usage(std::FILE* out) {
       "usage: dnc trace [--load trace.json | --driver taskflow|lapack_model|scalapack_model|mrrr]\n"
       "                 [--type 1..15] [--n N] [--minpart M] [--nb NB]\n"
       "                 [--workers 1,2,4,8,16,32] [--nb-sweep] [--json PATH|-]\n"
-      "                 [--profile-width W] [--sched central|steal]\n"
-      "                 [--roofline] [--peak-gflops G]\n"
+      "                 [--profile-width W] [--roofline] [--peak-gflops G]\n"
       "       dnc profile <profile.folded> [--top N]\n"
       "       dnc metrics <snapshot.json|url>\n"
       "       dnc metrics --diff <a.json|url> <b.json|url>\n"
@@ -187,8 +185,6 @@ struct TraceArgs {
   bool nb_sweep = false;
   std::string json_out;
   int profile_width = 100;
-  /// Engine policy for in-process solves (default: $DNC_SCHED or steal).
-  rt::SchedPolicy sched = rt::default_sched_policy();
   /// Roofline view: per-kind hardware-counter attribution vs the machine
   /// peak. In solve mode this turns DNC_HWC sampling on for the run.
   bool roofline = false;
@@ -223,10 +219,6 @@ TraceArgs parse_trace_args(Flags& f) {
       a.json_out = f.value();
     } else if (flag == "--profile-width") {
       a.profile_width = f.integer();
-    } else if (flag == "--sched") {
-      const std::string v = f.value();
-      if (!rt::parse_sched_policy(v.c_str(), a.sched))
-        throw UsageError("unknown --sched '" + v + "'");
     } else if (flag == "--roofline") {
       a.roofline = true;
     } else if (flag == "--peak-gflops") {
@@ -243,7 +235,6 @@ dc::Options solve_options(const TraceArgs& a) {
   opt.threads = 1;  // measure durations without timesharing noise
   opt.minpart = a.minpart > 0 ? a.minpart : std::max<index_t>(48, a.n / 16);
   opt.nb = a.nb > 0 ? a.nb : std::max<index_t>(48, a.n / 12);
-  opt.sched = a.sched;
   return opt;
 }
 
@@ -259,7 +250,6 @@ void run_solver(const TraceArgs& a, rt::Trace& trace, obs::SolveReport* report =
   if (a.driver == "mrrr") {
     mrrr::Options mopt;
     mopt.threads = 1;
-    mopt.sched = a.sched;
     mrrr::Stats st;
     std::vector<double> lam;
     mrrr_solve(a.n, t.d.data(), t.e.data(), lam, v, mopt, &st);
@@ -313,10 +303,9 @@ int run_trace(Flags& f) {
   }
   std::printf("[build] %s (%s)\n\n", version::kGitCommit, version::kBuildType);
 
-  // --- scheduler policy of the measured run ---
-  if (!trace.sched_policy.empty()) {
-    std::printf("-- scheduler --\npolicy: %s, peak ready-queue depth %d\n",
-                trace.sched_policy.c_str(), trace.queue_depth_peak);
+  // --- scheduler counters of the measured run ---
+  if (!trace.sched_counters.empty()) {
+    std::printf("-- scheduler --\npeak ready-queue depth %d\n", trace.queue_depth_peak);
     const obs::SchedulerMetrics m = obs::scheduler_metrics(trace);
     if (m.steal_attempts > 0 || m.steals > 0)
       std::printf("steals: %ld ok / %ld attempts / %ld dry scans, local pops: %ld\n",
@@ -413,10 +402,10 @@ int run_trace(Flags& f) {
     char buf[256];
     std::snprintf(buf, sizeof buf,
                   "  \"source\": \"%s\",\n  \"git_commit\": \"%s\",\n"
-                  "  \"sched_policy\": \"%s\",\n"
+                  "  \"queue_depth_peak\": %d,\n"
                   "  \"t1\": %.9f,\n  \"t_inf\": %.9f,\n  \"parallelism\": %.6f,\n",
                   a.load.empty() ? a.driver.c_str() : a.load.c_str(), version::kGitCommit,
-                  rt::json_escape(trace.sched_policy).c_str(), law.t1, law.t_inf,
+                  trace.queue_depth_peak, law.t1, law.t_inf,
                   law.parallelism);
     js += buf;
     js += "  \"critical_path_kinds\": {";
