@@ -1,6 +1,7 @@
-// Property tests for the SIMD kernel layer: every table the binary carries
-// (scalar always; SSE2/AVX2/AVX-512 when compiled in and the host supports
-// them) is compared against the scalar reference across remainder shapes
+// Property tests for the SIMD kernel layer: every table the binary carries,
+// in both precisions (scalar always; SSE2/AVX2/AVX-512 when compiled in and
+// the host supports them), is compared against the scalar reference of its
+// precision across remainder shapes
 // -- vector kernels live or die on their tail handling, so lengths sweep
 // every residue mod the widest vector, and GEMM shapes sweep the residues
 // mod each table's own main tile (8x4, 16x8, 32x8) and the 4x8 tile.
@@ -28,6 +29,12 @@ std::vector<double> randvec(index_t n, std::uint64_t seed) {
   std::vector<double> v(n);
   for (auto& x : v) x = r.uniform_sym();
   return v;
+}
+
+template <typename Real>
+std::vector<Real> randvec_t(index_t n, std::uint64_t seed) {
+  const auto v = randvec(n, seed);
+  return std::vector<Real>(v.begin(), v.end());
 }
 
 template <typename Real>
@@ -151,79 +158,118 @@ TEST(SimdDispatch, MissingTierFallsToNextLowerTable) {
   }
 }
 
+// Checks each level-1 entry of one table against the scalar table of its
+// precision. Tolerances are written for fp64 and scaled by the ratio of
+// the two machine epsilons, so the fp32 entries get the same number of
+// ulps of slack.
+template <typename Real>
+double scaled_tol(double fp64_tol) {
+  return fp64_tol * (std::numeric_limits<Real>::epsilon() / DBL_EPSILON);
+}
+
+template <typename Real>
+const char* prec(const KernelTableT<Real>&) {
+  return sizeof(Real) == 4 ? " f32" : " f64";
+}
+
+// Runs `check` on every table of both precisions.
+template <typename Check>
+void for_each_table(Check check) {
+  for (const KernelTable* kt : available_tables()) check(*kt);
+  for (const KernelTableT<float>* kt : tables_t<float>()) check(*kt);
+}
+
+template <typename Real>
+void check_axpy(const KernelTableT<Real>& kt) {
+  const Real alpha = Real(1.7);
+  for (index_t n : kLens) {
+    const auto x = randvec_t<Real>(n, 1);
+    auto yref = randvec_t<Real>(n, 2);
+    auto y = yref;
+    scalar_table_t<Real>()->axpy(n, alpha, x.data(), yref.data());
+    kt.axpy(n, alpha, x.data(), y.data());
+    for (index_t i = 0; i < n; ++i)
+      EXPECT_NEAR(y[i], yref[i], scaled_tol<Real>(4e-16) * (std::fabs(yref[i]) + std::fabs(x[i])))
+          << kt.name << prec(kt) << " n=" << n << " i=" << i;
+  }
+}
+
 TEST(SimdKernels, AxpyMatchesScalar) {
-  for (const KernelTable* kt : available_tables()) {
-    for (index_t n : kLens) {
-      auto x = randvec(n, 1);
-      auto yref = randvec(n, 2);
-      auto y = yref;
-      kScalarTable.axpy(n, 1.7, x.data(), yref.data());
-      kt->axpy(n, 1.7, x.data(), y.data());
-      for (index_t i = 0; i < n; ++i)
-        EXPECT_NEAR(y[i], yref[i], 4e-16 * (std::fabs(yref[i]) + std::fabs(x[i])))
-            << kt->name << " n=" << n << " i=" << i;
-    }
+  for_each_table([](const auto& kt) { check_axpy(kt); });
+}
+
+template <typename Real>
+void check_dot(const KernelTableT<Real>& kt) {
+  for (index_t n : kLens) {
+    const auto x = randvec_t<Real>(n, 3);
+    const auto y = randvec_t<Real>(n, 4);
+    const Real ref = scalar_table_t<Real>()->dot(n, x.data(), y.data());
+    EXPECT_NEAR(kt.dot(n, x.data(), y.data()), ref, scaled_tol<Real>(1e-14) * (n + 1))
+        << kt.name << prec(kt) << " n=" << n;
   }
 }
 
 TEST(SimdKernels, DotMatchesScalar) {
-  for (const KernelTable* kt : available_tables()) {
-    for (index_t n : kLens) {
-      auto x = randvec(n, 3);
-      auto y = randvec(n, 4);
-      const double ref = kScalarTable.dot(n, x.data(), y.data());
-      EXPECT_NEAR(kt->dot(n, x.data(), y.data()), ref, 1e-14 * (n + 1))
-          << kt->name << " n=" << n;
-    }
+  for_each_table([](const auto& kt) { check_dot(kt); });
+}
+
+template <typename Real>
+void check_scal_copy_swap(const KernelTableT<Real>& kt) {
+  const Real alpha = Real(-2.25);
+  for (index_t n : kLens) {
+    const auto x = randvec_t<Real>(n, 5);
+    auto xs = x;
+    kt.scal(n, alpha, xs.data());  // one rounded product per entry: bitwise equal
+    for (index_t i = 0; i < n; ++i) EXPECT_EQ(xs[i], Real(alpha * x[i])) << kt.name << prec(kt);
+
+    std::vector<Real> y(n, Real(0));
+    kt.copy(n, x.data(), y.data());
+    EXPECT_EQ(x, y) << kt.name << prec(kt);
+
+    auto a = randvec_t<Real>(n, 6);
+    auto b = randvec_t<Real>(n, 7);
+    const auto a0 = a, b0 = b;
+    kt.swap(n, a.data(), b.data());
+    EXPECT_EQ(a, b0) << kt.name << prec(kt);
+    EXPECT_EQ(b, a0) << kt.name << prec(kt);
   }
 }
 
 TEST(SimdKernels, ScalCopySwapMatchScalar) {
-  for (const KernelTable* kt : available_tables()) {
-    for (index_t n : kLens) {
-      auto x = randvec(n, 5);
-      auto xs = x;
-      kt->scal(n, -2.25, xs.data());  // -2.25 is exact: results bitwise equal
-      for (index_t i = 0; i < n; ++i) EXPECT_EQ(xs[i], -2.25 * x[i]) << kt->name;
+  for_each_table([](const auto& kt) { check_scal_copy_swap(kt); });
+}
 
-      std::vector<double> y(n, 0.0);
-      kt->copy(n, x.data(), y.data());
-      EXPECT_EQ(x, y) << kt->name;
-
-      auto a = randvec(n, 6);
-      auto b = randvec(n, 7);
-      auto a0 = a, b0 = b;
-      kt->swap(n, a.data(), b.data());
-      EXPECT_EQ(a, b0) << kt->name;
-      EXPECT_EQ(b, a0) << kt->name;
+template <typename Real>
+void check_rot(const KernelTableT<Real>& kt) {
+  const Real c = static_cast<Real>(std::cos(0.83)), s = static_cast<Real>(std::sin(0.83));
+  for (index_t n : kLens) {
+    auto x = randvec_t<Real>(n, 8), y = randvec_t<Real>(n, 9);
+    auto xr = x, yr = y;
+    scalar_table_t<Real>()->rot(n, xr.data(), yr.data(), c, s);
+    kt.rot(n, x.data(), y.data(), c, s);
+    for (index_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(x[i], xr[i], scaled_tol<Real>(4e-16)) << kt.name << prec(kt) << " n=" << n;
+      EXPECT_NEAR(y[i], yr[i], scaled_tol<Real>(4e-16)) << kt.name << prec(kt) << " n=" << n;
     }
   }
 }
 
 TEST(SimdKernels, RotMatchesScalar) {
-  const double c = std::cos(0.83), s = std::sin(0.83);
-  for (const KernelTable* kt : available_tables()) {
-    for (index_t n : kLens) {
-      auto x = randvec(n, 8), y = randvec(n, 9);
-      auto xr = x, yr = y;
-      kScalarTable.rot(n, xr.data(), yr.data(), c, s);
-      kt->rot(n, x.data(), y.data(), c, s);
-      for (index_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(x[i], xr[i], 4e-16) << kt->name << " n=" << n;
-        EXPECT_NEAR(y[i], yr[i], 4e-16) << kt->name << " n=" << n;
-      }
-    }
+  for_each_table([](const auto& kt) { check_rot(kt); });
+}
+
+template <typename Real>
+void check_sumsq(const KernelTableT<Real>& kt) {
+  for (index_t n : kLens) {
+    const auto x = randvec_t<Real>(n, 10);
+    const Real ref = scalar_table_t<Real>()->sumsq(n, x.data());
+    EXPECT_NEAR(kt.sumsq(n, x.data()), ref, scaled_tol<Real>(1e-14) * (n + 1))
+        << kt.name << prec(kt) << " n=" << n;
   }
 }
 
 TEST(SimdKernels, SumsqMatchesScalar) {
-  for (const KernelTable* kt : available_tables()) {
-    for (index_t n : kLens) {
-      auto x = randvec(n, 10);
-      const double ref = kScalarTable.sumsq(n, x.data());
-      EXPECT_NEAR(kt->sumsq(n, x.data()), ref, 1e-14 * (n + 1)) << kt->name << " n=" << n;
-    }
-  }
+  for_each_table([](const auto& kt) { check_sumsq(kt); });
 }
 
 TEST(SimdKernels, Nrm2ExtremeValuesStaySafe) {
@@ -251,8 +297,7 @@ void check_pack_a(const KernelTableT<Real>& kt, const KernelTableT<Real>& ref_ta
   // rows, both transposes: the vector packers copy whole vectors only
   // when the sliver is a full untransposed multiple of their width.
   const index_t lda = 41, ncols = 40;
-  const auto a64 = randvec(lda * ncols, 11);
-  const std::vector<Real> a(a64.begin(), a64.end());
+  const auto a = randvec_t<Real>(lda * ncols, 11);
   for (index_t MR : {kt.mr, index_t{4}, index_t{8}, index_t{16}, index_t{32}}) {
     for (bool trans : {false, true}) {
       for (index_t mr = 1; mr <= MR; ++mr) {
@@ -263,8 +308,8 @@ void check_pack_a(const KernelTableT<Real>& kt, const KernelTableT<Real>& ref_ta
         std::vector<Real> out(static_cast<std::size_t>(MR) * kb, Real(-2));
         ref_table.pack_a(a.data(), lda, trans, i0, mr, p0, kb, ref.data(), MR);
         kt.pack_a(a.data(), lda, trans, i0, mr, p0, kb, out.data(), MR);
-        EXPECT_EQ(ref, out) << kt.name << (sizeof(Real) == 4 ? " f32" : " f64")
-                            << " MR=" << MR << " mr=" << mr << " trans=" << trans;
+        EXPECT_EQ(ref, out) << kt.name << prec(kt) << " MR=" << MR << " mr=" << mr
+                            << " trans=" << trans;
       }
     }
   }
@@ -275,26 +320,30 @@ TEST(SimdKernels, PackAMatchesScalar) {
   for (const KernelTableT<float>* kt : tables_t<float>()) check_pack_a(*kt, kScalarTableF32);
 }
 
-TEST(SimdKernels, PackBMatchesScalar) {
+template <typename Real>
+void check_pack_b(const KernelTableT<Real>& kt, const KernelTableT<Real>& ref_table) {
   const index_t ldb = 41, ncols = 35;
-  auto b = randvec(ldb * ncols, 12);
-  for (const KernelTable* kt : available_tables()) {
-    for (index_t NR : {kt->nr, index_t{4}, index_t{8}}) {
-      for (bool trans : {false, true}) {
-        for (index_t nr = 1; nr <= NR; ++nr) {
-          for (index_t kb : {1, 2, 3, 4, 5, 7, 8, 13}) {
-            const index_t p0 = 2, j0 = 6;
-            std::vector<double> ref(static_cast<std::size_t>(NR) * kb, -1.0);
-            std::vector<double> out(static_cast<std::size_t>(NR) * kb, -2.0);
-            kScalarTable.pack_b(b.data(), ldb, trans, p0, kb, j0, nr, ref.data(), NR);
-            kt->pack_b(b.data(), ldb, trans, p0, kb, j0, nr, out.data(), NR);
-            EXPECT_EQ(ref, out) << kt->name << " NR=" << NR << " nr=" << nr << " kb=" << kb
-                                << " trans=" << trans;
-          }
+  const auto b = randvec_t<Real>(ldb * ncols, 12);
+  for (index_t NR : {kt.nr, index_t{4}, index_t{8}}) {
+    for (bool trans : {false, true}) {
+      for (index_t nr = 1; nr <= NR; ++nr) {
+        for (index_t kb : {1, 2, 3, 4, 5, 7, 8, 13}) {
+          const index_t p0 = 2, j0 = 6;
+          std::vector<Real> ref(static_cast<std::size_t>(NR) * kb, Real(-1));
+          std::vector<Real> out(static_cast<std::size_t>(NR) * kb, Real(-2));
+          ref_table.pack_b(b.data(), ldb, trans, p0, kb, j0, nr, ref.data(), NR);
+          kt.pack_b(b.data(), ldb, trans, p0, kb, j0, nr, out.data(), NR);
+          EXPECT_EQ(ref, out) << kt.name << prec(kt) << " NR=" << NR << " nr=" << nr
+                              << " kb=" << kb << " trans=" << trans;
         }
       }
     }
   }
+}
+
+TEST(SimdKernels, PackBMatchesScalar) {
+  for (const KernelTable* kt : available_tables()) check_pack_b(*kt, kScalarTable);
+  for (const KernelTableT<float>* kt : tables_t<float>()) check_pack_b(*kt, kScalarTableF32);
 }
 
 template <typename Real>
@@ -303,23 +352,19 @@ void check_microkernel_edges(const KernelTableT<Real>& kt) {
   // the table's main tile and of the 4x8 tile; the three beta classes
   // (overwrite, accumulate, general).
   const double tol = std::is_same_v<Real, double> ? 1e-13 : 1e-5;
-  const auto real_vec = [](index_t n, std::uint64_t seed) {
-    const auto v = randvec(n, seed);
-    return std::vector<Real>(v.begin(), v.end());
-  };
   for (int wide = 0; wide < 2; ++wide) {
     const index_t MR = wide ? 4 : kt.mr, NR = wide ? 8 : kt.nr;
     const MicrokernelFnT<Real> mk = wide ? kt.mk4x8 : kt.mk;
     for (index_t kb : {1, 2, 3, 7, 16, 33}) {
-      const auto ap = real_vec(MR * kb, 13);
-      const auto bp = real_vec(NR * kb, 14);
+      const auto ap = randvec_t<Real>(MR * kb, 13);
+      const auto bp = randvec_t<Real>(NR * kb, 14);
       // The reference runs in fp64 on the same (rounded) inputs.
       const std::vector<double> ap64(ap.begin(), ap.end()), bp64(bp.begin(), bp.end());
       for (index_t mr = 1; mr <= MR; ++mr) {
         for (index_t nr = 1; nr <= NR; ++nr) {
           for (double beta : {0.0, 1.0, -0.4}) {
             const index_t ldc = MR + 3;
-            auto c = real_vec(ldc * NR, 15);
+            auto c = randvec_t<Real>(ldc * NR, 15);
             std::vector<double> cref(c.begin(), c.end());
             mk(kb, ap.data(), bp.data(), Real(1.3), Real(beta), c.data(), ldc, mr, nr);
             microkernel_reference(kb, ap64.data(), bp64.data(), MR, NR, double(Real(1.3)),
@@ -354,30 +399,36 @@ TEST(SimdKernels, MicrokernelBetaZeroOverwritesNaN) {
   }
 }
 
-TEST(SimdKernels, Laed4SumsMatchScalar) {
+template <typename Real>
+void check_laed4_sums(const KernelTableT<Real>& kt) {
   // Remainder lengths and a split inside, at the ends, and off both ends.
-  for (const KernelTable* kt : available_tables()) {
-    for (index_t k : {1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 127, 128, 129}) {
-      Rng rng(18);
-      std::vector<double> delta0(k), z(k);
-      double acc = -0.5;
-      for (index_t j = 0; j < k; ++j) {
-        acc += 0.05 + rng.uniform01();
-        delta0[j] = acc;
-        z[j] = 0.02 + rng.uniform01();
-      }
-      const double rho = 1.3, tau = 0.021;  // off-pole evaluation point
-      for (index_t j0 : {index_t{0}, k / 2}) {
-        double w1 = 1.0, d1 = 0.0, a1 = 1.0;
-        double w2 = 1.0, d2 = 0.0, a2 = 1.0;
-        kScalarTable.laed4_sums(j0, k, delta0.data(), z.data(), rho, tau, &w1, &d1, &a1);
-        kt->laed4_sums(j0, k, delta0.data(), z.data(), rho, tau, &w2, &d2, &a2);
-        EXPECT_NEAR(w2, w1, 1e-12 * (std::fabs(w1) + a1)) << kt->name << " k=" << k;
-        EXPECT_NEAR(d2, d1, 1e-12 * std::fabs(d1)) << kt->name << " k=" << k;
-        EXPECT_NEAR(a2, a1, 1e-12 * a1) << kt->name << " k=" << k;
-      }
+  for (index_t k : {1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 127, 128, 129}) {
+    Rng rng(18);
+    std::vector<Real> delta0(k), z(k);
+    double acc = -0.5;
+    for (index_t j = 0; j < k; ++j) {
+      acc += 0.05 + rng.uniform01();
+      delta0[j] = static_cast<Real>(acc);
+      z[j] = static_cast<Real>(0.02 + rng.uniform01());
+    }
+    const Real rho = Real(1.3), tau = Real(0.021);  // off-pole evaluation point
+    for (index_t j0 : {index_t{0}, k / 2}) {
+      Real w1 = 1, d1 = 0, a1 = 1;
+      Real w2 = 1, d2 = 0, a2 = 1;
+      scalar_table_t<Real>()->laed4_sums(j0, k, delta0.data(), z.data(), rho, tau, &w1, &d1,
+                                         &a1);
+      kt.laed4_sums(j0, k, delta0.data(), z.data(), rho, tau, &w2, &d2, &a2);
+      EXPECT_NEAR(w2, w1, scaled_tol<Real>(1e-12) * (std::fabs(w1) + a1))
+          << kt.name << prec(kt) << " k=" << k;
+      EXPECT_NEAR(d2, d1, scaled_tol<Real>(1e-12) * std::fabs(d1))
+          << kt.name << prec(kt) << " k=" << k;
+      EXPECT_NEAR(a2, a1, scaled_tol<Real>(1e-12) * a1) << kt.name << prec(kt) << " k=" << k;
     }
   }
+}
+
+TEST(SimdKernels, Laed4SumsMatchScalar) {
+  for_each_table([](const auto& kt) { check_laed4_sums(kt); });
 }
 
 // Representations for the Sturm-count tests: random D and L (kind 0), a
