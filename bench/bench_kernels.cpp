@@ -5,9 +5,10 @@
 //
 // Kernels behind the SIMD dispatch (gemm microkernel, axpy/dot, laed4, the
 // LDL^T Sturm counts) are benchmarked once per available table (scalar /
-// sse2 / avx2 / avx512) so the speedup of the vector paths over the
-// portable fallback is a recorded series. Unless --benchmark_out is given explicitly, results are also
-// written to BENCH_kernels.json (the perf-trajectory artifact).
+// avx2 / avx512) so the speedup of the vector paths over the portable
+// fallback is a recorded series. Unless --benchmark_out is given
+// explicitly, results are also written to BENCH_kernels.json (the
+// perf-trajectory artifact).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -285,7 +286,7 @@ void register_dispatch_benchmarks_for() {
   // fp64 rows keep their historical names ("BM_GemmForcedIsa/avx2"); fp32
   // rows append "_f32" so both series live side by side in the artifact.
   const bool f32 = std::is_same_v<Real, float>;
-  for (SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Sse2, SimdIsa::Avx2, SimdIsa::Avx512}) {
+  for (SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Avx2, SimdIsa::Avx512}) {
     if (blas::simd::kernels_for_t<Real>(isa) == nullptr) continue;
     const std::string tag = std::string(simd_isa_name(isa)) + (f32 ? "_f32" : "");
     benchmark::RegisterBenchmark(

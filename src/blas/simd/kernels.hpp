@@ -1,15 +1,18 @@
 // SIMD kernel layer: one table of function pointers per (instruction set,
-// precision) pair, selected once at runtime.
+// precision) pair, selected once at runtime. Both precisions dispatch over
+// the same three tiers: scalar, avx2 and avx512.
 //
 // Layout of the layer:
 //   kernels_scalar.cpp   portable C++ implementations, templated on Real
 //                        (always built; also the reference the SIMD paths
 //                        are tested against)
-//   kernels_sse2.cpp     128-bit double vectors      (built when the
-//                        toolchain targets x86 and DNC_ENABLE_SIMD is ON)
-//   kernels_avx2.cpp     256-bit vectors + FMA: 4-lane double and 8-lane
-//                        float tables (same condition, and compiled with
-//                        -mavx2 -mfma for this file only)
+//   kernel_body.hpp      the level-1, laed4_sums and packing loops, written
+//                        once over a small per-ISA vector interface
+//   kernels_avx2.cpp     256-bit vectors + FMA: the 4-lane double and
+//                        8-lane float interfaces for kernel_body.hpp, the
+//                        GEMM microkernels and the tables (built when the
+//                        toolchain targets x86 and DNC_ENABLE_SIMD is ON,
+//                        compiled with -mavx2 -mfma for this file only)
 //   kernels_avx512.cpp   512-bit GEMM microkernels (16x8 fp64, 32x8 fp32).
 //                        Its tables are the AVX2 tables with only the main
 //                        microkernel, its tile shape and the Sturm-count
@@ -24,26 +27,24 @@
 //                        returns identical counts (see the note below)
 //   dispatch.cpp         runtime selection: hardware probe (cpuid) clamped
 //                        by the DNC_SIMD env var
-//                        ("scalar"|"sse2"|"avx2"|"avx512"), one active
-//                        table per precision
+//                        ("scalar"|"avx2"|"avx512"), one active table per
+//                        precision
 //
-// Each table carries its main GEMM tile shape (mr x nr): 8x4 for scalar,
-// SSE2 and AVX2, 16x8 (fp64) and 32x8 (fp32) for AVX-512. The one blocked
+// Each table carries its main GEMM tile shape (mr x nr): 8x4 for scalar
+// and AVX2, 16x8 (fp64) and 32x8 (fp32) for AVX-512. The one blocked
 // loop nest in gemm.cpp reads the shape from the table, so a new tile is a
 // new table entry, not a new GEMM driver.
 //
 // Callers (gemm.cpp, level1.cpp, lapack/laed4.cpp, mrrr/ldl.cpp) fetch the
-// active table with kernels<Real>() and call through it; the indirection is one
-// predictable load per kernel invocation, negligible against the vector
+// active table with kernels_t<Real>() and call through it; the indirection
+// is one predictable load per kernel invocation, negligible against the vector
 // loops behind it. Keeping every ISA's table linked in (rather than
-// ifdef-ing call sites) is what lets one binary run the scalar, SSE2, AVX2
-// and AVX-512 paths -- tests compare them pairwise in-process, and CI
-// re-runs the suites under DNC_SIMD=scalar and DNC_SIMD=avx2.
+// ifdef-ing call sites) is what lets one binary run the scalar, AVX2 and
+// AVX-512 paths -- tests compare them pairwise in-process, and CI re-runs
+// the suites under DNC_SIMD=scalar and DNC_SIMD=avx2.
 //
-// Precision note: there is no float SSE2 table (2 lanes of extra width are
-// not worth a third variant); requesting Sse2 for float falls back to the
-// scalar float table. The AVX2 float kernels run 8 lanes per vector --
-// twice the fp64 lane count, the core of the fp32 fast path.
+// Precision note: the AVX2 float kernels run 8 lanes per vector -- twice
+// the fp64 lane count, the core of the fp32 fast path.
 //
 // Numerical note: the AVX2 kernels use FMA and block-wise summation, so
 // dot/sumsq/GEMM/laed4 results may differ from the scalar path by a few
@@ -153,30 +154,22 @@ using Laed4SumsFn = Laed4SumsFnT<double>;
 
 /// The active table for a precision: the highest table at or below the
 /// hardware probe clamped by DNC_SIMD (read once, on first use). Safe to
-/// call from any thread. Only the double and float specialisations exist.
+/// call from any thread. Instantiated for double and float.
 template <typename Real>
 const KernelTableT<Real>& kernels_t() noexcept;
-template <>
-const KernelTableT<double>& kernels_t<double>() noexcept;
-template <>
-const KernelTableT<float>& kernels_t<float>() noexcept;
 
 /// fp64 shorthand (the historical entry point).
 inline const KernelTable& kernels() noexcept { return kernels_t<double>(); }
 
-/// Active instruction set (== kernels().isa; the fp64 table's ISA, which
-/// is also the float table's ISA except that float has no SSE2 tier).
+/// Active instruction set (== kernels().isa, which is also the float
+/// table's ISA).
 SimdIsa active_isa() noexcept;
 
 /// Table for a specific level, or nullptr when that level was not compiled
 /// in or the hardware cannot run it. kernels_for_t<Real>(Scalar) never
-/// fails. Float has no SSE2 table: kernels_for_t<float>(Sse2) == nullptr.
+/// fails. Instantiated for double and float.
 template <typename Real>
 const KernelTableT<Real>* kernels_for_t(SimdIsa isa) noexcept;
-template <>
-const KernelTableT<double>* kernels_for_t<double>(SimdIsa isa) noexcept;
-template <>
-const KernelTableT<float>* kernels_for_t<float>(SimdIsa isa) noexcept;
 
 /// fp64 shorthand.
 inline const KernelTable* kernels_for(SimdIsa isa) noexcept {
@@ -186,10 +179,9 @@ inline const KernelTable* kernels_for(SimdIsa isa) noexcept {
 /// Forces the active tables (both precisions) for the current process --
 /// used by tests and benchmarks to compare paths in-process. Clamped like
 /// DNC_SIMD: a level this binary or host lacks falls to the next lower
-/// table that is present (float has no SSE2 table, so Sse2 degrades to
-/// Scalar). Restores the previous tables on destruction. Not for
-/// concurrent use from multiple threads (tests/benches are single-threaded
-/// at override points).
+/// table that is present. Restores the previous tables on destruction.
+/// Not for concurrent use from multiple threads (tests/benches are
+/// single-threaded at override points).
 class ScopedIsaOverride {
  public:
   explicit ScopedIsaOverride(SimdIsa isa) noexcept;
@@ -205,9 +197,6 @@ class ScopedIsaOverride {
 /// The scalar tables (always present; the testing reference).
 extern const KernelTableT<double> kScalarTable;
 extern const KernelTableT<float> kScalarTableF32;
-#if defined(DNC_HAVE_SSE2)
-extern const KernelTableT<double> kSse2Table;
-#endif
 #if defined(DNC_HAVE_AVX2)
 extern const KernelTableT<double> kAvx2Table;
 extern const KernelTableT<float> kAvx2TableF32;
@@ -215,7 +204,7 @@ extern const KernelTableT<float> kAvx2TableF32;
 /// The Sturm-count entries live in their own files (sturm_*.cpp), compiled
 /// with -ffp-contract=off: a multiply-subtract the compiler fused into an
 /// FMA would round once instead of twice and change counts. The tables take
-/// their addresses. The scalar one also serves the SSE2 table.
+/// their addresses.
 template <typename Real>
 void sturm_counts_ldl_scalar(index_t n, const Real* d, const Real* l, const Real* ld,
                              const Real* x, index_t m, index_t* counts);

@@ -1,9 +1,13 @@
-// AVX2 + FMA kernel table: 256-bit double vectors (4 lanes), fused
-// multiply-add. This file is compiled with -mavx2 -mfma (set per-file in
-// src/blas/CMakeLists.txt) and is only added to the build on x86 targets
+// AVX2 + FMA kernel tables: 256-bit vectors of 4 doubles or 8 floats,
+// fused multiply-add. This file is compiled with -mavx2 -mfma (set per-file
+// in src/blas/CMakeLists.txt) and is only added to the build on x86 targets
 // with DNC_ENABLE_SIMD=ON; dispatch.cpp never selects it unless the cpuid
 // probe reports both AVX2 and FMA, so no instruction here runs on hardware
 // that cannot execute it.
+//
+// The level-1, laed4_sums and pack_a entries are the kernel_body.hpp loops
+// instantiated over the two vector interfaces below; this file adds the
+// four GEMM microkernels and the fp64 transposing pack_b.
 //
 // All loads/stores are unaligned-form (vmovupd): the packing workspaces are
 // 64-byte aligned anyway, and C panels have arbitrary leading dimensions.
@@ -13,19 +17,67 @@
 
 #include <immintrin.h>
 
-#include <cmath>
+#include "blas/simd/kernel_body.hpp"
 
 namespace dnc::blas::simd {
 namespace {
 
-inline double hsum(__m256d v) {
-  __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  lo = _mm_add_pd(lo, hi);
-  return _mm_cvtsd_f64(_mm_add_sd(lo, _mm_unpackhi_pd(lo, lo)));
-}
+// The vector interface of kernel_body.hpp: 4 double lanes per ymm.
+struct F64x4 {
+  using Real = double;
+  using Reg = __m256d;
+  static constexpr index_t kLanes = 4;
+  static Reg zero() { return _mm256_setzero_pd(); }
+  static Reg set1(double v) { return _mm256_set1_pd(v); }
+  static Reg load(const double* p) { return _mm256_loadu_pd(p); }
+  static void store(double* p, Reg v) { _mm256_storeu_pd(p, v); }
+  static Reg add(Reg a, Reg b) { return _mm256_add_pd(a, b); }
+  static Reg sub(Reg a, Reg b) { return _mm256_sub_pd(a, b); }
+  static Reg mul(Reg a, Reg b) { return _mm256_mul_pd(a, b); }
+  static Reg div(Reg a, Reg b) { return _mm256_div_pd(a, b); }
+  static Reg fmadd(Reg a, Reg b, Reg c) { return _mm256_fmadd_pd(a, b, c); }
+  static Reg fmsub(Reg a, Reg b, Reg c) { return _mm256_fmsub_pd(a, b, c); }
+  static Reg abs(Reg a) { return _mm256_andnot_pd(_mm256_set1_pd(-0.0), a); }
+  static double hsum(Reg v) {
+    __m128d lo = _mm256_castpd256_pd128(v);
+    const __m128d hi = _mm256_extractf128_pd(v, 1);
+    lo = _mm_add_pd(lo, hi);
+    return _mm_cvtsd_f64(_mm_add_sd(lo, _mm_unpackhi_pd(lo, lo)));
+  }
+  static void copy_half(const double* src, double* dst) {
+    _mm_storeu_pd(dst, _mm_loadu_pd(src));
+  }
+};
 
-inline __m256d vabs(__m256d v) { return _mm256_andnot_pd(_mm256_set1_pd(-0.0), v); }
+// 8 float lanes per ymm: twice the fp64 lane count at the same issue
+// width, which is the whole point of the fp32 fast path.
+struct F32x8 {
+  using Real = float;
+  using Reg = __m256;
+  static constexpr index_t kLanes = 8;
+  static Reg zero() { return _mm256_setzero_ps(); }
+  static Reg set1(float v) { return _mm256_set1_ps(v); }
+  static Reg load(const float* p) { return _mm256_loadu_ps(p); }
+  static void store(float* p, Reg v) { _mm256_storeu_ps(p, v); }
+  static Reg add(Reg a, Reg b) { return _mm256_add_ps(a, b); }
+  static Reg sub(Reg a, Reg b) { return _mm256_sub_ps(a, b); }
+  static Reg mul(Reg a, Reg b) { return _mm256_mul_ps(a, b); }
+  static Reg div(Reg a, Reg b) { return _mm256_div_ps(a, b); }
+  static Reg fmadd(Reg a, Reg b, Reg c) { return _mm256_fmadd_ps(a, b, c); }
+  static Reg fmsub(Reg a, Reg b, Reg c) { return _mm256_fmsub_ps(a, b, c); }
+  static Reg abs(Reg a) { return _mm256_andnot_ps(_mm256_set1_ps(-0.0f), a); }
+  static float hsum(Reg v) {
+    __m128 lo = _mm256_castps256_ps128(v);
+    const __m128 hi = _mm256_extractf128_ps(v, 1);
+    lo = _mm_add_ps(lo, hi);
+    lo = _mm_add_ps(lo, _mm_movehl_ps(lo, lo));
+    lo = _mm_add_ss(lo, _mm_shuffle_ps(lo, lo, 0x55));
+    return _mm_cvtss_f32(lo);
+  }
+  static void copy_half(const float* src, float* dst) {
+    _mm_storeu_ps(dst, _mm_loadu_ps(src));
+  }
+};
 
 // Applies C[0:4] = alpha*acc + beta*C[0:4] for one 4-row chunk of a column.
 inline void update_col4(double* col, __m256d acc, __m256d valpha, double beta) {
@@ -118,24 +170,6 @@ void mk4x8_avx2(index_t kb, const double* ap, const double* bp, double alpha, do
   }
 }
 
-void pack_a_avx2(const double* a, index_t lda, bool trans, index_t i0, index_t mr, index_t p0,
-                 index_t kb, double* dst, index_t MR) {
-  if (!trans && mr == MR && MR % 4 == 0) {
-    // Contiguous column chunks: straight vector copy, one ymm per 4 rows
-    // (any tile height that is a whole number of vectors: 4, 8, 16).
-    const double* src = a + i0 + p0 * lda;
-    for (index_t p = 0; p < kb; ++p, src += lda, dst += MR)
-      for (index_t i = 0; i < MR; i += 4) _mm256_storeu_pd(dst + i, _mm256_loadu_pd(src + i));
-    return;
-  }
-  for (index_t p = 0; p < kb; ++p) {
-    for (index_t i = 0; i < MR; ++i)
-      dst[p * MR + i] =
-          (i < mr) ? (trans ? a[(p0 + p) + (i0 + i) * lda] : a[(i0 + i) + (p0 + p) * lda])
-                   : 0.0;
-  }
-}
-
 // Transposes a 4x4 block held in four column vectors into four row vectors.
 inline void transpose4(__m256d c0, __m256d c1, __m256d c2, __m256d c3, __m256d& r0,
                        __m256d& r1, __m256d& r2, __m256d& r3) {
@@ -149,12 +183,13 @@ inline void transpose4(__m256d c0, __m256d c1, __m256d c2, __m256d c3, __m256d& 
   r3 = _mm256_permute2f128_pd(t1, t3, 0x31);
 }
 
+// Full untransposed tiles of op(B) = B: dst rows are B columns, a k x NR
+// transpose done 4 k-steps at a time with in-register 4x4 transposes; the
+// remaining k-steps and every other case take the plain loops.
 void pack_b_avx2(const double* b, index_t ldb, bool trans, index_t p0, index_t kb, index_t j0,
                  index_t nr, double* dst, index_t NR) {
+  index_t p = 0;
   if (!trans && nr == NR) {
-    // Full tile of op(B)=B: dst rows are B columns -- a k x NR transpose.
-    // Do it 4 k-steps at a time with in-register 4x4 transposes.
-    index_t p = 0;
     for (; p + 4 <= kb; p += 4) {
       const double* base = b + (p0 + p);
       for (index_t j4 = 0; j4 < NR; j4 += 4) {
@@ -170,155 +205,12 @@ void pack_b_avx2(const double* b, index_t ldb, bool trans, index_t p0, index_t k
         _mm256_storeu_pd(out + 3 * NR, r3);
       }
     }
-    for (; p < kb; ++p)
-      for (index_t j = 0; j < NR; ++j) dst[p * NR + j] = b[(p0 + p) + (j0 + j) * ldb];
-    return;
   }
-  for (index_t p = 0; p < kb; ++p) {
-    for (index_t j = 0; j < NR; ++j)
-      dst[p * NR + j] =
-          (j < nr) ? (trans ? b[(j0 + j) + (p0 + p) * ldb] : b[(p0 + p) + (j0 + j) * ldb])
-                   : 0.0;
-  }
+  pack_b_loop<F64x4>(b, ldb, trans, p0 + p, kb - p, j0, nr, dst + p * NR, NR);
 }
 
-void axpy_avx2(index_t n, double alpha, const double* x, double* y) {
-  const __m256d va = _mm256_set1_pd(alpha);
-  index_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_pd(y + i, _mm256_fmadd_pd(va, _mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
-    _mm256_storeu_pd(y + i + 4, _mm256_fmadd_pd(va, _mm256_loadu_pd(x + i + 4),
-                                                _mm256_loadu_pd(y + i + 4)));
-  }
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(y + i, _mm256_fmadd_pd(va, _mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-double dot_avx2(index_t n, const double* x, const double* y) {
-  __m256d s0 = _mm256_setzero_pd(), s1 = _mm256_setzero_pd();
-  index_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    s0 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i), s0);
-    s1 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 4), _mm256_loadu_pd(y + i + 4), s1);
-  }
-  for (; i + 4 <= n; i += 4)
-    s0 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i), s0);
-  double s = hsum(_mm256_add_pd(s0, s1));
-  for (; i < n; ++i) s += x[i] * y[i];
-  return s;
-}
-
-void scal_avx2(index_t n, double alpha, double* x) {
-  const __m256d va = _mm256_set1_pd(alpha);
-  index_t i = 0;
-  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(x + i, _mm256_mul_pd(va, _mm256_loadu_pd(x + i)));
-  for (; i < n; ++i) x[i] *= alpha;
-}
-
-void copy_avx2(index_t n, const double* x, double* y) {
-  index_t i = 0;
-  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(y + i, _mm256_loadu_pd(x + i));
-  for (; i < n; ++i) y[i] = x[i];
-}
-
-void swap_avx2(index_t n, double* x, double* y) {
-  index_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vx = _mm256_loadu_pd(x + i);
-    const __m256d vy = _mm256_loadu_pd(y + i);
-    _mm256_storeu_pd(x + i, vy);
-    _mm256_storeu_pd(y + i, vx);
-  }
-  for (; i < n; ++i) {
-    const double t = x[i];
-    x[i] = y[i];
-    y[i] = t;
-  }
-}
-
-void rot_avx2(index_t n, double* x, double* y, double c, double s) {
-  const __m256d vc = _mm256_set1_pd(c);
-  const __m256d vs = _mm256_set1_pd(s);
-  index_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vx = _mm256_loadu_pd(x + i);
-    const __m256d vy = _mm256_loadu_pd(y + i);
-    _mm256_storeu_pd(x + i, _mm256_fmadd_pd(vc, vx, _mm256_mul_pd(vs, vy)));
-    _mm256_storeu_pd(y + i, _mm256_fmsub_pd(vc, vy, _mm256_mul_pd(vs, vx)));
-  }
-  for (; i < n; ++i) {
-    const double xi = x[i];
-    const double yi = y[i];
-    x[i] = c * xi + s * yi;
-    y[i] = c * yi - s * xi;
-  }
-}
-
-double sumsq_avx2(index_t n, const double* x) {
-  __m256d s0 = _mm256_setzero_pd(), s1 = _mm256_setzero_pd();
-  index_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d v0 = _mm256_loadu_pd(x + i);
-    const __m256d v1 = _mm256_loadu_pd(x + i + 4);
-    s0 = _mm256_fmadd_pd(v0, v0, s0);
-    s1 = _mm256_fmadd_pd(v1, v1, s1);
-  }
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(x + i);
-    s0 = _mm256_fmadd_pd(v, v, s0);
-  }
-  double s = hsum(_mm256_add_pd(s0, s1));
-  for (; i < n; ++i) s += x[i] * x[i];
-  return s;
-}
-
-void laed4_sums_avx2(index_t j0, index_t j1, const double* delta0, const double* z, double rho,
-                     double tau, double* w, double* dsum, double* asum) {
-  const __m256d vtau = _mm256_set1_pd(tau);
-  const __m256d vrho = _mm256_set1_pd(rho);
-  __m256d vw = _mm256_setzero_pd(), vd = _mm256_setzero_pd(), va = _mm256_setzero_pd();
-  index_t j = j0;
-  for (; j + 4 <= j1; j += 4) {
-    const __m256d dj = _mm256_sub_pd(_mm256_loadu_pd(delta0 + j), vtau);
-    const __m256d zj = _mm256_loadu_pd(z + j);
-    const __m256d t = _mm256_div_pd(zj, dj);
-    const __m256d term = _mm256_mul_pd(vrho, _mm256_mul_pd(zj, t));
-    vw = _mm256_add_pd(vw, term);
-    vd = _mm256_fmadd_pd(vrho, _mm256_mul_pd(t, t), vd);
-    va = _mm256_add_pd(va, vabs(term));
-  }
-  double fw = hsum(vw), fd = hsum(vd), fa = hsum(va);
-  for (; j < j1; ++j) {
-    const double dj = delta0[j] - tau;
-    const double t = z[j] / dj;
-    const double term = rho * z[j] * t;
-    fw += term;
-    fd += rho * t * t;
-    fa += std::fabs(term);
-  }
-  *w += fw;
-  *dsum += fd;
-  *asum += fa;
-}
-
-// ---------------------------------------------------------------------
-// Float kernels: 256-bit vectors carry 8 float lanes -- twice the fp64
-// lane count at the same issue width, which is the whole point of the
-// fp32 fast path. Tile shapes (MR/NR) match the double kernels so the
+// Float microkernels. Tile shapes (MR/NR) match the double kernels so the
 // blocking driver in gemm.cpp is shared by both precisions.
-// ---------------------------------------------------------------------
-
-inline float hsumf(__m256 v) {
-  __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  lo = _mm_add_ps(lo, hi);
-  lo = _mm_add_ps(lo, _mm_movehl_ps(lo, lo));
-  lo = _mm_add_ss(lo, _mm_shuffle_ps(lo, lo, 0x55));
-  return _mm_cvtss_f32(lo);
-}
-
-inline __m256 vabsf(__m256 v) { return _mm256_andnot_ps(_mm256_set1_ps(-0.0f), v); }
 
 // Applies C[0:8] = alpha*acc + beta*C[0:8] for one 8-row chunk of a column.
 inline void update_col8f(float* col, __m256 acc, __m256 valpha, float beta) {
@@ -421,167 +313,6 @@ void mk4x8_avx2_f32(index_t kb, const float* ap, const float* bp, float alpha, f
   }
 }
 
-void pack_a_avx2_f32(const float* a, index_t lda, bool trans, index_t i0, index_t mr,
-                     index_t p0, index_t kb, float* dst, index_t MR) {
-  if (!trans && mr == MR && MR % 8 == 0) {
-    // Contiguous column chunks: straight vector copy, one ymm per 8 rows
-    // (any tile height that is a whole number of vectors: 8, 32).
-    const float* src = a + i0 + p0 * lda;
-    for (index_t p = 0; p < kb; ++p, src += lda, dst += MR)
-      for (index_t i = 0; i < MR; i += 8) _mm256_storeu_ps(dst + i, _mm256_loadu_ps(src + i));
-    return;
-  }
-  if (!trans && mr == MR && MR == 4) {  // the short-wide 4x8 tile
-    const float* src = a + i0 + p0 * lda;
-    for (index_t p = 0; p < kb; ++p, src += lda, dst += 4) _mm_storeu_ps(dst, _mm_loadu_ps(src));
-    return;
-  }
-  for (index_t p = 0; p < kb; ++p) {
-    for (index_t i = 0; i < MR; ++i)
-      dst[p * MR + i] =
-          (i < mr) ? (trans ? a[(p0 + p) + (i0 + i) * lda] : a[(i0 + i) + (p0 + p) * lda])
-                   : 0.0f;
-  }
-}
-
-// Packing B is a k x NR transpose of strided loads -- memory bound either
-// way, so the float variant keeps the plain loop (the double path's 4x4
-// in-register transpose trick does not map to 8-lane tiles cleanly).
-void pack_b_avx2_f32(const float* b, index_t ldb, bool trans, index_t p0, index_t kb,
-                     index_t j0, index_t nr, float* dst, index_t NR) {
-  if (!trans && nr == NR) {
-    for (index_t p = 0; p < kb; ++p)
-      for (index_t j = 0; j < NR; ++j) dst[p * NR + j] = b[(p0 + p) + (j0 + j) * ldb];
-    return;
-  }
-  for (index_t p = 0; p < kb; ++p) {
-    for (index_t j = 0; j < NR; ++j)
-      dst[p * NR + j] =
-          (j < nr) ? (trans ? b[(j0 + j) + (p0 + p) * ldb] : b[(p0 + p) + (j0 + j) * ldb])
-                   : 0.0f;
-  }
-}
-
-void axpy_avx2_f32(index_t n, float alpha, const float* x, float* y) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  index_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm256_storeu_ps(y + i, _mm256_fmadd_ps(va, _mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i)));
-    _mm256_storeu_ps(y + i + 8, _mm256_fmadd_ps(va, _mm256_loadu_ps(x + i + 8),
-                                                _mm256_loadu_ps(y + i + 8)));
-  }
-  for (; i + 8 <= n; i += 8)
-    _mm256_storeu_ps(y + i, _mm256_fmadd_ps(va, _mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i)));
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-float dot_avx2_f32(index_t n, const float* x, const float* y) {
-  __m256 s0 = _mm256_setzero_ps(), s1 = _mm256_setzero_ps();
-  index_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    s0 = _mm256_fmadd_ps(_mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i), s0);
-    s1 = _mm256_fmadd_ps(_mm256_loadu_ps(x + i + 8), _mm256_loadu_ps(y + i + 8), s1);
-  }
-  for (; i + 8 <= n; i += 8)
-    s0 = _mm256_fmadd_ps(_mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i), s0);
-  float s = hsumf(_mm256_add_ps(s0, s1));
-  for (; i < n; ++i) s += x[i] * y[i];
-  return s;
-}
-
-void scal_avx2_f32(index_t n, float alpha, float* x) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  index_t i = 0;
-  for (; i + 8 <= n; i += 8) _mm256_storeu_ps(x + i, _mm256_mul_ps(va, _mm256_loadu_ps(x + i)));
-  for (; i < n; ++i) x[i] *= alpha;
-}
-
-void copy_avx2_f32(index_t n, const float* x, float* y) {
-  index_t i = 0;
-  for (; i + 8 <= n; i += 8) _mm256_storeu_ps(y + i, _mm256_loadu_ps(x + i));
-  for (; i < n; ++i) y[i] = x[i];
-}
-
-void swap_avx2_f32(index_t n, float* x, float* y) {
-  index_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 vx = _mm256_loadu_ps(x + i);
-    const __m256 vy = _mm256_loadu_ps(y + i);
-    _mm256_storeu_ps(x + i, vy);
-    _mm256_storeu_ps(y + i, vx);
-  }
-  for (; i < n; ++i) {
-    const float t = x[i];
-    x[i] = y[i];
-    y[i] = t;
-  }
-}
-
-void rot_avx2_f32(index_t n, float* x, float* y, float c, float s) {
-  const __m256 vc = _mm256_set1_ps(c);
-  const __m256 vs = _mm256_set1_ps(s);
-  index_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 vx = _mm256_loadu_ps(x + i);
-    const __m256 vy = _mm256_loadu_ps(y + i);
-    _mm256_storeu_ps(x + i, _mm256_fmadd_ps(vc, vx, _mm256_mul_ps(vs, vy)));
-    _mm256_storeu_ps(y + i, _mm256_fmsub_ps(vc, vy, _mm256_mul_ps(vs, vx)));
-  }
-  for (; i < n; ++i) {
-    const float xi = x[i];
-    const float yi = y[i];
-    x[i] = c * xi + s * yi;
-    y[i] = c * yi - s * xi;
-  }
-}
-
-float sumsq_avx2_f32(index_t n, const float* x) {
-  __m256 s0 = _mm256_setzero_ps(), s1 = _mm256_setzero_ps();
-  index_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256 v0 = _mm256_loadu_ps(x + i);
-    const __m256 v1 = _mm256_loadu_ps(x + i + 8);
-    s0 = _mm256_fmadd_ps(v0, v0, s0);
-    s1 = _mm256_fmadd_ps(v1, v1, s1);
-  }
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(x + i);
-    s0 = _mm256_fmadd_ps(v, v, s0);
-  }
-  float s = hsumf(_mm256_add_ps(s0, s1));
-  for (; i < n; ++i) s += x[i] * x[i];
-  return s;
-}
-
-void laed4_sums_avx2_f32(index_t j0, index_t j1, const float* delta0, const float* z,
-                         float rho, float tau, float* w, float* dsum, float* asum) {
-  const __m256 vtau = _mm256_set1_ps(tau);
-  const __m256 vrho = _mm256_set1_ps(rho);
-  __m256 vw = _mm256_setzero_ps(), vd = _mm256_setzero_ps(), va = _mm256_setzero_ps();
-  index_t j = j0;
-  for (; j + 8 <= j1; j += 8) {
-    const __m256 dj = _mm256_sub_ps(_mm256_loadu_ps(delta0 + j), vtau);
-    const __m256 zj = _mm256_loadu_ps(z + j);
-    const __m256 t = _mm256_div_ps(zj, dj);
-    const __m256 term = _mm256_mul_ps(vrho, _mm256_mul_ps(zj, t));
-    vw = _mm256_add_ps(vw, term);
-    vd = _mm256_fmadd_ps(vrho, _mm256_mul_ps(t, t), vd);
-    va = _mm256_add_ps(va, vabsf(term));
-  }
-  float fw = hsumf(vw), fd = hsumf(vd), fa = hsumf(va);
-  for (; j < j1; ++j) {
-    const float dj = delta0[j] - tau;
-    const float t = z[j] / dj;
-    const float term = rho * z[j] * t;
-    fw += term;
-    fd += rho * t * t;
-    fa += std::fabs(term);
-  }
-  *w += fw;
-  *dsum += fd;
-  *asum += fa;
-}
-
 }  // namespace
 
 const KernelTable kAvx2Table = {
@@ -591,17 +322,17 @@ const KernelTable kAvx2Table = {
     8,
     4,
     &mk4x8_avx2,
-    &pack_a_avx2,
+    &pack_a_vec<F64x4>,
     &pack_b_avx2,
     16 * 16 * 16,
-    &axpy_avx2,
-    &dot_avx2,
-    &scal_avx2,
-    &copy_avx2,
-    &swap_avx2,
-    &rot_avx2,
-    &sumsq_avx2,
-    &laed4_sums_avx2,
+    &axpy_vec<F64x4>,
+    &dot_vec<F64x4>,
+    &scal_vec<F64x4>,
+    &copy_vec<F64x4>,
+    &swap_vec<F64x4>,
+    &rot_vec<F64x4>,
+    &sumsq_vec<F64x4>,
+    &laed4_sums_vec<F64x4>,
     &sturm_counts_ldl_avx2<double>,
     8,
 };
@@ -613,17 +344,17 @@ const KernelTableT<float> kAvx2TableF32 = {
     8,
     4,
     &mk4x8_avx2_f32,
-    &pack_a_avx2_f32,
-    &pack_b_avx2_f32,
+    &pack_a_vec<F32x8>,
+    &pack_b_loop<F32x8>,
     16 * 16 * 16,
-    &axpy_avx2_f32,
-    &dot_avx2_f32,
-    &scal_avx2_f32,
-    &copy_avx2_f32,
-    &swap_avx2_f32,
-    &rot_avx2_f32,
-    &sumsq_avx2_f32,
-    &laed4_sums_avx2_f32,
+    &axpy_vec<F32x8>,
+    &dot_vec<F32x8>,
+    &scal_vec<F32x8>,
+    &copy_vec<F32x8>,
+    &swap_vec<F32x8>,
+    &rot_vec<F32x8>,
+    &sumsq_vec<F32x8>,
+    &laed4_sums_vec<F32x8>,
     &sturm_counts_ldl_avx2<float>,
     16,
 };

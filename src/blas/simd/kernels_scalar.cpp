@@ -4,18 +4,21 @@
 // instantiated for double and float; the GEMM microkernel is the seed's
 // register-blocked loop (written so GCC can auto-vectorize it with the
 // baseline ISA), hoisted here so scalar and SIMD paths share the
-// packing/blocking driver.
+// packing/blocking driver. The packing entries are kernel_body.hpp's
+// loops, which the vector packers also fall back to.
 #include <cmath>
 
+#include "blas/simd/kernel_body.hpp"
 #include "blas/simd/kernels.hpp"
 
 namespace dnc::blas::simd {
 namespace {
 
-template <typename Real>
-inline Real at(const Real* a, index_t lda, bool trans, index_t i, index_t j) {
-  return trans ? a[j + i * lda] : a[i + j * lda];
-}
+// The packing loops of kernel_body.hpp read only V::Real.
+template <typename R>
+struct Scalar {
+  using Real = R;
+};
 
 // MR x NR register microkernel over packed panels; acc kept in a local
 // array so the compiler maps it to registers.
@@ -42,37 +45,6 @@ void microkernel(index_t kb, const Real* ap, const Real* bp, Real alpha, Real be
     } else {
       for (index_t i = 0; i < mr; ++i) col[i] = alpha * acc[i][j] + beta * col[i];
     }
-  }
-}
-
-template <typename Real>
-void pack_a_scalar(const Real* a, index_t lda, bool trans, index_t i0, index_t mr, index_t p0,
-                   index_t kb, Real* dst, index_t MR) {
-  if (!trans && mr == MR) {
-    for (index_t p = 0; p < kb; ++p) {
-      const Real* src = a + i0 + (p0 + p) * lda;
-      for (index_t i = 0; i < MR; ++i) dst[p * MR + i] = src[i];
-    }
-    return;
-  }
-  for (index_t p = 0; p < kb; ++p) {
-    for (index_t i = 0; i < MR; ++i)
-      dst[p * MR + i] = (i < mr) ? at(a, lda, trans, i0 + i, p0 + p) : Real(0);
-  }
-}
-
-template <typename Real>
-void pack_b_scalar(const Real* b, index_t ldb, bool trans, index_t p0, index_t kb, index_t j0,
-                   index_t nr, Real* dst, index_t NR) {
-  if (!trans && nr == NR) {
-    for (index_t p = 0; p < kb; ++p) {
-      for (index_t j = 0; j < NR; ++j) dst[p * NR + j] = b[(p0 + p) + (j0 + j) * ldb];
-    }
-    return;
-  }
-  for (index_t p = 0; p < kb; ++p) {
-    for (index_t j = 0; j < NR; ++j)
-      dst[p * NR + j] = (j < nr) ? at(b, ldb, trans, p0 + p, j0 + j) : Real(0);
   }
 }
 
@@ -150,8 +122,8 @@ const KernelTableT<double> kScalarTable = {
     8,
     4,
     &microkernel<double, 4, 8>,
-    &pack_a_scalar<double>,
-    &pack_b_scalar<double>,
+    &pack_a_loop<Scalar<double>>,
+    &pack_b_loop<Scalar<double>>,
     32 * 32 * 32,
     &axpy_scalar<double>,
     &dot_scalar<double>,
@@ -172,8 +144,8 @@ const KernelTableT<float> kScalarTableF32 = {
     8,
     4,
     &microkernel<float, 4, 8>,
-    &pack_a_scalar<float>,
-    &pack_b_scalar<float>,
+    &pack_a_loop<Scalar<float>>,
+    &pack_b_loop<Scalar<float>>,
     32 * 32 * 32,
     &axpy_scalar<float>,
     &dot_scalar<float>,

@@ -41,9 +41,7 @@ SimdIsa probe_hardware() noexcept {
   // The AVX-512 table reuses the AVX2 entries for its level-1 kernels, so
   // it needs the AVX2 level as well.
   if (avx2 && __builtin_cpu_supports("avx512f") && os_saves_zmm_state()) return SimdIsa::Avx512;
-  if (avx2) return SimdIsa::Avx2;
-  if (__builtin_cpu_supports("sse2")) return SimdIsa::Sse2;
-  return SimdIsa::Scalar;
+  return avx2 ? SimdIsa::Avx2 : SimdIsa::Scalar;
 #else
   return SimdIsa::Scalar;
 #endif
@@ -61,10 +59,6 @@ bool parse_simd_isa(const char* s, SimdIsa& out) noexcept {
   if (std::strcmp(s, "scalar") == 0 || std::strcmp(s, "off") == 0 ||
       std::strcmp(s, "none") == 0) {
     out = SimdIsa::Scalar;
-    return true;
-  }
-  if (std::strcmp(s, "sse2") == 0) {
-    out = SimdIsa::Sse2;
     return true;
   }
   if (std::strcmp(s, "avx2") == 0) {
@@ -203,8 +197,6 @@ const CpuTopology& cpu_topology() noexcept {
 
 const char* simd_isa_name(SimdIsa isa) noexcept {
   switch (isa) {
-    case SimdIsa::Sse2:
-      return "sse2";
     case SimdIsa::Avx2:
       return "avx2";
     case SimdIsa::Avx512:

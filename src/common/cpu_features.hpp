@@ -1,8 +1,8 @@
 // Runtime CPU feature probe for the SIMD kernel dispatch.
 //
 // The kernel layer in src/blas/simd/ compiles several instruction-set
-// variants of the hot kernels (scalar always; SSE2, AVX2+FMA and AVX-512F
-// when the build supports them) and picks one at runtime. This header
+// variants of the hot kernels (scalar always; AVX2+FMA and AVX-512F when
+// the build supports them) and picks one at runtime. This header
 // answers the runtime half of that question: what does the *hardware*
 // support, and did the user force a level via the DNC_SIMD environment
 // variable.
@@ -19,13 +19,11 @@
 namespace dnc {
 
 /// Instruction-set levels the kernel layer distinguishes, in strictly
-/// increasing capability order (AVX-512 implies AVX2 implies SSE2 implies
-/// scalar).
+/// increasing capability order (AVX-512 implies AVX2 implies scalar).
 enum class SimdIsa : int {
   Scalar = 0,  ///< portable C++ (always available)
-  Sse2 = 1,    ///< 128-bit double vectors (x86-64 baseline)
-  Avx2 = 2,    ///< 256-bit double vectors + FMA
-  Avx512 = 3,  ///< 512-bit vectors (AVX-512F) for the GEMM microkernels
+  Avx2 = 1,    ///< 256-bit vectors + FMA
+  Avx512 = 2,  ///< 512-bit vectors (AVX-512F) for the GEMM microkernels
 };
 
 /// Best level the *hardware* supports (cpuid probe; cached after first call).
@@ -34,7 +32,7 @@ enum class SimdIsa : int {
 /// ZMM register state (XCR0 bits 5-7), read directly with xgetbv.
 SimdIsa detect_simd_isa() noexcept;
 
-/// Parses a DNC_SIMD-style override string ("scalar"/"off", "sse2", "avx2",
+/// Parses a DNC_SIMD-style override string ("scalar"/"off"/"none", "avx2",
 /// "avx512").
 /// Returns true and sets `out` on a recognised value, false otherwise.
 bool parse_simd_isa(const char* s, SimdIsa& out) noexcept;
@@ -45,7 +43,7 @@ bool parse_simd_isa(const char* s, SimdIsa& out) noexcept;
 /// variable is unset/unparsable.
 SimdIsa requested_simd_isa() noexcept;
 
-/// Human-readable name ("scalar", "sse2", "avx2", "avx512").
+/// Human-readable name ("scalar", "avx2", "avx512").
 const char* simd_isa_name(SimdIsa isa) noexcept;
 
 /// Cache/socket hierarchy of the machine, for locality-aware stealing: a

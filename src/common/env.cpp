@@ -83,7 +83,7 @@ const Knob* knob_reference() noexcept {
       {"DNC_PROFILE", "path", "write folded-stack profile here at exit"},
       {"DNC_PROFILE_HZ", "off/on/hz", "continuous sampling-profiler rate (on = 97)"},
       {"DNC_REPORT", "path", "write the SolveReport JSON of each solve here"},
-      {"DNC_SIMD", "scalar/sse2/avx2/avx512", "clamp the SIMD kernel dispatch level"},
+      {"DNC_SIMD", "scalar/avx2/avx512", "clamp the SIMD kernel dispatch level"},
       {"DNC_TOPOLOGY", "sockets x l3 x cpus | flat", "override the detected CPU topology for steal ordering"},
       {"DNC_TRACE", "path", "write the Perfetto trace of each solve here"},
       {nullptr, nullptr, nullptr},

@@ -1,6 +1,6 @@
 // Property tests for the SIMD kernel layer: every table the binary carries,
-// in both precisions (scalar always; SSE2/AVX2/AVX-512 when compiled in and
-// the host supports them), is compared against the scalar reference of its
+// in both precisions (scalar always; AVX2/AVX-512 when compiled in and the
+// host supports them), is compared against the scalar reference of its
 // precision across remainder shapes
 // -- vector kernels live or die on their tail handling, so lengths sweep
 // every residue mod the widest vector, and GEMM shapes sweep the residues
@@ -12,8 +12,10 @@
 #include <algorithm>
 #include <cfloat>
 #include <cmath>
+#include <cstdlib>
 #include <initializer_list>
 #include <limits>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -40,7 +42,7 @@ std::vector<Real> randvec_t(index_t n, std::uint64_t seed) {
 template <typename Real>
 std::vector<const KernelTableT<Real>*> tables_t() {
   std::vector<const KernelTableT<Real>*> t;
-  for (SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Sse2, SimdIsa::Avx2, SimdIsa::Avx512})
+  for (SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Avx2, SimdIsa::Avx512})
     if (const KernelTableT<Real>* kt = kernels_for_t<Real>(isa)) t.push_back(kt);
   return t;
 }
@@ -90,8 +92,6 @@ TEST(SimdDispatch, EnvParsing) {
   EXPECT_EQ(isa, SimdIsa::Scalar);
   EXPECT_TRUE(parse_simd_isa("off", isa));
   EXPECT_EQ(isa, SimdIsa::Scalar);
-  EXPECT_TRUE(parse_simd_isa("sse2", isa));
-  EXPECT_EQ(isa, SimdIsa::Sse2);
   EXPECT_TRUE(parse_simd_isa("avx2", isa));
   EXPECT_EQ(isa, SimdIsa::Avx2);
   EXPECT_TRUE(parse_simd_isa("avx512", isa));
@@ -99,25 +99,34 @@ TEST(SimdDispatch, EnvParsing) {
   EXPECT_FALSE(parse_simd_isa("avx512f", isa));
   EXPECT_FALSE(parse_simd_isa("", isa));
   EXPECT_FALSE(parse_simd_isa(nullptr, isa));
+
+  // sse2 names no tier: like any unrecognised value it is not parsed, and
+  // DNC_SIMD=sse2 leaves the request at the hardware level.
+  EXPECT_FALSE(parse_simd_isa("sse2", isa));
+  EXPECT_EQ(isa, SimdIsa::Avx512);
+  const char* old = std::getenv("DNC_SIMD");
+  const std::string saved = old ? old : "";
+  ::setenv("DNC_SIMD", "sse2", 1);
+  EXPECT_EQ(requested_simd_isa(), detect_simd_isa());
+  if (old)
+    ::setenv("DNC_SIMD", saved.c_str(), 1);
+  else
+    ::unsetenv("DNC_SIMD");
 }
 
 TEST(SimdDispatch, DetectIsMonotone) {
-  // AVX-512 hardware implies AVX2 implies SSE2; the probe must never
-  // report an impossible combination, and kernels_for must clamp to it.
+  // AVX-512 hardware implies AVX2; the probe must never report an
+  // impossible combination, and kernels_for must clamp to it.
   const SimdIsa hw = detect_simd_isa();
-  if (hw >= SimdIsa::Sse2) {
-#if defined(__x86_64__) || defined(__i386__)
-    SUCCEED();
-#endif
-  }
   if (kernels_for(SimdIsa::Avx512) != nullptr) {
     EXPECT_GE(hw, SimdIsa::Avx512);
     // The AVX-512 table is built on the AVX2 one, so it needs it present.
     EXPECT_NE(kernels_for(SimdIsa::Avx2), nullptr);
     EXPECT_NE(kernels_for_t<float>(SimdIsa::Avx512), nullptr);
   }
-  if (kernels_for(SimdIsa::Avx2) != nullptr) EXPECT_GE(hw, SimdIsa::Avx2);
-  if (kernels_for(SimdIsa::Sse2) != nullptr) EXPECT_GE(hw, SimdIsa::Sse2);
+  if (kernels_for(SimdIsa::Avx2) != nullptr) {
+    EXPECT_GE(hw, SimdIsa::Avx2);
+  }
   for (const KernelTable* kt : available_tables()) EXPECT_LE(kt->isa, hw) << kt->name;
 }
 
@@ -140,9 +149,9 @@ const KernelTableT<Real>* next_present_table(SimdIsa cap) {
 
 TEST(SimdDispatch, MissingTierFallsToNextLowerTable) {
   // Requesting a level the binary or host lacks selects the highest table
-  // below it that is present, not the scalar one: float has no SSE2 table,
-  // and a build without the AVX-512 file still has AVX2 on an AVX-512 host.
-  for (SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Sse2, SimdIsa::Avx2, SimdIsa::Avx512}) {
+  // below it that is present, not the scalar one: a build without the
+  // AVX-512 file still has AVX2 on an AVX-512 host.
+  for (SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Avx2, SimdIsa::Avx512}) {
     ScopedIsaOverride force(isa);
     EXPECT_EQ(&kernels_t<double>(), next_present_table<double>(isa)) << simd_isa_name(isa);
     EXPECT_EQ(&kernels_t<float>(), next_present_table<float>(isa)) << simd_isa_name(isa);
@@ -151,10 +160,6 @@ TEST(SimdDispatch, MissingTierFallsToNextLowerTable) {
     ScopedIsaOverride force(SimdIsa::Avx512);
     EXPECT_EQ(active_isa(), SimdIsa::Avx2);
     EXPECT_EQ(kernels_t<float>().isa, SimdIsa::Avx2);
-  }
-  {
-    ScopedIsaOverride force(SimdIsa::Sse2);
-    EXPECT_EQ(kernels_t<float>().isa, SimdIsa::Scalar);
   }
 }
 

@@ -18,7 +18,7 @@ TEST(CpuFeatures, DetectIsStableAndNamed) {
 }
 
 TEST(CpuFeatures, NamesRoundTripThroughParse) {
-  for (SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Sse2, SimdIsa::Avx2, SimdIsa::Avx512}) {
+  for (SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Avx2, SimdIsa::Avx512}) {
     SimdIsa parsed;
     ASSERT_TRUE(parse_simd_isa(simd_isa_name(isa), parsed));
     EXPECT_EQ(parsed, isa);

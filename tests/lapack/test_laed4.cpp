@@ -195,7 +195,7 @@ TEST(Laed4, SimdDispatchAgreesWithScalarWithin8Eps) {
   const double rho = 1.7;
   const double eps = lamch_eps();
 
-  for (SimdIsa isa : {SimdIsa::Sse2, SimdIsa::Avx2, SimdIsa::Avx512}) {
+  for (SimdIsa isa : {SimdIsa::Avx2, SimdIsa::Avx512}) {
     if (blas::simd::kernels_for(isa) == nullptr) continue;  // not on this host/build
     for (index_t i = 0; i < k; i += 7) {
       std::vector<double> delta_s(k), delta_v(k);

@@ -241,7 +241,7 @@ void check_batch_matches_one_at_a_time() {
     for (index_t j = 0; j < m; ++j) ref[j] = refine_reference(rep, ks[j], guess[j], pad[j]);
     ref_steps = obs::delta_since(before);
   }
-  for (SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Sse2, SimdIsa::Avx2, SimdIsa::Avx512}) {
+  for (SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Avx2, SimdIsa::Avx512}) {
     blas::simd::ScopedIsaOverride force(isa);
     std::vector<Real> got(m);
     const obs::CounterArray before = obs::snapshot();
