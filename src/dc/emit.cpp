@@ -154,23 +154,18 @@ void fill_stats(const Plan& plan, const Contexts<Real>& ctxs, SolveStats* stats)
 
 /// Observability epilogue: finishes the SolveReport (counter deltas from
 /// `scope`, per-merge deflation records from the contexts, scheduler
-/// metrics from `trace` when non-null) into stats->report -- or a local
-/// report when stats is null -- and writes the $DNC_TRACE / $DNC_REPORT
-/// artifacts when those are requested. The byte accounting scales with
-/// sizeof(Real).
+/// metrics from `trace` when non-null) into stats->report. The byte
+/// accounting scales with sizeof(Real).
 template <typename Real>
 void finish_report(const obs::SolveScope& scope, const Contexts<Real>& ctxs, index_t n,
-                   int threads, double seconds, const rt::Trace* trace, SolveStats* stats,
-                   Precision prec) {
-  const bool want_export = obs::trace_export_requested() || obs::report_export_requested();
-  if (stats == nullptr && !want_export) return;
-  obs::SolveReport local;
-  obs::SolveReport& rep = stats ? stats->report : local;
+                   int threads, const rt::Trace* trace, SolveStats* stats, Precision prec) {
+  if (stats == nullptr) return;
+  obs::SolveReport& rep = stats->report;
   // The dispatched kernel table is authoritative (DNC_SIMD and in-process
   // overrides included); the scope would otherwise fall back to the env.
   rep.simd_isa = blas::simd::kernels_t<Real>().name;
   rep.precision = precision_name(prec);
-  scope.finish(rep, n, threads, seconds, trace);
+  scope.finish(rep, n, threads, trace);
   // Workspace telemetry: the solve-wide scratch (Workspace: n x n qwork +
   // 2n x n xwork), the n x n eigenvector output, and the per-merge contexts
   // (z + zhat + the m x npanels partial-product matrix each). All of it is
@@ -196,23 +191,19 @@ void finish_report(const obs::SolveScope& scope, const Contexts<Real>& ctxs, ind
     mr.t_end = ctx->t_deflate_end;
     rep.merges.push_back(mr);
   }
-  if (want_export) obs::export_solve_artifacts(rep, trace);
 }
 
 /// One solve at the working precision Real: the shared prologue, the
-/// emitter, and the stats / trace / report epilogue.
+/// emitter, and the stats / trace / report epilogue (skipped when stats is
+/// null). The caller stamps the time and writes the artifacts.
 template <typename Real>
 void emit_solve(ExecModel model, index_t n, Real* d, Real* e, MatrixT<Real>& v,
                 const Options& opt, SolveStats* stats, const std::vector<int>& simulate_workers) {
-  Stopwatch sw;
   obs::SolveScope scope(model_name(model));
   if (stats) *stats = SolveStats{};
   require_finite("stedc", n, d, e);
   if (solve_trivial(n, d, e, v)) {
-    if (stats) {
-      stats->n = n;
-      stats->seconds = sw.elapsed();
-    }
+    if (stats) stats->n = n;
     return;
   }
   v.resize(n, n);
@@ -224,12 +215,9 @@ void emit_solve(ExecModel model, index_t n, Real* d, Real* e, MatrixT<Real>& v,
   Emitter<Real> emitter(model, opt, plan, ctxs, d, e, v, ws, perm.data());
   emitter.solve();
 
-  const double seconds = sw.elapsed();
-  rt::Trace local_trace;
   const rt::Trace* tr = nullptr;
-  if (emitter.runtime() &&
-      (stats || obs::trace_export_requested() || obs::report_export_requested())) {
-    rt::Trace& trace = stats ? stats->trace : local_trace;
+  if (emitter.runtime() && stats) {
+    rt::Trace& trace = stats->trace;
     trace = emitter.runtime()->trace();
     // Solve parameters a tuning sweep groups recorded traces by.
     trace.meta_counters.emplace_back("n", static_cast<double>(n));
@@ -242,12 +230,11 @@ void emit_solve(ExecModel model, index_t n, Real* d, Real* e, MatrixT<Real>& v,
   if (stats) {
     fill_stats(plan, ctxs, stats);
     stats->n = n;
-    stats->seconds = seconds;
     if (tr)
       for (int w : simulate_workers) stats->simulated.push_back(obs::replay_trace(*tr, w));
     if (opt.export_dag && emitter.graph()) stats->dag_dot = rt::export_dot(*emitter.graph());
   }
-  finish_report(scope, ctxs, n, opt.threads, seconds, tr, stats, opt.precision);
+  finish_report(scope, ctxs, n, opt.threads, tr, stats, opt.precision);
 }
 
 /// Precision dispatch + always-on telemetry epilogue shared by the public
@@ -261,24 +248,27 @@ void emit_solve(ExecModel model, index_t n, Real* d, Real* e, MatrixT<Real>& v,
 ///                 fp64-grade residuals by Rayleigh-quotient iteration,
 ///                 column blocks spread over opt.threads workers.
 ///
-/// When the caller passed no stats but DNC_METRICS/DNC_FLIGHT want
-/// per-solve data, a local SolveStats stands in (the report has to exist
-/// for telemetry to record it). After the solve (and refinement), the
-/// health probe -- armed with the fp64 tridiagonal snapshotted on entry --
-/// checks sampled eigenpairs, and the report goes to the metrics registry /
-/// flight recorder. With both gates off this adds two relaxed loads to a
+/// When the caller passed no stats but DNC_METRICS/DNC_FLIGHT or
+/// $DNC_TRACE/$DNC_REPORT want per-solve data, a local SolveStats stands in
+/// (the report has to exist to be recorded or written). After the solve
+/// (and refinement) the time is stamped, the health probe -- armed with the
+/// fp64 tridiagonal snapshotted on entry -- checks sampled eigenpairs, the
+/// artifacts are written and the report goes to the metrics registry /
+/// flight recorder. With every gate off this adds a few relaxed loads to a
 /// solve.
 void run(ExecModel model, index_t n, double* d, double* e, Matrix& v, Options opt,
          SolveStats* stats, const std::vector<int>& simulate_workers) {
+  Stopwatch sw;
   // The inline sink has no workers; the F32RefineF64 epilogue stays on the
   // calling thread too.
   if (model == ExecModel::Sequential) opt.threads = 1;
   const bool telemetry = obs::solve_telemetry_wanted() && n > 0;
+  const bool want_export = obs::trace_export_requested() || obs::report_export_requested();
   // A reused SolveStats must not leak the previous solve's refinement
   // epilogue into a run that never refines (the F64/F32 paths below skip it).
   if (stats) stats->refine = lapack::RefineReport{};
   SolveStats local;
-  SolveStats* st = stats ? stats : (telemetry ? &local : nullptr);
+  SolveStats* st = stats ? stats : (telemetry || want_export ? &local : nullptr);
   obs::HealthProbe probe;
   if (telemetry) probe.arm(n, d, e);
   if (opt.precision == Precision::F64 || n <= 0) {
@@ -307,13 +297,18 @@ void run(ExecModel model, index_t n, double* d, double* e, Matrix& v, Options op
       if (st) st->refine = rr;
     }
   }
-  if (telemetry && st) {
+  if (st == nullptr) return;
+  // The solve's time covers the precision conversions and the refinement.
+  st->seconds = st->report.seconds = sw.elapsed();
+  if (telemetry) {
     // d now holds the ascending eigenvalues, v the eigenvectors.
     st->report.health = probe.evaluate(d, v.data(), v.ld(), v.cols());
     st->report.has_health = st->report.health.sampled_columns > 0;
-    obs::record_solve_telemetry(st->report,
-                                st->report.has_scheduler ? &st->trace : nullptr);
   }
+  const rt::Trace* tr = st->report.has_scheduler ? &st->trace : nullptr;
+  // Trivial solves (n <= 2) finish no report and write no artifacts.
+  if (want_export && !st->report.driver.empty()) obs::export_solve_artifacts(st->report, tr);
+  if (telemetry) obs::record_solve_telemetry(st->report, tr);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "blas/aux.hpp"
 #include "blas/level1.hpp"
+#include "blas/simd/kernels.hpp"
 #include "common/error.hpp"
 #include "common/real_traits.hpp"
 #include "common/rng.hpp"
@@ -70,7 +71,6 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
                      const std::vector<int>& sim) {
   using WorkItem = WorkItemT<Real>;
   require_finite("mrrr_solve", n, d, e);
-  Stopwatch sw;
   obs::SolveScope scope("mrrr");
   if (stats) *stats = Stats{};
   lam.assign(n, Real(0));
@@ -80,10 +80,7 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
   if (n == 1) {
     lam[0] = d[0];
     v(0, 0) = Real(1);
-    if (stats) {
-      stats->n = 1;
-      stats->seconds = sw.elapsed();
-    }
+    if (stats) stats->n = 1;
     return;
   }
 
@@ -473,51 +470,47 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
                {{hv, rt::Access::InOut}});
   runtime.wait_all();
 
-  const double seconds = sw.elapsed();
-  rt::Trace trace;
-  const rt::Trace* tr = nullptr;
-  const bool want_export = obs::trace_export_requested() || obs::report_export_requested();
-  if (stats || want_export) {
-    trace = runtime.trace();
-    tr = &trace;
-  }
-  if (stats) {
-    stats->n = n;
-    stats->blocks = static_cast<index_t>(block_start.size()) - 1;
-    stats->clusters = cluster_count;
-    stats->depth_used = depth_used;
-    stats->trace = trace;
-    stats->seconds = seconds;
-    for (int w : sim) stats->simulated.push_back(obs::replay_trace(trace, w));
-  }
-  if (stats || want_export) {
-    obs::SolveReport local;
-    obs::SolveReport& rep = stats ? stats->report : local;
-    scope.finish(rep, n, opt.threads, seconds, tr);
-    rep.precision = precision_name(opt.precision);
-    // Workspace telemetry: the final sort task's n x n scratch matrix plus
-    // its n-vector of reordered eigenvalues; the n x n eigenvector output;
-    // the per-solve eigenvalue/work arrays (lam + the per-block d/l copies
-    // are O(n) and folded into context_bytes).
-    const std::uint64_t nn = static_cast<std::uint64_t>(n);
-    rep.memory.workspace_bytes = (nn * nn + nn) * sizeof(Real);
-    rep.memory.output_bytes = nn * nn * sizeof(Real);
-    rep.memory.context_bytes = 3u * nn * sizeof(Real);
-    if (want_export) obs::export_solve_artifacts(rep, tr);
-  }
+  if (stats == nullptr) return;
+  stats->n = n;
+  stats->blocks = static_cast<index_t>(block_start.size()) - 1;
+  stats->clusters = cluster_count;
+  stats->depth_used = depth_used;
+  rt::Trace& trace = stats->trace;
+  trace = runtime.trace();
+  // Solve parameters and kernel table, as the D&C drivers stamp them (the
+  // roofline scales its peak to the table).
+  trace.meta_counters.emplace_back("n", static_cast<double>(n));
+  trace.meta_strings.emplace_back("precision", precision_name(opt.precision));
+  trace.meta_strings.emplace_back("simd_isa", blas::simd::kernels_t<Real>().name);
+  for (int w : sim) stats->simulated.push_back(obs::replay_trace(trace, w));
+  obs::SolveReport& rep = stats->report;
+  rep.simd_isa = blas::simd::kernels_t<Real>().name;
+  rep.precision = precision_name(opt.precision);
+  scope.finish(rep, n, opt.threads, &trace);
+  // Workspace telemetry: the final sort task's n x n scratch matrix plus
+  // its n-vector of reordered eigenvalues; the n x n eigenvector output;
+  // the per-solve eigenvalue/work arrays (lam + the per-block d/l copies
+  // are O(n) and folded into context_bytes).
+  const std::uint64_t nn = static_cast<std::uint64_t>(n);
+  rep.memory.workspace_bytes = (nn * nn + nn) * sizeof(Real);
+  rep.memory.output_bytes = nn * nn * sizeof(Real);
+  rep.memory.context_bytes = 3u * nn * sizeof(Real);
 }
 
 }  // namespace
 
 void mrrr_solve(index_t n, const double* d, const double* e, std::vector<double>& lam,
                 Matrix& v, const Options& opt, Stats* stats, const std::vector<int>& sim) {
-  // Always-on telemetry (DNC_METRICS / DNC_FLIGHT): the report must exist
-  // for the epilogue to record it, so substitute a local Stats when the
-  // caller passed none. mrrr_solve keeps (d, e) intact, so the health probe
-  // needs no snapshot -- it reads the caller's buffers after the solve.
+  // Always-on telemetry (DNC_METRICS / DNC_FLIGHT) and the $DNC_TRACE /
+  // $DNC_REPORT artifacts: the report must exist for the epilogue to record
+  // or write it, so substitute a local Stats when the caller passed none.
+  // mrrr_solve keeps (d, e) intact, so the health probe needs no snapshot
+  // -- it reads the caller's buffers after the solve.
+  Stopwatch sw;
   const bool telemetry = obs::solve_telemetry_wanted() && n > 0;
+  const bool want_export = obs::trace_export_requested() || obs::report_export_requested();
   Stats local;
-  Stats* st = stats ? stats : (telemetry ? &local : nullptr);
+  Stats* st = stats ? stats : (telemetry || want_export ? &local : nullptr);
   if (opt.precision == Precision::F64 || n <= 1) {
     mrrr_solve_impl<double>(n, d, e, lam, v, opt, st, sim);
   } else {
@@ -544,14 +537,19 @@ void mrrr_solve(index_t n, const double* d, const double* e, std::vector<double>
       if (st) st->refine = rr;
     }
   }
-  if (telemetry && st && !lam.empty()) {
+  if (st == nullptr) return;
+  // The solve's time covers the precision conversions and the refinement.
+  st->seconds = st->report.seconds = sw.elapsed();
+  if (telemetry && !lam.empty()) {
     obs::HealthProbe probe;
     probe.arm(n, d, e);
-    st->report.health =
-        probe.evaluate(lam.data(), v.data(), v.ld(), v.cols());
+    st->report.health = probe.evaluate(lam.data(), v.data(), v.ld(), v.cols());
     st->report.has_health = st->report.health.sampled_columns > 0;
-    obs::record_solve_telemetry(st->report, &st->trace);
   }
+  // Trivial solves (n <= 1) finish no report and write no artifacts.
+  if (want_export && !st->report.driver.empty())
+    obs::export_solve_artifacts(st->report, &st->trace);
+  if (telemetry && !lam.empty()) obs::record_solve_telemetry(st->report, &st->trace);
 }
 
 }  // namespace dnc::mrrr

@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <ctime>
 
-#include "common/cpu_features.hpp"
 #include "common/env.hpp"
 #include "common/text.hpp"
 #include "common/version.hpp"
@@ -317,13 +316,10 @@ SchedulerMetrics scheduler_metrics(const rt::Trace& trace) {
 SolveScope::SolveScope(const char* driver)
     : driver_(driver), begin_(snapshot()), rss_hwm_begin_(current_peak_rss_bytes()) {}
 
-void SolveScope::finish(SolveReport& out, long n, int threads, double seconds,
-                        const rt::Trace* trace) const {
+void SolveScope::finish(SolveReport& out, long n, int threads, const rt::Trace* trace) const {
   out.driver = driver_;
   out.n = n;
   out.threads = threads;
-  out.seconds = seconds;
-  if (out.simd_isa.empty()) out.simd_isa = simd_isa_name(requested_simd_isa());
   out.git_commit = version::kGitCommit;
   out.build_type = version::kBuildType;
   out.hostname = current_hostname();

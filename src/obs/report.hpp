@@ -79,7 +79,7 @@ struct SolveReport {
   long n = 0;
   int threads = 0;
   double seconds = 0.0;
-  std::string simd_isa;    ///< dispatched kernel table ("scalar"/"sse2"/"avx2"/"avx512")
+  std::string simd_isa;    ///< dispatched kernel table ("scalar"/"avx2"/"avx512")
   std::string precision = "f64";  ///< working precision ("f64"/"f32"/"f32refine")
   std::string git_commit;  ///< configure-time revision (version::kGitCommit)
   std::string build_type;  ///< CMAKE_BUILD_TYPE the binary was built with
@@ -132,12 +132,12 @@ struct SolveReport {
 SchedulerMetrics scheduler_metrics(const rt::Trace& trace);
 
 /// Captures the counter baseline at solve start; finish() turns the deltas
-/// plus the optional trace into a report.
+/// plus the optional trace into a report. The driver sets simd_isa (the
+/// table that ran) and stamps seconds once the whole solve is done.
 class SolveScope {
  public:
   explicit SolveScope(const char* driver);
-  void finish(SolveReport& out, long n, int threads, double seconds,
-              const rt::Trace* trace) const;
+  void finish(SolveReport& out, long n, int threads, const rt::Trace* trace) const;
 
  private:
   const char* driver_;

@@ -11,6 +11,7 @@
 #include <tuple>
 
 #include "../support/precision_testing.hpp"
+#include "blas/simd/kernels.hpp"
 #include "common/error.hpp"
 #include "matgen/application.hpp"
 #include "matgen/tridiag.hpp"
@@ -125,6 +126,27 @@ TEST(Mrrr, SturmStepsCounted) {
   Stats st;
   mrrr_solve(n, t.d.data(), t.e.data(), lam, v, opt, &st);
   EXPECT_GE(st.report.counter(obs::kSturmSteps), static_cast<std::uint64_t>(n));
+}
+
+// The report and the trace name the kernel table that ran, not the
+// DNC_SIMD request, and the trace carries the solve meta the roofline
+// reads, as the D&C drivers stamp it.
+TEST(Mrrr, ReportAndTraceNameTheDispatchedTable) {
+  const index_t n = 120;
+  auto t = matgen::table3_matrix(3, n, 9);
+  std::vector<double> lam;
+  Matrix v;
+  Options opt;
+  opt.threads = 2;
+  Stats st;
+  {
+    blas::simd::ScopedIsaOverride force(SimdIsa::Scalar);
+    mrrr_solve(n, t.d.data(), t.e.data(), lam, v, opt, &st);
+  }
+  EXPECT_EQ(st.report.simd_isa, "scalar");
+  EXPECT_EQ(st.trace.meta_string("simd_isa"), "scalar");
+  EXPECT_EQ(st.trace.meta_string("precision"), precision_name(opt.precision));
+  EXPECT_EQ(st.trace.meta_counter("n"), static_cast<double>(n));
 }
 
 // Clustered spectra exercise the parallel cluster refinement: the output

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/timer.hpp"
 #include "dc/api.hpp"
 #include "matgen/tridiag.hpp"
 #include "obs/report.hpp"
@@ -197,6 +198,29 @@ TEST_F(ExportTest, TraceAndReportExportEvenWithoutStats) {
   ASSERT_FALSE(summary.empty()) << "text summary not written";
   EXPECT_NE(summary.find("dnc solve report"), std::string::npos);
   EXPECT_NE(summary.find("deflation"), std::string::npos);
+}
+
+TEST_F(ExportTest, RefinedSolveExportsItsWholeTime) {
+  // The report is written after the F32RefineF64 refinement, so its
+  // seconds cover it: the refinement is most of such a solve.
+  ::setenv("DNC_REPORT", report_path_.c_str(), 1);
+  const index_t n = 400;
+  matgen::Tridiag t = matgen::table3_matrix(15, n);
+  Matrix v;
+  dc::Options opt;
+  opt.precision = Precision::F32RefineF64;
+  dc::SolveStats st;
+  Stopwatch wall;
+  dc::stedc_taskflow(n, t.d.data(), t.e.data(), v, opt, &st);
+  const double elapsed = wall.elapsed();
+
+  const std::string report = slurp(report_path_);
+  const std::string key = "\"seconds\": ";
+  const std::size_t at = report.find(key);
+  ASSERT_NE(at, std::string::npos) << "no seconds in the exported report";
+  const double exported = std::strtod(report.c_str() + at + key.size(), nullptr);
+  EXPECT_NEAR(exported, st.seconds, 1e-6);
+  EXPECT_GE(exported, 0.9 * elapsed);
 }
 
 TEST(SequencedExportPath, SuffixScheme) {

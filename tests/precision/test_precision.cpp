@@ -14,6 +14,7 @@
 #include "blas/gemm.hpp"
 #include "blas/level1.hpp"
 #include "common/rng.hpp"
+#include "common/timer.hpp"
 #include "dc/api.hpp"
 #include "lapack/laed4.hpp"
 #include "lapack/refine.hpp"
@@ -310,6 +311,45 @@ TEST(PrecisionSolve, ReportStampsPrecision) {
     dc::stedc_taskflow(n, d.data(), e.data(), v, opt, &st);
     EXPECT_EQ(st.report.precision, c.name);
     EXPECT_EQ(st.report.precision_bits(), c.bits);
+  }
+}
+
+// Under F32RefineF64 the refinement is most of the solve, and the reported
+// time (what the metrics latency histograms and the history record) must
+// cover it: the wall-clock around the call bounds it from above and, up to
+// the call overhead, from below.
+TEST(PrecisionSolve, ReportedTimeCoversRefinement) {
+  const index_t n = 400;
+  auto t = matgen::table3_matrix(15, n, 9);
+  for (int driver = 0; driver < 2; ++driver) {
+    Matrix v;
+    double seconds = 0.0, report_seconds = 0.0, refined = 0.0;
+    Stopwatch wall;
+    if (driver == 0) {
+      std::vector<double> d = t.d, e = t.e;
+      dc::Options opt;
+      opt.precision = Precision::F32RefineF64;
+      dc::SolveStats st;
+      dc::stedc_taskflow(n, d.data(), e.data(), v, opt, &st);
+      seconds = st.seconds;
+      report_seconds = st.report.seconds;
+      refined = static_cast<double>(st.refine.checked);
+    } else {
+      std::vector<double> lam;
+      mrrr::Options opt;
+      opt.precision = Precision::F32RefineF64;
+      mrrr::Stats st;
+      mrrr::mrrr_solve(n, t.d.data(), t.e.data(), lam, v, opt, &st);
+      seconds = st.seconds;
+      report_seconds = st.report.seconds;
+      refined = static_cast<double>(st.refine.checked);
+    }
+    const double elapsed = wall.elapsed();
+    const char* name = driver == 0 ? "taskflow" : "mrrr";
+    EXPECT_EQ(refined, static_cast<double>(n)) << name;
+    EXPECT_EQ(report_seconds, seconds) << name;
+    EXPECT_LE(seconds, elapsed) << name;
+    EXPECT_GE(seconds, 0.9 * elapsed) << name;
   }
 }
 
