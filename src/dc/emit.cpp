@@ -161,8 +161,8 @@ void finish_report(const obs::SolveScope& scope, const Contexts<Real>& ctxs, ind
                    int threads, const rt::Trace* trace, SolveStats* stats, Precision prec) {
   if (stats == nullptr) return;
   obs::SolveReport& rep = stats->report;
-  // The dispatched kernel table is authoritative (DNC_SIMD and in-process
-  // overrides included); the scope would otherwise fall back to the env.
+  // The table that ran, which in-process overrides can set below the
+  // DNC_SIMD request.
   rep.simd_isa = blas::simd::kernels_t<Real>().name;
   rep.precision = precision_name(prec);
   scope.finish(rep, n, threads, trace);
