@@ -10,6 +10,9 @@
 # copy, which can carry AVX2 code into the scalar path. Keeping every
 # per-ISA vector interface in an anonymous namespace gives those
 # instantiations internal linkage; this check fails when one escapes.
+# Unoptimised builds also emit out-of-line copies of inline library
+# functions (std::min, std::fabs) in several members, the same hazard, so
+# the check is meant for the optimised build types.
 set -eu
 nm_tool=$1
 archive=$2
