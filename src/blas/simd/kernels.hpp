@@ -6,25 +6,28 @@
 //   kernels_scalar.cpp   portable C++ implementations, templated on Real
 //                        (always built; also the reference the SIMD paths
 //                        are tested against)
-//   kernel_body.hpp      the level-1, laed4_sums and packing loops, written
-//                        once over a small per-ISA vector interface
-//   kernels_avx2.cpp     256-bit vectors + FMA: the 4-lane double and
-//                        8-lane float interfaces for kernel_body.hpp, the
-//                        GEMM microkernels and the tables (built when the
+//   vec_avx2.hpp,        one vector interface V per (ISA, precision): F64x4,
+//   vec_avx512.hpp       F32x8 and the xmm F32x4; F64x8 and F32x16. Every
+//                        intrinsic of the layer is spelt there, apart from
+//                        pack_b_avx2's 4x4 transpose
+//   kernel_body.hpp      the level-1, laed4_sums and packing loops and the
+//                        one GEMM microkernel template, written over V
+//   kernels_avx2.cpp     the AVX2 + FMA tables: those bodies over the AVX2
+//                        interfaces (8x4 and 4x8 tiles in both precisions)
+//                        and the transposing fp64 pack_b (built when the
 //                        toolchain targets x86 and DNC_ENABLE_SIMD is ON,
 //                        compiled with -mavx2 -mfma for this file only)
-//   kernels_avx512.cpp   512-bit GEMM microkernels (16x8 fp64, 32x8 fp32).
-//                        Its tables are the AVX2 tables with only the main
-//                        microkernel, its tile shape and the Sturm-count
-//                        entry replaced: level-1, laed4_sums,
-//                        packing and the 4x8 short-wide kernel are
+//   kernels_avx512.cpp   the AVX-512 tables: the AVX2 tables with the main
+//                        microkernel (16x8 fp64, 32x8 fp32), its tile shape
+//                        and the Sturm-count entry replaced; level-1,
+//                        laed4_sums, packing and the 4x8 kernel are
 //                        division- or memory-bound and gain nothing from
-//                        zmm width.
+//                        zmm width
 //   sturm_scalar.cpp,    the LDL^T Sturm-count entries (sturm_counts_ldl):
-//   sturm_avx2.cpp,      the scalar reference and two-vector AVX2 and
-//   sturm_avx512.cpp     AVX-512 versions sharing one body (sturm_body.hpp);
-//                        compiled with -ffp-contract=off so every table
-//                        returns identical counts (see the note below)
+//   sturm_avx2.cpp,      the scalar reference and the sturm_body.hpp loop
+//   sturm_avx512.cpp     over the AVX2 and AVX-512 interfaces; compiled
+//                        with -ffp-contract=off so every table returns
+//                        identical counts (see the note below)
 //   dispatch.cpp         runtime selection: hardware probe (cpuid) clamped
 //                        by the DNC_SIMD env var
 //                        ("scalar"|"avx2"|"avx512"), one active table per
@@ -50,10 +53,11 @@
 // dot/sumsq/GEMM/laed4 results may differ from the scalar path by a few
 // ulps (usually they are *more* accurate -- fewer roundings). Tests and
 // callers must not expect bitwise equality across tables -- with one
-// exception: the AVX-512 microkernels keep the AVX2 per-element FMA order
-// (one chain per C element per kc block in fp64; the even/odd-k pair of
-// chains in fp32), so GEMM with alpha = 1 and beta in {0, 1} -- and with
-// it the whole D&C solve -- is bitwise identical under avx2 and avx512.
+// exception: every vector microkernel is one template, which gives each C
+// element the same FMA chains (one per kc block in fp64; the even/odd-k
+// pair in fp32) and the same write-back whatever the tile, so GEMM -- and
+// with it the whole D&C solve -- is bitwise identical under avx2 and
+// avx512.
 // The Sturm counts are the stronger exception: no FMA, no reassociation,
 // one lane per shift running the scalar recurrence's exact operations, so
 // every table returns the same counts, and MRRR's bisection takes the same
@@ -76,13 +80,16 @@ using MicrokernelFnT = void (*)(index_t kb, const Real* ap, const Real* bp, Real
 
 /// Packs a tile-rows slice of op(A) (rows [i0,i0+mr), cols [p0,p0+kb)) into
 /// microkernel order: for each p, MR contiguous row entries, zero-padded
-/// when mr < MR. `trans` selects op(A) = A^T.
+/// when mr < MR. `trans` selects op(A) = A^T. Any MR >= mr is allowed;
+/// exactly MR * kb entries of dst are written.
 template <typename Real>
 using PackAFnT = void (*)(const Real* a, index_t lda, bool trans, index_t i0, index_t mr,
                           index_t p0, index_t kb, Real* dst, index_t MR);
 
 /// Packs a tile-cols slice of op(B) (rows [p0,p0+kb), cols [j0,j0+nr)) into
 /// microkernel order: for each p, NR contiguous column entries, zero-padded.
+/// Any NR >= nr is allowed, not only the tile widths; exactly NR * kb
+/// entries of dst are written.
 template <typename Real>
 using PackBFnT = void (*)(const Real* b, index_t ldb, bool trans, index_t p0, index_t kb,
                           index_t j0, index_t nr, Real* dst, index_t NR);

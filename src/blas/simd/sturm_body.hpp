@@ -1,7 +1,7 @@
 // Body of the vector Sturm-count kernels (sturm_avx2.cpp, sturm_avx512.cpp),
-// written once over a small per-ISA vector interface so every table runs
-// the scalar reference's operations (sturm_scalar.cpp) in the same order,
-// one lane per shift x:
+// written once over the per-ISA vector interfaces V of vec_avx2.hpp and
+// vec_avx512.hpp, so every table runs the scalar reference's operations
+// (sturm_scalar.cpp) in the same order, one lane per shift x:
 //
 //   dplus = d[i] + s;  count += (dplus < 0);  dplus == 0  ->  -safmin
 //   s = ((ld[i] / dplus) * l[i]) * s - x;     s not finite  ->  -x
@@ -10,13 +10,12 @@
 // the other waits on its own. Include only from files compiled with
 // -ffp-contract=off.
 //
-// The interface V supplies: Real, Reg, Cnt and kLanes; set1, load, add,
-// sub, mul, div and neg on Reg; the masks lt, eq and finite; select(mask,
-// if_true, if_false); and zero_cnt, inc(cnt, mask) and store(cnt, out)
-// for the per-lane integer counts.
+// From V it reads: Real, Reg, Cnt and kLanes; set1, load, add, sub, mul,
+// div and neg on Reg; the masks lt, eq and finite; select(mask, if_true,
+// if_false); and zero_cnt, inc(cnt, mask) and store_cnt(out, cnt), which
+// writes the kLanes per-lane counts as index_t. Like kernel_body.hpp, it
+// calls no library function (see there).
 #pragma once
-
-#include <algorithm>
 
 #include "common/matrix.hpp"
 #include "common/real_traits.hpp"
@@ -29,12 +28,13 @@ void sturm_counts_vec(index_t n, const Real* d, const Real* l, const Real* ld, c
   using Reg = typename V::Reg;
   constexpr index_t L = V::kLanes;
   const Reg zero = V::set1(Real(0));
-  const Reg neg_tiny = V::set1(-real_traits<Real>::safmin());
+  constexpr Real kTiny = real_traits<Real>::safmin();
+  const Reg neg_tiny = V::set1(-kTiny);
   for (index_t j0 = 0; j0 < m; j0 += 2 * L) {
-    const index_t w = std::min(2 * L, m - j0);
+    const index_t w = m - j0 < 2 * L ? m - j0 : 2 * L;
     // A partial pass repeats its last shift in the spare lanes.
     alignas(64) Real xb[2 * L];
-    for (index_t j = 0; j < 2 * L; ++j) xb[j] = x[j0 + std::min(j, w - 1)];
+    for (index_t j = 0; j < 2 * L; ++j) xb[j] = x[j0 + (j < w ? j : w - 1)];
     const Reg x0 = V::load(xb), x1 = V::load(xb + L);
     const Reg restart0 = V::neg(x0), restart1 = V::neg(x1);
     Reg s0 = restart0, s1 = restart1;
@@ -55,9 +55,9 @@ void sturm_counts_vec(index_t n, const Real* d, const Real* l, const Real* ld, c
     c0 = V::inc(c0, V::lt(V::add(dn, s0), zero));
     c1 = V::inc(c1, V::lt(V::add(dn, s1), zero));
     index_t cb[2 * L];
-    V::store(c0, cb);
-    V::store(c1, cb + L);
-    std::copy(cb, cb + w, counts + j0);
+    V::store_cnt(cb, c0);
+    V::store_cnt(cb + L, c1);
+    for (index_t j = 0; j < w; ++j) counts[j0 + j] = cb[j];
   }
 }
 

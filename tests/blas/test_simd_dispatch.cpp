@@ -17,6 +17,7 @@
 #include <limits>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "blas/gemm.hpp"
@@ -327,19 +328,28 @@ TEST(SimdKernels, PackAMatchesScalar) {
 
 template <typename Real>
 void check_pack_b(const KernelTableT<Real>& kt, const KernelTableT<Real>& ref_table) {
-  const index_t ldb = 41, ncols = 35;
+  // Any width NR, not only the tile widths 4 and 8: pack_b writes exactly
+  // NR * kb entries, so a guard tail after them must stay untouched.
+  const index_t ldb = 41, ncols = 35, guard = 16;
   const auto b = randvec_t<Real>(ldb * ncols, 12);
-  for (index_t NR : {kt.nr, index_t{4}, index_t{8}}) {
+  for (index_t NR : {kt.nr, index_t{2}, index_t{3}, index_t{4}, index_t{5}, index_t{6},
+                     index_t{8}}) {
     for (bool trans : {false, true}) {
       for (index_t nr = 1; nr <= NR; ++nr) {
         for (index_t kb : {1, 2, 3, 4, 5, 7, 8, 13}) {
           const index_t p0 = 2, j0 = 6;
-          std::vector<Real> ref(static_cast<std::size_t>(NR) * kb, Real(-1));
-          std::vector<Real> out(static_cast<std::size_t>(NR) * kb, Real(-2));
+          const std::size_t len = static_cast<std::size_t>(NR) * kb;
+          std::vector<Real> ref(len, Real(-1));
+          std::vector<Real> out(len + guard, Real(-2));
           ref_table.pack_b(b.data(), ldb, trans, p0, kb, j0, nr, ref.data(), NR);
           kt.pack_b(b.data(), ldb, trans, p0, kb, j0, nr, out.data(), NR);
-          EXPECT_EQ(ref, out) << kt.name << prec(kt) << " NR=" << NR << " nr=" << nr
-                              << " kb=" << kb << " trans=" << trans;
+          EXPECT_EQ(ref, std::vector<Real>(out.begin(), out.begin() + len))
+              << kt.name << prec(kt) << " NR=" << NR << " nr=" << nr << " kb=" << kb
+              << " trans=" << trans;
+          EXPECT_EQ(std::vector<Real>(guard, Real(-2)),
+                    std::vector<Real>(out.begin() + len, out.end()))
+              << kt.name << prec(kt) << " wrote past NR * kb: NR=" << NR << " nr=" << nr
+              << " kb=" << kb << " trans=" << trans;
         }
       }
     }
@@ -390,18 +400,22 @@ TEST(SimdKernels, MicrokernelsMatchScalarAllEdges) {
   for (const KernelTableT<float>* kt : tables_t<float>()) check_microkernel_edges(*kt);
 }
 
-TEST(SimdKernels, MicrokernelBetaZeroOverwritesNaN) {
-  for (const KernelTable* kt : available_tables()) {
-    for (int wide = 0; wide < 2; ++wide) {
-      const index_t MR = wide ? 4 : kt->mr, NR = wide ? 8 : kt->nr;
-      const MicrokernelFn mk = wide ? kt->mk4x8 : kt->mk;
-      auto ap = randvec(MR * 4, 16);
-      auto bp = randvec(NR * 4, 17);
-      std::vector<double> c(MR * NR, std::numeric_limits<double>::quiet_NaN());
-      mk(4, ap.data(), bp.data(), 1.0, 0.0, c.data(), MR, MR, NR);
-      for (double v : c) EXPECT_TRUE(std::isfinite(v)) << kt->name;
-    }
+template <typename Real>
+void check_microkernel_beta_zero(const KernelTableT<Real>& kt) {
+  for (int wide = 0; wide < 2; ++wide) {
+    const index_t MR = wide ? 4 : kt.mr, NR = wide ? 8 : kt.nr;
+    const MicrokernelFnT<Real> mk = wide ? kt.mk4x8 : kt.mk;
+    const auto ap = randvec_t<Real>(MR * 4, 16);
+    const auto bp = randvec_t<Real>(NR * 4, 17);
+    std::vector<Real> c(MR * NR, std::numeric_limits<Real>::quiet_NaN());
+    mk(4, ap.data(), bp.data(), Real(1), Real(0), c.data(), MR, MR, NR);
+    for (Real v : c)
+      EXPECT_TRUE(std::isfinite(v)) << kt.name << prec(kt) << " " << MR << "x" << NR;
   }
+}
+
+TEST(SimdKernels, MicrokernelBetaZeroOverwritesNaN) {
+  for_each_table([](const auto& kt) { check_microkernel_beta_zero(kt); });
 }
 
 template <typename Real>
@@ -595,9 +609,9 @@ TEST(SimdGemm, AllResidueShapesMatchReferenceUnderEveryFloatTable) {
 
 template <typename Real>
 void check_avx512_matches_avx2_bitwise() {
-  // The AVX-512 kernels keep the AVX2 per-element FMA order, so with
-  // alpha = 1 and beta in {0, 1} (what the D&C merge uses) the products
-  // agree bit for bit, whatever the tile boundaries.
+  // Every vector microkernel is one template that gives each C element the
+  // same FMA chains and write-back whatever the tile, so the products agree
+  // bit for bit at any alpha and beta, whatever the tile boundaries.
   if (kernels_for_t<Real>(SimdIsa::Avx512) == nullptr) GTEST_SKIP() << "no AVX-512 table";
   for (index_t m : {3, 9, 16, 37, 100}) {
     for (index_t n : {5, 8, 13, 40}) {
@@ -610,22 +624,24 @@ void check_avx512_matches_avx2_bitwise() {
           for (index_t i = 0; i < k; ++i) b(i, j) = static_cast<Real>(rng.uniform_sym());
         for (index_t j = 0; j < n; ++j)
           for (index_t i = 0; i < m; ++i) c0(i, j) = static_cast<Real>(rng.uniform_sym());
-        for (Real beta : {Real(0), Real(1)}) {
+        for (const auto& [alpha, beta] : {std::pair<Real, Real>{1, 0}, {1, 1}, {-1, 1},
+                                          {1.3f, 1}, {1.3f, -0.4f}}) {
           MatrixT<Real> c2 = c0, c5 = c0;
           {
             ScopedIsaOverride force(SimdIsa::Avx2);
-            gemm(Trans::No, Trans::No, m, n, k, Real(1), a.data(), m, b.data(), k, beta,
+            gemm(Trans::No, Trans::No, m, n, k, alpha, a.data(), m, b.data(), k, beta,
                  c2.data(), m);
           }
           {
             ScopedIsaOverride force(SimdIsa::Avx512);
-            gemm(Trans::No, Trans::No, m, n, k, Real(1), a.data(), m, b.data(), k, beta,
+            gemm(Trans::No, Trans::No, m, n, k, alpha, a.data(), m, b.data(), k, beta,
                  c5.data(), m);
           }
           for (index_t j = 0; j < n; ++j)
             for (index_t i = 0; i < m; ++i)
               ASSERT_EQ(c2(i, j), c5(i, j)) << "m=" << m << " n=" << n << " k=" << k
-                                            << " beta=" << beta << " at " << i << "," << j;
+                                            << " alpha=" << alpha << " beta=" << beta
+                                            << " at " << i << "," << j;
         }
       }
     }

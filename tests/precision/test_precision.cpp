@@ -143,8 +143,9 @@ TEST(PrecisionLaed4, F32RootsMatchF64) {
       ASSERT_NEAR(static_cast<double>(r32.lambda), r64.lambda, 64.0 * kEps32 * spread)
           << "k=" << k << " i=" << i;
       // Both precisions must keep the root inside its bracket.
-      if (i < k - 1)
+      if (i < k - 1) {
         EXPECT_LE(d[static_cast<std::size_t>(i)], r64.lambda + kEps64 * spread);
+      }
     }
   }
 }
@@ -357,8 +358,6 @@ TEST(PrecisionSolve, AllDriversHonourF32) {
   // Every D&C driver must route through the fp32 path, not just taskflow.
   const index_t n = 110;
   auto t = matgen::table3_matrix(10, n, 3);
-  using DriverFn = void (*)(index_t, double*, double*, Matrix&, const dc::Options&,
-                            dc::SolveStats*, const std::vector<int>&);
   for (int which = 0; which < 4; ++which) {
     std::vector<double> d = t.d, e = t.e;
     Matrix v;
