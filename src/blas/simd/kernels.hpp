@@ -19,15 +19,17 @@
 //                        compiled with -mavx2 -mfma for this file only)
 //   kernels_avx512.cpp   the AVX-512 tables: the AVX2 tables with the main
 //                        microkernel (16x8 fp64, 32x8 fp32), its tile shape
-//                        and the Sturm-count entry replaced; level-1,
+//                        and the two LDL^T entries replaced; level-1,
 //                        laed4_sums, packing and the 4x8 kernel are
 //                        division- or memory-bound and gain nothing from
 //                        zmm width
-//   sturm_scalar.cpp,    the LDL^T Sturm-count entries (sturm_counts_ldl):
-//   sturm_avx2.cpp,      the scalar reference and the sturm_body.hpp loop
-//   sturm_avx512.cpp     over the AVX2 and AVX-512 interfaces; compiled
+//   sturm_scalar.cpp,    the LDL^T entries, Sturm counts (sturm_counts_ldl)
+//   sturm_avx2.cpp,      and twisted factorizations (twisted_ldl): the
+//   sturm_avx512.cpp     scalar references and the sturm_body.hpp loops
+//                        over the AVX2 and AVX-512 interfaces; compiled
 //                        with -ffp-contract=off so every table returns
-//                        identical counts (see the note below)
+//                        identical counts and factorizations (see the
+//                        note below)
 //   dispatch.cpp         runtime selection: hardware probe (cpuid) clamped
 //                        by the DNC_SIMD env var
 //                        ("scalar"|"avx2"|"avx512"), one active table per
@@ -38,12 +40,12 @@
 // loop nest in gemm.cpp reads the shape from the table, so a new tile is a
 // new table entry, not a new GEMM driver.
 //
-// Callers (gemm.cpp, level1.cpp, lapack/laed4.cpp, mrrr/ldl.cpp) fetch the
-// active table with kernels_t<Real>() and call through it; the indirection
-// is one predictable load per kernel invocation, negligible against the vector
-// loops behind it. Keeping every ISA's table linked in (rather than
-// ifdef-ing call sites) is what lets one binary run the scalar, AVX2 and
-// AVX-512 paths -- tests compare them pairwise in-process, and CI re-runs
+// Callers (gemm.cpp, level1.cpp, lapack/laed4.cpp, mrrr/ldl.cpp,
+// mrrr/getvec.cpp) fetch the active table with kernels_t<Real>() and call
+// through it; the indirection is one predictable load per kernel
+// invocation, negligible against the vector loops behind it. Keeping every
+// ISA's table linked in (rather than ifdef-ing call sites) is what lets one
+// binary run the scalar, AVX2 and AVX-512 paths -- tests compare them pairwise in-process, and CI re-runs
 // the suites under DNC_SIMD=scalar and DNC_SIMD=avx2.
 //
 // Precision note: the AVX2 float kernels run 8 lanes per vector -- twice
@@ -58,10 +60,11 @@
 // pair in fp32) and the same write-back whatever the tile, so GEMM -- and
 // with it the whole D&C solve -- is bitwise identical under avx2 and
 // avx512.
-// The Sturm counts are the stronger exception: no FMA, no reassociation,
-// one lane per shift running the scalar recurrence's exact operations, so
-// every table returns the same counts, and MRRR's bisection takes the same
-// decisions under every table.
+// The LDL^T kernels are the stronger exception: no FMA, no reassociation,
+// one lane per shift running the scalar recurrences' exact operations, so
+// every table returns the same Sturm counts and the same twisted
+// factorizations, and MRRR's bisection takes the same decisions, and
+// computes the same eigenvectors, under every table.
 #pragma once
 
 #include "common/cpu_features.hpp"
@@ -113,6 +116,21 @@ template <typename Real>
 using SturmCountsLdlFnT = void (*)(index_t n, const Real* d, const Real* l, const Real* ld,
                                    const Real* x, index_t m, index_t* counts);
 
+/// Twisted factorizations of one L D L^T at m shifts, the O(n) core of
+/// mrrr::twisted_eigenvectors (dlar1v): for shift x[j], the differential
+/// stationary transform of L D L^T - x[j] I top-down (multipliers lplus),
+/// the differential progressive transform bottom-up (multipliers umult),
+/// and the twist: the first index k with the least |gamma_k| =
+/// |s_k + p_k + x[j]|, and gamma_k itself. d has n entries; l, ld = l .* d
+/// and dll = ld .* l (precomputed by the caller) n - 1. lplus and umult
+/// are (n - 1) x ldw arrays, entry (i, j) at [i * ldw + j], with ldw at
+/// least m rounded up to sturm_lanes: a pass may write the columns past m,
+/// which are scratch. Every table returns the scalar table's bytes.
+template <typename Real>
+using TwistedLdlFnT = void (*)(index_t n, const Real* d, const Real* l, const Real* ld,
+                               const Real* dll, const Real* x, index_t m, Real* lplus,
+                               Real* umult, index_t ldw, Real* gamma, index_t* twist);
+
 template <typename Real>
 struct KernelTableT {
   SimdIsa isa;
@@ -146,9 +164,10 @@ struct KernelTableT {
 
   // --- mrrr/ldl --------------------------------------------------------
   SturmCountsLdlFnT<Real> sturm_counts_ldl;
-  /// Shifts one sturm_counts_ldl pass handles at full speed (two vectors'
-  /// worth for the SIMD tables, 1 for scalar): the width of the lane pool
-  /// in mrrr::refine_ldl.
+  TwistedLdlFnT<Real> twisted_ldl;
+  /// Shifts one sturm_counts_ldl or twisted_ldl pass handles at full speed
+  /// (two vectors' worth for the SIMD tables, 1 for scalar): the width of
+  /// the lane pool in mrrr::refine_ldl.
   index_t sturm_lanes;
 };
 
@@ -208,22 +227,34 @@ extern const KernelTableT<float> kScalarTableF32;
 extern const KernelTableT<double> kAvx2Table;
 extern const KernelTableT<float> kAvx2TableF32;
 #endif
-/// The Sturm-count entries live in their own files (sturm_*.cpp), compiled
-/// with -ffp-contract=off: a multiply-subtract the compiler fused into an
-/// FMA would round once instead of twice and change counts. The tables take
-/// their addresses.
+/// The Sturm-count and twisted-factorization entries live in their own
+/// files (sturm_*.cpp), compiled with -ffp-contract=off: a multiply-subtract
+/// the compiler fused into an FMA would round once instead of twice and
+/// change counts and vectors. The tables take their addresses.
 template <typename Real>
 void sturm_counts_ldl_scalar(index_t n, const Real* d, const Real* l, const Real* ld,
                              const Real* x, index_t m, index_t* counts);
+template <typename Real>
+void twisted_ldl_scalar(index_t n, const Real* d, const Real* l, const Real* ld, const Real* dll,
+                        const Real* x, index_t m, Real* lplus, Real* umult, index_t ldw,
+                        Real* gamma, index_t* twist);
 #if defined(DNC_HAVE_AVX2)
 template <typename Real>
 void sturm_counts_ldl_avx2(index_t n, const Real* d, const Real* l, const Real* ld,
                            const Real* x, index_t m, index_t* counts);
+template <typename Real>
+void twisted_ldl_avx2(index_t n, const Real* d, const Real* l, const Real* ld, const Real* dll,
+                      const Real* x, index_t m, Real* lplus, Real* umult, index_t ldw,
+                      Real* gamma, index_t* twist);
 #endif
 #if defined(DNC_HAVE_AVX512)
 template <typename Real>
 void sturm_counts_ldl_avx512(index_t n, const Real* d, const Real* l, const Real* ld,
                              const Real* x, index_t m, index_t* counts);
+template <typename Real>
+void twisted_ldl_avx512(index_t n, const Real* d, const Real* l, const Real* ld,
+                        const Real* dll, const Real* x, index_t m, Real* lplus, Real* umult,
+                        index_t ldw, Real* gamma, index_t* twist);
 #endif
 
 #if defined(DNC_HAVE_AVX512)

@@ -82,6 +82,7 @@ const KernelTable kAvx2Table = {
     &sumsq_vec<F64x4>,
     &laed4_sums_vec<F64x4>,
     &sturm_counts_ldl_avx2<double>,
+    &twisted_ldl_avx2<double>,
     8,
 };
 
@@ -104,6 +105,7 @@ const KernelTableT<float> kAvx2TableF32 = {
     &sumsq_vec<F32x8>,
     &laed4_sums_vec<F32x8>,
     &sturm_counts_ldl_avx2<float>,
+    &twisted_ldl_avx2<float>,
     16,
 };
 

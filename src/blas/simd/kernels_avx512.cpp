@@ -4,8 +4,8 @@
 // in src/blas/CMakeLists.txt); dispatch.cpp selects these tables only when
 // the cpuid probe reports AVX-512F with OS-enabled ZMM state.
 //
-// Only the main microkernel, its tile shape and the Sturm-count entry are
-// new. Everything else -- level-1, laed4_sums, the 4x8 kernel, pack_a and
+// Only the main microkernel, its tile shape and the two LDL^T entries
+// (Sturm counts, twisted factorizations) are new. Everything else -- level-1, laed4_sums, the 4x8 kernel, pack_a and
 // pack_b (whose 4x4 transposes cover NR = 8) -- is copied from the AVX2
 // tables: those kernels are bound by division or memory traffic, and zmm
 // width buys them nothing.
@@ -35,6 +35,7 @@ KernelTableT<Real> make_table(const KernelTableT<Real>& avx2) {
   t.mr = 2 * V::kLanes;
   t.nr = 8;
   t.sturm_counts_ldl = &sturm_counts_ldl_avx512<Real>;
+  t.twisted_ldl = &twisted_ldl_avx512<Real>;
   t.sturm_lanes = 2 * V::kLanes;
   return t;
 }

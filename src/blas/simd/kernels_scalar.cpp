@@ -134,6 +134,7 @@ const KernelTableT<double> kScalarTable = {
     &sumsq_scalar<double>,
     &laed4_sums_scalar<double>,
     &sturm_counts_ldl_scalar<double>,
+    &twisted_ldl_scalar<double>,
     1,
 };
 
@@ -156,6 +157,7 @@ const KernelTableT<float> kScalarTableF32 = {
     &sumsq_scalar<float>,
     &laed4_sums_scalar<float>,
     &sturm_counts_ldl_scalar<float>,
+    &twisted_ldl_scalar<float>,
     1,
 };
 

@@ -52,9 +52,15 @@ struct F64x4 {
     _mm_storeu_pd(dst, _mm_loadu_pd(src));
   }
   static Mask lt(Reg a, Reg b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
+  static Mask le(Reg a, Reg b) { return _mm256_cmp_pd(a, b, _CMP_LE_OQ); }
   static Mask eq(Reg a, Reg b) { return _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
   static Mask finite(Reg a) { return _mm256_cmp_pd(abs(a), set1(__builtin_inf()), _CMP_LT_OQ); }
   static Reg select(Mask m, Reg t, Reg f) { return _mm256_blendv_pd(f, t, m); }
+  // |mag| with the sign bit of sgn, NaN signs included (std::copysign).
+  static Reg copysign(Reg mag, Reg sgn) {
+    const Reg sign = _mm256_set1_pd(-0.0);
+    return _mm256_or_pd(_mm256_andnot_pd(sign, mag), _mm256_and_pd(sign, sgn));
+  }
   static Cnt zero_cnt() { return _mm256_setzero_si256(); }
   // A true mask lane is -1 as an integer.
   static Cnt inc(Cnt c, Mask m) { return _mm256_sub_epi64(c, _mm256_castpd_si256(m)); }
@@ -96,9 +102,14 @@ struct F32x8 {
     _mm_storeu_ps(dst, _mm_loadu_ps(src));
   }
   static Mask lt(Reg a, Reg b) { return _mm256_cmp_ps(a, b, _CMP_LT_OQ); }
+  static Mask le(Reg a, Reg b) { return _mm256_cmp_ps(a, b, _CMP_LE_OQ); }
   static Mask eq(Reg a, Reg b) { return _mm256_cmp_ps(a, b, _CMP_EQ_OQ); }
   static Mask finite(Reg a) { return _mm256_cmp_ps(abs(a), set1(__builtin_inff()), _CMP_LT_OQ); }
   static Reg select(Mask m, Reg t, Reg f) { return _mm256_blendv_ps(f, t, m); }
+  static Reg copysign(Reg mag, Reg sgn) {
+    const Reg sign = _mm256_set1_ps(-0.0f);
+    return _mm256_or_ps(_mm256_andnot_ps(sign, mag), _mm256_and_ps(sign, sgn));
+  }
   static Cnt zero_cnt() { return _mm256_setzero_si256(); }
   static Cnt inc(Cnt c, Mask m) { return _mm256_sub_epi32(c, _mm256_castps_si256(m)); }
   static void store_cnt(index_t* out, Cnt c) {  // widened to 64 bits

@@ -46,9 +46,17 @@ struct F64x8 {
     _mm256_storeu_pd(dst, _mm256_loadu_pd(src));
   }
   static Mask lt(Reg a, Reg b) { return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ); }
+  static Mask le(Reg a, Reg b) { return _mm512_cmp_pd_mask(a, b, _CMP_LE_OQ); }
   static Mask eq(Reg a, Reg b) { return _mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ); }
   static Mask finite(Reg a) { return lt(abs(a), set1(__builtin_inf())); }
   static Reg select(Mask m, Reg t, Reg f) { return _mm512_mask_blend_pd(m, f, t); }
+  // |mag| with the sign bit of sgn, NaN signs included (std::copysign):
+  // bitwise select 0xCA = (a ? b : c), with a = the sign mask.
+  static Reg copysign(Reg mag, Reg sgn) {
+    return _mm512_castsi512_pd(_mm512_ternarylogic_epi64(_mm512_castpd_si512(set1(-0.0)),
+                                                         _mm512_castpd_si512(sgn),
+                                                         _mm512_castpd_si512(mag), 0xCA));
+  }
   static Cnt zero_cnt() { return _mm512_setzero_si512(); }
   static Cnt inc(Cnt c, Mask m) { return _mm512_mask_add_epi64(c, m, c, _mm512_set1_epi64(1)); }
   static void store_cnt(index_t* out, Cnt c) { _mm512_storeu_si512(out, c); }
@@ -81,9 +89,15 @@ struct F32x16 {
     _mm256_storeu_ps(dst, _mm256_loadu_ps(src));
   }
   static Mask lt(Reg a, Reg b) { return _mm512_cmp_ps_mask(a, b, _CMP_LT_OQ); }
+  static Mask le(Reg a, Reg b) { return _mm512_cmp_ps_mask(a, b, _CMP_LE_OQ); }
   static Mask eq(Reg a, Reg b) { return _mm512_cmp_ps_mask(a, b, _CMP_EQ_OQ); }
   static Mask finite(Reg a) { return lt(abs(a), set1(__builtin_inff())); }
   static Reg select(Mask m, Reg t, Reg f) { return _mm512_mask_blend_ps(m, f, t); }
+  static Reg copysign(Reg mag, Reg sgn) {
+    return _mm512_castsi512_ps(_mm512_ternarylogic_epi32(_mm512_castps_si512(set1(-0.0f)),
+                                                         _mm512_castps_si512(sgn),
+                                                         _mm512_castps_si512(mag), 0xCA));
+  }
   static Cnt zero_cnt() { return _mm512_setzero_si512(); }
   static Cnt inc(Cnt c, Mask m) { return _mm512_mask_add_epi32(c, m, c, _mm512_set1_epi32(1)); }
   static void store_cnt(index_t* out, Cnt c) {

@@ -4,75 +4,94 @@
 #include <vector>
 
 #include "blas/level1.hpp"
+#include "blas/simd/kernels.hpp"
+#include "common/aligned_buffer.hpp"
 #include "common/real_traits.hpp"
 
 namespace dnc::mrrr {
 
 template <typename Real>
+void twisted_eigenvectors(const RepresentationT<Real>& rep, index_t m, const Real* lambda,
+                          Real* z, index_t ldz, GetvecResultT<Real>* res) {
+  const index_t n = rep.n();
+  if (n == 1) {
+    for (index_t j = 0; j < m; ++j) {
+      z[j * ldz] = Real(1);
+      res[j] = {0, rep.d[0] - lambda[j], Real(1), Real(0)};
+      res[j].resid = std::fabs(res[j].gamma);
+    }
+    return;
+  }
+  // The factorizations: for each eigenvalue, L+ of LDL^T - lambda (lplus),
+  // U- of its bottom-up counterpart (umult) and the twist, in one batched
+  // kernel call; see blas/simd/kernels.hpp for the layout. The workspace is
+  // per thread, so a Getvec task pays no allocation per pass.
+  const auto& kt = blas::simd::kernels_t<Real>();
+  const index_t ldw = (m + kt.sturm_lanes - 1) / kt.sturm_lanes * kt.sturm_lanes;
+  thread_local AlignedBuffer workspace;
+  Real* ld = workspace.reserve<Real>(2 * (n - 1) * (ldw + 1) + m);
+  Real* dll = ld + (n - 1);
+  Real* lplus = dll + (n - 1);
+  Real* umult = lplus + (n - 1) * ldw;
+  Real* gamma = umult + (n - 1) * ldw;
+  for (index_t i = 0; i + 1 < n; ++i) {
+    ld[i] = rep.l[i] * rep.d[i];
+    dll[i] = ld[i] * rep.l[i];
+  }
+  std::vector<index_t> twist(m);
+  kt.twisted_ldl(n, rep.d.data(), rep.l.data(), ld, dll, lambda, m, lplus, umult, ldw, gamma,
+                 twist.data());
+
+  // One step of a back-substitution: the next entry from its neighbour,
+  // flushed to zero once it stops being meaningful.
+  const Real big = Real(1) / real_traits<Real>::safmin();
+  const auto step = [big](Real mult, Real prev) {
+    const Real zi = -mult * prev;
+    return std::isfinite(zi) && std::fabs(zi) <= big ? zi : Real(0);
+  };
+  for (index_t j = 0; j < m; ++j) {
+    Real* zj = z + j * ldz;
+    const Real* lp = lplus + j;
+    const Real* um = umult + j;
+    const index_t k = twist[j];
+    // Solve N z = gamma e_k: z_k = 1, then the twisted back-substitutions,
+    // up through L+ and down through U-. Each is a chain of dependent
+    // multiplies, so the two run side by side, and the flush is left out
+    // of the chains: a flag records whether any entry needed it (an entry
+    // that needs none equals step's), and only then do the chains rerun
+    // with step.
+    zj[k] = Real(1);
+    Real up = Real(1), down = Real(1);
+    bool flush = false;
+    index_t iu = k - 1, id = k;
+    for (; iu >= 0 && id < n - 1; --iu, ++id) {
+      zj[iu] = up = -lp[iu * ldw] * up;
+      zj[id + 1] = down = -um[id * ldw] * down;
+      flush |= !(std::fabs(up) <= big) | !(std::fabs(down) <= big);
+    }
+    for (; iu >= 0; --iu) {
+      zj[iu] = up = -lp[iu * ldw] * up;
+      flush |= !(std::fabs(up) <= big);
+    }
+    for (; id < n - 1; ++id) {
+      zj[id + 1] = down = -um[id * ldw] * down;
+      flush |= !(std::fabs(down) <= big);
+    }
+    if (flush) {
+      for (index_t i = k - 1; i >= 0; --i) zj[i] = step(lp[i * ldw], zj[i + 1]);
+      for (index_t i = k; i < n - 1; ++i) zj[i + 1] = step(um[i * ldw], zj[i]);
+    }
+    const Real nrm = blas::nrm2(n, zj);
+    blas::scal(n, Real(1) / nrm, zj);
+    res[j] = {k, gamma[j], nrm * nrm, std::fabs(gamma[j]) / nrm};
+  }
+}
+
+template <typename Real>
 GetvecResultT<Real> twisted_eigenvector(const RepresentationT<Real>& rep, Real lambda,
                                         Real* z) {
-  const index_t n = rep.n();
   GetvecResultT<Real> res;
-  if (n == 1) {
-    z[0] = Real(1);
-    res.gamma = rep.d[0] - lambda;
-    res.znorm2 = Real(1);
-    res.resid = std::fabs(res.gamma);
-    return res;
-  }
-  const Real tiny = real_traits<Real>::safmin();
-  const auto guard = [&](Real x) {
-    if (x == Real(0)) return tiny;
-    if (!std::isfinite(x)) return std::copysign(Real(1) / tiny, x);
-    return x;
-  };
-
-  // Differential stationary transform: D+ and L+ of LDL^T - lambda.
-  std::vector<Real> lplus(n - 1), svec(n);
-  svec[0] = -lambda;
-  for (index_t i = 0; i < n - 1; ++i) {
-    const Real dplus = guard(rep.d[i] + svec[i]);
-    lplus[i] = (rep.l[i] * rep.d[i]) / dplus;
-    svec[i + 1] = lplus[i] * rep.l[i] * svec[i] - lambda;
-  }
-
-  // Differential progressive transform: U- D- U-^T of LDL^T - lambda,
-  // bottom-up. umult[i] multiplies z downward; pvec holds the p_i.
-  std::vector<Real> umult(n - 1), pvec(n);
-  pvec[n - 1] = rep.d[n - 1] - lambda;
-  for (index_t i = n - 2; i >= 0; --i) {
-    const Real dminus = guard(rep.d[i] * rep.l[i] * rep.l[i] + pvec[i + 1]);
-    umult[i] = (rep.l[i] * rep.d[i]) / dminus;
-    pvec[i] = (pvec[i + 1] * rep.d[i]) / dminus - lambda;
-  }
-
-  // gamma_k = s_k + p_k + lambda; the twist minimises |gamma|.
-  index_t k = 0;
-  Real best = std::fabs(svec[0] + pvec[0] + lambda);
-  for (index_t i = 1; i < n; ++i) {
-    const Real g = std::fabs(svec[i] + pvec[i] + lambda);
-    if (g < best) {
-      best = g;
-      k = i;
-    }
-  }
-  res.twist = k;
-  res.gamma = svec[k] + pvec[k] + lambda;
-
-  // Solve N z = gamma e_k: z_k = 1, then the twisted back-substitutions.
-  z[k] = Real(1);
-  for (index_t i = k - 1; i >= 0; --i) {
-    z[i] = -lplus[i] * z[i + 1];
-    if (!std::isfinite(z[i]) || std::fabs(z[i]) > Real(1) / tiny) z[i] = Real(0);
-  }
-  for (index_t i = k; i < n - 1; ++i) {
-    z[i + 1] = -umult[i] * z[i];
-    if (!std::isfinite(z[i + 1]) || std::fabs(z[i + 1]) > Real(1) / tiny) z[i + 1] = Real(0);
-  }
-  const Real nrm = blas::nrm2(n, z);
-  res.znorm2 = nrm * nrm;
-  blas::scal(n, Real(1) / nrm, z);
-  res.resid = std::fabs(res.gamma) / nrm;
+  twisted_eigenvectors(rep, 1, &lambda, z, rep.n(), &res);
   return res;
 }
 
@@ -81,9 +100,12 @@ Real rayleigh_correction(const GetvecResultT<Real>& r) {
   return r.gamma / r.znorm2;
 }
 
-#define DNC_INSTANTIATE_GETVEC(Real)                                                \
-  template GetvecResultT<Real> twisted_eigenvector<Real>(const RepresentationT<Real>&, \
-                                                         Real, Real*);              \
+#define DNC_INSTANTIATE_GETVEC(Real)                                                 \
+  template GetvecResultT<Real> twisted_eigenvector<Real>(const RepresentationT<Real>&,  \
+                                                         Real, Real*);               \
+  template void twisted_eigenvectors<Real>(const RepresentationT<Real>&, index_t,       \
+                                           const Real*, Real*, index_t,                \
+                                           GetvecResultT<Real>*);                      \
   template Real rayleigh_correction<Real>(const GetvecResultT<Real>&);
 
 DNC_INSTANTIATE_GETVEC(double)

@@ -222,11 +222,62 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
     items = std::move(merged);
   }
 
+  // Getvec tasks: the eigenvectors of grp (values relative to rep, already
+  // refined to full relative accuracy against it) for the global indices
+  // g0, g0 + 1, ... Each task factors its whole run in two batched
+  // twisted_eigenvectors passes: all members, then the members whose
+  // Rayleigh correction is worth trying. A corrected vector is kept only
+  // when its residual is smaller.
+  const auto submit_singletons = [&](const WorkItem& item, index_t g0, std::vector<Real> grp) {
+    auto rep = item.rep;
+    const index_t boff = block_off[g0];
+    graph.submit(
+        K.getvec,
+        [&, rep, g0, grp = std::move(grp), boff] {
+          const index_t bn = rep->n();
+          const index_t m = static_cast<index_t>(grp.size());
+          Real* vcol = v.data() + boff + g0 * v.ld();
+          std::vector<GetvecResultT<Real>> r(m);
+          twisted_eigenvectors(*rep, m, grp.data(), vcol, v.ld(), r.data());
+          std::vector<index_t> sel;
+          std::vector<Real> wc;
+          for (index_t j = 0; j < m; ++j) {
+            lam[g0 + j] = rep->sigma + grp[j];
+            const Real corr = rayleigh_correction(r[j]);
+            if (std::isfinite(corr) && std::fabs(corr) < std::fabs(grp[j]) * Real(1e-2)) {
+              sel.push_back(j);
+              wc.push_back(grp[j] + corr);
+            }
+          }
+          if (sel.empty()) return;
+          const index_t mc = static_cast<index_t>(sel.size());
+          std::vector<Real> zc(bn * mc);
+          std::vector<GetvecResultT<Real>> rc(mc);
+          twisted_eigenvectors(*rep, mc, wc.data(), zc.data(), bn, rc.data());
+          for (index_t q = 0; q < mc; ++q) {
+            const index_t j = sel[q];
+            if (rc[q].resid < r[j].resid) {
+              lam[g0 + j] = rep->sigma + wc[q];
+              blas::copy(bn, zc.data() + q * bn, vcol + j * v.ld());
+            }
+          }
+        },
+        {{item.src, rt::Access::In}, {hv, rt::Access::GatherV}}, 2 * std::min(item.depth, 30));
+  };
+
   std::vector<WorkItem> current = std::move(items);
   while (!current.empty()) {
     std::vector<WorkItem> next;
     for (WorkItem& item : current) {
       depth_used = std::max(depth_used, item.depth);
+      // Runs of consecutive singletons, cut at opt.grain members, become
+      // one Getvec task each.
+      index_t run0 = 0;
+      std::vector<Real> run;
+      const auto flush_run = [&] {
+        if (!run.empty()) submit_singletons(item, run0, std::move(run));
+        run.clear();
+      };
       // Partition the item's eigenvalues into singletons and clusters by
       // relative gap with respect to the representation's origin.
       const index_t cnt = item.k1 - item.k0;
@@ -242,52 +293,35 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
         }
         const index_t g0 = item.k0 + s;          // global index of group start
         const index_t gcnt = t - s + 1;          // group size
+        if (gcnt == 1) {
+          if (run.empty()) run0 = g0;
+          run.push_back(item.lam_local[s]);
+          if (static_cast<index_t>(run.size()) == opt.grain) flush_run();
+          s = t + 1;
+          continue;
+        }
+        flush_run();
         auto rep = item.rep;
         std::vector<Real> grp(item.lam_local.begin() + s, item.lam_local.begin() + s + gcnt);
         const index_t boff = block_off[g0];
-        if (gcnt == 1 || item.depth >= opt.max_depth) {
-          // Singletons get the O(n) twisted-factorization vector. A group
-          // that is still clustered at max depth cannot be resolved by
-          // representations at all (numerically degenerate eigenvalues);
-          // for those we fall back to dstein-style inverse iteration with
-          // reorthogonalisation inside the group -- the classical robust
-          // treatment (see DESIGN.md).
-          const bool degenerate_group = grp.size() > 1;
+        if (item.depth >= opt.max_depth) {
+          // A group that is still clustered at max depth cannot be resolved
+          // by representations at all (numerically degenerate
+          // eigenvalues); for those we fall back to dstein-style inverse
+          // iteration with reorthogonalisation inside the group -- the
+          // classical robust treatment (see DESIGN.md).
           graph.submit(
               K.getvec,
-              [&, rep, g0, grp, boff, degenerate_group] {
+              [&, rep, g0, grp, boff] {
                 const index_t bn = rep->n();
                 std::vector<Real> z(bn);
-                if (degenerate_group) {
-                  Rng rng(0x9d5ULL ^ static_cast<std::uint64_t>(g0));
-                  for (std::size_t j = 0; j < grp.size(); ++j) {
-                    lam[g0 + j] = rep->sigma + grp[j];
-                    lapack::stein_vector(bn, d + boff, e + boff, lam[g0 + j],
-                                 v.data() + boff + g0 * v.ld(), v.ld(),
-                                 static_cast<index_t>(j), z.data(), rng);
-                    blas::copy(bn, z.data(), v.data() + boff + (g0 + j) * v.ld());
-                  }
-                  return;
-                }
-                std::vector<Real> zc(bn);
+                Rng rng(0x9d5ULL ^ static_cast<std::uint64_t>(g0));
                 for (std::size_t j = 0; j < grp.size(); ++j) {
-                  // grp values are already refined to full relative accuracy
-                  // against this representation.
-                  Real w = grp[j];
-                  const auto r = twisted_eigenvector(*rep, w, z.data());
-                  const Real* best = z.data();
-                  // One Rayleigh correction step sharpens the eigenvalue;
-                  // its vector goes to a second buffer and is kept only
-                  // when its residual is smaller.
-                  const Real corr = rayleigh_correction(r);
-                  if (std::isfinite(corr) && std::fabs(corr) < std::fabs(w) * Real(1e-2)) {
-                    if (twisted_eigenvector(*rep, w + corr, zc.data()).resid < r.resid) {
-                      w += corr;
-                      best = zc.data();
-                    }
-                  }
-                  lam[g0 + j] = rep->sigma + w;
-                  blas::copy(bn, best, v.data() + boff + (g0 + j) * v.ld());
+                  lam[g0 + j] = rep->sigma + grp[j];
+                  lapack::stein_vector(bn, d + boff, e + boff, lam[g0 + j],
+                                       v.data() + boff + g0 * v.ld(), v.ld(),
+                                       static_cast<index_t>(j), z.data(), rng);
+                  blas::copy(bn, z.data(), v.data() + boff + (g0 + j) * v.ld());
                 }
               },
               {{item.src, rt::Access::In}, {hv, rt::Access::GatherV}},
@@ -394,6 +428,7 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
         }
         s = t + 1;
       }
+      flush_run();
     }
     runtime.wait_all();
     std::sort(next.begin(), next.end(), by_index);
@@ -452,20 +487,33 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
       {{hv, rt::Access::InOut}});
 
   // ---- global ascending sort of the eigenpairs ----
+  // Only misplaced columns move: each cycle of the permutation is followed
+  // with one column buffer, so an identity order copies nothing.
   graph.submit(K.sort,
                [&, n] {
                  std::vector<index_t> order(n);
                  std::iota(order.begin(), order.end(), index_t{0});
                  std::sort(order.begin(), order.end(),
                            [&](index_t a, index_t b) { return lam[a] < lam[b]; });
-                 MatrixT<Real> tmp(n, n);
-                 std::vector<Real> ltmp(n);
+                 std::vector<Real> col;
+                 const auto column = [&](index_t j) { return v.data() + j * v.ld(); };
                  for (index_t r = 0; r < n; ++r) {
-                   ltmp[r] = lam[order[r]];
-                   blas::copy(n, v.data() + order[r] * v.ld(), tmp.data() + r * tmp.ld());
+                   if (order[r] == r) continue;
+                   // Position r's old pair is overwritten first: park it.
+                   col.resize(n);
+                   blas::copy(n, column(r), col.data());
+                   const Real lr = lam[r];
+                   index_t dst = r;
+                   for (index_t src = order[dst]; src != r; src = order[dst]) {
+                     blas::copy(n, column(src), column(dst));
+                     lam[dst] = lam[src];
+                     order[dst] = dst;
+                     dst = src;
+                   }
+                   blas::copy(n, col.data(), column(dst));
+                   lam[dst] = lr;
+                   order[dst] = dst;
                  }
-                 lam.assign(ltmp.begin(), ltmp.end());
-                 blas::lacpy(n, n, tmp.data(), tmp.ld(), v.data(), v.ld());
                },
                {{hv, rt::Access::InOut}});
   runtime.wait_all();
@@ -487,14 +535,27 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
   rep.simd_isa = blas::simd::kernels_t<Real>().name;
   rep.precision = precision_name(opt.precision);
   scope.finish(rep, n, opt.threads, &trace);
-  // Workspace telemetry: the final sort task's n x n scratch matrix plus
-  // its n-vector of reordered eigenvalues; the n x n eigenvector output;
-  // the per-solve eigenvalue/work arrays (lam + the per-block d/l copies
-  // are O(n) and folded into context_bytes).
+  // Workspace telemetry: the final sort task's one column buffer; the
+  // n x n eigenvector output; the per-solve eigenvalue/work arrays (lam +
+  // the per-block d/l copies are O(n) and folded into context_bytes).
   const std::uint64_t nn = static_cast<std::uint64_t>(n);
-  rep.memory.workspace_bytes = (nn * nn + nn) * sizeof(Real);
+  rep.memory.workspace_bytes = nn * sizeof(Real);
   rep.memory.output_bytes = nn * nn * sizeof(Real);
   rep.memory.context_bytes = 3u * nn * sizeof(Real);
+}
+
+// dstemr's scaling: a power of two, so exact, that brings tnrm = max|T|
+// into [sqrt(safmin/prec), min(sqrt(prec/safmin), safmin^(-1/4))] at
+// precision Real; 1 when tnrm already lies there or is not finite.
+template <typename Real>
+double range_scale(double tnrm) {
+  const double safmin = real_traits<Real>::safmin();
+  const double prec = real_traits<Real>::prec();
+  const double rmin = std::sqrt(safmin / prec);
+  const double rmax = std::min(std::sqrt(prec / safmin), 1.0 / std::sqrt(std::sqrt(safmin)));
+  if (tnrm > 0.0 && tnrm < rmin) return std::ldexp(1.0, std::ilogb(rmin / tnrm) + 1);
+  if (tnrm > rmax && std::isfinite(tnrm)) return std::ldexp(1.0, std::ilogb(rmax / tnrm));
+  return 1.0;
 }
 
 }  // namespace
@@ -511,15 +572,38 @@ void mrrr_solve(index_t n, const double* d, const double* e, std::vector<double>
   const bool want_export = obs::trace_export_requested() || obs::report_export_requested();
   Stats local;
   Stats* st = stats ? stats : (telemetry || want_export ? &local : nullptr);
+  // Outside the working precision's safe range MRRR loses accuracy without
+  // failing, so T is scaled into it first and lam scaled back at the end.
+  // The scaled copies stand in for (d, e) in every precision: the fp32
+  // paths must scale before narrowing, where a tiny T would underflow.
+  double tnrm = 0.0;
+  for (index_t i = 0; i < n; ++i) {
+    tnrm = std::max(tnrm, std::fabs(d[i]));
+    if (i + 1 < n) tnrm = std::max(tnrm, std::fabs(e[i]));
+  }
+  const double scale = n <= 1                            ? 1.0
+                       : opt.precision == Precision::F64 ? range_scale<double>(tnrm)
+                                                         : range_scale<float>(tnrm);
+  std::vector<double> ds, es;
+  const double* wd = d;
+  const double* we = e;
+  if (scale != 1.0) {
+    ds.assign(d, d + n);
+    es.assign(e, e + n - 1);
+    for (double& x : ds) x *= scale;
+    for (double& x : es) x *= scale;
+    wd = ds.data();
+    we = es.data();
+  }
   if (opt.precision == Precision::F64 || n <= 1) {
-    mrrr_solve_impl<double>(n, d, e, lam, v, opt, st, sim);
+    mrrr_solve_impl<double>(n, wd, we, lam, v, opt, st, sim);
   } else {
     // fp32 fast path: narrow the tridiagonal, run the whole representation
     // tree in single precision, widen the eigenpairs back. Unlike the D&C
-    // drivers, mrrr_solve does not destroy its inputs, so the caller's (d, e)
-    // double the role of the fp64 reference matrix for refinement.
-    std::vector<float> d32(d, d + n), e32;
-    if (n > 1) e32.assign(e, e + n - 1);
+    // drivers, mrrr_solve does not destroy its inputs, so (wd, we) double
+    // the role of the fp64 reference matrix for refinement.
+    std::vector<float> d32(wd, wd + n), e32;
+    if (n > 1) e32.assign(we, we + n - 1);
     std::vector<float> lam32;
     MatrixT<float> v32;
     mrrr_solve_impl<float>(n, d32.data(), e32.data(), lam32, v32, opt, st, sim);
@@ -532,11 +616,13 @@ void mrrr_solve(index_t n, const double* d, const double* e, std::vector<double>
     }
     if (opt.precision == Precision::F32RefineF64 && n > 0) {
       const lapack::RefineReport rr =
-          lapack::refine_eigenpairs(n, d, e, lam.data(), v.data(), v.ld(), v.cols(), {},
+          lapack::refine_eigenpairs(n, wd, we, lam.data(), v.data(), v.ld(), v.cols(), {},
                                     opt.threads);
       if (st) st->refine = rr;
     }
   }
+  if (scale != 1.0)
+    for (double& x : lam) x /= scale;
   if (st == nullptr) return;
   // The solve's time covers the precision conversions and the refinement.
   st->seconds = st->report.seconds = sw.elapsed();

@@ -2,18 +2,24 @@
 // eigensolver, in the task-parallel style of MR3-SMP (Petschow &
 // Bientinesi) -- the comparator of the paper's Figures 8-10.
 //
-// Pipeline: split into unreduced blocks -> per block, a root LDL^T
-// representation just outside the spectrum -> all root eigenvalues in
-// O(n^2) by implicit QL (sterf; bisection only if QL fails), then
+// Pipeline: T outside the working precision's safe range is first scaled
+// by a power of two (dstemr's [rmin, rmax]; the eigenvalues are scaled
+// back at the end) -> split into unreduced blocks -> per block, a root
+// LDL^T representation just outside the spectrum -> all root eigenvalues
+// in O(n^2) by implicit QL (sterf; bisection only if QL fails), then
 // grain-sized tasks refine them against the root (refine_ldl: verified
 // Sturm-count bracket, bisection to full relative accuracy) ->
-// representation tree: singletons get a twisted-factorization eigenvector,
+// representation tree: runs of consecutive singletons get their
+// twisted-factorization eigenvectors in grain-sized Getvec tasks,
 // clusters get a shifted child representation whose members are refined in
-// grain-sized child tasks, and recurse. Each refinement task makes one
-// batched refine_ldl call for its grain: the eigenvalues bisect side by
-// side, one per lane of the SIMD Sturm-count kernel (up to 16 fp64 shifts
-// per pass under AVX-512), with exactly the counts, and so exactly the
-// eigenvalues, of one-at-a-time bisection. Each phase's tasks read the handle
+// grain-sized child tasks, and recurse -> one final task sorts the
+// eigenpairs, moving only misplaced columns. Each refinement task makes
+// one batched refine_ldl call for its grain: the eigenvalues bisect side
+// by side, one per lane of the SIMD Sturm-count kernel (up to 16 fp64
+// shifts per pass under AVX-512), with exactly the counts, and so exactly
+// the eigenvalues, of one-at-a-time bisection. Each Getvec task likewise
+// factors its grain in lane-parallel twisted_ldl passes, with exactly the
+// vectors of one task per eigenvalue. Each phase's tasks read the handle
 // its producer wrote, so the traced DAG is the real dependency graph.
 // Independent (sub)tasks are executed by the same task runtime as the D&C
 // solver, so traces and simulated parallel makespans are directly
@@ -44,8 +50,9 @@ struct Options {
   /// Maximum representation-tree depth; clusters still unresolved at this
   /// depth are treated as singletons (the usual MRRR accuracy trade-off).
   int max_depth = 8;
-  /// Eigenvalue indices per RefineEig task and per cluster-refinement
-  /// child task (granularity knob, MR3-SMP's task size).
+  /// Eigenvalues per RefineEig task, per cluster-refinement child task
+  /// and per Getvec task, which takes a run of consecutive singletons of
+  /// one representation (granularity knob, MR3-SMP's task size).
   index_t grain = 32;
 };
 
@@ -69,7 +76,7 @@ struct Stats {
 /// Computes all eigenpairs of the tridiagonal (d, e): lam ascending, v
 /// (n x n) the eigenvectors. Inputs are not modified. Throws
 /// InvalidArgument, before any task runs, when an entry of d or e is not
-/// finite at the working precision.
+/// finite at the working precision (after the scaling into its range).
 void mrrr_solve(index_t n, const double* d, const double* e, std::vector<double>& lam,
                 Matrix& v, const Options& opt = {}, Stats* stats = nullptr,
                 const std::vector<int>& simulate_workers = {});

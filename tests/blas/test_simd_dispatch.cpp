@@ -13,6 +13,7 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <initializer_list>
 #include <limits>
 #include <string>
@@ -537,6 +538,70 @@ void check_sturm_counts_match_scalar() {
 TEST(SimdKernels, SturmCountsLdlMatchScalar) { check_sturm_counts_match_scalar<double>(); }
 
 TEST(SimdKernels, SturmCountsLdlMatchScalarF32) { check_sturm_counts_match_scalar<float>(); }
+
+// The twisted factorizations of every table equal the scalar table's byte
+// for byte: lplus, umult, gamma and the twist of every shift, over the
+// Sturm-count tests' representations and shifts (zero pivots in kind 1 and
+// at the diagonal shifts, pivots overflowed to +-inf by kind 2's huge L
+// entries and by the +-huge and +-inf shifts), for n in {1, 2, 3, 64, 515}
+// and batches of 1, lanes - 1, lanes + 1 and 2 lanes + 3 shifts.
+template <typename Real>
+void check_twisted_ldl_match_scalar() {
+  const auto same = [](Real a, Real b) { return std::memcmp(&a, &b, sizeof(Real)) == 0; };
+  for (index_t n : {1, 2, 3, 64, 515}) {
+    for (int kind = 0; kind < 3; ++kind) {
+      std::vector<Real> d, l;
+      sturm_rep(n, kind, d, l);
+      std::vector<Real> ld(n - 1), dll(n - 1);
+      for (index_t i = 0; i + 1 < n; ++i) {
+        ld[i] = l[i] * d[i];
+        dll[i] = ld[i] * l[i];
+      }
+      const std::vector<Real> x = sturm_shifts(n, kind, d, l, ld);
+      const index_t total = static_cast<index_t>(x.size());
+      std::vector<Real> lp_ref((n - 1) * total), um_ref((n - 1) * total), g_ref(total);
+      std::vector<index_t> k_ref(total);
+      scalar_table_t<Real>()->twisted_ldl(n, d.data(), l.data(), ld.data(), dll.data(), x.data(),
+                                          total, lp_ref.data(), um_ref.data(), total,
+                                          g_ref.data(), k_ref.data());
+      for (const KernelTableT<Real>* kt : tables_t<Real>()) {
+        ScopedIsaOverride force(kt->isa);
+        const KernelTableT<Real>& active = kernels_t<Real>();
+        const index_t lanes = active.sturm_lanes;
+        for (index_t m : {index_t{1}, lanes - 1, lanes + 1, 2 * lanes + 3}) {
+          if (m < 1) continue;
+          const index_t ldw = (m + lanes - 1) / lanes * lanes;
+          std::vector<Real> lp((n - 1) * ldw), um((n - 1) * ldw), g(m);
+          std::vector<index_t> k(m);
+          for (index_t j0 = 0; j0 < total; j0 += m) {
+            const index_t w = std::min(m, total - j0);
+            active.twisted_ldl(n, d.data(), l.data(), ld.data(), dll.data(), x.data() + j0, w,
+                               lp.data(), um.data(), ldw, g.data(), k.data());
+            for (index_t j = 0; j < w; ++j) {
+              const auto where = [&] {
+                return std::string(active.name) + (sizeof(Real) == 4 ? " f32" : " f64") +
+                       " n=" + std::to_string(n) + " kind=" + std::to_string(kind) +
+                       " m=" + std::to_string(m) + " x=" + std::to_string(x[j0 + j]);
+              };
+              EXPECT_EQ(k[j], k_ref[j0 + j]) << where();
+              EXPECT_TRUE(same(g[j], g_ref[j0 + j])) << where() << " gamma";
+              for (index_t i = 0; i + 1 < n; ++i) {
+                EXPECT_TRUE(same(lp[i * ldw + j], lp_ref[i * total + j0 + j]))
+                    << where() << " lplus i=" << i;
+                EXPECT_TRUE(same(um[i * ldw + j], um_ref[i * total + j0 + j]))
+                    << where() << " umult i=" << i;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, TwistedLdlMatchScalar) { check_twisted_ldl_match_scalar<double>(); }
+
+TEST(SimdKernels, TwistedLdlMatchScalarF32) { check_twisted_ldl_match_scalar<float>(); }
 
 // Every size from 1 to 2*tile + 1 (each residue mod the tile, once as a
 // lone partial tile and once behind a full one), a multiple plus a ragged
