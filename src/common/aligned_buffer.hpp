@@ -1,4 +1,5 @@
-// Grow-only cache-line-aligned scratch buffer.
+// Cache-line-aligned storage: the one allocation rule for large scratch,
+// and the grow-only buffer built on it.
 //
 // The packed-GEMM workspaces (and any other per-thread kernel scratch) need
 // 64-byte alignment for vector loads and must not pay a malloc per call: a
@@ -12,9 +13,42 @@
 #include <cstdlib>
 #include <new>
 
+#include <sys/mman.h>
+
 #include "common/error.hpp"
 
 namespace dnc {
+
+/// Storage of at least this many bytes is a private anonymous mapping of
+/// its own (page aligned, returned to the kernel when freed). Such a block
+/// -- an n x n matrix, a panel copy -- therefore never lands in the C heap
+/// below its dynamic mmap threshold, where whether freed pages are reused
+/// would depend on the order of earlier allocations, and so would the
+/// process's peak RSS. Smaller storage comes from aligned_alloc.
+inline constexpr std::size_t kMapBytes = std::size_t{1} << 20;
+
+/// 64-byte-aligned storage of `bytes` > 0 bytes; throws std::bad_alloc.
+/// Release it with free_aligned and the same byte count: the size alone
+/// decides mapping vs heap, so no flag travels with the pointer.
+inline void* alloc_aligned(std::size_t bytes) {
+  if (bytes >= kMapBytes) {
+    void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return p;
+  }
+  // Round up to a multiple of the alignment as required by aligned_alloc.
+  void* p = std::aligned_alloc(64, (bytes + 63) & ~std::size_t{63});
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+inline void free_aligned(void* p, std::size_t bytes) noexcept {
+  if (p == nullptr) return;
+  if (bytes >= kMapBytes)
+    munmap(p, bytes);
+  else
+    std::free(p);
+}
 
 class AlignedBuffer {
  public:
@@ -23,27 +57,28 @@ class AlignedBuffer {
   AlignedBuffer() = default;
   AlignedBuffer(const AlignedBuffer&) = delete;
   AlignedBuffer& operator=(const AlignedBuffer&) = delete;
-  ~AlignedBuffer() { std::free(data_); }
+  ~AlignedBuffer() { free_aligned(data_, capacity_bytes_); }
 
   /// Returns a 64-byte-aligned array of at least `n` elements of T (double
   /// by default; the precision-templated GEMM passes its Real). Contents
   /// are unspecified; previous pointers are invalidated when the buffer
   /// grows. Capacity is tracked in bytes so one arena serves both widths.
+  /// A caller that knows an upper bound on its requests passes it as
+  /// `limit` (elements of T): growth then never allocates past
+  /// max(n, limit), so the arena stays inside a bound the caller can state.
   template <typename T = double>
-  T* reserve(std::size_t n) {
+  T* reserve(std::size_t n, std::size_t limit = 0) {
     const std::size_t need = n * sizeof(T);
     if (need > capacity_bytes_) {
       // Grow geometrically so alternating callers with slightly different
       // panel shapes do not reallocate on every call.
       std::size_t want = capacity_bytes_ + capacity_bytes_ / 2;
+      if (limit > 0 && want > limit * sizeof(T)) want = limit * sizeof(T);
       if (want < need) want = need;
-      std::free(data_);
-      const std::size_t bytes = (want + kAlignment - 1) & ~(kAlignment - 1);
-      data_ = std::aligned_alloc(kAlignment, bytes);
-      if (data_ == nullptr) {
-        capacity_bytes_ = 0;
-        throw std::bad_alloc();
-      }
+      free_aligned(data_, capacity_bytes_);
+      data_ = nullptr;
+      capacity_bytes_ = 0;
+      data_ = alloc_aligned(want);
       capacity_bytes_ = want;
     }
     return static_cast<T*>(data_);

@@ -7,15 +7,16 @@
 // MatrixViewT is a cheap non-owning window used by tasks operating on panels.
 // Both are templated on the element type for the precision-templated solver
 // stack; the unqualified Matrix / MatrixView aliases are the historical
-// double instantiations used by the public APIs.
+// double instantiations used by the public APIs. Storage comes from
+// alloc_aligned (common/aligned_buffer.hpp), so a matrix of 1 MiB or more
+// is a private mapping of its own.
 #pragma once
 
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <utility>
 
+#include "common/aligned_buffer.hpp"
 #include "common/error.hpp"
 
 namespace dnc {
@@ -75,22 +76,19 @@ class MatrixT {
     swap(other);
     return *this;
   }
-  ~MatrixT() { std::free(data_); }
+  ~MatrixT() { free_aligned(data_, size_bytes()); }
 
   void resize(index_t rows, index_t cols) {
     DNC_REQUIRE(rows >= 0 && cols >= 0, "Matrix dimensions must be non-negative");
     if (rows == rows_ && cols == cols_) return;
-    std::free(data_);
+    free_aligned(data_, size_bytes());
     data_ = nullptr;
+    rows_ = 0;
+    cols_ = 0;
+    const std::size_t bytes = static_cast<std::size_t>(rows) * cols * sizeof(Real);
+    if (bytes > 0) data_ = static_cast<Real*>(alloc_aligned(bytes));
     rows_ = rows;
     cols_ = cols;
-    const std::size_t bytes = static_cast<std::size_t>(rows) * cols * sizeof(Real);
-    if (bytes > 0) {
-      // Round up to a multiple of the alignment as required by aligned_alloc.
-      const std::size_t padded = (bytes + 63) & ~std::size_t{63};
-      data_ = static_cast<Real*>(std::aligned_alloc(64, padded));
-      if (data_ == nullptr) throw std::bad_alloc();
-    }
   }
 
   void fill(Real value) {

@@ -158,23 +158,27 @@ void fill_stats(const Plan& plan, const Contexts<Real>& ctxs, SolveStats* stats)
 /// accounting scales with sizeof(Real).
 template <typename Real>
 void finish_report(const obs::SolveScope& scope, const Contexts<Real>& ctxs, index_t n,
-                   int threads, const rt::Trace* trace, SolveStats* stats, Precision prec) {
+                   const Options& opt, const rt::Trace* trace, SolveStats* stats) {
   if (stats == nullptr) return;
   obs::SolveReport& rep = stats->report;
   // The table that ran, which in-process overrides can set below the
   // DNC_SIMD request.
   rep.simd_isa = blas::simd::kernels_t<Real>().name;
-  rep.precision = precision_name(prec);
-  scope.finish(rep, n, threads, trace);
-  // Workspace telemetry: the solve-wide scratch (Workspace: n x n qwork +
-  // 2n x n xwork), the n x n eigenvector output, and the per-merge contexts
-  // (z + zhat + the m x npanels partial-product matrix each). All of it is
-  // allocated at the working precision, so fp32 solves report half the
-  // fp64 bytes.
+  rep.precision = precision_name(opt.precision);
+  scope.finish(rep, n, opt.threads, trace);
+  // Workspace telemetry: the solve-wide scratch (WorkspaceT: n x n qwork,
+  // plus the n x n xwork under extra_workspace) and the bound on the
+  // UpdateVect S copies (one buffer of at most n x nb per worker), the
+  // n x n eigenvector output, and the per-merge contexts (z + zhat + the
+  // m x npanels partial-product matrix each). All of it is allocated at
+  // the working precision, so fp32 solves report half the fp64 bytes.
+  const std::uint64_t nn = static_cast<std::uint64_t>(n);
+  const std::uint64_t panel = static_cast<std::uint64_t>(std::min(opt.nb, n));
   rep.memory.workspace_bytes =
-      3u * static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n) * sizeof(Real);
-  rep.memory.output_bytes =
-      static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n) * sizeof(Real);
+      ((opt.extra_workspace ? 2u : 1u) * nn * nn +
+       static_cast<std::uint64_t>(opt.threads) * nn * panel) *
+      sizeof(Real);
+  rep.memory.output_bytes = nn * nn * sizeof(Real);
   rep.memory.context_bytes = 0;  // accumulated below; keep per-solve on report reuse
   rep.merges.clear();            // reused reports must not accumulate merge records
   for (const auto& ctx : ctxs) {
@@ -209,7 +213,7 @@ void emit_solve(ExecModel model, index_t n, Real* d, Real* e, MatrixT<Real>& v,
   v.resize(n, n);
 
   const Plan plan = build_plan(n, opt.minpart);
-  WorkspaceT<Real> ws(n);
+  WorkspaceT<Real> ws(n, opt.extra_workspace);
   auto ctxs = make_contexts(plan, e, opt.nb);
   std::vector<index_t> perm(n);
   Emitter<Real> emitter(model, opt, plan, ctxs, d, e, v, ws, perm.data());
@@ -234,7 +238,7 @@ void emit_solve(ExecModel model, index_t n, Real* d, Real* e, MatrixT<Real>& v,
       for (int w : simulate_workers) stats->simulated.push_back(obs::replay_trace(*tr, w));
     if (opt.export_dag && emitter.graph()) stats->dag_dot = rt::export_dot(*emitter.graph());
   }
-  finish_report(scope, ctxs, n, opt.threads, tr, stats, opt.precision);
+  finish_report(scope, ctxs, n, opt, tr, stats);
 }
 
 /// Precision dispatch + always-on telemetry epilogue shared by the public
@@ -471,13 +475,22 @@ void Emitter<Real>::merge(std::size_t i) {
                          ctx->wdefl(ws_), j0, j1);
          },
          panel_deps(i, p, kFirst), &nd, false, p);
+  }
+  // Without the extra workspace the secular matrix overwrites the node's
+  // block of v, from which any PermuteV panel may still be copying: LAED4
+  // waits for all of them (dlaed3 likewise runs after dlaed2's copy).
+  if (!opt_.extra_workspace) task(kPermute, [] {}, join, &nd, true);
+  for (index_t p = 0; p < np; ++p) {
+    const index_t j0 = p * pw, j1 = std::min(j0 + pw, m);
     task(kLaed4,
-         [this, ctx, d, j0, j1] { secular_solve_panel(ctx->defl, j0, j1, d, ctx->deltam(ws_)); },
+         [this, ctx, d, j0, j1] {
+           secular_solve_panel(ctx->defl, j0, j1, d, ctx->secular(ws_, v_));
+         },
          panel_deps(i, p, kSecond), &nd, false, p);
     if (!scalapack)
       task(kLocalW,
            [this, ctx, p, j0, j1] {
-             zhat_local_panel(ctx->defl, ctx->deltam(ws_), j0, j1,
+             zhat_local_panel(ctx->defl, ctx->secular(ws_, v_), j0, j1,
                               ctx->wparts.data() + p * ctx->wparts.ld());
            },
            panel_deps(i, p, kBoth), &nd, false, p);
@@ -485,7 +498,7 @@ void Emitter<Real>::merge(std::size_t i) {
   if (scalapack)
     task(kLocalW,
          [this, ctx, m] {
-           zhat_local_panel(ctx->defl, ctx->deltam(ws_), 0, m, ctx->wparts.data());
+           zhat_local_panel(ctx->defl, ctx->secular(ws_, v_), 0, m, ctx->wparts.data());
          },
          join, &nd);
   task(kReduceW,
@@ -496,7 +509,7 @@ void Emitter<Real>::merge(std::size_t i) {
        join, &nd, true);
 
   const auto update = [this, ctx](index_t j0, index_t j1) {
-    update_vectors_panel(ctx->defl, ctx->w1(ws_), ctx->w2(ws_), ctx->smat(ws_), j0, j1,
+    update_vectors_panel(ctx->defl, ctx->w1(ws_), ctx->w2(ws_), ctx->secular(ws_, v_), j0, j1,
                          ctx->qblock(v_));
   };
   for (index_t p = 0; p < np; ++p) {
@@ -508,8 +521,7 @@ void Emitter<Real>::merge(std::size_t i) {
          panel_deps(i, p, kFirst), &nd, false, p);
     task(kComputeVect,
          [this, ctx, j0, j1] {
-           secular_vectors_panel(ctx->defl, ctx->deltam(ws_), ctx->zhat.data(), j0, j1,
-                                 ctx->smat(ws_));
+           secular_vectors_panel(ctx->defl, ctx->secular(ws_, v_), ctx->zhat.data(), j0, j1);
          },
          panel_deps(i, p, kSecond), &nd, false, p);
     if (!lapack && !scalapack)

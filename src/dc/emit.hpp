@@ -21,6 +21,10 @@
 //                   emitted deepest first with a barrier after each -- the
 //                   pdstedc baseline
 //
+// Under every model, a merge without Options::extra_workspace also gets one
+// empty PermuteV join between its PermuteV and LAED4 panels: the secular
+// matrices overwrite the merge's block of V, which PermuteV reads.
+//
 // The panel split never changes the arithmetic of a kernel, with one
 // exception: the Gu-Eisenstat partial products (ComputeLocalW) are formed
 // per panel under Sequential/Taskflow and once per merge under the LAPACK

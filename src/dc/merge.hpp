@@ -16,23 +16,33 @@
 
 namespace dnc::dc {
 
-/// Global workspaces sized once for the whole solve. Independent merges use
+/// Global workspace sized once for the whole solve. Independent merges use
 /// disjoint regions addressed by their node offset, so concurrent merges
 /// never share memory (the paper's PLASMA implementation does the same with
 /// its user-provided workspace).
+///
+/// The default is one n x n matrix, as in LAPACK's dstedc: the secular
+/// matrices Delta and S of a merge live in that merge's own block of the
+/// eigenvector matrix once PermuteV has copied the block out (dlaed3 builds
+/// them in Q the same way). Options::extra_workspace adds xwork, a second
+/// n x n matrix that holds Delta and S instead, so LAED4 need not wait for
+/// PermuteV.
 template <typename Real>
 struct WorkspaceT {
   MatrixT<Real> qwork;  ///< n x n: compressed copies (w1 / w2 / deflated columns)
-  MatrixT<Real> xwork;  ///< 2n x n: delta matrix (top) and S matrix (bottom)
+  MatrixT<Real> xwork;  ///< n x n Delta/S with extra_workspace, else empty
 
-  explicit WorkspaceT(index_t n) : qwork(n, n), xwork(2 * n, n) {}
+  WorkspaceT(index_t n, bool extra_workspace)
+      : qwork(n, n), xwork(extra_workspace ? n : 0, extra_workspace ? n : 0) {}
 };
 
 using Workspace = WorkspaceT<double>;
 
 /// Per-merge dynamic state. Sized for the worst case (no deflation) at
 /// construction so the task DAG can be built before deflation counts are
-/// known -- the paper's "matrix independent DAG" property.
+/// known -- the paper's "matrix independent DAG" property. It owns only
+/// O(m) vectors and the m x npanels partial products; the views below
+/// address the node's m x m region of v and of the solve's WorkspaceT.
 template <typename Real>
 struct MergeContextT {
   TreeNode node;
@@ -53,7 +63,7 @@ struct MergeContextT {
       : node(nd), beta_ptr(e_global + nd.i0 + nd.n1 - 1), npanels((nd.m + nb - 1) / nb),
         z(nd.m), zhat(nd.m), wparts(nd.m, npanels) {}
 
-  // --- workspace views for this node's region ---
+  // --- views of this node's region of v and of the workspace ---
   MatrixViewT<Real> qblock(MatrixT<Real>& q) const {
     return q.block(node.i0, node.i0, node.m, node.m);
   }
@@ -68,11 +78,14 @@ struct MergeContextT {
     // created per call AFTER deflation so k is known.
     return ws.qwork.block(node.i0, node.i0 + defl.k, node.m, node.m - defl.k);
   }
-  MatrixViewT<Real> deltam(WorkspaceT<Real>& ws) const {
-    return ws.xwork.block(2 * node.i0, node.i0, node.m, node.m);
-  }
-  MatrixViewT<Real> smat(WorkspaceT<Real>& ws) const {
-    return ws.xwork.block(2 * node.i0 + node.m, node.i0, node.m, node.m);
+  /// The merge's secular matrix, k x k in the top-left corner of the
+  /// node's m x m region: LAED4 writes Delta column j, ComputeVect then
+  /// overwrites it with S column j (rows in grouped order). The region is
+  /// the node's block of v itself unless the workspace carries xwork, so
+  /// without xwork LAED4 may start only after every PermuteV panel of the
+  /// merge has read the block.
+  MatrixViewT<Real> secular(WorkspaceT<Real>& ws, MatrixT<Real>& v) const {
+    return ws.xwork.rows() > 0 ? qblock(ws.xwork) : qblock(v);
   }
 };
 

@@ -6,10 +6,18 @@
 #include "blas/aux.hpp"
 #include "blas/gemm.hpp"
 #include "blas/level1.hpp"
+#include "common/aligned_buffer.hpp"
 #include "common/error.hpp"
 #include "lapack/laed4.hpp"
 
 namespace dnc::dc {
+namespace {
+
+// Per-thread copy of an UpdateVect panel's S columns, reused across panels
+// like the GEMM packing workspaces (blas/gemm.cpp).
+thread_local AlignedBuffer tls_spanel;
+
+}  // namespace
 
 template <typename Real>
 void permute_panel(const DeflationResultT<Real>& defl, const MatrixViewT<Real>& qblock,
@@ -82,16 +90,17 @@ void zhat_reduce(const DeflationResultT<Real>& defl, const MatrixViewT<Real>& wp
 }
 
 template <typename Real>
-void secular_vectors_panel(const DeflationResultT<Real>& defl, const MatrixViewT<Real>& deltam,
-                           const Real* zhat, index_t j0, index_t j1, MatrixViewT<Real> smat) {
+void secular_vectors_panel(const DeflationResultT<Real>& defl, MatrixViewT<Real> secular,
+                           const Real* zhat, index_t j0, index_t j1) {
   const index_t k = defl.k;
   j1 = std::min(j1, k);
   std::vector<Real> s(k);
   for (index_t j = j0; j < j1; ++j) {
-    const Real* dcol = deltam.col(j);
+    const Real* dcol = secular.col(j);
     for (index_t i = 0; i < k; ++i) s[i] = zhat[i] / dcol[i];
     const Real nrm = blas::nrm2(k, s.data());
-    Real* out = smat.col(j);
+    // S column j replaces delta column j, which nothing reads afterwards.
+    Real* out = secular.col(j);
     // Rows of the secular eigenvector matrix are stored in grouped order so
     // the update GEMMs can run on the compressed column blocks directly.
     for (index_t g = 0; g < k; ++g) out[g] = s[defl.rank_of[g]] / nrm;
@@ -108,19 +117,25 @@ void update_vectors_panel(const DeflationResultT<Real>& defl, const MatrixViewT<
   const index_t k12 = defl.k12();
   const index_t k23 = defl.k23();
   const index_t c1 = defl.ctot[0];
-  j1 = std::min(j1, defl.k);
+  const index_t k = defl.k;
+  const index_t width = j1 - j0;
+  j1 = std::min(j1, k);
   const index_t nj = j1 - j0;
   if (nj <= 0) return;
+  // k x nj copy of the panel's S columns; the bound m x width keeps every
+  // thread's buffer within n x nb over the whole solve.
+  Real* sp = tls_spanel.reserve<Real>(static_cast<std::size_t>(k) * nj,
+                                      static_cast<std::size_t>(m) * width);
+  blas::lacpy(k, nj, smat.col(j0), smat.ld, sp, k);
   if (k12 > 0) {
-    blas::gemm(blas::Trans::No, blas::Trans::No, n1, nj, k12, Real(1), w1.data, w1.ld,
-               smat.data + j0 * smat.ld, smat.ld, Real(0), qblock.col(j0), qblock.ld);
+    blas::gemm(blas::Trans::No, blas::Trans::No, n1, nj, k12, Real(1), w1.data, w1.ld, sp, k,
+               Real(0), qblock.col(j0), qblock.ld);
   } else {
     blas::laset(n1, nj, Real(0), Real(0), qblock.col(j0), qblock.ld);
   }
   if (k23 > 0) {
-    blas::gemm(blas::Trans::No, blas::Trans::No, n2, nj, k23, Real(1), w2.data, w2.ld,
-               smat.data + c1 + j0 * smat.ld, smat.ld, Real(0), qblock.col(j0) + n1,
-               qblock.ld);
+    blas::gemm(blas::Trans::No, blas::Trans::No, n2, nj, k23, Real(1), w2.data, w2.ld, sp + c1,
+               k, Real(0), qblock.col(j0) + n1, qblock.ld);
   } else {
     blas::laset(n2, nj, Real(0), Real(0), qblock.col(j0) + n1, qblock.ld);
   }
@@ -145,9 +160,8 @@ void copyback_panel(const DeflationResultT<Real>& defl, const MatrixViewT<Real>&
                                        const MatrixViewT<Real>&, index_t, index_t, Real*);    \
   template void zhat_reduce<Real>(const DeflationResultT<Real>&, const MatrixViewT<Real>&,    \
                                   index_t, Real*);                                            \
-  template void secular_vectors_panel<Real>(const DeflationResultT<Real>&,                    \
-                                            const MatrixViewT<Real>&, const Real*, index_t,   \
-                                            index_t, MatrixViewT<Real>);                      \
+  template void secular_vectors_panel<Real>(const DeflationResultT<Real>&, MatrixViewT<Real>,  \
+                                            const Real*, index_t, index_t);                   \
   template void update_vectors_panel<Real>(                                                   \
       const DeflationResultT<Real>&, const MatrixViewT<Real>&, const MatrixViewT<Real>&,      \
       const MatrixViewT<Real>&, index_t, index_t, MatrixViewT<Real>);                         \

@@ -10,9 +10,18 @@
 //   w1      n1 x k12   top parts of type-1/2 columns (compressed copy)
 //   w2      n2 x k23   bottom parts of type-2/3 columns
 //   wdefl   m x (m-k)  deflated columns, grouped order
-//   deltam  k x k      column j = delta vector of secular root j
-//   smat    k x k      eigenvectors of the rank-one system, rows in grouped
-//                      order (ready for the compressed GEMMs)
+//   secular k x k      column j = delta vector of secular root j (LAED4),
+//                      then overwritten in place by column j of S, the
+//                      eigenvectors of the rank-one system with rows in
+//                      grouped order (ComputeVect)
+// w1, w2 and wdefl are the node's region of the n x n workspace qwork. The
+// secular matrix sits in the top-left corner of qblock itself, as in
+// LAPACK's dlaed3: once PermuteV has copied the sons' columns out, the
+// block holds nothing live until UpdateVect writes the father's columns
+// (with Options::extra_workspace it is the node's region of a second n x n
+// matrix instead). UpdateVect therefore first copies its panel's S columns
+// into a per-thread buffer (at most m x nb) and runs its GEMMs from there,
+// since its output columns are the ones S occupies.
 #pragma once
 
 #include "dc/deflation.hpp"
@@ -27,7 +36,7 @@ void permute_panel(const DeflationResultT<Real>& defl, const MatrixViewT<Real>& 
                    index_t g0, index_t g1);
 
 /// LAED4: solves secular roots [j0, j1) (clamped to k); writes lambda[j]
-/// and column j of deltam.
+/// and column j of deltam (the merge's secular matrix).
 template <typename Real>
 void secular_solve_panel(const DeflationResultT<Real>& defl, index_t j0, index_t j1,
                          Real* lambda, MatrixViewT<Real> deltam);
@@ -47,15 +56,18 @@ template <typename Real>
 void zhat_reduce(const DeflationResultT<Real>& defl, const MatrixViewT<Real>& wparts,
                  index_t nparts, Real* zhat);
 
-/// ComputeVect: assembles and normalises secular eigenvectors [j0, j1) into
-/// smat, rows permuted to the grouped order expected by the GEMMs.
+/// ComputeVect: assembles and normalises secular eigenvectors [j0, j1),
+/// each over its own delta column of `secular` (column j reads only delta
+/// column j), rows permuted to the grouped order expected by the GEMMs.
 template <typename Real>
-void secular_vectors_panel(const DeflationResultT<Real>& defl, const MatrixViewT<Real>& deltam,
-                           const Real* zhat, index_t j0, index_t j1, MatrixViewT<Real> smat);
+void secular_vectors_panel(const DeflationResultT<Real>& defl, MatrixViewT<Real> secular,
+                           const Real* zhat, index_t j0, index_t j1);
 
 /// UpdateVect: the compressed GEMMs forming father eigenvector columns
 /// [j0, j1): top rows from w1 x smat(0:k12, :), bottom rows from
-/// w2 x smat(ctot1:ctot1+k23, :).
+/// w2 x smat(ctot1:ctot1+k23, :). The panel's columns of smat are copied
+/// to a per-thread buffer first, so smat may alias qblock's columns
+/// [j0, j1) (the default layout above).
 template <typename Real>
 void update_vectors_panel(const DeflationResultT<Real>& defl, const MatrixViewT<Real>& w1,
                           const MatrixViewT<Real>& w2, const MatrixViewT<Real>& smat,

@@ -32,7 +32,7 @@ namespace dnc::mrrr {
 namespace {
 
 struct MrrrKinds {
-  rt::KindId bisect, refine, getvec, cluster, setup, sort;
+  rt::KindId bisect, refine, getvec, cluster, setup, sort, safety;
   explicit MrrrKinds(rt::TaskGraph& g) {
     setup = g.register_kind("RootRep", false, "#aaaaaa");
     bisect = g.register_kind("Bisection", false, "#1f77b4");
@@ -40,6 +40,8 @@ struct MrrrKinds {
     getvec = g.register_kind("Getvec", false, "#9467bd");
     cluster = g.register_kind("ClusterShift", false, "#d62728");
     sort = g.register_kind("SortEigenvectors", true, "#8c564b");
+    // Registered last so the kind ids above keep their values.
+    safety = g.register_kind("SafetyNet", false, "#bcbd22");
   }
 };
 
@@ -442,8 +444,10 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
   // nearly-equal eigenvalues (triggered only when an overlap is actually
   // observed) bounds the orthogonality without disturbing resolved pairs.
   // This is a robustness deviation from MR3-SMP, recorded in DESIGN.md.
+  // It has its own task kind, so traces and `dnc diff` separate its cost
+  // from eigenvector extraction.
   graph.submit(
-      K.getvec,
+      K.safety,
       [&, n, eps, safmin] {
         std::vector<index_t> order(n);
         std::iota(order.begin(), order.end(), index_t{0});

@@ -10,6 +10,7 @@
 #include "../support/precision_testing.hpp"
 #include "blas/simd/kernels.hpp"
 #include "common/error.hpp"
+#include "common/version.hpp"
 #include "dc/api.hpp"
 #include "matgen/tridiag.hpp"
 #include "verify/metrics.hpp"
@@ -299,6 +300,41 @@ TEST(Stedc, ExtraWorkspaceOption) {
   stedc_taskflow(n, d.data(), e.data(), v, opt, &st);
   expect_good_solution(t, d, v);
   EXPECT_GT(st.trace.events.size(), 0u);
+}
+
+// The solve's scratch is one n x n workspace plus a panel copy of S per
+// worker, as in LAPACK's dstedc: the peak-RSS growth of a large fp64 solve
+// stays within 25 % of that plus the n x n output. The growth is measured
+// against the process's high-water mark at solve start, so it is only
+// informative in a fresh process (ctest runs each test in its own). What
+// the formula leaves out is about 1 MiB per worker (GEMM packing buffers,
+// stack, allocator arena), hence two workers: 21 MiB measured against a
+// 22.5 MiB bound on a 4-vCPU x86-64 guest, where the three-matrix layout
+// grows by 34 MiB.
+TEST(Stedc, PeakRssGrowthIsOneWorkspacePlusOutput) {
+  if (version::kSanitize) GTEST_SKIP() << "sanitizer allocators hold freed memory";
+  const index_t n = 1024;
+  const auto t = matgen::table3_matrix(13, n);  // Legendre: no deflation, k = m
+  std::vector<double> d = t.d, e = t.e;
+  Matrix v;
+  Options opt;
+  opt.precision = Precision::F64;
+  opt.threads = 2;
+  SolveStats st;
+  stedc_taskflow(n, d.data(), e.data(), v, opt, &st);
+  const obs::SolveReport::MemoryMetrics& mem = st.report.memory;
+  if (mem.rss_hwm_bytes == 0) GTEST_SKIP() << "peak-RSS probe unavailable on this host";
+  const std::uint64_t nn = static_cast<std::uint64_t>(n);
+  const std::uint64_t output = nn * nn * sizeof(double);
+  const std::uint64_t copies = static_cast<std::uint64_t>(opt.threads) * nn *
+                               static_cast<std::uint64_t>(opt.nb);
+  const std::uint64_t workspace = (nn * nn + copies) * sizeof(double);
+  EXPECT_EQ(mem.output_bytes, output);
+  EXPECT_EQ(mem.workspace_bytes, workspace);
+  EXPECT_LE(static_cast<double>(mem.rss_hwm_delta_bytes),
+            1.25 * static_cast<double>(output + workspace))
+      << "peak RSS grew by " << static_cast<double>(mem.rss_hwm_delta_bytes) / 1048576.0
+      << " MiB";
 }
 
 TEST(Stedc, StatsAreFilled) {

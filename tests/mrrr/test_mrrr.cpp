@@ -129,6 +129,24 @@ TEST(Mrrr, SturmStepsCounted) {
   EXPECT_GE(st.report.counter(obs::kSturmSteps), static_cast<std::uint64_t>(n));
 }
 
+// The fp32 tree runs the same refine_ldl passes, so its report counts its
+// Sturm steps too (both precisions count n steps per lane per pass).
+TEST(Mrrr, SturmStepsCountedInEveryPrecision) {
+  const index_t n = 300;
+  const auto t = matgen::table3_matrix(3, n);
+  for (Precision prec : {Precision::F64, Precision::F32}) {
+    std::vector<double> lam;
+    Matrix v;
+    Options opt;
+    opt.precision = prec;
+    opt.threads = 2;
+    Stats st;
+    mrrr_solve(n, t.d.data(), t.e.data(), lam, v, opt, &st);
+    EXPECT_GE(st.report.counter(obs::kSturmSteps), static_cast<std::uint64_t>(n))
+        << precision_name(prec);
+  }
+}
+
 // The report and the trace name the kernel table that ran, not the
 // DNC_SIMD request, and the trace carries the solve meta the roofline
 // reads, as the D&C drivers stamp it.
@@ -221,6 +239,44 @@ TEST(Mrrr, EveryTaskReachesTheSortThroughEdges) {
   // and each of those takes at most opt.grain eigenvalues.
   const auto per_phase = static_cast<std::size_t>((n + opt.grain - 1) / opt.grain);
   EXPECT_GT(graph_tasks, 2 * per_phase);
+}
+
+// The orthogonality safety net runs once per solve under its own task kind,
+// not as one more Getvec task, and the sort depends on it.
+TEST(Mrrr, SafetyNetHasItsOwnTaskKind) {
+  const index_t n = 200;
+  auto t = matgen::table3_matrix(3, n, 5);
+  std::vector<double> lam;
+  Matrix v;
+  Options opt;
+  opt.threads = 2;
+  opt.grain = 16;
+  Stats st;
+  mrrr_solve(n, t.d.data(), t.e.data(), lam, v, opt, &st);
+  const rt::Trace& tr = st.trace;
+  const auto kind_id = [&](const char* name) {
+    const auto it = std::find(tr.kind_names.begin(), tr.kind_names.end(), name);
+    return it == tr.kind_names.end() ? -1 : static_cast<int>(it - tr.kind_names.begin());
+  };
+  const int safety = kind_id("SafetyNet"), getvec = kind_id("Getvec"),
+            sort = kind_id("SortEigenvectors");
+  ASSERT_GE(safety, 0);
+  ASSERT_GE(getvec, 0);
+  std::uint64_t safety_task = 0, sort_task = 0;
+  std::size_t safety_tasks = 0, getvec_tasks = 0;
+  for (const auto& ev : tr.events) {
+    if (ev.kind == safety) {
+      ++safety_tasks;
+      safety_task = ev.task_id;
+    }
+    if (ev.kind == getvec) ++getvec_tasks;
+    if (ev.kind == sort) sort_task = ev.task_id;
+  }
+  EXPECT_EQ(safety_tasks, 1u);
+  // Every eigenvalue of this spectrum is extracted by some Getvec task.
+  EXPECT_GE(getvec_tasks, static_cast<std::size_t>((n + opt.grain - 1) / opt.grain));
+  EXPECT_NE(std::find(tr.edges.begin(), tr.edges.end(), std::make_pair(safety_task, sort_task)),
+            tr.edges.end());
 }
 
 // The input contract: a non-finite entry raises InvalidArgument before any

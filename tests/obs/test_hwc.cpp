@@ -10,6 +10,7 @@
 // ctest entries) order-independent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -188,17 +189,23 @@ TEST(HwcRss, PeakRssGrowsWithALargeAllocation) {
 }
 
 TEST_F(HwcTest, FallbackReportsPlausiblePeakRssAfterLargeSolve) {
-  // An n x n solve allocates >= 4 n^2 doubles (output + workspace); with
-  // n=640 that is ~12.5 MiB minimum. The report's RSS figures must be
+  // An n x n solve allocates >= 2 n^2 doubles (output + workspace); with
+  // n=640 that is ~6.3 MiB minimum. The report's RSS figures must be
   // present and the high-water mark must cover what the solve allocated.
   dc::SolveStats st = run_solve(640);
   const obs::SolveReport& rep = st.report;
   EXPECT_GT(rep.memory.rss_hwm_bytes, 0u);
   EXPECT_GE(rep.memory.rss_hwm_bytes,
             rep.memory.workspace_bytes + rep.memory.output_bytes);
-  // Exact allocation accounting for the D&C drivers.
+  // Exact allocation accounting for the D&C drivers: one n x n workspace
+  // (the secular matrices live in the output) plus the bound on the
+  // per-worker n x nb copies of S.
   const std::uint64_t n = 640;
-  EXPECT_EQ(rep.memory.workspace_bytes, 3u * n * n * sizeof(double));
+  const dc::Options opt;
+  ASSERT_FALSE(opt.extra_workspace);
+  const std::uint64_t panel = static_cast<std::uint64_t>(std::min<index_t>(opt.nb, 640));
+  EXPECT_EQ(rep.memory.workspace_bytes,
+            (n * n + static_cast<std::uint64_t>(opt.threads) * n * panel) * sizeof(double));
   EXPECT_EQ(rep.memory.output_bytes, n * n * sizeof(double));
   EXPECT_GT(rep.memory.context_bytes, 0u);
   const std::string js = rep.to_json();
