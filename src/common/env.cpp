@@ -75,7 +75,6 @@ const Knob* knob_reference() noexcept {
       {"DNC_FLIGHT_RESID", "float", "flight-recorder trigger: sampled relative residual above this (default 1e-8)"},
       {"DNC_HISTORY", "off/on/path", "append one distilled record per solve to this JSONL archive (on = dnc_history.jsonl)"},
       {"DNC_HISTORY_MAX_BYTES", "bytes", "rotate the history archive to <path>.1 at this size (default 16 MiB)"},
-      {"DNC_HTTP", "off/on/[addr:]port", "serve /healthz /metrics /profile /trace /history over HTTP (on = an ephemeral port)"},
       {"DNC_HWC", "off/on/perf/rusage", "per-task hardware-counter sampling backend"},
       {"DNC_METRICS", "off/on/path", "always-on metrics registry; a path also exports Prometheus text + JSON there"},
       {"DNC_METRICS_INTERVAL", "seconds", "metrics sampler period"},

@@ -2,12 +2,12 @@
 //
 // Historically each subsystem called std::getenv and hand-rolled its own
 // parsing; this header centralises the typed getters and carries the
-// single knob-reference table (name + one-line summary) that docs, tools
-// and /healthz can render without chasing call sites. Getters re-read the
+// single knob-reference table (name + one-line summary) that docs and
+// tools can render without chasing call sites. Getters re-read the
 // environment on every call by design -- tests setenv() mid-process and
 // expect the next solve to notice -- so subsystems that want
 // parse-once-per-run semantics cache the result themselves at a lifecycle
-// boundary (e.g. scheduler start, server start) rather than per task.
+// boundary (e.g. scheduler start) rather than per task.
 #pragma once
 
 #include <atomic>
@@ -29,12 +29,12 @@ std::string str(const char* name, const std::string& dflt = "");
 bool flag(const char* name, bool dflt = false) noexcept;
 
 /// The on/off knob of one observability module (DNC_METRICS, DNC_FLIGHT,
-/// DNC_HISTORY, DNC_HTTP, DNC_CRASH_DUMP, DNC_PROFILE_HZ), with one
-/// spelling rule for all of them:
+/// DNC_HISTORY, DNC_CRASH_DUMP, DNC_PROFILE_HZ), with one spelling rule
+/// for all of them:
 ///   unset, "", "0", "off", "false", "no"  -> off
 ///   "1", "on", "true", "yes"              -> on with the module's default
 ///   anything else                         -> on with that value (a path,
-///                                            prefix, port or rate)
+///                                            prefix or rate)
 /// The module's `configure` hook gets the resolved value (nullptr = off),
 /// reads its sub-knobs (e.g. DNC_FLIGHT_RESID) into its own state and
 /// returns whether the module is on; it may refuse a value it cannot use.

@@ -2,8 +2,7 @@
 //
 // Every solve the recorder observes enters the process's solve ring
 // (obs/history) with the recorder's verdict and its full SolveReport; the
-// ring keeps the full reports of the newest history::kRingReports (8)
-// solves. When a solve breaches a threshold -- relative residual too large,
+// ring keeps the newest history::kRingReports (8) solves. When a solve breaches a threshold -- relative residual too large,
 // latency too long, deflation anomalously low -- those reports are dumped
 // as JSONL (one compact report per line, newest last) plus a Perfetto trace
 // of the triggering solve, so the postmortem sees not just the bad solve

@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <deque>
 #include <mutex>
-#include <optional>
 
 #include "common/env.hpp"
 #include "common/json.hpp"
@@ -31,8 +30,7 @@ struct Entry {
   unsigned long seq = 0;
   std::string timestamp;
   std::string reason;  ///< flight-recorder trigger that fired ("" = none)
-  Record record;
-  std::optional<SolveReport> report;  ///< newest kRingReports only
+  SolveReport report;
 };
 
 // Leaked, like the metrics and flight state: a solve may finish on a driver
@@ -73,11 +71,10 @@ std::string flight_jsonl_locked() {
   State& s = state();
   std::string body;
   for (const Entry& en : s.ring) {
-    if (!en.report) continue;
     body += "{\"seq\": " + std::to_string(en.seq);
     body += ", \"timestamp\": \"" + en.timestamp + "\"";
     body += ", \"reason\": \"" + en.reason + "\"";
-    body += ", \"report\": " + flight::compact_json(en.report->to_json()) + "}\n";
+    body += ", \"report\": " + flight::compact_json(en.report.to_json()) + "}\n";
   }
   return body;
 }
@@ -140,7 +137,6 @@ std::string archive_path() { return config().path; }
 long max_bytes() noexcept { return config().max_bytes; }
 
 void set_family_hint(const char* family) { t_family_hint = family ? family : ""; }
-std::string family_hint() { return t_family_hint; }
 
 Record record_from_report(const SolveReport& report) {
   Record r;
@@ -181,32 +177,19 @@ bool append(const Record& rec) {
 
 void note(const SolveReport& report, const std::string& reason, bool keep_report,
           std::string* flight_jsonl) {
-  Entry e;
-  e.timestamp = report.timestamp.empty() ? iso8601_timestamp_utc() : report.timestamp;
-  e.reason = reason;
-  e.record = record_from_report(report);
-  if (keep_report) e.report = report;
-  const Record rec = e.record;
-  {
+  if (keep_report) {
+    Entry e;
+    e.timestamp = report.timestamp.empty() ? iso8601_timestamp_utc() : report.timestamp;
+    e.reason = reason;
+    e.report = report;
     State& s = state();
     std::lock_guard<std::mutex> lock(s.mu);
     e.seq = ++s.seq;
     s.ring.push_back(std::move(e));
-    if (s.ring.size() > kRingCapacity) s.ring.pop_front();
-    std::size_t reports = 0;
-    for (auto it = s.ring.rbegin(); keep_report && it != s.ring.rend(); ++it)
-      if (it->report && ++reports > kRingReports) it->report.reset();
+    if (s.ring.size() > kRingReports) s.ring.pop_front();
     if (flight_jsonl) *flight_jsonl = flight_jsonl_locked();
   }
-  if (enabled()) append(rec);
-}
-
-std::string ring_jsonl() {
-  State& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  std::string out;
-  for (const Entry& en : s.ring) out += en.record.to_json_line() + '\n';
-  return out;
+  if (enabled()) append(record_from_report(report));
 }
 
 std::string flight_jsonl(bool best_effort) {
@@ -384,17 +367,10 @@ std::string render_series(const std::vector<Record>& series, const std::string& 
   return out;
 }
 
-std::size_t ring_size() {
-  State& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.ring.size();
-}
-
 std::size_t ring_reports() {
   State& s = state();
   std::lock_guard<std::mutex> lock(s.mu);
-  return static_cast<std::size_t>(std::count_if(
-      s.ring.begin(), s.ring.end(), [](const Entry& en) { return en.report.has_value(); }));
+  return s.ring.size();
 }
 
 void reset_for_tests() {

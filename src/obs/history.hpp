@@ -20,13 +20,10 @@
 //                          fresh file is started -- bounded disk, and the
 //                          previous generation stays inspectable.
 //
-// The solve ring. Every observed solve, archived or not, also enters one
-// in-process ring of the last kRingCapacity solves: {seq, timestamp,
-// reason, Record, full SolveReport}. It is the only solve ring of the
-// process. /history reads its records; the flight recorder (obs/flight)
-// adds its verdict and the full report, which the ring keeps for the newest
-// kRingReports solves only, and /flight, the flight dump and the crash dump
-// read those.
+// The solve ring. Every solve the flight recorder (obs/flight) observes
+// also enters one in-process ring of the last kRingReports such solves:
+// {seq, timestamp, reason, full SolveReport}. It is the only solve ring of
+// the process; the flight dump and the crash dump read it.
 #pragma once
 
 #include <string>
@@ -73,7 +70,6 @@ long max_bytes() noexcept;
 /// harness that does (bench_solver's family loop, `dnc trace --type`) sets
 /// the hint around the solve. Pass nullptr/"" to clear.
 void set_family_hint(const char* family);
-std::string family_hint();
 
 /// Distils a SolveReport into a Record (family from the thread-local hint).
 Record record_from_report(const SolveReport& report);
@@ -84,26 +80,20 @@ Record record_from_report(const SolveReport& report);
 /// the write failed.
 bool append(const Record& rec);
 
-inline constexpr std::size_t kRingCapacity = 256;  ///< solves in the ring
-inline constexpr std::size_t kRingReports = 8;     ///< of which full reports
+inline constexpr std::size_t kRingReports = 8;  ///< solves in the ring
 
-/// The telemetry entry point: pushes the solve onto the ring (always,
-/// cheap) and appends its record to the archive file when enabled(). The
-/// flight recorder passes its verdict (`reason`, "" = healthy) and
-/// `keep_report`; with `flight_jsonl`, flight_jsonl() of the ring as it
-/// stands after this push is rendered into it under the same lock.
+/// The telemetry entry point: appends the solve's record to the archive
+/// file when enabled(). The flight recorder passes its verdict (`reason`,
+/// "" = healthy) and `keep_report`, which also pushes the solve onto the
+/// ring; with `flight_jsonl`, flight_jsonl() of the ring as it stands after
+/// this push is rendered into it under the same lock.
 void note(const SolveReport& report, const std::string& reason = "",
           bool keep_report = false, std::string* flight_jsonl = nullptr);
 
-/// The ring's records as JSONL (dnc-history-v1 lines), newest last; serves
-/// /history.
-std::string ring_jsonl();
-
-/// The ring's entries that carry a full report, one compact
-/// {"seq", "timestamp", "reason", "report"} line each, newest last: the
-/// flight dump, /flight and the crash dump. With `best_effort` (crash
-/// handler), an already-held ring lock yields "" instead of deadlocking the
-/// dying process.
+/// The ring, one compact {"seq", "timestamp", "reason", "report"} line per
+/// solve, newest last: the flight dump and the crash dump. With
+/// `best_effort` (crash handler), an already-held ring lock yields ""
+/// instead of deadlocking the dying process.
 std::string flight_jsonl(bool best_effort = false);
 
 /// Wildcarded record filter: empty strings / zero numbers match anything.
@@ -141,8 +131,7 @@ std::vector<Record> latest_per_commit(const std::vector<Record>& records,
 std::string render_series(const std::vector<Record>& series,
                           const std::string& title);
 
-/// Entries in the ring, and how many of them carry a full report.
-std::size_t ring_size();
+/// Solves (full reports) in the ring.
 std::size_t ring_reports();
 
 /// Empties the ring and re-reads the env. Test hook.

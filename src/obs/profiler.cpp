@@ -25,8 +25,6 @@
 
 #include "common/env.hpp"
 #include "common/text.hpp"
-#include "obs/httpd.hpp"
-#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 
 // glibc exposes the SIGEV_THREAD_ID target field under this name only with
@@ -87,7 +85,7 @@ struct State {
   int hz = kDefaultHz;                                // active session rate
   bool handler_installed = false;
   bool continuous_boot = false;
-  std::mutex session_mu;  // serializes profile_for windows
+  std::string dump_path;  // continuous mode's at-exit dump, set at boot
 };
 
 // Leaked: the at-exit dump and detached drainer may outlive static dtors.
@@ -283,9 +281,8 @@ std::string symbolize(void* pc, bool call_site) {
 }
 
 /// Renders `rows` (already aggregated) as folded lines, largest count
-/// first. Subtracting `before` (may be null) yields window profiles.
-std::string render_folded(const std::map<AggKey, std::uint64_t>& rows,
-                          const std::map<AggKey, std::uint64_t>* before, int hz,
+/// first.
+std::string render_folded(const std::map<AggKey, std::uint64_t>& rows, int hz,
                           std::uint64_t dropped) {
   struct Line {
     std::string text;
@@ -294,13 +291,7 @@ std::string render_folded(const std::map<AggKey, std::uint64_t>& rows,
   std::vector<Line> lines;
   std::map<void*, std::string> leaf_cache, site_cache;
   std::uint64_t total = 0;
-  for (const auto& [key, count_now] : rows) {
-    std::uint64_t count = count_now;
-    if (before) {
-      auto it = before->find(key);
-      if (it != before->end()) count = count_now >= it->second ? count_now - it->second : 0;
-    }
-    if (count == 0) continue;
+  for (const auto& [key, count] : rows) {
     total += count;
     const char* tag = reinterpret_cast<const char*>(key[0]);
     const char* task = reinterpret_cast<const char*>(key[1]);
@@ -359,7 +350,7 @@ int env_hz() noexcept {
   return env_enabled() ? g_env_hz.load(std::memory_order_relaxed) : kDefaultHz;
 }
 
-bool registration_wanted() noexcept { return env_enabled() || httpd::enabled(); }
+bool registration_wanted() noexcept { return env_enabled(); }
 
 void refresh_from_env() noexcept { gate.refresh(); }
 
@@ -485,74 +476,7 @@ std::string folded_text() {
   State& s = state();
   std::lock_guard<std::mutex> lk(s.mu);
   drain_all_locked(s);
-  return render_folded(s.agg, nullptr, s.hz, dropped_total_locked(s));
-}
-
-std::string perfetto_samples_json() {
-  State& s = state();
-  std::lock_guard<std::mutex> lk(s.mu);
-  drain_all_locked(s);
-  // One instant event per unique stack; ts spaces them 1us apart so the
-  // Perfetto UI renders them as a sample track rather than a single blob.
-  std::string out = "{\"traceEvents\": [\n";
-  std::map<void*, std::string> leaf_cache, site_cache;
-  bool first = true;
-  long ts_us = 0;
-  for (const auto& [key, count] : s.agg) {
-    const char* task = reinterpret_cast<const char*>(key[1]);
-    const int id = static_cast<int>(key[2]);
-    const int depth = static_cast<int>(key[3]);
-    std::string stack;
-    for (int i = depth - 1; i >= 0; --i) {
-      void* pc = reinterpret_cast<void*>(key[4 + i]);
-      auto& cache = i == 0 ? leaf_cache : site_cache;
-      auto it = cache.find(pc);
-      if (it == cache.end()) it = cache.emplace(pc, symbolize(pc, i != 0)).first;
-      if (!stack.empty()) stack += ";";
-      stack += it->second;
-    }
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "%s{\"name\": \"%s\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 4242, "
-                  "\"tid\": %d, \"ts\": %ld, \"args\": {\"count\": %llu, \"stack\": \"",
-                  first ? "" : ",\n", task ? task : "sample", id, ts_us,
-                  static_cast<unsigned long long>(count));
-    out += buf;
-    // stack frames were sanitized against quotes? symbolize strips ; \n \r
-    // but not quotes -- escape minimally here.
-    for (char c : stack) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    out += "\"}}";
-    first = false;
-    ts_us += 1;
-  }
-  out += "\n]}\n";
-  return out;
-}
-
-std::string profile_for(double seconds, int hz) {
-  State& s = state();
-  std::lock_guard<std::mutex> session(s.session_mu);
-  std::map<AggKey, std::uint64_t> before;
-  std::uint64_t dropped_before = 0;
-  {
-    std::lock_guard<std::mutex> lk(s.mu);
-    drain_all_locked(s);
-    before = s.agg;
-    dropped_before = dropped_total_locked(s);
-  }
-  bool started = false;
-  if (!active()) started = start(hz);
-  seconds = std::clamp(seconds, 0.05, 120.0);
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  if (started)
-    stop();
-  else
-    drain();
-  std::lock_guard<std::mutex> lk(s.mu);
-  return render_folded(s.agg, &before, s.hz, dropped_total_locked(s) - dropped_before);
+  return render_folded(s.agg, s.hz, dropped_total_locked(s));
 }
 
 void ensure_continuous() {
@@ -562,6 +486,8 @@ void ensure_continuous() {
     std::lock_guard<std::mutex> lk(s.mu);
     if (s.continuous_boot) return;
     s.continuous_boot = true;
+    const char* e = env::raw("DNC_PROFILE");
+    s.dump_path = expand_path_placeholders(e && *e ? e : "dnc_profile.folded", 0);
   }
   start(env_hz());
   // Background drainer: keeps long continuous runs from overflowing the
@@ -573,11 +499,8 @@ void ensure_continuous() {
     }
   }).detach();
   std::atexit([] {
-    const char* e = env::raw("DNC_PROFILE");
-    std::string path = e && *e ? e : "dnc_profile.folded";
-    path = expand_path_placeholders(path, 0);
     stop();
-    write_text_file(path, folded_text());
+    write_text_file(state().dump_path, folded_text());
   });
 }
 

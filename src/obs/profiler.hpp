@@ -2,7 +2,7 @@
 // safe frame-pointer backtraces, flamegraph-compatible folded-stack export.
 //
 // Post-mortem traces answer "where did the tasks go"; this profiler answers
-// "where did the *cycles* go inside the task bodies" -- live, on a running
+// "where did the *cycles* go inside the task bodies" -- on a running
 // process, without recompiling. Every scheduler worker and thread-pool
 // worker registers itself (ThreadRegistration below); while a profiling
 // session is active, each registered thread owns a POSIX timer on its own
@@ -22,18 +22,18 @@
 //   worker:3;task:UpdateVect;dnc::blas::gemm(...);... 42
 //
 // Knobs:
-//   DNC_PROFILE_HZ  unset or an off spelling = no continuous profiling
-//                   (on-demand sessions via start()/profile_for() or the
-//                   /profile endpoint still work); a number = sample each
-//                   busy thread at that rate for the life of the process;
-//                   1/on/true/yes = the default 97 Hz (prime, so it does
-//                   not beat against 10ms-quantised work). An env::Gate.
-//   DNC_PROFILE     folded-stack dump path for continuous mode, written at
-//                   process exit (default dnc_profile.folded; %p -> pid).
+//   DNC_PROFILE_HZ  unset or an off spelling = off: no thread registers;
+//                   a number = sample each busy thread at that rate for
+//                   the life of the process; 1/on/true/yes = the default
+//                   97 Hz (prime, so it does not beat against 10ms-
+//                   quantised work). An env::Gate.
+//   DNC_PROFILE     folded-stack dump path for continuous mode, read when
+//                   continuous mode boots and written at process exit
+//                   (default dnc_profile.folded; %p -> pid).
 //
-// Zero-cost contract: with DNC_PROFILE_HZ unset and the HTTP introspection
-// server off, ThreadRegistration is one relaxed load + branch and nothing
-// allocates (the back-to-back perf gate polices this).
+// Zero-cost contract: with DNC_PROFILE_HZ unset, ThreadRegistration is one
+// relaxed load + branch and nothing allocates (the back-to-back perf gate
+// polices this).
 #pragma once
 
 #include <cstdint>
@@ -55,10 +55,8 @@ inline constexpr int kRingCapacity = 512;
 bool env_enabled() noexcept;
 /// Configured rate: DNC_PROFILE_HZ's value, kDefaultHz for bare "1"/"on".
 int env_hz() noexcept;
-/// True when worker threads should register themselves: continuous
-/// profiling is configured OR the HTTP introspection server is enabled (its
-/// /profile endpoint needs registered threads to sample on demand). One
-/// relaxed load + branch when everything is off.
+/// True when worker threads should register themselves, i.e. continuous
+/// profiling is configured. One relaxed load + branch when it is off.
 bool registration_wanted() noexcept;
 /// Re-reads DNC_PROFILE_HZ / DNC_PROFILE (tests setenv mid-process).
 void refresh_from_env() noexcept;
@@ -120,23 +118,11 @@ std::size_t registered_threads();
 /// consumers ignore.
 std::string folded_text();
 
-/// Chrome trace-event JSON of the aggregate (one instant event per unique
-/// stack on a synthetic "profiler" track, args carrying stack + count) --
-/// mergeable with a Perfetto export of the same run by concatenating the
-/// event arrays.
-std::string perfetto_samples_json();
-
-/// Bounded on-demand session: ensures sampling is running (at `hz` if it
-/// has to start one), sleeps `seconds`, and returns the folded text of only
-/// the samples collected in the window. If continuous profiling was already
-/// active the session piggybacks on it (and leaves it running). Serialized:
-/// concurrent callers queue. Drives the /profile?seconds=N endpoint.
-std::string profile_for(double seconds, int hz = 0);
-
 /// Continuous-mode bootstrap: when DNC_PROFILE_HZ is set, starts the
 /// session, the background ring drainer and the at-exit folded dump (to
-/// DNC_PROFILE, default "dnc_profile.folded"). Lazily called by the first
-/// ThreadRegistration; safe to call repeatedly.
+/// DNC_PROFILE as it reads now, default "dnc_profile.folded"). Lazily
+/// called by the first ThreadRegistration; boots once per process, so
+/// later calls are no-ops.
 void ensure_continuous();
 
 /// Stops any session, forgets aggregate/totals and re-reads the env. Only

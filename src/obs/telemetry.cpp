@@ -5,7 +5,6 @@
 #include "obs/crash.hpp"
 #include "obs/flight.hpp"
 #include "obs/history.hpp"
-#include "obs/httpd.hpp"
 #include "obs/metrics.hpp"
 
 namespace dnc::obs {
@@ -64,8 +63,8 @@ void record_metrics(const SolveReport& rep) {
 }  // namespace
 
 bool solve_telemetry_wanted() noexcept {
-  return metrics::enabled() || flight::enabled() || httpd::enabled() ||
-         crash::enabled() || history::enabled();
+  return metrics::enabled() || flight::enabled() || crash::enabled() ||
+         history::enabled();
 }
 
 const char* solve_size_class(long n) noexcept {
@@ -78,9 +77,9 @@ const char* solve_size_class(long n) noexcept {
 
 void record_solve_telemetry(const SolveReport& report, const rt::Trace* trace) {
   record_metrics(report);
-  // One solve-ring entry per solve (history::note), plus the archive line
-  // when DNC_HISTORY names one. The flight recorder, when on, notes the
-  // solve itself with its verdict and full report, and may dump the ring.
+  // One archive line per solve when DNC_HISTORY names one (history::note).
+  // The flight recorder, when on, notes the solve itself with its verdict
+  // and full report in the solve ring, and may dump the ring.
   if (flight::enabled()) {
     if (!flight::observe(report, trace).empty() && m::enabled())
       m::add(m::register_metric(m::Kind::Counter, "dnc_flight_dumps_total", "",
@@ -88,14 +87,9 @@ void record_solve_telemetry(const SolveReport& report, const rt::Trace* trace) {
   } else {
     history::note(report);
   }
-  // Live introspection boots from the first observed solve: a process run
-  // with only DNC_HTTP (or DNC_CRASH_DUMP) set needs no other call site.
+  // The crash handlers install from the first observed solve: a process run
+  // with only DNC_CRASH_DUMP set needs no other call site.
   if (crash::enabled()) crash::ensure_installed();
-  if (httpd::enabled()) {
-    httpd::ensure_started();
-    httpd::note_solve(report);
-    if (httpd::trace_capture_armed()) httpd::offer_captured_trace(report, trace);
-  }
 }
 
 }  // namespace dnc::obs

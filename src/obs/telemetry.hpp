@@ -1,8 +1,8 @@
 // The one call a driver epilogue makes to feed the always-on telemetry:
 // record_solve_telemetry() fans a finished SolveReport out to the metrics
 // registry (per-solve counters and histograms keyed by driver / precision /
-// size class), the solve ring and history archive (obs/history) and the
-// flight recorder (anomaly dump). Every consumer is behind its env::Gate;
+// size class), the history archive (obs/history) and the flight recorder
+// (solve ring and anomaly dump). Every consumer is behind its env::Gate;
 // drivers call this only when solve_telemetry_wanted().
 #pragma once
 
@@ -15,12 +15,11 @@ struct Trace;
 namespace dnc::obs {
 
 /// True when any consumer wants per-solve data: metrics, flight recorder,
-/// the DNC_HTTP introspection server (its /healthz and one-shot /trace
-/// capture feed off solve epilogues) or the DNC_CRASH_DUMP handlers (which
-/// install lazily from the first solve). Drivers use this to
-/// decide whether to arm the HealthProbe and to substitute a local
-/// SolveStats when the caller passed none (the report must exist for the
-/// telemetry to have something to record).
+/// history archive or the DNC_CRASH_DUMP handlers (which install lazily
+/// from the first solve). Drivers use this to decide whether to arm the
+/// HealthProbe and to substitute a local SolveStats when the caller passed
+/// none (the report must exist for the telemetry to have something to
+/// record).
 bool solve_telemetry_wanted() noexcept;
 
 /// Coarse problem-size bucket used as a metric label, so latency
@@ -29,9 +28,9 @@ bool solve_telemetry_wanted() noexcept;
 const char* solve_size_class(long n) noexcept;
 
 /// Records the solve into the metrics registry (solves_total, latency /
-/// deflation / GEMM-GF/s / health histograms, scheduler-derived counters)
-/// notes it in the solve ring / history archive, and hands it to the flight
-/// recorder, which may write an anomaly dump.
+/// deflation / GEMM-GF/s / health histograms, scheduler-derived counters),
+/// appends it to the history archive, and hands it to the flight recorder,
+/// which notes it in the solve ring and may write an anomaly dump.
 /// `trace` (optional) is only used for the flight recorder's Perfetto dump.
 void record_solve_telemetry(const SolveReport& report, const rt::Trace* trace);
 

@@ -30,9 +30,9 @@ struct WorkerCtx {
   /// per task, no reads) unless requested.
   obs::ThreadHwc hwc;
   bool sampling = false;
-  /// Sampling-profiler registration (DNC_PROFILE_HZ / DNC_HTTP's
-  /// /profile). Kind names are interned because the TaskGraph (and its
-  /// kind table) dies with the solve while samples outlive it.
+  /// Sampling-profiler registration (DNC_PROFILE_HZ). Kind names are
+  /// interned because the TaskGraph (and its kind table) dies with the
+  /// solve while samples outlive it.
   obs::profiler::ThreadRegistration preg;
   std::vector<const char*> kind_names;
 

@@ -91,7 +91,7 @@ TEST(EnvTest, NumberParsesAndFallsBack) {
 }
 
 // Every "DNC_..." string literal under src/ names a knob some code reads, so
-// the registry (rendered by /healthz and mirrored by the README) must list
+// the registry (mirrored by the README) must list
 // exactly that set. common/env.cpp is skipped: it holds the registry itself.
 std::set<std::string> knob_literals_in_src() {
   namespace fs = std::filesystem;

@@ -65,7 +65,9 @@ TEST(Partition, LeafSizesBounded) {
   for (index_t minpart : {index_t{3}, index_t{17}, index_t{300}}) {
     auto plan = build_plan(2500, minpart);
     for (const auto& nd : plan.nodes) {
-      if (nd.leaf()) EXPECT_LE(nd.m, std::max<index_t>(minpart, 2));
+      if (nd.leaf()) {
+        EXPECT_LE(nd.m, std::max<index_t>(minpart, 2));
+      }
     }
   }
 }
@@ -75,8 +77,11 @@ TEST(Partition, PaperExample) {
   // of 250 each.
   auto plan = build_plan(1000, 300);
   EXPECT_EQ(plan.leaf_count, 4);
-  for (const auto& nd : plan.nodes)
-    if (nd.leaf()) EXPECT_EQ(nd.m, 250);
+  for (const auto& nd : plan.nodes) {
+    if (nd.leaf()) {
+      EXPECT_EQ(nd.m, 250);
+    }
+  }
 }
 
 TEST(Partition, InvalidArgsThrow) {

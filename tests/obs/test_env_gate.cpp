@@ -1,4 +1,4 @@
-// The one gate spelling rule (env::Gate) across the six observability
+// The one gate spelling rule (env::Gate) across the five observability
 // gates: every off spelling turns its module off and an instrumented solve
 // then writes no file, and every on spelling selects the module's default
 // instead of being taken as a file name.
@@ -17,7 +17,6 @@
 #include "obs/crash.hpp"
 #include "obs/flight.hpp"
 #include "obs/history.hpp"
-#include "obs/httpd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/report.hpp"
@@ -33,15 +32,14 @@ struct GateCase {
 };
 
 const GateCase kGates[] = {
-    {"DNC_METRICS", obs::metrics::enabled},   {"DNC_FLIGHT", obs::flight::enabled},
-    {"DNC_HISTORY", obs::history::enabled},   {"DNC_HTTP", obs::httpd::enabled},
-    {"DNC_CRASH_DUMP", obs::crash::enabled},  {"DNC_PROFILE_HZ", obs::profiler::env_enabled},
+    {"DNC_METRICS", obs::metrics::enabled},  {"DNC_FLIGHT", obs::flight::enabled},
+    {"DNC_HISTORY", obs::history::enabled},  {"DNC_CRASH_DUMP", obs::crash::enabled},
+    {"DNC_PROFILE_HZ", obs::profiler::env_enabled},
 };
 
 void refresh_all() {
   obs::metrics::reset_for_tests();
   obs::flight::reset_for_tests();  // also empties the solve ring
-  obs::httpd::refresh_from_env();
   obs::crash::refresh_from_env();
   obs::profiler::refresh_from_env();
 }
@@ -52,8 +50,8 @@ void refresh_all() {
 class EnvGate : public ::testing::Test {
  protected:
   static constexpr const char* kVars[] = {
-      "DNC_METRICS",    "DNC_FLIGHT",     "DNC_HISTORY",        "DNC_HTTP",
-      "DNC_CRASH_DUMP", "DNC_PROFILE_HZ", "DNC_FLIGHT_LATENCY", "DNC_METRICS_INTERVAL"};
+      "DNC_METRICS",    "DNC_FLIGHT",     "DNC_HISTORY",       "DNC_CRASH_DUMP",
+      "DNC_PROFILE_HZ", "DNC_FLIGHT_LATENCY", "DNC_METRICS_INTERVAL"};
 
   void SetUp() override {
     for (const char* var : kVars) {
@@ -67,7 +65,6 @@ class EnvGate : public ::testing::Test {
     ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
     dir_ = tmpl;
     fs::current_path(dir_);
-    obs::httpd::stop_for_tests();  // a server an earlier test left running
     refresh_all();
   }
   void TearDown() override {
@@ -119,7 +116,6 @@ TEST_F(EnvGate, OffSpellingsDisableAndWriteNoFile) {
       dc::stedc_taskflow(t.n(), t.d.data(), t.e.data(), v, {}, &st);
       EXPECT_TRUE(obs::metrics::export_now().empty());  // the at-exit export
       EXPECT_FALSE(obs::crash::ensure_installed());
-      EXPECT_FALSE(obs::httpd::running());
       EXPECT_EQ(files_in_dir(), std::vector<std::string>{});
     }
   }
@@ -136,7 +132,6 @@ TEST_F(EnvGate, OnSpellingsSelectTheModuleDefault) {
     EXPECT_EQ(obs::history::archive_path(), "dnc_history.jsonl");
     EXPECT_EQ(obs::crash::dump_path(), "dnc_crash." + pid + ".txt");
     EXPECT_EQ(obs::profiler::env_hz(), obs::profiler::kDefaultHz);
-    EXPECT_FALSE(obs::httpd::running()) << "enabled, but binds only on first solve";
   }
   for (const GateCase& g : kGates) ::unsetenv(g.var);
   refresh_all();

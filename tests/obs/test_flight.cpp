@@ -109,7 +109,8 @@ TEST_F(FlightTest, RingRetainsLastK) {
   const std::size_t k = obs::history::kRingReports;
   for (std::size_t i = 0; i < k + 3; ++i) EXPECT_EQ(fl::observe(healthy_report(), nullptr), "");
   EXPECT_EQ(obs::history::ring_reports(), k);
-  EXPECT_EQ(obs::history::ring_size(), k + 3) << "older solves keep their records";
+  EXPECT_EQ(lines_of(obs::history::flight_jsonl()).front().rfind("{\"seq\": 4,", 0), 0u)
+      << "older solves leave the ring";
   EXPECT_EQ(lines_of(obs::history::flight_jsonl()).size(), k);
   EXPECT_EQ(fl::dump_count(), 0u);
 }

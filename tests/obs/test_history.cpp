@@ -1,6 +1,6 @@
 // Solve-history archive tests: record distillation (family hint included),
 // append/load round trip, size-capped rotation, key parsing/filtering, the
-// per-commit trend view, and the in-process ring behind /history.
+// per-commit trend view, and which notes reach the archive and the ring.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -192,16 +192,16 @@ TEST_F(HistoryTest, RotationAtSizeCap) {
   EXPECT_EQ(gen1.size() + cur.size(), 20u);
 }
 
-TEST_F(HistoryTest, NoteFeedsRingAlwaysAndFileWhenEnabled) {
-  hist::note(sample_report());  // disabled: ring only
-  EXPECT_EQ(hist::ring_size(), 1u);
-  EXPECT_NE(hist::ring_jsonl().find("\"driver\": \"taskflow\""), std::string::npos);
+TEST_F(HistoryTest, NoteWithoutReportAppendsOnlyToArchive) {
+  hist::note(sample_report());  // disabled: nowhere
+  EXPECT_EQ(hist::ring_reports(), 0u);
   enable();
   hist::note(sample_report());
-  EXPECT_EQ(hist::ring_size(), 2u);
+  EXPECT_EQ(hist::ring_reports(), 0u);
   std::vector<hist::Record> recs;
   ASSERT_TRUE(hist::load_file(path_, recs));
   EXPECT_EQ(recs.size(), 1u);  // only the post-enable note hit the file
+  EXPECT_EQ(recs[0].driver, "taskflow");
 }
 
 TEST(HistoryKey, ParseAndMatch) {

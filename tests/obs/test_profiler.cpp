@@ -1,7 +1,7 @@
 // Sampling-profiler tests: the zero-cost gate, interning, folded-stack
 // export of a profiled taskflow solve (worker + task-kind attribution and a
-// sample count consistent with wall time x HZ), windowed profile_for, and
-// the DNC_CRASH_DUMP last-gasp handler (death test).
+// sample count consistent with wall time x HZ), and the DNC_CRASH_DUMP
+// last-gasp handler (death test).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -21,7 +21,6 @@
 #include "dc/api.hpp"
 #include "matgen/tridiag.hpp"
 #include "obs/crash.hpp"
-#include "obs/httpd.hpp"
 #include "obs/profiler.hpp"
 
 namespace dnc {
@@ -31,9 +30,8 @@ namespace prof = obs::profiler;
 
 class ProfilerTest : public ::testing::Test {
  protected:
-  static constexpr const char* kVars[] = {"DNC_HTTP", "DNC_PROFILE_HZ",
-                                          "DNC_PROFILE", "DNC_CRASH_DUMP",
-                                          "DNC_METRICS"};
+  static constexpr const char* kVars[] = {"DNC_PROFILE_HZ", "DNC_PROFILE",
+                                          "DNC_CRASH_DUMP", "DNC_METRICS"};
   void SetUp() override {
     for (const char* var : kVars) {
       const char* v = std::getenv(var);
@@ -41,7 +39,6 @@ class ProfilerTest : public ::testing::Test {
       saved_set_.push_back(v != nullptr);
       ::unsetenv(var);
     }
-    obs::httpd::refresh_from_env();
     prof::reset_for_tests();
   }
   void TearDown() override {
@@ -52,18 +49,22 @@ class ProfilerTest : public ::testing::Test {
       else
         ::unsetenv(saved_[i].first);
     }
-    obs::httpd::refresh_from_env();
     prof::refresh_from_env();
   }
 
-  /// Arms registration via the DNC_HTTP gate (on-demand mode), avoiding
-  /// DNC_PROFILE_HZ so continuous mode (background drainer + atexit dump)
-  /// never boots inside the test binary.
+  /// Arms registration through DNC_PROFILE_HZ. Continuous mode boots here
+  /// (once per process), with its at-exit dump pointed at a pid-unique
+  /// temp file rather than the working directory; its session is stopped
+  /// again so that each test runs its own start(hz) / stop().
   void want_registration() {
-    ::setenv("DNC_HTTP", "127.0.0.1:0", 1);
-    obs::httpd::refresh_from_env();
+    const std::string dump =
+        ::testing::TempDir() + "dnc_profile_test_" + std::to_string(::getpid()) + ".folded";
+    ::setenv("DNC_PROFILE", dump.c_str(), 1);
+    ::setenv("DNC_PROFILE_HZ", "on", 1);
     prof::refresh_from_env();
     ASSERT_TRUE(prof::registration_wanted());
+    prof::ensure_continuous();
+    prof::stop();
   }
 
   std::vector<std::pair<const char*, std::string>> saved_;
@@ -169,28 +170,6 @@ TEST_F(ProfilerTest, ProfiledTaskflowSolveAttributesWorkAndKinds) {
   // A known solver frame must symbolize: every sampled worker stack passes
   // through the scheduler's worker loop.
   EXPECT_NE(folded.find("worker_loop"), std::string::npos) << folded.substr(0, 500);
-
-  // The Perfetto merge view renders the same aggregate.
-  const std::string json = prof::perfetto_samples_json();
-  EXPECT_NE(json.find("traceEvents"), std::string::npos);
-  EXPECT_NE(json.find("\"stack\""), std::string::npos);
-}
-
-TEST_F(ProfilerTest, ProfileForWindowsTheAggregate) {
-  want_registration();
-  std::atomic<bool> stop{false};
-  std::thread busy([&] {
-    prof::ThreadRegistration reg("pool", 7);
-    volatile double x = 1.0;
-    while (!stop.load(std::memory_order_relaxed)) x = x * 1.0000001 + 1e-9;
-  });
-  while (prof::registered_threads() == 0) std::this_thread::yield();
-  const std::string w1 = prof::profile_for(0.25, 397);
-  stop.store(true);
-  busy.join();
-  EXPECT_FALSE(prof::active());  // profile_for started it, so it stopped it
-  EXPECT_NE(w1.find("# dnc profile"), std::string::npos);
-  EXPECT_NE(w1.find("pool:7"), std::string::npos) << w1.substr(0, 500);
 }
 
 TEST_F(ProfilerTest, RegistrationLifecycle) {

@@ -123,7 +123,9 @@ TEST(TaskGraph, ChainHasLinearDeps) {
   TaskNode* prev = nullptr;
   for (int i = 0; i < 10; ++i) {
     auto* t = g.submit(0, {}, {{&h, Access::InOut}});
-    if (prev) EXPECT_EQ(preds(t), std::vector<std::uint64_t>{prev->id});
+    if (prev) {
+      EXPECT_EQ(preds(t), std::vector<std::uint64_t>{prev->id});
+    }
     prev = t;
   }
   EXPECT_EQ(g.task_count(), 10u);

@@ -10,12 +10,10 @@
 //       panel-width granularity trade-off. --json dumps the same analysis
 //       machine-readably.
 //   dnc profile profile.folded
-//       Hot-stack / hot-frame tables of a DNC_PROFILE (or /profile)
-//       folded-stack dump, with task-kind and worker rollups.
-//   dnc metrics snap.json | --diff a b | --prometheus s | --fetch url | --demo [n]
-//       Render, diff or re-emit DNC_METRICS snapshots. Every snapshot path
-//       also accepts a live http://host:port/varz endpoint, so two scrapes
-//       taken moments apart diff like two files.
+//       Hot-stack / hot-frame tables of a DNC_PROFILE folded-stack dump,
+//       with task-kind and worker rollups.
+//   dnc metrics snap.json | --diff a b | --prometheus s | --demo [n]
+//       Render, diff or re-emit DNC_METRICS snapshots.
 //   dnc diff a.json b.json
 //       Why is run B slower than run A? Each side is a Perfetto trace or a
 //       SolveReport JSON (auto-detected); --reports merges the sibling
@@ -57,7 +55,6 @@
 #include "obs/benchcmp.hpp"
 #include "obs/diff.hpp"
 #include "obs/history.hpp"
-#include "obs/httpd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_io.hpp"
 #include "runtime/trace.hpp"
@@ -73,17 +70,15 @@ void usage(std::FILE* out) {
       "                 [--workers 1,2,4,8,16,32] [--nb-sweep] [--json PATH|-]\n"
       "                 [--profile-width W] [--roofline] [--peak-gflops G]\n"
       "       dnc profile <profile.folded> [--top N]\n"
-      "       dnc metrics <snapshot.json|url>\n"
-      "       dnc metrics --diff <a.json|url> <b.json|url>\n"
-      "       dnc metrics --prometheus <snapshot.json|url>\n"
-      "       dnc metrics --fetch <url>\n"
+      "       dnc metrics <snapshot.json>\n"
+      "       dnc metrics --diff <a.json> <b.json>\n"
+      "       dnc metrics --prometheus <snapshot.json>\n"
       "       dnc metrics --demo [n]\n"
       "       dnc diff <a.json> <b.json> [--reports] [--json PATH|-] [--noise REL]\n"
       "       dnc diff --history <archive.jsonl> --key k1=v1,k2=v2\n"
       "       dnc compare <baseline.json> <current.json> [--threshold T] [--stat median|min]\n"
       "                   [--min-time S] [--reports BASE_DIR CUR_DIR] [--quiet]\n"
       "       dnc --version\n"
-      "  urls are http://host:port/varz endpoints of a DNC_HTTP process\n"
       "  diff a/b: Perfetto trace or SolveReport JSON (auto-detected)\n"
       "  diff key fields: driver, family, precision, commit, n, workers\n"
       "  compare T is a fraction: 0.10 flags entries slower than 1.10x baseline (default)\n"
@@ -139,21 +134,8 @@ class Flags {
   std::string flag_;
 };
 
-/// Reads a file, or GETs an http://host:port/path URL (a DNC_HTTP endpoint).
+/// Reads a whole file.
 std::string read_input(const std::string& path) {
-  if (path.rfind("http://", 0) == 0) {
-    std::string host, target, body, err;
-    std::uint16_t port = 0;
-    int status = 0;
-    if (!obs::httpd::parse_url(path, host, port, target))
-      throw std::runtime_error("bad url (need http://host:port/path): " + path);
-    if (!obs::httpd::http_get(host, port, target, status, body, &err))
-      throw std::runtime_error(path + ": " + err);
-    if (status != 200 || body.empty())
-      throw std::runtime_error(path + ": HTTP " + std::to_string(status) +
-                               (body.empty() ? " (empty body)" : ""));
-    return body;
-  }
   std::ifstream f(path, std::ios::binary);
   if (!f) throw std::runtime_error("cannot open " + path);
   std::ostringstream ss;
@@ -601,15 +583,6 @@ int run_metrics(Flags& f) {
     std::fputs(m::render_diff(load_snapshot(in[0]), load_snapshot(in[1])).c_str(), stdout);
   } else if (mode == "--prometheus") {
     std::fputs(m::prometheus_text(load_snapshot(in[0])).c_str(), stdout);
-  } else if (mode == "--fetch") {
-    // /varz returns the dnc-metrics-v1 snapshot -- render it like a file;
-    // anything else (/metrics Prometheus text, /healthz, ...) passes through.
-    const std::string body = read_input(in[0]);
-    m::Snapshot s;
-    if (body.rfind('{', 0) == 0 && m::parse_snapshot(body, s))
-      std::fputs(m::render_snapshot(s).c_str(), stdout);
-    else
-      std::fputs(body.c_str(), stdout);
   } else {
     throw UsageError("unknown flag " + mode);
   }
