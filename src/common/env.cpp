@@ -63,31 +63,4 @@ double number(const char* name, double dflt) noexcept {
   return end != v ? parsed : dflt;
 }
 
-const Knob* knob_reference() noexcept {
-  // Keep alphabetical; README's knob table mirrors this list. "off" in a
-  // values column stands for every off spelling of env::Gate.
-  static const Knob kKnobs[] = {
-      {"DNC_CRASH_DUMP", "off/on/path", "crash-dump file written on fatal signals (on = dnc_crash.%p.txt)"},
-      {"DNC_FLIGHT", "off/on/prefix", "anomaly flight recorder: dump the solve ring when a solve trips a trigger (on = dnc_flight.%p)"},
-      {"DNC_FLIGHT_DEFL", "frac", "flight-recorder trigger: merge-carrying solves deflating less than this (default off)"},
-      {"DNC_FLIGHT_LATENCY", "seconds", "flight-recorder trigger: solves slower than this (default off)"},
-      {"DNC_FLIGHT_MAX_DUMPS", "int", "cap on flight-recorder dump files per process"},
-      {"DNC_FLIGHT_RESID", "float", "flight-recorder trigger: sampled relative residual above this (default 1e-8)"},
-      {"DNC_HISTORY", "off/on/path", "append one distilled record per solve to this JSONL archive (on = dnc_history.jsonl)"},
-      {"DNC_HISTORY_MAX_BYTES", "bytes", "rotate the history archive to <path>.1 at this size (default 16 MiB)"},
-      {"DNC_HWC", "off/on/perf/rusage", "per-task hardware-counter sampling backend"},
-      {"DNC_METRICS", "off/on/path", "always-on metrics registry; a path also exports Prometheus text + JSON there"},
-      {"DNC_METRICS_INTERVAL", "seconds", "metrics sampler period"},
-      {"DNC_PREC", "f64/f32/f32refine", "solve precision path override"},
-      {"DNC_PROFILE", "path", "write folded-stack profile here at exit"},
-      {"DNC_PROFILE_HZ", "off/on/hz", "continuous sampling-profiler rate (on = 97)"},
-      {"DNC_REPORT", "path", "write the SolveReport JSON of each solve here"},
-      {"DNC_SIMD", "scalar/avx2/avx512", "clamp the SIMD kernel dispatch level"},
-      {"DNC_TOPOLOGY", "sockets x l3 x cpus | flat", "override the detected CPU topology for steal ordering"},
-      {"DNC_TRACE", "path", "write the Perfetto trace of each solve here"},
-      {nullptr, nullptr, nullptr},
-  };
-  return kKnobs;
-}
-
 }  // namespace dnc::env

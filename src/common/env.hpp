@@ -1,9 +1,9 @@
 // One front door for every DNC_* environment knob.
 //
 // Historically each subsystem called std::getenv and hand-rolled its own
-// parsing; this header centralises the typed getters and carries the
-// single knob-reference table (name + one-line summary) that docs and
-// tools can render without chasing call sites. Getters re-read the
+// parsing; this header centralises the typed getters. README's
+// "Environment knob reference" table documents every knob (test_env checks
+// it against the names the code reads). Getters re-read the
 // environment on every call by design -- tests setenv() mid-process and
 // expect the next solve to notice -- so subsystems that want
 // parse-once-per-run semantics cache the result themselves at a lifecycle
@@ -70,16 +70,5 @@ long integer(const char* name, long dflt) noexcept;
 
 /// Floating-point knob; returns `dflt` when unset or unparsable.
 double number(const char* name, double dflt) noexcept;
-
-/// One row of the knob-reference table.
-struct Knob {
-  const char* name;     ///< environment variable, e.g. "DNC_SIMD"
-  const char* values;   ///< accepted values, human-readable
-  const char* summary;  ///< one-line description
-};
-
-/// Every DNC_* knob the process understands, for docs / diagnostics.
-/// Terminated by a {nullptr, nullptr, nullptr} sentinel.
-const Knob* knob_reference() noexcept;
 
 }  // namespace dnc::env

@@ -23,10 +23,13 @@
 // and ScaLAPACK models; the two pairs differ in rounding only (the
 // Gu-Eisenstat products are formed per panel vs once per merge).
 //
-// On entry d[0..n) / e[0..n-1) describe the tridiagonal matrix; they must
-// be finite, else InvalidArgument is thrown before any work. On return d
-// holds the eigenvalues in ascending order and v the corresponding
-// orthonormal eigenvectors (v is resized to n x n). e is destroyed.
+// On entry d[0..n) / e[0..n-1) describe the tridiagonal matrix. Every
+// finite fp64 input is solved at every precision: the front door
+// (lapack/front_door.hpp) scales T into the working precision's safe range
+// before it narrows or solves. Only a non-finite entry throws
+// InvalidArgument, before any work. On return d holds the eigenvalues in
+// ascending order and v the corresponding orthonormal eigenvectors (v is
+// resized to n x n). e is destroyed.
 #pragma once
 
 #include <string>

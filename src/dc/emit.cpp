@@ -9,14 +9,9 @@
 #include "blas/aux.hpp"
 #include "blas/level1.hpp"
 #include "blas/simd/kernels.hpp"
-#include "common/error.hpp"
-#include "common/timer.hpp"
 #include "dc/api.hpp"
-#include "lapack/refine.hpp"
+#include "lapack/front_door.hpp"
 #include "lapack/steqr.hpp"
-#include "obs/analysis.hpp"
-#include "obs/health.hpp"
-#include "obs/telemetry.hpp"
 #include "runtime/dot.hpp"
 #include "runtime/scheduler.hpp"
 
@@ -152,20 +147,17 @@ void fill_stats(const Plan& plan, const Contexts<Real>& ctxs, SolveStats* stats)
   stats->deflation_ratio = total_m > 0 ? static_cast<double>(total_defl) / total_m : 0.0;
 }
 
-/// Observability epilogue: finishes the SolveReport (counter deltas from
-/// `scope`, per-merge deflation records from the contexts, scheduler
-/// metrics from `trace` when non-null) into stats->report. The byte
-/// accounting scales with sizeof(Real).
+/// Observability epilogue: finishes the SolveReport (header, counter deltas
+/// and scheduler metrics via `scope`, replays of `trace` when non-null,
+/// per-merge deflation records from the contexts) into stats->report. The
+/// byte accounting scales with sizeof(Real).
 template <typename Real>
 void finish_report(const obs::SolveScope& scope, const Contexts<Real>& ctxs, index_t n,
-                   const Options& opt, const rt::Trace* trace, SolveStats* stats) {
-  if (stats == nullptr) return;
+                   const Options& opt, rt::Trace* trace,
+                   const std::vector<int>& simulate_workers, SolveStats* stats) {
   obs::SolveReport& rep = stats->report;
-  // The table that ran, which in-process overrides can set below the
-  // DNC_SIMD request.
-  rep.simd_isa = blas::simd::kernels_t<Real>().name;
-  rep.precision = precision_name(opt.precision);
-  scope.finish(rep, n, opt.threads, trace);
+  scope.finish(rep, n, opt.threads, trace, simulate_workers, stats->simulated);
+  if (trace) trace->meta_counters.emplace_back("nb", static_cast<double>(opt.nb));
   // Workspace telemetry: the solve-wide scratch (WorkspaceT: n x n qwork,
   // plus the n x n xwork under extra_workspace) and the bound on the
   // UpdateVect S copies (one buffer of at most n x nb per worker), the
@@ -199,13 +191,15 @@ void finish_report(const obs::SolveScope& scope, const Contexts<Real>& ctxs, ind
 
 /// One solve at the working precision Real: the shared prologue, the
 /// emitter, and the stats / trace / report epilogue (skipped when stats is
-/// null). The caller stamps the time and writes the artifacts.
+/// null). The front door checks the input and writes the artifacts.
 template <typename Real>
 void emit_solve(ExecModel model, index_t n, Real* d, Real* e, MatrixT<Real>& v,
                 const Options& opt, SolveStats* stats, const std::vector<int>& simulate_workers) {
-  obs::SolveScope scope(model_name(model));
+  // The kernel table that runs, which in-process overrides can set below
+  // the DNC_SIMD request.
+  obs::SolveScope scope(model_name(model), precision_name(opt.precision),
+                        blas::simd::kernels_t<Real>().name);
   if (stats) *stats = SolveStats{};
-  require_finite("stedc", n, d, e);
   if (solve_trivial(n, d, e, v)) {
     if (stats) stats->n = n;
     return;
@@ -219,100 +213,30 @@ void emit_solve(ExecModel model, index_t n, Real* d, Real* e, MatrixT<Real>& v,
   Emitter<Real> emitter(model, opt, plan, ctxs, d, e, v, ws, perm.data());
   emitter.solve();
 
-  const rt::Trace* tr = nullptr;
-  if (emitter.runtime() && stats) {
-    rt::Trace& trace = stats->trace;
-    trace = emitter.runtime()->trace();
-    // Solve parameters a tuning sweep groups recorded traces by.
-    trace.meta_counters.emplace_back("n", static_cast<double>(n));
-    trace.meta_counters.emplace_back("nb", static_cast<double>(opt.nb));
-    trace.meta_strings.emplace_back("precision", precision_name(opt.precision));
-    // Kernel table of the solve, so the roofline scales its peak to it.
-    trace.meta_strings.emplace_back("simd_isa", blas::simd::kernels_t<Real>().name);
-    tr = &trace;
+  if (stats == nullptr) return;
+  rt::Trace* tr = nullptr;
+  if (emitter.runtime()) {
+    stats->trace = emitter.runtime()->trace();
+    tr = &stats->trace;
   }
-  if (stats) {
-    fill_stats(plan, ctxs, stats);
-    stats->n = n;
-    if (tr)
-      for (int w : simulate_workers) stats->simulated.push_back(obs::replay_trace(*tr, w));
-    if (opt.export_dag && emitter.graph()) stats->dag_dot = rt::export_dot(*emitter.graph());
-  }
-  finish_report(scope, ctxs, n, opt, tr, stats);
+  fill_stats(plan, ctxs, stats);
+  stats->n = n;
+  if (opt.export_dag && emitter.graph()) stats->dag_dot = rt::export_dot(*emitter.graph());
+  finish_report(scope, ctxs, n, opt, tr, simulate_workers, stats);
 }
 
-/// Precision dispatch + always-on telemetry epilogue shared by the public
-/// entry points; runs the emitter at the working precision.
-///
-///   F64           on the caller's buffers, unchanged.
-///   F32           narrow d/e to fp32, solve, widen eigenvalues + vectors.
-///   F32RefineF64  as F32, but the ORIGINAL fp64 tridiagonal is saved
-///                 before the solve destroys it (scaling + Cuppen boundary
-///                 adjustment) and every returned eigenpair is polished to
-///                 fp64-grade residuals by Rayleigh-quotient iteration,
-///                 column blocks spread over opt.threads workers.
-///
-/// When the caller passed no stats but DNC_METRICS/DNC_FLIGHT or
-/// $DNC_TRACE/$DNC_REPORT want per-solve data, a local SolveStats stands in
-/// (the report has to exist to be recorded or written). After the solve
-/// (and refinement) the time is stamped, the health probe -- armed with the
-/// fp64 tridiagonal snapshotted on entry -- checks sampled eigenpairs, the
-/// artifacts are written and the report goes to the metrics registry /
-/// flight recorder. With every gate off this adds a few relaxed loads to a
-/// solve.
+/// The D&C solve behind the front door (lapack/front_door.hpp), in place
+/// on (d, e): the emitter at the working precision.
 void run(ExecModel model, index_t n, double* d, double* e, Matrix& v, Options opt,
          SolveStats* stats, const std::vector<int>& simulate_workers) {
-  Stopwatch sw;
   // The inline sink has no workers; the F32RefineF64 epilogue stays on the
   // calling thread too.
   if (model == ExecModel::Sequential) opt.threads = 1;
-  const bool telemetry = obs::solve_telemetry_wanted() && n > 0;
-  const bool want_export = obs::trace_export_requested() || obs::report_export_requested();
-  // A reused SolveStats must not leak the previous solve's refinement
-  // epilogue into a run that never refines (the F64/F32 paths below skip it).
-  if (stats) stats->refine = lapack::RefineReport{};
-  SolveStats local;
-  SolveStats* st = stats ? stats : (telemetry || want_export ? &local : nullptr);
-  obs::HealthProbe probe;
-  if (telemetry) probe.arm(n, d, e);
-  if (opt.precision == Precision::F64 || n <= 0) {
-    emit_solve(model, n, d, e, v, opt, st, simulate_workers);
-  } else {
-    std::vector<double> d64, e64;
-    if (opt.precision == Precision::F32RefineF64) {
-      d64.assign(d, d + n);
-      if (n > 1) e64.assign(e, e + n - 1);
-    }
-    std::vector<float> d32(d, d + n);
-    std::vector<float> e32;
-    if (n > 1) e32.assign(e, e + n - 1);
-    MatrixT<float> v32;
-    emit_solve(model, n, d32.data(), e32.data(), v32, opt, st, simulate_workers);
-    for (index_t i = 0; i < n; ++i) d[i] = static_cast<double>(d32[i]);
-    v.resize(v32.rows(), v32.cols());
-    for (index_t j = 0; j < v32.cols(); ++j) {
-      const float* src = v32.data() + j * v32.ld();
-      double* dst = v.data() + j * v.ld();
-      for (index_t i = 0; i < v32.rows(); ++i) dst[i] = static_cast<double>(src[i]);
-    }
-    if (opt.precision == Precision::F32RefineF64) {
-      const lapack::RefineReport rr = lapack::refine_eigenpairs(
-          n, d64.data(), e64.data(), d, v.data(), v.ld(), v.cols(), {}, opt.threads);
-      if (st) st->refine = rr;
-    }
-  }
-  if (st == nullptr) return;
-  // The solve's time covers the precision conversions and the refinement.
-  st->seconds = st->report.seconds = sw.elapsed();
-  if (telemetry) {
-    // d now holds the ascending eigenvalues, v the eigenvectors.
-    st->report.health = probe.evaluate(d, v.data(), v.ld(), v.cols());
-    st->report.has_health = st->report.health.sampled_columns > 0;
-  }
-  const rt::Trace* tr = st->report.has_scheduler ? &st->trace : nullptr;
-  // Trivial solves (n <= 2) finish no report and write no artifacts.
-  if (want_export && !st->report.driver.empty()) obs::export_solve_artifacts(st->report, tr);
-  if (telemetry) obs::record_solve_telemetry(st->report, tr);
+  lapack::solve_front_door("stedc", n, d, e, d, v, opt.precision, opt.threads, stats,
+                           [&](auto* wd, auto* we, auto* /*lam == wd*/, auto& wv,
+                               SolveStats* st) {
+                             emit_solve(model, n, wd, we, wv, opt, st, simulate_workers);
+                           });
 }
 
 }  // namespace

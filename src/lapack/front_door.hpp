@@ -1,0 +1,128 @@
+// The one entry path of every public tridiagonal eigensolver.
+//
+// The D&C drivers (dc/api.hpp) and mrrr_solve (mrrr/mrrr.hpp) differ only
+// in the solve they run at the working precision; everything around it is
+// written here once. In order, solve_front_door:
+//   1. substitutes a local Stats when the caller passed none but
+//      DNC_METRICS/DNC_FLIGHT/DNC_HISTORY or $DNC_TRACE/$DNC_REPORT want the
+//      report (it has to exist to be recorded or written), and starts the
+//      stopwatch;
+//   2. arms the health probe on the caller's fp64 (d, e);
+//   3. checks every entry finite (require_finite: InvalidArgument);
+//   4. scales T by range_scale into the working precision's safe range,
+//      on copies of (d, e) made only when the scale is not 1;
+//   5. runs the solve: on the fp64 (d, e) or their scaled copies under F64
+//      and for n <= 1, else on fp32 copies whose eigenvalues and vectors
+//      are widened back; F32RefineF64 then polishes every eigenpair
+//      against the scaled fp64 T (lapack/refine.hpp);
+//   6. divides the eigenvalues by the scale;
+//   7. stamps the time, evaluates the health probe, writes the artifacts
+//      and records the telemetry.
+// With every gate off this adds one pass over (d, e) and a few relaxed
+// loads to a solve. Any finite input is solved at every precision: after
+// step 4 no finite T can over- or underflow on narrowing.
+#pragma once
+
+#include <vector>
+
+#include "blas/aux.hpp"
+#include "common/error.hpp"
+#include "common/matrix.hpp"
+#include "common/precision.hpp"
+#include "common/timer.hpp"
+#include "lapack/refine.hpp"
+#include "obs/health.hpp"
+#include "obs/report.hpp"
+#include "obs/telemetry.hpp"
+
+namespace dnc::lapack {
+
+/// Solves the fp64 tridiagonal (d, e) of order n at `precision` and writes
+/// the ascending eigenvalues to lam and the eigenvectors to v (n x n).
+///
+/// `solve(d, e, lam, v, stats)` is the driver's solve at one working
+/// precision Real (double or float): it reads the tridiagonal (d, e) of
+/// type Real*, or const Real* when In is const, writes the n eigenvalues
+/// to lam (Real*) and the eigenvectors to v (MatrixT<Real>&), and fills
+/// *stats (Stats*, may be null) including its report. A driver that solves
+/// in place passes lam == d; the solve then always gets lam == d, and may
+/// destroy (d, e). Otherwise (d, e) are left untouched.
+/// `threads` is the worker count of the refinement sweep.
+template <typename In, typename Stats, typename Solve>
+void solve_front_door(const char* who, index_t n, In* d, In* e, double* lam, Matrix& v,
+                      Precision precision, int threads, Stats* stats, Solve&& solve) {
+  const bool telemetry = obs::solve_telemetry_wanted() && n > 0;
+  const bool want_export = obs::trace_export_requested() || obs::report_export_requested();
+  Stats local;
+  Stats* st = stats ? stats : (telemetry || want_export ? &local : nullptr);
+  Stopwatch sw;
+  obs::HealthProbe probe;
+  if (telemetry) probe.arm(n, d, e);
+  require_finite(who, n, d, e);
+
+  // A 1 x 1 problem is its own eigenvalue: nothing to gain from fp32.
+  const bool f64 = precision == Precision::F64 || n <= 1;
+  const double tnrm = blas::lanst_max<double>(n, d, e);
+  const double scale = f64 ? range_scale<double>(tnrm) : range_scale<float>(tnrm);
+  std::vector<double> ds, es;
+  In* wd = d;
+  In* we = e;
+  if (scale != 1.0) {
+    ds.assign(d, d + n);
+    es.assign(e, e + (n > 1 ? n - 1 : 0));
+    for (double& x : ds) x *= scale;
+    for (double& x : es) x *= scale;
+    wd = ds.data();
+    we = es.data();
+  }
+  const bool in_place = lam == d;
+  // Where the working-precision solve leaves the fp64 eigenvalues.
+  double* wlam = lam;
+  if (f64) {
+    if (in_place && scale != 1.0) wlam = ds.data();
+    solve(wd, we, wlam, v, st);
+  } else {
+    // Refinement reads the (scaled) fp64 T after the widening below has
+    // written lam; when lam is that T's diagonal, keep a snapshot of it.
+    const bool refine = precision == Precision::F32RefineF64;
+    std::vector<double> dref;
+    const double* rd = wd;
+    if (refine && lam == wd) {
+      dref.assign(wd, wd + n);
+      rd = dref.data();
+    }
+    std::vector<float> d32(wd, wd + n), e32(we, we + n - 1), lam32(in_place ? 0 : n);
+    float* l32 = in_place ? d32.data() : lam32.data();
+    MatrixT<float> v32;
+    solve(d32.data(), e32.data(), l32, v32, st);
+    for (index_t i = 0; i < n; ++i) lam[i] = static_cast<double>(l32[i]);
+    v.resize(v32.rows(), v32.cols());
+    for (index_t j = 0; j < v32.cols(); ++j) {
+      const float* src = v32.data() + j * v32.ld();
+      double* dst = v.data() + j * v.ld();
+      for (index_t i = 0; i < v32.rows(); ++i) dst[i] = static_cast<double>(src[i]);
+    }
+    if (refine) {
+      const RefineReport rr =
+          refine_eigenpairs(n, rd, we, lam, v.data(), v.ld(), v.cols(), {}, threads);
+      if (st) st->refine = rr;
+    }
+  }
+  if (scale != 1.0)
+    for (index_t i = 0; i < n; ++i) lam[i] = wlam[i] / scale;
+
+  if (st == nullptr) return;
+  // The solve's time covers the scaling, the precision conversions and the
+  // refinement.
+  st->seconds = st->report.seconds = sw.elapsed();
+  if (telemetry) {
+    st->report.health = probe.evaluate(lam, v.data(), v.ld(), v.cols());
+    st->report.has_health = st->report.health.sampled_columns > 0;
+  }
+  const rt::Trace* tr = st->report.has_scheduler ? &st->trace : nullptr;
+  // Trivial solves finish no report and write no artifacts.
+  if (want_export && !st->report.driver.empty()) obs::export_solve_artifacts(st->report, tr);
+  if (telemetry) obs::record_solve_telemetry(st->report, tr);
+}
+
+}  // namespace dnc::lapack

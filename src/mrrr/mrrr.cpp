@@ -15,16 +15,13 @@
 #include "common/error.hpp"
 #include "common/real_traits.hpp"
 #include "common/rng.hpp"
-#include "common/timer.hpp"
 #include "lapack/bisect.hpp"
-#include "lapack/refine.hpp"
+#include "lapack/front_door.hpp"
 #include "lapack/stein.hpp"
 #include "lapack/sterf.hpp"
 #include "mrrr/getvec.hpp"
 #include "mrrr/ldl.hpp"
-#include "obs/analysis.hpp"
-#include "obs/health.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/report.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/scheduler.hpp"
 
@@ -68,14 +65,13 @@ struct RootEigs {
 };
 
 template <typename Real>
-void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>& lam,
-                     MatrixT<Real>& v, const Options& opt, Stats* stats,
-                     const std::vector<int>& sim) {
+void mrrr_solve_impl(index_t n, const Real* d, const Real* e, Real* lam, MatrixT<Real>& v,
+                     const Options& opt, Stats* stats, const std::vector<int>& sim) {
   using WorkItem = WorkItemT<Real>;
-  require_finite("mrrr_solve", n, d, e);
-  obs::SolveScope scope("mrrr");
+  obs::SolveScope scope("mrrr", precision_name(opt.precision),
+                        blas::simd::kernels_t<Real>().name);
   if (stats) *stats = Stats{};
-  lam.assign(n, Real(0));
+  std::fill(lam, lam + n, Real(0));
   v.resize(n, n);
   if (n == 0) return;
   v.fill(Real(0));
@@ -454,7 +450,7 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
         std::sort(order.begin(), order.end(),
                   [&](index_t a, index_t b) { return lam[a] < lam[b]; });
         Real lmax = 0;
-        for (Real x : lam) lmax = std::max(lmax, std::fabs(x));
+        for (index_t i = 0; i < n; ++i) lmax = std::max(lmax, std::fabs(lam[i]));
         const Real close = Real(64) * eps * std::max(lmax, safmin);
         // The dot-product noise floor of unit vectors scales with eps, so
         // the overlap trigger must too (1e-8 would fire on every fp32 pair).
@@ -527,18 +523,9 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
   stats->blocks = static_cast<index_t>(block_start.size()) - 1;
   stats->clusters = cluster_count;
   stats->depth_used = depth_used;
-  rt::Trace& trace = stats->trace;
-  trace = runtime.trace();
-  // Solve parameters and kernel table, as the D&C drivers stamp them (the
-  // roofline scales its peak to the table).
-  trace.meta_counters.emplace_back("n", static_cast<double>(n));
-  trace.meta_strings.emplace_back("precision", precision_name(opt.precision));
-  trace.meta_strings.emplace_back("simd_isa", blas::simd::kernels_t<Real>().name);
-  for (int w : sim) stats->simulated.push_back(obs::replay_trace(trace, w));
+  stats->trace = runtime.trace();
   obs::SolveReport& rep = stats->report;
-  rep.simd_isa = blas::simd::kernels_t<Real>().name;
-  rep.precision = precision_name(opt.precision);
-  scope.finish(rep, n, opt.threads, &trace);
+  scope.finish(rep, n, opt.threads, &stats->trace, sim, stats->simulated);
   // Workspace telemetry: the final sort task's one column buffer; the
   // n x n eigenvector output; the per-solve eigenvalue/work arrays (lam +
   // the per-block d/l copies are O(n) and folded into context_bytes).
@@ -548,98 +535,16 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
   rep.memory.context_bytes = 3u * nn * sizeof(Real);
 }
 
-// dstemr's scaling: a power of two, so exact, that brings tnrm = max|T|
-// into [sqrt(safmin/prec), min(sqrt(prec/safmin), safmin^(-1/4))] at
-// precision Real; 1 when tnrm already lies there or is not finite.
-template <typename Real>
-double range_scale(double tnrm) {
-  const double safmin = real_traits<Real>::safmin();
-  const double prec = real_traits<Real>::prec();
-  const double rmin = std::sqrt(safmin / prec);
-  const double rmax = std::min(std::sqrt(prec / safmin), 1.0 / std::sqrt(std::sqrt(safmin)));
-  if (tnrm > 0.0 && tnrm < rmin) return std::ldexp(1.0, std::ilogb(rmin / tnrm) + 1);
-  if (tnrm > rmax && std::isfinite(tnrm)) return std::ldexp(1.0, std::ilogb(rmax / tnrm));
-  return 1.0;
-}
-
 }  // namespace
 
 void mrrr_solve(index_t n, const double* d, const double* e, std::vector<double>& lam,
                 Matrix& v, const Options& opt, Stats* stats, const std::vector<int>& sim) {
-  // Always-on telemetry (DNC_METRICS / DNC_FLIGHT) and the $DNC_TRACE /
-  // $DNC_REPORT artifacts: the report must exist for the epilogue to record
-  // or write it, so substitute a local Stats when the caller passed none.
-  // mrrr_solve keeps (d, e) intact, so the health probe needs no snapshot
-  // -- it reads the caller's buffers after the solve.
-  Stopwatch sw;
-  const bool telemetry = obs::solve_telemetry_wanted() && n > 0;
-  const bool want_export = obs::trace_export_requested() || obs::report_export_requested();
-  Stats local;
-  Stats* st = stats ? stats : (telemetry || want_export ? &local : nullptr);
-  // Outside the working precision's safe range MRRR loses accuracy without
-  // failing, so T is scaled into it first and lam scaled back at the end.
-  // The scaled copies stand in for (d, e) in every precision: the fp32
-  // paths must scale before narrowing, where a tiny T would underflow.
-  double tnrm = 0.0;
-  for (index_t i = 0; i < n; ++i) {
-    tnrm = std::max(tnrm, std::fabs(d[i]));
-    if (i + 1 < n) tnrm = std::max(tnrm, std::fabs(e[i]));
-  }
-  const double scale = n <= 1                            ? 1.0
-                       : opt.precision == Precision::F64 ? range_scale<double>(tnrm)
-                                                         : range_scale<float>(tnrm);
-  std::vector<double> ds, es;
-  const double* wd = d;
-  const double* we = e;
-  if (scale != 1.0) {
-    ds.assign(d, d + n);
-    es.assign(e, e + n - 1);
-    for (double& x : ds) x *= scale;
-    for (double& x : es) x *= scale;
-    wd = ds.data();
-    we = es.data();
-  }
-  if (opt.precision == Precision::F64 || n <= 1) {
-    mrrr_solve_impl<double>(n, wd, we, lam, v, opt, st, sim);
-  } else {
-    // fp32 fast path: narrow the tridiagonal, run the whole representation
-    // tree in single precision, widen the eigenpairs back. Unlike the D&C
-    // drivers, mrrr_solve does not destroy its inputs, so (wd, we) double
-    // the role of the fp64 reference matrix for refinement.
-    std::vector<float> d32(wd, wd + n), e32;
-    if (n > 1) e32.assign(we, we + n - 1);
-    std::vector<float> lam32;
-    MatrixT<float> v32;
-    mrrr_solve_impl<float>(n, d32.data(), e32.data(), lam32, v32, opt, st, sim);
-    lam.assign(lam32.begin(), lam32.end());
-    v.resize(v32.rows(), v32.cols());
-    for (index_t j = 0; j < v32.cols(); ++j) {
-      const float* src = v32.data() + j * v32.ld();
-      double* dst = v.data() + j * v.ld();
-      for (index_t i = 0; i < v32.rows(); ++i) dst[i] = static_cast<double>(src[i]);
-    }
-    if (opt.precision == Precision::F32RefineF64 && n > 0) {
-      const lapack::RefineReport rr =
-          lapack::refine_eigenpairs(n, wd, we, lam.data(), v.data(), v.ld(), v.cols(), {},
-                                    opt.threads);
-      if (st) st->refine = rr;
-    }
-  }
-  if (scale != 1.0)
-    for (double& x : lam) x /= scale;
-  if (st == nullptr) return;
-  // The solve's time covers the precision conversions and the refinement.
-  st->seconds = st->report.seconds = sw.elapsed();
-  if (telemetry && !lam.empty()) {
-    obs::HealthProbe probe;
-    probe.arm(n, d, e);
-    st->report.health = probe.evaluate(lam.data(), v.data(), v.ld(), v.cols());
-    st->report.has_health = st->report.health.sampled_columns > 0;
-  }
-  // Trivial solves (n <= 1) finish no report and write no artifacts.
-  if (want_export && !st->report.driver.empty())
-    obs::export_solve_artifacts(st->report, &st->trace);
-  if (telemetry && !lam.empty()) obs::record_solve_telemetry(st->report, &st->trace);
+  lam.resize(static_cast<std::size_t>(std::max<index_t>(n, 0)));
+  lapack::solve_front_door("mrrr_solve", n, d, e, lam.data(), v, opt.precision, opt.threads,
+                           stats,
+                           [&](const auto* wd, const auto* we, auto* wlam, auto& wv, Stats* st) {
+                             mrrr_solve_impl(n, wd, we, wlam, wv, opt, st, sim);
+                           });
 }
 
 }  // namespace dnc::mrrr

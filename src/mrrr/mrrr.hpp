@@ -2,9 +2,7 @@
 // eigensolver, in the task-parallel style of MR3-SMP (Petschow &
 // Bientinesi) -- the comparator of the paper's Figures 8-10.
 //
-// Pipeline: T outside the working precision's safe range is first scaled
-// by a power of two (dstemr's [rmin, rmax]; the eigenvalues are scaled
-// back at the end) -> split into unreduced blocks -> per block, a root
+// Pipeline: split into unreduced blocks -> per block, a root
 // LDL^T representation just outside the spectrum -> all root eigenvalues
 // in O(n^2) by implicit QL (sterf; bisection only if QL fails), then
 // grain-sized tasks refine them against the root (refine_ldl: verified
@@ -74,9 +72,12 @@ struct Stats {
 };
 
 /// Computes all eigenpairs of the tridiagonal (d, e): lam ascending, v
-/// (n x n) the eigenvectors. Inputs are not modified. Throws
-/// InvalidArgument, before any task runs, when an entry of d or e is not
-/// finite at the working precision (after the scaling into its range).
+/// (n x n) the eigenvectors. Inputs are not modified. Every finite fp64
+/// input is solved at every precision: the front door
+/// (lapack/front_door.hpp) scales T by a power of two into the working
+/// precision's safe range (dstemr's [rmin, rmax]) and the eigenvalues back.
+/// Only a non-finite entry of d or e throws InvalidArgument, before any
+/// task runs.
 void mrrr_solve(index_t n, const double* d, const double* e, std::vector<double>& lam,
                 Matrix& v, const Options& opt = {}, Stats* stats = nullptr,
                 const std::vector<int>& simulate_workers = {});

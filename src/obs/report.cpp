@@ -11,6 +11,7 @@
 #include "common/env.hpp"
 #include "common/text.hpp"
 #include "common/version.hpp"
+#include "obs/analysis.hpp"
 #include "obs/perfetto.hpp"
 #include "runtime/trace.hpp"
 
@@ -313,11 +314,26 @@ SchedulerMetrics scheduler_metrics(const rt::Trace& trace) {
   return m;
 }
 
-SolveScope::SolveScope(const char* driver)
-    : driver_(driver), begin_(snapshot()), rss_hwm_begin_(current_peak_rss_bytes()) {}
+SolveScope::SolveScope(const char* driver, const char* precision, const char* simd_isa)
+    : driver_(driver),
+      precision_(precision),
+      simd_isa_(simd_isa),
+      begin_(snapshot()),
+      rss_hwm_begin_(current_peak_rss_bytes()) {}
 
-void SolveScope::finish(SolveReport& out, long n, int threads, const rt::Trace* trace) const {
+void SolveScope::finish(SolveReport& out, long n, int threads, rt::Trace* trace,
+                        const std::vector<int>& simulate_workers,
+                        std::vector<rt::SimulationResult>& simulated) const {
+  if (trace) {
+    // Solve parameters a tuning sweep groups recorded traces by.
+    trace->meta_counters.emplace_back("n", static_cast<double>(n));
+    trace->meta_strings.emplace_back("precision", precision_);
+    trace->meta_strings.emplace_back("simd_isa", simd_isa_);
+    for (int w : simulate_workers) simulated.push_back(replay_trace(*trace, w));
+  }
   out.driver = driver_;
+  out.precision = precision_;
+  out.simd_isa = simd_isa_;
   out.n = n;
   out.threads = threads;
   out.git_commit = version::kGitCommit;

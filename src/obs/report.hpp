@@ -22,6 +22,7 @@
 
 namespace dnc::rt {
 struct Trace;
+struct SimulationResult;
 }
 
 namespace dnc::obs {
@@ -131,16 +132,26 @@ struct SolveReport {
 /// Scheduler metrics derived from a measured Trace.
 SchedulerMetrics scheduler_metrics(const rt::Trace& trace);
 
-/// Captures the counter baseline at solve start; finish() turns the deltas
-/// plus the optional trace into a report. The driver sets simd_isa (the
-/// table that ran) and stamps seconds once the whole solve is done.
+/// Captures the counter baseline at solve start; finish() writes the
+/// solve's header (driver, n, threads, precision, and simd_isa: the kernel
+/// table that ran) and turns the counter deltas plus the optional trace
+/// into a report. The front door (lapack/front_door.hpp) stamps seconds
+/// once the whole solve is done.
 class SolveScope {
  public:
-  explicit SolveScope(const char* driver);
-  void finish(SolveReport& out, long n, int threads, const rt::Trace* trace) const;
+  SolveScope(const char* driver, const char* precision, const char* simd_isa);
+  /// With a trace (the solve ran on the runtime), first stamps its meta
+  /// header -- n, precision and simd_isa, which the roofline scales its
+  /// peak to -- and replays it on each of `simulate_workers` virtual cores
+  /// into `simulated`.
+  void finish(SolveReport& out, long n, int threads, rt::Trace* trace,
+              const std::vector<int>& simulate_workers,
+              std::vector<rt::SimulationResult>& simulated) const;
 
  private:
   const char* driver_;
+  const char* precision_;
+  const char* simd_isa_;
   CounterArray begin_;
   std::uint64_t rss_hwm_begin_ = 0;  ///< peak RSS when the solve started
 };

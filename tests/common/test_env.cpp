@@ -1,18 +1,18 @@
-// The env front door (common/env.hpp): typed getters over DNC_* knobs and
-// the knob-reference table, plus parse_topology_spec -- the pure parser
-// behind DNC_TOPOLOGY (cpu_topology() itself is probed once per process,
-// so tests exercise the parser directly rather than racing the cache).
+// The env front door (common/env.hpp): typed getters over DNC_* knobs, the
+// README knob table checked against the knobs the code reads, plus
+// parse_topology_spec -- the pure parser behind DNC_TOPOLOGY
+// (cpu_topology() itself is probed once per process, so tests exercise the
+// parser directly rather than racing the cache).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <regex>
 #include <set>
-#include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/cpu_features.hpp"
 #include "common/env.hpp"
@@ -90,16 +90,15 @@ TEST(EnvTest, NumberParsesAndFallsBack) {
   EXPECT_DOUBLE_EQ(env::number("DNC_TEST_NUM", 1.5), 1.5);
 }
 
-// Every "DNC_..." string literal under src/ names a knob some code reads, so
-// the registry (mirrored by the README) must list
-// exactly that set. common/env.cpp is skipped: it holds the registry itself.
-std::set<std::string> knob_literals_in_src() {
+// Every "DNC_..." string literal in the C++ sources under `dir` names a
+// knob some code reads.
+std::set<std::string> knob_literals_in(const char* dir) {
   namespace fs = std::filesystem;
   const std::regex literal("\"(DNC_[A-Z0-9_]+)");
   std::set<std::string> names;
-  for (const auto& entry : fs::recursive_directory_iterator(fs::path(DNC_SOURCE_DIR) / "src")) {
+  for (const auto& entry : fs::recursive_directory_iterator(fs::path(DNC_SOURCE_DIR) / dir)) {
     const fs::path& path = entry.path();
-    if (!entry.is_regular_file() || path.filename() == "env.cpp") continue;
+    if (!entry.is_regular_file()) continue;
     if (path.extension() != ".cpp" && path.extension() != ".hpp") continue;
     std::ifstream in(path);
     const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
@@ -109,36 +108,63 @@ std::set<std::string> knob_literals_in_src() {
   return names;
 }
 
-TEST(EnvTest, KnobReferenceIsSentinelTerminatedAndComplete) {
-  const env::Knob* knobs = env::knob_reference();
-  ASSERT_NE(knobs, nullptr);
-  std::set<std::string> listed;
-  int count = 0;
-  for (const env::Knob* k = knobs; k->name != nullptr; ++k) {
-    ASSERT_LT(++count, 256) << "runaway table: missing sentinel?";
-    EXPECT_NE(k->summary, nullptr) << k->name;
-    EXPECT_EQ(std::strncmp(k->name, "DNC_", 4), 0) << k->name;
-    EXPECT_TRUE(listed.insert(k->name).second) << "listed twice: " << k->name;
+/// One row of README's "Environment knob reference" table: the knob and
+/// the value spellings after its "=" ("f64\|f32\|f32refine"), if any.
+struct KnobRow {
+  std::string name;
+  std::string values;
+};
+
+std::vector<KnobRow> readme_knob_rows() {
+  std::ifstream in(std::string(DNC_SOURCE_DIR) + "/README.md");
+  const std::regex row("^\\| `(DNC_[A-Z0-9_]+)(=([^`]*))?` \\|");
+  std::vector<KnobRow> rows;
+  bool in_section = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("#", 0) == 0) in_section = line == "### Environment knob reference";
+    std::smatch m;
+    if (in_section && std::regex_search(line, m, row)) rows.push_back({m[1].str(), m[3].str()});
   }
-  const std::set<std::string> read = knob_literals_in_src();
+  return rows;
+}
+
+// README's knob table is the one reference of the DNC_* knobs: it must list
+// every knob read under src/, once, and nothing that src/ or bench/ does
+// not read.
+TEST(EnvTest, KnobReferenceIsSentinelTerminatedAndComplete) {
+  const std::vector<KnobRow> rows = readme_knob_rows();
+  ASSERT_FALSE(rows.empty()) << "no knob table in " << DNC_SOURCE_DIR << "/README.md";
+  std::set<std::string> listed;
+  for (const KnobRow& r : rows)
+    EXPECT_TRUE(listed.insert(r.name).second) << "listed twice: " << r.name;
+  const std::set<std::string> read = knob_literals_in("src");
   ASSERT_FALSE(read.empty()) << "no DNC_ literals found under " << DNC_SOURCE_DIR;
+  std::set<std::string> read_anywhere = knob_literals_in("bench");
+  read_anywhere.insert(read.begin(), read.end());
   for (const std::string& name : read)
-    EXPECT_TRUE(listed.count(name)) << name << " is read under src/ but not in knob_reference()";
+    EXPECT_TRUE(listed.count(name)) << name << " is read under src/ but has no README row";
   for (const std::string& name : listed)
-    EXPECT_TRUE(read.count(name)) << name << " is in knob_reference() but read nowhere under src/";
+    EXPECT_TRUE(read_anywhere.count(name))
+        << name << " has a README row but is read nowhere under src/ or bench/";
 }
 
 // The DNC_PREC row must advertise only spellings parse_precision accepts:
 // an unknown spelling silently solves in fp64.
 TEST(EnvTest, PrecKnobValuesParseToThePrecisionTheyName) {
-  const env::Knob* row = env::knob_reference();
-  while (row->name != nullptr && std::strcmp(row->name, "DNC_PREC") != 0) ++row;
-  ASSERT_NE(row->name, nullptr) << "no DNC_PREC row";
-  std::istringstream values(row->values);
+  std::string values;
+  for (const KnobRow& r : readme_knob_rows())
+    if (r.name == "DNC_PREC") values = r.values;
+  ASSERT_FALSE(values.empty()) << "no DNC_PREC row with values";
+  const std::string sep = "\\|";
   int n = 0;
-  for (std::string v; std::getline(values, v, '/'); ++n)
+  for (std::size_t pos = 0;; ++n) {
+    const std::size_t next = values.find(sep, pos);
+    const std::string v = values.substr(pos, next - pos);
     EXPECT_STREQ(precision_name(parse_precision(v.c_str())), v.c_str()) << "listed value " << v;
-  EXPECT_EQ(n, 3);
+    if (next == std::string::npos) break;
+    pos = next + sep.size();
+  }
+  EXPECT_EQ(n + 1, 3);
 }
 
 TEST(TopologySpecTest, ParsesSocketsByL3ByCpus) {

@@ -8,7 +8,6 @@
 #include <limits>
 #include <map>
 #include <set>
-#include <sstream>
 #include <tuple>
 
 #include "../support/precision_testing.hpp"
@@ -305,42 +304,6 @@ INSTANTIATE_TEST_SUITE_P(PrecisionsTimesDefects, MrrrNonFiniteInput,
                          ::testing::Combine(::testing::Values(Precision::F64, Precision::F32,
                                                               Precision::F32RefineF64),
                                             ::testing::Bool()));
-
-// dstemr-style scaling: T scaled by 1e+-300 or 1e+-150 is solved as
-// accurately as at unit scale. The fp32 precisions must reach their own
-// bounds or refuse the input with InvalidArgument.
-TEST(Mrrr, ExtremeScalesStayAccurate) {
-  const index_t n = 150;
-  for (int type : {3, 4}) {
-    for (double scale : {1e300, 1e-300, 1e150, 1e-150}) {
-      auto t = matgen::table3_matrix(type, n, 6);
-      for (double& x : t.d) x *= scale;
-      for (double& x : t.e) x *= scale;
-      for (Precision p : {Precision::F64, Precision::F32, Precision::F32RefineF64}) {
-        std::vector<double> lam;
-        Matrix v;
-        Options opt;
-        opt.threads = 2;
-        opt.precision = p;
-        std::ostringstream what;
-        what << precision_name(p) << " type " << type << " scale " << scale;
-        try {
-          mrrr_solve(n, t.d.data(), t.e.data(), lam, v, opt);
-        } catch (const InvalidArgument&) {
-          EXPECT_NE(p, Precision::F64) << what.str();
-          continue;
-        }
-        const double tol = p == Precision::F32
-                               ? 1e-13 * static_cast<double>(std::numeric_limits<float>::epsilon()) /
-                                     std::numeric_limits<double>::epsilon()
-                               : 1e-13;
-        EXPECT_LT(verify::reduction_residual(t, lam, v), tol) << what.str();
-        EXPECT_LT(verify::orthogonality(v), tol) << what.str();
-        EXPECT_TRUE(std::is_sorted(lam.begin(), lam.end())) << what.str();
-      }
-    }
-  }
-}
 
 TEST(Mrrr, GrainSweep) {
   auto t = matgen::table3_matrix(4, 100, 2);

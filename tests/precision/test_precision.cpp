@@ -1,13 +1,15 @@
 // The precision layer's property tests: fp32 kernels against fp64
 // references with eps32-scaled tolerances, fp32 laed4 against the fp64
-// root, and the F32RefineF64 accuracy gate -- the mixed-precision driver
-// must land fp64-grade residuals on every Table III bench family -- and the
-// refinement safety net's overlap trigger.
+// root, the F32RefineF64 accuracy gate -- the mixed-precision driver must
+// land fp64-grade residuals on every Table III bench family --, the
+// refinement safety net's overlap trigger, and the front door's range
+// scaling at extreme scales in every driver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <sstream>
 #include <vector>
 
 #include "blas/aux.hpp"
@@ -351,6 +353,69 @@ TEST(PrecisionSolve, ReportedTimeCoversRefinement) {
     EXPECT_EQ(report_seconds, seconds) << name;
     EXPECT_LE(seconds, elapsed) << name;
     EXPECT_GE(seconds, 0.9 * elapsed) << name;
+  }
+}
+
+/// Solves t with driver 0-3 (the D&C execution models) or 4 (MRRR).
+void solve_with(int driver, const matgen::Tridiag& t, Precision p, std::vector<double>& lam,
+                Matrix& v) {
+  const index_t n = t.n();
+  if (driver == 4) {
+    mrrr::Options opt;
+    opt.precision = p;
+    opt.threads = 2;
+    mrrr::mrrr_solve(n, t.d.data(), t.e.data(), lam, v, opt);
+    return;
+  }
+  lam = t.d;
+  std::vector<double> e = t.e;
+  dc::Options opt;
+  opt.precision = p;
+  opt.minpart = 32;
+  opt.threads = 2;
+  switch (driver) {
+    case 0: dc::stedc_sequential(n, lam.data(), e.data(), v, opt); break;
+    case 1: dc::stedc_taskflow(n, lam.data(), e.data(), v, opt); break;
+    case 2: dc::stedc_lapack_model(n, lam.data(), e.data(), v, opt); break;
+    case 3: dc::stedc_scalapack_model(n, lam.data(), e.data(), v, opt); break;
+  }
+}
+
+// The front door's range scaling: T scaled by 1e+-300 or 1e+-150 is solved
+// by every driver at every precision as accurately as at unit scale. Every
+// finite input must solve: under the fp32 precisions T is scaled into
+// range before it is narrowed, so it can neither flush to zero nor
+// overflow.
+TEST(PrecisionSolve, ExtremeScalesStayAccurate) {
+  struct Case {
+    int type;
+    index_t n;
+    double scale;
+  };
+  std::vector<Case> cases;
+  for (int type : {3, 4})
+    for (double scale : {1e300, 1e-300, 1e150, 1e-150}) cases.push_back({type, 150, scale});
+  for (index_t n : {index_t{1}, index_t{2}}) cases.push_back({3, n, 1e-300});
+  const char* const kDrivers[] = {"sequential", "taskflow", "lapack_model", "scalapack_model",
+                                  "mrrr"};
+  for (const Case& c : cases) {
+    auto t = matgen::table3_matrix(c.type, c.n, 6);
+    for (double& x : t.d) x *= c.scale;
+    for (double& x : t.e) x *= c.scale;
+    for (Precision p : {Precision::F64, Precision::F32, Precision::F32RefineF64}) {
+      const double tol = p == Precision::F32 ? 1e-13 * kEps32 / kEps64 : 1e-13;
+      for (int driver = 0; driver < 5; ++driver) {
+        std::ostringstream what;
+        what << kDrivers[driver] << " " << precision_name(p) << " type " << c.type << " n "
+             << c.n << " scale " << c.scale;
+        std::vector<double> lam;
+        Matrix v;
+        solve_with(driver, t, p, lam, v);
+        EXPECT_LT(verify::reduction_residual(t, lam, v), tol) << what.str();
+        EXPECT_LT(verify::orthogonality(v), tol) << what.str();
+        EXPECT_TRUE(std::is_sorted(lam.begin(), lam.end())) << what.str();
+      }
+    }
   }
 }
 

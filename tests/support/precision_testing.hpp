@@ -30,17 +30,4 @@ inline double tol_scale() {
   return result_eps() / std::numeric_limits<double>::epsilon();
 }
 
-/// True when the active precision narrows inputs to fp32 on entry -- tests
-/// whose data leaves the fp32 exponent range (|x| > ~3.4e38 or < ~1.2e-38)
-/// cannot survive the narrowing and should skip.
-inline bool inputs_narrowed_to_f32() { return default_precision() != Precision::F64; }
-
 }  // namespace dnc::test_support
-
-/// Skips the current test when inputs would over/underflow in fp32.
-#define DNC_SKIP_IF_F32_RANGE_EXCEEDED()                                              \
-  do {                                                                                \
-    if (dnc::test_support::inputs_narrowed_to_f32())                                  \
-      GTEST_SKIP() << "matrix entries exceed the fp32 exponent range; meaningless "   \
-                      "under DNC_PREC=" << precision_name(dnc::default_precision());  \
-  } while (0)
