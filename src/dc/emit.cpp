@@ -44,11 +44,6 @@ void register_kinds(rt::TaskGraph& g) {
   for (const Info& k : kInfo) g.register_kind(k.name, k.memory_bound, k.color);
 }
 
-// Panel handles a panel kernel chains through under Taskflow: PermuteV and
-// CopyBack use the first, LAED4 and ComputeVect the second (the same one
-// unless opt.extra_workspace), LocalW and UpdateVect both.
-constexpr int kFirst = 1, kSecond = 2, kBoth = 3;
-
 const char* model_name(ExecModel model) {
   static const char* const kNames[] = {"sequential", "taskflow", "lapack_model",
                                        "scalapack_model"};
@@ -118,17 +113,17 @@ void solve_leaf(const TreeNode& node, Real* d, Real* e, MatrixT<Real>& v, index_
 }
 
 /// Applies the root permutation: d and the columns of v are reordered
-/// ascending using ws.qwork as scratch.
+/// ascending using qwork as scratch.
 template <typename Real>
 void sort_eigenpairs(index_t n, Real* d, MatrixT<Real>& v, const index_t* perm,
-                     WorkspaceT<Real>& ws) {
+                     MatrixT<Real>& qwork) {
   std::vector<Real> dsorted(n);
   for (index_t r = 0; r < n; ++r) {
     dsorted[r] = d[perm[r]];
-    blas::copy(n, v.data() + perm[r] * v.ld(), ws.qwork.data() + r * ws.qwork.ld());
+    blas::copy(n, v.data() + perm[r] * v.ld(), qwork.data() + r * qwork.ld());
   }
   blas::copy(n, dsorted.data(), d);
-  blas::lacpy(n, n, ws.qwork.data(), ws.qwork.ld(), v.data(), v.ld());
+  blas::lacpy(n, n, qwork.data(), qwork.ld(), v.data(), v.ld());
 }
 
 /// Accumulates deflation statistics over the contexts.
@@ -158,18 +153,16 @@ void finish_report(const obs::SolveScope& scope, const Contexts<Real>& ctxs, ind
   obs::SolveReport& rep = stats->report;
   scope.finish(rep, n, opt.threads, trace, simulate_workers, stats->simulated);
   if (trace) trace->meta_counters.emplace_back("nb", static_cast<double>(opt.nb));
-  // Workspace telemetry: the solve-wide scratch (WorkspaceT: n x n qwork,
-  // plus the n x n xwork under extra_workspace) and the bound on the
-  // UpdateVect S copies (one buffer of at most n x nb per worker), the
-  // n x n eigenvector output, and the per-merge contexts (z + zhat + the
-  // m x npanels partial-product matrix each). All of it is allocated at
-  // the working precision, so fp32 solves report half the fp64 bytes.
+  // Workspace telemetry: the solve-wide scratch (the n x n qwork) and the
+  // bound on the UpdateVect S copies (one buffer of at most n x nb per
+  // worker), the n x n eigenvector output, and the per-merge contexts
+  // (z + zhat + the m x npanels partial-product matrix each). All of it is
+  // allocated at the working precision, so fp32 solves report half the
+  // fp64 bytes.
   const std::uint64_t nn = static_cast<std::uint64_t>(n);
   const std::uint64_t panel = static_cast<std::uint64_t>(std::min(opt.nb, n));
   rep.memory.workspace_bytes =
-      ((opt.extra_workspace ? 2u : 1u) * nn * nn +
-       static_cast<std::uint64_t>(opt.threads) * nn * panel) *
-      sizeof(Real);
+      (nn * nn + static_cast<std::uint64_t>(opt.threads) * nn * panel) * sizeof(Real);
   rep.memory.output_bytes = nn * nn * sizeof(Real);
   rep.memory.context_bytes = 0;  // accumulated below; keep per-solve on report reuse
   rep.merges.clear();            // reused reports must not accumulate merge records
@@ -207,10 +200,10 @@ void emit_solve(ExecModel model, index_t n, Real* d, Real* e, MatrixT<Real>& v,
   v.resize(n, n);
 
   const Plan plan = build_plan(n, opt.minpart);
-  WorkspaceT<Real> ws(n, opt.extra_workspace);
+  MatrixT<Real> qwork(n, n);
   auto ctxs = make_contexts(plan, e, opt.nb);
   std::vector<index_t> perm(n);
-  Emitter<Real> emitter(model, opt, plan, ctxs, d, e, v, ws, perm.data());
+  Emitter<Real> emitter(model, opt, plan, ctxs, d, e, v, qwork, perm.data());
   emitter.solve();
 
   if (stats == nullptr) return;
@@ -244,17 +237,13 @@ void run(ExecModel model, index_t n, double* d, double* e, Matrix& v, Options op
 template <typename Real>
 Emitter<Real>::Emitter(ExecModel model, const Options& opt, const Plan& plan,
                        Contexts<Real>& ctxs, Real* d, Real* e, MatrixT<Real>& v,
-                       WorkspaceT<Real>& ws, index_t* perm)
-    : model_(model), opt_(opt), plan_(plan), ctxs_(ctxs), d_(d), e_(e), v_(v), ws_(ws),
+                       MatrixT<Real>& qwork, index_t* perm)
+    : model_(model), opt_(opt), plan_(plan), ctxs_(ctxs), d_(d), e_(e), v_(v), qwork_(qwork),
       perm_(perm), n_(plan.nodes[plan.root].m), hnode_(plan.nodes.size()) {
   if (model == ExecModel::Sequential || model == ExecModel::Taskflow) {
     hpanel_.resize(plan.nodes.size());
-    if (opt.extra_workspace) hpanel2_.resize(plan.nodes.size());
-    for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
-      if (!ctxs[i]) continue;
-      hpanel_[i].resize(ctxs[i]->npanels);
-      if (opt.extra_workspace) hpanel2_[i].resize(ctxs[i]->npanels);
-    }
+    for (std::size_t i = 0; i < plan.nodes.size(); ++i)
+      if (ctxs[i]) hpanel_[i].resize(ctxs[i]->npanels);
     hsort_.resize((n_ + opt.nb - 1) / opt.nb);
     dsorted_.resize(n_);
   }
@@ -291,15 +280,11 @@ void Emitter<Real>::task(int kind, F&& body, std::vector<rt::TaskDep> deps, cons
 }
 
 /// A panel kernel joins its node's GATHERV group; under Sequential/Taskflow
-/// it also chains through the panel handles named by `slots`.
+/// it also chains through its panel's handle.
 template <typename Real>
-std::vector<rt::TaskDep> Emitter<Real>::panel_deps(std::size_t i, index_t p, int slots) {
+std::vector<rt::TaskDep> Emitter<Real>::panel_deps(std::size_t i, index_t p) {
   std::vector<rt::TaskDep> deps{{&hnode_[i], rt::Access::GatherV}};
-  if (hpanel_.empty()) return deps;
-  rt::Handle* hp = &hpanel_[i][p];
-  rt::Handle* hp2 = opt_.extra_workspace ? &hpanel2_[i][p] : hp;
-  if (slots & kFirst) deps.push_back({hp, rt::Access::InOut});
-  if (slots & kSecond) deps.push_back({hp2, rt::Access::InOut});
+  if (!hpanel_.empty()) deps.push_back({&hpanel_[i][p], rt::Access::InOut});
   return deps;
 }
 
@@ -395,34 +380,34 @@ void Emitter<Real>::merge(std::size_t i) {
     const index_t j0 = p * pw, j1 = std::min(j0 + pw, m);
     task(kPermute,
          [this, ctx, j0, j1] {
-           permute_panel(ctx->defl, ctx->qblock(v_), ctx->w1(ws_), ctx->w2(ws_),
-                         ctx->wdefl(ws_), j0, j1);
+           permute_panel(ctx->defl, ctx->qblock(v_), ctx->w1(qwork_), ctx->w2(qwork_),
+                         ctx->wdefl(qwork_), j0, j1);
          },
-         panel_deps(i, p, kFirst), &nd, false, p);
+         panel_deps(i, p), &nd, false, p);
   }
-  // Without the extra workspace the secular matrix overwrites the node's
-  // block of v, from which any PermuteV panel may still be copying: LAED4
-  // waits for all of them (dlaed3 likewise runs after dlaed2's copy).
-  if (!opt_.extra_workspace) task(kPermute, [] {}, join, &nd, true);
+  // The secular matrix overwrites the node's block of v, from which any
+  // PermuteV panel may still be copying: LAED4 waits for all of them
+  // (dlaed3 likewise runs after dlaed2's copy).
+  task(kPermute, [] {}, join, &nd, true);
   for (index_t p = 0; p < np; ++p) {
     const index_t j0 = p * pw, j1 = std::min(j0 + pw, m);
     task(kLaed4,
          [this, ctx, d, j0, j1] {
-           secular_solve_panel(ctx->defl, j0, j1, d, ctx->secular(ws_, v_));
+           secular_solve_panel(ctx->defl, j0, j1, d, ctx->secular(v_));
          },
-         panel_deps(i, p, kSecond), &nd, false, p);
+         panel_deps(i, p), &nd, false, p);
     if (!scalapack)
       task(kLocalW,
            [this, ctx, p, j0, j1] {
-             zhat_local_panel(ctx->defl, ctx->secular(ws_, v_), j0, j1,
+             zhat_local_panel(ctx->defl, ctx->secular(v_), j0, j1,
                               ctx->wparts.data() + p * ctx->wparts.ld());
            },
-           panel_deps(i, p, kBoth), &nd, false, p);
+           panel_deps(i, p), &nd, false, p);
   }
   if (scalapack)
     task(kLocalW,
          [this, ctx, m] {
-           zhat_local_panel(ctx->defl, ctx->secular(ws_, v_), 0, m, ctx->wparts.data());
+           zhat_local_panel(ctx->defl, ctx->secular(v_), 0, m, ctx->wparts.data());
          },
          join, &nd);
   task(kReduceW,
@@ -433,31 +418,30 @@ void Emitter<Real>::merge(std::size_t i) {
        join, &nd, true);
 
   const auto update = [this, ctx](index_t j0, index_t j1) {
-    update_vectors_panel(ctx->defl, ctx->w1(ws_), ctx->w2(ws_), ctx->secular(ws_, v_), j0, j1,
+    update_vectors_panel(ctx->defl, ctx->w1(qwork_), ctx->w2(qwork_), ctx->secular(v_), j0, j1,
                          ctx->qblock(v_));
   };
   for (index_t p = 0; p < np; ++p) {
     const index_t j0 = p * pw, j1 = std::min(j0 + pw, m);
     task(kCopyBack,
          [this, ctx, j0, j1] {
-           copyback_panel(ctx->defl, ctx->wdefl(ws_), j0, j1, ctx->qblock(v_));
+           copyback_panel(ctx->defl, ctx->wdefl(qwork_), j0, j1, ctx->qblock(v_));
          },
-         panel_deps(i, p, kFirst), &nd, false, p);
+         panel_deps(i, p), &nd, false, p);
     task(kComputeVect,
          [this, ctx, j0, j1] {
-           secular_vectors_panel(ctx->defl, ctx->secular(ws_, v_), ctx->zhat.data(), j0, j1);
+           secular_vectors_panel(ctx->defl, ctx->secular(v_), ctx->zhat.data(), j0, j1);
          },
-         panel_deps(i, p, kSecond), &nd, false, p);
+         panel_deps(i, p), &nd, false, p);
     if (!lapack && !scalapack)
-      task(kUpdateVect, [update, j0, j1] { update(j0, j1); }, panel_deps(i, p, kBoth), &nd,
-           false, p);
+      task(kUpdateVect, [update, j0, j1] { update(j0, j1); }, panel_deps(i, p), &nd, false, p);
   }
   if (scalapack) {
     // Join before the distributed GEMM (pdgemm starts in lockstep).
     task(kReduceW, [] {}, join, &nd, true);
     for (index_t p = 0; p < np; ++p) {
       const index_t j0 = p * pw, j1 = std::min(j0 + pw, m);
-      task(kUpdateVect, [update, j0, j1] { update(j0, j1); }, panel_deps(i, p, kBoth), &nd);
+      task(kUpdateVect, [update, j0, j1] { update(j0, j1); }, panel_deps(i, p), &nd);
     }
   } else if (lapack) {
     // The one parallel region of the LAPACK model: the GEMM forks column
@@ -483,14 +467,14 @@ void Emitter<Real>::sort_and_unscale() {
   if (model_ == ExecModel::ScalapackModel) {
     task(kSort,
          [this] {
-           sort_eigenpairs(n_, d_, v_, perm_, ws_);
+           sort_eigenpairs(n_, d_, v_, perm_, qwork_);
            unscale_eigenvalues(n_, d_, orgnrm_);
          },
          {{&hflow_, Access::InOut}, root[0]});
     return;
   }
   if (model_ == ExecModel::LapackModel) {
-    task(kSort, [this] { sort_eigenpairs(n_, d_, v_, perm_, ws_); }, root);
+    task(kSort, [this] { sort_eigenpairs(n_, d_, v_, perm_, qwork_); }, root);
   } else {
     // Gather columns in ascending-eigenvalue order into the workspace, then
     // copy back: two GATHERV phases around joins. The leading join closes
@@ -503,8 +487,7 @@ void Emitter<Real>::sort_and_unscale() {
            [this, p, nb] {
              for (index_t r = p * nb; r < std::min(p * nb + nb, n_); ++r) {
                dsorted_[r] = d_[perm_[r]];
-               blas::copy(n_, v_.data() + perm_[r] * v_.ld(),
-                          ws_.qwork.data() + r * ws_.qwork.ld());
+               blas::copy(n_, v_.data() + perm_[r] * v_.ld(), qwork_.data() + r * qwork_.ld());
              }
            },
            {{&hnode_[plan_.root], Access::GatherV}, {&hsort_[p], Access::InOut}});
@@ -514,8 +497,8 @@ void Emitter<Real>::sort_and_unscale() {
       task(kSort,
            [this, p, nb] {
              const index_t j0 = p * nb;
-             blas::lacpy(n_, std::min(nb, n_ - j0), ws_.qwork.data() + j0 * ws_.qwork.ld(),
-                         ws_.qwork.ld(), v_.data() + j0 * v_.ld(), v_.ld());
+             blas::lacpy(n_, std::min(nb, n_ - j0), qwork_.data() + j0 * qwork_.ld(),
+                         qwork_.ld(), v_.data() + j0 * v_.ld(), v_.ld());
            },
            {{&hnode_[plan_.root], Access::GatherV}, {&hsort_[p], Access::InOut}});
     }

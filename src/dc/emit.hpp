@@ -21,9 +21,9 @@
 //                   emitted deepest first with a barrier after each -- the
 //                   pdstedc baseline
 //
-// Under every model, a merge without Options::extra_workspace also gets one
-// empty PermuteV join between its PermuteV and LAED4 panels: the secular
-// matrices overwrite the merge's block of V, which PermuteV reads.
+// Under every model, a merge also gets one empty PermuteV join between its
+// PermuteV and LAED4 panels: the secular matrices overwrite the merge's
+// block of V, which PermuteV reads.
 //
 // The panel split never changes the arithmetic of a kernel, with one
 // exception: the Gu-Eisenstat partial products (ComputeLocalW) are formed
@@ -65,7 +65,7 @@ template <typename Real>
 class Emitter {
  public:
   Emitter(ExecModel model, const Options& opt, const Plan& plan, Contexts<Real>& ctxs, Real* d,
-          Real* e, MatrixT<Real>& v, WorkspaceT<Real>& ws, index_t* perm);
+          Real* e, MatrixT<Real>& v, MatrixT<Real>& qwork, index_t* perm);
   ~Emitter();
   Emitter(const Emitter&) = delete;
   Emitter& operator=(const Emitter&) = delete;
@@ -85,7 +85,7 @@ class Emitter {
   template <typename F>
   void task(int kind, F&& body, std::vector<rt::TaskDep> deps, const TreeNode* nd = nullptr,
             bool join = false, long panel = -1);
-  std::vector<rt::TaskDep> panel_deps(std::size_t i, index_t p, int slots);
+  std::vector<rt::TaskDep> panel_deps(std::size_t i, index_t p);
   void leaf(std::size_t i);
   void sort_and_unscale();
 
@@ -96,18 +96,18 @@ class Emitter {
   Real* d_;
   Real* e_;
   MatrixT<Real>& v_;
-  WorkspaceT<Real>& ws_;
+  MatrixT<Real>& qwork_;  ///< the solve's n x n workspace (dc/merge.hpp)
   index_t* perm_;
   index_t n_;
   Real orgnrm_ = 0;
   std::vector<Real> dsorted_;
 
   // Handles: the solve-wide flow (prologue, LAPACK chain, level barriers),
-  // one per tree node, and for the panelled models one or two per merge
-  // panel plus one per sort panel.
+  // one per tree node, and for the panelled models one per merge panel
+  // and one per sort panel.
   rt::Handle hflow_;
   std::vector<rt::Handle> hnode_;
-  std::vector<std::vector<rt::Handle>> hpanel_, hpanel2_;
+  std::vector<std::vector<rt::Handle>> hpanel_;
   std::vector<rt::Handle> hsort_;
 
   // Declared last: the runtime stops before anything its tasks touch.

@@ -19,15 +19,6 @@ struct Options {
   /// Worker threads for the parallel drivers.
   int threads = 4;
 
-  /// Allocate a second n x n workspace for the secular matrices (delta,
-  /// then S) of every merge, so PermuteV can overlap with LAED4 and
-  /// CopyBackDeflated with ComputeVect (the paper's user option for
-  /// machines with many cores). Off, the secular matrices live in the
-  /// merge's own block of the eigenvector matrix, as in LAPACK's dstedc,
-  /// and LAED4 waits for the merge's last PermuteV panel; the scratch is
-  /// then one n x n matrix plus a panel copy of S per worker.
-  bool extra_workspace = false;
-
   /// Capture the task DAG in Graphviz DOT format into SolveStats::dag_dot
   /// (runtime-backed drivers only; reproduces the paper's Figure 2).
   bool export_dag = false;

@@ -17,11 +17,10 @@
 // w1, w2 and wdefl are the node's region of the n x n workspace qwork. The
 // secular matrix sits in the top-left corner of qblock itself, as in
 // LAPACK's dlaed3: once PermuteV has copied the sons' columns out, the
-// block holds nothing live until UpdateVect writes the father's columns
-// (with Options::extra_workspace it is the node's region of a second n x n
-// matrix instead). UpdateVect therefore first copies its panel's S columns
-// into a per-thread buffer (at most m x nb) and runs its GEMMs from there,
-// since its output columns are the ones S occupies.
+// block holds nothing live until UpdateVect writes the father's columns.
+// UpdateVect therefore first copies its panel's S columns into a
+// per-thread buffer (at most m x nb) and runs its GEMMs from there, since
+// its output columns are the ones S occupies.
 #pragma once
 
 #include "dc/deflation.hpp"
@@ -67,7 +66,7 @@ void secular_vectors_panel(const DeflationResultT<Real>& defl, MatrixViewT<Real>
 /// [j0, j1): top rows from w1 x smat(0:k12, :), bottom rows from
 /// w2 x smat(ctot1:ctot1+k23, :). The panel's columns of smat are copied
 /// to a per-thread buffer first, so smat may alias qblock's columns
-/// [j0, j1) (the default layout above).
+/// [j0, j1) (the layout above).
 template <typename Real>
 void update_vectors_panel(const DeflationResultT<Real>& defl, const MatrixViewT<Real>& w1,
                           const MatrixViewT<Real>& w2, const MatrixViewT<Real>& smat,

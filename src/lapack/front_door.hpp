@@ -104,7 +104,7 @@ void solve_front_door(const char* who, index_t n, In* d, In* e, double* lam, Mat
     }
     if (refine) {
       const RefineReport rr =
-          refine_eigenpairs(n, rd, we, lam, v.data(), v.ld(), v.cols(), {}, threads);
+          refine_eigenpairs(n, rd, we, lam, v.data(), v.ld(), v.cols(), threads);
       if (st) st->refine = rr;
     }
   }

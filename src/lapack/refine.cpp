@@ -11,6 +11,7 @@
 #include "common/error.hpp"
 #include "common/real_traits.hpp"
 #include "lapack/bisect.hpp"
+#include "lapack/tridiag_lu.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/graph.hpp"
@@ -18,68 +19,10 @@
 namespace dnc::lapack {
 namespace {
 
-// Partially-pivoted LU of T - lambda I (dgttrf layout, as in stein.cpp):
-// lower multipliers ml, main diagonal u0, first/second upper diagonals
-// u1/u2, per-plane swap flags. Sized once for order n; factor() overwrites
-// every entry solve() reads, so one object serves any number of shifts.
-struct TridiagLU {
-  std::vector<double> ml, u0, u1, u2;
-  std::vector<char> swapped;
-
-  explicit TridiagLU(index_t n) : ml(n), u0(n), u1(n), u2(n), swapped(n) {}
-
-  void factor(index_t n, const double* d, const double* e, double lambda) {
-    const double tiny = real_traits<double>::safmin() / real_traits<double>::eps();
-    // Elimination touches only the current row and the next, so the
-    // working diagonal a and upper entry c of the active row are carried
-    // as scalars; the subdiagonal b is e itself (never updated).
-    double a = d[0] - lambda;
-    double c = n > 1 ? e[0] : 0.0;
-    for (index_t i = 0; i < n; ++i) {
-      u0[i] = a;
-      if (i + 1 < n) {
-        const double b = e[i];
-        const double anext = d[i + 1] - lambda;
-        const double cnext = (i + 2 < n) ? e[i + 1] : 0.0;
-        if (std::fabs(a) >= std::fabs(b)) {
-          double piv = a;
-          if (std::fabs(piv) < tiny) piv = std::copysign(tiny, piv == 0.0 ? 1.0 : piv);
-          swapped[i] = 0;
-          u0[i] = piv;
-          ml[i] = b / piv;
-          u1[i] = c;
-          u2[i] = 0.0;
-          a = anext - ml[i] * c;
-          c = cnext;
-        } else {
-          swapped[i] = 1;
-          const double piv = b;
-          u0[i] = piv;
-          ml[i] = a / piv;
-          u1[i] = anext;
-          u2[i] = cnext;
-          a = c - ml[i] * anext;
-          c = -ml[i] * cnext;
-        }
-      } else if (std::fabs(u0[i]) < tiny) {
-        u0[i] = std::copysign(tiny, u0[i] == 0.0 ? 1.0 : u0[i]);
-      }
-    }
-  }
-
-  void solve(index_t n, double* x) const {
-    for (index_t i = 0; i + 1 < n; ++i) {
-      if (swapped[i]) std::swap(x[i], x[i + 1]);
-      x[i + 1] -= ml[i] * x[i];
-    }
-    for (index_t i = n - 1; i >= 0; --i) {
-      double s = x[i];
-      if (i + 1 < n) s -= u1[i] * x[i + 1];
-      if (i + 2 < n) s -= u2[i] * x[i + 2];
-      x[i] = s / u0[i];
-    }
-  }
-};
+// Per-column residual target, as a multiple of eps64 * ||T||_1.
+constexpr double kTolFactor = 30.0;
+// Rayleigh-quotient iterations per eigenpair before giving up.
+constexpr int kMaxIters = 5;
 
 // y = T x for the tridiagonal (d, e).
 void tridiag_matvec(index_t n, const double* d, const double* e, const double* x, double* y) {
@@ -102,7 +45,7 @@ double residual_inf(index_t n, const double* x, const double* y, double lambda) 
 struct Workspace {
   explicit Workspace(index_t n) : y(n), w(n), lu(n) {}
   std::vector<double> y, w;
-  TridiagLU lu;
+  TridiagLU<double> lu;
 };
 
 // Runs the blocks of one refinement phase. With several workers they are
@@ -150,11 +93,11 @@ constexpr index_t kGramBlock = 64;
 // column reads and writes only its own (lam[j], v[:,j]), so disjoint ranges
 // may run concurrently and give the same bits as one serial sweep.
 void rqi_columns(index_t n, const double* d, const double* e, double* lam, double* v,
-                 index_t ldv, index_t j0, index_t j1, double tol, const RefineOptions& opts,
-                 Workspace& ws, RefineReport& rep) {
+                 index_t ldv, index_t j0, index_t j1, double tol, Workspace& ws,
+                 RefineReport& rep) {
   std::vector<double>& y = ws.y;
   std::vector<double>& w = ws.w;
-  TridiagLU& lu = ws.lu;
+  TridiagLU<double>& lu = ws.lu;
   for (index_t j = j0; j < j1; ++j) {
     double* vj = v + j * ldv;
     // fp32-normalised columns can be off by ~eps32 in SCALE even when
@@ -175,7 +118,7 @@ void rqi_columns(index_t n, const double* d, const double* e, double* lam, doubl
     // Start from the fp64 Rayleigh quotient of the fp32 vector -- already
     // ~quadratically better than the fp32 eigenvalue.
     double rho = blas::dot(n, vj, y.data()) / blas::dot(n, vj, vj);
-    for (int it = 0; it < opts.max_iters; ++it) {
+    for (int it = 0; it < kMaxIters; ++it) {
       ++rep.iterations;
       lu.factor(n, d, e, rho);
       blas::copy(n, vj, w.data());
@@ -202,14 +145,13 @@ void rqi_columns(index_t n, const double* d, const double* e, double* lam, doubl
 // exactly, so the reduced report (like the refined pairs) is independent of
 // the worker count.
 RefineReport rqi_sweep(index_t n, const double* d, const double* e, double* lam, double* v,
-                       index_t ldv, index_t nvec, double tol, const RefineOptions& opts,
-                       PhaseRunner& runner) {
+                       index_t ldv, index_t nvec, double tol, PhaseRunner& runner) {
   const index_t nblocks = (nvec + kRqiBlock - 1) / kRqiBlock;
   std::vector<RefineReport> parts(static_cast<std::size_t>(nblocks));
   runner.run(0, nblocks, 1, [&](index_t b) {
     Workspace local(n);
     rqi_columns(n, d, e, lam, v, ldv, b * kRqiBlock, std::min(nvec, (b + 1) * kRqiBlock), tol,
-                opts, local, parts[static_cast<std::size_t>(b)]);
+                local, parts[static_cast<std::size_t>(b)]);
   });
   RefineReport rep;
   for (const RefineReport& p : parts) {
@@ -225,18 +167,16 @@ RefineReport rqi_sweep(index_t n, const double* d, const double* e, double* lam,
 }  // namespace
 
 RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, double* lam,
-                               double* v, index_t ldv, index_t nvec,
-                               const RefineOptions& opts, int threads) {
+                               double* v, index_t ldv, index_t nvec, int threads) {
   if (n <= 0 || nvec <= 0) return {};
   DNC_REQUIRE(ldv >= n, "refine_eigenpairs: ldv < n");
 
   const double tnorm = blas::lanst_one(n, d, e);
   const double eps = real_traits<double>::eps();
-  const double tol =
-      opts.tol_factor * eps * std::max(tnorm, real_traits<double>::safmin());
+  const double tol = kTolFactor * eps * std::max(tnorm, real_traits<double>::safmin());
   PhaseRunner runner(threads, (nvec + kRqiBlock - 1) / kRqiBlock);
 
-  RefineReport rep = rqi_sweep(n, d, e, lam, v, ldv, nvec, tol, opts, runner);
+  RefineReport rep = rqi_sweep(n, d, e, lam, v, ldv, nvec, tol, runner);
 
   // Refined eigenvalues can cross their unrefined neighbours: re-sort pairs
   // (selection sort to minimise column swaps, as dsteqr does).
@@ -395,7 +335,7 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
   bool any_broken = false;
   Workspace work(n);
   std::vector<double>& y = work.y;
-  TridiagLU& lu = work.lu;
+  TridiagLU<double>& lu = work.lu;
   for (const Cluster& c : clusters) {
     bool broken = c.stalled;
     for (index_t k = c.s + 1; k <= c.t && !broken; ++k) {

@@ -4,11 +4,12 @@
 // fp32 (the fast path: 8-lane GEMMs, half the memory traffic) and then
 // calls refine_eigenpairs with the ORIGINAL fp64 tridiagonal: every
 // eigenpair whose fp64 residual ||T v - lambda v||_inf exceeds an
-// fp64-grade tolerance is polished by Rayleigh-quotient iteration -- solve
-// (T - rho I) w = v with a partially-pivoted tridiagonal LU (the dstein
-// kernel), renormalise, update rho = w^T T w. Each iteration roughly
-// squares the eigenvector error, so the fp32 starting points (~1e-7)
-// reach fp64-grade residuals in 1-2 solves. The columns are independent,
+// fp64-grade tolerance (30 eps64 ||T||_1) is polished by Rayleigh-quotient
+// iteration, at most 5 steps -- solve (T - rho I) w = v with a
+// partially-pivoted tridiagonal LU (the dstein kernel,
+// lapack/tridiag_lu.hpp), renormalise, update rho = w^T T w. Each iteration
+// roughly squares the eigenvector error, so the fp32 starting points
+// (~1e-7) reach fp64-grade residuals in 1-2 solves. The columns are independent,
 // so this sweep runs as column-block tasks when given several workers.
 //
 // The returned basis is fp64-orthogonal too. After the sweep, three
@@ -36,13 +37,6 @@
 
 namespace dnc::lapack {
 
-struct RefineOptions {
-  /// Per-column residual target, as a multiple of eps64 * ||T||_1.
-  double tol_factor = 30.0;
-  /// Rayleigh-quotient iterations per eigenpair before giving up.
-  int max_iters = 5;
-};
-
 struct RefineReport {
   index_t checked = 0;           ///< columns whose residual was evaluated
   index_t refined = 0;           ///< columns that needed at least one RQI step
@@ -60,7 +54,6 @@ struct RefineReport {
 /// one runtime with that many workers; the result is bit-identical for
 /// every worker count.
 RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, double* lam,
-                               double* v, index_t ldv, index_t nvec,
-                               const RefineOptions& opts = {}, int threads = 1);
+                               double* v, index_t ldv, index_t nvec, int threads = 1);
 
 }  // namespace dnc::lapack

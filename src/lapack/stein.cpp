@@ -7,69 +7,16 @@
 #include "common/error.hpp"
 #include "common/real_traits.hpp"
 #include "lapack/bisect.hpp"
+#include "lapack/tridiag_lu.hpp"
 
 namespace dnc::lapack {
 
 template <typename Real>
 void stein_vector(index_t n, const Real* d, const Real* e, Real lambda, const Real* prev,
                   index_t ldprev, index_t nprev, Real* z, Rng& rng) {
-  // LU factorization of T - lambda I with partial pivoting (dgttrf layout:
-  // lower multipliers ml, main diagonal u0, first/second upper diagonals
-  // u1/u2, pivot flags).
-  std::vector<Real> ml(n), u0(n), u1(n), u2(n);
-  std::vector<char> swapped(n, 0);
-  const Real tiny = real_traits<Real>::safmin() / real_traits<Real>::eps();
-  {
-    std::vector<Real> a(n), b(n > 1 ? n - 1 : 0), c(n > 1 ? n - 1 : 0);
-    for (index_t i = 0; i < n; ++i) a[i] = d[i] - lambda;
-    for (index_t i = 0; i + 1 < n; ++i) b[i] = c[i] = e[i];
-    for (index_t i = 0; i < n; ++i) {
-      u0[i] = a[i];
-      if (i + 1 < n) {
-        if (std::fabs(a[i]) >= std::fabs(b[i])) {
-          // No row swap.
-          Real piv = a[i];
-          if (std::fabs(piv) < tiny)
-            piv = std::copysign(tiny, piv == Real(0) ? Real(1) : piv);
-          u0[i] = piv;
-          ml[i] = b[i] / piv;
-          a[i + 1] -= ml[i] * c[i];
-          u1[i] = c[i];
-          u2[i] = Real(0);
-        } else {
-          // Swap rows i and i+1 for stability.
-          swapped[i] = 1;
-          const Real piv = b[i];
-          u0[i] = piv;
-          ml[i] = a[i] / piv;
-          u1[i] = a[i + 1];
-          const Real cnext = (i + 2 < n) ? c[i + 1] : Real(0);
-          u2[i] = cnext;
-          a[i + 1] = c[i] - ml[i] * a[i + 1];
-          if (i + 2 < n) {
-            b[i + 1] = b[i + 1];  // unchanged
-            c[i + 1] = -ml[i] * cnext;
-          }
-        }
-      } else if (std::fabs(u0[i]) < tiny) {
-        u0[i] = std::copysign(tiny, u0[i] == Real(0) ? Real(1) : u0[i]);
-      }
-    }
-  }
-  const auto solve = [&](Real* x) {
-    // Forward: apply L^{-1} with the recorded pivoting.
-    for (index_t i = 0; i + 1 < n; ++i) {
-      if (swapped[i]) std::swap(x[i], x[i + 1]);
-      x[i + 1] -= ml[i] * x[i];
-    }
-    // Backward: U x = y.
-    for (index_t i = n - 1; i >= 0; --i) {
-      Real s = x[i];
-      if (i + 1 < n) s -= u1[i] * x[i + 1];
-      if (i + 2 < n) s -= u2[i] * x[i + 2];
-      x[i] = s / u0[i];
-    }
-  };
+  if (n <= 0) return;
+  TridiagLU<Real> lu(n);
+  lu.factor(n, d, e, lambda);
   const auto orthogonalize = [&] {
     for (index_t q = 0; q < nprev; ++q) {
       const Real* vq = prev + q * ldprev;
@@ -87,7 +34,7 @@ void stein_vector(index_t n, const Real* d, const Real* e, Real lambda, const Re
       nrm = blas::nrm2(n, z);
     }
     blas::scal(n, Real(1) / std::max(nrm, real_traits<Real>::safmin()), z);
-    solve(z);
+    lu.solve(n, z);
   }
   orthogonalize();
   const Real nrm = blas::nrm2(n, z);

@@ -85,7 +85,7 @@ struct State {
   int hz = kDefaultHz;                                // active session rate
   bool handler_installed = false;
   bool continuous_boot = false;
-  std::string dump_path;  // continuous mode's at-exit dump, set at boot
+  std::string dump_path;  // continuous mode's at-exit dump, set at boot ("" = none)
 };
 
 // Leaked: the at-exit dump and detached drainer may outlive static dtors.
@@ -500,7 +500,12 @@ void ensure_continuous() {
   }).detach();
   std::atexit([] {
     stop();
-    write_text_file(state().dump_path, folded_text());
+    std::string path;
+    {
+      std::lock_guard<std::mutex> lk(state().mu);
+      path = state().dump_path;
+    }
+    if (!path.empty()) write_text_file(path, folded_text());
   });
 }
 
@@ -512,6 +517,7 @@ void reset_for_tests() {
   s.samples = 0;
   s.dropped = 0;
   s.truncated = 0;
+  s.dump_path.clear();  // cancels continuous mode's at-exit dump
   for (const auto& ts : s.threads) {
     ts->dropped.store(0, std::memory_order_relaxed);
     ts->truncated.store(0, std::memory_order_relaxed);

@@ -125,8 +125,9 @@ std::string folded_text();
 /// later calls are no-ops.
 void ensure_continuous();
 
-/// Stops any session, forgets aggregate/totals and re-reads the env. Only
-/// for tests; callers must have quiesced registered threads first.
+/// Stops any session, forgets aggregate/totals, cancels continuous mode's
+/// at-exit dump and re-reads the env. Only for tests; callers must have
+/// quiesced registered threads first.
 void reset_for_tests();
 
 }  // namespace dnc::obs::profiler

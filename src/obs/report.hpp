@@ -111,7 +111,7 @@ struct SolveReport {
   /// sums of the driver's allocation sizes; the RSS figures come from the
   /// kernel (VmHWM) and are 0 when unavailable.
   struct MemoryMetrics {
-    std::uint64_t workspace_bytes = 0;      ///< driver scratch (qwork/xwork, ...)
+    std::uint64_t workspace_bytes = 0;      ///< driver scratch (qwork, S copies, ...)
     std::uint64_t context_bytes = 0;        ///< per-merge contexts (z, zhat, wparts)
     std::uint64_t output_bytes = 0;         ///< eigenvector matrix
     std::uint64_t rss_hwm_bytes = 0;        ///< process peak RSS at solve end

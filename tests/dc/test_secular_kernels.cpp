@@ -49,10 +49,8 @@ Scenario make_scenario(index_t n, int type) {
 }
 
 // Merges the scenario's two halves through the emitter's inline path, with
-// nb-wide panels and the secular matrices in v itself or, with
-// extra_workspace, in a workspace of their own. Returns the merge context
-// (deflation, z-hat).
-std::unique_ptr<MergeContext> run_merge(Scenario& s, index_t nb, bool extra_workspace = false) {
+// nb-wide panels. Returns the merge context (deflation, z-hat).
+std::unique_ptr<MergeContext> run_merge(Scenario& s, index_t nb) {
   const index_t n = s.t.n();
   const Plan plan = build_plan(n, n - s.n1);  // the root and its two halves
   EXPECT_EQ(plan.nodes[plan.root].n1, s.n1);
@@ -60,11 +58,9 @@ std::unique_ptr<MergeContext> run_merge(Scenario& s, index_t nb, bool extra_work
   auto ctxs = detail::make_contexts(plan, e.data(), nb);
   Options opt;
   opt.nb = nb;
-  opt.extra_workspace = extra_workspace;
-  Workspace ws(n, opt.extra_workspace);
-  EXPECT_EQ(ws.xwork.rows(), extra_workspace ? n : 0);
+  Matrix qwork(n, n);
   detail::Emitter<double> emitter(detail::ExecModel::Sequential, opt, plan, ctxs,
-                                  s.dvals.data(), e.data(), s.q, ws, s.perm.data());
+                                  s.dvals.data(), e.data(), s.q, qwork, s.perm.data());
   emitter.merge(plan.root);
   return std::move(ctxs[plan.root]);
 }
@@ -111,23 +107,6 @@ TEST(MergeKernels, PanelWidthEquivalence) {
   // only the order of independent work, not the arithmetic).
   for (std::size_t i = 1; i < results.size(); ++i)
     for (index_t j = 0; j < n; ++j) EXPECT_EQ(results[0][j], results[i][j]) << "nb case " << i;
-}
-
-TEST(MergeKernels, SecularMatrixPlacementDoesNotChangeResults) {
-  // Delta and S in the node's block of v (the default) or in the extra
-  // workspace: the same arithmetic on the same values, so the same bits.
-  const index_t n = 90;
-  for (index_t nb : {index_t{90}, index_t{13}, index_t{1}}) {
-    Scenario in_v = make_scenario(n, 5);
-    Scenario in_ws = make_scenario(n, 5);
-    const auto ctx = run_merge(in_v, nb, false);
-    run_merge(in_ws, nb, true);
-    ASSERT_GT(ctx->defl.k, 0);
-    EXPECT_EQ(in_v.dvals, in_ws.dvals) << "nb " << nb;
-    for (index_t j = 0; j < n; ++j)
-      for (index_t r = 0; r < n; ++r)
-        ASSERT_EQ(in_v.q(r, j), in_ws.q(r, j)) << "nb " << nb << " (" << r << ", " << j << ")";
-  }
 }
 
 TEST(MergeKernels, FinalizeOrderSortsEverything) {

@@ -2,9 +2,12 @@
 // matrix families, sizes, and tuning parameters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <set>
 #include <tuple>
 
 #include "../support/precision_testing.hpp"
@@ -19,6 +22,22 @@ namespace dnc::dc {
 namespace {
 
 enum class Driver { Seq, Taskflow, Lapack, Scalapack };
+
+// Whether the compiler instruments this build with a sanitizer whose
+// allocator holds freed memory. version::kSanitize only reports the
+// DNC_SANITIZE option; a sanitizer passed through CMAKE_CXX_FLAGS shows only
+// here.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kCompilerSanitizer = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kCompilerSanitizer = true;
+#else
+constexpr bool kCompilerSanitizer = false;
+#endif
+#else
+constexpr bool kCompilerSanitizer = false;
+#endif
 
 void run_driver(Driver which, index_t n, double* d, double* e, Matrix& v, const Options& opt,
                 SolveStats* st = nullptr) {
@@ -116,7 +135,7 @@ INSTANTIATE_TEST_SUITE_P(DriversTimesDefects, NonFiniteInput,
 // The emitter's two numeric variants: Sequential and Taskflow form the
 // Gu-Eisenstat products per panel, the LAPACK and ScaLAPACK models once per
 // merge. Within a pair the output is bit-identical, whatever the thread
-// count or workspace option.
+// count.
 TEST(Stedc, ExecutionModelPairsAgreeBitwise) {
   const index_t n = 230;
   const auto same_bits = [](const std::vector<double>& da, const Matrix& va,
@@ -142,20 +161,84 @@ TEST(Stedc, ExecutionModelPairsAgreeBitwise) {
     Matrix vseq, v;
     solve(Driver::Seq, dseq, vseq);
     for (int threads : {1, 2, 4}) {
-      for (bool extra : {false, true}) {
-        opt.threads = threads;
-        opt.extra_workspace = extra;
-        solve(Driver::Taskflow, d, v);
-        EXPECT_TRUE(same_bits(dseq, vseq, d, v))
-            << "type " << type << " threads " << threads << " extra " << extra;
-      }
+      opt.threads = threads;
+      solve(Driver::Taskflow, d, v);
+      EXPECT_TRUE(same_bits(dseq, vseq, d, v)) << "type " << type << " threads " << threads;
     }
-    opt.extra_workspace = false;
     std::vector<double> dlapack;
     Matrix vlapack;
     solve(Driver::Lapack, dlapack, vlapack);
     solve(Driver::Scalapack, d, v);
     EXPECT_TRUE(same_bits(dlapack, vlapack, d, v)) << "type " << type;
+  }
+}
+
+// The secular matrices overwrite the merge's block of V, which the merge's
+// PermuteV panels copy out, so every LAED4 task of a merge must be ordered
+// after every PermuteV task of that merge. Only the empty PermuteV join
+// orders them; the bitwise tests cannot see it, since one worker runs the
+// tasks in submission order with or without the join.
+TEST(Stedc, PermuteVJoinOrdersLaed4AfterEveryPermutePanel) {
+  const index_t n = 300;
+  const auto t = matgen::table3_matrix(4, n, 9);
+  Options opt;
+  opt.minpart = 40;
+  opt.nb = 32;
+  opt.threads = 2;
+  for (Driver drv : {Driver::Taskflow, Driver::Lapack, Driver::Scalapack}) {
+    std::vector<double> d = t.d, e = t.e;
+    Matrix v;
+    SolveStats st;
+    run_driver(drv, n, d.data(), e.data(), v, opt, &st);
+    const rt::Trace& tr = st.trace;
+    const auto kind = [&](const char* name) {
+      const auto it = std::find(tr.kind_names.begin(), tr.kind_names.end(), name);
+      return static_cast<int>(it - tr.kind_names.begin());
+    };
+    const int deflate = kind("ComputeDeflation"), permute = kind("PermuteV"),
+              laed4 = kind("LAED4");
+    std::map<std::uint64_t, std::vector<std::uint64_t>> preds;
+    for (const auto& [p, s] : tr.edges) preds[s].push_back(p);
+    const auto ancestors = [&](std::uint64_t id) {
+      std::set<std::uint64_t> seen;
+      std::vector<std::uint64_t> stack{id};
+      while (!stack.empty()) {
+        const std::uint64_t x = stack.back();
+        stack.pop_back();
+        for (std::uint64_t p : preds[x])
+          if (seen.insert(p).second) stack.push_back(p);
+      }
+      return seen;
+    };
+    // The emitter submits each merge's tasks back to back, opened by its
+    // ComputeDeflation, and task ids follow submission order.
+    std::vector<const rt::TraceEvent*> events;
+    for (const rt::TraceEvent& ev : tr.events)
+      if (!ev.is_child()) events.push_back(&ev);
+    std::sort(events.begin(), events.end(),
+              [](const rt::TraceEvent* a, const rt::TraceEvent* b) {
+                return a->task_id < b->task_id;
+              });
+    int merges = 0;
+    long checked = 0;
+    std::vector<std::uint64_t> permutes;
+    for (const rt::TraceEvent* ev : events) {
+      if (ev->kind == deflate) {
+        ++merges;
+        permutes.clear();
+      } else if (ev->kind == permute) {
+        permutes.push_back(ev->task_id);
+      } else if (ev->kind == laed4) {
+        const std::set<std::uint64_t> before = ancestors(ev->task_id);
+        for (std::uint64_t p : permutes) {
+          EXPECT_TRUE(before.count(p)) << "driver " << static_cast<int>(drv) << ": LAED4 task "
+                                       << ev->task_id << " not after PermuteV task " << p;
+          ++checked;
+        }
+      }
+    }
+    EXPECT_GT(merges, 1) << "driver " << static_cast<int>(drv);
+    EXPECT_GE(checked, 2L * merges) << "driver " << static_cast<int>(drv);
   }
 }
 
@@ -284,22 +367,6 @@ TEST(Stedc, MinpartSweep) {
   }
 }
 
-TEST(Stedc, ExtraWorkspaceOption) {
-  const index_t n = 130;
-  auto t = matgen::table3_matrix(3, n, 17);
-  std::vector<double> d = t.d, e = t.e;
-  Matrix v;
-  Options opt;
-  opt.extra_workspace = true;
-  opt.threads = 4;
-  opt.minpart = 24;
-  opt.nb = 32;
-  SolveStats st;
-  stedc_taskflow(n, d.data(), e.data(), v, opt, &st);
-  expect_good_solution(t, d, v);
-  EXPECT_GT(st.trace.events.size(), 0u);
-}
-
 // The solve's scratch is one n x n workspace plus a panel copy of S per
 // worker, as in LAPACK's dstedc: the peak-RSS growth of a large fp64 solve
 // stays within 25 % of that plus the n x n output. The growth is measured
@@ -310,7 +377,8 @@ TEST(Stedc, ExtraWorkspaceOption) {
 // 22.5 MiB bound on a 4-vCPU x86-64 guest, where the three-matrix layout
 // grows by 34 MiB.
 TEST(Stedc, PeakRssGrowthIsOneWorkspacePlusOutput) {
-  if (version::kSanitize) GTEST_SKIP() << "sanitizer allocators hold freed memory";
+  if (version::kSanitize || kCompilerSanitizer)
+    GTEST_SKIP() << "sanitizer allocators hold freed memory";
   const index_t n = 1024;
   const auto t = matgen::table3_matrix(13, n);  // Legendre: no deflation, k = m
   std::vector<double> d = t.d, e = t.e;

@@ -202,7 +202,6 @@ TEST_F(HwcTest, FallbackReportsPlausiblePeakRssAfterLargeSolve) {
   // per-worker n x nb copies of S.
   const std::uint64_t n = 640;
   const dc::Options opt;
-  ASSERT_FALSE(opt.extra_workspace);
   const std::uint64_t panel = static_cast<std::uint64_t>(std::min<index_t>(opt.nb, 640));
   EXPECT_EQ(rep.memory.workspace_bytes,
             (n * n + static_cast<std::uint64_t>(opt.threads) * n * panel) * sizeof(double));

@@ -98,7 +98,7 @@ RefineRun refine_rounded_steqr(const matgen::Tridiag& t, int threads) {
   for (index_t j = 0; j < n; ++j)
     for (index_t i = 0; i < n; ++i) r.v(i, j) = static_cast<double>(static_cast<float>(r.v(i, j)));
   r.rep = lapack::refine_eigenpairs(n, t.d.data(), t.e.data(), r.lam.data(), r.v.data(),
-                                    r.v.ld(), n, {}, threads);
+                                    r.v.ld(), n, threads);
   return r;
 }
 
