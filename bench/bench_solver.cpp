@@ -30,7 +30,6 @@
 #include "bench_support.hpp"
 #include "mrrr/mrrr.hpp"
 #include "obs/benchcmp.hpp"
-#include "obs/history.hpp"
 #include "obs/report.hpp"
 #include "runtime/trace.hpp"
 
@@ -69,14 +68,17 @@ Quartiles quartiles(std::vector<double> v) {
 }
 
 /// One timed solve; returns seconds and fills the report of the last rep.
-double run_once(const char* driver, const matgen::Tridiag& t, const dc::Options& opt,
-                obs::SolveReport& report) {
+/// `family` labels the report (the solve cannot know its generator), so a
+/// DNC_HISTORY run archives every rep under the family's name.
+double run_once(const char* driver, const char* family, const matgen::Tridiag& t,
+                const dc::Options& opt, obs::SolveReport& report) {
   const index_t n = t.n();
   if (std::strcmp(driver, "mrrr") == 0) {
     mrrr::Options mopt;
     mopt.threads = 1;
     mopt.precision = opt.precision;
     mrrr::Stats st;
+    st.report.family = family;
     std::vector<double> lam;
     Matrix v;
     mrrr_solve(n, t.d.data(), t.e.data(), lam, v, mopt, &st);
@@ -86,6 +88,7 @@ double run_once(const char* driver, const matgen::Tridiag& t, const dc::Options&
   std::vector<double> d = t.d, e = t.e;
   Matrix v;
   dc::SolveStats st;
+  st.report.family = family;
   if (std::strcmp(driver, "sequential") == 0)
     dc::stedc_sequential(n, d.data(), e.data(), v, opt, &st);
   else if (std::strcmp(driver, "taskflow") == 0)
@@ -102,9 +105,6 @@ void append_entry(std::string& js, bool& first_entry, const char* driver, const 
                   const char* precision, index_t n, int reps, const Quartiles& q,
                   const obs::SolveReport& rep) {
   char buf[512];
-  const long merged = rep.merged_columns_total();
-  const double deflated_fraction =
-      merged > 0 ? static_cast<double>(rep.deflated_total()) / static_cast<double>(merged) : 0.0;
   const std::uint64_t laed4 = rep.counter(obs::kLaed4Calls);
   const double iters_per_call =
       laed4 > 0 ? static_cast<double>(rep.counter(obs::kLaed4Iterations)) /
@@ -125,7 +125,7 @@ void append_entry(std::string& js, bool& first_entry, const char* driver, const 
                 "\"laed4_iters_per_call\": %.3f, \"gemm_gflop\": %.6f,\n"
                 "                \"workspace_bytes\": %llu, \"context_bytes\": %llu, "
                 "\"rss_hwm_bytes\": %llu}}",
-                deflated_fraction, static_cast<unsigned long long>(laed4), iters_per_call,
+                rep.deflated_fraction(), static_cast<unsigned long long>(laed4), iters_per_call,
                 static_cast<double>(rep.counter(obs::kGemmFlops)) * 1e-9,
                 static_cast<unsigned long long>(rep.memory.workspace_bytes),
                 static_cast<unsigned long long>(rep.memory.context_bytes),
@@ -187,15 +187,12 @@ int main() {
           const matgen::Tridiag t = matgen::table3_matrix(fam.type, n);
           dc::Options opt = bench::scaled_options(n);
           opt.precision = prec;
-          // DNC_HISTORY runs of the bench archive every rep under the
-          // family's name (the solve epilogue cannot know the generator).
-          obs::history::set_family_hint(fam.name);
           obs::SolveReport rep;
-          run_once(driver, t, opt, rep);  // warmup, untimed
+          run_once(driver, fam.name, t, opt, rep);  // warmup, untimed
           std::vector<double> secs;
           secs.reserve(static_cast<std::size_t>(reps));
-          for (int r = 0; r < reps; ++r) secs.push_back(run_once(driver, t, opt, rep));
-          obs::history::set_family_hint(nullptr);
+          for (int r = 0; r < reps; ++r)
+            secs.push_back(run_once(driver, fam.name, t, opt, rep));
           const Quartiles q = quartiles(secs);
           append_entry(js, first_entry, driver, fam, prec_name, n, reps, q, rep);
           if (!reports_dir.empty()) {

@@ -16,13 +16,14 @@
 //      are widened back; F32RefineF64 then polishes every eigenpair
 //      against the scaled fp64 T (lapack/refine.hpp);
 //   6. divides the eigenvalues by the scale;
-//   7. stamps the time, evaluates the health probe, writes the artifacts
-//      and records the telemetry.
+//   7. restores the caller's report family, stamps the time, evaluates the
+//      health probe, writes the artifacts and records the telemetry.
 // With every gate off this adds one pass over (d, e) and a few relaxed
 // loads to a solve. Any finite input is solved at every precision: after
 // step 4 no finite T can over- or underflow on narrowing.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "blas/aux.hpp"
@@ -75,6 +76,9 @@ void solve_front_door(const char* who, index_t n, In* d, In* e, double* lam, Mat
     wd = ds.data();
     we = es.data();
   }
+  // The driver starts by resetting *st; the matrix family the caller set
+  // on its report outlives that.
+  const std::string family = st ? st->report.family : std::string();
   const bool in_place = lam == d;
   // Where the working-precision solve leaves the fp64 eigenvalues.
   double* wlam = lam;
@@ -112,6 +116,7 @@ void solve_front_door(const char* who, index_t n, In* d, In* e, double* lam, Mat
     for (index_t i = 0; i < n; ++i) lam[i] = wlam[i] / scale;
 
   if (st == nullptr) return;
+  st->report.family = family;
   // The solve's time covers the scaling, the precision conversions and the
   // refinement.
   st->seconds = st->report.seconds = sw.elapsed();

@@ -12,7 +12,6 @@
 #include "common/env.hpp"
 #include "common/version.hpp"
 #include "obs/flight.hpp"
-#include "obs/history.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 
@@ -78,7 +77,7 @@ void crash_handler(int sig, siginfo_t*, void*) {
   }
   const std::string text = dump_text(sig);
   write_file(g_path, text.data(), text.size());
-  const std::string ring = history::flight_jsonl(/*best_effort=*/true);
+  const std::string ring = flight::ring_jsonl(/*best_effort=*/true);
   if (!ring.empty()) write_file(g_path_jsonl, ring.data(), ring.size());
   restore_and_reraise(sig);
 }
@@ -119,7 +118,7 @@ std::string dump_text(int sig) {
   out += "\n# git_commit: ";
   out += version::kGitCommit;
   out += "\n# hostname: " + current_hostname();
-  out += "\n# flight_ring: " + std::to_string(history::ring_reports());
+  out += "\n# flight_ring: " + std::to_string(flight::ring_reports());
   out += "\n# flight_dumps: " + std::to_string(flight::dump_count());
   out += "\n";
   if (metrics::enabled()) out += metrics::prometheus_text(metrics::scrape());

@@ -8,7 +8,7 @@
 //   <path>          crash header (signal, pid, git commit) + Prometheus
 //                   text of the final metrics scrape
 //   <path>.jsonl    the flight-recorder reports of the solve ring (one
-//                   report per line; see obs/history)
+//                   report per line; see obs/flight)
 // then restore the default disposition and re-raise, so the exit status /
 // core dump behaviour of the process is unchanged.
 //

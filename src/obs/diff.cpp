@@ -43,25 +43,19 @@ SideView resolve_side(const DiffSide& side) {
     v.sum.git_commit = rep->git_commit;
     v.sum.timestamp = rep->timestamp;
     v.sum.n = rep->n;
-    v.sum.workers = std::max(rep->threads, 1);
+    v.sum.workers = rep->workers();
     v.sum.makespan = rep->seconds;
     if (rep->has_scheduler) {
       v.sum.has_sched = true;
-      if (rep->scheduler.workers > 0) v.sum.workers = rep->scheduler.workers;
       if (rep->scheduler.makespan > 0.0) v.sum.makespan = rep->scheduler.makespan;
       v.sum.busy = rep->scheduler.total_busy;
       v.sum.idle = rep->scheduler.total_idle;
       v.sum.steals = rep->scheduler.steals;
       v.sum.steals_cross_socket = rep->scheduler.steals_cross_socket;
     }
-    if (!rep->merges.empty()) {
-      v.sum.has_deflation = true;
-      const long merged = rep->merged_columns_total();
-      v.sum.deflated_fraction =
-          merged > 0 ? static_cast<double>(rep->deflated_total()) / merged : 0.0;
-    }
-    if (rep->counter(kGemmFlops) > 0 && rep->seconds > 0.0)
-      v.sum.gemm_gflops = static_cast<double>(rep->counter(kGemmFlops)) * 1e-9 / rep->seconds;
+    v.sum.has_deflation = !rep->merges.empty();
+    v.sum.deflated_fraction = rep->deflated_fraction();
+    v.sum.gemm_gflops = rep->gemm_gflops();
     // Per-kind data from the report's hwc aggregates (present when the solve
     // sampled counters; seconds are there even under the rusage backend).
     v.hwc_backend = rep->hwc_backend;
@@ -503,6 +497,7 @@ bool parse_solve_report_value(const json::Value& v, SolveReport& out, std::strin
   out.build_type = v.member_string("build_type", "");
   out.hostname = v.member_string("hostname", "");
   out.timestamp = v.member_string("timestamp", "");
+  out.family = v.member_string("family", "");
   if (const json::Value* c = v.find("counters"); c && c->is_object()) {
     for (int i = 0; i < kNumCounters; ++i) {
       if (const json::Value* m = c->find(counter_name(i)); m && m->is_number())

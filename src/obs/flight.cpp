@@ -1,10 +1,10 @@
 #include "obs/flight.hpp"
 
+#include <deque>
 #include <mutex>
 
 #include "common/env.hpp"
 #include "common/text.hpp"
-#include "obs/history.hpp"
 #include "obs/perfetto.hpp"
 #include "runtime/trace.hpp"
 
@@ -17,14 +17,24 @@ struct Thresholds {
   double min_deflated_fraction = 0.0;  ///< 0 = deflation trigger off
 };
 
+struct Entry {
+  unsigned long seq = 0;
+  std::string timestamp;
+  std::string reason;  ///< trigger that fired ("" = none)
+  SolveReport report;
+};
+
 // Leaked singleton, same reasoning as the metrics State: observe() may run
-// from driver threads while the process is tearing down.
+// from driver threads, and the crash handler may read the ring, while the
+// process is tearing down.
 struct State {
-  std::mutex mu;
+  std::mutex mu;  // guards everything below
   std::string prefix;  // "" = disabled
   Thresholds th;
   unsigned long max_dumps = 4;
   unsigned long dumps = 0;
+  std::deque<Entry> ring;  // newest last
+  unsigned long seq = 0;
 };
 
 State& state() {
@@ -49,13 +59,21 @@ constinit env::Gate gate{"DNC_FLIGHT", "dnc_flight.%p", configure};
 std::string trigger_reason(const Thresholds& th, const SolveReport& rep) {
   if (rep.has_health && rep.health.max_rel_residual > th.max_rel_residual) return "residual";
   if (th.max_seconds > 0.0 && rep.seconds > th.max_seconds) return "latency";
-  if (th.min_deflated_fraction > 0.0) {
-    const long merged = rep.merged_columns_total();
-    if (merged > 0 &&
-        static_cast<double>(rep.deflated_total()) / merged < th.min_deflated_fraction)
-      return "deflation";
-  }
+  if (th.min_deflated_fraction > 0.0 && rep.merged_columns_total() > 0 &&
+      rep.deflated_fraction() < th.min_deflated_fraction)
+    return "deflation";
   return "";
+}
+
+std::string ring_jsonl_locked() {
+  std::string body;
+  for (const Entry& en : state().ring) {
+    body += "{\"seq\": " + std::to_string(en.seq);
+    body += ", \"timestamp\": \"" + en.timestamp + "\"";
+    body += ", \"reason\": \"" + en.reason + "\"";
+    body += ", \"report\": " + compact_json(en.report.to_json()) + "}\n";
+  }
+  return body;
 }
 
 }  // namespace
@@ -92,23 +110,45 @@ std::string compact_json(const std::string& pretty) {
 std::string observe(const SolveReport& report, const rt::Trace* trace) {
   if (!enabled()) return "";
   State& s = state();
-  std::string reason, prefix;
+  std::string prefix, ring;
   {
     std::lock_guard<std::mutex> lk(s.mu);
-    reason = trigger_reason(s.th, report);
-    if (!reason.empty() && s.dumps < s.max_dumps) {
+    Entry e;
+    e.seq = ++s.seq;
+    e.timestamp = report.timestamp.empty() ? iso8601_timestamp_utc() : report.timestamp;
+    e.reason = trigger_reason(s.th, report);
+    e.report = report;
+    const bool dump = !e.reason.empty() && s.dumps < s.max_dumps;
+    s.ring.push_back(std::move(e));
+    if (s.ring.size() > kRingReports) s.ring.pop_front();
+    if (dump) {
       ++s.dumps;
       prefix = expand_path_placeholders(s.prefix, s.dumps) + "." + std::to_string(s.dumps);
+      ring = ring_jsonl_locked();
     }
   }
-  std::string ring;
-  history::note(report, reason, /*keep_report=*/true, prefix.empty() ? nullptr : &ring);
   if (prefix.empty()) return "";
   const std::string jsonl_path = prefix + ".jsonl";
   if (!write_text_file(jsonl_path, ring)) return "";
   if (trace && !trace->events.empty())
     write_text_file(prefix + ".trace.json", perfetto_trace_json(*trace, &report));
   return jsonl_path;
+}
+
+std::string ring_jsonl(bool best_effort) {
+  State& s = state();
+  std::unique_lock<std::mutex> lk(s.mu, std::defer_lock);
+  if (!best_effort)
+    lk.lock();
+  else if (!lk.try_lock())
+    return "";
+  return ring_jsonl_locked();
+}
+
+std::size_t ring_reports() {
+  State& s = state();
+  std::lock_guard<std::mutex> lk(s.mu);
+  return s.ring.size();
 }
 
 unsigned long dump_count() {
@@ -122,8 +162,9 @@ void reset_for_tests() {
     State& s = state();
     std::lock_guard<std::mutex> lk(s.mu);
     s.dumps = 0;
+    s.ring.clear();
+    s.seq = 0;
   }
-  history::reset_for_tests();
   gate.refresh();
 }
 

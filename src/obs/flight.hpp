@@ -1,12 +1,14 @@
 // Anomaly flight recorder: a black box for solve postmortems.
 //
-// Every solve the recorder observes enters the process's solve ring
-// (obs/history) with the recorder's verdict and its full SolveReport; the
-// ring keeps the newest history::kRingReports (8) solves. When a solve breaches a threshold -- relative residual too large,
-// latency too long, deflation anomalously low -- those reports are dumped
-// as JSONL (one compact report per line, newest last) plus a Perfetto trace
-// of the triggering solve, so the postmortem sees not just the bad solve
-// but the healthy ones leading up to it.
+// Every solve the recorder observes enters its solve ring -- {seq,
+// timestamp, reason, full SolveReport} -- which keeps the newest
+// kRingReports (8) solves; it is the only solve ring of the process. When
+// a solve breaches a threshold -- relative residual too large, latency too
+// long, deflation anomalously low -- the ring is dumped as JSONL (one
+// compact line per solve, newest last) plus a Perfetto trace of the
+// triggering solve, so the postmortem sees not just the bad solve but the
+// healthy ones leading up to it. The crash dump (obs/crash) reads the same
+// ring.
 //
 // Knobs (all read lazily by an env::Gate, refresh_from_env() for tests):
 //   DNC_FLIGHT            unset or an off spelling = off; 1/on/true/yes =
@@ -24,6 +26,7 @@
 // Dump files: <prefix>.<dump#>.jsonl and <prefix>.<dump#>.trace.json.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "obs/report.hpp"
@@ -38,12 +41,22 @@ namespace dnc::obs::flight {
 bool enabled() noexcept;
 void refresh_from_env() noexcept;
 
-/// Notes the solve in the ring (history::note) with its verdict and full
-/// report; if it trips a threshold (and the dump cap is not exhausted),
-/// writes history::flight_jsonl() and the trace as a dump. Returns the
-/// JSONL path, "" when nothing was dumped. No-op ("") when the recorder is
-/// off.
+inline constexpr std::size_t kRingReports = 8;  ///< solves in the ring
+
+/// Pushes the solve onto the ring with its verdict ("" = healthy); if it
+/// trips a threshold (and the dump cap is not exhausted), writes
+/// ring_jsonl() and the trace as a dump. Returns the JSONL path, "" when
+/// nothing was dumped. No-op ("") when the recorder is off.
 std::string observe(const SolveReport& report, const rt::Trace* trace);
+
+/// The ring, one compact {"seq", "timestamp", "reason", "report"} line per
+/// solve, newest last: the flight dump and the crash dump. With
+/// `best_effort` (crash handler), an already-held ring lock yields ""
+/// instead of deadlocking the dying process.
+std::string ring_jsonl(bool best_effort = false);
+
+/// Solves (full reports) in the ring.
+std::size_t ring_reports();
 
 /// Strips insignificant whitespace (string-literal aware) so a pretty
 /// to_json() report becomes one JSONL line.

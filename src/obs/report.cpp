@@ -46,6 +46,20 @@ long SolveReport::nondeflated_total() const {
   return s;
 }
 
+double SolveReport::deflated_fraction() const {
+  const long merged = merged_columns_total();
+  return merged > 0 ? static_cast<double>(deflated_total()) / merged : 0.0;
+}
+
+double SolveReport::gemm_gflops() const {
+  const std::uint64_t flops = counter(kGemmFlops);
+  return flops > 0 && seconds > 0.0 ? static_cast<double>(flops) * 1e-9 / seconds : 0.0;
+}
+
+int SolveReport::workers() const {
+  return has_scheduler && scheduler.workers > 0 ? scheduler.workers : std::max(threads, 1);
+}
+
 std::string SolveReport::to_json() const {
   std::string out = "{\n";
   appendf(out, "  \"driver\": \"%s\",\n", rt::json_escape(driver).c_str());
@@ -58,6 +72,7 @@ std::string SolveReport::to_json() const {
   appendf(out, "  \"build_type\": \"%s\",\n", rt::json_escape(build_type).c_str());
   appendf(out, "  \"hostname\": \"%s\",\n", rt::json_escape(hostname).c_str());
   appendf(out, "  \"timestamp\": \"%s\",\n", rt::json_escape(timestamp).c_str());
+  appendf(out, "  \"family\": \"%s\",\n", rt::json_escape(family).c_str());
   out += "  \"counters\": {";
   for (int c = 0; c < kNumCounters; ++c) {
     appendf(out, "%s\n    \"%s\": %llu", c ? "," : "", counter_name(c), ull(counters[c]));
@@ -72,9 +87,7 @@ std::string SolveReport::to_json() const {
           "    \"deflated_fraction\": %.6f\n"
           "  },\n",
           merges.size(), merged_columns_total(), nondeflated_total(), deflated_total(),
-          merged_columns_total() > 0
-              ? static_cast<double>(deflated_total()) / merged_columns_total()
-              : 0.0);
+          deflated_fraction());
   out += "  \"merges\": [";
   for (std::size_t i = 0; i < merges.size(); ++i) {
     const MergeRecord& m = merges[i];
@@ -171,11 +184,9 @@ std::string SolveReport::summary_text() const {
   if (has_health)
     appendf(out, "health        : resid %.3e, ortho %.3e (%d sampled columns)\n",
             health.max_rel_residual, health.max_ortho_error, health.sampled_columns);
-  const long merged = merged_columns_total();
   appendf(out, "\n-- deflation (%zu merges) --\n", merges.size());
-  appendf(out, "merged columns: %ld\n", merged);
-  appendf(out, "deflated      : %ld (%.1f%%)\n", deflated_total(),
-          merged > 0 ? 100.0 * deflated_total() / merged : 0.0);
+  appendf(out, "merged columns: %ld\n", merged_columns_total());
+  appendf(out, "deflated      : %ld (%.1f%%)\n", deflated_total(), 100.0 * deflated_fraction());
   appendf(out, "secular roots : %ld\n", nondeflated_total());
   if (!merges.empty()) {
     // Per-level rollup: the paper's observation that deflation shrinks the

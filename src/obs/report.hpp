@@ -86,6 +86,11 @@ struct SolveReport {
   std::string build_type;  ///< CMAKE_BUILD_TYPE the binary was built with
   std::string hostname;    ///< machine that ran the solve
   std::string timestamp;   ///< ISO-8601 UTC wall-clock time of solve end
+  /// Matrix family / generator ("" = unknown). The solve cannot know how
+  /// its matrix was made: the harness that does (bench_solver's family
+  /// loop, `dnc trace --type`) sets it before the solve, and the front door
+  /// keeps it across the driver's stats reset.
+  std::string family;
 
   /// Bit width of the kernels' working precision (32 for both fp32 modes:
   /// the f32refine epilogue is fp64 but every GEMM ran in fp32).
@@ -124,6 +129,13 @@ struct SolveReport {
   long merged_columns_total() const;  ///< sum of m over merges
   long deflated_total() const;        ///< sum of m - k over merges
   long nondeflated_total() const;     ///< sum of k over merges
+  /// deflated_total() / merged_columns_total(); 0 without merged columns.
+  double deflated_fraction() const;
+  /// GEMM GFLOP per wall second; 0 without GEMM flops or time.
+  double gemm_gflops() const;
+  /// scheduler.workers when the scheduler block reports any, else
+  /// max(threads, 1).
+  int workers() const;
 
   std::string to_json() const;
   std::string summary_text() const;

@@ -39,13 +39,12 @@ void record_metrics(const SolveReport& rep) {
                                   "Deflated fraction per D&C merge");
   for (const MergeRecord& mr : rep.merges)
     if (mr.m > 0) m::observe(defl, static_cast<double>(mr.m - mr.k) / mr.m);
-  const std::uint64_t flops = rep.counter(kGemmFlops);
-  if (flops > 0 && rep.seconds > 0.0) {
+  if (const double gflops = rep.gemm_gflops(); gflops > 0.0) {
     std::string pl = "driver=\"" + rep.driver + "\",precision=\"" +
                      (rep.precision.empty() ? "f64" : rep.precision) + "\"";
     m::observe(m::register_metric(m::Kind::Histogram, "dnc_gemm_gflops", pl,
                                   "Per-solve GEMM throughput (GFLOP/s)"),
-               static_cast<double>(flops) * 1e-9 / rep.seconds);
+               gflops);
   }
   if (rep.has_health) {
     m::observe(m::register_metric(m::Kind::Histogram, "dnc_health_rel_residual", "",
@@ -77,16 +76,10 @@ const char* solve_size_class(long n) noexcept {
 
 void record_solve_telemetry(const SolveReport& report, const rt::Trace* trace) {
   record_metrics(report);
-  // One archive line per solve when DNC_HISTORY names one (history::note).
-  // The flight recorder, when on, notes the solve itself with its verdict
-  // and full report in the solve ring, and may dump the ring.
-  if (flight::enabled()) {
-    if (!flight::observe(report, trace).empty() && m::enabled())
-      m::add(m::register_metric(m::Kind::Counter, "dnc_flight_dumps_total", "",
-                                "Flight-recorder anomaly dumps written"));
-  } else {
-    history::note(report);
-  }
+  history::append(report);
+  if (!flight::observe(report, trace).empty() && m::enabled())
+    m::add(m::register_metric(m::Kind::Counter, "dnc_flight_dumps_total", "",
+                              "Flight-recorder anomaly dumps written"));
   // The crash handlers install from the first observed solve: a process run
   // with only DNC_CRASH_DUMP set needs no other call site.
   if (crash::enabled()) crash::ensure_installed();

@@ -1,9 +1,11 @@
 // The one call a driver epilogue makes to feed the always-on telemetry:
-// record_solve_telemetry() fans a finished SolveReport out to the metrics
-// registry (per-solve counters and histograms keyed by driver / precision /
-// size class), the history archive (obs/history) and the flight recorder
-// (solve ring and anomaly dump). Every consumer is behind its env::Gate;
-// drivers call this only when solve_telemetry_wanted().
+// record_solve_telemetry() fans a finished SolveReport out to three
+// independent consumers: the metrics registry (per-solve counters and
+// histograms keyed by driver / precision / size class), the history
+// archive (obs/history: the report as one JSONL line) and the flight
+// recorder (obs/flight: the solve ring and its anomaly dump). Every
+// consumer is behind its env::Gate; drivers call this only when
+// solve_telemetry_wanted().
 #pragma once
 
 #include "obs/report.hpp"
@@ -29,8 +31,9 @@ const char* solve_size_class(long n) noexcept;
 
 /// Records the solve into the metrics registry (solves_total, latency /
 /// deflation / GEMM-GF/s / health histograms, scheduler-derived counters),
-/// appends it to the history archive, and hands it to the flight recorder,
-/// which notes it in the solve ring and may write an anomaly dump.
+/// appends the report to the history archive (history::append), and hands
+/// it to the flight recorder (flight::observe), which keeps it in the solve
+/// ring and may write an anomaly dump.
 /// `trace` (optional) is only used for the flight recorder's Perfetto dump.
 void record_solve_telemetry(const SolveReport& report, const rt::Trace* trace);
 

@@ -40,6 +40,7 @@ const GateCase kGates[] = {
 void refresh_all() {
   obs::metrics::reset_for_tests();
   obs::flight::reset_for_tests();  // also empties the solve ring
+  obs::history::refresh_from_env();
   obs::crash::refresh_from_env();
   obs::profiler::refresh_from_env();
 }

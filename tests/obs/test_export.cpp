@@ -141,9 +141,7 @@ class ExportTest : public ::testing::Test {
         ("_" + std::to_string(::getpid()));
     trace_path_ = ::testing::TempDir() + "dnc_" + tag + "_trace.json";
     report_path_ = ::testing::TempDir() + "dnc_" + tag + "_report.json";
-    std::remove(trace_path_.c_str());
-    std::remove(report_path_.c_str());
-    std::remove((report_path_ + ".txt").c_str());
+    remove_artifacts();
     // The export path gets a sequence suffix after the first export of the
     // process; when several cases share one process (the *_scalar_dispatch
     // ctest entries run the whole binary) each case must start at seq 0 to
@@ -153,7 +151,22 @@ class ExportTest : public ::testing::Test {
   void TearDown() override {
     ::unsetenv("DNC_TRACE");
     ::unsetenv("DNC_REPORT");
+    remove_artifacts();
   }
+
+  /// Removes every file a case can export: the plain paths, the sequenced
+  /// ".2.json", ".3.json", ... of later solves in the process, and the
+  /// report's ".txt" summaries.
+  void remove_artifacts() const {
+    for (unsigned seq = 0; seq < kMaxExports; ++seq) {
+      std::remove(obs::sequenced_export_path(trace_path_, seq).c_str());
+      const std::string report = obs::sequenced_export_path(report_path_, seq);
+      std::remove(report.c_str());
+      std::remove((report + ".txt").c_str());
+    }
+  }
+
+  static constexpr unsigned kMaxExports = 8;  ///< more than any case exports
 
   void run_solve(index_t n = 250) {
     matgen::Tridiag t = matgen::table3_matrix(10, n);

@@ -16,7 +16,6 @@
 #include "dc/api.hpp"
 #include "matgen/tridiag.hpp"
 #include "obs/flight.hpp"
-#include "obs/history.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace_io.hpp"
@@ -106,12 +105,12 @@ TEST(FlightCompactJson, StripsWhitespaceOutsideStrings) {
 
 TEST_F(FlightTest, RingRetainsLastK) {
   ASSERT_TRUE(fl::enabled());
-  const std::size_t k = obs::history::kRingReports;
+  const std::size_t k = fl::kRingReports;
   for (std::size_t i = 0; i < k + 3; ++i) EXPECT_EQ(fl::observe(healthy_report(), nullptr), "");
-  EXPECT_EQ(obs::history::ring_reports(), k);
-  EXPECT_EQ(lines_of(obs::history::flight_jsonl()).front().rfind("{\"seq\": 4,", 0), 0u)
+  EXPECT_EQ(fl::ring_reports(), k);
+  EXPECT_EQ(lines_of(fl::ring_jsonl()).front().rfind("{\"seq\": 4,", 0), 0u)
       << "older solves leave the ring";
-  EXPECT_EQ(lines_of(obs::history::flight_jsonl()).size(), k);
+  EXPECT_EQ(lines_of(fl::ring_jsonl()).size(), k);
   EXPECT_EQ(fl::dump_count(), 0u);
 }
 
@@ -179,7 +178,7 @@ TEST_F(FlightTest, DumpCapStopsDiskFill) {
   ASSERT_FALSE(p1.empty());
   EXPECT_EQ(fl::observe(bad, nullptr), "");  // cap reached, ring still fed
   EXPECT_EQ(fl::dump_count(), 1u);
-  EXPECT_EQ(obs::history::ring_reports(), 2u);
+  EXPECT_EQ(fl::ring_reports(), 2u);
   std::remove(p1.c_str());
 }
 
@@ -228,7 +227,7 @@ TEST_F(FlightTest, HealthySolvesNeverDump) {
   matgen::Tridiag t = matgen::table3_matrix(10, 160);
   Matrix v;
   dc::stedc_taskflow(t.n(), t.d.data(), t.e.data(), v, {}, nullptr);
-  EXPECT_EQ(obs::history::ring_reports(), 1u);  // recorded in the ring ...
+  EXPECT_EQ(fl::ring_reports(), 1u);  // recorded in the ring ...
   EXPECT_EQ(fl::dump_count(), 0u);  // ... but nothing tripped
 }
 

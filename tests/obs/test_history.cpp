@@ -1,17 +1,23 @@
-// Solve-history archive tests: record distillation (family hint included),
-// append/load round trip, size-capped rotation, key parsing/filtering, the
-// per-commit trend view, and which notes reach the archive and the ring.
+// Solve-history archive tests: the report's family and derived numbers,
+// the append/load report round trip, old-record and unparseable lines
+// skipped and counted, rotation at kMaxBytes, key parsing/filtering, the
+// per-commit trend view, and which telemetry consumer reaches the archive
+// and the ring.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "obs/diff.hpp"
+#include "obs/flight.hpp"
 #include "obs/history.hpp"
 #include "obs/report.hpp"
+#include "obs/telemetry.hpp"
 
 namespace dnc {
 namespace {
@@ -22,7 +28,7 @@ namespace hist = obs::history;
 /// environment (and the module singletons) afterwards.
 class HistoryTest : public ::testing::Test {
  protected:
-  static constexpr const char* kVars[] = {"DNC_HISTORY", "DNC_HISTORY_MAX_BYTES"};
+  static constexpr const char* kVars[] = {"DNC_HISTORY", "DNC_FLIGHT"};
   void SetUp() override {
     for (const char* var : kVars) {
       const char* v = std::getenv(var);
@@ -35,7 +41,8 @@ class HistoryTest : public ::testing::Test {
              std::to_string(::getpid()) + ".jsonl";
     std::remove(path_.c_str());
     std::remove((path_ + ".1").c_str());
-    hist::reset_for_tests();
+    hist::refresh_from_env();
+    obs::flight::reset_for_tests();
   }
   void TearDown() override {
     std::remove(path_.c_str());
@@ -46,14 +53,12 @@ class HistoryTest : public ::testing::Test {
       else
         ::unsetenv(saved_[i].first);
     }
-    hist::reset_for_tests();
-    hist::set_family_hint(nullptr);
+    hist::refresh_from_env();
+    obs::flight::reset_for_tests();
   }
 
-  void enable(long max_bytes = 0) {
+  void enable() {
     ::setenv("DNC_HISTORY", path_.c_str(), 1);
-    if (max_bytes > 0)
-      ::setenv("DNC_HISTORY_MAX_BYTES", std::to_string(max_bytes).c_str(), 1);
     hist::refresh_from_env();
   }
 
@@ -84,39 +89,104 @@ obs::SolveReport sample_report(const char* driver = "taskflow", long n = 1000,
   return rep;
 }
 
-TEST_F(HistoryTest, DisabledByDefault) {
-  EXPECT_FALSE(hist::enabled());
-  EXPECT_FALSE(hist::append(hist::record_from_report(sample_report())));
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
 }
 
-TEST_F(HistoryTest, RecordDistillsReportAndFamilyHint) {
-  hist::set_family_hint("deflate20");
-  const hist::Record r = hist::record_from_report(sample_report());
-  hist::set_family_hint(nullptr);
-  EXPECT_EQ(r.driver, "taskflow");
-  EXPECT_EQ(r.family, "deflate20");
-  EXPECT_EQ(r.precision, "f64");
-  EXPECT_EQ(r.n, 1000);
-  EXPECT_EQ(r.workers, 4);
-  EXPECT_NEAR(r.seconds, 0.25, 1e-12);
-  EXPECT_NEAR(r.makespan, 0.24, 1e-12);
-  EXPECT_NEAR(r.deflated_fraction, 0.6, 1e-12);
-  EXPECT_NEAR(r.gemm_gflops, 4.0, 1e-9);
-  // Hint cleared: the next record is family-less.
-  EXPECT_TRUE(hist::record_from_report(sample_report()).family.empty());
+TEST_F(HistoryTest, DisabledByDefault) {
+  EXPECT_FALSE(hist::enabled());
+  EXPECT_FALSE(hist::append(sample_report()));
+}
+
+TEST_F(HistoryTest, ReportCarriesFamilyAndDerivedNumbers) {
+  obs::SolveReport rep = sample_report();
+  rep.family = "deflate20";
+  EXPECT_EQ(rep.precision, "f64");
+  EXPECT_EQ(rep.workers(), 4);
+  EXPECT_NEAR(rep.deflated_fraction(), 0.6, 1e-12);
+  EXPECT_NEAR(rep.gemm_gflops(), 4.0, 1e-9);
+  // The zero guards: no scheduler falls back to threads (at least 1), no
+  // merged columns or no time is 0, never a division by zero.
+  obs::SolveReport bare;
+  EXPECT_EQ(bare.workers(), 1);
+  bare.threads = 3;
+  EXPECT_EQ(bare.workers(), 3);
+  EXPECT_EQ(bare.deflated_fraction(), 0.0);
+  bare.counters[obs::kGemmFlops] = 1000;
+  EXPECT_EQ(bare.gemm_gflops(), 0.0);
+  // The family is an identity field of the report JSON.
+  obs::SolveReport back;
+  ASSERT_TRUE(obs::parse_solve_report(rep.to_json(), back));
+  EXPECT_EQ(back.family, "deflate20");
 }
 
 TEST_F(HistoryTest, AppendLoadRoundTrip) {
   enable();
   ASSERT_TRUE(hist::enabled());
-  hist::set_family_hint("deflate20");
-  ASSERT_TRUE(hist::append(hist::record_from_report(sample_report("taskflow", 1000))));
-  ASSERT_TRUE(hist::append(hist::record_from_report(sample_report("sequential", 500))));
-  hist::set_family_hint(nullptr);
+  obs::SolveReport rep = sample_report("taskflow", 1000);
+  rep.family = "deflate20";
+  rep.precision = "f32refine";
+  rep.simd_isa = "avx2";
+  rep.build_type = "Release";
+  rep.counters[obs::kLaed4Calls] = 77;
+  rep.counters[obs::kSturmSteps] = 12345;
+  rep.merges[0].level = 2;
+  rep.merges[0].n1 = 50;
+  rep.merges[0].ctot[0] = 10;
+  rep.merges[0].ctot[1] = 20;
+  rep.merges[0].ctot[2] = 10;
+  rep.merges[0].ctot[3] = 60;
+  rep.merges[0].t_end = 0.125;
+  rep.scheduler.tasks = 321;
+  rep.scheduler.steals = 9;
+  rep.has_health = true;
+  rep.health.sampled_columns = 8;
+  rep.health.max_rel_residual = 1.5e-15;
+  rep.health.max_ortho_error = 2.5e-16;
+  rep.memory.workspace_bytes = 4096;
+  ASSERT_TRUE(hist::append(rep));
+  ASSERT_TRUE(hist::append(sample_report("sequential", 500)));
+
+  std::vector<obs::SolveReport> reps;
+  std::string err;
+  long skipped = -1;
+  ASSERT_TRUE(hist::load_file(path_, reps, &err, &skipped)) << err;
+  EXPECT_EQ(skipped, 0);
+  ASSERT_EQ(reps.size(), 2u);
+  // Every field comes back: the archive line is the report's own JSON.
+  EXPECT_EQ(reps[0].to_json(), rep.to_json());
+  const obs::SolveReport& r = reps[0];
+  EXPECT_EQ(r.driver, "taskflow");
+  EXPECT_EQ(r.family, "deflate20");
+  EXPECT_EQ(r.precision, "f32refine");
+  EXPECT_EQ(r.git_commit, "abc123");
+  EXPECT_EQ(r.timestamp, "2026-08-09T12:00:00Z");
+  EXPECT_EQ(r.hostname, "testhost");
+  EXPECT_EQ(r.n, 1000);
+  EXPECT_EQ(r.workers(), 4);
+  EXPECT_NEAR(r.seconds, 0.25, 1e-12);
+  EXPECT_EQ(r.counters, rep.counters);
+  ASSERT_EQ(r.merges.size(), 1u);
+  EXPECT_EQ(r.merges[0].ctot[3], 60);
+  EXPECT_NEAR(r.scheduler.makespan, 0.24, 1e-12);
+  EXPECT_EQ(r.scheduler.tasks, 321);
+  EXPECT_TRUE(r.has_health);
+  EXPECT_EQ(r.health.max_rel_residual, 1.5e-15);
+  EXPECT_NEAR(r.deflated_fraction(), 0.6, 1e-12);
+  EXPECT_NEAR(r.gemm_gflops(), 4.0, 1e-9);
+  EXPECT_EQ(reps[1].driver, "sequential");
+  EXPECT_EQ(reps[1].n, 500);
+  EXPECT_TRUE(reps[1].family.empty());
+}
+
+TEST_F(HistoryTest, OldRecordLinesAreSkippedAndCounted) {
+  enable();
+  ASSERT_TRUE(hist::append(sample_report()));
   {
-    // An archive line from before the tuning-table fields and the scheduler
-    // policy were dropped: the extra keys are ignored and every other field
-    // still loads.
+    // A dnc-history-v1 record from before archive lines were reports. It
+    // carries a driver and n but no counters: loading it would make a
+    // half-filled report (workers 0, deflation 0 %), so it is skipped.
     std::FILE* f = std::fopen(path_.c_str(), "ab");
     ASSERT_NE(f, nullptr);
     std::fputs(
@@ -130,78 +200,55 @@ TEST_F(HistoryTest, AppendLoadRoundTrip) {
         f);
     std::fclose(f);
   }
-  std::vector<hist::Record> recs;
-  std::string err;
-  long skipped = -1;
-  ASSERT_TRUE(hist::load_file(path_, recs, &err, &skipped)) << err;
-  EXPECT_EQ(skipped, 0);
-  ASSERT_EQ(recs.size(), 3u);
-  EXPECT_EQ(recs[0].driver, "taskflow");
-  EXPECT_EQ(recs[0].family, "deflate20");
-  EXPECT_EQ(recs[0].git_commit, "abc123");
-  EXPECT_NEAR(recs[0].gemm_gflops, 4.0, 1e-3);
-  EXPECT_EQ(recs[1].driver, "sequential");
-  EXPECT_EQ(recs[1].n, 500);
-  const hist::Record& old = recs[2];
-  EXPECT_EQ(old.git_commit, "def456");
-  EXPECT_EQ(old.timestamp, "2026-08-01T08:00:00Z");
-  EXPECT_EQ(old.hostname, "oldhost");
-  EXPECT_EQ(old.driver, "taskflow");
-  EXPECT_EQ(old.family, "type4");
-  EXPECT_EQ(old.precision, "f32");
-  EXPECT_EQ(old.n, 600);
-  EXPECT_EQ(old.workers, 4);
-  EXPECT_NEAR(old.seconds, 0.125, 1e-12);
-  EXPECT_NEAR(old.makespan, 0.12, 1e-12);
-  EXPECT_NEAR(old.total_idle, 0.05, 1e-12);
-  EXPECT_NEAR(old.deflated_fraction, 0.25, 1e-12);
-  EXPECT_NEAR(old.gemm_gflops, 3.5, 1e-12);
-  EXPECT_NEAR(old.max_rel_residual, 1.5e-15, 1e-27);
+  std::vector<obs::SolveReport> reps;
+  long skipped = 0;
+  ASSERT_TRUE(hist::load_file(path_, reps, nullptr, &skipped));
+  ASSERT_EQ(reps.size(), 1u);
+  EXPECT_EQ(reps[0].git_commit, "abc123");
+  EXPECT_EQ(skipped, 1);
 }
 
 TEST_F(HistoryTest, UnparseableLinesAreSkippedAndCounted) {
   enable();
-  ASSERT_TRUE(hist::append(hist::record_from_report(sample_report())));
+  ASSERT_TRUE(hist::append(sample_report()));
   {
     std::FILE* f = std::fopen(path_.c_str(), "ab");
     ASSERT_NE(f, nullptr);
     std::fputs("this is not json\n{\"x\": 1}\n", f);
     std::fclose(f);
   }
-  ASSERT_TRUE(hist::append(hist::record_from_report(sample_report())));
-  std::vector<hist::Record> recs;
+  ASSERT_TRUE(hist::append(sample_report()));
+  std::vector<obs::SolveReport> reps;
   long skipped = 0;
-  ASSERT_TRUE(hist::load_file(path_, recs, nullptr, &skipped));
-  EXPECT_EQ(recs.size(), 2u);
+  ASSERT_TRUE(hist::load_file(path_, reps, nullptr, &skipped));
+  EXPECT_EQ(reps.size(), 2u);
   EXPECT_EQ(skipped, 2);
 }
 
 TEST_F(HistoryTest, RotationAtSizeCap) {
-  enable(4096);  // the floor the module clamps to
-  EXPECT_EQ(hist::max_bytes(), 4096);
-  const hist::Record rec = hist::record_from_report(sample_report());
-  // Each line is ~350 bytes; 20 appends cross the 4 KiB cap at least once.
-  for (int i = 0; i < 20; ++i) ASSERT_TRUE(hist::append(rec));
-  std::vector<hist::Record> gen1;
-  ASSERT_TRUE(hist::load_file(path_ + ".1", gen1));
-  EXPECT_FALSE(gen1.empty());
-  std::vector<hist::Record> cur;
-  ASSERT_TRUE(hist::load_file(path_, cur));
-  EXPECT_FALSE(cur.empty());
-  // Nothing lost: the two generations hold all 20 lines.
-  EXPECT_EQ(gen1.size() + cur.size(), 20u);
+  enable();
+  // A sparse file of exactly the cap: the next append rotates it away
+  // without this test writing 16 MiB.
+  std::FILE* f = std::fopen(path_.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fclose(f);
+  ASSERT_EQ(::truncate(path_.c_str(), hist::kMaxBytes), 0);
+  const obs::SolveReport rep = sample_report();
+  ASSERT_TRUE(hist::append(rep));
+  EXPECT_TRUE(std::ifstream(path_ + ".1").good()) << "the full generation moved to .1";
+  EXPECT_EQ(slurp(path_), obs::flight::compact_json(rep.to_json()) + "\n");
 }
 
-TEST_F(HistoryTest, NoteWithoutReportAppendsOnlyToArchive) {
-  hist::note(sample_report());  // disabled: nowhere
-  EXPECT_EQ(hist::ring_reports(), 0u);
+TEST_F(HistoryTest, TelemetryWithoutFlightAppendsOnlyToArchive) {
+  obs::record_solve_telemetry(sample_report(), nullptr);  // disabled: nowhere
+  EXPECT_EQ(obs::flight::ring_reports(), 0u);
   enable();
-  hist::note(sample_report());
-  EXPECT_EQ(hist::ring_reports(), 0u);
-  std::vector<hist::Record> recs;
-  ASSERT_TRUE(hist::load_file(path_, recs));
-  EXPECT_EQ(recs.size(), 1u);  // only the post-enable note hit the file
-  EXPECT_EQ(recs[0].driver, "taskflow");
+  obs::record_solve_telemetry(sample_report(), nullptr);
+  EXPECT_EQ(obs::flight::ring_reports(), 0u);
+  std::vector<obs::SolveReport> reps;
+  ASSERT_TRUE(hist::load_file(path_, reps));
+  EXPECT_EQ(reps.size(), 1u);  // only the post-enable solve hit the file
+  EXPECT_EQ(reps[0].driver, "taskflow");
 }
 
 TEST(HistoryKey, ParseAndMatch) {
@@ -214,7 +261,7 @@ TEST(HistoryKey, ParseAndMatch) {
   EXPECT_EQ(key.driver, "taskflow");
   EXPECT_EQ(key.precision, "f64");
 
-  hist::Record r;
+  obs::SolveReport r;
   r.driver = "taskflow";
   r.family = "deflate20";
   r.precision = "f64";
@@ -232,9 +279,9 @@ TEST(HistoryKey, ParseAndMatch) {
 }
 
 TEST(HistoryQuery, SeriesAndLatestPerCommit) {
-  std::vector<hist::Record> recs;
+  std::vector<obs::SolveReport> recs;
   const auto rec = [](const char* commit, const char* driver, long n, double secs) {
-    hist::Record r;
+    obs::SolveReport r;
     r.git_commit = commit;
     r.driver = driver;
     r.n = n;
@@ -249,12 +296,12 @@ TEST(HistoryQuery, SeriesAndLatestPerCommit) {
 
   hist::Key key;
   ASSERT_TRUE(hist::parse_key("driver=taskflow,n=1000", key));
-  const std::vector<hist::Record> ser = hist::series(recs, key);
+  const std::vector<obs::SolveReport> ser = hist::series(recs, key);
   ASSERT_EQ(ser.size(), 3u);
   EXPECT_NEAR(ser[0].seconds, 0.5, 1e-12);
   EXPECT_NEAR(ser[2].seconds, 0.6, 1e-12);
 
-  const std::vector<hist::Record> per_commit = hist::latest_per_commit(recs, key);
+  const std::vector<obs::SolveReport> per_commit = hist::latest_per_commit(recs, key);
   ASSERT_EQ(per_commit.size(), 2u);
   EXPECT_EQ(per_commit[0].git_commit, "c1");
   EXPECT_NEAR(per_commit[0].seconds, 0.4, 1e-12);  // newest c1 wins

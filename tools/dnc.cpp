@@ -225,14 +225,15 @@ dc::Options solve_options(const TraceArgs& a) {
 /// GEMM FLOP / packed-byte counters).
 void run_solver(const TraceArgs& a, rt::Trace& trace, obs::SolveReport* report = nullptr) {
   matgen::Tridiag t = matgen::table3_matrix(a.type, a.n);
-  // History records key on the matrix family; only this harness knows it.
-  obs::history::set_family_hint(std::to_string(a.type).c_str());
+  // History lines key on the matrix family; only this harness knows it.
+  const std::string family = std::to_string(a.type);
   Matrix v;
   const dc::Options opt = solve_options(a);
   if (a.driver == "mrrr") {
     mrrr::Options mopt;
     mopt.threads = 1;
     mrrr::Stats st;
+    st.report.family = family;
     std::vector<double> lam;
     mrrr_solve(a.n, t.d.data(), t.e.data(), lam, v, mopt, &st);
     trace = st.trace;
@@ -240,6 +241,7 @@ void run_solver(const TraceArgs& a, rt::Trace& trace, obs::SolveReport* report =
     return;
   }
   dc::SolveStats st;
+  st.report.family = family;
   std::vector<double> d = t.d, e = t.e;
   if (a.driver == "taskflow")
     dc::stedc_taskflow(a.n, d.data(), e.data(), v, opt, &st);
@@ -639,17 +641,18 @@ int run_history(const std::string& archive, const std::string& keyspec) {
   obs::history::Key key;
   std::string err;
   if (!obs::history::parse_key(keyspec, key, &err)) throw UsageError("--key: " + err);
-  std::vector<obs::history::Record> records;
+  std::vector<obs::SolveReport> reports;
   long skipped = 0;
-  if (!obs::history::load_file(archive, records, &err, &skipped))
+  if (!obs::history::load_file(archive, reports, &err, &skipped))
     throw std::runtime_error(err);
   if (skipped > 0)
-    std::fprintf(stderr, "dnc diff: note: skipped %ld unparseable line(s)\n", skipped);
-  const std::vector<obs::history::Record> ser = obs::history::series(records, key);
+    std::fprintf(stderr, "dnc diff: note: skipped %ld line(s) that are not a report\n",
+                 skipped);
+  const std::vector<obs::SolveReport> ser = obs::history::series(reports, key);
   std::fputs(obs::history::render_series(ser, keyspec.empty() ? "(all)" : keyspec).c_str(),
              stdout);
-  const std::vector<obs::history::Record> per_commit =
-      obs::history::latest_per_commit(records, key);
+  const std::vector<obs::SolveReport> per_commit =
+      obs::history::latest_per_commit(reports, key);
   if (per_commit.size() > 1 && per_commit.size() < ser.size()) {
     std::fputs("\n", stdout);
     std::fputs(obs::history::render_series(per_commit, "latest per commit").c_str(),
