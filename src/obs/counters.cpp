@@ -1,8 +1,8 @@
 #include "obs/counters.hpp"
 
 #include <atomic>
-
-#include "obs/thread_blocks.hpp"
+#include <deque>
+#include <mutex>
 
 namespace dnc::obs {
 namespace {
@@ -11,7 +11,31 @@ struct Block {
   std::atomic<std::uint64_t> v[kNumCounters] = {};
 };
 
-using Blocks = ThreadBlocks<Block>;
+// Every thread's block, registered once on the thread's first bump. The
+// registry owns the blocks (a deque never moves its elements), so what an
+// exited runtime worker counted is still summed; it is leaked so at-exit
+// exporters can still read it.
+struct Registry {
+  std::mutex mu;
+  std::deque<Block> blocks;  // under mu
+};
+
+Registry& registry() {
+  static Registry* r = new Registry;
+  return *r;
+}
+
+thread_local Block* tl_block = nullptr;
+
+// Out of line, so the hot local() stays a TLS load and a branch.
+[[gnu::noinline]] Block& attach() {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lk(r.mu);
+  tl_block = &r.blocks.emplace_back();
+  return *tl_block;
+}
+
+inline Block& local() noexcept { return tl_block ? *tl_block : attach(); }
 
 // Single-writer relaxed update: cheaper than fetch_add and exactly as
 // correct, since only the owning thread writes its block.
@@ -44,10 +68,10 @@ const char* counter_name(int c) noexcept {
   return "unknown";
 }
 
-void bump(Counter c, std::uint64_t delta) noexcept { add(Blocks::local(), c, delta); }
+void bump(Counter c, std::uint64_t delta) noexcept { add(local(), c, delta); }
 
 void bump_laed4(int iterations) noexcept {
-  Block& b = Blocks::local();
+  Block& b = local();
   add(b, kLaed4Calls, 1);
   add(b, kLaed4Iterations, static_cast<std::uint64_t>(iterations < 0 ? 0 : iterations));
   int bucket;
@@ -66,9 +90,10 @@ void bump_laed4(int iterations) noexcept {
 
 CounterArray snapshot() noexcept {
   CounterArray out{};
-  Blocks::for_each([&](const Block& b) {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lk(r.mu);
+  for (const Block& b : r.blocks)
     for (int c = 0; c < kNumCounters; ++c) out[c] += b.v[c].load(std::memory_order_relaxed);
-  });
   return out;
 }
 

@@ -1,11 +1,15 @@
 // Algorithmic counters: the low-overhead half of the observability layer.
 //
-// Hot kernels (laed4, sturm_count, gemm, bisect_ldl) bump thread-local
-// counter blocks -- no locks, no shared cache lines on the hot path; a
-// mutex is taken only once per thread (registration) and on snapshot().
-// Drivers capture a snapshot at solve start and diff it at solve end
+// Hot kernels (laed4, sturm_count, gemm, bisect_ldl) bump the calling
+// thread's counter block -- no locks, no shared cache lines on the hot
+// path; a mutex is taken only once per thread (registering its block) and
+// on snapshot(). The registry keeps every block for the life of the
+// process, so what an exited worker thread counted is still summed. Drivers
+// capture a snapshot at solve start and diff it at solve end
 // (obs::SolveScope), so concurrent unrelated work in the same process is
-// the caller's problem, not the counters'.
+// the caller's problem, not the counters'. The metrics registry
+// (obs/metrics.hpp), recorded once per solve, keeps its values under a
+// mutex instead.
 //
 // The blocks are atomics written with relaxed single-writer updates; reader
 // visibility is established by the thread joins / condition-variable

@@ -118,10 +118,11 @@ std::string dump_text(int sig) {
   out += "\n# git_commit: ";
   out += version::kGitCommit;
   out += "\n# hostname: " + current_hostname();
-  out += "\n# flight_ring: " + std::to_string(flight::ring_reports());
-  out += "\n# flight_dumps: " + std::to_string(flight::dump_count());
   out += "\n";
-  if (metrics::enabled()) out += metrics::prometheus_text(metrics::scrape());
+  // No blocking lock here: the crashing thread may hold the metrics mutex.
+  // The solve ring goes to the .jsonl beside the dump, also best-effort.
+  metrics::Snapshot snap;
+  if (metrics::enabled() && metrics::try_scrape(snap)) out += metrics::prometheus_text(snap);
   return out;
 }
 

@@ -1,12 +1,13 @@
 // Last-gasp crash dump: fatal-signal handlers that flush the observability
 // state an operator would otherwise lose with the process.
 //
-// The metrics registry and flight recorder export on *clean* exit (atexit /
-// periodic exporter); a SIGSEGV throws all of that away exactly when it is
+// The metrics registry and flight recorder export on *clean* exit
+// (atexit); a SIGSEGV throws all of that away exactly when it is
 // most wanted. With DNC_CRASH_DUMP=<path> set, handlers for SIGSEGV,
 // SIGBUS, SIGABRT and SIGFPE best-effort write
 //   <path>          crash header (signal, pid, git commit) + Prometheus
-//                   text of the final metrics scrape
+//                   text of the final metrics scrape (left out when the
+//                   registry mutex is held)
 //   <path>.jsonl    the flight-recorder reports of the solve ring (one
 //                   report per line; see obs/flight)
 // then restore the default disposition and re-raise, so the exit status /
@@ -15,7 +16,8 @@
 // Honesty about limits: the dump path calls non-async-signal-safe code
 // (malloc under scrape()/string building). After a heap corruption that can
 // itself crash -- a reentry guard turns the second fault into an immediate
-// re-raise, so the worst case is "no dump", never a hang or loop. For the
+// re-raise, and the handler only try-locks the metrics and flight mutexes,
+// so the worst case is "no dump", never a hang or loop. For the
 // dominant crash classes (null deref, OOB index, assert/abort) the heap is
 // intact and the dump succeeds.
 //
@@ -47,7 +49,7 @@ bool ensure_installed();
 std::string dump_path();
 
 /// The dump body builder, exposed for tests: crash header + metrics
-/// Prometheus text. `sig` 0 renders "test" as the signal name.
+/// Prometheus text (when the metrics mutex is free). `sig` 0 renders "test" as the signal name.
 std::string dump_text(int sig);
 
 }  // namespace dnc::obs::crash

@@ -4,21 +4,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <map>
-#include <memory>
 #include <mutex>
-#include <thread>
 
 #include "common/env.hpp"
 #include "common/json.hpp"
 #include "common/text.hpp"
 #include "obs/report.hpp"
-#include "obs/thread_blocks.hpp"
 #include "runtime/trace.hpp"
 
 namespace dnc::obs::metrics {
@@ -26,41 +21,20 @@ namespace {
 
 constexpr int kMaxMetrics = 256;
 
-inline std::uint64_t dbits(double v) noexcept { return std::bit_cast<std::uint64_t>(v); }
-inline double bits_d(std::uint64_t b) noexcept { return std::bit_cast<double>(b); }
-
-// One thread's slice of every metric, in the shared per-thread registry
-// (obs/thread_blocks.hpp). Histogram bucket arrays are allocated on first
-// observation: the owner is the sole writer of the pointer slot, so a
-// release store / acquire load pairing is all the synchronisation the array
-// contents need.
-struct Shard {
-  std::atomic<std::uint64_t> count[kMaxMetrics] = {};
-  std::atomic<std::uint64_t> sum_bits[kMaxMetrics] = {};  // double payload
-  std::atomic<std::atomic<std::uint64_t>*> buckets[kMaxMetrics] = {};
-
-  ~Shard() {
-    for (auto& b : buckets) delete[] b.load(std::memory_order_relaxed);
-  }
-};
-
-using Shards = ThreadBlocks<Shard, /*kResettable=*/true>;
-
+// A metric's scraped fields, with its histogram buckets kept dense.
 struct MetricInfo {
-  Kind kind = Kind::Counter;
-  std::string name, labels, help;
-  std::atomic<std::uint64_t> gauge_bits{0};  // gauges are process-global
+  MetricSnapshot snap;                 // snap.buckets stays empty
+  std::vector<std::uint64_t> buckets;  // kHistBuckets cells, histograms only
 };
 
-// Leaked singleton: the at-exit exporter and a detached interval exporter
-// may still be scraping while static destructors run elsewhere.
+// Leaked singleton: the at-exit exporter may still be scraping while
+// static destructors run elsewhere.
 struct State {
   std::mutex mu;
-  std::vector<std::unique_ptr<MetricInfo>> metrics;       // under mu
-  std::map<std::string, int> index;                       // name\x01labels -> id
+  std::vector<MetricInfo> metrics;    // under mu
+  std::map<std::string, int> index;  // name\x01labels -> id
   std::atomic<unsigned long> export_seq{0};
   std::string export_path;  // under mu; "" = in-memory only
-  double interval_s = 0;    // under mu
   bool exporter_installed = false;
 };
 
@@ -73,7 +47,6 @@ bool configure(const char* value) {
   State& s = state();
   std::lock_guard<std::mutex> lk(s.mu);
   s.export_path = value ? value : "";
-  s.interval_s = value ? env::number("DNC_METRICS_INTERVAL", 0.0) : 0.0;
   return value != nullptr;
 }
 
@@ -131,58 +104,57 @@ Id register_metric(Kind kind, const std::string& name, const std::string& labels
                    const std::string& help) {
   if (!enabled()) return {};
   State& s = state();
-  int id;
-  {
-    std::lock_guard<std::mutex> lk(s.mu);
-    std::string key = name;
-    key.push_back('\x01');
-    key += labels;
-    auto it = s.index.find(key);
-    if (it != s.index.end()) return {it->second};
-    if (s.metrics.size() >= kMaxMetrics) return {};
-    auto mi = std::make_unique<MetricInfo>();
-    mi->kind = kind;
-    mi->name = name;
-    mi->labels = labels;
-    mi->help = help;
-    id = static_cast<int>(s.metrics.size());
-    s.metrics.push_back(std::move(mi));
-    s.index.emplace(std::move(key), id);
+  std::lock_guard<std::mutex> lk(s.mu);
+  std::string key = name;
+  key.push_back('\x01');
+  key += labels;
+  auto it = s.index.find(key);
+  if (it != s.index.end()) return {it->second};
+  if (s.metrics.size() >= kMaxMetrics) return {};
+  MetricInfo& mi = s.metrics.emplace_back();
+  mi.snap.kind = kind;
+  mi.snap.name = name;
+  mi.snap.labels = labels;
+  mi.snap.help = help;
+  if (kind == Kind::Histogram) mi.buckets.assign(kHistBuckets, 0);
+  const int id = static_cast<int>(s.metrics.size()) - 1;
+  s.index.emplace(std::move(key), id);
+  if (!s.exporter_installed) {
+    s.exporter_installed = true;
+    if (!s.export_path.empty()) std::atexit([] { export_now(); });
   }
-  ensure_exporter();
   return {id};
 }
 
-void add(Id id, double delta) noexcept {
-  if (!enabled() || !id.valid()) return;
-  auto& cell = Shards::local().sum_bits[id.v];
-  cell.store(dbits(bits_d(cell.load(std::memory_order_relaxed)) + delta),
-             std::memory_order_relaxed);
-}
+namespace {
 
-void set_gauge(Id id, double value) noexcept {
+// Applies f to metric `id` under the registry mutex when it exists and is
+// of `kind`; otherwise does nothing.
+template <class F>
+void record(Id id, Kind kind, F&& f) noexcept {
   if (!enabled() || !id.valid()) return;
   State& s = state();
   std::lock_guard<std::mutex> lk(s.mu);
-  if (static_cast<std::size_t>(id.v) < s.metrics.size())
-    s.metrics[id.v]->gauge_bits.store(dbits(value), std::memory_order_relaxed);
+  if (static_cast<std::size_t>(id.v) < s.metrics.size() && s.metrics[id.v].snap.kind == kind)
+    f(s.metrics[id.v]);
+}
+
+}  // namespace
+
+void add(Id id, double delta) noexcept {
+  record(id, Kind::Counter, [&](MetricInfo& m) { m.snap.value += delta; });
+}
+
+void set_gauge(Id id, double value) noexcept {
+  record(id, Kind::Gauge, [&](MetricInfo& m) { m.snap.value = value; });
 }
 
 void observe(Id id, double value) noexcept {
-  if (!enabled() || !id.valid()) return;
-  Shard& sh = Shards::local();
-  auto& cnt = sh.count[id.v];
-  cnt.store(cnt.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-  auto& sum = sh.sum_bits[id.v];
-  sum.store(dbits(bits_d(sum.load(std::memory_order_relaxed)) + value),
-            std::memory_order_relaxed);
-  auto* b = sh.buckets[id.v].load(std::memory_order_relaxed);
-  if (!b) {
-    b = new std::atomic<std::uint64_t>[kHistBuckets]();
-    sh.buckets[id.v].store(b, std::memory_order_release);
-  }
-  int i = bucket_index(value);
-  b[i].store(b[i].load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  record(id, Kind::Histogram, [&](MetricInfo& m) {
+    ++m.snap.count;
+    m.snap.sum += value;
+    ++m.buckets[bucket_index(value)];
+  });
 }
 
 // --- scraping -------------------------------------------------------------
@@ -204,47 +176,37 @@ double MetricSnapshot::quantile(double q) const {
   return buckets.empty() ? 0.0 : bucket_lower(buckets.back().first);
 }
 
-Snapshot scrape() {
-  Snapshot out;
+namespace {
+
+// Copies every metric under the registry mutex. With `best_effort`, gives
+// up (returns false) instead of waiting when the mutex is held.
+bool scrape_into(Snapshot& out, bool best_effort) {
   out.pid = static_cast<long>(::getpid());
   out.hostname = current_hostname();
   out.timestamp = iso8601_timestamp_utc();
   State& s = state();
-  std::lock_guard<std::mutex> lk(s.mu);
-  out.metrics.resize(s.metrics.size());
-  std::vector<std::uint64_t> bsum(kHistBuckets);
-  for (std::size_t i = 0; i < s.metrics.size(); ++i) {
-    const MetricInfo& m = *s.metrics[i];
-    MetricSnapshot& ms = out.metrics[i];
-    ms.kind = m.kind;
-    ms.name = m.name;
-    ms.labels = m.labels;
-    ms.help = m.help;
-    if (m.kind == Kind::Gauge) {
-      ms.value = bits_d(m.gauge_bits.load(std::memory_order_relaxed));
-      continue;
-    }
-    double sum = 0.0;
-    std::uint64_t cnt = 0;
-    std::fill(bsum.begin(), bsum.end(), 0);
-    Shards::for_each([&](const Shard& sh) {
-      sum += bits_d(sh.sum_bits[i].load(std::memory_order_relaxed));
-      cnt += sh.count[i].load(std::memory_order_relaxed);
-      if (const auto* b = sh.buckets[i].load(std::memory_order_acquire))
-        for (int j = 0; j < kHistBuckets; ++j)
-          bsum[j] += b[j].load(std::memory_order_relaxed);
-    });
-    if (m.kind == Kind::Counter) {
-      ms.value = sum;
-    } else {
-      ms.count = cnt;
-      ms.sum = sum;
-      for (int j = 0; j < kHistBuckets; ++j)
-        if (bsum[j]) ms.buckets.emplace_back(j, bsum[j]);
-    }
+  std::unique_lock<std::mutex> lk(s.mu, std::defer_lock);
+  if (!best_effort)
+    lk.lock();
+  else if (!lk.try_lock())
+    return false;
+  for (const MetricInfo& m : s.metrics) {
+    MetricSnapshot& ms = out.metrics.emplace_back(m.snap);
+    for (std::size_t j = 0; j < m.buckets.size(); ++j)
+      if (m.buckets[j]) ms.buckets.emplace_back(static_cast<int>(j), m.buckets[j]);
   }
+  return true;
+}
+
+}  // namespace
+
+Snapshot scrape() {
+  Snapshot out;
+  scrape_into(out, /*best_effort=*/false);
   return out;
 }
+
+bool try_scrape(Snapshot& out) { return scrape_into(out, /*best_effort=*/true); }
 
 std::string prometheus_text(const Snapshot& s) {
   std::string out;
@@ -456,32 +418,6 @@ std::string export_now(const std::string& path) {
   return prom_path;
 }
 
-void ensure_exporter() {
-  if (!enabled()) return;
-  State& s = state();
-  std::string path;
-  double interval = 0;
-  {
-    std::lock_guard<std::mutex> lk(s.mu);
-    if (s.exporter_installed) return;
-    s.exporter_installed = true;
-    path = s.export_path;
-    interval = s.interval_s;
-  }
-  if (path.empty()) return;
-  std::atexit([] { export_now(); });
-  if (interval > 0) {
-    // Detached by design: State is leaked, export_now only touches leaked
-    // state and libc I/O, so a scrape racing process exit stays safe.
-    std::thread([interval] {
-      for (;;) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(interval));
-        if (enabled()) export_now();
-      }
-    }).detach();
-  }
-}
-
 // --- introspection --------------------------------------------------------
 
 std::size_t registry_size() noexcept {
@@ -489,8 +425,6 @@ std::size_t registry_size() noexcept {
   std::lock_guard<std::mutex> lk(s.mu);
   return s.metrics.size();
 }
-
-std::size_t shard_count() noexcept { return Shards::size(); }
 
 void reset_for_tests() {
   State& s = state();
@@ -500,7 +434,6 @@ void reset_for_tests() {
     s.index.clear();
     s.export_seq.store(0, std::memory_order_relaxed);
   }
-  Shards::clear();
   gate.refresh();
 }
 

@@ -12,13 +12,14 @@
 //
 // Design points:
 //   * Gated by DNC_METRICS (an env::Gate). Off, every recording call is one
-//     relaxed atomic load and a taken branch -- no registration, no thread
-//     shards, no allocation anywhere (the back-to-back perf gate enforces
-//     this, and tests/obs assert that the registry stays empty).
-//   * Counters and histograms land in lock-free per-thread shards, kept in
-//     the same registry as the algorithmic counters (obs/thread_blocks.hpp);
-//     scrape() merges the shards without stopping writers. Gauges are
-//     set rarely (per solve/run) and live on the registry directly.
+//     relaxed atomic load and a taken branch -- no registration, no
+//     allocation anywhere (the back-to-back perf gate enforces this, and
+//     tests/obs assert that the registry stays empty).
+//   * Each metric's value lives on the registry under its one mutex:
+//     metrics are recorded once per solve, merge or scheduler lifetime,
+//     right beside a registration that already takes that lock. The
+//     per-kernel algorithmic counters are the lock-free half
+//     (obs/counters.hpp).
 //   * Histograms use log2 bucketing with kHistSub sub-buckets per octave:
 //     relative quantile error is bounded by 2^(1/kHistSub) - 1 (~9% at 8)
 //     for any value in [2^kHistMinExp, 2^kHistMaxExp), with explicit
@@ -27,10 +28,8 @@
 //   DNC_METRICS unset or an off spelling  -> disabled
 //   DNC_METRICS=1|on|true|yes             -> enabled, in-memory only
 //   DNC_METRICS=<path>                    -> enabled; a snapshot is written
-//     to <path> (Prometheus text) and <path>.json (JSON) at process exit
-//     and, when DNC_METRICS_INTERVAL=<seconds> is set, periodically from a
-//     background exporter thread. %p in the path expands to the pid, %s to
-//     the export sequence number.
+//     to <path> (Prometheus text) and <path>.json (JSON) at process exit.
+//     %p in the path expands to the pid, %s to the export sequence number.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +63,7 @@ double bucket_upper(int i) noexcept;
 /// cached; the steady-state cost is one relaxed load + branch).
 bool enabled() noexcept;
 
-/// Re-reads DNC_METRICS / DNC_METRICS_INTERVAL (tests setenv mid-process).
+/// Re-reads DNC_METRICS (tests setenv mid-process).
 void refresh_from_env() noexcept;
 
 // --- registration + recording --------------------------------------------
@@ -85,7 +84,12 @@ struct Id {
 Id register_metric(Kind kind, const std::string& name, const std::string& labels,
                    const std::string& help);
 
-/// Monotonic counter increment (no-op for invalid ids / disabled metrics).
+// Each recording call takes the registry mutex and updates only a metric of
+// its own kind: add() on a counter, set_gauge() on a gauge, observe() on a
+// histogram. A call on an invalid id, on an id of another kind, or with
+// metrics disabled does nothing.
+
+/// Monotonic counter increment.
 void add(Id id, double delta = 1.0) noexcept;
 /// Gauge set (last write wins, process-wide).
 void set_gauge(Id id, double value) noexcept;
@@ -118,10 +122,12 @@ struct Snapshot {
   std::vector<MetricSnapshot> metrics;  ///< registration order
 };
 
-/// Merges every thread shard into a consistent-enough view (writers keep
-/// writing; each cell is read once, so counters are monotonic across
-/// scrapes). Cheap: O(metrics x shards).
+/// Copies every metric's value under the registry mutex.
 Snapshot scrape();
+
+/// scrape() for the crash handler: returns false without waiting when the
+/// registry mutex is held (the crashing thread may be the one holding it).
+bool try_scrape(Snapshot& out);
 
 /// Prometheus text exposition (one # HELP/# TYPE block per metric family;
 /// histograms expose cumulative _bucket{le=...} series plus _sum/_count).
@@ -149,24 +155,18 @@ std::string configured_export_path();
 
 /// Writes the current scrape to `path` (Prometheus text) and `path`.json
 /// (JSON snapshot), expanding %p -> pid and %s -> export sequence. With an
-/// empty `path`, uses the configured one; no-op when neither exists.
+/// empty `path`, uses the configured one; no-op when neither exists. The
+/// first registration installs this, with the configured path, at exit.
 /// Returns the expanded Prometheus path ("" when nothing was written).
 std::string export_now(const std::string& path = "");
 
-/// Installs the at-exit exporter and, when DNC_METRICS_INTERVAL > 0, the
-/// periodic background exporter thread. Called lazily by the first
-/// recording; safe to call repeatedly.
-void ensure_exporter();
-
 // --- introspection (tests, zero-overhead assertions) ---------------------
 
-/// Number of registered metrics (0 until something records while enabled).
+/// Number of registered metrics (0 proves no recording path went past the
+/// gate: nothing is allocated until a registration while enabled).
 std::size_t registry_size() noexcept;
-/// Number of per-thread shards ever allocated (0 proves no recording path
-/// went past the gate).
-std::size_t shard_count() noexcept;
-/// Drops every registered metric and shard and re-reads the env. Only for
-/// tests -- concurrent recorders must be quiesced by the caller.
+/// Drops every registered metric and re-reads the env. Only for tests --
+/// concurrent recorders must be quiesced by the caller.
 void reset_for_tests();
 
 }  // namespace dnc::obs::metrics

@@ -52,7 +52,7 @@ class EnvGate : public ::testing::Test {
  protected:
   static constexpr const char* kVars[] = {
       "DNC_METRICS",    "DNC_FLIGHT",     "DNC_HISTORY",       "DNC_CRASH_DUMP",
-      "DNC_PROFILE_HZ", "DNC_FLIGHT_LATENCY", "DNC_METRICS_INTERVAL"};
+      "DNC_PROFILE_HZ", "DNC_FLIGHT_LATENCY"};
 
   void SetUp() override {
     for (const char* var : kVars) {

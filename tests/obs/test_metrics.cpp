@@ -146,7 +146,7 @@ TEST_F(MetricsTest, CountersGaugesAndDedup) {
   EXPECT_DOUBLE_EQ(snap.metrics[2].value, 42.0);  // last write wins
 }
 
-TEST_F(MetricsTest, ShardsMergeAcrossThreads) {
+TEST_F(MetricsTest, RecordsFromManyThreadsAllReachScrape) {
   m::Id c = m::register_metric(m::Kind::Counter, "test_mt_total", "", "t");
   m::Id h = m::register_metric(m::Kind::Histogram, "test_mt_hist", "", "t");
   constexpr int kThreads = 4, kIters = 1000;
@@ -163,7 +163,30 @@ TEST_F(MetricsTest, ShardsMergeAcrossThreads) {
   m::Snapshot snap = m::scrape();
   EXPECT_DOUBLE_EQ(snap.metrics[0].value, kThreads * kIters);
   EXPECT_EQ(snap.metrics[1].count, static_cast<std::uint64_t>(kThreads * kIters));
-  EXPECT_GE(m::shard_count(), static_cast<std::size_t>(kThreads));
+}
+
+TEST_F(MetricsTest, RegistryCapsAt256Series) {
+  // The cap bounds a runaway label set: the 257th series gets an invalid id
+  // and recording on it does nothing.
+  for (int i = 0; i < 256; ++i) {
+    const std::string labels = "i=\"" + std::to_string(i) + "\"";
+    ASSERT_TRUE(m::register_metric(m::Kind::Counter, "cap_total", labels, "t").valid()) << i;
+  }
+  for (m::Kind kind : {m::Kind::Counter, m::Kind::Gauge, m::Kind::Histogram}) {
+    m::Id over = m::register_metric(kind, "cap_over", "", "t");
+    EXPECT_FALSE(over.valid());
+    m::add(over, 5);
+    m::set_gauge(over, 6);
+    m::observe(over, 7);
+  }
+
+  m::Snapshot snap = m::scrape();
+  ASSERT_EQ(snap.metrics.size(), 256u);
+  for (const auto& ms : snap.metrics) {
+    EXPECT_EQ(ms.name, "cap_total");
+    EXPECT_EQ(ms.value, 0.0);
+    EXPECT_EQ(ms.count, 0u);
+  }
 }
 
 TEST_F(MetricsTest, JsonSnapshotRoundTrips) {
@@ -309,7 +332,6 @@ TEST(MetricsZeroOverhead, DisabledRegistersAndAllocatesNothing) {
   dc::stedc_taskflow(t.n(), t.d.data(), t.e.data(), v, {}, &st);
 
   EXPECT_EQ(m::registry_size(), 0u);
-  EXPECT_EQ(m::shard_count(), 0u);
   EXPECT_TRUE(m::scrape().metrics.empty());
   EXPECT_TRUE(m::configured_export_path().empty());
   EXPECT_TRUE(m::export_now().empty());

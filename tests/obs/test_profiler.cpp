@@ -1,7 +1,7 @@
 // Sampling-profiler tests: the zero-cost gate, interning, folded-stack
 // export of a profiled taskflow solve (worker + task-kind attribution and a
 // sample count consistent with wall time x HZ), and the DNC_CRASH_DUMP
-// last-gasp handler (death test).
+// last-gasp handler and its metrics section (death tests).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -21,6 +21,7 @@
 #include "dc/api.hpp"
 #include "matgen/tridiag.hpp"
 #include "obs/crash.hpp"
+#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 
 namespace dnc {
@@ -202,12 +203,11 @@ TEST_F(ProfilerTest, CrashGateOffByDefault) {
 
 using ProfilerDeathTest = ProfilerTest;
 
-TEST_F(ProfilerDeathTest, LastGaspDumpSurvivesAbort) {
+// Arms DNC_CRASH_DUMP at a pid-unique path -- pinned through an env var,
+// because the threadsafe death test re-executes the test body in a child
+// whose own getpid() would name a different file than the one checked here.
+std::string arm_crash_dump() {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // pid-unique so concurrent whole-binary ctest entries don't race on the
-  // dump file -- but pinned through an env var, because the threadsafe
-  // death test re-executes this body in a child whose own getpid() would
-  // name a different file than the one checked here.
   const char* preset = std::getenv("DNC_CRASH_TEST_PATH");
   const std::string path = preset ? std::string(preset)
                                   : ::testing::TempDir() + "dnc_crash_test_" +
@@ -216,6 +216,24 @@ TEST_F(ProfilerDeathTest, LastGaspDumpSurvivesAbort) {
   std::remove(path.c_str());
   std::remove((path + ".jsonl").c_str());
   ::setenv("DNC_CRASH_DUMP", path.c_str(), 1);
+  return path;
+}
+
+/// Reads the dump at `path`, then removes it and disarms the crash gate.
+std::string take_crash_dump(const std::string& path) {
+  std::ifstream f(path);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  std::remove(path.c_str());
+  std::remove((path + ".jsonl").c_str());
+  ::unsetenv("DNC_CRASH_DUMP");
+  ::unsetenv("DNC_CRASH_TEST_PATH");
+  crash::refresh_from_env();
+  return ss.str();
+}
+
+TEST_F(ProfilerDeathTest, LastGaspDumpSurvivesAbort) {
+  const std::string path = arm_crash_dump();
   EXPECT_EXIT(
       {
         crash::refresh_from_env();
@@ -223,17 +241,29 @@ TEST_F(ProfilerDeathTest, LastGaspDumpSurvivesAbort) {
         std::abort();
       },
       ::testing::KilledBySignal(SIGABRT), "");
-  std::ifstream f(path);
-  ASSERT_TRUE(f.good()) << "crash handler did not write " << path;
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  EXPECT_NE(ss.str().find("# dnc crash dump"), std::string::npos);
-  EXPECT_NE(ss.str().find("SIGABRT"), std::string::npos);
-  std::remove(path.c_str());
-  std::remove((path + ".jsonl").c_str());
-  ::unsetenv("DNC_CRASH_DUMP");
-  ::unsetenv("DNC_CRASH_TEST_PATH");
-  crash::refresh_from_env();
+  const std::string dump = take_crash_dump(path);
+  ASSERT_FALSE(dump.empty()) << "crash handler did not write " << path;
+  EXPECT_NE(dump.find("# dnc crash dump"), std::string::npos);
+  EXPECT_NE(dump.find("SIGABRT"), std::string::npos);
+}
+
+TEST_F(ProfilerDeathTest, LastGaspDumpCarriesMetrics) {
+  const std::string path = arm_crash_dump();
+  EXPECT_EXIT(
+      {
+        ::setenv("DNC_METRICS", "1", 1);
+        obs::metrics::reset_for_tests();
+        obs::metrics::add(obs::metrics::register_metric(obs::metrics::Kind::Counter,
+                                                        "crash_probe_total", "", "t"),
+                          3);
+        crash::refresh_from_env();
+        crash::ensure_installed();
+        std::abort();
+      },
+      ::testing::KilledBySignal(SIGABRT), "");
+  const std::string dump = take_crash_dump(path);
+  ASSERT_FALSE(dump.empty()) << "crash handler did not write " << path;
+  EXPECT_NE(dump.find("\ncrash_probe_total 3\n"), std::string::npos) << dump;
 }
 
 }  // namespace

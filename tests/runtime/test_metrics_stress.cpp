@@ -1,9 +1,10 @@
 // Concurrency stress for the metrics registry, run under ThreadSanitizer by
-// the `runtime`-labeled CI job: many writer threads hammer counters and
-// histograms (racing first-touch shard registration and lazy bucket-array
-// allocation) while scraper threads merge the shards and registrars add new
-// series. The assertions only check that nothing is lost -- the point of
-// the test is that TSan sees no data race in the single-writer shard idiom.
+// the `runtime`-labeled CI job: many writer threads hammer counters,
+// histograms and a gauge while scraper threads copy the registry and a
+// registrar adds new series, all through the one registry mutex. The
+// assertions check that nothing is lost; under TSan the test also checks
+// that no recording, scrape or registration touches a value outside that
+// mutex.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -70,7 +71,7 @@ TEST_F(MetricsStressTest, ConcurrentWritersScrapersAndRegistrars) {
   // A registrar keeps adding fresh series, racing the index map's lock.
   std::thread registrar([&] {
     for (int i = 0; i < 200; ++i) {
-      std::string labels = "shard=\"" + std::to_string(i % 16) + "\"";
+      std::string labels = "series=\"" + std::to_string(i % 16) + "\"";
       m::add(m::register_metric(m::Kind::Counter, "stress_dyn_total", labels, "t"));
     }
   });
@@ -94,13 +95,13 @@ TEST_F(MetricsStressTest, ConcurrentWritersScrapersAndRegistrars) {
   EXPECT_DOUBLE_EQ(dyn_total, 200.0);
 }
 
-TEST_F(MetricsStressTest, ShardsSurviveThreadExit) {
+TEST_F(MetricsStressTest, RecordsFromExitedThreadsReachScrape) {
   m::Id c = m::register_metric(m::Kind::Counter, "exit_total", "", "t");
   for (int round = 0; round < 16; ++round) {
     std::thread t([&] { m::add(c, 1.0); });
     t.join();
-    // Scrape between thread lifetimes: exited threads' shards must still
-    // contribute (the registry holds them via shared_ptr).
+    // Scrape between thread lifetimes: what an exited thread recorded
+    // must still count.
     EXPECT_DOUBLE_EQ(m::scrape().metrics[0].value, round + 1.0);
   }
 }
