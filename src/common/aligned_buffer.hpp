@@ -63,17 +63,13 @@ class AlignedBuffer {
   /// by default; the precision-templated GEMM passes its Real). Contents
   /// are unspecified; previous pointers are invalidated when the buffer
   /// grows. Capacity is tracked in bytes so one arena serves both widths.
-  /// A caller that knows an upper bound on its requests passes it as
-  /// `limit` (elements of T): growth then never allocates past
-  /// max(n, limit), so the arena stays inside a bound the caller can state.
   template <typename T = double>
-  T* reserve(std::size_t n, std::size_t limit = 0) {
+  T* reserve(std::size_t n) {
     const std::size_t need = n * sizeof(T);
     if (need > capacity_bytes_) {
       // Grow geometrically so alternating callers with slightly different
       // panel shapes do not reallocate on every call.
       std::size_t want = capacity_bytes_ + capacity_bytes_ / 2;
-      if (limit > 0 && want > limit * sizeof(T)) want = limit * sizeof(T);
       if (want < need) want = need;
       free_aligned(data_, capacity_bytes_);
       data_ = nullptr;

@@ -30,8 +30,17 @@
 // InvalidArgument, before any work. On return d holds the eigenvalues in
 // ascending order and v the corresponding orthonormal eigenvectors (v is
 // resized to n x n). e is destroyed.
+//
+// Workspace: a solve's scratch (workspace_bytes) is the n x n array of
+// LAPACK's dstedc plus the UpdateVect S-panel copies. The library keeps one
+// such workspace per working precision between solves and reuses it, so
+// repeated solves do not map and fault their scratch in again; it only
+// grows. A solve that finds it in use by a concurrent solve of the same
+// precision takes a transient workspace of its own. release_workspace()
+// returns the kept memory to the system.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -68,6 +77,16 @@ struct SolveStats {
   std::vector<rt::SimulationResult> simulated;  ///< per requested worker count
   std::string dag_dot;                          ///< DOT DAG if opt.export_dag
 };
+
+/// Bytes of scratch a D&C solve of order n under `opt` uses, at the
+/// working precision opt.precision: the n x n workspace plus one
+/// n x min(opt.nb, n) S-panel slot per thread (opt.threads;
+/// stedc_sequential runs with one). 0 for n <= 2, which need none.
+std::uint64_t workspace_bytes(index_t n, const Options& opt);
+
+/// Frees the workspaces the library keeps between solves. Waits for a solve
+/// that is using one; the next solve allocates afresh.
+void release_workspace();
 
 void stedc_sequential(index_t n, double* d, double* e, Matrix& v, const Options& opt = {},
                       SolveStats* stats = nullptr);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <string>
 
 #include "blas/aux.hpp"
@@ -116,14 +117,14 @@ void solve_leaf(const TreeNode& node, Real* d, Real* e, MatrixT<Real>& v, index_
 /// ascending using qwork as scratch.
 template <typename Real>
 void sort_eigenpairs(index_t n, Real* d, MatrixT<Real>& v, const index_t* perm,
-                     MatrixT<Real>& qwork) {
+                     const MatrixViewT<Real>& qwork) {
   std::vector<Real> dsorted(n);
   for (index_t r = 0; r < n; ++r) {
     dsorted[r] = d[perm[r]];
-    blas::copy(n, v.data() + perm[r] * v.ld(), qwork.data() + r * qwork.ld());
+    blas::copy(n, v.data() + perm[r] * v.ld(), qwork.col(r));
   }
   blas::copy(n, dsorted.data(), d);
-  blas::lacpy(n, n, qwork.data(), qwork.ld(), v.data(), v.ld());
+  blas::lacpy(n, n, qwork.data, qwork.ld, v.data(), v.ld());
 }
 
 /// Accumulates deflation statistics over the contexts.
@@ -153,16 +154,12 @@ void finish_report(const obs::SolveScope& scope, const Contexts<Real>& ctxs, ind
   obs::SolveReport& rep = stats->report;
   scope.finish(rep, n, opt.threads, trace, simulate_workers, stats->simulated);
   if (trace) trace->meta_counters.emplace_back("nb", static_cast<double>(opt.nb));
-  // Workspace telemetry: the solve-wide scratch (the n x n qwork) and the
-  // bound on the UpdateVect S copies (one buffer of at most n x nb per
-  // worker), the n x n eigenvector output, and the per-merge contexts
-  // (z + zhat + the m x npanels partial-product matrix each). All of it is
-  // allocated at the working precision, so fp32 solves report half the
-  // fp64 bytes.
+  // Workspace telemetry: the solve's scratch (workspace_bytes), the n x n
+  // eigenvector output, and the per-merge contexts (z + zhat + the
+  // m x npanels partial-product matrix each). All of it is allocated at the
+  // working precision, so fp32 solves report half the fp64 bytes.
   const std::uint64_t nn = static_cast<std::uint64_t>(n);
-  const std::uint64_t panel = static_cast<std::uint64_t>(std::min(opt.nb, n));
-  rep.memory.workspace_bytes =
-      (nn * nn + static_cast<std::uint64_t>(opt.threads) * nn * panel) * sizeof(Real);
+  rep.memory.workspace_bytes = workspace_bytes(n, opt);
   rep.memory.output_bytes = nn * nn * sizeof(Real);
   rep.memory.context_bytes = 0;  // accumulated below; keep per-solve on report reuse
   rep.merges.clear();            // reused reports must not accumulate merge records
@@ -180,6 +177,21 @@ void finish_report(const obs::SolveScope& scope, const Contexts<Real>& ctxs, ind
     mr.t_end = ctx->t_deflate_end;
     rep.merges.push_back(mr);
   }
+}
+
+/// The workspace the library keeps between solves, one per working
+/// precision. Leaked like the obs singletons: a solve may still run on
+/// another thread while the process tears down.
+template <typename Real>
+struct Retained {
+  std::mutex mu;  ///< held by the solve using ws
+  WorkspaceT<Real> ws;
+};
+
+template <typename Real>
+Retained<Real>& retained() {
+  static Retained<Real>* r = new Retained<Real>;
+  return *r;
 }
 
 /// One solve at the working precision Real: the shared prologue, the
@@ -200,11 +212,17 @@ void emit_solve(ExecModel model, index_t n, Real* d, Real* e, MatrixT<Real>& v,
   v.resize(n, n);
 
   const Plan plan = build_plan(n, opt.minpart);
-  MatrixT<Real> qwork(n, n);
+  // The retained workspace, unless a concurrent solve holds it: then a
+  // transient one, freed on return.
+  Retained<Real>& kept = retained<Real>();
+  std::unique_lock<std::mutex> hold(kept.mu, std::try_to_lock);
+  WorkspaceT<Real> transient;
   auto ctxs = make_contexts(plan, e, opt.nb);
   std::vector<index_t> perm(n);
-  Emitter<Real> emitter(model, opt, plan, ctxs, d, e, v, qwork, perm.data());
+  Emitter<Real> emitter(model, opt, plan, ctxs, d, e, v, hold ? kept.ws : transient,
+                        perm.data());
   emitter.solve();
+  if (hold) hold.unlock();  // the epilogue does not touch the workspace
 
   if (stats == nullptr) return;
   rt::Trace* tr = nullptr;
@@ -237,9 +255,11 @@ void run(ExecModel model, index_t n, double* d, double* e, Matrix& v, Options op
 template <typename Real>
 Emitter<Real>::Emitter(ExecModel model, const Options& opt, const Plan& plan,
                        Contexts<Real>& ctxs, Real* d, Real* e, MatrixT<Real>& v,
-                       MatrixT<Real>& qwork, index_t* perm)
-    : model_(model), opt_(opt), plan_(plan), ctxs_(ctxs), d_(d), e_(e), v_(v), qwork_(qwork),
+                       WorkspaceT<Real>& ws, index_t* perm)
+    : model_(model), opt_(opt), plan_(plan), ctxs_(ctxs), d_(d), e_(e), v_(v), ws_(ws),
       perm_(perm), n_(plan.nodes[plan.root].m), hnode_(plan.nodes.size()) {
+  ws_.fit(n_, opt);
+  qwork_ = ws_.qwork();
   if (model == ExecModel::Sequential || model == ExecModel::Taskflow) {
     hpanel_.resize(plan.nodes.size());
     for (std::size_t i = 0; i < plan.nodes.size(); ++i)
@@ -286,6 +306,15 @@ std::vector<rt::TaskDep> Emitter<Real>::panel_deps(std::size_t i, index_t p) {
   std::vector<rt::TaskDep> deps{{&hnode_[i], rt::Access::GatherV}};
   if (!hpanel_.empty()) deps.push_back({&hpanel_[i][p], rt::Access::InOut});
   return deps;
+}
+
+/// The calling thread's S-panel slot. Under the runtime models only the
+/// solve's own workers run its tasks, each on its worker id's slot; the
+/// inline Sequential solve has one slot, whatever thread calls it (a
+/// worker of an outer runtime included).
+template <typename Real>
+Real* Emitter<Real>::spanel() {
+  return ws_.spanel(runtime_ ? rt::current_worker() : 0);
 }
 
 template <typename Real>
@@ -419,7 +448,7 @@ void Emitter<Real>::merge(std::size_t i) {
 
   const auto update = [this, ctx](index_t j0, index_t j1) {
     update_vectors_panel(ctx->defl, ctx->w1(qwork_), ctx->w2(qwork_), ctx->secular(v_), j0, j1,
-                         ctx->qblock(v_));
+                         ctx->qblock(v_), spanel());
   };
   for (index_t p = 0; p < np; ++p) {
     const index_t j0 = p * pw, j1 = std::min(j0 + pw, m);
@@ -487,7 +516,7 @@ void Emitter<Real>::sort_and_unscale() {
            [this, p, nb] {
              for (index_t r = p * nb; r < std::min(p * nb + nb, n_); ++r) {
                dsorted_[r] = d_[perm_[r]];
-               blas::copy(n_, v_.data() + perm_[r] * v_.ld(), qwork_.data() + r * qwork_.ld());
+               blas::copy(n_, v_.data() + perm_[r] * v_.ld(), qwork_.col(r));
              }
            },
            {{&hnode_[plan_.root], Access::GatherV}, {&hsort_[p], Access::InOut}});
@@ -497,8 +526,8 @@ void Emitter<Real>::sort_and_unscale() {
       task(kSort,
            [this, p, nb] {
              const index_t j0 = p * nb;
-             blas::lacpy(n_, std::min(nb, n_ - j0), qwork_.data() + j0 * qwork_.ld(),
-                         qwork_.ld(), v_.data() + j0 * v_.ld(), v_.ld());
+             blas::lacpy(n_, std::min(nb, n_ - j0), qwork_.col(j0), qwork_.ld,
+                         v_.data() + j0 * v_.ld(), v_.ld());
            },
            {{&hnode_[plan_.root], Access::GatherV}, {&hsort_[p], Access::InOut}});
     }
@@ -510,9 +539,30 @@ void Emitter<Real>::sort_and_unscale() {
 template class Emitter<double>;
 template class Emitter<float>;
 
+std::uint64_t workspace_elements(index_t n, const Options& opt) {
+  if (n <= 2) return 0;  // solved directly, without the merge machinery
+  const std::uint64_t nn = static_cast<std::uint64_t>(n);
+  const std::uint64_t panel = static_cast<std::uint64_t>(std::min(opt.nb, n));
+  return nn * nn + static_cast<std::uint64_t>(opt.threads) * nn * panel;
+}
+
 }  // namespace detail
 
 using detail::ExecModel;
+
+std::uint64_t workspace_bytes(index_t n, const Options& opt) {
+  return detail::workspace_elements(n, opt) *
+         (opt.precision == Precision::F64 ? sizeof(double) : sizeof(float));
+}
+
+void release_workspace() {
+  const auto release = [](auto& kept) {
+    std::lock_guard<std::mutex> lk(kept.mu);
+    kept.ws.release();
+  };
+  release(detail::retained<double>());
+  release(detail::retained<float>());
+}
 
 void stedc_sequential(index_t n, double* d, double* e, Matrix& v, const Options& opt,
                       SolveStats* stats) {

@@ -32,6 +32,8 @@
 // differ by rounding across the pairs.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -43,6 +45,45 @@
 namespace dnc::dc::detail {
 
 enum class ExecModel { Sequential, Taskflow, LapackModel, ScalapackModel };
+
+/// dc::workspace_bytes(n, opt) in elements of the working precision.
+std::uint64_t workspace_elements(index_t n, const Options& opt);
+
+/// The scratch of a solve, as LAPACK's dstedc `work` array: the n x n
+/// qwork (dc/merge.hpp) and one n x min(nb, n) slot per thread that runs
+/// UpdateVect, for its copy of the panel's S columns (dc/secular.hpp). One
+/// allocation of dc::workspace_bytes(n, opt) that only grows, so a workspace
+/// kept across solves of the same or a smaller size is never mapped or
+/// faulted in again. MatrixT frees before it allocates: growing never holds
+/// two generations at once.
+template <typename Real>
+class WorkspaceT {
+ public:
+  /// Lays out a solve of order n under opt, growing the storage if needed.
+  void fit(index_t n, const Options& opt) {
+    const auto elements = static_cast<index_t>(workspace_elements(n, opt));
+    if (elements > buf_.rows()) buf_.resize(elements, 1);
+    n_ = n;
+    panel_ = std::min(opt.nb, n);
+    slots_ = opt.threads;
+  }
+  /// Returns the storage to the system; the next fit allocates afresh.
+  void release() { buf_ = MatrixT<Real>(); }
+
+  /// The n x n workspace, leading dimension n, at the start of the storage.
+  MatrixViewT<Real> qwork() { return MatrixViewT<Real>(buf_.data(), n_, n_, n_); }
+  /// S-panel slot `slot` in [0, opt.threads): n x min(nb, n) elements.
+  Real* spanel(int slot) {
+    DNC_ASSERT(slot >= 0 && slot < slots_);
+    return buf_.data() + n_ * n_ + slot * n_ * panel_;
+  }
+
+ private:
+  MatrixT<Real> buf_;  ///< capacity x 1
+  index_t n_ = 0;
+  index_t panel_ = 0;
+  int slots_ = 0;
+};
 
 template <typename Real>
 using Contexts = std::vector<std::unique_ptr<MergeContextT<Real>>>;
@@ -59,13 +100,13 @@ Contexts<Real> make_contexts(const Plan& plan, const Real* e, index_t nb) {
 }
 
 /// Emits the tasks of one solve under one execution model. All arguments
-/// must outlive the emitter; the runtime-backed models start opt.threads
-/// workers at construction.
+/// must outlive the emitter; the constructor fits `ws` to the solve, and
+/// the runtime-backed models start opt.threads workers.
 template <typename Real>
 class Emitter {
  public:
   Emitter(ExecModel model, const Options& opt, const Plan& plan, Contexts<Real>& ctxs, Real* d,
-          Real* e, MatrixT<Real>& v, MatrixT<Real>& qwork, index_t* perm);
+          Real* e, MatrixT<Real>& v, WorkspaceT<Real>& ws, index_t* perm);
   ~Emitter();
   Emitter(const Emitter&) = delete;
   Emitter& operator=(const Emitter&) = delete;
@@ -86,6 +127,7 @@ class Emitter {
   void task(int kind, F&& body, std::vector<rt::TaskDep> deps, const TreeNode* nd = nullptr,
             bool join = false, long panel = -1);
   std::vector<rt::TaskDep> panel_deps(std::size_t i, index_t p);
+  Real* spanel();
   void leaf(std::size_t i);
   void sort_and_unscale();
 
@@ -96,7 +138,8 @@ class Emitter {
   Real* d_;
   Real* e_;
   MatrixT<Real>& v_;
-  MatrixT<Real>& qwork_;  ///< the solve's n x n workspace (dc/merge.hpp)
+  WorkspaceT<Real>& ws_;
+  MatrixViewT<Real> qwork_;  ///< ws_.qwork()
   index_t* perm_;
   index_t n_;
   Real orgnrm_ = 0;

@@ -21,10 +21,10 @@ namespace dnc::dc {
 /// address the node's m x m region of v and of qwork.
 ///
 /// qwork is the solve's one n x n workspace, as in LAPACK's dstedc, sized
-/// once for the whole solve. Independent merges use disjoint regions
-/// addressed by their node offset, so concurrent merges never share memory
-/// (the paper's PLASMA implementation does the same with its user-provided
-/// workspace).
+/// once for the whole solve (detail::WorkspaceT, dc/emit.hpp). Independent
+/// merges use disjoint regions addressed by their node offset, so
+/// concurrent merges never share memory (the paper's PLASMA implementation
+/// does the same with its user-provided workspace).
 template <typename Real>
 struct MergeContextT {
   TreeNode node;
@@ -49,13 +49,13 @@ struct MergeContextT {
   MatrixViewT<Real> qblock(MatrixT<Real>& q) const {
     return q.block(node.i0, node.i0, node.m, node.m);
   }
-  MatrixViewT<Real> w1(MatrixT<Real>& qwork) const {
+  MatrixViewT<Real> w1(const MatrixViewT<Real>& qwork) const {
     return qwork.block(node.i0, node.i0, node.n1, node.m);
   }
-  MatrixViewT<Real> w2(MatrixT<Real>& qwork) const {
+  MatrixViewT<Real> w2(const MatrixViewT<Real>& qwork) const {
     return qwork.block(node.i0 + node.n1, node.i0, node.m - node.n1, node.m);
   }
-  MatrixViewT<Real> wdefl(MatrixT<Real>& qwork) const {
+  MatrixViewT<Real> wdefl(const MatrixViewT<Real>& qwork) const {
     // Full-height columns [k, m) of the node's qwork region; views are
     // created per call AFTER deflation so k is known.
     return qwork.block(node.i0, node.i0 + defl.k, node.m, node.m - defl.k);

@@ -6,18 +6,10 @@
 #include "blas/aux.hpp"
 #include "blas/gemm.hpp"
 #include "blas/level1.hpp"
-#include "common/aligned_buffer.hpp"
 #include "common/error.hpp"
 #include "lapack/laed4.hpp"
 
 namespace dnc::dc {
-namespace {
-
-// Per-thread copy of an UpdateVect panel's S columns, reused across panels
-// like the GEMM packing workspaces (blas/gemm.cpp).
-thread_local AlignedBuffer tls_spanel;
-
-}  // namespace
 
 template <typename Real>
 void permute_panel(const DeflationResultT<Real>& defl, const MatrixViewT<Real>& qblock,
@@ -110,7 +102,7 @@ void secular_vectors_panel(const DeflationResultT<Real>& defl, MatrixViewT<Real>
 template <typename Real>
 void update_vectors_panel(const DeflationResultT<Real>& defl, const MatrixViewT<Real>& w1,
                           const MatrixViewT<Real>& w2, const MatrixViewT<Real>& smat,
-                          index_t j0, index_t j1, MatrixViewT<Real> qblock) {
+                          index_t j0, index_t j1, MatrixViewT<Real> qblock, Real* spanel) {
   const index_t m = defl.m;
   const index_t n1 = defl.n1;
   const index_t n2 = m - n1;
@@ -118,23 +110,19 @@ void update_vectors_panel(const DeflationResultT<Real>& defl, const MatrixViewT<
   const index_t k23 = defl.k23();
   const index_t c1 = defl.ctot[0];
   const index_t k = defl.k;
-  const index_t width = j1 - j0;
   j1 = std::min(j1, k);
   const index_t nj = j1 - j0;
   if (nj <= 0) return;
-  // k x nj copy of the panel's S columns; the bound m x width keeps every
-  // thread's buffer within n x nb over the whole solve.
-  Real* sp = tls_spanel.reserve<Real>(static_cast<std::size_t>(k) * nj,
-                                      static_cast<std::size_t>(m) * width);
-  blas::lacpy(k, nj, smat.col(j0), smat.ld, sp, k);
+  // k x nj copy of the panel's S columns.
+  blas::lacpy(k, nj, smat.col(j0), smat.ld, spanel, k);
   if (k12 > 0) {
-    blas::gemm(blas::Trans::No, blas::Trans::No, n1, nj, k12, Real(1), w1.data, w1.ld, sp, k,
+    blas::gemm(blas::Trans::No, blas::Trans::No, n1, nj, k12, Real(1), w1.data, w1.ld, spanel, k,
                Real(0), qblock.col(j0), qblock.ld);
   } else {
     blas::laset(n1, nj, Real(0), Real(0), qblock.col(j0), qblock.ld);
   }
   if (k23 > 0) {
-    blas::gemm(blas::Trans::No, blas::Trans::No, n2, nj, k23, Real(1), w2.data, w2.ld, sp + c1,
+    blas::gemm(blas::Trans::No, blas::Trans::No, n2, nj, k23, Real(1), w2.data, w2.ld, spanel + c1,
                k, Real(0), qblock.col(j0) + n1, qblock.ld);
   } else {
     blas::laset(n2, nj, Real(0), Real(0), qblock.col(j0) + n1, qblock.ld);
@@ -164,7 +152,7 @@ void copyback_panel(const DeflationResultT<Real>& defl, const MatrixViewT<Real>&
                                             const Real*, index_t, index_t);                   \
   template void update_vectors_panel<Real>(                                                   \
       const DeflationResultT<Real>&, const MatrixViewT<Real>&, const MatrixViewT<Real>&,      \
-      const MatrixViewT<Real>&, index_t, index_t, MatrixViewT<Real>);                         \
+      const MatrixViewT<Real>&, index_t, index_t, MatrixViewT<Real>, Real*);                  \
   template void copyback_panel<Real>(const DeflationResultT<Real>&, const MatrixViewT<Real>&, \
                                      index_t, index_t, MatrixViewT<Real>)
 

@@ -18,9 +18,10 @@
 // secular matrix sits in the top-left corner of qblock itself, as in
 // LAPACK's dlaed3: once PermuteV has copied the sons' columns out, the
 // block holds nothing live until UpdateVect writes the father's columns.
-// UpdateVect therefore first copies its panel's S columns into a
-// per-thread buffer (at most m x nb) and runs its GEMMs from there, since
-// its output columns are the ones S occupies.
+// UpdateVect therefore first copies its panel's S columns into a buffer
+// private to the running thread (its slot of the solve's workspace, n x nb)
+// and runs its GEMMs from there, since its output columns are the ones S
+// occupies.
 #pragma once
 
 #include "dc/deflation.hpp"
@@ -65,12 +66,12 @@ void secular_vectors_panel(const DeflationResultT<Real>& defl, MatrixViewT<Real>
 /// UpdateVect: the compressed GEMMs forming father eigenvector columns
 /// [j0, j1): top rows from w1 x smat(0:k12, :), bottom rows from
 /// w2 x smat(ctot1:ctot1+k23, :). The panel's columns of smat are copied
-/// to a per-thread buffer first, so smat may alias qblock's columns
-/// [j0, j1) (the layout above).
+/// to `spanel` first (k x (j1 - j0) elements, private to the calling
+/// thread), so smat may alias qblock's columns [j0, j1) (the layout above).
 template <typename Real>
 void update_vectors_panel(const DeflationResultT<Real>& defl, const MatrixViewT<Real>& w1,
                           const MatrixViewT<Real>& w2, const MatrixViewT<Real>& smat,
-                          index_t j0, index_t j1, MatrixViewT<Real> qblock);
+                          index_t j0, index_t j1, MatrixViewT<Real> qblock, Real* spanel);
 
 /// CopyBackDeflated: restores deflated columns [g0, g1) (clamped to
 /// [k, m)) from wdefl into the father block (memory bound).

@@ -145,18 +145,6 @@ std::string ring_jsonl(bool best_effort) {
   return ring_jsonl_locked();
 }
 
-std::size_t ring_reports() {
-  State& s = state();
-  std::lock_guard<std::mutex> lk(s.mu);
-  return s.ring.size();
-}
-
-unsigned long dump_count() {
-  State& s = state();
-  std::lock_guard<std::mutex> lk(s.mu);
-  return s.dumps;
-}
-
 void reset_for_tests() {
   {
     State& s = state();

@@ -55,15 +55,9 @@ std::string observe(const SolveReport& report, const rt::Trace* trace);
 /// instead of deadlocking the dying process.
 std::string ring_jsonl(bool best_effort = false);
 
-/// Solves (full reports) in the ring.
-std::size_t ring_reports();
-
 /// Strips insignificant whitespace (string-literal aware) so a pretty
 /// to_json() report becomes one JSONL line.
 std::string compact_json(const std::string& pretty);
-
-/// Dumps written so far.
-unsigned long dump_count();
 
 /// Zeroes the dump count, empties the ring and re-reads the env. Test hook.
 void reset_for_tests();

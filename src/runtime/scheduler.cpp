@@ -365,6 +365,8 @@ void Scheduler::record_steal() {
 
 Scheduler* Scheduler::current() { return tls_scheduler; }
 
+int current_worker() { return tls_worker_id; }
+
 const char* Scheduler::interned_kind(WorkerCtx& ctx, int kind) {
   if (kind < 0) return nullptr;
   if (kind >= static_cast<int>(ctx.kind_names.size())) {
@@ -583,6 +585,7 @@ void Scheduler::worker_loop(int worker_id) {
   }
   tls_scheduler = nullptr;
   tls_ctx = nullptr;
+  tls_worker_id = -1;
 }
 
 void Scheduler::wait_all() {

@@ -303,6 +303,11 @@ class Scheduler {
   std::uint64_t next_child_id_ = std::uint64_t{1} << 62;
 };
 
+/// Worker id, in [0, threads()), of the calling thread within its
+/// Scheduler::current(); -1 on a thread that is no scheduler's worker.
+/// Library code indexes per-worker scratch with it (dc's S-panel slots).
+int current_worker();
+
 /// Free-function form of task-internal spawning for library code: fans
 /// `body(0..count-1)` out as child subtasks of the currently-running task
 /// when the calling thread is a runtime worker, and runs it as a plain

@@ -48,25 +48,5 @@ TEST(AlignedBuffer, ReturnsAlignedGrowOnlyStorage) {
   for (std::size_t i = 0; i < 100000; ++i) q[i] = 1.0;
 }
 
-TEST(AlignedBuffer, LimitCapsGeometricGrowthAcrossTheMapLine) {
-  // Without a limit a request just above the capacity grows it by half;
-  // with one, growth stops at the limit (the per-thread S copies of the
-  // D&C merge rely on this for their n x nb bound).
-  const std::size_t big = kMapBytes / sizeof(double);  // first mapped size
-  AlignedBuffer free_growth, capped;
-  free_growth.reserve(big);
-  capped.reserve(big);
-  free_growth.reserve(big + 1);
-  EXPECT_EQ(free_growth.capacity(), big + big / 2);
-  double* p = capped.reserve(big + 1, big + 8);
-  EXPECT_EQ(capped.capacity(), big + 8);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % AlignedBuffer::kAlignment, 0u);
-  for (std::size_t i = 0; i < big + 8; ++i) p[i] = 2.0;
-  // A request past the limit is still served in full.
-  double* q = capped.reserve(2 * big, big + 8);
-  EXPECT_EQ(capped.capacity(), 2 * big);
-  for (std::size_t i = 0; i < 2 * big; ++i) q[i] = 3.0;
-}
-
 }  // namespace
 }  // namespace dnc

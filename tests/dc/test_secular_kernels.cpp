@@ -58,9 +58,9 @@ std::unique_ptr<MergeContext> run_merge(Scenario& s, index_t nb) {
   auto ctxs = detail::make_contexts(plan, e.data(), nb);
   Options opt;
   opt.nb = nb;
-  Matrix qwork(n, n);
+  detail::WorkspaceT<double> ws;
   detail::Emitter<double> emitter(detail::ExecModel::Sequential, opt, plan, ctxs,
-                                  s.dvals.data(), e.data(), s.q, qwork, s.perm.data());
+                                  s.dvals.data(), e.data(), s.q, ws, s.perm.data());
   emitter.merge(plan.root);
   return std::move(ctxs[plan.root]);
 }

@@ -2,12 +2,18 @@
 // matrix families, sizes, and tuning parameters.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <set>
+#include <string>
+#include <thread>
 #include <tuple>
 
 #include "../support/precision_testing.hpp"
@@ -397,6 +403,7 @@ TEST(Stedc, PeakRssGrowthIsOneWorkspacePlusOutput) {
   const std::uint64_t workspace = (nn * nn + copies) * sizeof(double);
   EXPECT_EQ(mem.output_bytes, output);
   EXPECT_EQ(mem.workspace_bytes, workspace);
+  EXPECT_EQ(workspace_bytes(n, opt), workspace);
   EXPECT_LE(static_cast<double>(mem.rss_hwm_delta_bytes),
             1.25 * static_cast<double>(output + workspace))
       << "peak RSS grew by " << static_cast<double>(mem.rss_hwm_delta_bytes) / 1048576.0
@@ -420,6 +427,102 @@ TEST(Stedc, StatsAreFilled) {
   // More virtual workers can never increase the simulated makespan.
   EXPECT_GE(st.simulated[0].makespan + 1e-12, st.simulated[1].makespan);
   EXPECT_GE(st.simulated[1].makespan + 1e-12, st.simulated[2].makespan);
+}
+
+/// Minor page faults of the whole process so far.
+long minor_faults() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+/// Resident set size of the process in bytes (VmRSS), 0 when unreadable.
+std::uint64_t resident_bytes() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoull(line.substr(6)) * 1024;
+  return 0;
+}
+
+TEST(Stedc, RepeatedSolveReusesItsWorkspace) {
+  if (version::kSanitize || kCompilerSanitizer)
+    GTEST_SKIP() << "sanitizer allocators map and fault memory on their own schedule";
+  const index_t n = 1024;
+  const auto t = matgen::table3_matrix(13, n);
+  Options opt;
+  opt.precision = Precision::F64;
+  opt.threads = 2;
+  Matrix v;  // reused, like a caller's output in a solve loop
+  long faults = 0;
+  for (int solve = 0; solve < 2; ++solve) {
+    std::vector<double> d = t.d, e = t.e;
+    const long before = minor_faults();
+    stedc_taskflow(n, d.data(), e.data(), v, opt);
+    faults = minor_faults() - before;
+  }
+  // The second solve finds the first one's workspace, so only small
+  // allocations fault in again. A workspace mapped per solve faults in all
+  // of its pages.
+  const long workspace_pages = static_cast<long>(
+      (n * n + opt.threads * n * opt.nb) * static_cast<index_t>(sizeof(double)) / 4096);
+  EXPECT_LT(faults, workspace_pages / 4)
+      << faults << " minor faults in the second solve; the workspace is " << workspace_pages
+      << " pages";
+}
+
+TEST(Stedc, ConcurrentCallersGetCorrectResults) {
+  // Two callers solve different inputs at the same time; one of them finds
+  // the kept workspace taken and solves in a transient one. Each result is
+  // bitwise the serial solve's.
+  struct Case {
+    matgen::Tridiag t;
+    std::vector<double> d;
+    Matrix v;
+  };
+  Options opt;
+  opt.precision = Precision::F64;
+  opt.threads = 2;
+  opt.minpart = 32;
+  const auto solve = [&opt](const matgen::Tridiag& t, std::vector<double>& d, Matrix& v) {
+    d = t.d;
+    std::vector<double> e = t.e;
+    stedc_taskflow(t.n(), d.data(), e.data(), v, opt);
+  };
+  Case ref[2] = {{matgen::table3_matrix(4, 420), {}, {}},
+                 {matgen::table3_matrix(13, 360), {}, {}}};
+  for (Case& c : ref) solve(c.t, c.d, c.v);
+  for (int round = 0; round < 4; ++round) {
+    Case got[2] = {{ref[0].t, {}, {}}, {ref[1].t, {}, {}}};
+    std::thread other([&] { solve(got[1].t, got[1].d, got[1].v); });
+    solve(got[0].t, got[0].d, got[0].v);
+    other.join();
+    for (int c = 0; c < 2; ++c) {
+      ASSERT_EQ(got[c].d, ref[c].d) << "caller " << c << ", round " << round;
+      ASSERT_EQ(got[c].v.rows(), ref[c].v.rows());
+      EXPECT_EQ(std::memcmp(got[c].v.data(), ref[c].v.data(), ref[c].v.size_bytes()), 0)
+          << "caller " << c << ", round " << round;
+    }
+  }
+}
+
+TEST(Stedc, ReleaseWorkspaceReturnsItsPages) {
+  if (version::kSanitize || kCompilerSanitizer)
+    GTEST_SKIP() << "sanitizer allocators hold freed memory";
+  const index_t n = 1024;
+  const auto t = matgen::table3_matrix(13, n);
+  std::vector<double> d = t.d, e = t.e;
+  Options opt;
+  opt.precision = Precision::F64;
+  opt.threads = 2;
+  Matrix v;
+  stedc_taskflow(n, d.data(), e.data(), v, opt);
+  const std::uint64_t kept = resident_bytes();
+  if (kept == 0) GTEST_SKIP() << "VmRSS unavailable on this host";
+  release_workspace();
+  const std::uint64_t released = resident_bytes();
+  EXPECT_GE(static_cast<double>(kept) - static_cast<double>(released),
+            0.5 * static_cast<double>(workspace_bytes(n, opt)))
+      << "VmRSS " << kept / 1024 << " kB -> " << released / 1024 << " kB";
 }
 
 TEST(Stedc, RepeatedSolveSameResult) {

@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <cstdlib>
@@ -92,6 +93,12 @@ obs::SolveReport sample_report(const char* driver = "taskflow", long n = 1000,
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+/// Solves in the flight recorder's ring: one ring_jsonl() line each.
+long ring_lines() {
+  const std::string ring = obs::flight::ring_jsonl();
+  return static_cast<long>(std::count(ring.begin(), ring.end(), '\n'));
 }
 
 TEST_F(HistoryTest, DisabledByDefault) {
@@ -241,10 +248,10 @@ TEST_F(HistoryTest, RotationAtSizeCap) {
 
 TEST_F(HistoryTest, TelemetryWithoutFlightAppendsOnlyToArchive) {
   obs::record_solve_telemetry(sample_report(), nullptr);  // disabled: nowhere
-  EXPECT_EQ(obs::flight::ring_reports(), 0u);
+  EXPECT_EQ(ring_lines(), 0);
   enable();
   obs::record_solve_telemetry(sample_report(), nullptr);
-  EXPECT_EQ(obs::flight::ring_reports(), 0u);
+  EXPECT_EQ(ring_lines(), 0);
   std::vector<obs::SolveReport> reps;
   ASSERT_TRUE(hist::load_file(path_, reps));
   EXPECT_EQ(reps.size(), 1u);  // only the post-enable solve hit the file

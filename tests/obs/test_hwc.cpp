@@ -203,8 +203,10 @@ TEST_F(HwcTest, FallbackReportsPlausiblePeakRssAfterLargeSolve) {
   const std::uint64_t n = 640;
   const dc::Options opt;
   const std::uint64_t panel = static_cast<std::uint64_t>(std::min<index_t>(opt.nb, 640));
-  EXPECT_EQ(rep.memory.workspace_bytes,
-            (n * n + static_cast<std::uint64_t>(opt.threads) * n * panel) * sizeof(double));
+  const std::uint64_t workspace =
+      (n * n + static_cast<std::uint64_t>(opt.threads) * n * panel) * sizeof(double);
+  EXPECT_EQ(rep.memory.workspace_bytes, workspace);
+  EXPECT_EQ(dc::workspace_bytes(640, opt), workspace);
   EXPECT_EQ(rep.memory.output_bytes, n * n * sizeof(double));
   EXPECT_GT(rep.memory.context_bytes, 0u);
   const std::string js = rep.to_json();

@@ -8,8 +8,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -97,15 +99,22 @@ TEST(FlightStress, ConcurrentObservesKeepTheRingConsistent) {
   ::setenv("DNC_FLIGHT", "on", 1);
   obs::flight::reset_for_tests();
 
-  run_threads([](int t, int i) {
+  // One ring_jsonl() line per solve in the ring.
+  const auto ring_lines = [] {
+    const std::string ring = obs::flight::ring_jsonl();
+    return static_cast<std::size_t>(std::count(ring.begin(), ring.end(), '\n'));
+  };
+  run_threads([&](int t, int i) {
     EXPECT_EQ(obs::flight::observe(stress_report(t, i), nullptr), "");
     if (i % 10 == 0) {
-      EXPECT_LE(obs::flight::ring_reports(), obs::flight::kRingReports);
+      EXPECT_LE(ring_lines(), obs::flight::kRingReports);
     }
   });
 
-  EXPECT_EQ(obs::flight::ring_reports(), obs::flight::kRingReports);
-  EXPECT_EQ(obs::flight::dump_count(), 0u);
+  EXPECT_EQ(ring_lines(), obs::flight::kRingReports);
+  // No dump: the default prefix's first dump file was never written.
+  const std::string first_dump = "dnc_flight." + std::to_string(::getpid()) + ".1.jsonl";
+  EXPECT_FALSE(std::ifstream(first_dump).good());
   // The ring holds the newest solves, in sequence order, each line whole.
   std::vector<std::string> lines;
   const std::string ring = obs::flight::ring_jsonl();
