@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the computational kernels the solver
 // is built from: GEMM (the UpdateVect workhorse), the leaf eigensolver,
-// the secular equation solver, the deflation scan, and the runtime's task
+// the secular equation solver, the refinement's shifted-tridiagonal LU,
+// the deflation scan, and the runtime's task
 // submission/dispatch overhead (which bounds the useful panel granularity).
 //
 // Kernels behind the SIMD dispatch (gemm microkernel, axpy/dot, laed4, the
@@ -28,6 +29,7 @@
 #include "dc/deflation.hpp"
 #include "lapack/laed4.hpp"
 #include "lapack/steqr.hpp"
+#include "lapack/tridiag_lu.hpp"
 #include "bench_support.hpp"
 #include "matgen/tridiag.hpp"
 #include "runtime/engine.hpp"
@@ -93,6 +95,47 @@ void BM_Laed4(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Laed4)->Arg(128)->Arg(512)->Arg(2048);
+
+// The shifted-tridiagonal LU of the refinement's RQI sweep
+// (lapack/tridiag_lu.hpp): factor T - rho I and solve one right-hand side
+// for 8 shifts inside the spectrum of the Hermite matrix (Table III type 15,
+// the perfbench f32refine input), one shift at a time (scalar) or all 8 as
+// the lanes of one batched LU (batch8). ns/row-shift is the time of one row
+// of one shift's factor + solve: the layer roof of the sweep's solves.
+void BM_TridiagLU(benchmark::State& state, bool batched) {
+  const index_t n = state.range(0);
+  constexpr int kShifts = lapack::TridiagLUBatch<double>::kLanes;
+  const auto t = matgen::table3_matrix(15, n, 1);
+  const double tnorm = blas::lanst_max<double>(n, t.d.data(), t.e.data());
+  Rng rng(23);
+  std::vector<double> rho(kShifts), rhs(n);
+  for (double& x : rho) x = tnorm * rng.uniform_sym();
+  for (double& x : rhs) x = rng.uniform_sym();
+  lapack::TridiagLU<double> lu(n);
+  lapack::TridiagLUBatch<double> lub(n);
+  std::vector<double> x(static_cast<std::size_t>(n * kShifts));
+  const Stopwatch sw;
+  for (auto _ : state) {
+    if (batched) {
+      lub.factor(n, t.d.data(), t.e.data(), rho.data(), kShifts);
+      for (index_t i = 0; i < n; ++i)
+        for (int l = 0; l < kShifts; ++l) x[i * kShifts + l] = rhs[i];
+      lub.solve(n, x.data(), kShifts);
+    } else {
+      for (int l = 0; l < kShifts; ++l) {
+        lu.factor(n, t.d.data(), t.e.data(), rho[l]);
+        std::copy(rhs.begin(), rhs.end(), x.begin() + l * n);
+        lu.solve(n, x.data() + l * n);
+      }
+    }
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["ns/row-shift"] =
+      sw.elapsed() * 1e9 / (static_cast<double>(state.iterations()) * n * kShifts);
+}
+BENCHMARK_CAPTURE(BM_TridiagLU, scalar, false)->Arg(1000);
+BENCHMARK_CAPTURE(BM_TridiagLU, batch8, true)->Arg(1000);
 
 void BM_DeflationScan(benchmark::State& state) {
   const index_t m = state.range(0);

@@ -36,8 +36,10 @@
 // such workspace per working precision between solves and reuses it, so
 // repeated solves do not map and fault their scratch in again; it only
 // grows. A solve that finds it in use by a concurrent solve of the same
-// precision takes a transient workspace of its own. release_workspace()
-// returns the kept memory to the system.
+// precision takes a transient workspace of its own. The fp32 precisions
+// also keep their n x n fp32 eigenvector output between solves
+// (lapack/front_door.hpp). release_workspace() returns all of this kept
+// memory to the system.
 #pragma once
 
 #include <cstdint>
@@ -84,8 +86,9 @@ struct SolveStats {
 /// stedc_sequential runs with one). 0 for n <= 2, which need none.
 std::uint64_t workspace_bytes(index_t n, const Options& opt);
 
-/// Frees the workspaces the library keeps between solves. Waits for a solve
-/// that is using one; the next solve allocates afresh.
+/// Frees the workspaces and the fp32 output the library keeps between
+/// solves. Waits for a solve that is using one; the next solve allocates
+/// afresh.
 void release_workspace();
 
 void stedc_sequential(index_t n, double* d, double* e, Matrix& v, const Options& opt = {},

@@ -562,6 +562,9 @@ void release_workspace() {
   };
   release(detail::retained<double>());
   release(detail::retained<float>());
+  lapack::KeptF32Output& out = lapack::kept_f32_output();
+  std::lock_guard<std::mutex> lk(out.mu);
+  out.v = MatrixT<float>();
 }
 
 void stedc_sequential(index_t n, double* d, double* e, Matrix& v, const Options& opt,

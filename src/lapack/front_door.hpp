@@ -20,9 +20,14 @@
 //      health probe, writes the artifacts and records the telemetry.
 // With every gate off this adds one pass over (d, e) and a few relaxed
 // loads to a solve. Any finite input is solved at every precision: after
-// step 4 no finite T can over- or underflow on narrowing.
+// step 4 no finite T can over- or underflow on narrowing. The fp32
+// eigenvectors of step 5 go to an n x n buffer that the library keeps
+// between solves, like the D&C workspace, so a repeated fp32 solve does not
+// map and fault it in again; a solve that finds it in use by a concurrent
+// one takes a buffer of its own.
 #pragma once
 
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -37,6 +42,19 @@
 #include "obs/telemetry.hpp"
 
 namespace dnc::lapack {
+
+/// The fp32 eigenvector buffer kept between solves, held by the solve
+/// using it. Leaked like the obs singletons: a solve may still run on
+/// another thread while the process tears down.
+struct KeptF32Output {
+  std::mutex mu;
+  MatrixT<float> v;
+};
+
+inline KeptF32Output& kept_f32_output() {
+  static KeptF32Output* k = new KeptF32Output;
+  return *k;
+}
 
 /// Solves the fp64 tridiagonal (d, e) of order n at `precision` and writes
 /// the ascending eigenvalues to lam and the eigenvectors to v (n x n).
@@ -97,7 +115,10 @@ void solve_front_door(const char* who, index_t n, In* d, In* e, double* lam, Mat
     }
     std::vector<float> d32(wd, wd + n), e32(we, we + n - 1), lam32(in_place ? 0 : n);
     float* l32 = in_place ? d32.data() : lam32.data();
-    MatrixT<float> v32;
+    KeptF32Output& kept = kept_f32_output();
+    std::unique_lock<std::mutex> hold(kept.mu, std::try_to_lock);
+    MatrixT<float> transient;
+    MatrixT<float>& v32 = hold ? kept.v : transient;
     solve(d32.data(), e32.data(), l32, v32, st);
     for (index_t i = 0; i < n; ++i) lam[i] = static_cast<double>(l32[i]);
     v.resize(v32.rows(), v32.cols());
@@ -106,6 +127,7 @@ void solve_front_door(const char* who, index_t n, In* d, In* e, double* lam, Mat
       double* dst = v.data() + j * v.ld();
       for (index_t i = 0; i < v32.rows(); ++i) dst[i] = static_cast<double>(src[i]);
     }
+    if (hold) hold.unlock();  // the refinement reads only the widened v
     if (refine) {
       const RefineReport rr =
           refine_eigenpairs(n, rd, we, lam, v.data(), v.ld(), v.cols(), threads);

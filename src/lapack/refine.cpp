@@ -15,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/graph.hpp"
+#include "runtime/scheduler.hpp"
 
 namespace dnc::lapack {
 namespace {
@@ -24,29 +25,32 @@ constexpr double kTolFactor = 30.0;
 // Rayleigh-quotient iterations per eigenpair before giving up.
 constexpr int kMaxIters = 5;
 
-// y = T x for the tridiagonal (d, e).
+// y = T x for the tridiagonal (d, e) of order n >= 1. Row i sums
+// d[i] x[i], then e[i-1] x[i-1], then e[i] x[i+1]; the first and last
+// rows are peeled so that the loop between them has no branch.
 void tridiag_matvec(index_t n, const double* d, const double* e, const double* x, double* y) {
-  for (index_t i = 0; i < n; ++i) {
-    double s = d[i] * x[i];
-    if (i > 0) s += e[i - 1] * x[i - 1];
-    if (i + 1 < n) s += e[i] * x[i + 1];
-    y[i] = s;
+  if (n == 1) {
+    y[0] = d[0] * x[0];
+    return;
   }
+  y[0] = d[0] * x[0] + e[0] * x[1];
+  for (index_t i = 1; i + 1 < n; ++i) y[i] = d[i] * x[i] + e[i - 1] * x[i - 1] + e[i] * x[i + 1];
+  y[n - 1] = d[n - 1] * x[n - 1] + e[n - 2] * x[n - 2];
 }
 
-// ||T x - lambda x||_inf, with y = T x already formed.
-double residual_inf(index_t n, const double* x, const double* y, double lambda) {
-  double r = 0.0;
-  for (index_t i = 0; i < n; ++i) r = std::max(r, std::fabs(y[i] - lambda * x[i]));
-  return r;
+// r = T x - lambda x, with y = T x already formed (r may be y); returns
+// ||r||_inf. The maximum skips NaN entries, as std::max(m, NaN) keeps m,
+// and does not depend on the order it visits the entries in, so four
+// running maxima give the bits of one.
+double residual_inf(index_t n, const double* x, const double* y, double lambda, double* r) {
+  for (index_t i = 0; i < n; ++i) r[i] = y[i] - lambda * x[i];
+  double m[4] = {0.0, 0.0, 0.0, 0.0};
+  index_t i = 0;
+  for (; i + 4 <= n; i += 4)
+    for (int k = 0; k < 4; ++k) m[k] = std::max(m[k], std::fabs(r[i + k]));
+  for (; i < n; ++i) m[0] = std::max(m[0], std::fabs(r[i]));
+  return std::max(std::max(m[0], m[1]), std::max(m[2], m[3]));
 }
-
-// Scratch of one column sweep: T v, the RQI iterate, and the LU of T - rho I.
-struct Workspace {
-  explicit Workspace(index_t n) : y(n), w(n), lu(n) {}
-  std::vector<double> y, w;
-  TridiagLU<double> lu;
-};
 
 // Runs the blocks of one refinement phase. With several workers they are
 // tasks on one runtime that every phase of the call shares; with one, they
@@ -61,6 +65,11 @@ class PhaseRunner {
   }
   PhaseRunner(const PhaseRunner&) = delete;
   PhaseRunner& operator=(const PhaseRunner&) = delete;
+
+  /// Threads that run blocks, and the calling block's one in [0, workers()),
+  /// for per-worker scratch.
+  int workers() const { return runtime_ ? runtime_->threads() : 1; }
+  int worker() const { return runtime_ ? rt::current_worker() : 0; }
 
   /// body(b) for b = first, first + step, ... below end.
   template <typename Body>
@@ -83,75 +92,147 @@ class PhaseRunner {
 // amortises the task overhead while leaving enough blocks to balance.
 constexpr index_t kRqiBlock = 16;
 
-// Columns per block of the residual pass, the overlap scan and the polish.
-// Each scan or polish block is one Gram product V[:, q0:k1]' V[:, k0:k1],
-// so the block must be wide enough to run at GEMM speed and narrow enough
-// that the band rows wasted above the diagonal stay few.
+// Columns per block of the overlap scan and the polish. Each block is one
+// Gram product V[:, q0:k1]' V[:, k0:k1], so the block must be wide enough
+// to run at GEMM speed and narrow enough that the band rows wasted above
+// the diagonal stay few.
 constexpr index_t kGramBlock = 64;
 
-// Rayleigh-quotient iteration on columns [j0, j1), tallied into rep. Each
-// column reads and writes only its own (lam[j], v[:,j]), so disjoint ranges
-// may run concurrently and give the same bits as one serial sweep.
+// The columns iterating at once in one RQI task, one lane each.
+constexpr int kLanes = TridiagLUBatch<double>::kLanes;
+
+// Where the sweep leaves each column's final residual, for the overlap
+// scan: ||T v - lambda v||_2 + rfloor, and whether ||T v - lambda v||_inf
+// stayed above tol.
+struct ResidualOut {
+  double rfloor;
+  double* rnorm;
+  char* stalled;
+};
+
+// Scratch of one RQI worker: the lanes' right-hand sides, interleaved as
+// the batched LU wants them; the batched LU of T - rho I; and, one column
+// at a time, an iterate w, its product T w and a residual r.
+struct RqiWorkspace {
+  explicit RqiWorkspace(index_t n) : x(n * kLanes), w(n), tw(n), r(n), lu(n) {}
+  std::vector<double> x, w, tw, r;
+  TridiagLUBatch<double> lu;
+};
+
+// Rayleigh-quotient iteration on columns [j0, j1), tallied into rep, with
+// up to kLanes columns iterating together: each step factors T - rho_l I
+// and solves for every active lane in one batched LU. A column leaves its
+// lane when it converges, stagnates, blows up or runs out of steps, and the
+// next column of the range takes the lane. Each column reads and writes
+// only its own (lam[j], v[:,j]) and its residual outputs, and every lane
+// does exactly what one column alone would, so disjoint ranges may run
+// concurrently and give the same bits as one serial sweep.
 void rqi_columns(index_t n, const double* d, const double* e, double* lam, double* v,
-                 index_t ldv, index_t j0, index_t j1, double tol, Workspace& ws,
-                 RefineReport& rep) {
-  std::vector<double>& y = ws.y;
+                 index_t ldv, index_t j0, index_t j1, double tol, const ResidualOut& out,
+                 RqiWorkspace& ws, RefineReport& rep) {
+  struct Lane {
+    index_t j;
+    double rho, resid;  // the shift of the next step; the residual of the current pair
+    int steps;
+  };
+  Lane lanes[kLanes] = {};
+  int active = 0;
   std::vector<double>& w = ws.w;
-  TridiagLU<double>& lu = ws.lu;
-  for (index_t j = j0; j < j1; ++j) {
-    double* vj = v + j * ldv;
-    // fp32-normalised columns can be off by ~eps32 in SCALE even when
-    // their direction is exact (a 2x2 rotation narrowed to fp32 has zero
-    // residual but |1 - v'v| ~ 1e-8), and the residual fast path below
-    // would then keep the bad scale: renormalise in fp64 first.
-    const double nrm0 = blas::nrm2(n, vj);
-    if (nrm0 > 0.0 && std::isfinite(nrm0)) blas::scal(n, 1.0 / nrm0, vj);
-    tridiag_matvec(n, d, e, vj, y.data());
-    double resid = residual_inf(n, vj, y.data(), lam[j]);
-    ++rep.checked;
-    rep.max_resid_before = std::max(rep.max_resid_before, resid);
-    if (resid <= tol) {
-      rep.max_resid_after = std::max(rep.max_resid_after, resid);
-      continue;
-    }
-    ++rep.refined;
-    // Start from the fp64 Rayleigh quotient of the fp32 vector -- already
-    // ~quadratically better than the fp32 eigenvalue.
-    double rho = blas::dot(n, vj, y.data()) / blas::dot(n, vj, vj);
-    for (int it = 0; it < kMaxIters; ++it) {
-      ++rep.iterations;
-      lu.factor(n, d, e, rho);
-      blas::copy(n, vj, w.data());
-      lu.solve(n, w.data());
-      const double nrm = blas::nrm2(n, w.data());
-      if (!(nrm > 0.0) || !std::isfinite(nrm)) break;  // solve blew up: keep current pair
-      blas::scal(n, 1.0 / nrm, w.data());
-      tridiag_matvec(n, d, e, w.data(), y.data());
-      const double rho_new = blas::dot(n, w.data(), y.data());
-      const double resid_new = residual_inf(n, w.data(), y.data(), rho_new);
-      if (resid_new >= resid) break;  // stagnated; keep the better pair we have
-      blas::copy(n, w.data(), vj);
-      lam[j] = rho_new;
-      rho = rho_new;
-      resid = resid_new;
-      if (resid <= tol) break;
-    }
+  std::vector<double>& tw = ws.tw;
+  std::vector<double>& r = ws.r;
+  // A column's final pair (lam[j], v[:,j]), with r = T v - lam[j] v and
+  // resid = ||r||_inf: record what the overlap scan needs.
+  const auto finish = [&](index_t j, double resid) {
     rep.max_resid_after = std::max(rep.max_resid_after, resid);
+    out.stalled[j] = resid > tol;
+    out.rnorm[j] = blas::nrm2(n, r.data()) + out.rfloor;
+  };
+  for (index_t next = j0;;) {
+    while (active < kLanes && next < j1) {
+      const index_t j = next++;
+      double* vj = v + j * ldv;
+      // fp32-normalised columns can be off by ~eps32 in SCALE even when
+      // their direction is exact (a 2x2 rotation narrowed to fp32 has zero
+      // residual but |1 - v'v| ~ 1e-8), and the residual fast path below
+      // would then keep the bad scale: renormalise in fp64 first.
+      const double nrm0 = blas::nrm2(n, vj);
+      if (nrm0 > 0.0 && std::isfinite(nrm0)) blas::scal(n, 1.0 / nrm0, vj);
+      tridiag_matvec(n, d, e, vj, tw.data());
+      const double resid = residual_inf(n, vj, tw.data(), lam[j], r.data());
+      ++rep.checked;
+      rep.max_resid_before = std::max(rep.max_resid_before, resid);
+      if (resid <= tol) {
+        finish(j, resid);
+        continue;
+      }
+      ++rep.refined;
+      // Start from the fp64 Rayleigh quotient of the fp32 vector -- already
+      // ~quadratically better than the fp32 eigenvalue.
+      const double rho = blas::dot(n, vj, tw.data()) / blas::dot(n, vj, vj);
+      lanes[active++] = {j, rho, resid, 0};
+    }
+    if (active == 0) return;
+
+    // One step for every active lane: solve (T - rho I) w = v.
+    rep.iterations += active;
+    double rho[kLanes] = {};
+    for (int l = 0; l < active; ++l) rho[l] = lanes[l].rho;
+    ws.lu.factor(n, d, e, rho, active);
+    for (int l = 0; l < active; ++l) {
+      const double* vj = v + lanes[l].j * ldv;
+      for (index_t i = 0; i < n; ++i) ws.x[i * kLanes + l] = vj[i];
+    }
+    ws.lu.solve(n, ws.x.data(), active);
+    // Descending, so a finished lane can take the last lane's place.
+    for (int l = active - 1; l >= 0; --l) {
+      Lane& ln = lanes[l];
+      double* vj = v + ln.j * ldv;
+      for (index_t i = 0; i < n; ++i) w[i] = ws.x[i * kLanes + l];
+      ++ln.steps;
+      bool done = ln.steps == kMaxIters;
+      bool kept = true;  // the step left the pair as it was, so r is not its residual
+      const double nrm = blas::nrm2(n, w.data());
+      if (nrm > 0.0 && std::isfinite(nrm)) {  // else the solve blew up: keep the pair
+        blas::scal(n, 1.0 / nrm, w.data());
+        tridiag_matvec(n, d, e, w.data(), tw.data());
+        const double rho_new = blas::dot(n, w.data(), tw.data());
+        const double resid_new = residual_inf(n, w.data(), tw.data(), rho_new, r.data());
+        // Unless it stagnated: then keep the better pair we have.
+        if (!(resid_new >= ln.resid)) {
+          kept = false;
+          blas::copy(n, w.data(), vj);
+          lam[ln.j] = rho_new;
+          ln.rho = rho_new;
+          ln.resid = resid_new;
+          done = done || ln.resid <= tol;
+        }
+      }
+      if (!done && !kept) continue;
+      if (kept) {
+        tridiag_matvec(n, d, e, vj, tw.data());
+        residual_inf(n, vj, tw.data(), lam[ln.j], r.data());
+      }
+      finish(ln.j, ln.resid);
+      ln = lanes[--active];
+    }
   }
 }
 
 // The RQI sweep over all nvec columns: blocks of kRqiBlock columns, each
-// with its own workspace and partial report. Counts add and maxima combine
-// exactly, so the reduced report (like the refined pairs) is independent of
-// the worker count.
+// with its own partial report, on the workspace of the worker that runs it.
+// Counts add and maxima combine exactly, so the reduced report (like the
+// refined pairs) is independent of the worker count.
 RefineReport rqi_sweep(index_t n, const double* d, const double* e, double* lam, double* v,
-                       index_t ldv, index_t nvec, double tol, PhaseRunner& runner) {
+                       index_t ldv, index_t nvec, double tol, const ResidualOut& out,
+                       PhaseRunner& runner) {
   const index_t nblocks = (nvec + kRqiBlock - 1) / kRqiBlock;
   std::vector<RefineReport> parts(static_cast<std::size_t>(nblocks));
+  std::vector<std::unique_ptr<RqiWorkspace>> ws(static_cast<std::size_t>(runner.workers()));
   runner.run(0, nblocks, 1, [&](index_t b) {
-    Workspace local(n);
+    std::unique_ptr<RqiWorkspace>& mine = ws[static_cast<std::size_t>(runner.worker())];
+    if (!mine) mine = std::make_unique<RqiWorkspace>(n);
     rqi_columns(n, d, e, lam, v, ldv, b * kRqiBlock, std::min(nvec, (b + 1) * kRqiBlock), tol,
-                local, parts[static_cast<std::size_t>(b)]);
+                out, *mine, parts[static_cast<std::size_t>(b)]);
   });
   RefineReport rep;
   for (const RefineReport& p : parts) {
@@ -176,10 +257,24 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
   const double tol = kTolFactor * eps * std::max(tnorm, real_traits<double>::safmin());
   PhaseRunner runner(threads, (nvec + kRqiBlock - 1) / kRqiBlock);
 
-  RefineReport rep = rqi_sweep(n, d, e, lam, v, ldv, nvec, tol, runner);
+  // The sweep leaves each column's residual 2-norm and whether it stalled
+  // above tol. A stalled column breaks its cluster outright; the 2-norms
+  // bound every overlap. With r = T v - lambda v and unit columns,
+  // (lam_k - lam_q) v_q'v_k = v_k'r_q - v_q'r_k, so
+  // |v_q'v_k| <= (||r_q|| + ||r_k||) / (lam_k - lam_q). The rounding floor
+  // rfloor on a computed ||r_k||_2 makes the bound hold for the exact
+  // residual; being positive, it also keeps the scan from skipping a pair
+  // at zero gap.
+  const double rfloor =
+      static_cast<double>(n) * eps * std::max(tnorm, real_traits<double>::safmin());
+  std::vector<double> rnorm(static_cast<std::size_t>(nvec));
+  std::vector<char> stalled(static_cast<std::size_t>(nvec));
+  RefineReport rep = rqi_sweep(n, d, e, lam, v, ldv, nvec, tol,
+                               ResidualOut{rfloor, rnorm.data(), stalled.data()}, runner);
 
   // Refined eigenvalues can cross their unrefined neighbours: re-sort pairs
-  // (selection sort to minimise column swaps, as dsteqr does).
+  // (selection sort to minimise column swaps, as dsteqr does), and their
+  // residuals with them.
   const auto sort_pairs = [&] {
     for (index_t ii = 1; ii < nvec; ++ii) {
       const index_t i = ii - 1;
@@ -195,6 +290,8 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
         lam[k] = lam[i];
         lam[i] = p;
         blas::swap(n, v + i * ldv, v + k * ldv);
+        std::swap(rnorm[i], rnorm[k]);
+        std::swap(stalled[i], stalled[k]);
       }
     }
   };
@@ -223,13 +320,8 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
   // sit at ~sqrt(n) eps). RQI alone stalls at the intra-cluster gap, so a
   // loose 1e-4-scale trigger would leave fp32-grade cross-talk in place.
   const double otol = 64.0 * eps * static_cast<double>(n);
-  // Rounding floor on a computed ||r_k||_2, so the overlap bound below
-  // holds for the exact residual. Being positive, it also keeps the scan
-  // from skipping a pair at zero gap.
-  const double rfloor =
-      static_cast<double>(n) * eps * std::max(tnorm, real_traits<double>::safmin());
   // Polish window: the predecessors q of column k with lam_k - lam_q <= wide
-  // (see (c) below); wstart[k] is its first column.
+  // (see (b) below); wstart[k] is its first column.
   const double wide = 5e-2 * std::max(tnorm, real_traits<double>::safmin());
   std::vector<index_t> wstart(static_cast<std::size_t>(nvec));
   const auto find_windows = [&] {
@@ -261,23 +353,6 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
                  v + k0 * ldv, ldv, 0.0, gr.g.data(), m);
   };
 
-  // (a) Residual pass. A residual above tol marks a stalled column, which
-  // breaks its cluster outright; the 2-norms bound every overlap. With
-  // r = T v - lambda v and unit columns, (lam_k - lam_q) v_q'v_k =
-  // v_k'r_q - v_q'r_k, so |v_q'v_k| <= (||r_q|| + ||r_k||) / (lam_k - lam_q).
-  std::vector<double> rnorm(static_cast<std::size_t>(nvec));
-  std::vector<char> stalled(static_cast<std::size_t>(nvec));
-  runner.run(0, nblocks, 1, [&](index_t b) {
-    std::vector<double> r(static_cast<std::size_t>(n));
-    for (index_t k = b * kGramBlock; k < block_end(b); ++k) {
-      const double* vk = v + k * ldv;
-      tridiag_matvec(n, d, e, vk, r.data());
-      stalled[k] = residual_inf(n, vk, r.data(), lam[k]) > tol;
-      for (index_t i = 0; i < n; ++i) r[i] -= lam[k] * vk[i];
-      rnorm[k] = blas::nrm2(n, r.data()) + rfloor;
-    }
-  });
-
   // Clusters: chains of neighbours at most `close` apart, each with its
   // largest residual norm and whether any member stalled.
   struct Cluster {
@@ -299,7 +374,7 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
     s = c.t + 1;
   }
 
-  // (b) Overlap scan. Column k is dotted with its cluster predecessors,
+  // (a) Overlap scan. Column k is dotted with its cluster predecessors,
   // nearest first, until the bound drops below otol / 2 at some q: every
   // farther q (ascending lam, so a wider gap) is below it too, and its
   // computed dot could not exceed otol. So the pairs to test are
@@ -333,9 +408,8 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
   // descending, stopping at its first failed test; overlap_dots counts the
   // tests up to there.
   bool any_broken = false;
-  Workspace work(n);
-  std::vector<double>& y = work.y;
-  TridiagLU<double>& lu = work.lu;
+  std::vector<double> y(static_cast<std::size_t>(n));
+  TridiagLU<double> lu(n);
   for (const Cluster& c : clusters) {
     bool broken = c.stalled;
     for (index_t k = c.s + 1; k <= c.t && !broken; ++k) {
@@ -388,7 +462,7 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
       tridiag_matvec(n, d, e, vk, y.data());
       lam[k] = blas::dot(n, vk, y.data());
       rep.max_resid_after =
-          std::max(rep.max_resid_after, residual_inf(n, vk, y.data(), lam[k]));
+          std::max(rep.max_resid_after, residual_inf(n, vk, y.data(), lam[k], y.data()));
     }
   }
   // The cluster fix-up changes columns and eigenvalues: restore ascending
@@ -398,7 +472,7 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
     find_windows();
   }
 
-  // (c) Orthogonality polish. Each refined column is individually
+  // (b) Orthogonality polish. Each refined column is individually
   // fp64-accurate, but two columns with eigenvalue gap g still carry mutual
   // overlap up to (r_i + r_j) / g ~ 2 tol / g -- visible above the n-eps
   // noise floor whenever g is a small multiple of `close`. Every column k is

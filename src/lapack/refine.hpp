@@ -9,21 +9,25 @@
 // partially-pivoted tridiagonal LU (the dstein kernel,
 // lapack/tridiag_lu.hpp), renormalise, update rho = w^T T w. Each iteration
 // roughly squares the eigenvector error, so the fp32 starting points
-// (~1e-7) reach fp64-grade residuals in 1-2 solves. The columns are independent,
-// so this sweep runs as column-block tasks when given several workers.
+// (~1e-7) reach fp64-grade residuals in 1-2 solves. The columns are
+// independent, so this sweep runs as column-block tasks when given several
+// workers, and within a task up to eight columns iterate together, one lane
+// each of a batched LU (TridiagLUBatch): one shift's LU waits on a division
+// every row, eight interleaved ones overlap. The sweep also records what
+// the safety net needs of each final pair: its residual 2-norm
+// ||T v_k - lambda_k v_k||_2, and whether it stalled above the residual
+// target. Its last step has already formed T v for that pair.
 //
-// The returned basis is fp64-orthogonal too. After the sweep, three
+// The returned basis is fp64-orthogonal too. After the sweep, two
 // block-parallel phases run on the same workers, over blocks of 64 columns:
-//   (a) residual pass: ||T v_k - lambda_k v_k||_2 per column, and whether the
-//       column stalled above the residual target;
-//   (b) overlap scan: one GEMM per block forms the banded Gram block
+//   (a) overlap scan: one GEMM per block forms the banded Gram block
 //       V[:, q0:k1]' V[:, k0:k1]; within each run of near-equal eigenvalues
 //       only the pairs that the residual-over-gap bound
 //       |v_q'v_k| <= (||r_q|| + ||r_k||) / (lam_k - lam_q) cannot clear are
 //       tested against fp64 round-off. A run with a stalled column or a
 //       failed pair is re-extracted by bisection-shifted inverse iteration;
-//   (c) polish: each column is projected once off its window of close
-//       predecessors, v_k -= sum_q G_qk v_q, reusing (b)'s Gram blocks. One
+//   (b) polish: each column is projected once off its window of close
+//       predecessors, v_k -= sum_q G_qk v_q, reusing (a)'s Gram blocks. One
 //       pass suffices because every windowed |G_qk| is then at most
 //       64 n eps, so what it leaves is that squared. A block reads its
 //       window and writes its own columns, so the blocks run in
@@ -50,7 +54,7 @@ struct RefineReport {
 /// in place. Eigenvalues are updated to Rayleigh quotients and the
 /// (lam, v-columns) pairs re-sorted ascending on return (refined values can
 /// cross their unrefined neighbours). v has leading dimension ldv >= n.
-/// `threads` > 1 runs the RQI sweep and the three phases above as tasks on
+/// `threads` > 1 runs the RQI sweep and the two phases above as tasks on
 /// one runtime with that many workers; the result is bit-identical for
 /// every worker count.
 RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, double* lam,

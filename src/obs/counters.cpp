@@ -3,6 +3,7 @@
 #include <atomic>
 #include <deque>
 #include <mutex>
+#include <vector>
 
 namespace dnc::obs {
 namespace {
@@ -14,10 +15,14 @@ struct Block {
 // Every thread's block, registered once on the thread's first bump. The
 // registry owns the blocks (a deque never moves its elements), so what an
 // exited runtime worker counted is still summed; it is leaked so at-exit
-// exporters can still read it.
+// exporters can still read it. A thread that exits puts its block on the
+// free list, and the next thread to attach continues counting in it: the
+// sums stay exact without zeroing, and the registry holds no more blocks
+// than the most threads that were ever counting at once.
 struct Registry {
   std::mutex mu;
   std::deque<Block> blocks;  // under mu
+  std::vector<Block*> free;  // under mu
 };
 
 Registry& registry() {
@@ -27,11 +32,30 @@ Registry& registry() {
 
 thread_local Block* tl_block = nullptr;
 
-// Out of line, so the hot local() stays a TLS load and a branch.
+// Returns the thread's block to the free list when the thread exits. A bump
+// from a later thread-exit destructor attaches a block again, which then
+// stays registered.
+struct Detach {
+  ~Detach() {
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lk(r.mu);
+    if (tl_block) r.free.push_back(tl_block);
+    tl_block = nullptr;
+  }
+};
+
+// Out of line, so the hot local() stays a TLS load and a branch; only this
+// first bump of a thread registers the exit hook.
 [[gnu::noinline]] Block& attach() {
+  static thread_local Detach detach;
   Registry& r = registry();
   std::lock_guard<std::mutex> lk(r.mu);
-  tl_block = &r.blocks.emplace_back();
+  if (r.free.empty()) {
+    tl_block = &r.blocks.emplace_back();
+  } else {
+    tl_block = r.free.back();
+    r.free.pop_back();
+  }
   return *tl_block;
 }
 
@@ -95,6 +119,12 @@ CounterArray snapshot() noexcept {
   for (const Block& b : r.blocks)
     for (int c = 0; c < kNumCounters; ++c) out[c] += b.v[c].load(std::memory_order_relaxed);
   return out;
+}
+
+std::size_t counter_blocks() noexcept {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lk(r.mu);
+  return r.blocks.size();
 }
 
 CounterArray delta_since(const CounterArray& begin) noexcept {

@@ -2,9 +2,11 @@
 //
 // Hot kernels (laed4, sturm_count, gemm, bisect_ldl) bump the calling
 // thread's counter block -- no locks, no shared cache lines on the hot
-// path; a mutex is taken only once per thread (registering its block) and
-// on snapshot(). The registry keeps every block for the life of the
-// process, so what an exited worker thread counted is still summed. Drivers
+// path; a mutex is taken only twice per thread (taking a block on its first
+// bump, returning it at exit) and on snapshot(). The registry keeps every
+// block for the life of the process, so what an exited worker thread
+// counted is still summed; a block returned at exit is handed to the next
+// thread that attaches, which adds to its counts. Drivers
 // capture a snapshot at solve start and diff it at solve end
 // (obs::SolveScope), so concurrent unrelated work in the same process is
 // the caller's problem, not the counters'. The metrics registry
@@ -17,6 +19,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace dnc::obs {
@@ -66,6 +69,10 @@ void bump_laed4(int iterations) noexcept;
 
 /// Sums every thread's block (including threads that have exited).
 CounterArray snapshot() noexcept;
+
+/// Blocks in the registry: at most the most threads that were ever
+/// counting at once.
+std::size_t counter_blocks() noexcept;
 
 /// snapshot() minus `begin`, element-wise (saturating at 0 for safety).
 CounterArray delta_since(const CounterArray& begin) noexcept;

@@ -470,37 +470,69 @@ TEST(Stedc, RepeatedSolveReusesItsWorkspace) {
       << " pages";
 }
 
+TEST(Stedc, RepeatedFp32SolveReusesItsOutput) {
+  if (version::kSanitize || kCompilerSanitizer)
+    GTEST_SKIP() << "sanitizer allocators map and fault memory on their own schedule";
+  const index_t n = 1024;
+  // Hermite: the refinement polishes every column without re-extracting any.
+  const auto t = matgen::table3_matrix(15, n);
+  // The fp32 eigenvectors, n x n floats, before they are widened into v.
+  const long output_pages =
+      static_cast<long>(n * n * static_cast<index_t>(sizeof(float)) / 4096);
+  for (const Precision precision : {Precision::F32, Precision::F32RefineF64}) {
+    Options opt;
+    opt.precision = precision;
+    opt.threads = 1;  // no per-solve worker stacks to fault in
+    Matrix v;  // reused, like a caller's output in a solve loop
+    long faults = 0;
+    for (int solve = 0; solve < 2; ++solve) {
+      std::vector<double> d = t.d, e = t.e;
+      const long before = minor_faults();
+      stedc_taskflow(n, d.data(), e.data(), v, opt);
+      faults = minor_faults() - before;
+    }
+    // The second solve finds the first one's fp32 output as well as its
+    // workspace. An output mapped per solve faults in all of its pages.
+    EXPECT_LT(faults, output_pages / 2)
+        << precision_name(precision) << ": " << faults
+        << " minor faults in the second solve; the fp32 output is " << output_pages << " pages";
+  }
+}
+
 TEST(Stedc, ConcurrentCallersGetCorrectResults) {
   // Two callers solve different inputs at the same time; one of them finds
-  // the kept workspace taken and solves in a transient one. Each result is
-  // bitwise the serial solve's.
+  // the kept workspace (and, in fp32, the kept fp32 output) taken and solves
+  // in transient ones. Each result is bitwise the serial solve's.
   struct Case {
     matgen::Tridiag t;
     std::vector<double> d;
     Matrix v;
   };
-  Options opt;
-  opt.precision = Precision::F64;
-  opt.threads = 2;
-  opt.minpart = 32;
-  const auto solve = [&opt](const matgen::Tridiag& t, std::vector<double>& d, Matrix& v) {
-    d = t.d;
-    std::vector<double> e = t.e;
-    stedc_taskflow(t.n(), d.data(), e.data(), v, opt);
-  };
-  Case ref[2] = {{matgen::table3_matrix(4, 420), {}, {}},
-                 {matgen::table3_matrix(13, 360), {}, {}}};
-  for (Case& c : ref) solve(c.t, c.d, c.v);
-  for (int round = 0; round < 4; ++round) {
-    Case got[2] = {{ref[0].t, {}, {}}, {ref[1].t, {}, {}}};
-    std::thread other([&] { solve(got[1].t, got[1].d, got[1].v); });
-    solve(got[0].t, got[0].d, got[0].v);
-    other.join();
-    for (int c = 0; c < 2; ++c) {
-      ASSERT_EQ(got[c].d, ref[c].d) << "caller " << c << ", round " << round;
-      ASSERT_EQ(got[c].v.rows(), ref[c].v.rows());
-      EXPECT_EQ(std::memcmp(got[c].v.data(), ref[c].v.data(), ref[c].v.size_bytes()), 0)
-          << "caller " << c << ", round " << round;
+  for (const Precision precision : {Precision::F64, Precision::F32}) {
+    Options opt;
+    opt.precision = precision;
+    opt.threads = 2;
+    opt.minpart = 32;
+    const auto solve = [&opt](const matgen::Tridiag& t, std::vector<double>& d, Matrix& v) {
+      d = t.d;
+      std::vector<double> e = t.e;
+      stedc_taskflow(t.n(), d.data(), e.data(), v, opt);
+    };
+    Case ref[2] = {{matgen::table3_matrix(4, 420), {}, {}},
+                   {matgen::table3_matrix(13, 360), {}, {}}};
+    for (Case& c : ref) solve(c.t, c.d, c.v);
+    for (int round = 0; round < 4; ++round) {
+      Case got[2] = {{ref[0].t, {}, {}}, {ref[1].t, {}, {}}};
+      std::thread other([&] { solve(got[1].t, got[1].d, got[1].v); });
+      solve(got[0].t, got[0].d, got[0].v);
+      other.join();
+      for (int c = 0; c < 2; ++c) {
+        SCOPED_TRACE(testing::Message() << precision_name(precision) << ", caller " << c
+                                        << ", round " << round);
+        ASSERT_EQ(got[c].d, ref[c].d);
+        ASSERT_EQ(got[c].v.rows(), ref[c].v.rows());
+        EXPECT_EQ(std::memcmp(got[c].v.data(), ref[c].v.data(), ref[c].v.size_bytes()), 0);
+      }
     }
   }
 }

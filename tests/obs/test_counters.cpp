@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -79,6 +80,25 @@ TEST(Counters, SurvivesStealWorkerThreadExit) {
   const CounterArray d = delta_since(before);
   EXPECT_EQ(d[kGemmCalls], 64u);
   EXPECT_EQ(d[kGemmFlops], 64u * 128u);
+}
+
+TEST(Counters, BlocksOfExitedThreadsAreReused) {
+  // Every solve starts fresh worker threads. A thread's block goes to a
+  // free list when it exits and the next thread continues counting in it,
+  // so sequential short-lived threads need one block between them and the
+  // counts of all of them still add up.
+  bump(kBisectLdlCalls, 0);  // this thread's block is attached before the count
+  const CounterArray before = snapshot();
+  const std::size_t blocks = counter_blocks();
+  std::size_t most = blocks;
+  for (int i = 0; i < 200; ++i) {
+    std::thread([] { bump(kBisectLdlSteps, 3); }).join();
+    most = std::max(most, counter_blocks());
+  }
+  const CounterArray d = delta_since(before);
+  EXPECT_EQ(d[kBisectLdlSteps], 200u * 3u);
+  // At most one thread besides this one was alive at any time.
+  EXPECT_LE(most, std::max<std::size_t>(blocks, 2));
 }
 
 TEST(Counters, NamesAreStableSnakeCase) {

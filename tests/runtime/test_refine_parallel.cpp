@@ -1,6 +1,7 @@
-// The F32RefineF64 epilogue's block-parallel phases (RQI sweep, residual
-// pass, banded-GEMM overlap scan, coloured polish): the refined eigenpairs
-// must not depend on how many workers ran the blocks.
+// The F32RefineF64 epilogue's block-parallel phases (the lane-batched RQI
+// sweep, which also records the residuals, the banded-GEMM overlap scan and
+// the coloured polish): the refined eigenpairs must not depend on how many
+// workers ran the blocks.
 // Like the rest of this suite it runs under the ThreadSanitizer CI job
 // (runtime label).
 #include <gtest/gtest.h>
