@@ -247,7 +247,8 @@ void run(ExecModel model, index_t n, double* d, double* e, Matrix& v, Options op
                            [&](auto* wd, auto* we, auto* /*lam == wd*/, auto& wv,
                                SolveStats* st) {
                              emit_solve(model, n, wd, we, wv, opt, st, simulate_workers);
-                           });
+                           },
+                           solve_f64);
 }
 
 }  // namespace
@@ -538,6 +539,14 @@ void Emitter<Real>::sort_and_unscale() {
 
 template class Emitter<double>;
 template class Emitter<float>;
+
+void solve_f64(index_t n, double* d, double* e, Matrix& v, int threads) {
+  Options opt;
+  opt.precision = Precision::F64;
+  opt.threads = threads;
+  emit_solve(threads == 1 ? ExecModel::Sequential : ExecModel::Taskflow, n, d, e, v, opt,
+             nullptr, {});
+}
 
 std::uint64_t workspace_elements(index_t n, const Options& opt) {
   if (n <= 2) return 0;  // solved directly, without the merge machinery

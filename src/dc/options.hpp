@@ -25,7 +25,8 @@ struct Options {
 
   /// Working precision of the solve (the DNC_PREC environment variable sets
   /// the default). F32 runs the whole pipeline in fp32; F32RefineF64 adds
-  /// an fp64 Rayleigh-quotient refinement epilogue (lapack/refine.hpp).
+  /// an fp64 Rayleigh-quotient refinement epilogue (lapack/refine.hpp),
+  /// replaced by an fp64 solve when it cannot certify the basis.
   Precision precision = default_precision();
 };
 

@@ -13,8 +13,11 @@
 //      on copies of (d, e) made only when the scale is not 1;
 //   5. runs the solve: on the fp64 (d, e) or their scaled copies under F64
 //      and for n <= 1, else on fp32 copies whose eigenvalues and vectors
-//      are widened back; F32RefineF64 then polishes every eigenpair
-//      against the scaled fp64 T (lapack/refine.hpp);
+//      are widened back; F32RefineF64 then refines every eigenpair
+//      against the scaled fp64 T (lapack/refine.hpp), and when the
+//      refinement cannot certify the basis (broken_clusters > 0) discards
+//      it and solves fresh copies of that fp64 T with the fp64 D&C solve
+//      instead; the report, trace and counters stay the fp32 solve's;
 //   6. divides the eigenvalues by the scale;
 //   7. restores the caller's report family, stamps the time, evaluates the
 //      health probe, writes the artifacts and records the telemetry.
@@ -27,6 +30,7 @@
 // one takes a buffer of its own.
 #pragma once
 
+#include <algorithm>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -38,6 +42,7 @@
 #include "common/timer.hpp"
 #include "lapack/refine.hpp"
 #include "obs/health.hpp"
+#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
 
@@ -56,6 +61,11 @@ inline KeptF32Output& kept_f32_output() {
   return *k;
 }
 
+/// The fp64 D&C solve of the tridiagonal (d, e) of order n with `threads`
+/// workers: d gets the ascending eigenvalues, v the eigenvectors (n x n),
+/// and e is destroyed. F32RefineF64 falls back to it.
+using F64Solve = void (*)(index_t n, double* d, double* e, Matrix& v, int threads);
+
 /// Solves the fp64 tridiagonal (d, e) of order n at `precision` and writes
 /// the ascending eigenvalues to lam and the eigenvectors to v (n x n).
 ///
@@ -66,10 +76,12 @@ inline KeptF32Output& kept_f32_output() {
 /// *stats (Stats*, may be null) including its report. A driver that solves
 /// in place passes lam == d; the solve then always gets lam == d, and may
 /// destroy (d, e). Otherwise (d, e) are left untouched.
-/// `threads` is the worker count of the refinement sweep.
+/// `threads` is the worker count of the refinement sweep and of
+/// `solve_f64`, the re-solve of an uncertified refinement.
 template <typename In, typename Stats, typename Solve>
 void solve_front_door(const char* who, index_t n, In* d, In* e, double* lam, Matrix& v,
-                      Precision precision, int threads, Stats* stats, Solve&& solve) {
+                      Precision precision, int threads, Stats* stats, Solve&& solve,
+                      F64Solve solve_f64) {
   const bool telemetry = obs::solve_telemetry_wanted() && n > 0;
   const bool want_export = obs::trace_export_requested() || obs::report_export_requested();
   Stats local;
@@ -132,6 +144,16 @@ void solve_front_door(const char* who, index_t n, In* d, In* e, double* lam, Mat
       const RefineReport rr =
           refine_eigenpairs(n, rd, we, lam, v.data(), v.ld(), v.cols(), threads);
       if (st) st->refine = rr;
+      if (rr.broken_clusters > 0) {
+        std::vector<double> d64(rd, rd + n), e64(we, we + n - 1);
+        solve_f64(n, d64.data(), e64.data(), v, threads);
+        std::copy(d64.begin(), d64.end(), lam);
+        if (obs::metrics::enabled()) {
+          namespace m = obs::metrics;
+          m::add(m::register_metric(m::Kind::Counter, "dnc_refine_fallbacks_total", "",
+                                    "F32RefineF64 solves re-solved in fp64 after refinement"));
+        }
+      }
     }
   }
   if (scale != 1.0)
@@ -139,8 +161,8 @@ void solve_front_door(const char* who, index_t n, In* d, In* e, double* lam, Mat
 
   if (st == nullptr) return;
   st->report.family = family;
-  // The solve's time covers the scaling, the precision conversions and the
-  // refinement.
+  // The solve's time covers the scaling, the precision conversions, the
+  // refinement and its fp64 re-solve.
   st->seconds = st->report.seconds = sw.elapsed();
   if (telemetry) {
     st->report.health = probe.evaluate(lam, v.data(), v.ld(), v.cols());

@@ -10,7 +10,6 @@
 #include "blas/level1.hpp"
 #include "common/error.hpp"
 #include "common/real_traits.hpp"
-#include "lapack/bisect.hpp"
 #include "lapack/tridiag_lu.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/engine.hpp"
@@ -245,13 +244,10 @@ RefineReport rqi_sweep(index_t n, const double* d, const double* e, double* lam,
   return rep;
 }
 
-}  // namespace
-
-RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, double* lam,
-                               double* v, index_t ldv, index_t nvec, int threads) {
-  if (n <= 0 || nvec <= 0) return {};
-  DNC_REQUIRE(ldv >= n, "refine_eigenpairs: ldv < n");
-
+// refine_eigenpairs between its argument checks and its metrics: the sweep,
+// the certification and, for a certified basis, the polish.
+RefineReport refine(index_t n, const double* d, const double* e, double* lam, double* v,
+                    index_t ldv, index_t nvec, int threads) {
   const double tnorm = blas::lanst_one(n, d, e);
   const double eps = real_traits<double>::eps();
   const double tol = kTolFactor * eps * std::max(tnorm, real_traits<double>::safmin());
@@ -275,46 +271,39 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
   // Refined eigenvalues can cross their unrefined neighbours: re-sort pairs
   // (selection sort to minimise column swaps, as dsteqr does), and their
   // residuals with them.
-  const auto sort_pairs = [&] {
-    for (index_t ii = 1; ii < nvec; ++ii) {
-      const index_t i = ii - 1;
-      index_t k = i;
-      double p = lam[i];
-      for (index_t j = ii; j < nvec; ++j) {
-        if (lam[j] < p) {
-          k = j;
-          p = lam[j];
-        }
-      }
-      if (k != i) {
-        lam[k] = lam[i];
-        lam[i] = p;
-        blas::swap(n, v + i * ldv, v + k * ldv);
-        std::swap(rnorm[i], rnorm[k]);
-        std::swap(stalled[i], stalled[k]);
+  for (index_t ii = 1; ii < nvec; ++ii) {
+    const index_t i = ii - 1;
+    index_t k = i;
+    double p = lam[i];
+    for (index_t j = ii; j < nvec; ++j) {
+      if (lam[j] < p) {
+        k = j;
+        p = lam[j];
       }
     }
-  };
-  sort_pairs();
+    if (k != i) {
+      lam[k] = lam[i];
+      lam[i] = p;
+      blas::swap(n, v + i * ldv, v + k * ldv);
+      std::swap(rnorm[i], rnorm[k]);
+      std::swap(stalled[i], stalled[k]);
+    }
+  }
 
-  // Cluster safety net. RQI converges to the eigenvector whose eigenvalue
-  // is nearest the starting Rayleigh quotient; inside an fp32-degenerate
+  // Certification. RQI converges to the eigenvector whose eigenvalue is
+  // nearest the starting Rayleigh quotient; inside an fp32-degenerate
   // cluster it can fail two ways: two members both converge to the SAME
   // dominant eigenvector (visible as overlap), or -- when the intra-cluster
   // gap is itself fp32-residual-sized -- the fp32 basis is an internally
   // rotated but orthogonal basis of the eigenspace, RQI stalls at the gap,
-  // and the stall is visible only as residual. Either trigger re-extracts
-  // the column with inverse iteration kept orthogonal to its cluster
-  // predecessors (the dstein recipe, warm-started from the current vector)
-  // -- unlike a plain Gram-Schmidt sweep this re-converges to a genuine
-  // eigenvector, so the fp64 residual is restored, not just orthogonality.
+  // and the stall is visible only as residual. A cluster with either is
+  // broken: the pairs are returned unpolished and the caller solves again
+  // in fp64 (lapack/front_door.hpp).
   // Chaining width for cluster detection. Two refined vectors of DISTINCT
   // clusters carry mutual overlap up to ~2 tol / gap, and gap can be as
   // small as `close` itself -- so `close` must be large enough that
   // 2 tol / close stays below fp64 orthogonality (~100 eps n). 1e-2 gives
-  // boundary overlap ~ 6e3 eps, i.e. invisible at the n eps scale; the cost
-  // is only that a broken cluster chains more members into the bisection
-  // re-extraction below.
+  // boundary overlap ~ 6e3 eps, i.e. invisible at the n eps scale.
   const double close = 1e-2 * std::max(tnorm, real_traits<double>::safmin());
   // Overlap trigger: anything visible above fp64 round-off (clean vectors
   // sit at ~sqrt(n) eps). RQI alone stalls at the intra-cluster gap, so a
@@ -324,18 +313,14 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
   // (see (b) below); wstart[k] is its first column.
   const double wide = 5e-2 * std::max(tnorm, real_traits<double>::safmin());
   std::vector<index_t> wstart(static_cast<std::size_t>(nvec));
-  const auto find_windows = [&] {
-    for (index_t k = 0, q = 0; k < nvec; ++k) {
-      while (lam[k] - lam[q] > wide) ++q;
-      wstart[k] = q;
-    }
-  };
-  find_windows();
+  for (index_t k = 0, q = 0; k < nvec; ++k) {
+    while (lam[k] - lam[q] > wide) ++q;
+    wstart[k] = q;
+  }
 
   // Per block of kGramBlock columns [k0, k1): the banded Gram block
   // G = V[:, q0:k1-1]' V[:, k0:k1] (rows q0 .. k1-2, column-major), formed
-  // by one GEMM. The scan forms it over the rows both the scan and the
-  // polish need, and the polish reuses it unless a re-extraction changed V.
+  // by one GEMM over the rows both the scan and the polish need.
   const index_t nblocks = (nvec + kGramBlock - 1) / kGramBlock;
   const auto block_end = [&](index_t b) { return std::min(nvec, (b + 1) * kGramBlock); };
   struct Gram {
@@ -343,15 +328,6 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
     std::vector<double> g;
   };
   std::vector<Gram> grams(static_cast<std::size_t>(nblocks));
-  const auto form_gram = [&](index_t b, index_t q0) {
-    const index_t k0 = b * kGramBlock, k1 = block_end(b), m = k1 - 1 - q0;
-    Gram& gr = grams[static_cast<std::size_t>(b)];
-    gr.q0 = q0;
-    gr.g.resize(static_cast<std::size_t>(std::max<index_t>(m, 0) * (k1 - k0)));
-    if (m > 0)
-      blas::gemm(blas::Trans::Yes, blas::Trans::No, m, k1 - k0, n, 1.0, v + q0 * ldv, ldv,
-                 v + k0 * ldv, ldv, 0.0, gr.g.data(), m);
-  };
 
   // Clusters: chains of neighbours at most `close` apart, each with its
   // largest residual norm and whether any member stalled.
@@ -393,12 +369,16 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
       qlo[k] = q;
       q0 = std::min(q0, q);
     }
-    form_gram(b, q0);
     const index_t m = k1 - 1 - q0;
-    const double* g = grams[static_cast<std::size_t>(b)].g.data();
+    Gram& gr = grams[static_cast<std::size_t>(b)];
+    gr.q0 = q0;
+    gr.g.resize(static_cast<std::size_t>(std::max<index_t>(m, 0) * (k1 - k0)));
+    if (m <= 0) return;
+    blas::gemm(blas::Trans::Yes, blas::Trans::No, m, k1 - k0, n, 1.0, v + q0 * ldv, ldv,
+               v + k0 * ldv, ldv, 0.0, gr.g.data(), m);
     for (index_t k = k0; k < k1; ++k)
       for (index_t q = k - 1; q >= qlo[k]; --q)
-        if (std::fabs(g[(q - q0) + (k - k0) * m]) > otol) {
+        if (std::fabs(gr.g[(q - q0) + (k - k0) * m]) > otol) {
           fail[k] = q;
           break;
         }
@@ -407,70 +387,15 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
   // Walk each cluster in the order a pairwise scan would, k ascending and q
   // descending, stopping at its first failed test; overlap_dots counts the
   // tests up to there.
-  bool any_broken = false;
-  std::vector<double> y(static_cast<std::size_t>(n));
-  TridiagLU<double> lu(n);
   for (const Cluster& c : clusters) {
     bool broken = c.stalled;
     for (index_t k = c.s + 1; k <= c.t && !broken; ++k) {
       broken = fail[k] >= 0;
       rep.overlap_dots += k - (broken ? fail[k] : qlo[k]);
     }
-    if (!broken) continue;
-    any_broken = true;
-    // Re-extract the WHOLE cluster with fixed-shift inverse iteration (the
-    // dstein recipe), shifts taken from Sturm bisection. Per-member repair
-    // with Rayleigh or RQI-refined shifts cannot work here: when two fp32
-    // columns collapse onto the same dominant eigenvector, the member
-    // holding the duplicate would be orthogonalised against exactly the
-    // direction its own shift amplifies, and the missing eigendirection is
-    // recoverable only through its true eigenvalue -- which no surviving
-    // column knows. Bisection is fp64-accurate regardless of how wrong the
-    // fp32 start was; ascending order + Gram-Schmidt against the already
-    // re-extracted predecessors makes each member claim a distinct
-    // eigendirection (truly degenerate shifts coincide and GS alone picks
-    // the remaining basis vector, exactly as in dstein).
-    for (index_t k = c.s; k <= c.t; ++k) {
-      double* vk = v + k * ldv;
-      const double rho = nvec == n ? bisect_eigenvalue<double>(n, d, e, k) : lam[k];
-      // Classical Gram-Schmidt run twice: after the solve collapses the
-      // iterate towards the shift's eigendirection the remainder against the
-      // predecessors can be small, and a single pass leaves eps/|remainder|
-      // of round-off cross-talk -- twice is enough (Kahan-Parlett).
-      const auto orthogonalise = [&] {
-        for (int pass = 0; pass < 2; ++pass)
-          for (index_t q = c.s; q < k; ++q) {
-            const double* vq = v + q * ldv;
-            blas::axpy(n, -blas::dot(n, vq, vk), vq, vk);
-          }
-      };
-      for (int it = 0; it < 3; ++it) {
-        ++rep.iterations;
-        orthogonalise();
-        double nrm = blas::nrm2(n, vk);
-        if (!(nrm > 0.0)) break;
-        blas::scal(n, 1.0 / nrm, vk);
-        lu.factor(n, d, e, rho);
-        lu.solve(n, vk);
-        nrm = blas::nrm2(n, vk);
-        if (!(nrm > 0.0) || !std::isfinite(nrm)) break;
-        blas::scal(n, 1.0 / nrm, vk);
-      }
-      orthogonalise();
-      const double nrm = blas::nrm2(n, vk);
-      if (nrm > 0.0) blas::scal(n, 1.0 / nrm, vk);
-      tridiag_matvec(n, d, e, vk, y.data());
-      lam[k] = blas::dot(n, vk, y.data());
-      rep.max_resid_after =
-          std::max(rep.max_resid_after, residual_inf(n, vk, y.data(), lam[k], y.data()));
-    }
+    if (broken) ++rep.broken_clusters;
   }
-  // The cluster fix-up changes columns and eigenvalues: restore ascending
-  // order, and let the polish re-form every Gram block from the new V.
-  if (any_broken) {
-    sort_pairs();
-    find_windows();
-  }
+  if (rep.broken_clusters > 0) return rep;
 
   // (b) Orthogonality polish. Each refined column is individually
   // fp64-accurate, but two columns with eigenvalue gap g still carry mutual
@@ -496,7 +421,6 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
   for (index_t colour = 0; colour <= reach; ++colour)
     runner.run(colour, nblocks, reach + 1, [&](index_t b) {
       const index_t k0 = b * kGramBlock, k1 = block_end(b), nb = k1 - k0;
-      if (any_broken) form_gram(b, wstart[k0]);
       const index_t q0 = grams[static_cast<std::size_t>(b)].q0, m = k1 - 1 - q0;
       std::vector<double> g = std::move(grams[static_cast<std::size_t>(b)].g);
       const index_t w0 = wstart[k0];  // the band rows above w0 lie outside every window
@@ -526,6 +450,16 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
       }
     });
 
+  return rep;
+}
+
+}  // namespace
+
+RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, double* lam,
+                               double* v, index_t ldv, index_t nvec, int threads) {
+  if (n <= 0 || nvec <= 0) return {};
+  DNC_REQUIRE(ldv >= n, "refine_eigenpairs: ldv < n");
+  const RefineReport rep = refine(n, d, e, lam, v, ldv, nvec, threads);
   if (obs::metrics::enabled()) {
     namespace m = obs::metrics;
     m::add(m::register_metric(m::Kind::Counter, "dnc_refine_columns_total",

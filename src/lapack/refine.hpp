@@ -14,18 +14,22 @@
 // workers, and within a task up to eight columns iterate together, one lane
 // each of a batched LU (TridiagLUBatch): one shift's LU waits on a division
 // every row, eight interleaved ones overlap. The sweep also records what
-// the safety net needs of each final pair: its residual 2-norm
+// the overlap scan needs of each final pair: its residual 2-norm
 // ||T v_k - lambda_k v_k||_2, and whether it stalled above the residual
 // target. Its last step has already formed T v for that pair.
 //
-// The returned basis is fp64-orthogonal too. After the sweep, two
-// block-parallel phases run on the same workers, over blocks of 64 columns:
+// The returned basis is fp64-orthogonal too, or the report says it is not.
+// After the sweep, two block-parallel phases run on the same workers, over
+// blocks of 64 columns:
 //   (a) overlap scan: one GEMM per block forms the banded Gram block
 //       V[:, q0:k1]' V[:, k0:k1]; within each run of near-equal eigenvalues
 //       only the pairs that the residual-over-gap bound
 //       |v_q'v_k| <= (||r_q|| + ||r_k||) / (lam_k - lam_q) cannot clear are
-//       tested against fp64 round-off. A run with a stalled column or a
-//       failed pair is re-extracted by bisection-shifted inverse iteration;
+//       tested against fp64 round-off. The scan only certifies: a run with
+//       a stalled column or a failed pair counts as one broken cluster, and
+//       when any is broken the sorted RQI pairs are returned as they are,
+//       without (b). The front door (lapack/front_door.hpp) then discards
+//       them and solves T again in fp64;
 //   (b) polish: each column is projected once off its window of close
 //       predecessors, v_k -= sum_q G_qk v_q, reusing (a)'s Gram blocks. One
 //       pass suffices because every windowed |G_qk| is then at most
@@ -45,7 +49,8 @@ struct RefineReport {
   index_t checked = 0;           ///< columns whose residual was evaluated
   index_t refined = 0;           ///< columns that needed at least one RQI step
   std::int64_t iterations = 0;   ///< total RQI solves across all columns
-  std::int64_t overlap_dots = 0; ///< pairwise dots computed by the cluster safety-net scan
+  std::int64_t overlap_dots = 0; ///< pairwise dots computed by the overlap scan
+  index_t broken_clusters = 0;   ///< clusters with a stalled column or a failed overlap test
   double max_resid_before = 0;   ///< worst ||T v - lambda v||_inf entering
   double max_resid_after = 0;    ///< worst residual after refinement
 };
@@ -54,6 +59,8 @@ struct RefineReport {
 /// in place. Eigenvalues are updated to Rayleigh quotients and the
 /// (lam, v-columns) pairs re-sorted ascending on return (refined values can
 /// cross their unrefined neighbours). v has leading dimension ldv >= n.
+/// Only a report with broken_clusters == 0 certifies the pairs as an
+/// fp64-accurate, fp64-orthogonal basis.
 /// `threads` > 1 runs the RQI sweep and the two phases above as tasks on
 /// one runtime with that many workers; the result is bit-identical for
 /// every worker count.

@@ -1,10 +1,9 @@
 // Partially-pivoted LU of a shifted tridiagonal T - lambda I (the dgttrf
 // layout): the kernel of both inverse-iteration codes. TridiagLU factors
-// and solves one shift, for stein_vector and the cluster re-extraction of
-// refine_eigenpairs. TridiagLUBatch runs the same recurrences for up to
-// eight shifts at once, for the Rayleigh-quotient sweep of
-// refine_eigenpairs: each step of one shift waits on a division, so one
-// shift runs at division latency, while eight independent chains
+// and solves one shift, for stein_vector. TridiagLUBatch runs the same
+// recurrences for up to eight shifts at once, for the Rayleigh-quotient
+// sweep of refine_eigenpairs: each step of one shift waits on a division,
+// so one shift runs at division latency, while eight independent chains
 // interleaved row by row overlap and run at division throughput. Every
 // lane does exactly TridiagLU's operations in TridiagLU's order, so its
 // factors and solution are bitwise TridiagLU's.

@@ -15,6 +15,7 @@
 #include "common/error.hpp"
 #include "common/real_traits.hpp"
 #include "common/rng.hpp"
+#include "dc/emit.hpp"
 #include "lapack/bisect.hpp"
 #include "lapack/front_door.hpp"
 #include "lapack/stein.hpp"
@@ -27,6 +28,12 @@
 
 namespace dnc::mrrr {
 namespace {
+
+/// Relative gap below which neighbouring eigenvalues form a cluster.
+constexpr double kGapTol = 1.0e-3;
+/// Maximum representation-tree depth; clusters still unresolved at this
+/// depth are treated as singletons (the usual MRRR accuracy trade-off).
+constexpr int kMaxDepth = 8;
 
 struct MrrrKinds {
   rt::KindId bisect, refine, getvec, cluster, setup, sort, safety;
@@ -286,7 +293,7 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, Real* lam, MatrixT
           const Real gap = item.lam_local[t + 1] - item.lam_local[t];
           const Real scale =
               std::max(std::fabs(item.lam_local[t]), std::fabs(item.lam_local[t + 1]));
-          if (gap > Real(opt.gaptol) * std::max(scale, safmin)) break;
+          if (gap > Real(kGapTol) * std::max(scale, safmin)) break;
           ++t;
         }
         const index_t g0 = item.k0 + s;          // global index of group start
@@ -302,7 +309,7 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, Real* lam, MatrixT
         auto rep = item.rep;
         std::vector<Real> grp(item.lam_local.begin() + s, item.lam_local.begin() + s + gcnt);
         const index_t boff = block_off[g0];
-        if (item.depth >= opt.max_depth) {
+        if (item.depth >= kMaxDepth) {
           // A group that is still clustered at max depth cannot be resolved
           // by representations at all (numerically degenerate
           // eigenvalues); for those we fall back to dstein-style inverse
@@ -413,7 +420,7 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, Real* lam, MatrixT
                   // singletons of the parent.
                   childitem.rep = rep;
                   childitem.lam_local = grp;
-                  childitem.depth = opt.max_depth;  // forces singleton path
+                  childitem.depth = kMaxDepth;  // forces singleton path
                 }
                 std::lock_guard<std::mutex> lk(next_mu);
                 next.push_back(std::move(childitem));
@@ -544,7 +551,8 @@ void mrrr_solve(index_t n, const double* d, const double* e, std::vector<double>
                            stats,
                            [&](const auto* wd, const auto* we, auto* wlam, auto& wv, Stats* st) {
                              mrrr_solve_impl(n, wd, we, wlam, wv, opt, st, sim);
-                           });
+                           },
+                           dc::detail::solve_f64);
 }
 
 }  // namespace dnc::mrrr

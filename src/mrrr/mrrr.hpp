@@ -41,13 +41,9 @@ struct Options {
   /// Working precision of the solve (DNC_PREC overrides the default).
   /// F32 runs the whole representation tree in fp32; F32RefineF64 follows
   /// the fp32 solve with fp64 Rayleigh-quotient refinement of the
-  /// eigenpairs (see lapack/refine.hpp).
+  /// eigenpairs (see lapack/refine.hpp), replaced by the fp64 D&C solve
+  /// when it cannot certify the basis.
   Precision precision = default_precision();
-  /// Relative gap below which neighbouring eigenvalues form a cluster.
-  double gaptol = 1.0e-3;
-  /// Maximum representation-tree depth; clusters still unresolved at this
-  /// depth are treated as singletons (the usual MRRR accuracy trade-off).
-  int max_depth = 8;
   /// Eigenvalues per RefineEig task, per cluster-refinement child task
   /// and per Getvec task, which takes a run of consecutive singletons of
   /// one representation (granularity knob, MR3-SMP's task size).

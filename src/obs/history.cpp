@@ -218,8 +218,7 @@ std::string render_series(const std::vector<SolveReport>& series, const std::str
   constexpr int kBar = 24;
   for (const SolveReport& r : series) {
     const int bar = 1 + static_cast<int>((r.seconds - lo) / span * (kBar - 1));
-    std::string commit = r.git_commit.substr(0, 9);
-    if (commit.empty()) commit = "-";
+    const std::string commit = r.git_commit.empty() ? "-" : r.git_commit.substr(0, 9);
     appendf(out, "%-10s %-20s %-12s %6ld %3d %10.6f %7.1f%%  ", commit.c_str(),
             r.timestamp.empty() ? "-" : r.timestamp.c_str(), r.driver.c_str(), r.n,
             r.workers(), r.seconds, 100.0 * r.deflated_fraction());

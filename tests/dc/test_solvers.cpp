@@ -474,7 +474,7 @@ TEST(Stedc, RepeatedFp32SolveReusesItsOutput) {
   if (version::kSanitize || kCompilerSanitizer)
     GTEST_SKIP() << "sanitizer allocators map and fault memory on their own schedule";
   const index_t n = 1024;
-  // Hermite: the refinement polishes every column without re-extracting any.
+  // Hermite: the refinement certifies every column, so no fp64 re-solve runs.
   const auto t = matgen::table3_matrix(15, n);
   // The fp32 eigenvectors, n x n floats, before they are widened into v.
   const long output_pages =

@@ -137,8 +137,8 @@ class ExportTest : public ::testing::Test {
     // rerun entries (*_scalar_dispatch, *_metrics_on), so names shared
     // across processes would race.
     const std::string tag =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-        ("_" + std::to_string(::getpid()));
+        std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) + "_" +
+        std::to_string(::getpid());
     trace_path_ = ::testing::TempDir() + "dnc_" + tag + "_trace.json";
     report_path_ = ::testing::TempDir() + "dnc_" + tag + "_report.json";
     remove_artifacts();

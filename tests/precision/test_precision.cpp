@@ -2,12 +2,14 @@
 // references with eps32-scaled tolerances, fp32 laed4 against the fp64
 // root, the F32RefineF64 accuracy gate -- the mixed-precision driver must
 // land fp64-grade residuals on every Table III bench family --, the
-// refinement safety net's overlap trigger, and the front door's range
-// scaling at extreme scales in every driver.
+// refinement's overlap trigger, the fp64 re-solve of a basis it cannot
+// certify, and the front door's range scaling at extreme scales in every
+// driver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <vector>
@@ -202,7 +204,7 @@ TEST(PrecisionSolve, RefineGateTaskflowAllFamilies) {
     // The refinement epilogue ran over every computed eigenpair.
     EXPECT_EQ(st.refine.checked, n) << fam.name;
   }
-  // Hermite at n = 1000: every gap is inside the safety net's chaining
+  // Hermite at n = 1000: every gap is inside the overlap scan's chaining
   // width, so the whole spectrum is one cluster. The residual-over-gap bound
   // must spare the scan most of its n(n-1)/2 pairwise dots.
   const index_t nh = 1000;
@@ -217,14 +219,16 @@ TEST(PrecisionSolve, RefineGateTaskflowAllFamilies) {
   EXPECT_LT(verify::orthogonality(v), 100.0 * kEps64);
   EXPECT_LT(verify::reduction_residual(t, d, v), 100.0 * kEps64);
   EXPECT_EQ(st.refine.checked, nh);
+  EXPECT_EQ(st.refine.broken_clusters, 0);
   EXPECT_LT(st.refine.overlap_dots, nh * nh / 20);
 }
 
-/// The safety net's overlap trigger: two columns collapsed onto one
-/// eigenvector (what RQI does to an fp32-degenerate pair) must be detected
-/// and re-extracted. Column j of an fp64 solution is overwritten with
-/// column k, then the pairs are refined.
-void expect_duplicate_repaired(const matgen::Tridiag& t, index_t k, index_t j, const char* what) {
+/// The overlap trigger: two columns collapsed onto one eigenvector (what
+/// RQI does to an fp32-degenerate pair) must leave the basis uncertified.
+/// Column j of an fp64 solution is overwritten with column k, then the
+/// pairs are refined. The front door's fp64 re-solve of such a basis is
+/// PrecisionSolve.UncertifiedRefinementReturnsTheF64Solve's.
+void expect_duplicate_detected(const matgen::Tridiag& t, index_t k, index_t j, const char* what) {
   const index_t n = t.n();
   std::vector<double> lam = t.d, e = t.e;
   Matrix v;
@@ -232,20 +236,21 @@ void expect_duplicate_repaired(const matgen::Tridiag& t, index_t k, index_t j, c
   opt.precision = Precision::F64;
   dc::stedc_sequential(n, lam.data(), e.data(), v, opt);
   blas::copy(n, v.data() + k * v.ld(), v.data() + j * v.ld());
-  lapack::refine_eigenpairs(n, t.d.data(), t.e.data(), lam.data(), v.data(), v.ld(), n);
-  EXPECT_LT(verify::orthogonality(v), 100.0 * kEps64) << what;
-  EXPECT_LT(verify::reduction_residual(t, lam, v), 100.0 * kEps64) << what;
+  const lapack::RefineReport rep =
+      lapack::refine_eigenpairs(n, t.d.data(), t.e.data(), lam.data(), v.data(), v.ld(), n);
+  EXPECT_EQ(rep.checked, n) << what;
+  EXPECT_GT(rep.broken_clusters, 0) << what;
   EXPECT_TRUE(std::is_sorted(lam.begin(), lam.end())) << what;
 }
 
-TEST(PrecisionRefine, OverlapTriggerRepairsDuplicateInCluster) {
+TEST(PrecisionRefine, OverlapTriggerDetectsDuplicateInCluster) {
   // Glued Wilkinson: each W21 eigenvalue becomes a tight cluster of six.
   const auto t = matgen::glued_wilkinson(21, 6, 1e-4);
   const index_t k = t.n() - 2;
-  expect_duplicate_repaired(t, k, k + 1, "glued Wilkinson, top cluster");
+  expect_duplicate_detected(t, k, k + 1, "glued Wilkinson, top cluster");
 }
 
-TEST(PrecisionRefine, OverlapTriggerRepairsDuplicateAcrossWideGap) {
+TEST(PrecisionRefine, OverlapTriggerDetectsDuplicateAcrossWideGap) {
   // Type 4 (arithmetic grading): every neighbour gap is inside the chaining
   // width 1e-2 ||T||_1, but the duplicate's own eigenvalue sits more than
   // twice that width above the source's, so only the long chain links them.
@@ -259,7 +264,7 @@ TEST(PrecisionRefine, OverlapTriggerRepairsDuplicateAcrossWideGap) {
   while (j + 1 < n && lam[j] - lam[k] <= wide) ++j;
   ASSERT_GT(lam[j] - lam[k], wide);
   for (index_t i = k; i < j; ++i) ASSERT_LE(lam[i + 1] - lam[i], wide / 2) << "i=" << i;
-  expect_duplicate_repaired(t, k, j, "type 4, wide gap");
+  expect_duplicate_detected(t, k, j, "type 4, wide gap");
 }
 
 TEST(PrecisionSolve, RefineGateMrrrAllFamilies) {
@@ -378,6 +383,85 @@ void solve_with(int driver, const matgen::Tridiag& t, Precision p, std::vector<d
     case 1: dc::stedc_taskflow(n, lam.data(), e.data(), v, opt); break;
     case 2: dc::stedc_lapack_model(n, lam.data(), e.data(), v, opt); break;
     case 3: dc::stedc_scalapack_model(n, lam.data(), e.data(), v, opt); break;
+  }
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (index_t j = 0; j < a.cols(); ++j)
+    if (std::memcmp(a.data() + j * a.ld(), b.data() + j * b.ld(), a.rows() * sizeof(double)) != 0)
+      return false;
+  return true;
+}
+
+// Inputs whose fp32 eigenvectors the refinement cannot certify: a type 3
+// cluster of equal eigenvalues, a graded matrix whose small entries narrow
+// to fp32 denormals or zero, and glued Wilkinson with clusters of fifteen
+// eigenvalues 1e-14 apart. Every driver must then return exactly the fp64
+// stedc_taskflow solve, which its front door ran in place of the refined
+// pairs, and report the refinement that failed.
+TEST(PrecisionSolve, UncertifiedRefinementReturnsTheF64Solve) {
+  const index_t n = 300;
+  matgen::Tridiag graded;
+  for (index_t i = 0; i < n; ++i) {
+    graded.d.push_back(std::pow(0.5, static_cast<double>(i)));
+    if (i + 1 < n) graded.e.push_back(std::pow(0.5, static_cast<double>(i) + 0.5));
+  }
+  const struct {
+    const char* name;
+    matgen::Tridiag t;
+  } inputs[] = {{"type 3", matgen::table3_matrix(3, n, 5)},
+                {"graded", graded},
+                {"glued Wilkinson 1e-14", matgen::glued_wilkinson(21, 15, 1e-14)}};
+  const char* const kDrivers[] = {"sequential", "taskflow", "lapack_model", "scalapack_model",
+                                  "mrrr"};
+  for (const auto& in : inputs) {
+    const index_t m = in.t.n();
+    std::vector<double> ref = in.t.d, e = in.t.e;
+    Matrix vref;
+    dc::Options fopt;
+    fopt.precision = Precision::F64;
+    fopt.threads = 2;
+    dc::stedc_taskflow(m, ref.data(), e.data(), vref, fopt);
+    for (int driver = 0; driver < 5; ++driver) {
+      std::ostringstream what;
+      what << kDrivers[driver] << " " << in.name;
+      std::vector<double> lam;
+      Matrix v;
+      lapack::RefineReport rep;
+      if (driver == 4) {
+        mrrr::Options opt;
+        opt.precision = Precision::F32RefineF64;
+        opt.threads = 2;
+        mrrr::Stats st;
+        mrrr::mrrr_solve(m, in.t.d.data(), in.t.e.data(), lam, v, opt, &st);
+        rep = st.refine;
+      } else {
+        lam = in.t.d;
+        e = in.t.e;
+        dc::Options opt;
+        opt.precision = Precision::F32RefineF64;
+        opt.threads = 2;
+        dc::SolveStats st;
+        switch (driver) {
+          case 0: dc::stedc_sequential(m, lam.data(), e.data(), v, opt, &st); break;
+          case 1: dc::stedc_taskflow(m, lam.data(), e.data(), v, opt, &st); break;
+          case 2: dc::stedc_lapack_model(m, lam.data(), e.data(), v, opt, &st); break;
+          case 3: dc::stedc_scalapack_model(m, lam.data(), e.data(), v, opt, &st); break;
+        }
+        rep = st.refine;
+      }
+      EXPECT_GT(rep.broken_clusters, 0) << what.str();
+      EXPECT_EQ(rep.checked, m) << what.str();
+      EXPECT_TRUE(same_bits(lam, ref)) << what.str();
+      EXPECT_TRUE(same_bits(v, vref)) << what.str();
+      EXPECT_LT(verify::reduction_residual(in.t, lam, v), 100.0 * kEps64) << what.str();
+      EXPECT_LT(verify::orthogonality(v), 100.0 * kEps64) << what.str();
+    }
   }
 }
 
