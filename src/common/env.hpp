@@ -28,9 +28,9 @@ std::string str(const char* name, const std::string& dflt = "");
 /// false, anything else is true (so DNC_X=1 and DNC_X=on both enable).
 bool flag(const char* name, bool dflt = false) noexcept;
 
-/// The on/off knob of one observability module (DNC_METRICS, DNC_FLIGHT,
-/// DNC_HISTORY, DNC_CRASH_DUMP, DNC_PROFILE_HZ), with one spelling rule
-/// for all of them:
+/// The on/off knob of one observability module (DNC_FLIGHT, DNC_HISTORY,
+/// DNC_CRASH_DUMP, DNC_PROFILE_HZ), with one spelling rule for all of
+/// them:
 ///   unset, "", "0", "off", "false", "no"  -> off
 ///   "1", "on", "true", "yes"              -> on with the module's default
 ///   anything else                         -> on with that value (a path,

@@ -4,9 +4,9 @@
 // in the solve they run at the working precision; everything around it is
 // written here once. In order, solve_front_door:
 //   1. substitutes a local Stats when the caller passed none but
-//      DNC_METRICS/DNC_FLIGHT/DNC_HISTORY or $DNC_TRACE/$DNC_REPORT want the
-//      report (it has to exist to be recorded or written), and starts the
-//      stopwatch;
+//      DNC_FLIGHT/DNC_HISTORY/DNC_CRASH_DUMP or $DNC_TRACE/$DNC_REPORT want
+//      the report (it has to exist to be recorded or written), and starts
+//      the stopwatch;
 //   2. arms the health probe on the caller's fp64 (d, e);
 //   3. checks every entry finite (require_finite: InvalidArgument);
 //   4. scales T by range_scale into the working precision's safe range,
@@ -17,7 +17,8 @@
 //      against the scaled fp64 T (lapack/refine.hpp), and when the
 //      refinement cannot certify the basis (broken_clusters > 0) discards
 //      it and solves fresh copies of that fp64 T with the fp64 D&C solve
-//      instead; the report, trace and counters stay the fp32 solve's;
+//      instead; the report, trace and counters stay the fp32 solve's, and
+//      the report carries the refinement's counts;
 //   6. divides the eigenvalues by the scale;
 //   7. restores the caller's report family, stamps the time, evaluates the
 //      health probe, writes the artifacts and records the telemetry.
@@ -42,7 +43,6 @@
 #include "common/timer.hpp"
 #include "lapack/refine.hpp"
 #include "obs/health.hpp"
-#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
 
@@ -143,16 +143,17 @@ void solve_front_door(const char* who, index_t n, In* d, In* e, double* lam, Mat
     if (refine) {
       const RefineReport rr =
           refine_eigenpairs(n, rd, we, lam, v.data(), v.ld(), v.cols(), threads);
-      if (st) st->refine = rr;
+      if (st) {
+        st->refine = rr;
+        st->report.refine_checked = rr.checked;
+        st->report.refine_refined = rr.refined;
+        st->report.refine_iterations = rr.iterations;
+        st->report.refine_broken_clusters = rr.broken_clusters;
+      }
       if (rr.broken_clusters > 0) {
         std::vector<double> d64(rd, rd + n), e64(we, we + n - 1);
         solve_f64(n, d64.data(), e64.data(), v, threads);
         std::copy(d64.begin(), d64.end(), lam);
-        if (obs::metrics::enabled()) {
-          namespace m = obs::metrics;
-          m::add(m::register_metric(m::Kind::Counter, "dnc_refine_fallbacks_total", "",
-                                    "F32RefineF64 solves re-solved in fp64 after refinement"));
-        }
       }
     }
   }

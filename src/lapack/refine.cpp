@@ -11,7 +11,6 @@
 #include "common/error.hpp"
 #include "common/real_traits.hpp"
 #include "lapack/tridiag_lu.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/graph.hpp"
 #include "runtime/scheduler.hpp"
@@ -244,8 +243,8 @@ RefineReport rqi_sweep(index_t n, const double* d, const double* e, double* lam,
   return rep;
 }
 
-// refine_eigenpairs between its argument checks and its metrics: the sweep,
-// the certification and, for a certified basis, the polish.
+// refine_eigenpairs after its argument checks: the sweep, the certification
+// and, for a certified basis, the polish.
 RefineReport refine(index_t n, const double* d, const double* e, double* lam, double* v,
                     index_t ldv, index_t nvec, int threads) {
   const double tnorm = blas::lanst_one(n, d, e);
@@ -459,23 +458,7 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
                                double* v, index_t ldv, index_t nvec, int threads) {
   if (n <= 0 || nvec <= 0) return {};
   DNC_REQUIRE(ldv >= n, "refine_eigenpairs: ldv < n");
-  const RefineReport rep = refine(n, d, e, lam, v, ldv, nvec, threads);
-  if (obs::metrics::enabled()) {
-    namespace m = obs::metrics;
-    m::add(m::register_metric(m::Kind::Counter, "dnc_refine_columns_total",
-                              "result=\"checked\"",
-                              "Eigenpairs examined/improved by fp64 refinement"),
-           static_cast<double>(rep.checked));
-    m::add(m::register_metric(m::Kind::Counter, "dnc_refine_columns_total",
-                              "result=\"refined\"",
-                              "Eigenpairs examined/improved by fp64 refinement"),
-           static_cast<double>(rep.refined));
-    if (rep.checked > 0)
-      m::observe(m::register_metric(m::Kind::Histogram, "dnc_refine_steps", "",
-                                    "Rayleigh-quotient iterations per refinement call"),
-                 static_cast<double>(rep.iterations));
-  }
-  return rep;
+  return refine(n, d, e, lam, v, ldv, nvec, threads);
 }
 
 }  // namespace dnc::lapack

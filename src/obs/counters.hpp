@@ -9,9 +9,7 @@
 // thread that attaches, which adds to its counts. Drivers
 // capture a snapshot at solve start and diff it at solve end
 // (obs::SolveScope), so concurrent unrelated work in the same process is
-// the caller's problem, not the counters'. The metrics registry
-// (obs/metrics.hpp), recorded once per solve, keeps its values under a
-// mutex instead.
+// the caller's problem, not the counters'.
 //
 // The blocks are atomics written with relaxed single-writer updates; reader
 // visibility is established by the thread joins / condition-variable

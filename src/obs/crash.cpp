@@ -12,7 +12,6 @@
 #include "common/env.hpp"
 #include "common/version.hpp"
 #include "obs/flight.hpp"
-#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 
 namespace dnc::obs::crash {
@@ -119,10 +118,6 @@ std::string dump_text(int sig) {
   out += version::kGitCommit;
   out += "\n# hostname: " + current_hostname();
   out += "\n";
-  // No blocking lock here: the crashing thread may hold the metrics mutex.
-  // The solve ring goes to the .jsonl beside the dump, also best-effort.
-  metrics::Snapshot snap;
-  if (metrics::enabled() && metrics::try_scrape(snap)) out += metrics::prometheus_text(snap);
   return out;
 }
 

@@ -1,25 +1,24 @@
 // Last-gasp crash dump: fatal-signal handlers that flush the observability
 // state an operator would otherwise lose with the process.
 //
-// The metrics registry and flight recorder export on *clean* exit
-// (atexit); a SIGSEGV throws all of that away exactly when it is
-// most wanted. With DNC_CRASH_DUMP=<path> set, handlers for SIGSEGV,
-// SIGBUS, SIGABRT and SIGFPE best-effort write
-//   <path>          crash header (signal, pid, git commit) + Prometheus
-//                   text of the final metrics scrape (left out when the
-//                   registry mutex is held)
+// The flight recorder dumps only on a tripped threshold; a SIGSEGV throws
+// its solve ring away exactly when it is most wanted. With
+// DNC_CRASH_DUMP=<path> set, handlers for SIGSEGV, SIGBUS, SIGABRT and
+// SIGFPE best-effort write
+//   <path>          crash header (signal, pid, git commit, hostname)
 //   <path>.jsonl    the flight-recorder reports of the solve ring (one
-//                   report per line; see obs/flight)
+//                   report per line; see obs/flight), left out when the
+//                   ring is empty or its mutex is held
 // then restore the default disposition and re-raise, so the exit status /
 // core dump behaviour of the process is unchanged.
 //
 // Honesty about limits: the dump path calls non-async-signal-safe code
-// (malloc under scrape()/string building). After a heap corruption that can
-// itself crash -- a reentry guard turns the second fault into an immediate
-// re-raise, and the handler only try-locks the metrics and flight mutexes,
-// so the worst case is "no dump", never a hang or loop. For the
-// dominant crash classes (null deref, OOB index, assert/abort) the heap is
-// intact and the dump succeeds.
+// (malloc under string building). After a heap corruption that can itself
+// crash -- a reentry guard turns the second fault into an immediate
+// re-raise, and the handler only try-locks the flight mutex, so the worst
+// case is "no dump", never a hang or loop. For the dominant crash classes
+// (null deref, OOB index, assert/abort) the heap is intact and the dump
+// succeeds.
 //
 // Knob:
 //   DNC_CRASH_DUMP  unset or an off spelling = no handlers installed;
@@ -48,8 +47,8 @@ bool ensure_installed();
 /// Expanded dump path ("" when disabled).
 std::string dump_path();
 
-/// The dump body builder, exposed for tests: crash header + metrics
-/// Prometheus text (when the metrics mutex is free). `sig` 0 renders "test" as the signal name.
+/// The dump body builder, exposed for tests: the crash header. `sig` 0
+/// renders "test" as the signal name.
 std::string dump_text(int sig);
 
 }  // namespace dnc::obs::crash

@@ -24,9 +24,8 @@ struct Entry {
   SolveReport report;
 };
 
-// Leaked singleton, same reasoning as the metrics State: observe() may run
-// from driver threads, and the crash handler may read the ring, while the
-// process is tearing down.
+// Leaked singleton: observe() may run from driver threads, and the crash
+// handler may read the ring, while the process is tearing down.
 struct State {
   std::mutex mu;  // guards everything below
   std::string prefix;  // "" = disabled

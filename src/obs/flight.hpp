@@ -37,7 +37,7 @@ struct Trace;
 
 namespace dnc::obs::flight {
 
-/// One relaxed load + branch once initialised, like metrics::enabled().
+/// One relaxed load + branch once initialised (an env::Gate).
 bool enabled() noexcept;
 void refresh_from_env() noexcept;
 

@@ -8,7 +8,7 @@
 // the tridiagonal before the driver destroys it, then checks s evenly
 // spaced eigenpairs: a tridiagonal matvec is O(n) per column, so the probe
 // stays sub-percent of the solve and is cheap enough for the always-on
-// metrics/flight-recorder path.
+// history/flight-recorder path.
 #pragma once
 
 #include <vector>

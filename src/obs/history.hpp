@@ -10,7 +10,10 @@
 // survives processes and machines (one ::write per line keeps concurrent
 // appenders line-atomic), so `dnc diff --history` can plot a cell across a
 // whole bench campaign or bisect a regression to the commit that
-// introduced it, and any single line is a report `dnc diff` reads.
+// introduced it, and any single line is a report `dnc diff` reads. It is
+// also the process's only cross-solve record: `dnc metrics` aggregates an
+// archive into one row per {driver, precision, size class} (metrics_rows)
+// and renders it as a table or as Prometheus text.
 //
 // Knob (read lazily by an env::Gate; refresh_from_env() for tests):
 //   DNC_HISTORY  path of the archive; unset or an off spelling = off,
@@ -29,7 +32,7 @@ namespace dnc::obs::history {
 
 inline constexpr long kMaxBytes = 16L * 1024 * 1024;  ///< rotation cap
 
-/// One relaxed load + branch once initialised (metrics::enabled() idiom).
+/// One relaxed load + branch once initialised (an env::Gate).
 bool enabled() noexcept;
 void refresh_from_env() noexcept;
 
@@ -77,5 +80,35 @@ std::vector<SolveReport> latest_per_commit(const std::vector<SolveReport>& repor
 /// Table + ascii bars + min/median/max summary of a series (seconds
 /// column). `title` heads the block.
 std::string render_series(const std::vector<SolveReport>& series, const std::string& title);
+
+/// One row of the archive view: the reports of one {driver, precision,
+/// size class} cell. The size classes are xs < 256 <= s < 1024 <= m <
+/// 4096 <= l < 16384 <= xl. Counts are doubles, as in the Prometheus text.
+struct MetricsRow {
+  std::string driver, precision, size_class;
+  double solves = 0.0;
+  double seconds_sum = 0.0;
+  double p50 = 0.0, p90 = 0.0, p99 = 0.0;  ///< exact quantiles of `seconds`
+  double deflated_fraction = 0.0;          ///< mean over the solves
+  double gemm_gflops = 0.0;                ///< median over the solves that ran GEMM
+  double max_rel_residual = 0.0;           ///< worst health probe
+  double max_ortho_error = 0.0;
+  double tasks = 0.0, steals = 0.0;  ///< summed over the solves' schedulers
+  double idle_seconds = 0.0;         ///< summed worker idle
+  double refine_fallbacks = 0.0;     ///< F32RefineF64 solves re-solved in fp64
+};
+
+/// The reports matching `key`, grouped into rows in first-seen order.
+std::vector<MetricsRow> metrics_rows(const std::vector<SolveReport>& reports, const Key& key);
+
+/// The rows as a table headed by `title`. With `b`, the --diff view: each
+/// row of `a` and the same cell of `b` on adjacent lines, then the cells
+/// only `b` has.
+std::string render_metrics(const std::string& title, const std::vector<MetricsRow>& a,
+                           const std::vector<MetricsRow>* b = nullptr);
+
+/// The rows as Prometheus text: counters, gauges and a summary of
+/// `dnc_solve_seconds`, labelled by driver, precision and size class.
+std::string prometheus_text(const std::vector<MetricsRow>& rows);
 
 }  // namespace dnc::obs::history

@@ -133,6 +133,11 @@ std::string SolveReport::to_json() const {
             "  },\n",
             health.sampled_columns, health.max_rel_residual, health.max_ortho_error);
   }
+  if (precision == "f32refine")
+    appendf(out,
+            "  \"refine\": {\"checked\": %ld, \"refined\": %ld, \"iterations\": %ld, "
+            "\"broken_clusters\": %ld},\n",
+            refine_checked, refine_refined, refine_iterations, refine_broken_clusters);
   appendf(out, "  \"has_scheduler\": %s", has_scheduler ? "true" : "false");
   if (has_scheduler) {
     appendf(out,
@@ -357,8 +362,8 @@ void SolveScope::finish(SolveReport& out, long n, int threads, rt::Trace* trace,
                                        ? out.memory.rss_hwm_bytes - rss_hwm_begin_
                                        : 0;
   // A reused report must not keep the previous solve's aggregates: an
-  // hwc-off or sequential rerun would otherwise still show the old
-  // scheduler/hwc/health blocks (the context_bytes lesson from PR 5).
+  // hwc-off, sequential or F64 rerun would otherwise still show the old
+  // scheduler/hwc/health/refine blocks.
   out.has_scheduler = false;
   out.scheduler = SchedulerMetrics{};
   out.hwc_backend.clear();
@@ -366,6 +371,8 @@ void SolveScope::finish(SolveReport& out, long n, int threads, rt::Trace* trace,
   out.kind_hwc.clear();
   out.has_health = false;
   out.health = HealthMetrics{};
+  out.refine_checked = out.refine_refined = 0;
+  out.refine_iterations = out.refine_broken_clusters = 0;
   if (trace) {
     out.has_scheduler = true;
     out.scheduler = scheduler_metrics(*trace);

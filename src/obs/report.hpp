@@ -66,8 +66,8 @@ struct SchedulerMetrics {
 
 /// Cheap per-solve numerical-health estimate: s sampled eigenpairs checked
 /// for residual and orthogonality in O(n*s), not the O(n^2*s) full check
-/// (that is tests/support territory). Feeds the metrics histograms and the
-/// flight-recorder anomaly triggers.
+/// (that is tests/support territory). Feeds the flight-recorder anomaly
+/// triggers and the worst-case columns of the archive view.
 struct HealthMetrics {
   int sampled_columns = 0;        ///< s (0 = probe never ran)
   double max_rel_residual = 0.0;  ///< max_i ||T v_i - lam_i v_i||_inf / ||T||_1
@@ -104,6 +104,14 @@ struct SolveReport {
 
   bool has_health = false;
   HealthMetrics health;
+
+  // --- F32RefineF64's refinement of the fp32 solve (0 at other precisions) ---
+  long refine_checked = 0;     ///< columns whose residual was evaluated
+  long refine_refined = 0;     ///< columns that needed at least one RQI step
+  long refine_iterations = 0;  ///< RQI solves across all columns
+  /// Clusters the refinement could not certify; above 0 the solve returned
+  /// the fp64 D&C solve instead (a fallback).
+  long refine_broken_clusters = 0;
 
   // --- hardware-counter attribution (DNC_HWC; empty backend = off) ---
   std::string hwc_backend;                  ///< "perf" / "rusage" / ""

@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "obs/hwc.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 
 namespace dnc::rt {
@@ -143,51 +142,7 @@ Scheduler::Scheduler(TaskGraph& graph, int threads) : graph_(graph), thread_coun
   }
 }
 
-Scheduler::~Scheduler() {
-  stop_and_join();
-  // Always-on scheduler metrics (DNC_METRICS; one branch when disabled).
-  // Workers are joined, so the per-worker counters are final and plain
-  // relaxed reads see everything.
-  if (obs::metrics::enabled()) {
-    namespace m = obs::metrics;
-    long tasks = 0;
-    for (int w = 0; w < thread_count_; ++w)
-      tasks += counters_[w].executed.load(std::memory_order_relaxed);
-    double idle = 0.0;
-    for (double d : idle_) idle += d;
-    m::add(m::register_metric(m::Kind::Counter, "dnc_sched_runs_total", "",
-                              "Scheduler lifetimes (one per parallel solve)"));
-    m::add(m::register_metric(m::Kind::Counter, "dnc_sched_tasks_total", "",
-                              "Tasks executed by the runtime"),
-           static_cast<double>(tasks));
-    m::add(m::register_metric(m::Kind::Counter, "dnc_sched_steals_total", "",
-                              "Successful work steals"),
-           static_cast<double>(total_steals_.load(std::memory_order_relaxed)));
-    long same_l3 = 0, same_socket = 0, cross_socket = 0;
-    for (int w = 0; w < thread_count_; ++w) {
-      same_l3 += counters_[w].steals_same_l3.load(std::memory_order_relaxed);
-      same_socket += counters_[w].steals_same_socket.load(std::memory_order_relaxed);
-      cross_socket += counters_[w].steals_cross_socket.load(std::memory_order_relaxed);
-    }
-    if (same_l3 + same_socket + cross_socket > 0) {
-      m::add(m::register_metric(m::Kind::Counter, "dnc_sched_steals_same_l3_total", "",
-                                "Steals whose victim shares the thief's L3 domain"),
-             static_cast<double>(same_l3));
-      m::add(m::register_metric(m::Kind::Counter, "dnc_sched_steals_same_socket_total", "",
-                                "Steals within the thief's socket but across L3 domains"),
-             static_cast<double>(same_socket));
-      m::add(m::register_metric(m::Kind::Counter, "dnc_sched_steals_cross_socket_total", "",
-                                "Steals that crossed the socket interconnect"),
-             static_cast<double>(cross_socket));
-    }
-    m::add(m::register_metric(m::Kind::Counter, "dnc_sched_worker_idle_seconds_total", "",
-                              "Summed per-worker idle time (s)"),
-           idle);
-    m::observe(m::register_metric(m::Kind::Histogram, "dnc_sched_queue_depth_peak", "",
-                                  "Peak ready-queue depth per scheduler lifetime"),
-               static_cast<double>(depth_peak_.load(std::memory_order_relaxed)));
-  }
-}
+Scheduler::~Scheduler() { stop_and_join(); }
 
 void Scheduler::stop_and_join() {
   stop_.store(true, std::memory_order_seq_cst);

@@ -24,7 +24,7 @@
 // rotated within each class so thieves don't convoy on one victim. Every
 // successful steal is classified into the same three buckets
 // (steals_same_l3 / steals_same_socket / steals_cross_socket), which flow
-// Trace -> SolveReport -> Perfetto -> /metrics.
+// Trace -> SolveReport -> Perfetto and the history archive.
 //
 // Idle path: after a failed full scan a worker backs off with
 // exponentially growing yield bursts, then parks on a condition variable.
@@ -134,8 +134,7 @@ class Scheduler {
  public:
   /// Spawns `threads` workers and wires graph.on_ready to them.
   Scheduler(TaskGraph& graph, int threads);
-  /// Drains what was submitted, joins the workers and publishes the
-  /// scheduler metrics.
+  /// Drains what was submitted and joins the workers.
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;

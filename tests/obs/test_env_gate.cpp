@@ -1,4 +1,4 @@
-// The one gate spelling rule (env::Gate) across the five observability
+// The one gate spelling rule (env::Gate) across the four observability
 // gates: every off spelling turns its module off and an instrumented solve
 // then writes no file, and every on spelling selects the module's default
 // instead of being taken as a file name.
@@ -17,9 +17,9 @@
 #include "obs/crash.hpp"
 #include "obs/flight.hpp"
 #include "obs/history.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/report.hpp"
+#include "obs/telemetry.hpp"
 
 namespace dnc {
 namespace {
@@ -32,13 +32,13 @@ struct GateCase {
 };
 
 const GateCase kGates[] = {
-    {"DNC_METRICS", obs::metrics::enabled},  {"DNC_FLIGHT", obs::flight::enabled},
-    {"DNC_HISTORY", obs::history::enabled},  {"DNC_CRASH_DUMP", obs::crash::enabled},
+    {"DNC_FLIGHT", obs::flight::enabled},
+    {"DNC_HISTORY", obs::history::enabled},
+    {"DNC_CRASH_DUMP", obs::crash::enabled},
     {"DNC_PROFILE_HZ", obs::profiler::env_enabled},
 };
 
 void refresh_all() {
-  obs::metrics::reset_for_tests();
   obs::flight::reset_for_tests();  // also empties the solve ring
   obs::history::refresh_from_env();
   obs::crash::refresh_from_env();
@@ -51,8 +51,7 @@ void refresh_all() {
 class EnvGate : public ::testing::Test {
  protected:
   static constexpr const char* kVars[] = {
-      "DNC_METRICS",    "DNC_FLIGHT",     "DNC_HISTORY",       "DNC_CRASH_DUMP",
-      "DNC_PROFILE_HZ", "DNC_FLIGHT_LATENCY"};
+      "DNC_FLIGHT", "DNC_HISTORY", "DNC_CRASH_DUMP", "DNC_PROFILE_HZ", "DNC_FLIGHT_LATENCY"};
 
   void SetUp() override {
     for (const char* var : kVars) {
@@ -99,15 +98,13 @@ TEST_F(EnvGate, OffSpellingsDisableAndWriteNoFile) {
       ::unsetenv("DNC_FLIGHT_LATENCY");
       ::setenv(g.var, off, 1);
       // A witness consumer that writes no file keeps the solve instrumented:
-      // in-memory metrics, or for the metrics gate itself a flight recorder
-      // with no trigger a healthy solve can trip. Under the other gates a
-      // 1 ns latency trigger makes a wrongly enabled recorder dump.
-      if (std::string(g.var) == "DNC_METRICS") {
-        ::setenv("DNC_FLIGHT", "on", 1);
-      } else {
-        ::setenv("DNC_METRICS", "1", 1);
+      // a flight recorder with no trigger a healthy solve can trip. For the
+      // flight gate itself, a 1 ns latency trigger makes a wrongly enabled
+      // recorder dump.
+      if (std::string(g.var) == "DNC_FLIGHT")
         ::setenv("DNC_FLIGHT_LATENCY", "1e-9", 1);
-      }
+      else
+        ::setenv("DNC_FLIGHT", "on", 1);
       refresh_all();
       EXPECT_FALSE(g.enabled());
 
@@ -115,7 +112,6 @@ TEST_F(EnvGate, OffSpellingsDisableAndWriteNoFile) {
       Matrix v;
       dc::SolveStats st;
       dc::stedc_taskflow(t.n(), t.d.data(), t.e.data(), v, {}, &st);
-      EXPECT_TRUE(obs::metrics::export_now().empty());  // the at-exit export
       EXPECT_FALSE(obs::crash::ensure_installed());
       EXPECT_EQ(files_in_dir(), std::vector<std::string>{});
     }
@@ -129,7 +125,6 @@ TEST_F(EnvGate, OnSpellingsSelectTheModuleDefault) {
     for (const GateCase& g : kGates) ::setenv(g.var, on, 1);
     refresh_all();
     for (const GateCase& g : kGates) EXPECT_TRUE(g.enabled()) << g.var;
-    EXPECT_EQ(obs::metrics::configured_export_path(), "") << "in-memory only";
     EXPECT_EQ(obs::history::archive_path(), "dnc_history.jsonl");
     EXPECT_EQ(obs::crash::dump_path(), "dnc_crash." + pid + ".txt");
     EXPECT_EQ(obs::profiler::env_hz(), obs::profiler::kDefaultHz);
@@ -137,6 +132,13 @@ TEST_F(EnvGate, OnSpellingsSelectTheModuleDefault) {
   for (const GateCase& g : kGates) ::unsetenv(g.var);
   refresh_all();
   for (const GateCase& g : kGates) EXPECT_FALSE(g.enabled()) << g.var;
+  // With every switch off a solve is not instrumented: no health probe.
+  EXPECT_FALSE(obs::solve_telemetry_wanted());
+  matgen::Tridiag t = matgen::table3_matrix(10, 200);
+  Matrix v;
+  dc::SolveStats st;
+  dc::stedc_taskflow(t.n(), t.d.data(), t.e.data(), v, {}, &st);
+  EXPECT_FALSE(st.report.has_health);
 }
 
 TEST(EnvGateRule, ValuesAndHook) {

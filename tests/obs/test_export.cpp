@@ -134,7 +134,7 @@ class ExportTest : public ::testing::Test {
   void SetUp() override {
     // Per-test-name + per-pid paths: ctest runs each case as its own
     // process, in parallel with its siblings AND with the whole-binary
-    // rerun entries (*_scalar_dispatch, *_metrics_on), so names shared
+    // rerun entries (*_scalar_dispatch, *_telemetry_on), so names shared
     // across processes would race.
     const std::string tag =
         std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) + "_" +
@@ -244,6 +244,13 @@ TEST(SequencedExportPath, SuffixScheme) {
   // A dot in a directory name must not be mistaken for an extension.
   EXPECT_EQ(obs::sequenced_export_path("/tmp/v1.2/trace", 1), "/tmp/v1.2/trace.2");
   EXPECT_EQ(obs::sequenced_export_path("trace", 1), "trace.2");
+}
+
+TEST(SequencedExportPath, PlaceholderExpansion) {
+  const std::string pid = std::to_string(::getpid());
+  EXPECT_EQ(obs::expand_path_placeholders("m_%p_%s.json", 7), "m_" + pid + "_7.json");
+  EXPECT_EQ(obs::expand_path_placeholders("plain.json", 3), "plain.json");
+  EXPECT_EQ(obs::expand_path_placeholders("%p/%p", 1), pid + "/" + pid);
 }
 
 TEST_F(ExportTest, SecondSolveOfProcessGetsSequenceSuffix) {

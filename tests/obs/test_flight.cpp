@@ -16,7 +16,6 @@
 #include "dc/api.hpp"
 #include "matgen/tridiag.hpp"
 #include "obs/flight.hpp"
-#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace_io.hpp"
 
@@ -83,7 +82,6 @@ class FlightTest : public ::testing::Test {
         ::unsetenv(saved_[i].first);
     }
     fl::reset_for_tests();
-    obs::metrics::reset_for_tests();
   }
 
   std::string dump_path(unsigned long dump) const {
@@ -98,7 +96,7 @@ class FlightTest : public ::testing::Test {
 
   static constexpr const char* kVars[] = {
       "DNC_FLIGHT", "DNC_FLIGHT_RESID", "DNC_FLIGHT_LATENCY", "DNC_FLIGHT_DEFL",
-      "DNC_FLIGHT_MAX_DUMPS", "DNC_METRICS"};
+      "DNC_FLIGHT_MAX_DUMPS"};
   std::vector<std::pair<const char*, std::string>> saved_;
   std::vector<bool> saved_set_;
   std::string prefix_;

@@ -1,8 +1,9 @@
 // Solve-history archive tests: the report's family and derived numbers,
 // the append/load report round trip, old-record and unparseable lines
 // skipped and counted, rotation at kMaxBytes, key parsing/filtering, the
-// per-commit trend view, and which telemetry consumer reaches the archive
-// and the ring.
+// per-commit trend view, which telemetry consumer reaches the archive and
+// the ring, the cross-solve view `dnc metrics` renders from an archive,
+// and the report fields a reused SolveStats must not carry over.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,6 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "common/precision.hpp"
+#include "dc/api.hpp"
+#include "matgen/tridiag.hpp"
 #include "obs/diff.hpp"
 #include "obs/flight.hpp"
 #include "obs/history.hpp"
@@ -283,6 +287,16 @@ TEST(HistoryKey, ParseAndMatch) {
   EXPECT_NE(err.find("unknown key field"), std::string::npos);
   EXPECT_FALSE(hist::parse_key("n=abc", key, &err));
   EXPECT_FALSE(hist::parse_key("noequals", key, &err));
+  // A number is all of the value: no trailing garbage, no other notation.
+  for (const char* bad : {"n=1000x", "n=1e3", "n=-5", "n=", "workers=4x", "workers=0",
+                          "workers=99999999999"}) {
+    SCOPED_TRACE(bad);
+    err.clear();
+    EXPECT_FALSE(hist::parse_key(bad, key, &err));
+    EXPECT_NE(err.find("wants a positive integer, got '"), std::string::npos) << err;
+  }
+  ASSERT_TRUE(hist::parse_key("workers=8", key, &err)) << err;
+  EXPECT_EQ(key.workers, 8);
 }
 
 TEST(HistoryQuery, SeriesAndLatestPerCommit) {
@@ -321,6 +335,280 @@ TEST(HistoryQuery, SeriesAndLatestPerCommit) {
   EXPECT_NE(rendered.find("median"), std::string::npos);
   EXPECT_NE(hist::render_series({}, "empty").find("no matching records"),
             std::string::npos);
+}
+
+// --- the archive view (`dnc metrics`) -----------------------------------------
+
+/// The archive view's tests: the same temp-file archive as HistoryTest.
+using MetricsTest = HistoryTest;
+
+TEST_F(MetricsTest, SolveRecordsCoreSeries) {
+  enable();
+  matgen::Tridiag t = matgen::table3_matrix(10, 260);
+  Matrix v;
+  dc::SolveStats st;
+  dc::stedc_taskflow(t.n(), t.d.data(), t.e.data(), v, {}, &st);
+
+  ASSERT_TRUE(st.report.has_health);
+  EXPECT_GT(st.report.health.sampled_columns, 0);
+  EXPECT_LT(st.report.health.max_rel_residual, 1e-10);
+  EXPECT_LT(st.report.health.max_ortho_error, 1e-10);
+
+  std::vector<obs::SolveReport> reps;
+  ASSERT_TRUE(hist::load_file(path_, reps));
+  ASSERT_EQ(reps.size(), 1u);
+  const std::vector<hist::MetricsRow> rows = hist::metrics_rows(reps, {});
+  ASSERT_EQ(rows.size(), 1u);
+  const hist::MetricsRow& r = rows[0];
+  EXPECT_EQ(r.driver, "taskflow");
+  EXPECT_EQ(r.precision, "f64");
+  EXPECT_EQ(r.size_class, "s");
+  EXPECT_EQ(r.solves, 1);
+  EXPECT_EQ(r.p50, reps[0].seconds);
+  EXPECT_EQ(r.p99, reps[0].seconds);
+  EXPECT_EQ(r.max_rel_residual, st.report.health.max_rel_residual);
+  ASSERT_TRUE(st.report.has_scheduler);
+  EXPECT_EQ(r.tasks, st.report.scheduler.tasks);
+  EXPECT_GT(r.tasks, 0);
+  EXPECT_EQ(r.refine_fallbacks, 0);
+
+  const std::string text = hist::prometheus_text(rows);
+  for (const char* needle :
+       {"dnc_solves_total{driver=\"taskflow\",precision=\"f64\",size_class=\"s\"} 1\n",
+        "dnc_solve_seconds{driver=\"taskflow\",precision=\"f64\",size_class=\"s\",quantile=\"0.5\"}",
+        "dnc_deflated_fraction_mean{", "dnc_health_rel_residual_max{",
+        "dnc_health_ortho_error_max{", "\ndnc_sched_tasks_total{"})
+    EXPECT_NE(text.find(needle), std::string::npos) << needle;
+}
+
+TEST_F(MetricsTest, SolveWithoutStatsStillRecords) {
+  // The telemetry substitute SolveStats kicks in when the caller passes
+  // nullptr but the archive is on.
+  enable();
+  matgen::Tridiag t = matgen::table3_matrix(10, 180);
+  Matrix v;
+  dc::stedc_sequential(t.n(), t.d.data(), t.e.data(), v, {}, nullptr);
+  std::vector<obs::SolveReport> reps;
+  ASSERT_TRUE(hist::load_file(path_, reps));
+  ASSERT_EQ(reps.size(), 1u);
+  EXPECT_EQ(reps[0].driver, "sequential");
+  EXPECT_EQ(reps[0].n, 180);
+  EXPECT_TRUE(reps[0].has_health);
+}
+
+TEST_F(MetricsTest, UncertifiedRefinementCountsAsOneFallback) {
+  // PrecisionSolve.UncertifiedRefinementReturnsTheF64Solve's type-3 input:
+  // the refinement cannot certify it, so the solve returns the fp64 D&C.
+  enable();
+  const index_t n = 300;
+  matgen::Tridiag t = matgen::table3_matrix(3, n, 5);
+  Matrix v;
+  dc::Options opt;
+  opt.precision = Precision::F32RefineF64;
+  opt.threads = 2;
+  dc::stedc_taskflow(n, t.d.data(), t.e.data(), v, opt, nullptr);
+
+  const std::string line = slurp(path_);
+  EXPECT_NE(line.find("\"broken_clusters\":"), std::string::npos) << line;
+  std::vector<obs::SolveReport> reps;
+  ASSERT_TRUE(hist::load_file(path_, reps));
+  ASSERT_EQ(reps.size(), 1u);
+  EXPECT_EQ(reps[0].precision, "f32refine");
+  EXPECT_EQ(reps[0].refine_checked, n);
+  EXPECT_GT(reps[0].refine_broken_clusters, 0);
+  const std::vector<hist::MetricsRow> rows = hist::metrics_rows(reps, {});
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].precision, "f32refine");
+  EXPECT_EQ(rows[0].refine_fallbacks, 1);
+  EXPECT_NE(hist::prometheus_text(rows).find(
+                "dnc_refine_fallbacks_total{driver=\"taskflow\",precision=\"f32refine\","
+                "size_class=\"s\"} 1\n"),
+            std::string::npos);
+}
+
+/// 100 taskflow solves of n = 2000 taking 0.01 .. 1.00 s (in a scrambled
+/// order), two fp32 sequential solves of n = 100 and one F32RefineF64
+/// solve that fell back.
+std::vector<obs::SolveReport> view_reports() {
+  std::vector<obs::SolveReport> reps;
+  for (int i = 0; i < 100; ++i) {
+    obs::SolveReport r = sample_report("taskflow", 2000);
+    r.seconds = ((i * 37) % 100 + 1) / 100.0;
+    r.scheduler.tasks = 10;
+    r.scheduler.steals = 2;
+    reps.push_back(r);
+  }
+  for (double secs : {0.002, 0.001}) {
+    obs::SolveReport r = sample_report("sequential", 100);
+    r.precision = "f32";
+    r.seconds = secs;
+    r.has_health = true;
+    r.health.max_rel_residual = secs;  // the worst is the larger
+    reps.push_back(r);
+  }
+  obs::SolveReport r = sample_report("taskflow", 2000);
+  r.precision = "f32refine";
+  r.refine_broken_clusters = 3;
+  reps.push_back(r);
+  return reps;
+}
+
+TEST_F(MetricsTest, RowsAggregateEachCell) {
+  const std::vector<hist::MetricsRow> rows = hist::metrics_rows(view_reports(), {});
+  ASSERT_EQ(rows.size(), 3u);
+  const hist::MetricsRow& tf = rows[0];
+  EXPECT_EQ(tf.driver, "taskflow");
+  EXPECT_EQ(tf.precision, "f64");
+  EXPECT_EQ(tf.size_class, "m");
+  EXPECT_EQ(tf.solves, 100);
+  // Exact nearest-rank quantiles of the reports' own seconds.
+  EXPECT_EQ(tf.p50, 0.50);
+  EXPECT_EQ(tf.p90, 0.90);
+  EXPECT_EQ(tf.p99, 0.99);
+  EXPECT_NEAR(tf.seconds_sum, 50.5, 1e-9);
+  EXPECT_NEAR(tf.deflated_fraction, 0.6, 1e-12);
+  EXPECT_NEAR(tf.gemm_gflops, 1.0 / 0.51, 1e-9);  // the 50th smallest of 1/seconds
+  EXPECT_EQ(tf.tasks, 1000);
+  EXPECT_EQ(tf.steals, 200);
+  EXPECT_NEAR(tf.idle_seconds, 10.0, 1e-9);
+  EXPECT_EQ(tf.refine_fallbacks, 0);
+
+  const hist::MetricsRow& seq = rows[1];
+  EXPECT_EQ(seq.precision, "f32");
+  EXPECT_EQ(seq.size_class, "xs");
+  EXPECT_EQ(seq.solves, 2);
+  EXPECT_EQ(seq.p50, 0.001);
+  EXPECT_EQ(seq.p99, 0.002);
+  EXPECT_EQ(seq.max_rel_residual, 0.002);
+  EXPECT_EQ(rows[2].precision, "f32refine");
+  EXPECT_EQ(rows[2].refine_fallbacks, 1);
+
+  hist::Key key;
+  ASSERT_TRUE(hist::parse_key("driver=sequential", key));
+  const std::vector<hist::MetricsRow> only = hist::metrics_rows(view_reports(), key);
+  ASSERT_EQ(only.size(), 1u);
+  EXPECT_EQ(only[0].solves, 2);
+  EXPECT_TRUE(hist::metrics_rows({}, {}).empty());
+}
+
+TEST_F(MetricsTest, PrometheusExposition) {
+  const std::string text = hist::prometheus_text(hist::metrics_rows(view_reports(), {}));
+  const std::string tf = "{driver=\"taskflow\",precision=\"f64\",size_class=\"m\"";
+  const std::string needles[] = {"# TYPE dnc_solves_total counter\n",
+                                 "dnc_solves_total" + tf + "} 100\n",
+                                 "# TYPE dnc_solve_seconds summary\n",
+                                 "dnc_solve_seconds" + tf + ",quantile=\"0.9\"} 0.9",
+                                 "dnc_solve_seconds_count" + tf + "} 100\n",
+                                 "dnc_sched_tasks_total" + tf + "} 1000\n",
+                                 "# TYPE dnc_gemm_gflops_median gauge\n"};
+  for (const std::string& needle : needles)
+    EXPECT_NE(text.find(needle), std::string::npos) << needle;
+  // One HELP/TYPE block per family, every row's sample inside it.
+  std::size_t types = 0;
+  for (std::size_t p = text.find("# TYPE dnc_solves_total"); p != std::string::npos;
+       p = text.find("# TYPE dnc_solves_total", p + 1))
+    ++types;
+  EXPECT_EQ(types, 1u);
+  const std::size_t block = text.find("# TYPE dnc_solves_total");
+  const std::size_t next = text.find("# HELP", block);
+  EXPECT_EQ(std::count(text.begin() + static_cast<long>(block),
+                       text.begin() + static_cast<long>(next), '\n'),
+            4);  // the TYPE line and three rows
+}
+
+TEST_F(MetricsTest, RenderAndDiff) {
+  const std::vector<hist::MetricsRow> a = hist::metrics_rows(view_reports(), {});
+  const std::string table = hist::render_metrics("metrics: a.jsonl", a);
+  EXPECT_EQ(table.rfind("=== metrics: a.jsonl ===\n", 0), 0u) << table;
+  EXPECT_NE(table.find("solves"), std::string::npos);
+  EXPECT_NE(table.find("taskflow        f64       m     100 "), std::string::npos) << table;
+  EXPECT_NE(hist::render_metrics("empty", {}).find("no matching reports"), std::string::npos);
+
+  // b lacks the sequential row and has a row a lacks.
+  std::vector<obs::SolveReport> breps = view_reports();
+  breps.erase(breps.begin() + 100, breps.begin() + 102);
+  breps.push_back(sample_report("mrrr", 5000));
+  const std::vector<hist::MetricsRow> b = hist::metrics_rows(breps, {});
+  const std::string diff = hist::render_metrics("metrics diff", a, &b);
+  EXPECT_NE(diff.find("a taskflow        f64       m     100 "), std::string::npos) << diff;
+  EXPECT_NE(diff.find("b taskflow        f64       m     100 "), std::string::npos) << diff;
+  EXPECT_NE(diff.find("a sequential      f32       xs      2 "), std::string::npos) << diff;
+  EXPECT_NE(diff.find("b (none)\n"), std::string::npos) << diff;
+  EXPECT_NE(diff.find("a (none)\nb mrrr"), std::string::npos) << diff;
+}
+
+// --- reused SolveStats and report metadata ---------------------------------
+
+TEST(ReportReuse, SecondSolveDoesNotAccumulate) {
+  matgen::Tridiag t = matgen::table3_matrix(10, 240);
+
+  dc::SolveStats fresh;
+  {
+    std::vector<double> d = t.d, e = t.e;
+    Matrix v;
+    dc::stedc_taskflow(t.n(), d.data(), e.data(), v, {}, &fresh);
+  }
+
+  dc::SolveStats reused;
+  reused.refine.checked = 99;  // stale refinement aggregate from a past run
+  reused.refine.refined = 99;
+  reused.report.refine_checked = 99;
+  reused.report.refine_refined = 99;
+  reused.report.refine_iterations = 99;
+  reused.report.refine_broken_clusters = 99;
+  reused.report.hwc_backend = "stale";
+  reused.report.hwc_slot_names = {"stale"};
+  reused.report.has_health = true;
+  reused.report.health.max_rel_residual = 123.0;
+  for (int run = 0; run < 2; ++run) {
+    std::vector<double> d = t.d, e = t.e;
+    Matrix v;
+    dc::stedc_taskflow(t.n(), d.data(), e.data(), v, {}, &reused);
+  }
+
+  // Every accumulated report field matches a single fresh run: merge
+  // records, counters, scheduler metrics, hwc attribution, refinement.
+  EXPECT_EQ(reused.report.merges.size(), fresh.report.merges.size());
+  EXPECT_EQ(reused.merges, fresh.merges);
+  EXPECT_EQ(reused.leaves, fresh.leaves);
+  EXPECT_EQ(reused.report.laed4_hist_total(), fresh.report.laed4_hist_total());
+  EXPECT_EQ(reused.report.merged_columns_total(), fresh.report.merged_columns_total());
+  EXPECT_EQ(reused.report.has_scheduler, fresh.report.has_scheduler);
+  if (reused.report.has_scheduler) {
+    EXPECT_EQ(reused.report.scheduler.tasks, fresh.report.scheduler.tasks);
+  }
+  EXPECT_EQ(reused.report.hwc_backend, fresh.report.hwc_backend);
+  EXPECT_EQ(reused.report.hwc_slot_names.size(), fresh.report.hwc_slot_names.size());
+  EXPECT_EQ(reused.report.kind_hwc.size(), fresh.report.kind_hwc.size());
+  EXPECT_EQ(reused.refine.checked, 0);  // no refinement ran at F64
+  EXPECT_EQ(reused.refine.refined, 0);
+  EXPECT_EQ(reused.report.refine_checked, 0);
+  EXPECT_EQ(reused.report.refine_refined, 0);
+  EXPECT_EQ(reused.report.refine_iterations, 0);
+  EXPECT_EQ(reused.report.refine_broken_clusters, 0);
+  EXPECT_EQ(reused.report.has_health, fresh.report.has_health);
+  if (reused.report.has_health) {
+    EXPECT_LT(reused.report.health.max_rel_residual, 1e-10);
+  }
+}
+
+TEST(ReportMetadata, HostnameAndTimestampStamped) {
+  EXPECT_FALSE(obs::current_hostname().empty());
+  const std::string ts = obs::iso8601_timestamp_utc();
+  ASSERT_EQ(ts.size(), 20u) << ts;  // 2026-08-08T12:34:56Z
+  EXPECT_EQ(ts[4], '-');
+  EXPECT_EQ(ts[10], 'T');
+  EXPECT_EQ(ts.back(), 'Z');
+
+  matgen::Tridiag t = matgen::table3_matrix(10, 150);
+  Matrix v;
+  dc::SolveStats st;
+  dc::stedc_taskflow(t.n(), t.d.data(), t.e.data(), v, {}, &st);
+  EXPECT_EQ(st.report.hostname, obs::current_hostname());
+  EXPECT_EQ(st.report.timestamp.size(), 20u);
+  const std::string json = st.report.to_json();
+  EXPECT_NE(json.find("\"hostname\": \"" + st.report.hostname + "\""), std::string::npos);
+  EXPECT_NE(json.find("\"timestamp\": \"" + st.report.timestamp + "\""), std::string::npos);
 }
 
 }  // namespace

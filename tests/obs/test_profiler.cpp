@@ -1,7 +1,8 @@
 // Sampling-profiler tests: the zero-cost gate, interning, folded-stack
 // export of a profiled taskflow solve (worker + task-kind attribution and a
 // sample count consistent with wall time x HZ), and the DNC_CRASH_DUMP
-// last-gasp handler and its metrics section (death tests).
+// last-gasp handler and the solve ring it writes beside the dump (death
+// tests).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -18,10 +19,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "dc/api.hpp"
 #include "matgen/tridiag.hpp"
 #include "obs/crash.hpp"
-#include "obs/metrics.hpp"
+#include "obs/diff.hpp"
+#include "obs/flight.hpp"
 #include "obs/profiler.hpp"
 
 namespace dnc {
@@ -32,7 +35,7 @@ namespace prof = obs::profiler;
 class ProfilerTest : public ::testing::Test {
  protected:
   static constexpr const char* kVars[] = {"DNC_PROFILE_HZ", "DNC_PROFILE",
-                                          "DNC_CRASH_DUMP", "DNC_METRICS"};
+                                          "DNC_CRASH_DUMP", "DNC_FLIGHT"};
   void SetUp() override {
     for (const char* var : kVars) {
       const char* v = std::getenv(var);
@@ -247,23 +250,35 @@ TEST_F(ProfilerDeathTest, LastGaspDumpSurvivesAbort) {
   EXPECT_NE(dump.find("SIGABRT"), std::string::npos);
 }
 
-TEST_F(ProfilerDeathTest, LastGaspDumpCarriesMetrics) {
+TEST_F(ProfilerDeathTest, LastGaspDumpWritesTheSolveRing) {
   const std::string path = arm_crash_dump();
+  const std::string flight_prefix = path + ".flight";
   EXPECT_EXIT(
       {
-        ::setenv("DNC_METRICS", "1", 1);
-        obs::metrics::reset_for_tests();
-        obs::metrics::add(obs::metrics::register_metric(obs::metrics::Kind::Counter,
-                                                        "crash_probe_total", "", "t"),
-                          3);
+        ::setenv("DNC_FLIGHT", flight_prefix.c_str(), 1);
+        obs::flight::reset_for_tests();
         crash::refresh_from_env();
-        crash::ensure_installed();
+        matgen::Tridiag t = matgen::table3_matrix(4, 140);
+        Matrix v;
+        dc::stedc_taskflow(t.n(), t.d.data(), t.e.data(), v, {}, nullptr);
         std::abort();
       },
       ::testing::KilledBySignal(SIGABRT), "");
+  std::ifstream ring(path + ".jsonl");
+  std::string line;
+  ASSERT_TRUE(std::getline(ring, line)) << "crash handler did not write " << path << ".jsonl";
+  ring.close();
   const std::string dump = take_crash_dump(path);
-  ASSERT_FALSE(dump.empty()) << "crash handler did not write " << path;
-  EXPECT_NE(dump.find("\ncrash_probe_total 3\n"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("SIGABRT"), std::string::npos);
+  // Each ring line wraps the solve's report: {"seq", "timestamp", "reason", "report"}.
+  json::Value v;
+  ASSERT_TRUE(json::parse(line, v)) << line;
+  const json::Value* report = v.find("report");
+  ASSERT_NE(report, nullptr) << line;
+  obs::SolveReport rep;
+  ASSERT_TRUE(obs::parse_solve_report_value(*report, rep)) << line;
+  EXPECT_EQ(rep.n, 140);
+  EXPECT_EQ(rep.driver, "taskflow");
 }
 
 }  // namespace

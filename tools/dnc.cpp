@@ -12,8 +12,12 @@
 //   dnc profile profile.folded
 //       Hot-stack / hot-frame tables of a DNC_PROFILE folded-stack dump,
 //       with task-kind and worker rollups.
-//   dnc metrics snap.json | --diff a b | --prometheus s | --demo [n]
-//       Render, diff or re-emit DNC_METRICS snapshots.
+//   dnc metrics h.jsonl [--key n=1000] | --prometheus h.jsonl | --diff a b
+//       The cross-solve view of a DNC_HISTORY archive: one row per
+//       {driver, precision, size class} with the solve count, exact latency
+//       quantiles, deflation, GEMM rate, worst health, scheduler totals and
+//       F32RefineF64 fallbacks; as a table, as Prometheus text, or two
+//       archives side by side.
 //   dnc diff a.json b.json
 //       Why is run B slower than run A? Each side is a Perfetto trace or a
 //       SolveReport JSON (auto-detected); --reports merges the sibling
@@ -55,7 +59,6 @@
 #include "obs/benchcmp.hpp"
 #include "obs/diff.hpp"
 #include "obs/history.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace_io.hpp"
 #include "runtime/trace.hpp"
 
@@ -70,17 +73,15 @@ void usage(std::FILE* out) {
       "                 [--workers 1,2,4,8,16,32] [--nb-sweep] [--json PATH|-]\n"
       "                 [--profile-width W] [--roofline] [--peak-gflops G]\n"
       "       dnc profile <profile.folded> [--top N]\n"
-      "       dnc metrics <snapshot.json>\n"
-      "       dnc metrics --diff <a.json> <b.json>\n"
-      "       dnc metrics --prometheus <snapshot.json>\n"
-      "       dnc metrics --demo [n]\n"
+      "       dnc metrics <archive.jsonl> [--key k1=v1,k2=v2] [--prometheus]\n"
+      "       dnc metrics --diff <a.jsonl> <b.jsonl> [--key k1=v1,k2=v2]\n"
       "       dnc diff <a.json> <b.json> [--reports] [--json PATH|-] [--noise REL]\n"
       "       dnc diff --history <archive.jsonl> --key k1=v1,k2=v2\n"
       "       dnc compare <baseline.json> <current.json> [--threshold T] [--stat median|min]\n"
       "                   [--min-time S] [--reports BASE_DIR CUR_DIR] [--quiet]\n"
       "       dnc --version\n"
       "  diff a/b: Perfetto trace or SolveReport JSON (auto-detected)\n"
-      "  diff key fields: driver, family, precision, commit, n, workers\n"
+      "  metrics/diff key fields: driver, family, precision, commit, n, workers\n"
       "  compare T is a fraction: 0.10 flags entries slower than 1.10x baseline (default)\n"
       "  compare S in seconds: entries faster than S on both sides never gate (default 0)\n"
       "  compare --reports: per-entry SolveReport dirs for regression attribution\n"
@@ -545,49 +546,54 @@ int run_profile(Flags& f) {
 
 // --- metrics --------------------------------------------------------------------
 
-obs::metrics::Snapshot load_snapshot(const std::string& path) {
-  obs::metrics::Snapshot s;
+/// The reports of a DNC_HISTORY archive; a line that is not a report is
+/// skipped with a note.
+std::vector<obs::SolveReport> load_archive(const std::string& path, const char* who) {
+  std::vector<obs::SolveReport> reports;
   std::string err;
-  if (!obs::metrics::parse_snapshot(read_input(path), s, &err))
-    throw std::runtime_error(path + ": " + err);
-  return s;
+  long skipped = 0;
+  if (!obs::history::load_file(path, reports, &err, &skipped)) throw std::runtime_error(err);
+  if (skipped > 0)
+    std::fprintf(stderr, "dnc %s: note: skipped %ld line(s) of %s that are not a report\n",
+                 who, skipped, path.c_str());
+  return reports;
 }
 
 int run_metrics(Flags& f) {
-  namespace m = obs::metrics;
-  std::string mode;  // "" = render one snapshot
   std::vector<std::string> in;
+  std::string keyspec;
+  bool diff = false, prometheus = false;
   while (f.more()) {
-    const std::string arg = f.next();
-    if (mode.empty() && in.empty() && arg.rfind("--", 0) == 0)
-      mode = arg;
+    const std::string flag = f.next();
+    if (flag == "--key")
+      keyspec = f.value();
+    else if (flag == "--diff")
+      diff = true;
+    else if (flag == "--prometheus")
+      prometheus = true;
     else
       in.push_back(f.operand());
   }
-  if (mode == "--demo" && in.size() <= 1) {
-    // The demo is the one mode that generates data itself, so it
-    // force-enables collection; everything else just reads files.
-    const long n = in.empty() ? 400 : parse_value(mode, in[0], LONG_MIN);
-    ::setenv("DNC_METRICS", "1", /*overwrite=*/0);
-    m::refresh_from_env();
-    matgen::Tridiag t = matgen::table3_matrix(4, n);
-    std::vector<double> d = t.d, e = t.e;
-    Matrix v;
-    dc::SolveStats st;
-    dc::stedc_taskflow(t.n(), d.data(), e.data(), v, {}, &st);
-    std::fputs(m::render_snapshot(m::scrape()).c_str(), stdout);
-    return 0;
-  }
-  if (in.size() != (mode == "--diff" ? 2u : 1u)) throw UsageError("wrong number of operands");
-  if (mode.empty()) {
-    std::fputs(m::render_snapshot(load_snapshot(in[0])).c_str(), stdout);
-  } else if (mode == "--diff") {
-    std::fputs(m::render_diff(load_snapshot(in[0]), load_snapshot(in[1])).c_str(), stdout);
-  } else if (mode == "--prometheus") {
-    std::fputs(m::prometheus_text(load_snapshot(in[0])).c_str(), stdout);
+  if (in.size() != (diff ? 2u : 1u)) throw UsageError("wrong number of operands");
+  if (diff && prometheus) throw UsageError("--prometheus renders one archive, not a --diff");
+  obs::history::Key key;
+  std::string err;
+  if (!obs::history::parse_key(keyspec, key, &err)) throw UsageError("--key: " + err);
+  const auto rows = [&](const std::string& path) {
+    return obs::history::metrics_rows(load_archive(path, "metrics"), key);
+  };
+  const std::string filter = keyspec.empty() ? "" : " [" + keyspec + "]";
+  std::string out;
+  if (diff) {
+    const auto b = rows(in[1]);
+    out = obs::history::render_metrics("metrics diff a: " + in[0] + " vs b: " + in[1] + filter,
+                                       rows(in[0]), &b);
+  } else if (prometheus) {
+    out = obs::history::prometheus_text(rows(in[0]));
   } else {
-    throw UsageError("unknown flag " + mode);
+    out = obs::history::render_metrics("metrics: " + in[0] + filter, rows(in[0]));
   }
+  std::fputs(out.c_str(), stdout);
   return 0;
 }
 
@@ -641,13 +647,7 @@ int run_history(const std::string& archive, const std::string& keyspec) {
   obs::history::Key key;
   std::string err;
   if (!obs::history::parse_key(keyspec, key, &err)) throw UsageError("--key: " + err);
-  std::vector<obs::SolveReport> reports;
-  long skipped = 0;
-  if (!obs::history::load_file(archive, reports, &err, &skipped))
-    throw std::runtime_error(err);
-  if (skipped > 0)
-    std::fprintf(stderr, "dnc diff: note: skipped %ld line(s) that are not a report\n",
-                 skipped);
+  const std::vector<obs::SolveReport> reports = load_archive(archive, "diff");
   const std::vector<obs::SolveReport> ser = obs::history::series(reports, key);
   std::fputs(obs::history::render_series(ser, keyspec.empty() ? "(all)" : keyspec).c_str(),
              stdout);
