@@ -173,7 +173,7 @@ int main() {
 
   // The fp32 fast path rides the same grid so the fp32-vs-fp64 trajectory
   // is a recorded series (acceptance: >= 1.5x median on the GEMM-bound
-  // n >= 512 cells). F32RefineF64 is gated on accuracy in tests/, not here.
+  // n >= 512 cells). F32RefineF64 is an alias of F64 and has no cells.
   constexpr struct { Precision prec; const char* name; } kPrecisions[] = {
       {Precision::F64, "f64"}, {Precision::F32, "f32"}};
 

@@ -36,7 +36,7 @@ bool flag(const char* name, bool dflt = false) noexcept;
 ///   anything else                         -> on with that value (a path,
 ///                                            prefix or rate)
 /// The module's `configure` hook gets the resolved value (nullptr = off),
-/// reads its sub-knobs (e.g. DNC_FLIGHT_RESID) into its own state and
+/// reads its sub-knobs (e.g. DNC_FLIGHT_LATENCY) into its own state and
 /// returns whether the module is on; it may refuse a value it cannot use.
 /// The verdict is cached in a tri-state atomic, so after the first call
 /// enabled() is one relaxed load and a branch. A hook must not run

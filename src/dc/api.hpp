@@ -36,10 +36,10 @@
 // such workspace per working precision between solves and reuses it, so
 // repeated solves do not map and fault their scratch in again; it only
 // grows. A solve that finds it in use by a concurrent solve of the same
-// precision takes a transient workspace of its own. The fp32 precisions
-// also keep their n x n fp32 eigenvector output between solves
-// (lapack/front_door.hpp). release_workspace() returns all of this kept
-// memory to the system.
+// precision takes a transient workspace of its own (F32RefineF64, an alias
+// of F64, uses the fp64 one). F32 also keeps its n x n fp32 eigenvector
+// output between solves (lapack/front_door.hpp). release_workspace()
+// returns all of this kept memory to the system.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +48,6 @@
 
 #include "common/matrix.hpp"
 #include "dc/options.hpp"
-#include "lapack/refine.hpp"
 #include "obs/report.hpp"
 #include "runtime/simulator.hpp"
 #include "runtime/trace.hpp"
@@ -69,10 +68,6 @@ struct SolveStats {
   /// drivers. Exported to $DNC_REPORT / $DNC_TRACE when those are set (which
   /// works even when stats itself is null).
   obs::SolveReport report;
-
-  /// Refinement epilogue statistics (Precision::F32RefineF64 only:
-  /// checked == 0 under the pure-fp64 and pure-fp32 precisions).
-  lapack::RefineReport refine;
 
   // Filled by the runtime-backed drivers only (not stedc_sequential):
   rt::Trace trace;                             ///< per-task execution trace

@@ -240,15 +240,13 @@ void emit_solve(ExecModel model, index_t n, Real* d, Real* e, MatrixT<Real>& v,
 /// on (d, e): the emitter at the working precision.
 void run(ExecModel model, index_t n, double* d, double* e, Matrix& v, Options opt,
          SolveStats* stats, const std::vector<int>& simulate_workers) {
-  // The inline sink has no workers; the F32RefineF64 epilogue stays on the
-  // calling thread too.
+  // The inline sink has no workers.
   if (model == ExecModel::Sequential) opt.threads = 1;
-  lapack::solve_front_door("stedc", n, d, e, d, v, opt.precision, opt.threads, stats,
+  lapack::solve_front_door("stedc", n, d, e, d, v, opt.precision, stats,
                            [&](auto* wd, auto* we, auto* /*lam == wd*/, auto& wv,
                                SolveStats* st) {
                              emit_solve(model, n, wd, we, wv, opt, st, simulate_workers);
-                           },
-                           solve_f64);
+                           });
 }
 
 }  // namespace
@@ -540,14 +538,6 @@ void Emitter<Real>::sort_and_unscale() {
 template class Emitter<double>;
 template class Emitter<float>;
 
-void solve_f64(index_t n, double* d, double* e, Matrix& v, int threads) {
-  Options opt;
-  opt.precision = Precision::F64;
-  opt.threads = threads;
-  emit_solve(threads == 1 ? ExecModel::Sequential : ExecModel::Taskflow, n, d, e, v, opt,
-             nullptr, {});
-}
-
 std::uint64_t workspace_elements(index_t n, const Options& opt) {
   if (n <= 2) return 0;  // solved directly, without the merge machinery
   const std::uint64_t nn = static_cast<std::uint64_t>(n);
@@ -561,7 +551,7 @@ using detail::ExecModel;
 
 std::uint64_t workspace_bytes(index_t n, const Options& opt) {
   return detail::workspace_elements(n, opt) *
-         (opt.precision == Precision::F64 ? sizeof(double) : sizeof(float));
+         (opt.precision == Precision::F32 ? sizeof(float) : sizeof(double));
 }
 
 void release_workspace() {

@@ -46,12 +46,6 @@ namespace dnc::dc::detail {
 
 enum class ExecModel { Sequential, Taskflow, LapackModel, ScalapackModel };
 
-/// The fp64 solve an uncertified F32RefineF64 refinement falls back to, in
-/// every driver (lapack::F64Solve): the Taskflow emitter at fp64 with
-/// `threads` workers, or inline Sequential when threads == 1 (the two give
-/// the same bits), at the default minpart and nb, with no stats.
-void solve_f64(index_t n, double* d, double* e, Matrix& v, int threads);
-
 /// dc::workspace_bytes(n, opt) in elements of the working precision.
 std::uint64_t workspace_elements(index_t n, const Options& opt);
 

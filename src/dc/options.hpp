@@ -24,9 +24,8 @@ struct Options {
   bool export_dag = false;
 
   /// Working precision of the solve (the DNC_PREC environment variable sets
-  /// the default). F32 runs the whole pipeline in fp32; F32RefineF64 adds
-  /// an fp64 Rayleigh-quotient refinement epilogue (lapack/refine.hpp),
-  /// replaced by an fp64 solve when it cannot certify the basis.
+  /// the default). F32 runs the whole pipeline in fp32; F32RefineF64 is an
+  /// alias of F64 (common/precision.hpp).
   Precision precision = default_precision();
 };
 

@@ -11,14 +11,9 @@
 //   3. checks every entry finite (require_finite: InvalidArgument);
 //   4. scales T by range_scale into the working precision's safe range,
 //      on copies of (d, e) made only when the scale is not 1;
-//   5. runs the solve: on the fp64 (d, e) or their scaled copies under F64
-//      and for n <= 1, else on fp32 copies whose eigenvalues and vectors
-//      are widened back; F32RefineF64 then refines every eigenpair
-//      against the scaled fp64 T (lapack/refine.hpp), and when the
-//      refinement cannot certify the basis (broken_clusters > 0) discards
-//      it and solves fresh copies of that fp64 T with the fp64 D&C solve
-//      instead; the report, trace and counters stay the fp32 solve's, and
-//      the report carries the refinement's counts;
+//   5. runs the solve: under F32 on fp32 copies of (d, e) whose
+//      eigenvalues and vectors are widened back, else (F64, its alias
+//      F32RefineF64, and n <= 1) on the fp64 (d, e) or their scaled copies;
 //   6. divides the eigenvalues by the scale;
 //   7. restores the caller's report family, stamps the time, evaluates the
 //      health probe, writes the artifacts and records the telemetry.
@@ -31,7 +26,6 @@
 // one takes a buffer of its own.
 #pragma once
 
-#include <algorithm>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -41,7 +35,6 @@
 #include "common/matrix.hpp"
 #include "common/precision.hpp"
 #include "common/timer.hpp"
-#include "lapack/refine.hpp"
 #include "obs/health.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
@@ -61,11 +54,6 @@ inline KeptF32Output& kept_f32_output() {
   return *k;
 }
 
-/// The fp64 D&C solve of the tridiagonal (d, e) of order n with `threads`
-/// workers: d gets the ascending eigenvalues, v the eigenvectors (n x n),
-/// and e is destroyed. F32RefineF64 falls back to it.
-using F64Solve = void (*)(index_t n, double* d, double* e, Matrix& v, int threads);
-
 /// Solves the fp64 tridiagonal (d, e) of order n at `precision` and writes
 /// the ascending eigenvalues to lam and the eigenvectors to v (n x n).
 ///
@@ -76,12 +64,9 @@ using F64Solve = void (*)(index_t n, double* d, double* e, Matrix& v, int thread
 /// *stats (Stats*, may be null) including its report. A driver that solves
 /// in place passes lam == d; the solve then always gets lam == d, and may
 /// destroy (d, e). Otherwise (d, e) are left untouched.
-/// `threads` is the worker count of the refinement sweep and of
-/// `solve_f64`, the re-solve of an uncertified refinement.
 template <typename In, typename Stats, typename Solve>
 void solve_front_door(const char* who, index_t n, In* d, In* e, double* lam, Matrix& v,
-                      Precision precision, int threads, Stats* stats, Solve&& solve,
-                      F64Solve solve_f64) {
+                      Precision precision, Stats* stats, Solve&& solve) {
   const bool telemetry = obs::solve_telemetry_wanted() && n > 0;
   const bool want_export = obs::trace_export_requested() || obs::report_export_requested();
   Stats local;
@@ -92,7 +77,7 @@ void solve_front_door(const char* who, index_t n, In* d, In* e, double* lam, Mat
   require_finite(who, n, d, e);
 
   // A 1 x 1 problem is its own eigenvalue: nothing to gain from fp32.
-  const bool f64 = precision == Precision::F64 || n <= 1;
+  const bool f64 = precision != Precision::F32 || n <= 1;
   const double tnrm = blas::lanst_max<double>(n, d, e);
   const double scale = f64 ? range_scale<double>(tnrm) : range_scale<float>(tnrm);
   std::vector<double> ds, es;
@@ -116,15 +101,6 @@ void solve_front_door(const char* who, index_t n, In* d, In* e, double* lam, Mat
     if (in_place && scale != 1.0) wlam = ds.data();
     solve(wd, we, wlam, v, st);
   } else {
-    // Refinement reads the (scaled) fp64 T after the widening below has
-    // written lam; when lam is that T's diagonal, keep a snapshot of it.
-    const bool refine = precision == Precision::F32RefineF64;
-    std::vector<double> dref;
-    const double* rd = wd;
-    if (refine && lam == wd) {
-      dref.assign(wd, wd + n);
-      rd = dref.data();
-    }
     std::vector<float> d32(wd, wd + n), e32(we, we + n - 1), lam32(in_place ? 0 : n);
     float* l32 = in_place ? d32.data() : lam32.data();
     KeptF32Output& kept = kept_f32_output();
@@ -139,31 +115,13 @@ void solve_front_door(const char* who, index_t n, In* d, In* e, double* lam, Mat
       double* dst = v.data() + j * v.ld();
       for (index_t i = 0; i < v32.rows(); ++i) dst[i] = static_cast<double>(src[i]);
     }
-    if (hold) hold.unlock();  // the refinement reads only the widened v
-    if (refine) {
-      const RefineReport rr =
-          refine_eigenpairs(n, rd, we, lam, v.data(), v.ld(), v.cols(), threads);
-      if (st) {
-        st->refine = rr;
-        st->report.refine_checked = rr.checked;
-        st->report.refine_refined = rr.refined;
-        st->report.refine_iterations = rr.iterations;
-        st->report.refine_broken_clusters = rr.broken_clusters;
-      }
-      if (rr.broken_clusters > 0) {
-        std::vector<double> d64(rd, rd + n), e64(we, we + n - 1);
-        solve_f64(n, d64.data(), e64.data(), v, threads);
-        std::copy(d64.begin(), d64.end(), lam);
-      }
-    }
   }
   if (scale != 1.0)
     for (index_t i = 0; i < n; ++i) lam[i] = wlam[i] / scale;
 
   if (st == nullptr) return;
   st->report.family = family;
-  // The solve's time covers the scaling, the precision conversions, the
-  // refinement and its fp64 re-solve.
+  // The solve's time covers the scaling and the precision conversions.
   st->seconds = st->report.seconds = sw.elapsed();
   if (telemetry) {
     st->report.health = probe.evaluate(lam, v.data(), v.ld(), v.cols());

@@ -1,8 +1,11 @@
 // Mixed-precision iterative refinement of tridiagonal eigenpairs.
 //
-// The DNC_PREC=f32refine driver runs the whole divide & conquer solve in
-// fp32 (the fast path: 8-lane GEMMs, half the memory traffic) and then
-// calls refine_eigenpairs with the ORIGINAL fp64 tridiagonal: every
+// No solve path calls this (Precision::F32RefineF64 is an alias of F64).
+// The last caller is perfbench's lapack.refine_* probe; this kernel and
+// TridiagLUBatch go with it.
+//
+// Given approximate eigenpairs (widened fp32 ones, say), refine_eigenpairs
+// takes the ORIGINAL fp64 tridiagonal: every
 // eigenpair whose fp64 residual ||T v - lambda v||_inf exceeds an
 // fp64-grade tolerance (30 eps64 ||T||_1) is polished by Rayleigh-quotient
 // iteration, at most 5 steps -- solve (T - rho I) w = v with a
@@ -28,8 +31,7 @@
 //       tested against fp64 round-off. The scan only certifies: a run with
 //       a stalled column or a failed pair counts as one broken cluster, and
 //       when any is broken the sorted RQI pairs are returned as they are,
-//       without (b). The front door (lapack/front_door.hpp) then discards
-//       them and solves T again in fp64;
+//       without (b), and the caller must not trust them;
 //   (b) polish: each column is projected once off its window of close
 //       predecessors, v_k -= sum_q G_qk v_q, reusing (a)'s Gram blocks. One
 //       pass suffices because every windowed |G_qk| is then at most

@@ -15,7 +15,6 @@
 #include "common/error.hpp"
 #include "common/real_traits.hpp"
 #include "common/rng.hpp"
-#include "dc/emit.hpp"
 #include "lapack/bisect.hpp"
 #include "lapack/front_door.hpp"
 #include "lapack/stein.hpp"
@@ -547,12 +546,10 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, Real* lam, MatrixT
 void mrrr_solve(index_t n, const double* d, const double* e, std::vector<double>& lam,
                 Matrix& v, const Options& opt, Stats* stats, const std::vector<int>& sim) {
   lam.resize(static_cast<std::size_t>(std::max<index_t>(n, 0)));
-  lapack::solve_front_door("mrrr_solve", n, d, e, lam.data(), v, opt.precision, opt.threads,
-                           stats,
+  lapack::solve_front_door("mrrr_solve", n, d, e, lam.data(), v, opt.precision, stats,
                            [&](const auto* wd, const auto* we, auto* wlam, auto& wv, Stats* st) {
                              mrrr_solve_impl(n, wd, we, wlam, wv, opt, st, sim);
-                           },
-                           dc::detail::solve_f64);
+                           });
 }
 
 }  // namespace dnc::mrrr

@@ -28,7 +28,6 @@
 
 #include "common/matrix.hpp"
 #include "common/precision.hpp"
-#include "lapack/refine.hpp"
 #include "matgen/tridiag.hpp"
 #include "obs/report.hpp"
 #include "runtime/simulator.hpp"
@@ -39,10 +38,8 @@ namespace dnc::mrrr {
 struct Options {
   int threads = 4;
   /// Working precision of the solve (DNC_PREC overrides the default).
-  /// F32 runs the whole representation tree in fp32; F32RefineF64 follows
-  /// the fp32 solve with fp64 Rayleigh-quotient refinement of the
-  /// eigenpairs (see lapack/refine.hpp), replaced by the fp64 D&C solve
-  /// when it cannot certify the basis.
+  /// F32 runs the whole representation tree in fp32; F32RefineF64 is an
+  /// alias of F64 (common/precision.hpp).
   Precision precision = default_precision();
   /// Eigenvalues per RefineEig task, per cluster-refinement child task
   /// and per Getvec task, which takes a run of consecutive singletons of
@@ -62,9 +59,6 @@ struct Stats {
   /// the sturm/bisect-ldl counters and scheduler metrics apply). Exported
   /// to $DNC_REPORT / $DNC_TRACE when those are set.
   obs::SolveReport report;
-  /// Mixed-precision refinement telemetry (Precision::F32RefineF64 only:
-  /// checked == 0 under the pure-fp64 and pure-fp32 precisions).
-  lapack::RefineReport refine;
 };
 
 /// Computes all eigenpairs of the tridiagonal (d, e): lam ascending, v

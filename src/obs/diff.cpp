@@ -552,12 +552,6 @@ bool parse_solve_report_value(const json::Value& v, SolveReport& out, std::strin
     out.health.max_rel_residual = h->member_number("max_rel_residual", 0.0);
     out.health.max_ortho_error = h->member_number("max_ortho_error", 0.0);
   }
-  if (const json::Value* r = v.find("refine"); r && r->is_object()) {
-    out.refine_checked = static_cast<long>(r->member_number("checked", 0));
-    out.refine_refined = static_cast<long>(r->member_number("refined", 0));
-    out.refine_iterations = static_cast<long>(r->member_number("iterations", 0));
-    out.refine_broken_clusters = static_cast<long>(r->member_number("broken_clusters", 0));
-  }
   if (const json::Value* s = v.find("scheduler"); s && s->is_object()) {
     out.has_scheduler = true;
     out.scheduler.workers = static_cast<int>(s->member_number("workers", 0));

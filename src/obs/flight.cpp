@@ -1,6 +1,8 @@
 #include "obs/flight.hpp"
 
+#include <cmath>
 #include <deque>
+#include <limits>
 #include <mutex>
 
 #include "common/env.hpp"
@@ -12,7 +14,6 @@ namespace dnc::obs::flight {
 namespace {
 
 struct Thresholds {
-  double max_rel_residual = 1e-8;
   double max_seconds = 0.0;            ///< 0 = latency trigger off
   double min_deflated_fraction = 0.0;  ///< 0 = deflation trigger off
 };
@@ -45,7 +46,6 @@ bool configure(const char* value) {
   State& s = state();
   std::lock_guard<std::mutex> lk(s.mu);
   s.prefix = value ? value : "";
-  s.th.max_rel_residual = env::number("DNC_FLIGHT_RESID", 1e-8);
   s.th.max_seconds = env::number("DNC_FLIGHT_LATENCY", 0.0);
   s.th.min_deflated_fraction = env::number("DNC_FLIGHT_DEFL", 0.0);
   const long md = env::integer("DNC_FLIGHT_MAX_DUMPS", 4);
@@ -55,8 +55,15 @@ bool configure(const char* value) {
 
 constinit env::Gate gate{"DNC_FLIGHT", "dnc_flight.%p", configure};
 
+/// sqrt(eps) of the report's working precision: a healthy solve's sampled
+/// residual is a small multiple of eps, far below it in either precision.
+double residual_trigger(const SolveReport& rep) {
+  return rep.precision_bits() == 32 ? std::sqrt(std::numeric_limits<float>::epsilon())
+                                    : std::sqrt(std::numeric_limits<double>::epsilon());
+}
+
 std::string trigger_reason(const Thresholds& th, const SolveReport& rep) {
-  if (rep.has_health && rep.health.max_rel_residual > th.max_rel_residual) return "residual";
+  if (rep.has_health && rep.health.max_rel_residual > residual_trigger(rep)) return "residual";
   if (th.max_seconds > 0.0 && rep.seconds > th.max_seconds) return "latency";
   if (th.min_deflated_fraction > 0.0 && rep.merged_columns_total() > 0 &&
       rep.deflated_fraction() < th.min_deflated_fraction)

@@ -3,8 +3,9 @@
 // Every solve the recorder observes enters its solve ring -- {seq,
 // timestamp, reason, full SolveReport} -- which keeps the newest
 // kRingReports (8) solves; it is the only solve ring of the process. When
-// a solve breaches a threshold -- relative residual too large, latency too
-// long, deflation anomalously low -- the ring is dumped as JSONL (one
+// a solve breaches a threshold -- relative residual above sqrt(eps) of
+// the report's working precision (1.5e-8 in fp64, 3.5e-4 in fp32), latency
+// too long, deflation anomalously low -- the ring is dumped as JSONL (one
 // compact line per solve, newest last) plus a Perfetto trace of the
 // triggering solve, so the postmortem sees not just the bad solve but the
 // healthy ones leading up to it. The crash dump (obs/crash) reads the same
@@ -15,8 +16,6 @@
 //                         on with the default prefix "dnc_flight.%p";
 //                         anything else = dump-file prefix (%p expands to
 //                         the pid)
-//   DNC_FLIGHT_RESID      relative-residual trigger (default 1e-8; applies
-//                         only to reports carrying health metrics)
 //   DNC_FLIGHT_LATENCY    seconds trigger (default 0 = off)
 //   DNC_FLIGHT_DEFL       minimum deflated fraction; a merge-carrying solve
 //                         deflating less than this triggers (default 0 = off)

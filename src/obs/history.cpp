@@ -128,11 +128,10 @@ void append_row(std::string& out, const char* side, const MetricsRow* r) {
   }
   appendf(out,
           "%-2s%-15s %-9s %-2s %6.0f %9.6f %9.6f %9.6f %5.1f%% %7.2f %8.1e %8.1e %8.0f %6.0f "
-          "%8.4f %4.0f\n",
+          "%8.4f\n",
           side, r->driver.c_str(), r->precision.c_str(), r->size_class.c_str(), r->solves,
           r->p50, r->p90, r->p99, 100.0 * r->deflated_fraction, r->gemm_gflops,
-          r->max_rel_residual, r->max_ortho_error, r->tasks, r->steals, r->idle_seconds,
-          r->refine_fallbacks);
+          r->max_rel_residual, r->max_ortho_error, r->tasks, r->steals, r->idle_seconds);
 }
 
 }  // namespace
@@ -311,7 +310,6 @@ std::vector<MetricsRow> metrics_rows(const std::vector<SolveReport>& reports, co
         row.steals += r.scheduler.steals;
         row.idle_seconds += r.scheduler.total_idle;
       }
-      if (r.refine_broken_clusters > 0) ++row.refine_fallbacks;
     }
     row.solves = static_cast<double>(secs.size());
     row.p50 = quantile(secs, 0.50);
@@ -328,9 +326,9 @@ std::string render_metrics(const std::string& title, const std::vector<MetricsRo
   std::string out;
   appendf(out, "=== %s ===\n", title.c_str());
   if (a.empty() && (b == nullptr || b->empty())) return out + "(no matching reports)\n";
-  appendf(out, "%-2s%-15s %-9s %-2s %6s %9s %9s %9s %6s %7s %8s %8s %8s %6s %8s %4s\n", "",
+  appendf(out, "%-2s%-15s %-9s %-2s %6s %9s %9s %9s %6s %7s %8s %8s %8s %6s %8s\n", "",
           "driver", "precision", "sz", "solves", "p50_s", "p90_s", "p99_s", "defl", "gemm_gf",
-          "resid", "ortho", "tasks", "steals", "idle_s", "fbk");
+          "resid", "ortho", "tasks", "steals", "idle_s");
   std::vector<MetricsRow> cells = a;  // a's cells, then those only b has
   for (const MetricsRow& r : b ? *b : a)
     if (!find_row(cells, r)) cells.push_back(r);
@@ -351,8 +349,6 @@ std::string prometheus_text(const std::vector<MetricsRow>& rows) {
       {"dnc_sched_steals_total", "counter", "Successful work steals", &MetricsRow::steals},
       {"dnc_sched_worker_idle_seconds_total", "counter", "Summed per-worker idle time (s)",
        &MetricsRow::idle_seconds},
-      {"dnc_refine_fallbacks_total", "counter", "F32RefineF64 solves re-solved in fp64",
-       &MetricsRow::refine_fallbacks},
       {"dnc_deflated_fraction_mean", "gauge", "Mean deflated fraction",
        &MetricsRow::deflated_fraction},
       {"dnc_gemm_gflops_median", "gauge", "Median GEMM GFLOP/s", &MetricsRow::gemm_gflops},

@@ -95,7 +95,6 @@ struct MetricsRow {
   double max_ortho_error = 0.0;
   double tasks = 0.0, steals = 0.0;  ///< summed over the solves' schedulers
   double idle_seconds = 0.0;         ///< summed worker idle
-  double refine_fallbacks = 0.0;     ///< F32RefineF64 solves re-solved in fp64
 };
 
 /// The reports matching `key`, grouped into rows in first-seen order.

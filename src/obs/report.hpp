@@ -81,7 +81,7 @@ struct SolveReport {
   int threads = 0;
   double seconds = 0.0;
   std::string simd_isa;    ///< dispatched kernel table ("scalar"/"avx2"/"avx512")
-  std::string precision = "f64";  ///< working precision ("f64"/"f32"/"f32refine")
+  std::string precision = "f64";  ///< working precision ("f64"/"f32")
   std::string git_commit;  ///< configure-time revision (version::kGitCommit)
   std::string build_type;  ///< CMAKE_BUILD_TYPE the binary was built with
   std::string hostname;    ///< machine that ran the solve
@@ -92,8 +92,8 @@ struct SolveReport {
   /// keeps it across the driver's stats reset.
   std::string family;
 
-  /// Bit width of the kernels' working precision (32 for both fp32 modes:
-  /// the f32refine epilogue is fp64 but every GEMM ran in fp32).
+  /// Bit width of the kernels' working precision (32 also for the
+  /// "f32refine" reports of older archives: every GEMM of those ran in fp32).
   int precision_bits() const { return precision == "f64" || precision.empty() ? 64 : 32; }
 
   CounterArray counters{};  ///< deltas over the solve, indexed by obs::Counter
@@ -104,14 +104,6 @@ struct SolveReport {
 
   bool has_health = false;
   HealthMetrics health;
-
-  // --- F32RefineF64's refinement of the fp32 solve (0 at other precisions) ---
-  long refine_checked = 0;     ///< columns whose residual was evaluated
-  long refine_refined = 0;     ///< columns that needed at least one RQI step
-  long refine_iterations = 0;  ///< RQI solves across all columns
-  /// Clusters the refinement could not certify; above 0 the solve returned
-  /// the fp64 D&C solve instead (a fallback).
-  long refine_broken_clusters = 0;
 
   // --- hardware-counter attribution (DNC_HWC; empty backend = off) ---
   std::string hwc_backend;                  ///< "perf" / "rusage" / ""

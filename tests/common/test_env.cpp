@@ -109,7 +109,7 @@ std::set<std::string> knob_literals_in(const char* dir) {
 }
 
 /// One row of README's "Environment knob reference" table: the knob and
-/// the value spellings after its "=" ("f64\|f32\|f32refine"), if any.
+/// the value spellings after its "=" ("f64\|f32"), if any.
 struct KnobRow {
   std::string name;
   std::string values;
@@ -164,7 +164,7 @@ TEST(EnvTest, PrecKnobValuesParseToThePrecisionTheyName) {
     if (next == std::string::npos) break;
     pos = next + sep.size();
   }
-  EXPECT_EQ(n + 1, 3);
+  EXPECT_EQ(n + 1, 2);
 }
 
 TEST(TopologySpecTest, ParsesSocketsByL3ByCpus) {

@@ -16,7 +16,7 @@ namespace dnc::dc {
 namespace {
 
 // Scales the fp64-calibrated literal tolerances when the suite re-runs
-// under DNC_PREC=f32 (1 under f64 and f32refine).
+// under DNC_PREC=f32 (1 under f64).
 const double kTolScale = test_support::tol_scale();
 
 using Case = std::tuple<int /*type*/, int /*n*/>;

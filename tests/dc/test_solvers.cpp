@@ -57,7 +57,7 @@ void run_driver(Driver which, index_t n, double* d, double* e, Matrix& v, const 
 
 void expect_good_solution(const matgen::Tridiag& t, const std::vector<double>& lam,
                           const Matrix& v, double factor = 100.0) {
-  // Epsilon of the active DNC_PREC working precision (fp64 for f32refine).
+  // Epsilon of the active DNC_PREC working precision.
   const double eps = test_support::result_eps();
   const index_t n = t.n();
   EXPECT_LT(verify::orthogonality(v), factor * eps);
@@ -474,29 +474,26 @@ TEST(Stedc, RepeatedFp32SolveReusesItsOutput) {
   if (version::kSanitize || kCompilerSanitizer)
     GTEST_SKIP() << "sanitizer allocators map and fault memory on their own schedule";
   const index_t n = 1024;
-  // Hermite: the refinement certifies every column, so no fp64 re-solve runs.
   const auto t = matgen::table3_matrix(15, n);
   // The fp32 eigenvectors, n x n floats, before they are widened into v.
   const long output_pages =
       static_cast<long>(n * n * static_cast<index_t>(sizeof(float)) / 4096);
-  for (const Precision precision : {Precision::F32, Precision::F32RefineF64}) {
-    Options opt;
-    opt.precision = precision;
-    opt.threads = 1;  // no per-solve worker stacks to fault in
-    Matrix v;  // reused, like a caller's output in a solve loop
-    long faults = 0;
-    for (int solve = 0; solve < 2; ++solve) {
-      std::vector<double> d = t.d, e = t.e;
-      const long before = minor_faults();
-      stedc_taskflow(n, d.data(), e.data(), v, opt);
-      faults = minor_faults() - before;
-    }
-    // The second solve finds the first one's fp32 output as well as its
-    // workspace. An output mapped per solve faults in all of its pages.
-    EXPECT_LT(faults, output_pages / 2)
-        << precision_name(precision) << ": " << faults
-        << " minor faults in the second solve; the fp32 output is " << output_pages << " pages";
+  Options opt;
+  opt.precision = Precision::F32;
+  opt.threads = 1;  // no per-solve worker stacks to fault in
+  Matrix v;  // reused, like a caller's output in a solve loop
+  long faults = 0;
+  for (int solve = 0; solve < 2; ++solve) {
+    std::vector<double> d = t.d, e = t.e;
+    const long before = minor_faults();
+    stedc_taskflow(n, d.data(), e.data(), v, opt);
+    faults = minor_faults() - before;
   }
+  // The second solve finds the first one's fp32 output as well as its
+  // workspace. An output mapped per solve faults in all of its pages.
+  EXPECT_LT(faults, output_pages / 2)
+      << faults << " minor faults in the second solve; the fp32 output is " << output_pages
+      << " pages";
 }
 
 TEST(Stedc, ConcurrentCallersGetCorrectResults) {

@@ -301,8 +301,7 @@ TEST_P(MrrrNonFiniteInput, RaisesInvalidArgument) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PrecisionsTimesDefects, MrrrNonFiniteInput,
-                         ::testing::Combine(::testing::Values(Precision::F64, Precision::F32,
-                                                              Precision::F32RefineF64),
+                         ::testing::Combine(::testing::Values(Precision::F64, Precision::F32),
                                             ::testing::Bool()));
 
 TEST(Mrrr, GrainSweep) {

@@ -213,15 +213,15 @@ TEST_F(ExportTest, TraceAndReportExportEvenWithoutStats) {
   EXPECT_NE(summary.find("deflation"), std::string::npos);
 }
 
-TEST_F(ExportTest, RefinedSolveExportsItsWholeTime) {
-  // The report is written after the F32RefineF64 refinement, so its
-  // seconds cover it: the refinement is most of such a solve.
+TEST_F(ExportTest, Fp32SolveExportsItsWholeTime) {
+  // The report is written by the front door after it has widened the fp32
+  // eigenpairs, so its seconds cover the whole call.
   ::setenv("DNC_REPORT", report_path_.c_str(), 1);
   const index_t n = 400;
   matgen::Tridiag t = matgen::table3_matrix(15, n);
   Matrix v;
   dc::Options opt;
-  opt.precision = Precision::F32RefineF64;
+  opt.precision = Precision::F32;
   dc::SolveStats st;
   Stopwatch wall;
   dc::stedc_taskflow(n, t.d.data(), t.e.data(), v, opt, &st);

@@ -94,9 +94,8 @@ class FlightTest : public ::testing::Test {
     return k;
   }
 
-  static constexpr const char* kVars[] = {
-      "DNC_FLIGHT", "DNC_FLIGHT_RESID", "DNC_FLIGHT_LATENCY", "DNC_FLIGHT_DEFL",
-      "DNC_FLIGHT_MAX_DUMPS"};
+  static constexpr const char* kVars[] = {"DNC_FLIGHT", "DNC_FLIGHT_LATENCY", "DNC_FLIGHT_DEFL",
+                                          "DNC_FLIGHT_MAX_DUMPS"};
   std::vector<std::pair<const char*, std::string>> saved_;
   std::vector<bool> saved_set_;
   std::string prefix_;
@@ -123,7 +122,7 @@ TEST_F(FlightTest, RingRetainsLastK) {
 TEST_F(FlightTest, ResidualBreachDumpsRing) {
   for (int i = 0; i < 3; ++i) fl::observe(healthy_report(), nullptr);
   obs::SolveReport bad = healthy_report();
-  bad.health.max_rel_residual = 1e-3;  // default threshold is 1e-8
+  bad.health.max_rel_residual = 1e-3;  // the fp64 trigger is sqrt(eps64) = 1.5e-8
   const std::string path = fl::observe(bad, nullptr);
   ASSERT_EQ(path, dump_path(1));
   EXPECT_EQ(dumps_on_disk(), 1u);
@@ -193,7 +192,6 @@ TEST_F(FlightTest, InjectedBadSolveDumpsOnceWithLoadableTrace) {
   // of the test is the injected anomaly. No stats are passed: the telemetry
   // substitute must assemble the report and trace on its own.
   ::setenv("DNC_FLIGHT_LATENCY", "0.000001", 1);
-  ::setenv("DNC_FLIGHT_RESID", "1", 1);  // keep the residual trigger quiet
   fl::reset_for_tests();
 
   matgen::Tridiag t = matgen::table3_matrix(10, 220);
@@ -229,12 +227,23 @@ TEST_F(FlightTest, InjectedBadSolveDumpsOnceWithLoadableTrace) {
   std::remove(trace_path.c_str());
 }
 
+// The residual trigger sits at sqrt(eps) of the solve's working precision:
+// a healthy fp32 solve's sampled residual (~1e-7) is far above fp64's
+// trigger but far below fp32's.
 TEST_F(FlightTest, HealthySolvesNeverDump) {
-  matgen::Tridiag t = matgen::table3_matrix(10, 160);
-  Matrix v;
-  dc::stedc_taskflow(t.n(), t.d.data(), t.e.data(), v, {}, nullptr);
-  EXPECT_EQ(ring_lines(), 1u);     // recorded in the ring ...
-  EXPECT_EQ(dumps_on_disk(), 0u);  // ... but nothing tripped
+  std::size_t solves = 0;
+  for (const Precision precision : {Precision::F64, Precision::F32}) {
+    for (int type : {3, 10, 15}) {
+      matgen::Tridiag t = matgen::table3_matrix(type, 160);
+      Matrix v;
+      dc::Options opt;
+      opt.precision = precision;
+      dc::stedc_taskflow(t.n(), t.d.data(), t.e.data(), v, opt, nullptr);
+      ++solves;
+      EXPECT_EQ(dumps_on_disk(), 0u) << precision_name(precision) << " type " << type;
+    }
+  }
+  EXPECT_EQ(ring_lines(), solves);  // every solve is recorded in the ring
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/precision.hpp"
 #include "dc/api.hpp"
 #include "matgen/tridiag.hpp"
 #include "obs/diff.hpp"
@@ -137,7 +136,7 @@ TEST_F(HistoryTest, AppendLoadRoundTrip) {
   ASSERT_TRUE(hist::enabled());
   obs::SolveReport rep = sample_report("taskflow", 1000);
   rep.family = "deflate20";
-  rep.precision = "f32refine";
+  rep.precision = "f32";
   rep.simd_isa = "avx2";
   rep.build_type = "Release";
   rep.counters[obs::kLaed4Calls] = 77;
@@ -170,7 +169,7 @@ TEST_F(HistoryTest, AppendLoadRoundTrip) {
   const obs::SolveReport& r = reps[0];
   EXPECT_EQ(r.driver, "taskflow");
   EXPECT_EQ(r.family, "deflate20");
-  EXPECT_EQ(r.precision, "f32refine");
+  EXPECT_EQ(r.precision, "f32");
   EXPECT_EQ(r.git_commit, "abc123");
   EXPECT_EQ(r.timestamp, "2026-08-09T12:00:00Z");
   EXPECT_EQ(r.hostname, "testhost");
@@ -370,7 +369,6 @@ TEST_F(MetricsTest, SolveRecordsCoreSeries) {
   ASSERT_TRUE(st.report.has_scheduler);
   EXPECT_EQ(r.tasks, st.report.scheduler.tasks);
   EXPECT_GT(r.tasks, 0);
-  EXPECT_EQ(r.refine_fallbacks, 0);
 
   const std::string text = hist::prometheus_text(rows);
   for (const char* needle :
@@ -396,39 +394,67 @@ TEST_F(MetricsTest, SolveWithoutStatsStillRecords) {
   EXPECT_TRUE(reps[0].has_health);
 }
 
-TEST_F(MetricsTest, UncertifiedRefinementCountsAsOneFallback) {
-  // PrecisionSolve.UncertifiedRefinementReturnsTheF64Solve's type-3 input:
-  // the refinement cannot certify it, so the solve returns the fp64 D&C.
+TEST_F(MetricsTest, ArchivedF32RefineLineFormsItsOwnRow) {
+  // An archive line written by a build that still ran F32RefineF64 as an
+  // fp32 solve plus refinement: precision "f32refine" and a "refine" block
+  // this build no longer writes. Archives outlive the builds that wrote
+  // them, so the line must still load and keep its own cell in the view.
   enable();
-  const index_t n = 300;
-  matgen::Tridiag t = matgen::table3_matrix(3, n, 5);
-  Matrix v;
-  dc::Options opt;
-  opt.precision = Precision::F32RefineF64;
-  opt.threads = 2;
-  dc::stedc_taskflow(n, t.d.data(), t.e.data(), v, opt, nullptr);
-
-  const std::string line = slurp(path_);
-  EXPECT_NE(line.find("\"broken_clusters\":"), std::string::npos) << line;
+  {
+    std::FILE* f = std::fopen(path_.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    std::fputs(
+        "{\"driver\":\"taskflow\",\"n\":40,\"threads\":1,\"seconds\":0.001138844,"
+        "\"simd_isa\":\"avx512\",\"precision\":\"f32refine\",\"git_commit\":\"1d4bdf1d8f0b\","
+        "\"build_type\":\"Release\",\"hostname\":\"testhost\","
+        "\"timestamp\":\"2026-10-19T23:11:38Z\",\"family\":\"3\","
+        "\"counters\":{\"laed4_calls\":0,\"laed4_iterations\":0,\"laed4_hist_0\":0,"
+        "\"laed4_hist_1\":0,\"laed4_hist_2\":0,\"laed4_hist_3\":0,\"laed4_hist_4\":0,"
+        "\"laed4_hist_5_6\":0,\"laed4_hist_7_9\":0,\"laed4_hist_10_plus\":0,\"sturm_calls\":0,"
+        "\"sturm_steps\":0,\"bisect_ldl_calls\":0,\"bisect_ldl_steps\":0,\"gemm_calls\":0,"
+        "\"gemm_flops\":0,\"gemm_packed_bytes\":0},\"deflation\":{\"merges\":0,"
+        "\"merged_columns\":0,\"nondeflated\":0,\"deflated\":0,\"deflated_fraction\":0.000000},"
+        "\"merges\":[],\"memory\":{\"workspace_bytes\":12800,\"context_bytes\":0,"
+        "\"output_bytes\":6400,\"rss_hwm_bytes\":4870144,\"rss_hwm_delta_bytes\":548864},"
+        "\"health\":{\"sampled_columns\":16,\"max_rel_residual\":1.4820636352211459e-16,"
+        "\"max_ortho_error\":2.7755575615628914e-15},\"refine\":{\"checked\":40,\"refined\":40,"
+        "\"iterations\":49,\"broken_clusters\":1},\"has_scheduler\":true,"
+        "\"scheduler\":{\"workers\":1,\"tasks\":9,\"makespan\":0.000278325,"
+        "\"total_busy\":0.000211226,\"efficiency\":0.758919,\"avg_ready_wait\":0.000007098,"
+        "\"max_ready_wait\":0.000057484,\"total_idle\":0.000070061,\"max_queue_depth\":1,"
+        "\"steals\":0,\"steal_attempts\":0,\"failed_steals\":7,\"local_pops\":9,"
+        "\"placed_max\":1,\"placed_min\":1,\"steals_same_l3\":0,\"steals_same_socket\":0,"
+        "\"steals_cross_socket\":0,\"child_tasks\":0}}"
+        "\n",
+        f);
+    std::fclose(f);
+  }
+  ASSERT_TRUE(hist::append(sample_report("taskflow", 40)));
   std::vector<obs::SolveReport> reps;
-  ASSERT_TRUE(hist::load_file(path_, reps));
-  ASSERT_EQ(reps.size(), 1u);
+  long skipped = -1;
+  ASSERT_TRUE(hist::load_file(path_, reps, nullptr, &skipped));
+  EXPECT_EQ(skipped, 0);
+  ASSERT_EQ(reps.size(), 2u);
   EXPECT_EQ(reps[0].precision, "f32refine");
-  EXPECT_EQ(reps[0].refine_checked, n);
-  EXPECT_GT(reps[0].refine_broken_clusters, 0);
+  EXPECT_EQ(reps[0].precision_bits(), 32);
+  EXPECT_EQ(reps[0].n, 40);
+  EXPECT_TRUE(reps[0].has_health);
+  EXPECT_EQ(reps[0].scheduler.tasks, 9);
+
   const std::vector<hist::MetricsRow> rows = hist::metrics_rows(reps, {});
-  ASSERT_EQ(rows.size(), 1u);
+  ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].precision, "f32refine");
-  EXPECT_EQ(rows[0].refine_fallbacks, 1);
-  EXPECT_NE(hist::prometheus_text(rows).find(
-                "dnc_refine_fallbacks_total{driver=\"taskflow\",precision=\"f32refine\","
-                "size_class=\"s\"} 1\n"),
-            std::string::npos);
+  EXPECT_EQ(rows[0].solves, 1);
+  EXPECT_EQ(rows[1].precision, "f64");
+  EXPECT_EQ(rows[1].solves, 1);
+  const std::string table = hist::render_metrics("metrics", rows);
+  EXPECT_NE(table.find("taskflow        f32refine xs      1 "), std::string::npos) << table;
+  EXPECT_NE(table.find("taskflow        f64       xs      1 "), std::string::npos) << table;
 }
 
 /// 100 taskflow solves of n = 2000 taking 0.01 .. 1.00 s (in a scrambled
-/// order), two fp32 sequential solves of n = 100 and one F32RefineF64
-/// solve that fell back.
+/// order), two fp32 sequential solves of n = 100 and one taskflow solve
+/// archived as "f32refine" by an older build.
 std::vector<obs::SolveReport> view_reports() {
   std::vector<obs::SolveReport> reps;
   for (int i = 0; i < 100; ++i) {
@@ -448,7 +474,6 @@ std::vector<obs::SolveReport> view_reports() {
   }
   obs::SolveReport r = sample_report("taskflow", 2000);
   r.precision = "f32refine";
-  r.refine_broken_clusters = 3;
   reps.push_back(r);
   return reps;
 }
@@ -471,7 +496,6 @@ TEST_F(MetricsTest, RowsAggregateEachCell) {
   EXPECT_EQ(tf.tasks, 1000);
   EXPECT_EQ(tf.steals, 200);
   EXPECT_NEAR(tf.idle_seconds, 10.0, 1e-9);
-  EXPECT_EQ(tf.refine_fallbacks, 0);
 
   const hist::MetricsRow& seq = rows[1];
   EXPECT_EQ(seq.precision, "f32");
@@ -481,7 +505,6 @@ TEST_F(MetricsTest, RowsAggregateEachCell) {
   EXPECT_EQ(seq.p99, 0.002);
   EXPECT_EQ(seq.max_rel_residual, 0.002);
   EXPECT_EQ(rows[2].precision, "f32refine");
-  EXPECT_EQ(rows[2].refine_fallbacks, 1);
 
   hist::Key key;
   ASSERT_TRUE(hist::parse_key("driver=sequential", key));
@@ -550,12 +573,6 @@ TEST(ReportReuse, SecondSolveDoesNotAccumulate) {
   }
 
   dc::SolveStats reused;
-  reused.refine.checked = 99;  // stale refinement aggregate from a past run
-  reused.refine.refined = 99;
-  reused.report.refine_checked = 99;
-  reused.report.refine_refined = 99;
-  reused.report.refine_iterations = 99;
-  reused.report.refine_broken_clusters = 99;
   reused.report.hwc_backend = "stale";
   reused.report.hwc_slot_names = {"stale"};
   reused.report.has_health = true;
@@ -567,7 +584,7 @@ TEST(ReportReuse, SecondSolveDoesNotAccumulate) {
   }
 
   // Every accumulated report field matches a single fresh run: merge
-  // records, counters, scheduler metrics, hwc attribution, refinement.
+  // records, counters, scheduler metrics, hwc attribution.
   EXPECT_EQ(reused.report.merges.size(), fresh.report.merges.size());
   EXPECT_EQ(reused.merges, fresh.merges);
   EXPECT_EQ(reused.leaves, fresh.leaves);
@@ -580,12 +597,6 @@ TEST(ReportReuse, SecondSolveDoesNotAccumulate) {
   EXPECT_EQ(reused.report.hwc_backend, fresh.report.hwc_backend);
   EXPECT_EQ(reused.report.hwc_slot_names.size(), fresh.report.hwc_slot_names.size());
   EXPECT_EQ(reused.report.kind_hwc.size(), fresh.report.kind_hwc.size());
-  EXPECT_EQ(reused.refine.checked, 0);  // no refinement ran at F64
-  EXPECT_EQ(reused.refine.refined, 0);
-  EXPECT_EQ(reused.report.refine_checked, 0);
-  EXPECT_EQ(reused.report.refine_refined, 0);
-  EXPECT_EQ(reused.report.refine_iterations, 0);
-  EXPECT_EQ(reused.report.refine_broken_clusters, 0);
   EXPECT_EQ(reused.report.has_health, fresh.report.has_health);
   if (reused.report.has_health) {
     EXPECT_LT(reused.report.health.max_rel_residual, 1e-10);

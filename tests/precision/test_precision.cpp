@@ -1,10 +1,8 @@
 // The precision layer's property tests: fp32 kernels against fp64
 // references with eps32-scaled tolerances, fp32 laed4 against the fp64
-// root, the F32RefineF64 accuracy gate -- the mixed-precision driver must
-// land fp64-grade residuals on every Table III bench family --, the
-// refinement's overlap trigger, the fp64 re-solve of a basis it cannot
-// certify, and the front door's range scaling at extreme scales in every
-// driver.
+// root, the refinement kernel's overlap trigger, F32RefineF64 solved as
+// exactly the F64 solve in every driver, and the front door's range
+// scaling at extreme scales in every driver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,13 +10,13 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "blas/aux.hpp"
 #include "blas/gemm.hpp"
 #include "blas/level1.hpp"
 #include "common/rng.hpp"
-#include "common/timer.hpp"
 #include "dc/api.hpp"
 #include "lapack/laed4.hpp"
 #include "lapack/refine.hpp"
@@ -184,50 +182,10 @@ TEST(PrecisionSolve, PureF32GivesF32GradeResults) {
   }
 }
 
-/// The accuracy gate: F32RefineF64 must pass the *fp64* verify thresholds
-/// on all five families, for both the D&C task-flow driver and MRRR.
-TEST(PrecisionSolve, RefineGateTaskflowAllFamilies) {
-  const index_t n = 150;
-  for (const Family& fam : kFamilies) {
-    auto t = matgen::table3_matrix(fam.type, n, 5);
-    std::vector<double> d = t.d, e = t.e;
-    Matrix v;
-    dc::Options opt;
-    opt.precision = Precision::F32RefineF64;
-    opt.minpart = 32;
-    opt.threads = 2;
-    dc::SolveStats st;
-    dc::stedc_taskflow(n, d.data(), e.data(), v, opt, &st);
-    EXPECT_LT(verify::orthogonality(v), 100.0 * kEps64) << fam.name;
-    EXPECT_LT(verify::reduction_residual(t, d, v), 100.0 * kEps64) << fam.name;
-    EXPECT_TRUE(std::is_sorted(d.begin(), d.end())) << fam.name;
-    // The refinement epilogue ran over every computed eigenpair.
-    EXPECT_EQ(st.refine.checked, n) << fam.name;
-  }
-  // Hermite at n = 1000: every gap is inside the overlap scan's chaining
-  // width, so the whole spectrum is one cluster. The residual-over-gap bound
-  // must spare the scan most of its n(n-1)/2 pairwise dots.
-  const index_t nh = 1000;
-  auto t = matgen::table3_matrix(15, nh, 5);
-  std::vector<double> d = t.d, e = t.e;
-  Matrix v;
-  dc::Options opt;
-  opt.precision = Precision::F32RefineF64;
-  opt.threads = 2;
-  dc::SolveStats st;
-  dc::stedc_taskflow(nh, d.data(), e.data(), v, opt, &st);
-  EXPECT_LT(verify::orthogonality(v), 100.0 * kEps64);
-  EXPECT_LT(verify::reduction_residual(t, d, v), 100.0 * kEps64);
-  EXPECT_EQ(st.refine.checked, nh);
-  EXPECT_EQ(st.refine.broken_clusters, 0);
-  EXPECT_LT(st.refine.overlap_dots, nh * nh / 20);
-}
-
 /// The overlap trigger: two columns collapsed onto one eigenvector (what
 /// RQI does to an fp32-degenerate pair) must leave the basis uncertified.
 /// Column j of an fp64 solution is overwritten with column k, then the
-/// pairs are refined. The front door's fp64 re-solve of such a basis is
-/// PrecisionSolve.UncertifiedRefinementReturnsTheF64Solve's.
+/// pairs are refined.
 void expect_duplicate_detected(const matgen::Tridiag& t, index_t k, index_t j, const char* what) {
   const index_t n = t.n();
   std::vector<double> lam = t.d, e = t.e;
@@ -267,39 +225,6 @@ TEST(PrecisionRefine, OverlapTriggerDetectsDuplicateAcrossWideGap) {
   expect_duplicate_detected(t, k, j, "type 4, wide gap");
 }
 
-TEST(PrecisionSolve, RefineGateMrrrAllFamilies) {
-  const index_t n = 150;
-  for (const Family& fam : kFamilies) {
-    auto t = matgen::table3_matrix(fam.type, n, 5);
-    std::vector<double> lam;
-    Matrix v;
-    mrrr::Options opt;
-    opt.precision = Precision::F32RefineF64;
-    opt.threads = 2;
-    mrrr::Stats st;
-    mrrr::mrrr_solve(n, t.d.data(), t.e.data(), lam, v, opt, &st);
-    EXPECT_LT(verify::orthogonality(v), 200.0 * kEps64) << fam.name;
-    EXPECT_LT(verify::reduction_residual(t, lam, v), 100.0 * kEps64) << fam.name;
-    EXPECT_TRUE(std::is_sorted(lam.begin(), lam.end())) << fam.name;
-    EXPECT_EQ(st.refine.checked, n) << fam.name;
-  }
-}
-
-TEST(PrecisionSolve, RefineReportEmptyUnderPureModes) {
-  const index_t n = 80;
-  auto t = matgen::table3_matrix(3, n, 9);
-  for (Precision p : {Precision::F64, Precision::F32}) {
-    std::vector<double> d = t.d, e = t.e;
-    Matrix v;
-    dc::Options opt;
-    opt.precision = p;
-    dc::SolveStats st;
-    dc::stedc_sequential(n, d.data(), e.data(), v, opt, &st);
-    EXPECT_EQ(st.refine.checked, 0) << precision_name(p);
-    EXPECT_EQ(st.refine.refined, 0) << precision_name(p);
-  }
-}
-
 TEST(PrecisionSolve, ReportStampsPrecision) {
   const index_t n = 90;
   auto t = matgen::table3_matrix(4, n, 13);
@@ -307,9 +232,7 @@ TEST(PrecisionSolve, ReportStampsPrecision) {
     Precision p;
     const char* name;
     int bits;
-  } cases[] = {{Precision::F64, "f64", 64},
-               {Precision::F32, "f32", 32},
-               {Precision::F32RefineF64, "f32refine", 32}};
+  } cases[] = {{Precision::F64, "f64", 64}, {Precision::F32, "f32", 32}};
   for (const auto& c : cases) {
     std::vector<double> d = t.d, e = t.e;
     Matrix v;
@@ -322,55 +245,18 @@ TEST(PrecisionSolve, ReportStampsPrecision) {
   }
 }
 
-// Under F32RefineF64 the refinement is most of the solve, and the reported
-// time (what the metrics latency histograms and the history record) must
-// cover it: the wall-clock around the call bounds it from above and, up to
-// the call overhead, from below.
-TEST(PrecisionSolve, ReportedTimeCoversRefinement) {
-  const index_t n = 400;
-  auto t = matgen::table3_matrix(15, n, 9);
-  for (int driver = 0; driver < 2; ++driver) {
-    Matrix v;
-    double seconds = 0.0, report_seconds = 0.0, refined = 0.0;
-    Stopwatch wall;
-    if (driver == 0) {
-      std::vector<double> d = t.d, e = t.e;
-      dc::Options opt;
-      opt.precision = Precision::F32RefineF64;
-      dc::SolveStats st;
-      dc::stedc_taskflow(n, d.data(), e.data(), v, opt, &st);
-      seconds = st.seconds;
-      report_seconds = st.report.seconds;
-      refined = static_cast<double>(st.refine.checked);
-    } else {
-      std::vector<double> lam;
-      mrrr::Options opt;
-      opt.precision = Precision::F32RefineF64;
-      mrrr::Stats st;
-      mrrr::mrrr_solve(n, t.d.data(), t.e.data(), lam, v, opt, &st);
-      seconds = st.seconds;
-      report_seconds = st.report.seconds;
-      refined = static_cast<double>(st.refine.checked);
-    }
-    const double elapsed = wall.elapsed();
-    const char* name = driver == 0 ? "taskflow" : "mrrr";
-    EXPECT_EQ(refined, static_cast<double>(n)) << name;
-    EXPECT_EQ(report_seconds, seconds) << name;
-    EXPECT_LE(seconds, elapsed) << name;
-    EXPECT_GE(seconds, 0.9 * elapsed) << name;
-  }
-}
-
-/// Solves t with driver 0-3 (the D&C execution models) or 4 (MRRR).
-void solve_with(int driver, const matgen::Tridiag& t, Precision p, std::vector<double>& lam,
-                Matrix& v) {
+/// Solves t with driver 0-3 (the D&C execution models) or 4 (MRRR) and
+/// returns the working precision its report names.
+std::string solve_with(int driver, const matgen::Tridiag& t, Precision p,
+                       std::vector<double>& lam, Matrix& v) {
   const index_t n = t.n();
   if (driver == 4) {
     mrrr::Options opt;
     opt.precision = p;
     opt.threads = 2;
-    mrrr::mrrr_solve(n, t.d.data(), t.e.data(), lam, v, opt);
-    return;
+    mrrr::Stats st;
+    mrrr::mrrr_solve(n, t.d.data(), t.e.data(), lam, v, opt, &st);
+    return st.report.precision;
   }
   lam = t.d;
   std::vector<double> e = t.e;
@@ -378,12 +264,14 @@ void solve_with(int driver, const matgen::Tridiag& t, Precision p, std::vector<d
   opt.precision = p;
   opt.minpart = 32;
   opt.threads = 2;
+  dc::SolveStats st;
   switch (driver) {
-    case 0: dc::stedc_sequential(n, lam.data(), e.data(), v, opt); break;
-    case 1: dc::stedc_taskflow(n, lam.data(), e.data(), v, opt); break;
-    case 2: dc::stedc_lapack_model(n, lam.data(), e.data(), v, opt); break;
-    case 3: dc::stedc_scalapack_model(n, lam.data(), e.data(), v, opt); break;
+    case 0: dc::stedc_sequential(n, lam.data(), e.data(), v, opt, &st); break;
+    case 1: dc::stedc_taskflow(n, lam.data(), e.data(), v, opt, &st); break;
+    case 2: dc::stedc_lapack_model(n, lam.data(), e.data(), v, opt, &st); break;
+    case 3: dc::stedc_scalapack_model(n, lam.data(), e.data(), v, opt, &st); break;
   }
+  return st.report.precision;
 }
 
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
@@ -398,13 +286,13 @@ bool same_bits(const Matrix& a, const Matrix& b) {
   return true;
 }
 
-// Inputs whose fp32 eigenvectors the refinement cannot certify: a type 3
-// cluster of equal eigenvalues, a graded matrix whose small entries narrow
-// to fp32 denormals or zero, and glued Wilkinson with clusters of fifteen
-// eigenvalues 1e-14 apart. Every driver must then return exactly the fp64
-// stedc_taskflow solve, which its front door ran in place of the refined
-// pairs, and report the refinement that failed.
-TEST(PrecisionSolve, UncertifiedRefinementReturnsTheF64Solve) {
+// F32RefineF64 is an alias of F64: every driver solves it as exactly the
+// F64 solve and reports "f64". The inputs are those the retired fp32 +
+// refinement path could not certify -- a type 3 cluster of equal
+// eigenvalues, a graded matrix whose small entries narrow to fp32
+// denormals or zero, glued Wilkinson with clusters of fifteen eigenvalues
+// 1e-14 apart -- and Hermite, where it certified every column.
+TEST(PrecisionSolve, F32RefineF64IsBitwiseF64) {
   const index_t n = 300;
   matgen::Tridiag graded;
   for (index_t i = 0; i < n; ++i) {
@@ -416,60 +304,28 @@ TEST(PrecisionSolve, UncertifiedRefinementReturnsTheF64Solve) {
     matgen::Tridiag t;
   } inputs[] = {{"type 3", matgen::table3_matrix(3, n, 5)},
                 {"graded", graded},
-                {"glued Wilkinson 1e-14", matgen::glued_wilkinson(21, 15, 1e-14)}};
+                {"glued Wilkinson 1e-14", matgen::glued_wilkinson(21, 15, 1e-14)},
+                {"Hermite", matgen::table3_matrix(15, 1000, 5)}};
   const char* const kDrivers[] = {"sequential", "taskflow", "lapack_model", "scalapack_model",
                                   "mrrr"};
   for (const auto& in : inputs) {
-    const index_t m = in.t.n();
-    std::vector<double> ref = in.t.d, e = in.t.e;
-    Matrix vref;
-    dc::Options fopt;
-    fopt.precision = Precision::F64;
-    fopt.threads = 2;
-    dc::stedc_taskflow(m, ref.data(), e.data(), vref, fopt);
     for (int driver = 0; driver < 5; ++driver) {
       std::ostringstream what;
       what << kDrivers[driver] << " " << in.name;
-      std::vector<double> lam;
-      Matrix v;
-      lapack::RefineReport rep;
-      if (driver == 4) {
-        mrrr::Options opt;
-        opt.precision = Precision::F32RefineF64;
-        opt.threads = 2;
-        mrrr::Stats st;
-        mrrr::mrrr_solve(m, in.t.d.data(), in.t.e.data(), lam, v, opt, &st);
-        rep = st.refine;
-      } else {
-        lam = in.t.d;
-        e = in.t.e;
-        dc::Options opt;
-        opt.precision = Precision::F32RefineF64;
-        opt.threads = 2;
-        dc::SolveStats st;
-        switch (driver) {
-          case 0: dc::stedc_sequential(m, lam.data(), e.data(), v, opt, &st); break;
-          case 1: dc::stedc_taskflow(m, lam.data(), e.data(), v, opt, &st); break;
-          case 2: dc::stedc_lapack_model(m, lam.data(), e.data(), v, opt, &st); break;
-          case 3: dc::stedc_scalapack_model(m, lam.data(), e.data(), v, opt, &st); break;
-        }
-        rep = st.refine;
-      }
-      EXPECT_GT(rep.broken_clusters, 0) << what.str();
-      EXPECT_EQ(rep.checked, m) << what.str();
-      EXPECT_TRUE(same_bits(lam, ref)) << what.str();
-      EXPECT_TRUE(same_bits(v, vref)) << what.str();
-      EXPECT_LT(verify::reduction_residual(in.t, lam, v), 100.0 * kEps64) << what.str();
-      EXPECT_LT(verify::orthogonality(v), 100.0 * kEps64) << what.str();
+      std::vector<double> lam, lam64;
+      Matrix v, v64;
+      EXPECT_EQ(solve_with(driver, in.t, Precision::F64, lam64, v64), "f64") << what.str();
+      EXPECT_EQ(solve_with(driver, in.t, Precision::F32RefineF64, lam, v), "f64") << what.str();
+      EXPECT_TRUE(same_bits(lam, lam64)) << what.str();
+      EXPECT_TRUE(same_bits(v, v64)) << what.str();
     }
   }
 }
 
 // The front door's range scaling: T scaled by 1e+-300 or 1e+-150 is solved
 // by every driver at every precision as accurately as at unit scale. Every
-// finite input must solve: under the fp32 precisions T is scaled into
-// range before it is narrowed, so it can neither flush to zero nor
-// overflow.
+// finite input must solve: under F32 T is scaled into range before it is
+// narrowed, so it can neither flush to zero nor overflow.
 TEST(PrecisionSolve, ExtremeScalesStayAccurate) {
   struct Case {
     int type;
@@ -486,7 +342,7 @@ TEST(PrecisionSolve, ExtremeScalesStayAccurate) {
     auto t = matgen::table3_matrix(c.type, c.n, 6);
     for (double& x : t.d) x *= c.scale;
     for (double& x : t.e) x *= c.scale;
-    for (Precision p : {Precision::F64, Precision::F32, Precision::F32RefineF64}) {
+    for (Precision p : {Precision::F64, Precision::F32}) {
       const double tol = p == Precision::F32 ? 1e-13 * kEps32 / kEps64 : 1e-13;
       for (int driver = 0; driver < 5; ++driver) {
         std::ostringstream what;

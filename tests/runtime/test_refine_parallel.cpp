@@ -1,6 +1,6 @@
-// The F32RefineF64 epilogue's block-parallel phases (the lane-batched RQI
-// sweep, which also records the residuals, the banded-GEMM overlap scan and
-// the coloured polish): the refined eigenpairs must not depend on how many
+// refine_eigenpairs' block-parallel phases (the lane-batched RQI sweep,
+// which also records the residuals, the banded-GEMM overlap scan and the
+// coloured polish): the refined eigenpairs must not depend on how many
 // workers ran the blocks.
 // Like the rest of this suite it runs under the ThreadSanitizer CI job
 // (runtime label).
@@ -25,17 +25,21 @@ namespace {
 struct Refined {
   std::vector<double> lam;
   Matrix v;
-  dc::SolveStats stats;
+  lapack::RefineReport refine;
 };
 
+/// The fp32 D&C solve, then refine_eigenpairs of its widened pairs against
+/// the fp64 T, both on `threads` workers.
 Refined solve_refined(const matgen::Tridiag& t, int threads) {
   Refined r;
   r.lam = t.d;
   std::vector<double> e = t.e;
   dc::Options opt;
-  opt.precision = Precision::F32RefineF64;
+  opt.precision = Precision::F32;
   opt.threads = threads;
-  dc::stedc_taskflow(t.n(), r.lam.data(), e.data(), r.v, opt, &r.stats);
+  dc::stedc_taskflow(t.n(), r.lam.data(), e.data(), r.v, opt);
+  r.refine = lapack::refine_eigenpairs(t.n(), t.d.data(), t.e.data(), r.lam.data(), r.v.data(),
+                                       r.v.ld(), t.n(), threads);
   return r;
 }
 
@@ -58,16 +62,16 @@ TEST(RefineParallel, F32RefineBitIdenticalAcrossThreadCounts) {
   for (int type : {4, 15}) {
     const auto t = matgen::table3_matrix(type, n, 7);
     const Refined ref = solve_refined(t, 1);
-    ASSERT_EQ(ref.stats.refine.checked, n) << "type " << type;
+    ASSERT_EQ(ref.refine.checked, n) << "type " << type;
     for (int threads : {2, 4}) {
       const Refined got = solve_refined(t, threads);
       EXPECT_TRUE(same_bits(got.lam, ref.lam)) << "type " << type << " threads " << threads;
       EXPECT_TRUE(same_bits(got.v, ref.v)) << "type " << type << " threads " << threads;
-      EXPECT_EQ(got.stats.refine.checked, ref.stats.refine.checked);
-      EXPECT_EQ(got.stats.refine.refined, ref.stats.refine.refined);
-      EXPECT_EQ(got.stats.refine.iterations, ref.stats.refine.iterations);
-      EXPECT_EQ(got.stats.refine.overlap_dots, ref.stats.refine.overlap_dots);
-      EXPECT_EQ(got.stats.refine.max_resid_after, ref.stats.refine.max_resid_after);
+      EXPECT_EQ(got.refine.checked, ref.refine.checked);
+      EXPECT_EQ(got.refine.refined, ref.refine.refined);
+      EXPECT_EQ(got.refine.iterations, ref.refine.iterations);
+      EXPECT_EQ(got.refine.overlap_dots, ref.refine.overlap_dots);
+      EXPECT_EQ(got.refine.max_resid_after, ref.refine.max_resid_after);
     }
   }
 }

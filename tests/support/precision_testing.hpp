@@ -3,8 +3,7 @@
 //
 // The numerical suites are calibrated against fp64 machine epsilon. When the
 // whole suite re-runs under DNC_PREC=f32 (see tests/CMakeLists.txt) every
-// residual grows by eps32/eps64; under DNC_PREC=f32refine the refinement
-// epilogue restores fp64-grade residuals, so the fp64 tolerances stand.
+// residual grows by eps32/eps64.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -16,8 +15,7 @@
 namespace dnc::test_support {
 
 /// Machine epsilon of the precision the solve's *results* are accurate to:
-/// fp32 eps under DNC_PREC=f32, fp64 eps otherwise (F32RefineF64 refines
-/// eigenpairs back to fp64 residuals, so it keeps the fp64 epsilon).
+/// fp32 eps under DNC_PREC=f32, fp64 eps otherwise.
 inline double result_eps() {
   return default_precision() == Precision::F32
              ? static_cast<double>(std::numeric_limits<float>::epsilon())
@@ -25,7 +23,7 @@ inline double result_eps() {
 }
 
 /// Multiplier for tolerances written as fp64 literals (1e-13 and friends):
-/// 1 under f64/f32refine, eps32/eps64 (~5.4e8) under pure f32.
+/// 1 under f64, eps32/eps64 (~5.4e8) under f32.
 inline double tol_scale() {
   return result_eps() / std::numeric_limits<double>::epsilon();
 }

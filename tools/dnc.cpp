@@ -15,9 +15,9 @@
 //   dnc metrics h.jsonl [--key n=1000] | --prometheus h.jsonl | --diff a b
 //       The cross-solve view of a DNC_HISTORY archive: one row per
 //       {driver, precision, size class} with the solve count, exact latency
-//       quantiles, deflation, GEMM rate, worst health, scheduler totals and
-//       F32RefineF64 fallbacks; as a table, as Prometheus text, or two
-//       archives side by side.
+//       quantiles, deflation, GEMM rate, worst health and scheduler
+//       totals; as a table, as Prometheus text, or two archives side by
+//       side.
 //   dnc diff a.json b.json
 //       Why is run B slower than run A? Each side is a Perfetto trace or a
 //       SolveReport JSON (auto-detected); --reports merges the sibling
