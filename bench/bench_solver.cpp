@@ -11,15 +11,11 @@
 //
 // Knobs: DNC_BENCH_NMAX (default 768 here -- wall-clock is 5 drivers x 5
 // families x sizes x reps), DNC_BENCH_FAST=1 (CI: nmax/3), DNC_BENCH_REPS
-// (default 5), DNC_BENCH_OUT (default BENCH_solver.json), DNC_BENCH_REPORTS
-// (directory: side-write the last-rep SolveReport JSON of every cell there,
-// named via obs::bench_report_filename, and stamp "reports_dir" into the
-// artifact metadata so `dnc compare` can find them for regression
-// attribution without a re-run).
-#include <sys/stat.h>
-
+// (default 5), DNC_BENCH_OUT (default BENCH_solver.json). Under
+// DNC_HISTORY every rep appends its SolveReport, labelled with the cell's
+// family, to the archive; `dnc compare --reports` attributes a regressed
+// cell from the last report two such archives hold for it.
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,7 +25,6 @@
 
 #include "bench_support.hpp"
 #include "mrrr/mrrr.hpp"
-#include "obs/benchcmp.hpp"
 #include "obs/report.hpp"
 #include "runtime/trace.hpp"
 
@@ -141,14 +136,6 @@ int main() {
   if (const char* s = std::getenv("DNC_BENCH_REPS")) reps = std::max(1, std::atoi(s));
   const char* out_path = std::getenv("DNC_BENCH_OUT");
   if (out_path == nullptr) out_path = "BENCH_solver.json";
-  std::string reports_dir;
-  if (const char* s = std::getenv("DNC_BENCH_REPORTS"); s && *s) {
-    reports_dir = s;
-    if (::mkdir(reports_dir.c_str(), 0755) != 0 && errno != EEXIST) {
-      std::fprintf(stderr, "cannot create DNC_BENCH_REPORTS dir %s\n", reports_dir.c_str());
-      reports_dir.clear();
-    }
-  }
   const std::vector<index_t> sizes = bench::size_sweep(nmax, 3);
   const char* drivers[] = {"sequential", "taskflow", "lapack_model", "scalapack_model",
                            "mrrr"};
@@ -163,11 +150,6 @@ int main() {
     js += first_meta ? "\n" : ",\n";
     first_meta = false;
     js += "    \"" + rt::json_escape(k) + "\": \"" + rt::json_escape(v) + "\"";
-  }
-  if (!reports_dir.empty()) {
-    js += first_meta ? "\n" : ",\n";
-    first_meta = false;
-    js += "    \"reports_dir\": \"" + rt::json_escape(reports_dir) + "\"";
   }
   js += "\n  },\n  \"entries\": [";
 
@@ -195,17 +177,6 @@ int main() {
             secs.push_back(run_once(driver, fam.name, t, opt, rep));
           const Quartiles q = quartiles(secs);
           append_entry(js, first_entry, driver, fam, prec_name, n, reps, q, rep);
-          if (!reports_dir.empty()) {
-            const std::string path =
-                reports_dir + "/" +
-                obs::bench_report_filename(driver, fam.name, prec_name,
-                                           static_cast<long>(n));
-            std::ofstream rf(path);
-            if (rf)
-              rf << rep.to_json();
-            else
-              std::fprintf(stderr, "cannot write %s\n", path.c_str());
-          }
           std::printf("%-16s %-12s %-5s %6ld %12.6f %12.6f\n", driver, fam.name, prec_name,
                       static_cast<long>(n), q.median, q.q3 - q.q1);
           std::fflush(stdout);

@@ -39,7 +39,7 @@ inline std::vector<std::pair<std::string, std::string>> machine_metadata() {
   kv.emplace_back("precision", precision_name(default_precision()));
   for (const char* var : {"DNC_SIMD", "DNC_HWC", "DNC_PREC", "DNC_HISTORY",
                           "DNC_FLIGHT", "DNC_BENCH_NMAX", "DNC_BENCH_FAST", "DNC_BENCH_REPS",
-                          "DNC_TRACE", "DNC_REPORT", "OMP_NUM_THREADS"}) {
+                          "DNC_TRACE", "OMP_NUM_THREADS"}) {
     const char* val = std::getenv(var);
     kv.emplace_back(var, val ? val : "(unset)");
   }

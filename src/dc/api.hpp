@@ -65,8 +65,9 @@ struct SolveStats {
 
   /// Observability report: per-merge deflation records, algorithmic counter
   /// deltas (laed4/sturm/gemm), scheduler metrics for the runtime-backed
-  /// drivers. Exported to $DNC_REPORT / $DNC_TRACE when those are set (which
-  /// works even when stats itself is null).
+  /// drivers. Written into the $DNC_TRACE file and appended to the
+  /// $DNC_HISTORY archive when those are set (which works even when stats
+  /// itself is null).
   obs::SolveReport report;
 
   // Filled by the runtime-backed drivers only (not stedc_sequential):

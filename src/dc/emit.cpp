@@ -149,11 +149,10 @@ void fill_stats(const Plan& plan, const Contexts<Real>& ctxs, SolveStats* stats)
 /// byte accounting scales with sizeof(Real).
 template <typename Real>
 void finish_report(const obs::SolveScope& scope, const Contexts<Real>& ctxs, index_t n,
-                   const Options& opt, rt::Trace* trace,
+                   const Options& opt, const rt::Trace* trace,
                    const std::vector<int>& simulate_workers, SolveStats* stats) {
   obs::SolveReport& rep = stats->report;
   scope.finish(rep, n, opt.threads, trace, simulate_workers, stats->simulated);
-  if (trace) trace->meta_counters.emplace_back("nb", static_cast<double>(opt.nb));
   // Workspace telemetry: the solve's scratch (workspace_bytes), the n x n
   // eigenvector output, and the per-merge contexts (z + zhat + the
   // m x npanels partial-product matrix each). All of it is allocated at the
@@ -225,7 +224,7 @@ void emit_solve(ExecModel model, index_t n, Real* d, Real* e, MatrixT<Real>& v,
   if (hold) hold.unlock();  // the epilogue does not touch the workspace
 
   if (stats == nullptr) return;
-  rt::Trace* tr = nullptr;
+  const rt::Trace* tr = nullptr;
   if (emitter.runtime()) {
     stats->trace = emitter.runtime()->trace();
     tr = &stats->trace;

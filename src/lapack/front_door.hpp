@@ -4,9 +4,9 @@
 // in the solve they run at the working precision; everything around it is
 // written here once. In order, solve_front_door:
 //   1. substitutes a local Stats when the caller passed none but
-//      DNC_FLIGHT/DNC_HISTORY/DNC_CRASH_DUMP or $DNC_TRACE/$DNC_REPORT want
-//      the report (it has to exist to be recorded or written), and starts
-//      the stopwatch;
+//      DNC_FLIGHT/DNC_HISTORY/DNC_CRASH_DUMP or $DNC_TRACE want the report
+//      (it has to exist to be recorded or written into the trace), and
+//      starts the stopwatch;
 //   2. arms the health probe on the caller's fp64 (d, e);
 //   3. checks every entry finite (require_finite: InvalidArgument);
 //   4. scales T by range_scale into the working precision's safe range,
@@ -16,7 +16,7 @@
 //      F32RefineF64, and n <= 1) on the fp64 (d, e) or their scaled copies;
 //   6. divides the eigenvalues by the scale;
 //   7. restores the caller's report family, stamps the time, evaluates the
-//      health probe, writes the artifacts and records the telemetry.
+//      health probe, writes the trace and records the telemetry.
 // With every gate off this adds one pass over (d, e) and a few relaxed
 // loads to a solve. Any finite input is solved at every precision: after
 // step 4 no finite T can over- or underflow on narrowing. The fp32
@@ -68,7 +68,7 @@ template <typename In, typename Stats, typename Solve>
 void solve_front_door(const char* who, index_t n, In* d, In* e, double* lam, Matrix& v,
                       Precision precision, Stats* stats, Solve&& solve) {
   const bool telemetry = obs::solve_telemetry_wanted() && n > 0;
-  const bool want_export = obs::trace_export_requested() || obs::report_export_requested();
+  const bool want_export = obs::trace_export_requested();
   Stats local;
   Stats* st = stats ? stats : (telemetry || want_export ? &local : nullptr);
   Stopwatch sw;
@@ -128,8 +128,8 @@ void solve_front_door(const char* who, index_t n, In* d, In* e, double* lam, Mat
     st->report.has_health = st->report.health.sampled_columns > 0;
   }
   const rt::Trace* tr = st->report.has_scheduler ? &st->trace : nullptr;
-  // Trivial solves finish no report and write no artifacts.
-  if (want_export && !st->report.driver.empty()) obs::export_solve_artifacts(st->report, tr);
+  // Trivial solves finish no report and write no trace.
+  if (want_export && !st->report.driver.empty()) obs::export_solve_trace(st->report, tr);
   if (telemetry) obs::record_solve_telemetry(st->report, tr);
 }
 

@@ -56,8 +56,9 @@ struct Stats {
   rt::Trace trace;
   std::vector<rt::SimulationResult> simulated;
   /// Observability report (no merge records -- MRRR has no merge tree, but
-  /// the sturm/bisect-ldl counters and scheduler metrics apply). Exported
-  /// to $DNC_REPORT / $DNC_TRACE when those are set.
+  /// the sturm/bisect-ldl counters and scheduler metrics apply). Written
+  /// into the $DNC_TRACE file and appended to the $DNC_HISTORY archive when
+  /// those are set.
   obs::SolveReport report;
 };
 

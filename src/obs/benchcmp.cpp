@@ -156,18 +156,4 @@ std::string CompareResult::render(double threshold) const {
   return out;
 }
 
-std::string bench_metadata(const BenchArtifact& artifact, const std::string& key) {
-  for (const auto& [k, v] : artifact.metadata)
-    if (k == key) return v;
-  return "";
-}
-
-std::string bench_report_filename(const std::string& driver, const std::string& family,
-                                  const std::string& precision, long n) {
-  char buf[256];
-  std::snprintf(buf, sizeof buf, "report_%s_%s_%s_n%ld.json", driver.c_str(),
-                family.c_str(), precision.empty() ? "f64" : precision.c_str(), n);
-  return buf;
-}
-
 }  // namespace dnc::obs

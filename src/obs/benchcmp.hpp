@@ -54,8 +54,8 @@ enum class Verdict { kRegression, kImprovement, kWithinNoise };
 struct CompareRow {
   std::string key;
   // Entry identity split out of the key, so the attribution path (diffing
-  // the per-entry SolveReports a DNC_BENCH_REPORTS run side-wrote) can name
-  // the report files without re-parsing the key.
+  // the SolveReports two DNC_HISTORY archives hold for the cell) can look
+  // the reports up without re-parsing the key.
   std::string driver, family, precision;
   long n = 0;
   double base_seconds = 0.0;
@@ -89,15 +89,5 @@ struct CompareResult {
 CompareResult compare_bench_artifacts(const BenchArtifact& base, const BenchArtifact& current,
                                       double threshold, BenchStat stat = BenchStat::kMedian,
                                       double min_seconds = 0.0);
-
-/// Value of a metadata key in the artifact ("" when absent).
-std::string bench_metadata(const BenchArtifact& artifact, const std::string& key);
-
-/// Canonical filename of the per-entry SolveReport a DNC_BENCH_REPORTS run
-/// side-writes for one bench cell: "report_<driver>_<family>_<prec>_n<n>.json".
-/// Shared by the writer (bench_solver) and the reader (`dnc compare`) so
-/// the two can never drift apart.
-std::string bench_report_filename(const std::string& driver, const std::string& family,
-                                  const std::string& precision, long n);
 
 }  // namespace dnc::obs

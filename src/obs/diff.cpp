@@ -105,15 +105,6 @@ SideView resolve_side(const DiffSide& side) {
         v.kind_hwc[k.kind] = r;
       }
     }
-    if (v.sum.gemm_gflops == 0.0 && v.sum.makespan > 0.0)
-      v.sum.gemm_gflops = tr->meta_counter("gemm_flops") * 1e-9 / v.sum.makespan;
-    if (v.sum.timestamp.empty()) v.sum.timestamp = tr->meta_string("timestamp");
-    if (v.sum.driver.empty()) v.sum.driver = tr->meta_string("driver");
-    if (v.sum.git_commit.empty()) v.sum.git_commit = tr->meta_string("git_commit");
-    if (v.sum.n == 0)
-      v.sum.n = static_cast<long>(tr->meta_counter("n"));
-    if (v.sum.precision.empty())
-      v.sum.precision = tr->meta_counter("precision_bits") == 32.0 ? "f32" : "f64";
     // Critical path (per-kind share of the chain).
     const CriticalPath cp = critical_path(*tr);
     if (cp.length > 0.0) {
@@ -582,12 +573,6 @@ bool parse_solve_report_value(const json::Value& v, SolveReport& out, std::strin
 bool parse_solve_report(const std::string& json_text, SolveReport& out, std::string* err) {
   json::Value v;
   if (!json::parse(json_text, v, err)) return false;
-  return parse_solve_report_value(v, out, err);
-}
-
-bool load_solve_report_file(const std::string& path, SolveReport& out, std::string* err) {
-  json::Value v;
-  if (!json::parse_file(path, v, err)) return false;
   return parse_solve_report_value(v, out, err);
 }
 

@@ -84,7 +84,7 @@ struct DiffComponent {
 };
 
 /// Identity + headline numbers of one side, resolved from whichever inputs
-/// were present (trace metadata fills gaps when the report is absent).
+/// were present (a trace-only side has no identity or GEMM rate).
 struct DiffSideSummary {
   std::string label;
   std::string driver, precision, git_commit, timestamp;
@@ -147,18 +147,15 @@ struct SolveDiff {
 SolveDiff diff_solves(const DiffSide& a, const DiffSide& b,
                       const DiffOptions& opt = DiffOptions{});
 
-/// Parses a SolveReport back from its to_json() text (the DNC_REPORT
-/// artifact, a bench side-written per-entry report, a history line's
-/// source). Tolerant of missing members -- absent blocks leave defaults --
-/// so older artifacts load. Returns false only on malformed JSON or when
-/// the object carries none of the report's identifying members.
+/// Parses a SolveReport back from its to_json() text (a history archive
+/// line, a trace's "dnc_report" record). Tolerant of missing members --
+/// absent blocks leave defaults -- so older artifacts load. Returns false
+/// only on malformed JSON or when the object carries none of the report's
+/// identifying members.
 bool parse_solve_report(const std::string& json_text, SolveReport& out,
                         std::string* err = nullptr);
 /// Same, from an already-parsed DOM node.
 bool parse_solve_report_value(const json::Value& v, SolveReport& out,
                               std::string* err = nullptr);
-/// Reads and parses the file at `path`.
-bool load_solve_report_file(const std::string& path, SolveReport& out,
-                            std::string* err = nullptr);
 
 }  // namespace dnc::obs

@@ -2,8 +2,9 @@
 //
 // The flight recorder answers "what happened in THIS process"; the history
 // archive answers "how has this solve behaved across commits and days".
-// Every telemetry-observed solve appends its SolveReport -- the DNC_REPORT
-// schema, compacted to one line -- to the file named by DNC_HISTORY. The
+// Every telemetry-observed solve appends its SolveReport -- to_json(),
+// compacted to one line, the record a DNC_TRACE file embeds too -- to the
+// file named by DNC_HISTORY. The
 // report's identity fields (git commit, timestamp, driver, n, family,
 // precision, workers) key the line; its headline numbers (wall seconds,
 // deflated fraction, GEMM GF/s, ...) are what a trend view plots. The file

@@ -8,6 +8,7 @@
 #include <mutex>
 
 #include "common/env.hpp"
+#include "obs/report.hpp"
 
 #if defined(__linux__)
 #include <linux/perf_event.h>
@@ -324,11 +325,17 @@ std::vector<KindHwcTotals> kind_hwc_totals(const rt::Trace& trace) {
   return out;
 }
 
-Roofline roofline(const rt::Trace& trace, double gemm_flops, double gemm_bytes,
-                  double peak_gflops, int precision_bits) {
+Roofline roofline(const rt::Trace& trace, const SolveReport* report, double peak_gflops) {
   Roofline r;
   r.backend = parse_hwc_backend(trace.hwc_backend);
-  r.precision_bits = precision_bits == 32 ? 32 : 64;
+  double gemm_flops = 0.0, gemm_bytes = 0.0;
+  if (report) {
+    r.has_report = true;
+    r.precision_bits = report->precision_bits();
+    r.simd_isa = report->simd_isa;
+    gemm_flops = static_cast<double>(report->counter(kGemmFlops));
+    gemm_bytes = static_cast<double>(report->counter(kGemmPackedBytes));
+  }
 
   const std::vector<KindHwcTotals> kinds = kind_hwc_totals(trace);
   double total_cycles = 0.0, total_seconds = 0.0;
@@ -344,10 +351,9 @@ Roofline roofline(const rt::Trace& trace, double gemm_flops, double gemm_bytes,
   // widest FMA pipe the dispatched kernel table targets at the recorded
   // precision (AVX2 fp64: 2 FMA/cycle x 4 lanes x 2 flops = 16
   // flops/cycle; fp32 doubles the lanes to 32; the avx512 table doubles
-  // both again). The table comes from the trace's "simd_isa" stamp;
-  // traces without one are read at AVX2 width. Without measured cycles a
+  // both again). The table comes from the report's simd_isa; without a
+  // report the trace is read at AVX2 width. Without measured cycles a
   // nominal 3 GHz clock is assumed and flagged.
-  r.simd_isa = trace.meta_string("simd_isa");
   const double kFlopsPerCycle =
       (r.precision_bits == 32 ? 32.0 : 16.0) * (r.simd_isa == "avx512" ? 2.0 : 1.0);
   if (peak_gflops > 0.0) {
@@ -450,6 +456,9 @@ std::string render_roofline(const Roofline& r) {
   if (r.backend != HwcBackend::kPerf)
     out += "(rusage backend: no cycle/instruction attribution; GF/s uses wall time. "
            "Run with perf access for IPC and miss rates.)\n";
+  if (!r.has_report)
+    out += "(no SolveReport on this trace: no GEMM FLOP attribution; "
+           "the roof assumes fp64 kernels at AVX2 width)\n";
   return out;
 }
 

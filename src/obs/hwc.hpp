@@ -35,6 +35,8 @@
 
 namespace dnc::obs {
 
+struct SolveReport;
+
 enum class HwcBackend {
   kOff = 0,    ///< sampling disabled (or this thread failed to open)
   kPerf = 1,   ///< perf_event_open hardware counters
@@ -134,26 +136,28 @@ struct Roofline {
   /// (clock from measured cycles x flops/cycle), "assumed" (3 GHz x
   /// flops/cycle). Derived/assumed roofs use the per-precision SIMD width:
   /// 16 flops/cycle for fp64 kernels, 32 for fp32, twice that when the
-  /// trace records the avx512 kernel table.
+  /// report names the avx512 kernel table.
   std::string peak_source;
+  /// False when the trace carried no SolveReport (a foreign or older
+  /// trace): no FLOP attribution, and the roof is read at fp64 AVX2 width.
+  bool has_report = false;
   int precision_bits = 64;     ///< working precision the roof was scaled for
-  std::string simd_isa;        ///< kernel table the trace records (may be empty)
+  std::string simd_isa;        ///< kernel table the report names (may be empty)
   double total_seconds = 0.0;  ///< summed busy time across kinds
   std::vector<RooflineRow> rows;
 };
 
 /// Builds the per-kind roofline table from a trace whose slices carry hwc
-/// deltas. `gemm_flops` / `gemm_bytes` are the solve-wide GEMM totals
-/// (obs counters kGemmFlops / kGemmPackedBytes); they are attributed to
-/// the kind that runs the GEMM panels ("UpdateVect", falling back to the
-/// busiest kind when absent). `peak_gflops` > 0 pins the roof and is taken
-/// as the peak FOR THE GIVEN PRECISION (per-precision flag); otherwise the
-/// roof is derived from measured cycles or assumed, scaled by the SIMD
-/// width of the `precision_bits`-wide kernels (fp32 peak = 2x fp64) and of
-/// the kernel table in the trace's "simd_isa" meta string (avx512 = 2x the
-/// AVX2 width; absent = AVX2).
-Roofline roofline(const rt::Trace& trace, double gemm_flops, double gemm_bytes,
-                  double peak_gflops = 0.0, int precision_bits = 64);
+/// deltas and the solve's `report` (null when the trace has none). The
+/// report's solve-wide GEMM totals (counters kGemmFlops /
+/// kGemmPackedBytes) are attributed to the kind that runs the GEMM panels
+/// ("UpdateVect", falling back to the busiest kind when absent).
+/// `peak_gflops` > 0 pins the roof and is taken as the peak FOR THE
+/// REPORT'S PRECISION; otherwise the roof is derived from measured cycles
+/// or assumed, scaled by the SIMD width of the report's working precision
+/// (fp32 peak = 2x fp64) and kernel table (avx512 = 2x the AVX2 width;
+/// other or absent = AVX2).
+Roofline roofline(const rt::Trace& trace, const SolveReport* report, double peak_gflops = 0.0);
 
 /// Renders the roofline as a one-page text table (column set depends on
 /// the backend: IPC/miss-rate under perf, fault/context-switch counts

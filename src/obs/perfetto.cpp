@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/flight.hpp"
 #include "obs/report.hpp"
 #include "runtime/trace.hpp"
 
@@ -51,9 +52,10 @@ std::string perfetto_trace_json(const rt::Trace& trace, const SolveReport* repor
 
   // --- dnc-specific metadata (ignored by Perfetto, consumed by
   // obs::load_perfetto_trace): the kind table with its memory-bound flags,
-  // the per-worker idle seconds, and -- as a separate record because it can
-  // be large -- the dependency edge list. Together with the slices below
-  // this makes the export a lossless round trip of rt::Trace. ---
+  // the per-worker idle seconds, the solve's report, and -- as a separate
+  // record because it can be large -- the dependency edge list. Together
+  // with the slices below this makes the export a lossless round trip of
+  // rt::Trace. ---
   {
     std::string meta = "{\"name\":\"dnc_meta\",\"ph\":\"M\",\"pid\":1,\"args\":{";
     std::snprintf(buf, sizeof buf, "\"workers\":%d,\"kinds\":[", trace.workers);
@@ -103,77 +105,15 @@ std::string perfetto_trace_json(const rt::Trace& trace, const SolveReport* repor
       }
       meta += "]";
     }
-    // Named solve-wide scalars (GEMM FLOP / packed-byte totals, ...): taken
-    // from the trace when it already carries them (a reloaded trace does),
-    // topped up from the report's counters on a live export. These are what
-    // lets `dnc trace --roofline` work on a bare trace file.
-    {
-      std::vector<std::pair<std::string, double>> mc = trace.meta_counters;
-      const auto have = [&](const char* name) {
-        for (const auto& [k, v] : mc)
-          if (k == name) return true;
-        return false;
-      };
-      if (report) {
-        if (!have("gemm_flops"))
-          mc.emplace_back("gemm_flops", static_cast<double>(report->counter(kGemmFlops)));
-        if (!have("gemm_packed_bytes"))
-          mc.emplace_back("gemm_packed_bytes",
-                          static_cast<double>(report->counter(kGemmPackedBytes)));
-        // Working precision of the solve, so a reloaded trace can scale the
-        // roofline peak correctly (fp32 kernels peak at 2x the fp64 rate).
-        if (!have("precision_bits"))
-          mc.emplace_back("precision_bits", static_cast<double>(report->precision_bits()));
-        // Problem size, so `dnc diff` can align bare trace files by identity.
-        if (!have("n") && report->n > 0)
-          mc.emplace_back("n", static_cast<double>(report->n));
-      }
-      if (!mc.empty()) {
-        meta += ",\"meta_counters\":{";
-        for (std::size_t i = 0; i < mc.size(); ++i) {
-          std::snprintf(buf, sizeof buf, "%s\"%s\":%.9g", i ? "," : "",
-                        rt::json_escape(mc[i].first).c_str(), mc[i].second);
-          meta += buf;
-        }
-        meta += "}";
-      }
-    }
-    // String metadata, same top-up rule: the report's hostname/timestamp
-    // stamps keep traces from different machines and runs distinguishable.
-    {
-      std::vector<std::pair<std::string, std::string>> ms = trace.meta_strings;
-      const auto have = [&](const char* name) {
-        for (const auto& [k, v] : ms)
-          if (k == name) return true;
-        return false;
-      };
-      if (report) {
-        if (!have("hostname") && !report->hostname.empty())
-          ms.emplace_back("hostname", report->hostname);
-        if (!have("timestamp") && !report->timestamp.empty())
-          ms.emplace_back("timestamp", report->timestamp);
-        // Solve identity, so `dnc diff` can label and align bare trace files.
-        if (!have("driver") && !report->driver.empty())
-          ms.emplace_back("driver", report->driver);
-        if (!have("git_commit") && !report->git_commit.empty())
-          ms.emplace_back("git_commit", report->git_commit);
-        // Dispatched kernel table, which sets the roofline's SIMD width.
-        if (!have("simd_isa") && !report->simd_isa.empty())
-          ms.emplace_back("simd_isa", report->simd_isa);
-      }
-      if (!ms.empty()) {
-        meta += ",\"meta_strings\":{";
-        for (std::size_t i = 0; i < ms.size(); ++i) {
-          std::snprintf(buf, sizeof buf, "%s\"%s\":\"%s\"", i ? "," : "",
-                        rt::json_escape(ms[i].first).c_str(),
-                        rt::json_escape(ms[i].second).c_str());
-          meta += buf;
-        }
-        meta += "}";
-      }
-    }
     meta += "}}";
     emit(meta.c_str());
+  }
+  // The solve's whole SolveReport, as the history archive writes it, so a
+  // trace file is the one artifact of its solve.
+  if (report) {
+    const std::string record = "{\"name\":\"dnc_report\",\"ph\":\"M\",\"pid\":1,\"args\":" +
+                               flight::compact_json(report->to_json()) + "}";
+    emit(record.c_str());
   }
   {
     std::string meta = "{\"name\":\"dnc_edges\",\"ph\":\"M\",\"pid\":1,"

@@ -20,8 +20,9 @@ namespace dnc::obs {
 struct SolveReport;
 
 /// Chrome trace-event JSON with metadata, annotated slices, flow events and
-/// counter tracks. `report` is optional and only feeds the deflation
-/// counter track.
+/// counter tracks. `report` is optional: when given, it is embedded whole
+/// (compact SolveReport::to_json) as the "dnc_report" metadata record and
+/// feeds the deflation counter track.
 std::string perfetto_trace_json(const rt::Trace& trace, const SolveReport* report = nullptr);
 
 }  // namespace dnc::obs

@@ -332,16 +332,11 @@ SolveScope::SolveScope(const char* driver, const char* precision, const char* si
       begin_(snapshot()),
       rss_hwm_begin_(current_peak_rss_bytes()) {}
 
-void SolveScope::finish(SolveReport& out, long n, int threads, rt::Trace* trace,
+void SolveScope::finish(SolveReport& out, long n, int threads, const rt::Trace* trace,
                         const std::vector<int>& simulate_workers,
                         std::vector<rt::SimulationResult>& simulated) const {
-  if (trace) {
-    // Solve parameters a tuning sweep groups recorded traces by.
-    trace->meta_counters.emplace_back("n", static_cast<double>(n));
-    trace->meta_strings.emplace_back("precision", precision_);
-    trace->meta_strings.emplace_back("simd_isa", simd_isa_);
+  if (trace)
     for (int w : simulate_workers) simulated.push_back(replay_trace(*trace, w));
-  }
   out.driver = driver_;
   out.precision = precision_;
   out.simd_isa = simd_isa_;
@@ -379,11 +374,6 @@ void SolveScope::finish(SolveReport& out, long n, int threads, rt::Trace* trace,
 
 bool trace_export_requested() noexcept {
   const char* p = env::raw("DNC_TRACE");
-  return p && *p;
-}
-
-bool report_export_requested() noexcept {
-  const char* p = env::raw("DNC_REPORT");
   return p && *p;
 }
 
@@ -454,15 +444,12 @@ std::string resolved_export_path(const std::string& base, unsigned seq) {
 
 }  // namespace
 
-void export_solve_artifacts(const SolveReport& report, const rt::Trace* trace) {
-  const unsigned seq = g_export_seq.fetch_add(1);
-  if (const char* path = env::raw("DNC_TRACE"); path && *path && trace)
-    write_text_file(resolved_export_path(path, seq), perfetto_trace_json(*trace, &report));
-  if (const char* path = env::raw("DNC_REPORT"); path && *path) {
-    const std::string p = resolved_export_path(path, seq);
-    write_text_file(p, report.to_json());
-    write_text_file(p + ".txt", report.summary_text());
-  }
+void export_solve_trace(const SolveReport& report, const rt::Trace* trace) {
+  const char* path = env::raw("DNC_TRACE");
+  if (!path || !*path || !trace) return;
+  // The sequence number is taken only by a solve that writes a file.
+  write_text_file(resolved_export_path(path, g_export_seq.fetch_add(1)),
+                  perfetto_trace_json(*trace, &report));
 }
 
 }  // namespace dnc::obs

@@ -9,8 +9,9 @@
 //   3. scheduler metrics -- ready->start waits, queue depth, worker idle,
 //      derived from the runtime Trace.
 //
-// Export is env-gated: DNC_TRACE=<path> writes the Perfetto trace,
-// DNC_REPORT=<path> the JSON report plus <path>.txt one-page summary.
+// Export is env-gated: DNC_TRACE=<path> writes the Perfetto trace, which
+// carries the report as its "dnc_report" record; DNC_HISTORY (history.hpp)
+// appends the same report as one archive line.
 #pragma once
 
 #include <cstdint>
@@ -152,11 +153,9 @@ SchedulerMetrics scheduler_metrics(const rt::Trace& trace);
 class SolveScope {
  public:
   SolveScope(const char* driver, const char* precision, const char* simd_isa);
-  /// With a trace (the solve ran on the runtime), first stamps its meta
-  /// header -- n, precision and simd_isa, which the roofline scales its
-  /// peak to -- and replays it on each of `simulate_workers` virtual cores
-  /// into `simulated`.
-  void finish(SolveReport& out, long n, int threads, rt::Trace* trace,
+  /// With a trace (the solve ran on the runtime), also replays it on each
+  /// of `simulate_workers` virtual cores into `simulated`.
+  void finish(SolveReport& out, long n, int threads, const rt::Trace* trace,
               const std::vector<int>& simulate_workers,
               std::vector<rt::SimulationResult>& simulated) const;
 
@@ -168,30 +167,29 @@ class SolveScope {
   std::uint64_t rss_hwm_begin_ = 0;  ///< peak RSS when the solve started
 };
 
-/// True when the respective env var requests an export. Read per call so
-/// tests can setenv() mid-process; two getenv calls per solve are noise.
+/// True when DNC_TRACE requests an export. Read per call so tests can
+/// setenv() mid-process; one getenv call per solve is noise.
 bool trace_export_requested() noexcept;
-bool report_export_requested() noexcept;
 
-/// Writes $DNC_TRACE (Perfetto trace JSON, needs `trace`) and $DNC_REPORT
-/// (report JSON) + $DNC_REPORT.txt (text summary). No-op when unset.
+/// Writes $DNC_TRACE: the Perfetto trace of a runtime-backed solve, with
+/// `report` embedded as its "dnc_report" record. No-op when unset or when
+/// the solve has no trace (stedc_sequential, trivial sizes).
 ///
 /// A process that solves several times (every bench does) must not clobber
-/// the artifact of an earlier solve: the first export of the process uses
+/// the artifact of an earlier solve: the first file the process writes uses
 /// the configured path verbatim, every later one gets a sequence suffix
 /// before the extension -- "trace.json", then "trace.2.json",
-/// "trace.3.json", ... The counter is shared by DNC_TRACE and DNC_REPORT so
-/// the trace and report of one solve always carry the same suffix.
-void export_solve_artifacts(const SolveReport& report, const rt::Trace* trace);
+/// "trace.3.json", ... Only a solve that writes a file takes a number.
+void export_solve_trace(const SolveReport& report, const rt::Trace* trace);
 
 /// Path the `seq`-th export (0-based) writes for the configured `base`:
 /// seq 0 -> base, seq k -> base with ".k+1" inserted before the extension
-/// ("report.json" -> "report.2.json"; extensionless paths get a plain
+/// ("trace.json" -> "trace.2.json"; extensionless paths get a plain
 /// suffix appended). Exposed for tests.
 std::string sequenced_export_path(const std::string& base, unsigned seq);
 
 /// Resets the process-wide export sequence so the next export uses the
-/// plain path again. Tests that re-point DNC_TRACE/DNC_REPORT per case and
+/// plain path again. Tests that re-point DNC_TRACE per case and
 /// expect the unsuffixed file must call this in their setup.
 void reset_export_sequence() noexcept;
 

@@ -2,21 +2,46 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_map>
 
 #include "common/json.hpp"
+#include "obs/diff.hpp"
 
 namespace dnc::obs {
 namespace {
 
 inline double sec(double microseconds) { return microseconds * 1e-6; }
 
+constexpr int kIntMin = std::numeric_limits<int>::min();
+
+/// Number member `field` of `obj` as an int no smaller than `lo` (`dflt`
+/// when absent or not a number). A value outside [lo, INT_MAX] fails the
+/// load with an error naming the field instead of an out-of-range cast.
+bool int_member(const json::Value& obj, const char* field, int dflt, int lo, int& out,
+                std::string* err) {
+  const double v = obj.member_number(field, dflt);
+  if (!(v >= lo && v <= std::numeric_limits<int>::max())) {
+    if (err) {
+      char buf[96];
+      std::snprintf(buf, sizeof buf, "\"%s\" value %.17g out of range", field, v);
+      *err = buf;
+    }
+    return false;
+  }
+  out = static_cast<int>(v);
+  return true;
+}
+
 }  // namespace
 
-bool load_perfetto_trace(const std::string& json_text, rt::Trace& out, std::string* err) {
+bool load_perfetto_trace(const std::string& json_text, rt::Trace& out, std::string* err,
+                         SolveReport* report) {
   out = rt::Trace{};
+  if (report) *report = SolveReport{};
   json::Value root;
   if (!json::parse(json_text, root, err)) return false;
   // Accept both the bare event array and the {"traceEvents": [...]} wrapper
@@ -54,7 +79,7 @@ bool load_perfetto_trace(const std::string& json_text, rt::Trace& out, std::stri
       if (name == "dnc_meta") {
         const json::Value* args = ev.find("args");
         if (args == nullptr) continue;
-        out.workers = static_cast<int>(args->member_number("workers", out.workers));
+        if (!int_member(*args, "workers", out.workers, 0, out.workers, err)) return false;
         if (const json::Value* kinds = args->find("kinds"); kinds && kinds->is_array()) {
           for (const json::Value& k : kinds->array) {
             const int id = kind_of(k.member_string("name", "?"));
@@ -65,8 +90,9 @@ bool load_perfetto_trace(const std::string& json_text, rt::Trace& out, std::stri
         if (const json::Value* idle = args->find("worker_idle"); idle && idle->is_array()) {
           for (const json::Value& v : idle->array) out.worker_idle.push_back(v.number_or(0.0));
         }
-        out.queue_depth_peak =
-            static_cast<int>(args->member_number("queue_depth_peak", out.queue_depth_peak));
+        if (!int_member(*args, "queue_depth_peak", out.queue_depth_peak, 0,
+                        out.queue_depth_peak, err))
+          return false;
         if (const json::Value* sc = args->find("sched_counters"); sc && sc->is_array()) {
           for (const json::Value& c : sc->array) {
             rt::WorkerSchedCounters wc;
@@ -89,14 +115,15 @@ bool load_perfetto_trace(const std::string& json_text, rt::Trace& out, std::stri
           for (const json::Value& s : hs->array)
             out.hwc_slot_names.push_back(s.string_or(""));
         }
-        if (const json::Value* mc = args->find("meta_counters"); mc && mc->is_object()) {
-          for (const auto& [key, val] : mc->object)
-            out.meta_counters.emplace_back(key, val.number_or(0.0));
+      } else if (name == "dnc_report") {
+        const json::Value* args = ev.find("args");
+        SolveReport parsed;
+        std::string why = "no args";
+        if (args == nullptr || !parse_solve_report_value(*args, parsed, &why)) {
+          if (err) *err = "dnc_report: " + why;
+          return false;
         }
-        if (const json::Value* ms = args->find("meta_strings"); ms && ms->is_object()) {
-          for (const auto& [key, val] : ms->object)
-            out.meta_strings.emplace_back(key, val.string_or(""));
-        }
+        if (report) *report = std::move(parsed);
       } else if (name == "dnc_edges") {
         const json::Value* args = ev.find("args");
         const json::Value* edges = args ? args->find("edges") : nullptr;
@@ -111,21 +138,17 @@ bool load_perfetto_trace(const std::string& json_text, rt::Trace& out, std::stri
     }
     if (ph == "C") {
       const json::Value* args = ev.find("args");
-      if (name == "ready_queue_depth") {
-        out.queue_samples.push_back(
-            {sec(ev.member_number("ts", 0.0)),
-             args ? static_cast<int>(args->member_number("depth", 0.0)) : 0});
-      } else if (name == "steals_cumulative") {
-        out.steal_samples.push_back(
-            {sec(ev.member_number("ts", 0.0)),
-             args ? static_cast<int>(args->member_number("steals", 0.0)) : 0});
-      }
+      const bool steals = name == "steals_cumulative";
+      if (args == nullptr || (!steals && name != "ready_queue_depth")) continue;
+      rt::QueueSample q{sec(ev.member_number("ts", 0.0)), 0};
+      if (!int_member(*args, steals ? "steals" : "depth", 0, 0, q.depth, err)) return false;
+      (steals ? out.steal_samples : out.queue_samples).push_back(q);
       continue;
     }
     if (ph != "X") continue;  // flow events are re-derivable from dnc_edges
     rt::TraceEvent te;
     te.kind = kind_of(name.empty() ? "task" : name);
-    te.worker = static_cast<int>(ev.member_number("tid", 0.0));
+    if (!int_member(ev, "tid", 0, 0, te.worker, err)) return false;
     te.t_start = sec(ev.member_number("ts", 0.0));
     te.t_end = te.t_start + sec(ev.member_number("dur", 0.0));
     const json::Value* args = ev.find("args");
@@ -133,10 +156,10 @@ bool load_perfetto_trace(const std::string& json_text, rt::Trace& out, std::stri
       te.task_id = static_cast<std::uint64_t>(args->member_number("task", 0.0));
       if (const json::Value* w = args->find("ready_wait_us"))
         te.t_ready = te.t_start - sec(w->number_or(0.0));
-      te.level = static_cast<int>(args->member_number("level", -1.0));
+      if (!int_member(*args, "level", -1, kIntMin, te.level, err)) return false;
       te.size = static_cast<long>(args->member_number("size", -1.0));
       te.panel = static_cast<long>(args->member_number("panel", -1.0));
-      te.priority = static_cast<int>(args->member_number("prio", 0.0));
+      if (!int_member(*args, "prio", 0, kIntMin, te.priority, err)) return false;
       te.parent = static_cast<long long>(args->member_number("parent", -1.0));
       te.nested = sec(args->member_number("nested_us", 0.0));
       if (const json::Value* h = args->find("hwc"); h && h->is_array()) {
@@ -158,7 +181,8 @@ bool load_perfetto_trace(const std::string& json_text, rt::Trace& out, std::stri
   return true;
 }
 
-bool load_perfetto_trace_file(const std::string& path, rt::Trace& out, std::string* err) {
+bool load_perfetto_trace_file(const std::string& path, rt::Trace& out, std::string* err,
+                              SolveReport* report) {
   std::ifstream f(path);
   if (!f) {
     if (err) *err = "cannot open " + path;
@@ -166,7 +190,7 @@ bool load_perfetto_trace_file(const std::string& path, rt::Trace& out, std::stri
   }
   std::ostringstream ss;
   ss << f.rdbuf();
-  return load_perfetto_trace(ss.str(), out, err);
+  return load_perfetto_trace(ss.str(), out, err, report);
 }
 
 }  // namespace dnc::obs

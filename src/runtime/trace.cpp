@@ -154,16 +154,4 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-double Trace::meta_counter(const std::string& name) const {
-  for (const auto& [k, v] : meta_counters)
-    if (k == name) return v;
-  return 0.0;
-}
-
-std::string Trace::meta_string(const std::string& name) const {
-  for (const auto& [k, v] : meta_strings)
-    if (k == name) return v;
-  return "";
-}
-
 }  // namespace dnc::rt

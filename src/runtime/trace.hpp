@@ -133,23 +133,6 @@ struct Trace {
   /// Empty when sampling was off.
   std::vector<std::string> hwc_slot_names;
 
-  /// Named scalar metadata riding with the trace (e.g. the solve-wide
-  /// "gemm_flops" / "gemm_packed_bytes" totals a roofline needs). Written by
-  /// the exporter, reloaded by trace_io, so analyses work on loaded traces.
-  std::vector<std::pair<std::string, double>> meta_counters;
-
-  /// Named string metadata riding with the trace (hostname, ISO-8601
-  /// timestamp of the solve, ...), same lifecycle as meta_counters: the
-  /// exporter tops them up from the report, trace_io reloads them, so
-  /// flight-recorder and multi-machine traces stay distinguishable.
-  std::vector<std::pair<std::string, std::string>> meta_strings;
-
-  /// Looks up a meta counter by name; returns 0 when absent.
-  double meta_counter(const std::string& name) const;
-
-  /// Looks up a meta string by name; returns "" when absent.
-  std::string meta_string(const std::string& name) const;
-
   double makespan() const;
   /// Total task execution time, never-executed events excluded.
   double total_busy() const;

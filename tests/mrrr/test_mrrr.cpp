@@ -15,6 +15,8 @@
 #include "common/error.hpp"
 #include "matgen/application.hpp"
 #include "matgen/tridiag.hpp"
+#include "obs/perfetto.hpp"
+#include "obs/trace_io.hpp"
 #include "verify/metrics.hpp"
 
 namespace dnc::mrrr {
@@ -146,9 +148,8 @@ TEST(Mrrr, SturmStepsCountedInEveryPrecision) {
   }
 }
 
-// The report and the trace name the kernel table that ran, not the
-// DNC_SIMD request, and the trace carries the solve meta the roofline
-// reads, as the D&C drivers stamp it.
+// The report names the kernel table that ran, not the DNC_SIMD request,
+// and the exported trace carries that report, which the roofline reads.
 TEST(Mrrr, ReportAndTraceNameTheDispatchedTable) {
   const index_t n = 120;
   auto t = matgen::table3_matrix(3, n, 9);
@@ -162,9 +163,15 @@ TEST(Mrrr, ReportAndTraceNameTheDispatchedTable) {
     mrrr_solve(n, t.d.data(), t.e.data(), lam, v, opt, &st);
   }
   EXPECT_EQ(st.report.simd_isa, "scalar");
-  EXPECT_EQ(st.trace.meta_string("simd_isa"), "scalar");
-  EXPECT_EQ(st.trace.meta_string("precision"), precision_name(opt.precision));
-  EXPECT_EQ(st.trace.meta_counter("n"), static_cast<double>(n));
+  rt::Trace loaded;
+  obs::SolveReport report;
+  std::string err;
+  ASSERT_TRUE(obs::load_perfetto_trace(obs::perfetto_trace_json(st.trace, &st.report), loaded,
+                                       &err, &report))
+      << err;
+  EXPECT_EQ(report.simd_isa, "scalar");
+  EXPECT_EQ(report.precision, precision_name(opt.precision));
+  EXPECT_EQ(report.n, n);
 }
 
 // Clustered spectra exercise the parallel cluster refinement: the output

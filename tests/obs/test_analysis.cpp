@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "matgen/tridiag.hpp"
 #include "obs/analysis.hpp"
 #include "obs/perfetto.hpp"
+#include "obs/report.hpp"
 #include "obs/trace_io.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/scheduler.hpp"
@@ -288,6 +290,49 @@ TEST(TraceIo, RejectsGarbage) {
   EXPECT_FALSE(err.empty());
   EXPECT_FALSE(obs::load_perfetto_trace("{\"traceEvents\": []}", t, &err));
   EXPECT_FALSE(obs::load_perfetto_trace_file("/nonexistent/trace.json", t, &err));
+}
+
+// Integer fields the file supplies are range-checked before they become
+// ints: an out-of-range value fails the load naming the field, where it
+// used to be an undefined cast (a tid of 3e9 dropped its slice from the
+// kernel split while the critical path still counted it).
+TEST(TraceIo, RejectsOutOfRangeIntegerFields) {
+  // One slice, after an optional metadata record.
+  const auto trace_of = [](const std::string& meta, const std::string& tid,
+                           const std::string& args) {
+    return "[" + meta + R"({"name":"A","ph":"X","pid":1,"tid":)" + tid +
+           R"(,"ts":0,"dur":5,"args":{"task":1)" + args + "}}]";
+  };
+  const auto meta_of = [](const std::string& members) {
+    return R"({"name":"dnc_meta","ph":"M","pid":1,"args":{)" + members + "}},";
+  };
+  rt::Trace t;
+  obs::SolveReport report;
+  std::string err;
+  ASSERT_TRUE(obs::load_perfetto_trace(trace_of("", "0", ""), t, &err, &report)) << err;
+  // A trace without a dnc_report record (another tool's, or an older
+  // export) loads, with no report.
+  EXPECT_TRUE(report.driver.empty());
+  const struct {
+    std::string json;
+    const char* field;
+  } cases[] = {
+      {trace_of(meta_of(R"("workers":1e12)"), "0", ""), "\"workers\""},
+      {trace_of(meta_of(R"("queue_depth_peak":-4)"), "0", ""), "\"queue_depth_peak\""},
+      {trace_of("", "3e9", ""), "\"tid\""},
+      {trace_of("", "-1", ""), "\"tid\""},
+      {trace_of("", "0", R"(,"level":1e300)"), "\"level\""},
+      {trace_of("", "0", R"(,"prio":-3e9)"), "\"prio\""},
+  };
+  for (const auto& c : cases) {
+    err.clear();
+    EXPECT_FALSE(obs::load_perfetto_trace(c.json, t, &err)) << c.json;
+    EXPECT_NE(err.find(c.field), std::string::npos) << err;
+  }
+  // A dnc_report record that is not a report fails the load too.
+  EXPECT_FALSE(obs::load_perfetto_trace(
+      trace_of(R"({"name":"dnc_report","ph":"M","pid":1,"args":[1]},)", "0", ""), t, &err));
+  EXPECT_NE(err.find("dnc_report"), std::string::npos) << err;
 }
 
 }  // namespace

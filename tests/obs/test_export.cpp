@@ -1,7 +1,7 @@
 // End-to-end export test (the CI gate of the observability layer): a small
-// taskflow solve with DNC_TRACE / DNC_REPORT set must produce a
-// syntactically valid Perfetto trace containing flow events and both
-// counter tracks, plus a JSON report and text summary.
+// taskflow solve with DNC_TRACE set must produce a syntactically valid
+// Perfetto trace containing flow events, both counter tracks and the
+// solve's SolveReport, which loads back byte-equal.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,7 +17,9 @@
 #include "common/timer.hpp"
 #include "dc/api.hpp"
 #include "matgen/tridiag.hpp"
+#include "mrrr/mrrr.hpp"
 #include "obs/report.hpp"
+#include "obs/trace_io.hpp"
 
 namespace dnc {
 namespace {
@@ -140,7 +142,6 @@ class ExportTest : public ::testing::Test {
         std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) + "_" +
         std::to_string(::getpid());
     trace_path_ = ::testing::TempDir() + "dnc_" + tag + "_trace.json";
-    report_path_ = ::testing::TempDir() + "dnc_" + tag + "_report.json";
     remove_artifacts();
     // The export path gets a sequence suffix after the first export of the
     // process; when several cases share one process (the *_scalar_dispatch
@@ -150,20 +151,23 @@ class ExportTest : public ::testing::Test {
   }
   void TearDown() override {
     ::unsetenv("DNC_TRACE");
-    ::unsetenv("DNC_REPORT");
     remove_artifacts();
   }
 
-  /// Removes every file a case can export: the plain paths, the sequenced
-  /// ".2.json", ".3.json", ... of later solves in the process, and the
-  /// report's ".txt" summaries.
+  /// Removes every file a case can export: the plain path and the
+  /// sequenced ".2.json", ".3.json", ... of later solves in the process.
   void remove_artifacts() const {
-    for (unsigned seq = 0; seq < kMaxExports; ++seq) {
+    for (unsigned seq = 0; seq < kMaxExports; ++seq)
       std::remove(obs::sequenced_export_path(trace_path_, seq).c_str());
-      const std::string report = obs::sequenced_export_path(report_path_, seq);
-      std::remove(report.c_str());
-      std::remove((report + ".txt").c_str());
-    }
+  }
+
+  /// The report the trace file at `path` carries (driver "" when none).
+  static obs::SolveReport report_of(const std::string& path) {
+    rt::Trace trace;
+    obs::SolveReport report;
+    std::string err;
+    EXPECT_TRUE(obs::load_perfetto_trace_file(path, trace, &err, &report)) << err;
+    return report;
   }
 
   static constexpr unsigned kMaxExports = 8;  ///< more than any case exports
@@ -174,18 +178,16 @@ class ExportTest : public ::testing::Test {
     dc::stedc_taskflow(n, t.d.data(), t.e.data(), v, {}, nullptr, {});
   }
 
-  std::string trace_path_, report_path_;
+  std::string trace_path_;
 };
 
 TEST_F(ExportTest, EnvUnsetWritesNothing) {
   run_solve(100);
   EXPECT_FALSE(std::ifstream(trace_path_).good());
-  EXPECT_FALSE(std::ifstream(report_path_).good());
 }
 
 TEST_F(ExportTest, TraceAndReportExportEvenWithoutStats) {
   ::setenv("DNC_TRACE", trace_path_.c_str(), 1);
-  ::setenv("DNC_REPORT", report_path_.c_str(), 1);
   run_solve();
 
   const std::string trace = slurp(trace_path_);
@@ -196,27 +198,46 @@ TEST_F(ExportTest, TraceAndReportExportEvenWithoutStats) {
   for (const char* needle :
        {"\"process_name\"", "\"thread_name\"", "\"ph\":\"X\"", "\"ph\":\"s\"", "\"ph\":\"f\"",
         "\"ph\":\"C\"", "\"ready_queue_depth\"", "\"deflated_cumulative\"", "\"args\"",
-        "\"level\"", "\"ready_wait_us\"", "\"queue_depth_peak\"", "\"sched_counters\""})
+        "\"level\"", "\"ready_wait_us\"", "\"queue_depth_peak\"", "\"sched_counters\"",
+        "\"dnc_report\""})
     EXPECT_NE(trace.find(needle), std::string::npos) << needle;
 
-  const std::string report = slurp(report_path_);
-  ASSERT_FALSE(report.empty()) << "DNC_REPORT file not written";
-  EXPECT_TRUE(JsonChecker(report).valid()) << "report is not valid JSON";
-  for (const char* needle : {"\"driver\": \"taskflow\"", "\"laed4_calls\"", "\"merges\"",
-                             "\"ctot\"", "\"scheduler\"", "\"max_queue_depth\"", "\"steals\"",
-                             "\"local_pops\""})
-    EXPECT_NE(report.find(needle), std::string::npos) << needle;
+  // The embedded report is the whole SolveReport of the solve.
+  const obs::SolveReport report = report_of(trace_path_);
+  EXPECT_EQ(report.driver, "taskflow");
+  EXPECT_EQ(report.n, 250);
+  EXPECT_GT(report.counter(obs::kLaed4Calls), 0u);
+  EXPECT_FALSE(report.merges.empty());
+  EXPECT_TRUE(report.has_scheduler);
+  EXPECT_GT(report.scheduler.max_queue_depth, 0);
+  EXPECT_NE(report.summary_text().find("deflation"), std::string::npos);
+}
 
-  const std::string summary = slurp(report_path_ + ".txt");
-  ASSERT_FALSE(summary.empty()) << "text summary not written";
-  EXPECT_NE(summary.find("dnc solve report"), std::string::npos);
-  EXPECT_NE(summary.find("deflation"), std::string::npos);
+// The report the trace file carries is byte-for-byte the solve's own, for
+// the D&C and the MRRR driver alike.
+TEST_F(ExportTest, TraceReportRoundTripsByteEqual) {
+  ::setenv("DNC_TRACE", trace_path_.c_str(), 1);
+  const index_t n = 200;
+  matgen::Tridiag t = matgen::table3_matrix(3, n);
+  Matrix v;
+  dc::Options opt;
+  opt.threads = 2;
+  dc::SolveStats st;
+  dc::stedc_taskflow(n, t.d.data(), t.e.data(), v, opt, &st);
+  EXPECT_EQ(report_of(trace_path_).to_json(), st.report.to_json());
+
+  mrrr::Options mopt;
+  mopt.threads = 2;
+  mrrr::Stats mst;
+  std::vector<double> lam;
+  mrrr_solve(n, t.d.data(), t.e.data(), lam, v, mopt, &mst);
+  EXPECT_EQ(report_of(obs::sequenced_export_path(trace_path_, 1)).to_json(),
+            mst.report.to_json());
 }
 
 TEST_F(ExportTest, Fp32SolveExportsItsWholeTime) {
-  // The report is written by the front door after it has widened the fp32
-  // eigenpairs, so its seconds cover the whole call.
-  ::setenv("DNC_REPORT", report_path_.c_str(), 1);
+  // The front door stamps the report's seconds after it has widened the
+  // fp32 eigenpairs, so they cover the whole call...
   const index_t n = 400;
   matgen::Tridiag t = matgen::table3_matrix(15, n);
   Matrix v;
@@ -225,22 +246,20 @@ TEST_F(ExportTest, Fp32SolveExportsItsWholeTime) {
   dc::SolveStats st;
   Stopwatch wall;
   dc::stedc_taskflow(n, t.d.data(), t.e.data(), v, opt, &st);
-  const double elapsed = wall.elapsed();
+  EXPECT_GE(st.seconds, 0.9 * wall.elapsed());
 
-  const std::string report = slurp(report_path_);
-  const std::string key = "\"seconds\": ";
-  const std::size_t at = report.find(key);
-  ASSERT_NE(at, std::string::npos) << "no seconds in the exported report";
-  const double exported = std::strtod(report.c_str() + at + key.size(), nullptr);
-  EXPECT_NEAR(exported, st.seconds, 1e-6);
-  EXPECT_GE(exported, 0.9 * elapsed);
+  // ...and the exported trace carries that stamp (writing the file comes
+  // after it).
+  ::setenv("DNC_TRACE", trace_path_.c_str(), 1);
+  dc::stedc_taskflow(n, t.d.data(), t.e.data(), v, opt, &st);
+  EXPECT_NEAR(report_of(trace_path_).seconds, st.seconds, 1e-6);
 }
 
 TEST(SequencedExportPath, SuffixScheme) {
   EXPECT_EQ(obs::sequenced_export_path("trace.json", 0), "trace.json");
   EXPECT_EQ(obs::sequenced_export_path("trace.json", 1), "trace.2.json");
   EXPECT_EQ(obs::sequenced_export_path("trace.json", 9), "trace.10.json");
-  EXPECT_EQ(obs::sequenced_export_path("/tmp/out/report.json", 2), "/tmp/out/report.3.json");
+  EXPECT_EQ(obs::sequenced_export_path("/tmp/out/trace.json", 2), "/tmp/out/trace.3.json");
   // A dot in a directory name must not be mistaken for an extension.
   EXPECT_EQ(obs::sequenced_export_path("/tmp/v1.2/trace", 1), "/tmp/v1.2/trace.2");
   EXPECT_EQ(obs::sequenced_export_path("trace", 1), "trace.2");
@@ -255,24 +274,19 @@ TEST(SequencedExportPath, PlaceholderExpansion) {
 
 TEST_F(ExportTest, SecondSolveOfProcessGetsSequenceSuffix) {
   ::setenv("DNC_TRACE", trace_path_.c_str(), 1);
-  ::setenv("DNC_REPORT", report_path_.c_str(), 1);
   run_solve(120);
   run_solve(140);
   run_solve(160);
 
-  // First export at the configured paths, later ones suffixed -- no solve
+  // First export at the configured path, later ones suffixed -- no solve
   // clobbers an earlier artifact.
-  for (const std::string& base : {trace_path_, report_path_}) {
-    EXPECT_TRUE(std::ifstream(base).good()) << base;
-    for (unsigned seq : {1u, 2u}) {
-      const std::string p = obs::sequenced_export_path(base, seq);
-      EXPECT_TRUE(std::ifstream(p).good()) << p;
-      EXPECT_TRUE(JsonChecker(slurp(p)).valid()) << p;
-    }
+  EXPECT_TRUE(std::ifstream(trace_path_).good()) << trace_path_;
+  for (unsigned seq : {1u, 2u}) {
+    const std::string p = obs::sequenced_export_path(trace_path_, seq);
+    EXPECT_TRUE(std::ifstream(p).good()) << p;
+    EXPECT_TRUE(JsonChecker(slurp(p)).valid()) << p;
+    EXPECT_EQ(report_of(p).n, seq == 1u ? 140 : 160) << p;
   }
-  // Trace and report of one solve share the counter, so .2/.3 pair up.
-  EXPECT_TRUE(
-      std::ifstream(obs::sequenced_export_path(report_path_, 2) + ".txt").good());
 
   // reset_export_sequence starts over: the next export reuses (and may
   // overwrite) the plain path.
@@ -306,16 +320,18 @@ TEST_F(ExportTest, SequenceExportsCarryExactlyOneMetadataPrologue) {
   }
 }
 
-TEST_F(ExportTest, SequentialDriverExportsReportWithoutTrace) {
-  ::setenv("DNC_REPORT", report_path_.c_str(), 1);
+// stedc_sequential runs no runtime, so it has no trace to write; it must
+// not take a sequence number either, or the next solve's trace would be
+// named as the process's second file.
+TEST_F(ExportTest, SequentialSolveTakesNoSequenceNumber) {
+  ::setenv("DNC_TRACE", trace_path_.c_str(), 1);
   matgen::Tridiag t = matgen::table3_matrix(10, 200);
   Matrix v;
   dc::stedc_sequential(200, t.d.data(), t.e.data(), v, {}, nullptr);
-  const std::string report = slurp(report_path_);
-  ASSERT_FALSE(report.empty());
-  EXPECT_TRUE(JsonChecker(report).valid());
-  EXPECT_NE(report.find("\"driver\": \"sequential\""), std::string::npos);
-  EXPECT_NE(report.find("\"has_scheduler\": false"), std::string::npos);
+  EXPECT_FALSE(std::ifstream(trace_path_).good());
+  run_solve(140);
+  EXPECT_EQ(report_of(trace_path_).driver, "taskflow");
+  EXPECT_FALSE(std::ifstream(obs::sequenced_export_path(trace_path_, 1)).good());
 }
 
 }  // namespace

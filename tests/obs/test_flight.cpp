@@ -15,6 +15,7 @@
 #include "common/json.hpp"
 #include "dc/api.hpp"
 #include "matgen/tridiag.hpp"
+#include "mrrr/mrrr.hpp"
 #include "obs/flight.hpp"
 #include "obs/report.hpp"
 #include "obs/trace_io.hpp"
@@ -216,15 +217,48 @@ TEST_F(FlightTest, InjectedBadSolveDumpsOnceWithLoadableTrace) {
   EXPECT_GT(health->member_number("sampled_columns", 0), 0);
 
   // The triggering solve's Perfetto trace sits next to the JSONL and must
-  // round-trip through the trace_io loader, metadata included.
+  // round-trip through the trace_io loader, its report included.
   const std::string trace_path = prefix_ + ".1.trace.json";
   rt::Trace loaded;
-  ASSERT_TRUE(obs::load_perfetto_trace_file(trace_path, loaded, &err)) << err;
+  obs::SolveReport loaded_report;
+  ASSERT_TRUE(obs::load_perfetto_trace_file(trace_path, loaded, &err, &loaded_report)) << err;
   EXPECT_FALSE(loaded.events.empty());
-  EXPECT_EQ(loaded.meta_string("hostname"), obs::current_hostname());
-  EXPECT_EQ(loaded.meta_string("timestamp").size(), 20u);
+  EXPECT_EQ(loaded_report.hostname, obs::current_hostname());
+  EXPECT_EQ(loaded_report.timestamp.size(), 20u);
   std::remove(dump_path(1).c_str());
   std::remove(trace_path.c_str());
+}
+
+// A dump's trace carries the triggering solve's report byte-for-byte, for
+// the D&C and the MRRR driver alike.
+TEST_F(FlightTest, DumpedTraceCarriesTheSolveReport) {
+  ::setenv("DNC_FLIGHT_LATENCY", "0.000001", 1);
+  fl::reset_for_tests();
+  const index_t n = 200;
+  matgen::Tridiag t = matgen::table3_matrix(3, n);
+  Matrix v;
+  dc::Options opt;
+  opt.threads = 2;
+  dc::SolveStats st;
+  dc::stedc_taskflow(n, t.d.data(), t.e.data(), v, opt, &st);
+  mrrr::Options mopt;
+  mopt.threads = 2;
+  mrrr::Stats mst;
+  std::vector<double> lam;
+  mrrr_solve(n, t.d.data(), t.e.data(), lam, v, mopt, &mst);
+
+  ASSERT_EQ(dumps_on_disk(), 2u);
+  const std::string expected[] = {st.report.to_json(), mst.report.to_json()};
+  for (unsigned long dump : {1ul, 2ul}) {
+    const std::string trace_path = prefix_ + "." + std::to_string(dump) + ".trace.json";
+    rt::Trace loaded;
+    obs::SolveReport report;
+    std::string err;
+    ASSERT_TRUE(obs::load_perfetto_trace_file(trace_path, loaded, &err, &report)) << err;
+    EXPECT_EQ(report.to_json(), expected[dump - 1]) << trace_path;
+    std::remove(dump_path(dump).c_str());
+    std::remove(trace_path.c_str());
+  }
 }
 
 // The residual trigger sits at sqrt(eps) of the solve's working precision:

@@ -32,7 +32,6 @@ class HwcTest : public ::testing::Test {
   void TearDown() override {
     ::unsetenv("DNC_HWC");
     ::unsetenv("DNC_TRACE");
-    ::unsetenv("DNC_REPORT");
   }
 
   dc::SolveStats run_solve(index_t n = 300) {
@@ -139,17 +138,15 @@ TEST_F(HwcTest, PerfettoRoundTripIsLossless) {
 
   const std::string json = obs::perfetto_trace_json(tr, &st.report);
   rt::Trace back;
+  obs::SolveReport back_report;
   std::string err;
-  ASSERT_TRUE(obs::load_perfetto_trace(json, back, &err)) << err;
+  ASSERT_TRUE(obs::load_perfetto_trace(json, back, &err, &back_report)) << err;
 
   EXPECT_EQ(back.hwc_backend, tr.hwc_backend);
   EXPECT_EQ(back.hwc_slot_names, tr.hwc_slot_names);
-  // The exporter stamps the solve-wide GEMM totals as meta counters so a
-  // bare trace file supports the roofline.
-  EXPECT_EQ(back.meta_counter("gemm_flops"),
-            static_cast<double>(st.report.counter(obs::kGemmFlops)));
-  EXPECT_EQ(back.meta_counter("gemm_packed_bytes"),
-            static_cast<double>(st.report.counter(obs::kGemmPackedBytes)));
+  // The trace carries the solve's report -- the GEMM totals, precision and
+  // kernel table the roofline reads -- so a trace file alone supports it.
+  EXPECT_EQ(back_report.to_json(), st.report.to_json());
 
   // Per-slice deltas survive, matched by task id.
   long compared = 0;
@@ -229,7 +226,10 @@ TEST(HwcRoofline, SyntheticPerfTraceAttributesGemmAndIpc) {
   b.hwc = {3000000000u, 9000000000u, 50u, 200u};
   t.events = {a, b};
 
-  const obs::Roofline r = obs::roofline(t, /*gemm_flops=*/32.0e9, /*gemm_bytes=*/4.0e9);
+  obs::SolveReport rep;
+  rep.counters[obs::kGemmFlops] = 32'000'000'000u;
+  rep.counters[obs::kGemmPackedBytes] = 4'000'000'000u;
+  const obs::Roofline r = obs::roofline(t, &rep);
   ASSERT_EQ(r.rows.size(), 2u);
   // Rows sorted by cycles share: UpdateVect (3e9 of 4e9) first.
   EXPECT_EQ(r.rows[0].kind, "UpdateVect");
@@ -248,7 +248,7 @@ TEST(HwcRoofline, SyntheticPerfTraceAttributesGemmAndIpc) {
   EXPECT_NEAR(r.rows[0].pct_of_peak, 100.0 * (32.0 / 1.5) / 32.0, 1e-6);
 
   // A caller-provided peak overrides the derivation.
-  const obs::Roofline rf = obs::roofline(t, 32.0e9, 4.0e9, /*peak_gflops=*/100.0);
+  const obs::Roofline rf = obs::roofline(t, &rep, /*peak_gflops=*/100.0);
   EXPECT_EQ(rf.peak_source, "flag");
   EXPECT_NEAR(rf.peak_gflops, 100.0, 1e-12);
 
@@ -257,19 +257,29 @@ TEST(HwcRoofline, SyntheticPerfTraceAttributesGemmAndIpc) {
   EXPECT_NE(txt.find("IPC"), std::string::npos);
   EXPECT_NE(txt.find("avx2 width"), std::string::npos);
 
-  // A trace stamped with the avx512 kernel table doubles the derived
-  // width (32 fp64 flops/cycle), so the same cycles give a 64 GF/s roof;
-  // an avx2 stamp keeps the 16 flops/cycle roof.
-  t.meta_strings = {{"simd_isa", "avx512"}};
-  const obs::Roofline r5 = obs::roofline(t, 32.0e9, 4.0e9);
+  // A report naming the avx512 kernel table doubles the derived width
+  // (32 fp64 flops/cycle), so the same cycles give a 64 GF/s roof; fp32
+  // kernels double it again; an avx2 report keeps the 16 flops/cycle roof.
+  rep.simd_isa = "avx512";
+  const obs::Roofline r5 = obs::roofline(t, &rep);
   EXPECT_EQ(r5.simd_isa, "avx512");
   EXPECT_NEAR(r5.peak_gflops, 64.0, 1e-9);
   EXPECT_NEAR(r5.rows[0].pct_of_peak, 100.0 * (32.0 / 1.5) / 64.0, 1e-6);
   EXPECT_NE(obs::render_roofline(r5).find("avx512 width"), std::string::npos);
-  const obs::Roofline r5f = obs::roofline(t, 32.0e9, 4.0e9, 0.0, /*precision_bits=*/32);
-  EXPECT_NEAR(r5f.peak_gflops, 128.0, 1e-9);
-  t.meta_strings = {{"simd_isa", "avx2"}};
-  EXPECT_NEAR(obs::roofline(t, 32.0e9, 4.0e9).peak_gflops, 32.0, 1e-9);
+  rep.precision = "f32";
+  EXPECT_NEAR(obs::roofline(t, &rep).peak_gflops, 128.0, 1e-9);
+  rep.precision = "f64";
+  rep.simd_isa = "avx2";
+  EXPECT_NEAR(obs::roofline(t, &rep).peak_gflops, 32.0, 1e-9);
+
+  // Without a report (a foreign or older trace) there is nothing to
+  // attribute, the roof is the fp64 AVX2 one, and the render says why.
+  const obs::Roofline bare = obs::roofline(t, nullptr);
+  EXPECT_FALSE(bare.has_report);
+  EXPECT_NEAR(bare.peak_gflops, 32.0, 1e-9);
+  for (const obs::RooflineRow& row : bare.rows) EXPECT_FALSE(row.has_flops);
+  EXPECT_NE(obs::render_roofline(bare).find("no SolveReport on this trace"), std::string::npos);
+  EXPECT_EQ(obs::render_roofline(r).find("no SolveReport"), std::string::npos);
 }
 
 TEST(HwcRoofline, RusageTraceUsesTimeShares) {
@@ -282,7 +292,10 @@ TEST(HwcRoofline, RusageTraceUsesTimeShares) {
   rt::TraceEvent a{1, 0, 0, 0.0, 3.0};
   rt::TraceEvent b{2, 1, 0, 3.0, 4.0};
   t.events = {a, b};
-  const obs::Roofline r = obs::roofline(t, 8.0e9, 1.0e9);
+  obs::SolveReport rep;
+  rep.counters[obs::kGemmFlops] = 8'000'000'000u;
+  rep.counters[obs::kGemmPackedBytes] = 1'000'000'000u;
+  const obs::Roofline r = obs::roofline(t, &rep);
   ASSERT_EQ(r.rows.size(), 2u);
   EXPECT_EQ(r.rows[0].kind, "A");  // 3 s of 4 s busy
   EXPECT_NEAR(r.rows[0].share, 0.75, 1e-12);

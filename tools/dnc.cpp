@@ -2,13 +2,13 @@
 //
 //   dnc trace [--n 1000 --type 4 | --load trace.json]
 //       Where did the time go and what would more cores buy? From one
-//       measured solve (run in-process, or a $DNC_TRACE export): per-kernel
-//       time split, the critical path (ordered chain + per-kind
-//       attribution), the work/span law, what-if replays on P virtual
-//       workers (the paper's Fig. 5 scalability shape), the parallelism
-//       profile, the roofline and -- in solve mode with --nb-sweep -- the
-//       panel-width granularity trade-off. --json dumps the same analysis
-//       machine-readably.
+//       measured solve (run in-process, or a $DNC_TRACE export): the
+//       solve's report, per-kernel time split, the critical path (ordered
+//       chain + per-kind attribution), the work/span law, what-if replays
+//       on P virtual workers (the paper's Fig. 5 scalability shape), the
+//       parallelism profile, the roofline and -- in solve mode with
+//       --nb-sweep -- the panel-width granularity trade-off. --json dumps
+//       the same analysis machine-readably.
 //   dnc profile profile.folded
 //       Hot-stack / hot-frame tables of a DNC_PROFILE folded-stack dump,
 //       with task-kind and worker rollups.
@@ -19,18 +19,18 @@
 //       totals; as a table, as Prometheus text, or two archives side by
 //       side.
 //   dnc diff a.json b.json
-//       Why is run B slower than run A? Each side is a Perfetto trace or a
-//       SolveReport JSON (auto-detected); --reports merges the sibling
-//       "<file w/o .json>.report.json" of a trace side.
+//       Why is run B slower than run A? Each side is a Perfetto trace (with
+//       the report it carries) or a SolveReport JSON such as one history
+//       archive line (auto-detected).
 //   dnc diff --history h.jsonl --key n=1000,family=4
 //       Trend view of one DNC_HISTORY archive cell: the chronological
 //       series plus the latest record per commit.
-//   dnc compare baseline.json current.json
+//   dnc compare baseline.json current.json [--reports a.jsonl b.jsonl]
 //       The perf-regression gate over two BENCH_solver.json artifacts.
-//       Entries match by (driver, family, precision, n); when a regressed
-//       row's per-entry SolveReports exist on both sides (a
-//       DNC_BENCH_REPORTS run stamps "reports_dir" into the artifact;
-//       --reports overrides), the row gets a one-paragraph diff attribution.
+//       Entries match by (driver, family, precision, n). --reports names
+//       the two bench runs' DNC_HISTORY archives; each regressed row whose
+//       cell has a report in both gets a one-paragraph diff attribution
+//       from the last such report of each.
 //
 // Exit codes, every subcommand: 0 = done, 1 = `compare` found a regression,
 // 2 = usage error, unreadable input, or an error raised by the library.
@@ -75,18 +75,17 @@ void usage(std::FILE* out) {
       "       dnc profile <profile.folded> [--top N]\n"
       "       dnc metrics <archive.jsonl> [--key k1=v1,k2=v2] [--prometheus]\n"
       "       dnc metrics --diff <a.jsonl> <b.jsonl> [--key k1=v1,k2=v2]\n"
-      "       dnc diff <a.json> <b.json> [--reports] [--json PATH|-] [--noise REL]\n"
+      "       dnc diff <a.json> <b.json> [--json PATH|-] [--noise REL]\n"
       "       dnc diff --history <archive.jsonl> --key k1=v1,k2=v2\n"
       "       dnc compare <baseline.json> <current.json> [--threshold T] [--stat median|min]\n"
-      "                   [--min-time S] [--reports BASE_DIR CUR_DIR] [--quiet]\n"
+      "                   [--min-time S] [--reports BASE.jsonl CUR.jsonl] [--quiet]\n"
       "       dnc --version\n"
       "  diff a/b: Perfetto trace or SolveReport JSON (auto-detected)\n"
       "  metrics/diff key fields: driver, family, precision, commit, n, workers\n"
       "  compare T is a fraction: 0.10 flags entries slower than 1.10x baseline (default)\n"
       "  compare S in seconds: entries faster than S on both sides never gate (default 0)\n"
-      "  compare --reports: per-entry SolveReport dirs for regression attribution\n"
-      "  (defaults to each artifact's metadata reports_dir, resolved relative\n"
-      "   to the artifact file)\n"
+      "  compare --reports: the two runs' DNC_HISTORY archives, for regression\n"
+      "   attribution\n"
       "exit codes: 0 done, 1 compare found a regression, 2 usage, input or library error\n",
       out);
 }
@@ -222,8 +221,7 @@ dc::Options solve_options(const TraceArgs& a) {
 }
 
 /// Runs the requested driver and returns its trace. When `report` is
-/// non-null it receives the solve's SolveReport (the roofline needs its
-/// GEMM FLOP / packed-byte counters).
+/// non-null it receives the solve's SolveReport.
 void run_solver(const TraceArgs& a, rt::Trace& trace, obs::SolveReport* report = nullptr) {
   matgen::Tridiag t = matgen::table3_matrix(a.type, a.n);
   // History lines key on the matrix family; only this harness knows it.
@@ -261,18 +259,10 @@ int run_trace(Flags& f) {
   const TraceArgs a = parse_trace_args(f);
   rt::Trace trace;
   obs::SolveReport report;
-  double gemm_flops = 0.0, gemm_bytes = 0.0;
-  int precision_bits = 64;
   if (!a.load.empty()) {
     std::string err;
-    if (!obs::load_perfetto_trace(read_input(a.load), trace, &err))
+    if (!obs::load_perfetto_trace(read_input(a.load), trace, &err, &report))
       throw std::runtime_error("failed to load " + a.load + ": " + err);
-    // The exporter embeds the solve-wide GEMM totals and the working
-    // precision as named meta counters, so the roofline works (and scales
-    // its peak correctly) on a bare trace file.
-    gemm_flops = trace.meta_counter("gemm_flops");
-    gemm_bytes = trace.meta_counter("gemm_packed_bytes");
-    if (trace.meta_counter("precision_bits") == 32.0) precision_bits = 32;
     std::printf("==== dnc trace: %s ====\n", a.load.c_str());
   } else {
     // Solve mode with --roofline: turn per-task counter sampling on for
@@ -280,13 +270,17 @@ int run_trace(Flags& f) {
     // such as DNC_HWC=rusage).
     if (a.roofline) ::setenv("DNC_HWC", "1", /*overwrite=*/0);
     run_solver(a, trace, &report);
-    gemm_flops = static_cast<double>(report.counter(obs::kGemmFlops));
-    gemm_bytes = static_cast<double>(report.counter(obs::kGemmPackedBytes));
-    precision_bits = report.precision_bits();
     std::printf("==== dnc trace: %s solve, type %d, n=%ld, prec %s ====\n", a.driver.c_str(),
                 a.type, a.n, report.precision.empty() ? "f64" : report.precision.c_str());
   }
+  // A loaded trace without a dnc_report record (another tool's, or an
+  // export that predates the record) has an empty driver.
+  const bool has_report = !report.driver.empty();
   std::printf("[build] %s (%s)\n\n", version::kGitCommit, version::kBuildType);
+  if (has_report)
+    std::printf("%s\n", report.summary_text().c_str());
+  else
+    std::printf("(no SolveReport on this trace)\n\n");
 
   // --- scheduler counters of the measured run ---
   if (!trace.sched_counters.empty()) {
@@ -312,7 +306,7 @@ int run_trace(Flags& f) {
                   " DNC_HWC=1 so the slices carry counter deltas)\n\n");
     } else {
       const obs::Roofline roof =
-          obs::roofline(trace, gemm_flops, gemm_bytes, a.peak_gflops, precision_bits);
+          obs::roofline(trace, has_report ? &report : nullptr, a.peak_gflops);
       std::printf("-- roofline --\n%s\n", obs::render_roofline(roof).c_str());
     }
   }
@@ -599,8 +593,7 @@ int run_metrics(Flags& f) {
 
 // --- diff -----------------------------------------------------------------------
 
-/// One loaded side: whichever of trace/report the file (plus an optional
-/// sibling report) yielded.
+/// One loaded side: the trace and report the file yielded.
 struct LoadedSide {
   rt::Trace trace;
   obs::SolveReport report;
@@ -608,16 +601,7 @@ struct LoadedSide {
   bool has_report = false;
 };
 
-/// "foo.json" -> "foo.report.json"; extensionless paths get ".report.json".
-std::string sibling_report_path(const std::string& path) {
-  const std::string::size_type dot = path.rfind('.');
-  const std::string::size_type slash = path.rfind('/');
-  if (dot == std::string::npos || (slash != std::string::npos && dot < slash))
-    return path + ".report.json";
-  return path.substr(0, dot) + ".report" + path.substr(dot);
-}
-
-void load_side(const std::string& path, bool want_sibling, LoadedSide& out) {
+void load_side(const std::string& path, LoadedSide& out) {
   const std::string text = read_input(path);
   json::Value v;
   std::string err;
@@ -626,16 +610,10 @@ void load_side(const std::string& path, bool want_sibling, LoadedSide& out) {
   // bare event array); a SolveReport is an object with "driver"+"counters".
   const bool looks_trace = v.is_array() || (v.is_object() && v.find("traceEvents"));
   if (looks_trace) {
-    if (!obs::load_perfetto_trace(text, out.trace, &err))
+    if (!obs::load_perfetto_trace(text, out.trace, &err, &out.report))
       throw std::runtime_error(path + ": " + err);
     out.has_trace = true;
-    if (want_sibling) {
-      const std::string sib = sibling_report_path(path);
-      if (obs::load_solve_report_file(sib, out.report))
-        out.has_report = true;
-      else
-        std::fprintf(stderr, "dnc diff: note: no sibling report at %s\n", sib.c_str());
-    }
+    out.has_report = !out.report.driver.empty();
     return;
   }
   if (!obs::parse_solve_report_value(v, out.report, &err))
@@ -664,13 +642,10 @@ int run_history(const std::string& archive, const std::string& keyspec) {
 int run_diff(Flags& f) {
   std::vector<std::string> paths;
   std::string json_out, history_path, keyspec;
-  bool want_reports = false;
   obs::DiffOptions opt;
   while (f.more()) {
     const std::string flag = f.next();
-    if (flag == "--reports")
-      want_reports = true;
-    else if (flag == "--json")
+    if (flag == "--json")
       json_out = f.value();
     else if (flag == "--noise")
       opt.noise_rel = f.number(0.0);
@@ -685,8 +660,8 @@ int run_diff(Flags& f) {
   if (paths.size() != 2) throw UsageError("need two files to diff");
 
   LoadedSide a, b;
-  load_side(paths[0], want_reports, a);
-  load_side(paths[1], want_reports, b);
+  load_side(paths[0], a);
+  load_side(paths[1], b);
   obs::DiffSide sa, sb;
   sa.label = paths[0];
   sb.label = paths[1];
@@ -703,19 +678,35 @@ int run_diff(Flags& f) {
 
 // --- compare --------------------------------------------------------------------
 
-/// The artifact's reports_dir metadata, resolved relative to the artifact's
-/// own directory when not absolute ("" when the run wrote no reports).
-std::string reports_dir_of(const std::string& artifact_path, const obs::BenchArtifact& artifact) {
-  std::string dir = obs::bench_metadata(artifact, "reports_dir");
-  if (dir.empty() || dir[0] == '/') return dir;
-  const std::string::size_type slash = artifact_path.rfind('/');
-  return slash == std::string::npos ? dir : artifact_path.substr(0, slash + 1) + dir;
+/// The last report of `archive` for the bench cell of `row`, or null.
+const obs::SolveReport* last_report(const std::vector<obs::SolveReport>& archive,
+                                    const obs::CompareRow& row) {
+  obs::history::Key key;
+  key.driver = row.driver;
+  key.family = row.family;
+  key.precision = row.precision;
+  key.n = row.n;
+  const auto it = std::find_if(archive.rbegin(), archive.rend(),
+                               [&](const obs::SolveReport& r) { return key.matches(r); });
+  return it == archive.rend() ? nullptr : &*it;
+}
+
+/// The reports of the DNC_HISTORY archive at `path`; an unreadable archive
+/// is a note and no reports, so the gate's verdict still stands.
+std::vector<obs::SolveReport> load_attribution_archive(const std::string& path) {
+  try {
+    return load_archive(path, "compare");
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "dnc compare: note: %s\n", e.what());
+    return {};
+  }
 }
 
 /// Prints a one-paragraph diff_solves attribution for each regressed row
-/// whose per-entry reports load on both sides (capped, worst-first).
-void attribute_regressions(const obs::CompareResult& res, const std::string& base_dir,
-                           const std::string& cur_dir) {
+/// whose cell has a report in both archives (capped, worst-first).
+void attribute_regressions(const obs::CompareResult& res,
+                           const std::vector<obs::SolveReport>& base_archive,
+                           const std::vector<obs::SolveReport>& cur_archive) {
   constexpr int kMaxAttributions = 10;
   int shown = 0, missing = 0;
   for (const obs::CompareRow& row : res.rows) {
@@ -724,19 +715,15 @@ void attribute_regressions(const obs::CompareResult& res, const std::string& bas
       std::printf("(more regressions; attribution capped at %d)\n", kMaxAttributions);
       break;
     }
-    const std::string fname =
-        obs::bench_report_filename(row.driver, row.family, row.precision, row.n);
-    obs::SolveReport base_rep, cur_rep;
-    if (!obs::load_solve_report_file(base_dir + "/" + fname, base_rep) ||
-        !obs::load_solve_report_file(cur_dir + "/" + fname, cur_rep)) {
+    obs::DiffSide a, b;
+    a.report = last_report(base_archive, row);
+    a.label = "baseline";
+    b.report = last_report(cur_archive, row);
+    b.label = "current";
+    if (a.report == nullptr || b.report == nullptr) {
       ++missing;
       continue;
     }
-    obs::DiffSide a, b;
-    a.report = &base_rep;
-    a.label = "baseline";
-    b.report = &cur_rep;
-    b.label = "current";
     const obs::SolveDiff diff = obs::diff_solves(a, b);
     std::printf("attribution %s: %s\n", row.key.c_str(), diff.one_paragraph().c_str());
     ++shown;
@@ -783,12 +770,9 @@ int run_compare(Flags& f) {
   const obs::CompareResult res = obs::compare_bench_artifacts(base, cur, threshold, stat, min_time);
   if (!quiet) std::fputs(res.render(threshold).c_str(), stdout);
   if (res.gate_passed()) return 0;
-  // Attribution inputs: explicit --reports wins, else whatever directories
-  // the two runs stamped into their artifacts.
-  if (reports_base.empty()) reports_base = reports_dir_of(paths[0], base);
-  if (reports_cur.empty()) reports_cur = reports_dir_of(paths[1], cur);
-  if (!reports_base.empty() && !reports_cur.empty())
-    attribute_regressions(res, reports_base, reports_cur);
+  if (!reports_base.empty())
+    attribute_regressions(res, load_attribution_archive(reports_base),
+                          load_attribution_archive(reports_cur));
   return 1;
 }
 
