@@ -13,9 +13,6 @@
 // Scalar.
 #pragma once
 
-#include <string>
-#include <vector>
-
 namespace dnc {
 
 /// Instruction-set levels the kernel layer distinguishes, in strictly
@@ -45,42 +42,5 @@ SimdIsa requested_simd_isa() noexcept;
 
 /// Human-readable name ("scalar", "avx2", "avx512").
 const char* simd_isa_name(SimdIsa isa) noexcept;
-
-/// Cache/socket hierarchy of the machine, for locality-aware stealing: a
-/// thief should raid a deque whose owner shares its L3 before crossing the
-/// socket interconnect (arXiv 1401.4950 makes the case for MRRR; the same
-/// argument applies to any task runtime on a hierarchical multicore).
-///
-/// Detection reads sysfs (physical_package_id + the L3 id/shared_cpu_list
-/// of cache index3); when sysfs is absent (non-Linux, containers with a
-/// masked /sys) the topology degrades to one socket / one L3 domain over
-/// hardware_concurrency cpus and `detected` stays false. The DNC_TOPOLOGY
-/// variable overrides everything -- "SxLxC" (sockets x L3-per-socket x
-/// cpus-per-L3, e.g. "2x4x8") builds a synthetic hierarchy, "flat" forces
-/// the fallback -- which is also how tests exercise multi-socket victim
-/// ordering on a laptop.
-struct CpuTopology {
-  int cpus = 1;        ///< logical cpus described below
-  int sockets = 1;     ///< distinct physical packages
-  int l3_domains = 1;  ///< distinct last-level-cache domains
-  /// Per-cpu socket index in [0, sockets), size `cpus`.
-  std::vector<int> socket_of;
-  /// Per-cpu L3-domain index in [0, l3_domains), size `cpus`.
-  std::vector<int> l3_of;
-  bool detected = false;  ///< true when sysfs (or an override) supplied ids
-  std::string source;     ///< "sysfs", "override", or "flat"
-};
-
-/// The machine's topology (probed once, cached; DNC_TOPOLOGY wins).
-const CpuTopology& cpu_topology() noexcept;
-
-/// Most cpus a DNC_TOPOLOGY spec may describe (sockets x L3 x cpus).
-inline constexpr long kMaxTopologyCpus = 65536;
-
-/// Parses a DNC_TOPOLOGY-style spec into `out`: "SxLxC" (sockets x
-/// L3-domains-per-socket x cpus-per-L3, each >= 1, product at most
-/// kMaxTopologyCpus) or "flat". Returns false (leaving `out` untouched) on
-/// anything else.
-bool parse_topology_spec(const char* s, CpuTopology& out);
 
 }  // namespace dnc

@@ -29,12 +29,11 @@ std::string str(const char* name, const std::string& dflt = "");
 bool flag(const char* name, bool dflt = false) noexcept;
 
 /// The on/off knob of one observability module (DNC_FLIGHT, DNC_HISTORY,
-/// DNC_CRASH_DUMP, DNC_PROFILE_HZ), with one spelling rule for all of
-/// them:
+/// DNC_CRASH_DUMP), with one spelling rule for all of them:
 ///   unset, "", "0", "off", "false", "no"  -> off
 ///   "1", "on", "true", "yes"              -> on with the module's default
 ///   anything else                         -> on with that value (a path,
-///                                            prefix or rate)
+///                                            or prefix)
 /// The module's `configure` hook gets the resolved value (nullptr = off),
 /// reads its sub-knobs (e.g. DNC_FLIGHT_LATENCY) into its own state and
 /// returns whether the module is on; it may refuse a value it cannot use.

@@ -10,7 +10,11 @@
 // formatting so the artifacts stay diffable).
 #pragma once
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -53,6 +57,32 @@ class Value {
 /// Returns false on malformed input; `err` (optional) gets a one-line
 /// message with the byte offset of the failure.
 bool parse(const std::string& text, Value& out, std::string* err = nullptr);
+
+/// Integer member `field` of `obj` (`dflt` when absent or not a number),
+/// as an Int no smaller than `lo`. When `obj` is itself a number -- an array
+/// element -- that number is read and `field` only names it. A value outside
+/// [lo, max of Int] fails with an error naming the field (when `err` is
+/// given) instead of an out-of-range cast, which is undefined behaviour; a
+/// fraction truncates toward zero.
+template <class Int>
+bool int_member(const Value& obj, const char* field, std::type_identity_t<Int> dflt,
+                std::type_identity_t<Int> lo, Int& out, std::string* err) {
+  static_assert(std::is_integral_v<Int>);
+  const double v =
+      obj.is_number() ? obj.number : obj.member_number(field, static_cast<double>(dflt));
+  // 2^digits is the first value past the type's maximum, and exact in a
+  // double; the maximum itself need not be (INT64_MAX is not).
+  if (!(v >= static_cast<double>(lo) && v < std::ldexp(1.0, std::numeric_limits<Int>::digits))) {
+    if (err) {
+      char buf[128];
+      std::snprintf(buf, sizeof buf, "\"%s\" value %.17g out of range", field, v);
+      *err = buf;
+    }
+    return false;
+  }
+  out = static_cast<Int>(v);
+  return true;
+}
 
 /// Convenience: reads the file and parses it. A missing/unreadable file is
 /// reported through `err` like a parse failure.

@@ -34,8 +34,11 @@ bool extract_artifact(const json::Value& root, BenchArtifact& out, std::string* 
     be.driver = e.member_string("driver", "?");
     be.family = e.member_string("family", "?");
     be.precision = e.member_string("precision", "f64");
-    be.n = static_cast<long>(e.member_number("n", 0.0));
-    be.reps = static_cast<int>(e.member_number("reps", 0.0));
+    if (!json::int_member(e, "n", 0, 0, be.n, err) ||
+        !json::int_member(e, "reps", 0, 0, be.reps, err)) {
+      if (err) *err = ctx + "entry " + *err;
+      return false;
+    }
     if (const json::Value* s = e.find("seconds"); s && s->is_object()) {
       be.median = s->member_number("median", 0.0);
       be.q1 = s->member_number("q1", 0.0);

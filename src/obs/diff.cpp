@@ -15,6 +15,8 @@
 namespace dnc::obs {
 namespace {
 
+using json::int_member;
+
 /// Everything diff_solves needs from one side, resolved once. The trace is
 /// authoritative for schedule quantities (per-kind busy, idle, critical
 /// path); the report for identity, deflation and algorithmic counters.
@@ -50,8 +52,6 @@ SideView resolve_side(const DiffSide& side) {
       if (rep->scheduler.makespan > 0.0) v.sum.makespan = rep->scheduler.makespan;
       v.sum.busy = rep->scheduler.total_busy;
       v.sum.idle = rep->scheduler.total_idle;
-      v.sum.steals = rep->scheduler.steals;
-      v.sum.steals_cross_socket = rep->scheduler.steals_cross_socket;
     }
     v.sum.has_deflation = !rep->merges.empty();
     v.sum.deflated_fraction = rep->deflated_fraction();
@@ -78,14 +78,6 @@ SideView resolve_side(const DiffSide& side) {
     double idle = 0.0;
     for (double d : tr->worker_idle) idle += d;
     if (idle > 0.0 || !tr->worker_idle.empty()) v.sum.idle = idle;
-    if (!tr->sched_counters.empty()) {
-      v.sum.steals = 0;
-      v.sum.steals_cross_socket = 0;
-      for (const auto& c : tr->sched_counters) {
-        v.sum.steals += c.steals;
-        v.sum.steals_cross_socket += c.steals_cross_socket;
-      }
-    }
     v.kind_busy.clear();
     for (const auto& e : tr->events) {
       if (e.worker < 0 || e.kind < 0 ||
@@ -284,17 +276,6 @@ SolveDiff diff_solves(const DiffSide& a, const DiffSide& b, const DiffOptions& o
       d.notes.push_back(buf);
     }
   }
-  if (va.sum.steals > 0 && vb.sum.steals > 0) {
-    const double xa = static_cast<double>(va.sum.steals_cross_socket) / va.sum.steals;
-    const double xb = static_cast<double>(vb.sum.steals_cross_socket) / vb.sum.steals;
-    if (std::fabs(xb - xa) > 0.10) {
-      std::snprintf(buf, sizeof buf,
-                    "steal locality shifted: %.0f%% -> %.0f%% of steals cross-socket "
-                    "(%ld -> %ld steals total)",
-                    100.0 * xa, 100.0 * xb, va.sum.steals, vb.sum.steals);
-      d.notes.push_back(buf);
-    }
-  }
   if (hwc_ok && !d.kinds.empty()) {
     const KindDelta& lead = d.kinds.front();
     if (lead.has_hwc && lead.ipc_a > 0.0) {
@@ -479,8 +460,8 @@ bool parse_solve_report_value(const json::Value& v, SolveReport& out, std::strin
   }
   out = SolveReport{};
   out.driver = v.member_string("driver", "");
-  out.n = static_cast<long>(v.member_number("n", 0));
-  out.threads = static_cast<int>(v.member_number("threads", 0));
+  if (!int_member(v, "n", 0, 0, out.n, err) || !int_member(v, "threads", 0, 0, out.threads, err))
+    return false;
   out.seconds = v.member_number("seconds", 0.0);
   out.simd_isa = v.member_string("simd_isa", "");
   out.precision = v.member_string("precision", "f64");
@@ -490,33 +471,30 @@ bool parse_solve_report_value(const json::Value& v, SolveReport& out, std::strin
   out.timestamp = v.member_string("timestamp", "");
   out.family = v.member_string("family", "");
   if (const json::Value* c = v.find("counters"); c && c->is_object()) {
-    for (int i = 0; i < kNumCounters; ++i) {
-      if (const json::Value* m = c->find(counter_name(i)); m && m->is_number())
-        out.counters[i] = static_cast<std::uint64_t>(m->number);
-    }
+    for (int i = 0; i < kNumCounters; ++i)
+      if (!int_member(*c, counter_name(i), 0, 0, out.counters[i], err)) return false;
   }
   if (const json::Value* ms = v.find("merges"); ms && ms->is_array()) {
     for (const json::Value& m : ms->array) {
       MergeRecord r;
-      r.level = static_cast<int>(m.member_number("level", 0));
-      r.m = static_cast<long>(m.member_number("m", 0));
-      r.n1 = static_cast<long>(m.member_number("n1", 0));
-      r.k = static_cast<long>(m.member_number("k", 0));
+      if (!int_member(m, "level", 0, 0, r.level, err) || !int_member(m, "m", 0, 0, r.m, err) ||
+          !int_member(m, "n1", 0, 0, r.n1, err) || !int_member(m, "k", 0, 0, r.k, err))
+        return false;
       if (const json::Value* ct = m.find("ctot"); ct && ct->is_array())
         for (std::size_t i = 0; i < 4 && i < ct->array.size(); ++i)
-          r.ctot[i] = static_cast<long>(ct->array[i].number_or(0));
+          if (!int_member(ct->array[i], "ctot", 0, 0, r.ctot[i], err)) return false;
       r.t_end = m.member_number("t_end", 0.0);
       out.merges.push_back(r);
     }
   }
   if (const json::Value* mem = v.find("memory"); mem && mem->is_object()) {
-    out.memory.workspace_bytes =
-        static_cast<std::uint64_t>(mem->member_number("workspace_bytes", 0));
-    out.memory.context_bytes = static_cast<std::uint64_t>(mem->member_number("context_bytes", 0));
-    out.memory.output_bytes = static_cast<std::uint64_t>(mem->member_number("output_bytes", 0));
-    out.memory.rss_hwm_bytes = static_cast<std::uint64_t>(mem->member_number("rss_hwm_bytes", 0));
-    out.memory.rss_hwm_delta_bytes =
-        static_cast<std::uint64_t>(mem->member_number("rss_hwm_delta_bytes", 0));
+    auto& mm = out.memory;
+    if (!int_member(*mem, "workspace_bytes", 0, 0, mm.workspace_bytes, err) ||
+        !int_member(*mem, "context_bytes", 0, 0, mm.context_bytes, err) ||
+        !int_member(*mem, "output_bytes", 0, 0, mm.output_bytes, err) ||
+        !int_member(*mem, "rss_hwm_bytes", 0, 0, mm.rss_hwm_bytes, err) ||
+        !int_member(*mem, "rss_hwm_delta_bytes", 0, 0, mm.rss_hwm_delta_bytes, err))
+      return false;
   }
   if (const json::Value* h = v.find("hwc"); h && h->is_object()) {
     out.hwc_backend = h->member_string("backend", "");
@@ -526,46 +504,43 @@ bool parse_solve_report_value(const json::Value& v, SolveReport& out, std::strin
       for (const json::Value& k : kinds->array) {
         KindHwcTotals t;
         t.kind = k.member_string("kind", "");
-        t.tasks = static_cast<long>(k.member_number("tasks", 0));
+        if (!int_member(k, "tasks", 0, 0, t.tasks, err)) return false;
         t.seconds = k.member_number("seconds", 0.0);
         if (const json::Value* hs = k.find("hwc"); hs && hs->is_array())
           for (std::size_t i = 0; i < static_cast<std::size_t>(rt::kHwcSlots) &&
                                   i < hs->array.size();
                ++i)
-            t.hwc[i] = static_cast<std::uint64_t>(hs->array[i].number_or(0));
+            if (!int_member(hs->array[i], "hwc", 0, 0, t.hwc[i], err)) return false;
         out.kind_hwc.push_back(t);
       }
     }
   }
   if (const json::Value* h = v.find("health"); h && h->is_object()) {
     out.has_health = true;
-    out.health.sampled_columns = static_cast<int>(h->member_number("sampled_columns", 0));
+    if (!int_member(*h, "sampled_columns", 0, 0, out.health.sampled_columns, err)) return false;
     out.health.max_rel_residual = h->member_number("max_rel_residual", 0.0);
     out.health.max_ortho_error = h->member_number("max_ortho_error", 0.0);
   }
   if (const json::Value* s = v.find("scheduler"); s && s->is_object()) {
     out.has_scheduler = true;
-    out.scheduler.workers = static_cast<int>(s->member_number("workers", 0));
-    out.scheduler.tasks = static_cast<long>(s->member_number("tasks", 0));
-    out.scheduler.makespan = s->member_number("makespan", 0.0);
-    out.scheduler.total_busy = s->member_number("total_busy", 0.0);
-    out.scheduler.efficiency = s->member_number("efficiency", 0.0);
-    out.scheduler.avg_ready_wait = s->member_number("avg_ready_wait", 0.0);
-    out.scheduler.max_ready_wait = s->member_number("max_ready_wait", 0.0);
-    out.scheduler.total_idle = s->member_number("total_idle", 0.0);
-    out.scheduler.max_queue_depth = static_cast<int>(s->member_number("max_queue_depth", 0));
-    out.scheduler.steals = static_cast<long>(s->member_number("steals", 0));
-    out.scheduler.steal_attempts = static_cast<long>(s->member_number("steal_attempts", 0));
-    out.scheduler.failed_steals = static_cast<long>(s->member_number("failed_steals", 0));
-    out.scheduler.local_pops = static_cast<long>(s->member_number("local_pops", 0));
-    out.scheduler.placed_max = static_cast<long>(s->member_number("placed_max", 0));
-    out.scheduler.placed_min = static_cast<long>(s->member_number("placed_min", 0));
-    out.scheduler.steals_same_l3 = static_cast<long>(s->member_number("steals_same_l3", 0));
-    out.scheduler.steals_same_socket =
-        static_cast<long>(s->member_number("steals_same_socket", 0));
-    out.scheduler.steals_cross_socket =
-        static_cast<long>(s->member_number("steals_cross_socket", 0));
-    out.scheduler.child_tasks = static_cast<long>(s->member_number("child_tasks", 0));
+    auto& sm = out.scheduler;
+    if (!int_member(*s, "workers", 0, 0, sm.workers, err) ||
+        !int_member(*s, "tasks", 0, 0, sm.tasks, err) ||
+        !int_member(*s, "max_queue_depth", 0, 0, sm.max_queue_depth, err) ||
+        !int_member(*s, "steals", 0, 0, sm.steals, err) ||
+        !int_member(*s, "steal_attempts", 0, 0, sm.steal_attempts, err) ||
+        !int_member(*s, "failed_steals", 0, 0, sm.failed_steals, err) ||
+        !int_member(*s, "local_pops", 0, 0, sm.local_pops, err) ||
+        !int_member(*s, "placed_max", 0, 0, sm.placed_max, err) ||
+        !int_member(*s, "placed_min", 0, 0, sm.placed_min, err) ||
+        !int_member(*s, "child_tasks", 0, 0, sm.child_tasks, err))
+      return false;
+    sm.makespan = s->member_number("makespan", 0.0);
+    sm.total_busy = s->member_number("total_busy", 0.0);
+    sm.efficiency = s->member_number("efficiency", 0.0);
+    sm.avg_ready_wait = s->member_number("avg_ready_wait", 0.0);
+    sm.max_ready_wait = s->member_number("max_ready_wait", 0.0);
+    sm.total_idle = s->member_number("total_idle", 0.0);
   }
   return true;
 }

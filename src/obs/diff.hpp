@@ -18,8 +18,7 @@
 // additive split the diff reports *explanatory* shifts that say why a kind
 // got slower: per-kind IPC / LLC-miss-rate deltas (perf hwc data), the
 // per-merge deflation-ratio change (less deflation = bigger secular systems
-// = more GEMM work), the GEMM GF/s change, steal-locality shifts, and a
-// critical-path diff (which kinds entered or left the chain).
+// = more GEMM work), the GEMM GF/s change, and a critical-path diff (which kinds entered or left the chain).
 //
 // Deltas below a noise floor (relative + absolute) yield significant=false
 // and suppress attribution entirely -- diffing a solve against itself must
@@ -94,7 +93,6 @@ struct DiffSideSummary {
   double busy = 0.0;       ///< summed per-kind busy (0 = unknown)
   double idle = 0.0;       ///< summed worker idle (0 = unknown/none)
   bool has_sched = false;
-  long steals = 0, steals_cross_socket = 0;
   bool has_deflation = false;
   double deflated_fraction = 0.0;
   double gemm_gflops = 0.0;  ///< 0 = unknown
@@ -127,7 +125,7 @@ struct SolveDiff {
   std::vector<std::string> cp_entered, cp_left;
 
   /// Explanatory (non-additive) observations: deflation-ratio change, GEMM
-  /// GF/s change, steal-locality shift, IPC collapse of a leading kind.
+  /// GF/s change, IPC collapse of a leading kind.
   std::vector<std::string> notes;
 
   /// Full human-readable diff: side header, component table, per-kind
@@ -149,9 +147,10 @@ SolveDiff diff_solves(const DiffSide& a, const DiffSide& b,
 
 /// Parses a SolveReport back from its to_json() text (a history archive
 /// line, a trace's "dnc_report" record). Tolerant of missing members --
-/// absent blocks leave defaults -- so older artifacts load. Returns false
-/// only on malformed JSON or when the object carries none of the report's
-/// identifying members.
+/// absent blocks leave defaults, unknown members are ignored -- so older
+/// artifacts load. Returns false on malformed JSON, when the object carries
+/// none of the report's identifying members, or when an integer member lies
+/// outside the range of its field (the error names the field).
 bool parse_solve_report(const std::string& json_text, SolveReport& out,
                         std::string* err = nullptr);
 /// Same, from an already-parsed DOM node.

@@ -84,12 +84,9 @@ std::string perfetto_trace_json(const rt::Trace& trace, const SolveReport* repor
         const rt::WorkerSchedCounters& c = trace.sched_counters[w];
         std::snprintf(buf, sizeof buf,
                       "%s{\"executed\":%ld,\"local_pops\":%ld,\"steals\":%ld,"
-                      "\"steal_attempts\":%ld,\"failed_steals\":%ld,\"placed\":%ld,"
-                      "\"steals_same_l3\":%ld,\"steals_same_socket\":%ld,"
-                      "\"steals_cross_socket\":%ld}",
+                      "\"steal_attempts\":%ld,\"failed_steals\":%ld,\"placed\":%ld}",
                       w ? "," : "", c.executed, c.local_pops, c.steals, c.steal_attempts,
-                      c.failed_steals, c.placed, c.steals_same_l3, c.steals_same_socket,
-                      c.steals_cross_socket);
+                      c.failed_steals, c.placed);
         meta += buf;
       }
       meta += "]";

@@ -152,18 +152,13 @@ std::string SolveReport::to_json() const {
             "    \"local_pops\": %ld,\n"
             "    \"placed_max\": %ld,\n"
             "    \"placed_min\": %ld,\n"
-            "    \"steals_same_l3\": %ld,\n"
-            "    \"steals_same_socket\": %ld,\n"
-            "    \"steals_cross_socket\": %ld,\n"
             "    \"child_tasks\": %ld\n"
             "  }",
             scheduler.workers, scheduler.tasks, scheduler.makespan, scheduler.total_busy,
             scheduler.efficiency, scheduler.avg_ready_wait, scheduler.max_ready_wait,
             scheduler.total_idle, scheduler.max_queue_depth, scheduler.steals,
             scheduler.steal_attempts, scheduler.failed_steals, scheduler.local_pops,
-            scheduler.placed_max, scheduler.placed_min, scheduler.steals_same_l3,
-            scheduler.steals_same_socket, scheduler.steals_cross_socket,
-            scheduler.child_tasks);
+            scheduler.placed_max, scheduler.placed_min, scheduler.child_tasks);
   }
   out += "\n}\n";
   return out;
@@ -269,10 +264,6 @@ std::string SolveReport::summary_text() const {
     if (scheduler.local_pops + scheduler.steal_attempts > 0) {
       appendf(out, "steals        : %ld ok / %ld attempts / %ld dry scans\n",
               scheduler.steals, scheduler.steal_attempts, scheduler.failed_steals);
-      if (scheduler.steals > 0)
-        appendf(out, "steal locality: %ld same-L3 / %ld same-socket / %ld cross-socket\n",
-                scheduler.steals_same_l3, scheduler.steals_same_socket,
-                scheduler.steals_cross_socket);
       appendf(out, "local pops    : %ld\n", scheduler.local_pops);
       appendf(out, "placement     : %ld..%ld per worker (submitter round-robin)\n",
               scheduler.placed_min, scheduler.placed_max);
@@ -317,9 +308,6 @@ SchedulerMetrics scheduler_metrics(const rt::Trace& trace) {
       m.local_pops += c.local_pops;
       m.placed_max = std::max(m.placed_max, c.placed);
       m.placed_min = std::min(m.placed_min, c.placed);
-      m.steals_same_l3 += c.steals_same_l3;
-      m.steals_same_socket += c.steals_same_socket;
-      m.steals_cross_socket += c.steals_cross_socket;
     }
   }
   return m;

@@ -57,10 +57,6 @@ struct SchedulerMetrics {
   long local_pops = 0;      ///< own-deque pops, summed over workers
   long placed_max = 0;      ///< most submitter placements on one worker
   long placed_min = 0;      ///< fewest submitter placements on one worker
-  // --- steal locality under the topology-aware victim order (PR 9) ---
-  long steals_same_l3 = 0;      ///< victim shared the thief's L3 domain
-  long steals_same_socket = 0;  ///< same socket, different L3
-  long steals_cross_socket = 0; ///< crossed the socket interconnect
   // --- nested subtasks (spawn_and_wait) ---
   long child_tasks = 0;  ///< child subtasks spawned from inside tasks
 };

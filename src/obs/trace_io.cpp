@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -18,23 +17,7 @@ inline double sec(double microseconds) { return microseconds * 1e-6; }
 
 constexpr int kIntMin = std::numeric_limits<int>::min();
 
-/// Number member `field` of `obj` as an int no smaller than `lo` (`dflt`
-/// when absent or not a number). A value outside [lo, INT_MAX] fails the
-/// load with an error naming the field instead of an out-of-range cast.
-bool int_member(const json::Value& obj, const char* field, int dflt, int lo, int& out,
-                std::string* err) {
-  const double v = obj.member_number(field, dflt);
-  if (!(v >= lo && v <= std::numeric_limits<int>::max())) {
-    if (err) {
-      char buf[96];
-      std::snprintf(buf, sizeof buf, "\"%s\" value %.17g out of range", field, v);
-      *err = buf;
-    }
-    return false;
-  }
-  out = static_cast<int>(v);
-  return true;
-}
+using json::int_member;
 
 }  // namespace
 
@@ -96,17 +79,13 @@ bool load_perfetto_trace(const std::string& json_text, rt::Trace& out, std::stri
         if (const json::Value* sc = args->find("sched_counters"); sc && sc->is_array()) {
           for (const json::Value& c : sc->array) {
             rt::WorkerSchedCounters wc;
-            wc.executed = static_cast<long>(c.member_number("executed", 0.0));
-            wc.local_pops = static_cast<long>(c.member_number("local_pops", 0.0));
-            wc.steals = static_cast<long>(c.member_number("steals", 0.0));
-            wc.steal_attempts = static_cast<long>(c.member_number("steal_attempts", 0.0));
-            wc.failed_steals = static_cast<long>(c.member_number("failed_steals", 0.0));
-            wc.placed = static_cast<long>(c.member_number("placed", 0.0));
-            wc.steals_same_l3 = static_cast<long>(c.member_number("steals_same_l3", 0.0));
-            wc.steals_same_socket =
-                static_cast<long>(c.member_number("steals_same_socket", 0.0));
-            wc.steals_cross_socket =
-                static_cast<long>(c.member_number("steals_cross_socket", 0.0));
+            if (!int_member(c, "executed", 0, 0, wc.executed, err) ||
+                !int_member(c, "local_pops", 0, 0, wc.local_pops, err) ||
+                !int_member(c, "steals", 0, 0, wc.steals, err) ||
+                !int_member(c, "steal_attempts", 0, 0, wc.steal_attempts, err) ||
+                !int_member(c, "failed_steals", 0, 0, wc.failed_steals, err) ||
+                !int_member(c, "placed", 0, 0, wc.placed, err))
+              return false;
             out.sched_counters.push_back(wc);
           }
         }
@@ -130,8 +109,11 @@ bool load_perfetto_trace(const std::string& json_text, rt::Trace& out, std::stri
         if (edges == nullptr || !edges->is_array()) continue;
         for (const json::Value& e : edges->array) {
           if (!e.is_array() || e.array.size() != 2) continue;
-          out.edges.emplace_back(static_cast<std::uint64_t>(e.array[0].number_or(0)),
-                                 static_cast<std::uint64_t>(e.array[1].number_or(0)));
+          std::uint64_t from = 0, to = 0;
+          if (!int_member(e.array[0], "edges", 0, 0, from, err) ||
+              !int_member(e.array[1], "edges", 0, 0, to, err))
+            return false;
+          out.edges.emplace_back(from, to);
         }
       }
       continue;
@@ -153,18 +135,19 @@ bool load_perfetto_trace(const std::string& json_text, rt::Trace& out, std::stri
     te.t_end = te.t_start + sec(ev.member_number("dur", 0.0));
     const json::Value* args = ev.find("args");
     if (args != nullptr) {
-      te.task_id = static_cast<std::uint64_t>(args->member_number("task", 0.0));
+      if (!int_member(*args, "task", 0, 0, te.task_id, err)) return false;
       if (const json::Value* w = args->find("ready_wait_us"))
         te.t_ready = te.t_start - sec(w->number_or(0.0));
       if (!int_member(*args, "level", -1, kIntMin, te.level, err)) return false;
-      te.size = static_cast<long>(args->member_number("size", -1.0));
-      te.panel = static_cast<long>(args->member_number("panel", -1.0));
+      if (!int_member(*args, "size", -1, -1, te.size, err) ||
+          !int_member(*args, "panel", -1, -1, te.panel, err))
+        return false;
       if (!int_member(*args, "prio", 0, kIntMin, te.priority, err)) return false;
-      te.parent = static_cast<long long>(args->member_number("parent", -1.0));
+      if (!int_member(*args, "parent", -1, -1, te.parent, err)) return false;
       te.nested = sec(args->member_number("nested_us", 0.0));
       if (const json::Value* h = args->find("hwc"); h && h->is_array()) {
         for (int s = 0; s < rt::kHwcSlots && s < static_cast<int>(h->array.size()); ++s)
-          te.hwc[s] = static_cast<std::uint64_t>(h->array[s].number_or(0.0));
+          if (!int_member(h->array[s], "hwc", 0, 0, te.hwc[s], err)) return false;
       }
     }
     if (args == nullptr || args->find("task") == nullptr) te.task_id = synth_id++;

@@ -31,8 +31,9 @@ struct SolveReport;
 /// driver "", when the trace has none). Returns false (and sets `err` when
 /// given) on malformed JSON, a structure that contains no usable slice
 /// events, a dnc_report record that is not a report, or an integer field
-/// (workers, tid, queue_depth_peak, level, prio, a counter sample) outside
-/// the range of int -- the error names the field.
+/// (workers, tid, a counter, an edge id, task, level, size, panel, prio,
+/// parent, an hwc slot, any integer of the report) outside the range of
+/// its type -- the error names the field.
 bool load_perfetto_trace(const std::string& json_text, rt::Trace& out,
                          std::string* err = nullptr, SolveReport* report = nullptr);
 

@@ -7,7 +7,7 @@
 // parallelisation strategy.
 //
 // Runtime is a thin facade over the work-stealing scheduler (per-worker
-// deques, topology-aware victim order; see runtime/scheduler.hpp).
+// deques, ring-order stealing; see runtime/scheduler.hpp).
 #pragma once
 
 #include <memory>

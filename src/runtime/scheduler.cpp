@@ -5,11 +5,9 @@
 #include <cstring>
 #include <thread>
 
-#include "common/cpu_features.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "obs/hwc.hpp"
-#include "obs/profiler.hpp"
 
 namespace dnc::rt {
 
@@ -18,22 +16,13 @@ namespace dnc::rt {
 /// keeps self-time / self-hwc sums exact under spawn_and_wait's help-first
 /// waiting (a worker executes children *inside* its parent's timestamps).
 struct WorkerCtx {
-  WorkerCtx(int id, const TaskGraph& graph) : worker_id(id), preg("worker", id) {
-    sampling = hwc.active();
-    if (preg.active())
-      for (const TaskKind& k : graph.kinds()) kind_names.push_back(obs::profiler::intern(k.name));
-  }
+  explicit WorkerCtx(int id) : worker_id(id) { sampling = hwc.active(); }
 
   int worker_id;
   /// Per-thread hardware-counter sampler (DNC_HWC). Inactive (one branch
   /// per task, no reads) unless requested.
   obs::ThreadHwc hwc;
   bool sampling = false;
-  /// Sampling-profiler registration (DNC_PROFILE_HZ). Kind names are
-  /// interned because the TaskGraph (and its kind table) dies with the
-  /// solve while samples outlive it.
-  obs::profiler::ThreadRegistration preg;
-  std::vector<const char*> kind_names;
 
   // --- nested-frame accounting (see Scheduler::run_task) ---
   /// Innermost task this worker is executing (nullptr between tasks).
@@ -127,7 +116,6 @@ Scheduler::Scheduler(TaskGraph& graph, int threads) : graph_(graph), thread_coun
   idle_.assign(threads, 0.0);
   queues_ = std::make_unique<WorkerQueue[]>(threads);
   counters_ = std::make_unique<AtomicWorkerCounters[]>(threads);
-  build_victim_orders();
   // A worker of another scheduler (a runtime built inside a task body)
   // submits like any outside thread: its worker id names none of our deques.
   graph_.on_ready = [this](TaskNode* n) {
@@ -210,8 +198,11 @@ TaskNode* Scheduler::scan(int worker) {
     node = overflow_.pop_oldest();
   }
   if (node != nullptr) return take(node);
-  // 3. Steal cycle over the other deques, nearest victims first.
-  for (const auto& [victim, cls] : victims_[worker]) {
+  // 3. Steal cycle over the other deques, oldest first from each: the ring
+  // (worker + k) % n, so concurrent thieves fan out over distinct victims.
+  const int n = thread_count_;
+  for (int k = 1; k < n; ++k) {
+    const int victim = (worker + k) % n;
     c.steal_attempts.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lk(queues_[victim].mu);
@@ -219,17 +210,6 @@ TaskNode* Scheduler::scan(int worker) {
     }
     if (node != nullptr) {
       c.steals.fetch_add(1, std::memory_order_relaxed);
-      switch (cls) {
-        case StealClass::SameL3:
-          c.steals_same_l3.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case StealClass::SameSocket:
-          c.steals_same_socket.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case StealClass::CrossSocket:
-          c.steals_cross_socket.fetch_add(1, std::memory_order_relaxed);
-          break;
-      }
       record_steal();
       return take(node);
     }
@@ -264,44 +244,6 @@ TaskNode* Scheduler::acquire(int worker) {
   }
 }
 
-void Scheduler::build_victim_orders() {
-  // Every other worker exactly once, grouped same-L3 -> same-socket ->
-  // cross-socket under the detected (or DNC_TOPOLOGY-overridden)
-  // hierarchy, rotated within each class by the thief's id so concurrent
-  // thieves fan out over distinct victims. Workers map onto cpus
-  // round-robin (worker w -> cpu w % ncpu) -- the runtime does not pin
-  // threads, so this is the same static approximation an OS scheduler's
-  // initial placement gives; on a flat (undetected) topology every victim
-  // classifies as same-L3 and the order degenerates to the classic
-  // (w + k) % n ring.
-  const CpuTopology& topo = cpu_topology();
-  const int n = thread_count_;
-  victims_.resize(static_cast<std::size_t>(n));
-  for (int w = 0; w < n; ++w) {
-    auto& order = victims_[static_cast<std::size_t>(w)];
-    order.reserve(static_cast<std::size_t>(n - 1));
-    const int wcpu = topo.cpus > 0 ? w % topo.cpus : 0;
-    for (const StealClass cls :
-         {StealClass::SameL3, StealClass::SameSocket, StealClass::CrossSocket}) {
-      for (int k = 1; k < n; ++k) {
-        const int v = (w + k) % n;  // rotation inside the class
-        const int vcpu = topo.cpus > 0 ? v % topo.cpus : 0;
-        StealClass vc;
-        if (topo.l3_of[static_cast<std::size_t>(vcpu)] ==
-            topo.l3_of[static_cast<std::size_t>(wcpu)]) {
-          vc = StealClass::SameL3;
-        } else if (topo.socket_of[static_cast<std::size_t>(vcpu)] ==
-                   topo.socket_of[static_cast<std::size_t>(wcpu)]) {
-          vc = StealClass::SameSocket;
-        } else {
-          vc = StealClass::CrossSocket;
-        }
-        if (vc == cls) order.emplace_back(v, cls);
-      }
-    }
-  }
-}
-
 void Scheduler::sample_depth() {
   long d = ready_.load(std::memory_order_relaxed);
   if (d < 0) d = 0;
@@ -321,23 +263,6 @@ void Scheduler::record_steal() {
 Scheduler* Scheduler::current() { return tls_scheduler; }
 
 int current_worker() { return tls_worker_id; }
-
-const char* Scheduler::interned_kind(WorkerCtx& ctx, int kind) {
-  if (kind < 0) return nullptr;
-  if (kind >= static_cast<int>(ctx.kind_names.size())) {
-    // Extend the worker's cache: graph kinds up to the child base, then the
-    // scheduler-side child kinds (registered mid-run by spawn_and_wait).
-    std::lock_guard<std::mutex> lk(child_mu_);
-    const auto& gk = graph_.kinds();
-    const std::size_t base = child_kinds_.empty() ? gk.size() : child_kind_base_;
-    while (ctx.kind_names.size() < base && ctx.kind_names.size() < gk.size())
-      ctx.kind_names.push_back(obs::profiler::intern(gk[ctx.kind_names.size()].name));
-    while (ctx.kind_names.size() < base + child_kinds_.size())
-      ctx.kind_names.push_back(
-          obs::profiler::intern(child_kinds_[ctx.kind_names.size() - base].name));
-  }
-  return kind < static_cast<int>(ctx.kind_names.size()) ? ctx.kind_names[kind] : nullptr;
-}
 
 KindId Scheduler::child_kind(KindId parent_kind, const char* suffix) {
   std::lock_guard<std::mutex> lk(child_mu_);
@@ -464,7 +389,6 @@ void Scheduler::run_task(TaskNode* node, WorkerCtx& ctx) {
   node->t_start = now_seconds();
   std::uint64_t c0[kHwcSlots], c1[kHwcSlots];
   if (ctx.sampling) ctx.hwc.read(c0);
-  if (ctx.preg.active()) ctx.preg.set_task(interned_kind(ctx, node->kind));
   if (node->fn && !cancelled_.load(std::memory_order_acquire)) {
     try {
       node->fn();
@@ -472,8 +396,6 @@ void Scheduler::run_task(TaskNode* node, WorkerCtx& ctx) {
       fail(std::current_exception());
     }
   }
-  if (ctx.preg.active())
-    ctx.preg.set_task(enclosing ? interned_kind(ctx, enclosing->kind) : nullptr);
   std::uint64_t incl[kHwcSlots] = {0, 0, 0, 0};
   if (ctx.sampling) {
     ctx.hwc.read(c1);
@@ -524,7 +446,7 @@ void Scheduler::run_task(TaskNode* node, WorkerCtx& ctx) {
 
 void Scheduler::worker_loop(int worker_id) {
   tls_worker_id = worker_id;
-  WorkerCtx ctx(worker_id, graph_);
+  WorkerCtx ctx(worker_id);
   if (ctx.sampling) hwc_active_.store(true, std::memory_order_relaxed);
   tls_scheduler = this;
   tls_ctx = &ctx;
@@ -604,9 +526,6 @@ Trace Scheduler::trace() const {
     out.steal_attempts = c.steal_attempts.load(std::memory_order_relaxed);
     out.failed_steals = c.failed_steals.load(std::memory_order_relaxed);
     out.placed = c.placed.load(std::memory_order_relaxed);
-    out.steals_same_l3 = c.steals_same_l3.load(std::memory_order_relaxed);
-    out.steals_same_socket = c.steals_same_socket.load(std::memory_order_relaxed);
-    out.steals_cross_socket = c.steals_cross_socket.load(std::memory_order_relaxed);
   }
   return t;
 }

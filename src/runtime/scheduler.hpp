@@ -18,13 +18,10 @@
 // independent work). Priority dominates recency everywhere: every pop
 // takes from the highest non-empty priority bucket.
 //
-// Victim order is topology-aware (arXiv 1401.4950's locality argument):
-// worker w is notionally pinned to cpu w % ncpu, and its steal cycle
-// visits same-L3 victims first, then same-socket, then cross-socket --
-// rotated within each class so thieves don't convoy on one victim. Every
-// successful steal is classified into the same three buckets
-// (steals_same_l3 / steals_same_socket / steals_cross_socket), which flow
-// Trace -> SolveReport -> Perfetto and the history archive.
+// Victim order: worker w's steal cycle visits (w + k) % n for k = 1..n-1,
+// a ring rotated by the thief's id so concurrent thieves don't convoy on
+// one victim. The runtime does not pin its threads, so no victim is
+// nearer than another in any sense the scheduler could know.
 //
 // Idle path: after a failed full scan a worker backs off with
 // exponentially growing yield bursts, then parks on a condition variable.
@@ -77,9 +74,9 @@
 
 namespace dnc::rt {
 
-/// Per-worker execution context (hwc sampler, profiler registration, the
-/// stack of nested task frames). Defined in scheduler.cpp -- it embeds obs
-/// types the header must not pull in.
+/// Per-worker execution context (hwc sampler, the stack of nested task
+/// frames). Defined in scheduler.cpp -- it embeds obs types the header must
+/// not pull in.
 struct WorkerCtx;
 
 /// Priority-bucketed task queue: 64 FIFO buckets plus an occupancy bitmask
@@ -167,7 +164,7 @@ class Scheduler {
   /// the core is never parked while children run elsewhere. Child trace
   /// events carry the parent's id and a kind named "<ParentKind>/<suffix>"
   /// (registered on first use, inheriting the parent's memory-bound flag)
-  /// so obs/Perfetto/profiler attribute nested work to its spawner.
+  /// so obs and Perfetto attribute nested work to its spawner.
   ///
   /// Called from a non-worker thread (or a worker of another scheduler),
   /// the bodies run inline sequentially -- library code stays correct
@@ -179,9 +176,6 @@ class Scheduler {
                       int priority = kChildPriority);
 
  private:
-  /// Steal distance between a thief and a victim deque.
-  enum class StealClass : int { SameL3 = 0, SameSocket = 1, CrossSocket = 2 };
-
   /// One worker's ready storage; cache-line aligned so neighbouring
   /// workers' locks do not false-share.
   struct alignas(64) WorkerQueue {
@@ -198,15 +192,10 @@ class Scheduler {
     std::atomic<long> steal_attempts{0};
     std::atomic<long> failed_steals{0};
     std::atomic<long> placed{0};
-    // Locality split of steals (see WorkerSchedCounters).
-    std::atomic<long> steals_same_l3{0};
-    std::atomic<long> steals_same_socket{0};
-    std::atomic<long> steals_cross_socket{0};
   };
 
   void worker_loop(int worker_id);
-  /// Executes one task on this worker: timestamps, hwc deltas, profiler
-  /// attribution, the body unless the graph is cancelled (a throw is kept
+  /// Executes one task on this worker: timestamps, hwc deltas, the body unless the graph is cancelled (a throw is kept
   /// by fail()), completion (graph successors or child join decrement),
   /// idle accounting and inflight_ bookkeeping. Re-entrant -- the help-first wait inside
   /// spawn_and_wait calls it with the parent task's frame still open, and
@@ -232,8 +221,6 @@ class Scheduler {
   void record_steal();
   /// Keeps `e` if it is the first failure and cancels the graph.
   void fail(std::exception_ptr e);
-  /// Precomputes each worker's victim order (see file comment).
-  void build_victim_orders();
   /// Requests stop, wakes every sleeper and joins the workers; they drain
   /// the queues first.
   void stop_and_join();
@@ -243,9 +230,6 @@ class Scheduler {
   /// register further kinds once the first child kind exists (drivers
   /// register all kinds up front; enforced with DNC_REQUIRE).
   KindId child_kind(KindId parent_kind, const char* suffix);
-  /// Interned profiler name for `kind`, extending the worker's cache
-  /// lazily so child kinds registered mid-run resolve on every worker.
-  const char* interned_kind(WorkerCtx& ctx, int kind);
 
   TaskGraph& graph_;
   int thread_count_;
@@ -262,8 +246,6 @@ class Scheduler {
 
   // --- ready storage ---
   std::unique_ptr<WorkerQueue[]> queues_;
-  /// Per-thief victim order, nearest class first: (victim deque, class).
-  std::vector<std::vector<std::pair<int, StealClass>>> victims_;
   std::atomic<unsigned> rr_{0};  // submitter-side round-robin cursor
   std::mutex overflow_mu_;
   PrioDeque overflow_;  // spill for deques at kDequeCap

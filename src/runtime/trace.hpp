@@ -83,11 +83,6 @@ struct WorkerSchedCounters {
   long steal_attempts = 0; ///< victim deques probed (hit or miss)
   long failed_steals = 0;  ///< full victim scans that found nothing
   long placed = 0;         ///< ready tasks the submitter placed on this deque
-  // Locality split of `steals` under the topology-aware victim order
-  // (thief and victim pinned to cpus thief%ncpu / victim%ncpu):
-  long steals_same_l3 = 0;      ///< victim shares the thief's L3 domain
-  long steals_same_socket = 0;  ///< same socket, different L3
-  long steals_cross_socket = 0; ///< crossed the socket interconnect
 };
 
 struct Trace {

@@ -1,8 +1,5 @@
 // The env front door (common/env.hpp): typed getters over DNC_* knobs, the
-// README knob table checked against the knobs the code reads, plus
-// parse_topology_spec -- the pure parser behind DNC_TOPOLOGY
-// (cpu_topology() itself is probed once per process, so tests exercise the
-// parser directly rather than racing the cache).
+// README knob table checked against the knobs the code reads.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -14,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/cpu_features.hpp"
 #include "common/env.hpp"
 #include "common/precision.hpp"
 
@@ -165,53 +161,6 @@ TEST(EnvTest, PrecKnobValuesParseToThePrecisionTheyName) {
     pos = next + sep.size();
   }
   EXPECT_EQ(n + 1, 2);
-}
-
-TEST(TopologySpecTest, ParsesSocketsByL3ByCpus) {
-  CpuTopology t;
-  ASSERT_TRUE(parse_topology_spec("2x2x4", t));
-  EXPECT_EQ(t.cpus, 16);
-  EXPECT_EQ(t.sockets, 2);
-  EXPECT_EQ(t.l3_domains, 4);
-  EXPECT_TRUE(t.detected);
-  EXPECT_EQ(t.source, "override");
-  ASSERT_EQ(t.socket_of.size(), 16u);
-  ASSERT_EQ(t.l3_of.size(), 16u);
-  // cpus 0-7 on socket 0 (L3 domains 0,1), cpus 8-15 on socket 1 (2,3).
-  for (int c = 0; c < 16; ++c) {
-    EXPECT_EQ(t.socket_of[static_cast<std::size_t>(c)], c / 8) << "cpu " << c;
-    EXPECT_EQ(t.l3_of[static_cast<std::size_t>(c)], c / 4) << "cpu " << c;
-  }
-}
-
-TEST(TopologySpecTest, FlatSpecCollapsesHierarchy) {
-  CpuTopology t;
-  ASSERT_TRUE(parse_topology_spec("flat", t));
-  EXPECT_EQ(t.sockets, 1);
-  EXPECT_EQ(t.l3_domains, 1);
-  EXPECT_GE(t.cpus, 1);
-  for (int s : t.socket_of) EXPECT_EQ(s, 0);
-  for (int l : t.l3_of) EXPECT_EQ(l, 0);
-}
-
-TEST(TopologySpecTest, RejectsMalformedSpecs) {
-  for (const char* bad :
-       {"", "2x2", "2x2x", "x2x2", "0x1x1", "1x0x1", "1x1x0", "2x2x4x8", "axbxc",
-        "2x2x4 ", "-1x1x1",
-        // The cpu count is bounded (kMaxTopologyCpus): an overflowing or
-        // huge product must not size the per-cpu tables.
-        "65536x65536x1", "100000x100000x3", "99999999999x1x1", "2x2x16385"}) {
-    CpuTopology t;
-    t.cpus = -99;  // canary: a rejecting parse must leave `out` untouched
-    EXPECT_FALSE(parse_topology_spec(bad, t)) << "spec '" << bad << "'";
-    EXPECT_EQ(t.cpus, -99) << "spec '" << bad << "' modified out";
-  }
-  CpuTopology t;
-  EXPECT_FALSE(parse_topology_spec(nullptr, t));
-  // The cap itself is accepted.
-  ASSERT_TRUE(parse_topology_spec("2x4x8192", t));
-  EXPECT_EQ(t.cpus, kMaxTopologyCpus);
-  EXPECT_EQ(t.l3_of.size(), static_cast<std::size_t>(kMaxTopologyCpus));
 }
 
 }  // namespace

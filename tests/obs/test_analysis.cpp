@@ -225,9 +225,6 @@ TEST_F(SolveTraceTest, PerfettoRoundTripPreservesSchedulerMetadata) {
     EXPECT_EQ(a.steal_attempts, b.steal_attempts) << "worker " << w;
     EXPECT_EQ(a.failed_steals, b.failed_steals) << "worker " << w;
     EXPECT_EQ(a.placed, b.placed) << "worker " << w;
-    EXPECT_EQ(a.steals_same_l3, b.steals_same_l3) << "worker " << w;
-    EXPECT_EQ(a.steals_same_socket, b.steals_same_socket) << "worker " << w;
-    EXPECT_EQ(a.steals_cross_socket, b.steals_cross_socket) << "worker " << w;
   }
   EXPECT_EQ(loaded.steal_samples.size(), stats_.trace.steal_samples.size());
 
@@ -323,6 +320,13 @@ TEST(TraceIo, RejectsOutOfRangeIntegerFields) {
       {trace_of("", "-1", ""), "\"tid\""},
       {trace_of("", "0", R"(,"level":1e300)"), "\"level\""},
       {trace_of("", "0", R"(,"prio":-3e9)"), "\"prio\""},
+      {trace_of(R"({"name":"dnc_report","ph":"M","pid":1,"args":{"driver":"taskflow",)"
+                R"("threads":1e12}},)",
+                "0", ""),
+       "\"threads\""},
+      {trace_of(R"({"name":"dnc_edges","ph":"M","pid":1,"args":{"edges":[[-1,1]]}},)", "0", ""),
+       "\"edges\""},
+      {trace_of("", "0", R"(,"hwc":[1e30,0,0,0])"), "\"hwc\""},
   };
   for (const auto& c : cases) {
     err.clear();

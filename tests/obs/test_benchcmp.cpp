@@ -64,6 +64,11 @@ TEST(BenchArtifact, RejectsMalformedInput) {
                       {"driver": "taskflow", "family": "4", "n": 64, "precision": "f64"}]})",
       a, &err));
   EXPECT_NE(err.find("duplicate entry taskflow|4|64"), std::string::npos) << err;
+  // An n no long can hold is refused with the field named, not cast.
+  err.clear();
+  EXPECT_FALSE(parse_bench_artifact(
+      R"({"entries": [{"driver": "taskflow", "family": "4", "n": 1e30}]})", a, &err));
+  EXPECT_NE(err.find("\"n\" value 1e+30 out of range"), std::string::npos) << err;
   EXPECT_FALSE(load_bench_artifact("/nonexistent/bench.json", a, &err));
 }
 

@@ -1,4 +1,4 @@
-// The one gate spelling rule (env::Gate) across the four observability
+// The one gate spelling rule (env::Gate) across the three observability
 // gates: every off spelling turns its module off and an instrumented solve
 // then writes no file, and every on spelling selects the module's default
 // instead of being taken as a file name.
@@ -17,7 +17,6 @@
 #include "obs/crash.hpp"
 #include "obs/flight.hpp"
 #include "obs/history.hpp"
-#include "obs/profiler.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
 
@@ -35,14 +34,12 @@ const GateCase kGates[] = {
     {"DNC_FLIGHT", obs::flight::enabled},
     {"DNC_HISTORY", obs::history::enabled},
     {"DNC_CRASH_DUMP", obs::crash::enabled},
-    {"DNC_PROFILE_HZ", obs::profiler::env_enabled},
 };
 
 void refresh_all() {
   obs::flight::reset_for_tests();  // also empties the solve ring
   obs::history::refresh_from_env();
   obs::crash::refresh_from_env();
-  obs::profiler::refresh_from_env();
 }
 
 /// Runs each test in a fresh empty working directory with every gate knob
@@ -51,7 +48,7 @@ void refresh_all() {
 class EnvGate : public ::testing::Test {
  protected:
   static constexpr const char* kVars[] = {
-      "DNC_FLIGHT", "DNC_HISTORY", "DNC_CRASH_DUMP", "DNC_PROFILE_HZ", "DNC_FLIGHT_LATENCY"};
+      "DNC_FLIGHT", "DNC_HISTORY", "DNC_CRASH_DUMP", "DNC_FLIGHT_LATENCY"};
 
   void SetUp() override {
     for (const char* var : kVars) {
@@ -127,7 +124,6 @@ TEST_F(EnvGate, OnSpellingsSelectTheModuleDefault) {
     for (const GateCase& g : kGates) EXPECT_TRUE(g.enabled()) << g.var;
     EXPECT_EQ(obs::history::archive_path(), "dnc_history.jsonl");
     EXPECT_EQ(obs::crash::dump_path(), "dnc_crash." + pid + ".txt");
-    EXPECT_EQ(obs::profiler::env_hz(), obs::profiler::kDefaultHz);
   }
   for (const GateCase& g : kGates) ::unsetenv(g.var);
   refresh_all();

@@ -1,6 +1,7 @@
 // Solve-history archive tests: the report's family and derived numbers,
 // the append/load report round trip, old-record and unparseable lines
-// skipped and counted, rotation at kMaxBytes, key parsing/filtering, the
+// skipped and counted, lines of older builds loaded without the keys they
+// no longer carry, rotation at kMaxBytes, key parsing/filtering, the
 // per-commit trend view, which telemetry consumer reaches the archive and
 // the ring, the cross-solve view `dnc metrics` renders from an archive,
 // and the report fields a reused SolveStats must not carry over.
@@ -20,8 +21,10 @@
 #include "obs/diff.hpp"
 #include "obs/flight.hpp"
 #include "obs/history.hpp"
+#include "obs/perfetto.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/trace_io.hpp"
 
 namespace dnc {
 namespace {
@@ -233,6 +236,84 @@ TEST_F(HistoryTest, UnparseableLinesAreSkippedAndCounted) {
   ASSERT_TRUE(hist::load_file(path_, reps, nullptr, &skipped));
   EXPECT_EQ(reps.size(), 2u);
   EXPECT_EQ(skipped, 2);
+}
+
+TEST_F(HistoryTest, OutOfRangeIntegerLinesAreSkippedAndCounted) {
+  enable();
+  ASSERT_TRUE(hist::append(sample_report()));
+  {
+    // A report line whose n no long can hold: it must be refused, not cast.
+    std::FILE* f = std::fopen(path_.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    std::fputs("{\"driver\":\"taskflow\",\"n\":1e30,\"threads\":1,\"counters\":{}}\n", f);
+    std::fclose(f);
+  }
+  std::vector<obs::SolveReport> reps;
+  long skipped = 0;
+  ASSERT_TRUE(hist::load_file(path_, reps, nullptr, &skipped));
+  ASSERT_EQ(reps.size(), 1u);
+  EXPECT_EQ(reps[0].n, 1000);
+  EXPECT_EQ(skipped, 1);
+}
+
+// Builds before the steal-locality split was dropped wrote three steal-class
+// counters into the scheduler block of every report and into each worker's
+// dnc_meta counters. A history line and
+// a Perfetto trace of that format still load, and what they re-emit no
+// longer carries those keys.
+TEST_F(HistoryTest, DroppedStealLocalityKeysAreIgnored) {
+  const std::string sched =
+      "\"scheduler\":{\"workers\":2,\"tasks\":9,\"makespan\":0.0003,\"max_queue_depth\":1,"
+      "\"steals\":3,\"steal_attempts\":5,\"failed_steals\":7,\"local_pops\":6,"
+      "\"placed_max\":1,\"placed_min\":1,\"steals_same_l3\":3,\"steals_same_socket\":0,"
+      "\"steals_cross_socket\":0,\"child_tasks\":0}";
+  const std::string report = "{\"driver\":\"taskflow\",\"n\":40,\"threads\":2,"
+                             "\"counters\":{\"gemm_calls\":4},\"has_scheduler\":true," +
+                             sched + "}";
+  const auto carries_dropped_keys = [](const std::string& json) {
+    return json.find("steals_same_") != std::string::npos ||
+           json.find("steals_cross_socket") != std::string::npos;
+  };
+
+  enable();
+  {
+    std::FILE* f = std::fopen(path_.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    std::fputs((report + "\n").c_str(), f);
+    std::fclose(f);
+  }
+  std::vector<obs::SolveReport> reps;
+  long skipped = -1;
+  ASSERT_TRUE(hist::load_file(path_, reps, nullptr, &skipped));
+  EXPECT_EQ(skipped, 0);
+  ASSERT_EQ(reps.size(), 1u);
+  EXPECT_EQ(reps[0].scheduler.steals, 3);
+  EXPECT_EQ(reps[0].scheduler.local_pops, 6);
+  EXPECT_FALSE(carries_dropped_keys(reps[0].to_json())) << reps[0].to_json();
+
+  const std::string trace_json =
+      "[{\"name\":\"dnc_meta\",\"ph\":\"M\",\"pid\":1,\"args\":{\"workers\":2,"
+      "\"sched_counters\":[{\"executed\":5,\"local_pops\":4,\"steals\":1,"
+      "\"steal_attempts\":2,\"failed_steals\":3,\"placed\":1,\"steals_same_l3\":1,"
+      "\"steals_same_socket\":0,\"steals_cross_socket\":0},{\"executed\":4,"
+      "\"local_pops\":2,\"steals\":2,\"steal_attempts\":3,\"failed_steals\":4,"
+      "\"placed\":0,\"steals_same_l3\":2,\"steals_same_socket\":0,"
+      "\"steals_cross_socket\":0}]}},"
+      "{\"name\":\"dnc_report\",\"ph\":\"M\",\"pid\":1,\"args\":" +
+      report +
+      "},"
+      "{\"name\":\"A\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":0,\"dur\":5,"
+      "\"args\":{\"task\":1}}]";
+  rt::Trace trace;
+  obs::SolveReport loaded;
+  std::string err;
+  ASSERT_TRUE(obs::load_perfetto_trace(trace_json, trace, &err, &loaded)) << err;
+  ASSERT_EQ(trace.sched_counters.size(), 2u);
+  EXPECT_EQ(trace.sched_counters[1].steals, 2);
+  EXPECT_EQ(loaded.scheduler.steals, 3);
+  EXPECT_FALSE(carries_dropped_keys(loaded.to_json())) << loaded.to_json();
+  const std::string reemitted = obs::perfetto_trace_json(trace, &loaded);
+  EXPECT_FALSE(carries_dropped_keys(reemitted)) << reemitted;
 }
 
 TEST_F(HistoryTest, RotationAtSizeCap) {

@@ -157,24 +157,5 @@ TEST(NestedReplay, BitForBitEqualToChildStrippedTrace) {
   }
 }
 
-TEST(StealLocality, ClassCountersPartitionSuccessfulSteals) {
-  // Every successful steal is classified against exactly one locality
-  // class, whatever topology the machine (or DNC_TOPOLOGY) reports.
-  TaskGraph g;
-  const KindId kind = g.register_kind("Work");
-  Runtime rt(g, 4);
-  Handle h;
-  for (int i = 0; i < 400; ++i)
-    g.submit(kind, [i] { (void)child_work(i, 0); }, {{&h, Access::GatherV}});
-  rt.wait_all();
-  const Trace t = rt.trace();
-  long steals = 0, by_class = 0;
-  for (const auto& c : t.sched_counters) {
-    steals += c.steals;
-    by_class += c.steals_same_l3 + c.steals_same_socket + c.steals_cross_socket;
-  }
-  EXPECT_EQ(steals, by_class);
-}
-
 }  // namespace
 }  // namespace dnc::rt

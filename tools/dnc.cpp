@@ -9,9 +9,6 @@
 //       parallelism profile, the roofline and -- in solve mode with
 //       --nb-sweep -- the panel-width granularity trade-off. --json dumps
 //       the same analysis machine-readably.
-//   dnc profile profile.folded
-//       Hot-stack / hot-frame tables of a DNC_PROFILE folded-stack dump,
-//       with task-kind and worker rollups.
 //   dnc metrics h.jsonl [--key n=1000] | --prometheus h.jsonl | --diff a b
 //       The cross-solve view of a DNC_HISTORY archive: one row per
 //       {driver, precision, size class} with the solve count, exact latency
@@ -38,12 +35,10 @@
 #include <charconv>
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -72,7 +67,6 @@ void usage(std::FILE* out) {
       "                 [--type 1..15] [--n N] [--minpart M] [--nb NB]\n"
       "                 [--workers 1,2,4,8,16,32] [--nb-sweep] [--json PATH|-]\n"
       "                 [--profile-width W] [--roofline] [--peak-gflops G]\n"
-      "       dnc profile <profile.folded> [--top N]\n"
       "       dnc metrics <archive.jsonl> [--key k1=v1,k2=v2] [--prometheus]\n"
       "       dnc metrics --diff <a.jsonl> <b.jsonl> [--key k1=v1,k2=v2]\n"
       "       dnc diff <a.json> <b.json> [--json PATH|-] [--noise REL]\n"
@@ -289,9 +283,6 @@ int run_trace(Flags& f) {
     if (m.steal_attempts > 0 || m.steals > 0)
       std::printf("steals: %ld ok / %ld attempts / %ld dry scans, local pops: %ld\n",
                   m.steals, m.steal_attempts, m.failed_steals, m.local_pops);
-    if (m.steals_same_l3 + m.steals_same_socket + m.steals_cross_socket > 0)
-      std::printf("steal locality: %ld same-L3 / %ld same-socket / %ld cross-socket\n",
-                  m.steals_same_l3, m.steals_same_socket, m.steals_cross_socket);
     std::printf("\n");
   }
 
@@ -410,131 +401,6 @@ int run_trace(Flags& f) {
     js += "}\n";
     write_output(a.json_out, js);
   }
-  return 0;
-}
-
-// --- profile --------------------------------------------------------------------
-
-/// One parsed folded line: attribution tokens + call chain (root first).
-struct FoldedStack {
-  std::string worker;  ///< "worker:3" / "pool:1" ("" = unattributed)
-  std::string task;    ///< task kind ("" = none)
-  std::vector<std::string> frames;
-  long long count = 0;
-};
-
-bool parse_folded_line(const std::string& line, FoldedStack& out) {
-  const std::size_t sp = line.rfind(' ');
-  if (sp == std::string::npos || sp + 1 >= line.size()) return false;
-  out.count = std::atoll(line.c_str() + sp + 1);
-  if (out.count <= 0) return false;
-  std::size_t pos = 0;
-  const std::string stack = line.substr(0, sp);
-  while (pos <= stack.size()) {
-    std::size_t semi = stack.find(';', pos);
-    if (semi == std::string::npos) semi = stack.size();
-    std::string tok = stack.substr(pos, semi - pos);
-    pos = semi + 1;
-    if (tok.empty()) continue;
-    if (out.frames.empty() && out.worker.empty() &&
-        (tok.rfind("worker:", 0) == 0 || tok.rfind("pool:", 0) == 0))
-      out.worker = tok;
-    else if (out.frames.empty() && tok.rfind("task:", 0) == 0)
-      out.task = tok.substr(5);
-    else
-      out.frames.push_back(std::move(tok));
-  }
-  return !out.frames.empty() || !out.worker.empty();
-}
-
-std::string clip(const std::string& s, std::size_t w) {
-  return s.size() <= w ? s : s.substr(0, w - 3) + "...";
-}
-
-int run_profile(Flags& f) {
-  std::vector<std::string> paths;
-  int top = 15;
-  while (f.more()) {
-    if (f.next() == "--top")
-      top = f.integer(1);
-    else
-      paths.push_back(f.operand());
-  }
-  if (paths.size() != 1) throw UsageError("need one folded-stack file");
-  const std::string& path = paths[0];
-  std::istringstream text(read_input(path));
-  std::vector<FoldedStack> stacks;
-  long long total = 0;
-  for (std::string line; std::getline(text, line);) {
-    if (line.empty() || line[0] == '#') continue;
-    FoldedStack fs;
-    if (parse_folded_line(line, fs)) {
-      total += fs.count;
-      stacks.push_back(std::move(fs));
-    }
-  }
-  if (total == 0) throw std::runtime_error(path + ": no samples");
-  const auto pct = [&](long long c) { return 100.0 * static_cast<double>(c) / total; };
-
-  std::printf("profile: %lld samples, %zu unique stacks (%s)\n\n", total, stacks.size(),
-              path.c_str());
-
-  // Hot stacks: the folded lines themselves, largest first.
-  std::vector<const FoldedStack*> by_count;
-  for (const FoldedStack& fs : stacks) by_count.push_back(&fs);
-  std::sort(by_count.begin(), by_count.end(),
-            [](const FoldedStack* x, const FoldedStack* y) { return x->count > y->count; });
-  std::printf("hot stacks (top %d):\n", top);
-  std::printf("  %7s %6s  %-10s %-16s %s\n", "samples", "%", "worker", "task", "leaf frame");
-  for (int i = 0; i < top && i < static_cast<int>(by_count.size()); ++i) {
-    const FoldedStack& fs = *by_count[i];
-    std::printf("  %7lld %5.1f%%  %-10s %-16s %s\n", fs.count, pct(fs.count),
-                fs.worker.empty() ? "-" : fs.worker.c_str(),
-                fs.task.empty() ? "-" : clip(fs.task, 16).c_str(),
-                fs.frames.empty() ? "?" : clip(fs.frames.back(), 90).c_str());
-  }
-
-  // Hot frames: self = leaf occurrences, total = stacks containing the
-  // frame (each stack counted once, so recursion does not double-count).
-  std::map<std::string, std::pair<long long, long long>> frames;  // self, total
-  for (const FoldedStack& fs : stacks) {
-    std::map<std::string, bool> seen;
-    for (const std::string& fr : fs.frames)
-      if (!seen[fr]) {
-        seen[fr] = true;
-        frames[fr].second += fs.count;
-      }
-    if (!fs.frames.empty()) frames[fs.frames.back()].first += fs.count;
-  }
-  std::vector<std::pair<std::string, std::pair<long long, long long>>> fsorted(frames.begin(),
-                                                                               frames.end());
-  std::sort(fsorted.begin(), fsorted.end(), [](const auto& x, const auto& y) {
-    return x.second.first != y.second.first ? x.second.first > y.second.first
-                                            : x.second.second > y.second.second;
-  });
-  std::printf("\nhot frames (top %d):\n", top);
-  std::printf("  %6s %6s  %s\n", "self%", "total%", "frame");
-  for (int i = 0; i < top && i < static_cast<int>(fsorted.size()); ++i)
-    std::printf("  %5.1f%% %5.1f%%  %s\n", pct(fsorted[i].second.first),
-                pct(fsorted[i].second.second), clip(fsorted[i].first, 110).c_str());
-
-  // Attribution rollups.
-  std::map<std::string, long long> by_task, by_worker;
-  for (const FoldedStack& fs : stacks) {
-    by_task[fs.task.empty() ? "(none)" : fs.task] += fs.count;
-    by_worker[fs.worker.empty() ? "(none)" : fs.worker] += fs.count;
-  }
-  const auto print_rollup = [&](const char* title,
-                                const std::map<std::string, long long>& m) {
-    std::vector<std::pair<std::string, long long>> rows(m.begin(), m.end());
-    std::sort(rows.begin(), rows.end(),
-              [](const auto& x, const auto& y) { return x.second > y.second; });
-    std::printf("\n%s:\n", title);
-    for (const auto& [k, c] : rows)
-      std::printf("  %6.1f%%  %7lld  %s\n", pct(c), c, k.c_str());
-  };
-  print_rollup("by task kind", by_task);
-  print_rollup("by worker", by_worker);
   return 0;
 }
 
@@ -781,8 +647,9 @@ struct Command {
   int (*run)(Flags&);
 };
 
-constexpr Command kCommands[] = {{"trace", run_trace},     {"profile", run_profile},
-                                 {"metrics", run_metrics}, {"diff", run_diff},
+constexpr Command kCommands[] = {{"trace", run_trace},
+                                 {"metrics", run_metrics},
+                                 {"diff", run_diff},
                                  {"compare", run_compare}};
 
 }  // namespace
