@@ -29,6 +29,7 @@
 #include "dc/deflation.hpp"
 #include "lapack/laed4.hpp"
 #include "lapack/steqr.hpp"
+#include "lapack/sterf.hpp"
 #include "lapack/tridiag_lu.hpp"
 #include "bench_support.hpp"
 #include "matgen/tridiag.hpp"
@@ -74,6 +75,19 @@ void BM_Steqr(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Steqr)->Arg(64)->Arg(128)->Arg(256);
+
+// MRRR's serial root-eigenvalue step: eigenvalues only, on Table III
+// type 3, the type of perfbench's mrrr workload.
+void BM_Sterf(benchmark::State& state) {
+  const index_t n = state.range(0);
+  auto t = matgen::table3_matrix(3, n);
+  for (auto _ : state) {
+    std::vector<double> d = t.d, e = t.e;
+    lapack::sterf(n, d.data(), e.data());
+    benchmark::DoNotOptimize(d.data());
+  }
+}
+BENCHMARK(BM_Sterf)->Arg(512)->Arg(2000);
 
 void BM_Laed4(benchmark::State& state) {
   const index_t k = state.range(0);

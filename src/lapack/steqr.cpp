@@ -26,7 +26,7 @@ Real sign_of(Real a, Real b) {
 template <typename Real>
 void apply_plane_rotations(Real* z, index_t ldz, index_t nrows, index_t jl, index_t jm,
                            const Real* cwork, const Real* swork, bool backward) {
-  if (z == nullptr || jm <= jl) return;
+  if (jm <= jl) return;
   if (backward) {
     for (index_t j = jm - 1; j >= jl; --j) {
       const Real c = cwork[j];
@@ -59,8 +59,7 @@ void apply_plane_rotations(Real* z, index_t ldz, index_t nrows, index_t jl, inde
 template <typename Real>
 void steqr(CompZ compz, index_t n, Real* d, Real* e, Real* z, index_t ldz) {
   DNC_REQUIRE(n >= 0, "steqr: n must be >= 0");
-  const bool wantz = compz != CompZ::None;
-  if (wantz) DNC_REQUIRE(z != nullptr && ldz >= std::max<index_t>(1, n), "steqr: bad Z");
+  DNC_REQUIRE(z != nullptr && ldz >= std::max<index_t>(1, n), "steqr: bad Z");
   if (n == 0) return;
   if (compz == CompZ::Identity) blas::laset(n, n, Real(0), Real(1), z, ldz);
   if (n == 1) return;
@@ -148,16 +147,11 @@ void steqr(CompZ compz, index_t n, Real* d, Real* e, Real* z, index_t ldz) {
         }
         if (msub == l + 1) {
           // 2x2 block: solve directly.
-          Real rt1, rt2;
-          if (wantz) {
-            Real c, s;
-            laev2(d[l], e[l], d[l + 1], rt1, rt2, c, s);
-            cwork[l] = c;
-            swork[l] = s;
-            apply_plane_rotations(z, ldz, n, l, l + 1, cwork.data(), swork.data(), true);
-          } else {
-            lae2(d[l], e[l], d[l + 1], rt1, rt2);
-          }
+          Real rt1, rt2, c, s;
+          laev2(d[l], e[l], d[l + 1], rt1, rt2, c, s);
+          cwork[l] = c;
+          swork[l] = s;
+          apply_plane_rotations(z, ldz, n, l, l + 1, cwork.data(), swork.data(), true);
           d[l] = rt1;
           d[l + 1] = rt2;
           e[l] = Real(0);
@@ -187,12 +181,10 @@ void steqr(CompZ compz, index_t n, Real* d, Real* e, Real* z, index_t ldz) {
           p = s * r;
           d[i + 1] = g + p;
           g = c * r - b;
-          if (wantz) {
-            cwork[i] = c;
-            swork[i] = -s;
-          }
+          cwork[i] = c;
+          swork[i] = -s;
         }
-        if (wantz) apply_plane_rotations(z, ldz, n, l, msub, cwork.data(), swork.data(), true);
+        apply_plane_rotations(z, ldz, n, l, msub, cwork.data(), swork.data(), true);
         d[l] -= p;
         e[l] = g;
       }
@@ -219,18 +211,13 @@ void steqr(CompZ compz, index_t n, Real* d, Real* e, Real* z, index_t ldz) {
           continue;
         }
         if (msub == l - 1) {
-          Real rt1, rt2;
-          if (wantz) {
-            Real c, s;
-            laev2(d[l - 1], e[l - 1], d[l], rt1, rt2, c, s);
-            // dsteqr stores (c, s) then applies a single forward rotation on
-            // columns (l-1, l).
-            cwork[l - 1] = c;
-            swork[l - 1] = s;
-            apply_plane_rotations(z, ldz, n, l - 1, l, cwork.data(), swork.data(), false);
-          } else {
-            lae2(d[l - 1], e[l - 1], d[l], rt1, rt2);
-          }
+          Real rt1, rt2, c, s;
+          laev2(d[l - 1], e[l - 1], d[l], rt1, rt2, c, s);
+          // dsteqr stores (c, s) then applies a single forward rotation on
+          // columns (l-1, l).
+          cwork[l - 1] = c;
+          swork[l - 1] = s;
+          apply_plane_rotations(z, ldz, n, l - 1, l, cwork.data(), swork.data(), false);
           d[l - 1] = rt1;
           d[l] = rt2;
           e[l - 1] = Real(0);
@@ -258,12 +245,10 @@ void steqr(CompZ compz, index_t n, Real* d, Real* e, Real* z, index_t ldz) {
           p = s * r;
           d[i] = g + p;
           g = c * r - b;
-          if (wantz) {
-            cwork[i] = c;
-            swork[i] = s;
-          }
+          cwork[i] = c;
+          swork[i] = s;
         }
-        if (wantz) apply_plane_rotations(z, ldz, n, msub, l, cwork.data(), swork.data(), false);
+        apply_plane_rotations(z, ldz, n, msub, l, cwork.data(), swork.data(), false);
         d[l] -= p;
         e[l - 1] = g;
       }
@@ -284,12 +269,8 @@ void steqr(CompZ compz, index_t n, Real* d, Real* e, Real* z, index_t ldz) {
     }
   }
 
-  // Sort eigenvalues (and eigenvectors) in ascending order.
-  if (!wantz) {
-    std::sort(d, d + n);
-    return;
-  }
-  // Selection sort to minimise eigenvector column swaps, as in dsteqr.
+  // Sort eigenpairs in ascending order: selection sort, to minimise
+  // eigenvector column swaps, as in dsteqr.
   for (index_t ii = 1; ii < n; ++ii) {
     const index_t i = ii - 1;
     index_t k = i;

@@ -4,9 +4,10 @@
 //
 // Pipeline: split into unreduced blocks -> per block, a root
 // LDL^T representation just outside the spectrum -> all root eigenvalues
-// in O(n^2) by implicit QL (sterf; bisection only if QL fails), then
-// grain-sized tasks refine them against the root (refine_ldl: verified
-// Sturm-count bracket, bisection to full relative accuracy) ->
+// in O(n^2) by square-root-free PWK QL (sterf, a dsterf port; MR3-SMP
+// uses dqds), bisection only if QL fails, then grain-sized tasks refine
+// them against the root (refine_ldl: verified Sturm-count bracket,
+// bisection to full relative accuracy) ->
 // representation tree: runs of consecutive singletons get their
 // twisted-factorization eigenvectors in grain-sized Getvec tasks,
 // clusters get a shifted child representation whose members are refined in

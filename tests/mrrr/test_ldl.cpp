@@ -262,17 +262,18 @@ TEST(Ldl, RefineLdlBatchMatchesOneAtATimeF32) { check_batch_matches_one_at_a_tim
 // how many there are. The totals depend on the kernel table only through
 // the generated fp64 input (matgen's Lanczos runs on the level-1 kernels),
 // so the scalar table has its own fp64 values and the AVX2 and AVX-512
-// tables share theirs.
+// tables share theirs. They also depend on the root eigenvalue guesses
+// that sterf supplies.
 TEST(Ldl, SolveSturmAndBisectStepsPinned) {
   struct Cell {
     int type;
     Precision precision;
     std::uint64_t scalar_sturm, scalar_bisect, vector_sturm, vector_bisect;
   };
-  const Cell cells[] = {{3, Precision::F64, 1819800, 4893, 1815900, 4883},
+  const Cell cells[] = {{3, Precision::F64, 1821000, 4893, 1819800, 4890},
                         {7, Precision::F64, 6551400, 19952, 6554100, 19963},
-                        {3, Precision::F32, 1813800, 4876, 1813800, 4876},
-                        {7, Precision::F32, 7139400, 21604, 7139400, 21604}};
+                        {3, Precision::F32, 1817400, 4883, 1817400, 4883},
+                        {7, Precision::F32, 7139100, 21603, 7139100, 21603}};
   for (SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Avx2, SimdIsa::Avx512}) {
     if (blas::simd::kernels_for(isa) == nullptr) continue;
     blas::simd::ScopedIsaOverride force(isa);
